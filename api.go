@@ -88,6 +88,10 @@ type PipelineProgress = detect.PipelineProgress
 // stage advanced for Config.StallTimeout while work was outstanding.
 var ErrStalled = detect.ErrStalled
 
+// ErrStrandOverflow is the cause of the PipelineError a run fails with
+// when it would need more than 2^31-1 strand ids.
+var ErrStrandOverflow = detect.ErrStrandOverflow
+
 // TraceStats describes how a recovering trace replay ended; see
 // ReplayTraceRecover.
 type TraceStats = detect.TraceStats

@@ -291,6 +291,34 @@ func BenchmarkAccessHistoryRange(b *testing.B) {
 		})
 		b.ReportMetric(float64(passes*words), "words/op")
 	})
+	b.Run("inflated", func(b *testing.B) {
+		// k parallel readers per word, then one ordered writer over the
+		// range: every word's reader list inflates, and the write checks
+		// each list in full. queries/op stays near k per write batch
+		// because verdicts are cached per batch, not per word.
+		const k, iwords = 16, 1 << 12
+		arr := futurerd.NewArray[int64](iwords)
+		base := arr.Addr(0)
+		var queries uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rep := futurerd.Detect(futurerd.Config{
+				Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull,
+			}, func(t *futurerd.Task) {
+				for r := 0; r < k; r++ {
+					t.Spawn(func(c *futurerd.Task) { c.ReadRange(base, iwords) })
+				}
+				t.Sync()
+				t.WriteRange(base, iwords)
+			})
+			if rep.Racy() {
+				b.Fatal("unexpected race")
+			}
+			queries = rep.Stats.Reach.Queries
+		}
+		b.ReportMetric(float64((k+1)*iwords), "words/op")
+		b.ReportMetric(float64(queries), "queries/op")
+	})
 }
 
 // BenchmarkAccessHistoryRangeWorkers measures the parallel range

@@ -9,8 +9,7 @@
 //	               [-workers n] [-traces dir]
 //
 // By default times are printed as aligned tables, in seconds, with
-// overheads relative to the baseline configuration; see EXPERIMENTS.md
-// for the recorded comparison against the paper's numbers. With -json
+// overheads relative to the baseline configuration. With -json
 // the same measurements are emitted as one machine-readable JSON
 // document (per-config timings plus run counters, including the shadow
 // fast-path stats), suitable for tracking a perf trajectory across

@@ -143,8 +143,10 @@
 // worker pool. Between parallel constructs the reachability relation is
 // immutable, so the per-word Precedes queries of one range are read-only
 // and chunks of the range can be checked concurrently: each worker keeps
-// its own page cache and verdict memo, union-find path compression is
-// CAS-based, and page materialization is striped by page number. Race
+// its own page cache and verdict cache, union-find path compression is
+// CAS-based, page materialization is striped by page number, and the
+// shadow layer's inflated reader lists take a lock only to allocate or
+// free a slot. Race
 // reports are identical, in content and order, to a serial run; Workers
 // <= 1 (the default) keeps every access on the exact serial path. The
 // pool engages for SP-Bags, MultiBags, MultiBags+ and VectorClocks;

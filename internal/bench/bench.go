@@ -12,7 +12,7 @@
 // — and prints the same rows the paper reports, with overheads relative
 // to the baseline and geometric means. Absolute numbers differ from the
 // paper's Cilk Plus / Xeon testbed; the shapes are what this harness is
-// for (see EXPERIMENTS.md).
+// for.
 package bench
 
 import (

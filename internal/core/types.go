@@ -20,6 +20,12 @@ type StrandID uint32
 // NoStrand is the zero StrandID, meaning "no strand".
 const NoStrand StrandID = 0
 
+// MaxStrand is the largest strand id. The shadow layer keeps either a
+// strand id or a spill-slot index in the low 31 bits of a word's reader
+// slot, with the top bit telling them apart, so ids must fit in 31 bits.
+// The detection engine fails closed rather than allocate past it.
+const MaxStrand StrandID = 1<<31 - 1
+
 // FnID identifies a function instance (a dynamic call created by spawn or
 // create_fut, or the main function). Function 0 is reserved; valid ids
 // start at 1.

@@ -49,6 +49,10 @@ type Engine struct {
 	nextStrand core.StrandID
 	nextFn     core.FnID
 
+	// maxStrand is the last strand id newStrand may hand out: core.MaxStrand,
+	// lowered only by tests to reach the cap without 2^31 constructs.
+	maxStrand core.StrandID
+
 	// sctx is the shadow-layer context prototype: the reachability
 	// structure (queried directly, no per-query closure) and the race
 	// sinks (allocated once so the hot path allocates nothing). It is
@@ -194,6 +198,7 @@ func NewEngine(cfg Config) *Engine {
 		mem:       cfg.Mem,
 		maxRaces:  cfg.MaxRaces,
 		faults:    cfg.Faults,
+		maxStrand: core.MaxStrand,
 	}
 	if e.maxRaces <= 0 {
 		e.maxRaces = DefaultMaxRaces
@@ -688,7 +693,15 @@ func (e *Engine) newFn() core.FnID {
 	return e.nextFn
 }
 
+// newStrand allocates the next strand id for function fn. At the id cap
+// the run fails closed with a PipelineError caused by ErrStrandOverflow
+// instead of wrapping into ids the shadow layer would misread.
 func (e *Engine) newStrand(fn core.FnID) core.StrandID {
+	if e.nextStrand >= e.maxStrand {
+		pe := e.newPipelineError("engine", nil, ErrStrandOverflow)
+		e.poisonWith(pe)
+		e.fail(pe)
+	}
 	e.nextStrand++
 	e.st.Add(e.nextStrand, fn)
 	return e.nextStrand
@@ -1007,7 +1020,7 @@ func (e *Engine) processBatch(b *event.Batch) {
 	if e.vr != nil {
 		e.vr.ApplyTo(b.Version)
 	}
-	// Every batch starts with a cold verdict memo, here exactly as on the
+	// Every batch starts with a cold verdict cache, here exactly as on the
 	// multi-consumer views, so memo-hit counters cannot depend on which
 	// pipeline checked the batch.
 	e.hist.ResetBatchCaches()
@@ -1043,8 +1056,8 @@ func (e *Engine) processBatch(b *event.Batch) {
 // pairSig condenses a race's identity beyond its address — the strand
 // pair and access kinds — for the per-address dedupe bookkeeping.
 func pairSig(prev, cur core.StrandID, prevWrite, curWrite bool) uint64 {
-	// Strand ids are capped at 2^31-1 (the shadow layer's spill flag), so
-	// the top bit of each half carries the access kind.
+	// Strand ids are capped at core.MaxStrand (2^31-1), so the top bit of
+	// each half carries the access kind.
 	sig := uint64(prev)<<32 | uint64(cur)
 	if prevWrite {
 		sig |= 1 << 63

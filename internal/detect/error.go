@@ -12,6 +12,11 @@ import (
 // outstanding.
 var ErrStalled = errors.New("detect: pipeline stalled past Config.StallTimeout")
 
+// ErrStrandOverflow is the cause of the PipelineError a run fails with
+// when it needs more strand ids than core.MaxStrand: past the cap a
+// shadow word could no longer tell a strand from a reader-list slot.
+var ErrStrandOverflow = errors.New("detect: strand ids exhausted (2^31-1 strands)")
+
 // PipelineProgress is the per-stage progress snapshot a PipelineError
 // carries: how far each stage of the pipeline had advanced, in seal-order
 // sequence counts, when the failure was recorded. Sealed counts items the
@@ -42,8 +47,9 @@ type PipelineError struct {
 	// Stage names the pipeline stage that failed: "consumer" (batch
 	// checking, single- or multi-consumer), "scheduler" (the
 	// multi-consumer window scheduler), "inline" (the synchronous
-	// checking path on the engine goroutine), or "watchdog" (a stall
-	// detected by Config.StallTimeout).
+	// checking path on the engine goroutine), "watchdog" (a stall
+	// detected by Config.StallTimeout), or "engine" (the engine ran out
+	// of an identifier space; see ErrStrandOverflow).
 	Stage string
 	// Seq is the seal-order sequence number of the batch being processed
 	// when the stage failed (0 when no batch was in hand).

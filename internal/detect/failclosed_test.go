@@ -101,6 +101,39 @@ func TestPoisonedEngineRefusesWork(t *testing.T) {
 	}
 }
 
+// TestStrandOverflowFailsClosed: a run that needs a strand id past the cap
+// ends in one PipelineError caused by ErrStrandOverflow, on every pipeline
+// shape, with no id handed out beyond the cap and no goroutine left
+// behind. The cap is lowered so the test reaches it in a few constructs.
+func TestStrandOverflowFailsClosed(t *testing.T) {
+	faultinject.GoroutineLeakCheck(t)
+	const limit = 40
+	for _, workers := range []int{0, 4} {
+		for _, consumers := range []int{0, 4} {
+			e := NewEngine(Config{
+				Mode: ModeMultiBagsPlus, Mem: MemFull,
+				Workers: workers, Consumers: consumers,
+			})
+			e.maxStrand = limit
+			rep := e.Run(func(t *Task) {
+				for i := 0; i < 100; i++ {
+					t.Spawn(func(c *Task) { c.Write(uint64(i) * 512) })
+				}
+				t.Sync()
+			})
+			var pe *PipelineError
+			if !errors.As(rep.Err, &pe) || pe.Stage != "engine" || !errors.Is(rep.Err, ErrStrandOverflow) {
+				t.Fatalf("w=%d c=%d: want an engine PipelineError caused by ErrStrandOverflow, got %v",
+					workers, consumers, rep.Err)
+			}
+			if rep.Stats.Strands > limit {
+				t.Fatalf("w=%d c=%d: %d strands allocated past the cap of %d",
+					workers, consumers, rep.Stats.Strands, limit)
+			}
+		}
+	}
+}
+
 // TestProgressStringIsReadable keeps the diagnostic surface stable: the
 // progress snapshot inside a stall error is what an operator reads first.
 func TestProgressStringIsReadable(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 
 // These tests pin the engine ↔ shadow fast-path integration: the bulk
 // range operations must exercise the page cache, ownership skips and the
-// verdict memo on realistic programs, while Verify mode proves the skipped
+// verdict cache on realistic programs, while Verify mode proves the skipped
 // reachability queries never change a verdict against the dag oracle.
 
 // TestRangeOpsFindCrossPageRaces drives page-boundary-crossing ranges

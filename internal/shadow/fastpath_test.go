@@ -13,8 +13,7 @@ import (
 
 // writeInterleaved installs an alternating last-writer pattern (strands
 // w1/w2 in blocks of blk words) over [1, 1+n) so a later reader cannot be
-// served by the owned-word filter and thrashes the single-entry verdict
-// memo at every block boundary.
+// served by the owned-word filter and must query each writer.
 func writeInterleaved(h *History, ctx *Ctx, n, blk int, w1, w2 core.StrandID) {
 	for base := 0; base < n; base += blk {
 		s := w1

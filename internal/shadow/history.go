@@ -31,7 +31,7 @@
 //   - Carried-forward read epochs: each word additionally carries a
 //     lastReader stamp recorded when a read completes race-free, and the
 //     stamp stays valid *across* construct generations — it dies only at
-//     the next write install (flushReaders), never at a spawn or join.
+//     the next write install (spillSlab.flush), never at a spawn or join.
 //     The word's read state is a two-state machine: *single-reader* (the
 //     inline reader0 slot plus the stamp) inflating to *inflated* (the
 //     spill list, entered only on genuine read contention — a second
@@ -55,13 +55,19 @@
 //     future-parallel code, cost ~0 reachability queries instead of one
 //     per (word, strand, generation).
 //
-//   - The last (writer-strand → current-strand) reachability verdict is
-//     memoized: consecutive words written by the same predecessor strand
-//     pay one Precedes call, not one per word. The memo is keyed by the
-//     engine's construct generation plus the current strand, both of which
-//     change at every parallel construct, so a stale verdict can never be
-//     observed (the reachability relation only mutates at constructs, and
-//     strand ids are never reused).
+//   - Inflated reader lists live in a slab (spill.go), not a map: an
+//     inflated word's reader0 holds its slot index, so appending a reader,
+//     checking the list on a write and flushing it each cost one slice
+//     index. Deflated slots are recycled with their capacity.
+//
+//   - Reachability verdicts are cached per batch: a small direct-mapped
+//     cache keyed by the predecessor strand answers repeated "u precedes
+//     the current strand" queries, so a write over words that share k
+//     readers pays k Precedes calls, not k per word. The cache is
+//     invalidated whenever the engine's construct generation or the
+//     current strand changes, and at every batch boundary, so a stale
+//     verdict can never be observed (the reachability relation only
+//     mutates at constructs, and strand ids are never reused).
 //
 // The fast paths are verdict-preserving: for every access they report a
 // race if and only if the word-at-a-time reference protocol (Read/Write
@@ -113,8 +119,9 @@ const maxDirs = 1 << 20
 // allocates in a noscan span, so the garbage collector never walks shadow
 // memory, and first-touch zeroing clears 48KB instead of a pointer-scanned
 // multiple. The uncommon case of several distinct readers between two
-// writes spills to History.spill (the inflated state), flagged by
-// spillFlag in reader0.
+// writes spills to a list in History.spill (the inflated state): reader0
+// then holds spillFlag plus the list's slot index, and the first reader
+// moves to element 0 of the list.
 //
 // The stamp invariant: lastReader is non-zero only if it completed a
 // race-free read of this word — meaning the word's writer at that moment
@@ -136,10 +143,11 @@ const WordBytes = 12
 
 var _ [1]struct{} = [unsafe.Sizeof(word{}) - WordBytes + 1]struct{}{}
 
-// spillFlag marks a word whose reader list continues in History.spill.
-// It occupies the top bit of reader0, which caps strand ids at 2^31-1 —
-// unreachable in practice (the engine allocates a few strands per parallel
-// construct and would exhaust memory long before).
+// spillFlag marks an inflated word: its reader list lives in
+// History.spill, and the low 31 bits of reader0 are the list's slot
+// index. The flag occupies the top bit of reader0, so reader0 can name
+// either a strand or a slot, and strand ids are capped at 2^31-1
+// (core.MaxStrand; the engine fails closed at the cap).
 const spillFlag core.StrandID = 1 << 31
 
 // page is one densely allocated run of shadow words plus the page-level
@@ -178,14 +186,8 @@ type History struct {
 
 	overflow map[uint64]*page // pages beyond maxDirs directories
 
-	// spill holds the second-and-later distinct readers of words whose
-	// reader list outgrew the inline slot, keyed by address. Entries keep
-	// their capacity across flushes so a hot word does not reallocate.
-	spill map[uint64][]core.StrandID
-
-	// spillMu guards spill on the parallel range path; the serial path
-	// accesses the map directly (the worker pool is quiescent then).
-	spillMu sync.Mutex
+	// spill holds the reader lists of inflated words (spill.go).
+	spill spillSlab
 
 	// foldMu serializes multi-consumer counter folds (View.Fold); the
 	// serial and single-consumer paths add to the counters directly.
@@ -208,13 +210,11 @@ type History struct {
 	lastPN   uint64
 	lastPage *page
 
-	// Memoized reachability verdict for (memoSrc ≺ memoCur) at construct
-	// generation memoGen. A single entry suffices: bulk accesses tend to
-	// revisit one predecessor strand for long runs of words.
-	memoGen uint64
-	memoCur core.StrandID
-	memoSrc core.StrandID
-	memoOK  bool
+	// Cached reachability verdicts "u precedes verdictCur" at construct
+	// generation verdictGen; verdicts is reset whenever the pair changes.
+	verdictGen uint64
+	verdictCur core.StrandID
+	verdicts   verdictCache
 
 	// Memoized epoch-transfer verdict for EpochOrdered(epochSrc, epochCur)
 	// at generation epochGen — same single-entry regime as the precedes
@@ -226,12 +226,27 @@ type History struct {
 
 	// Counters for the benchmark harness. touchedPages is incremented
 	// atomically on the parallel path (workers materialize their own
-	// pages); everything else is either serial or aggregated from
-	// worker-local counters after each fan-out.
+	// pages); the rest are either serial or folded in from worker-local
+	// counters after each fan-out or batch.
+	counters
+	touchedPages uint64
+
+	// smp is the tier-1 access sampler (sampler.go); the zero value is
+	// disarmed and every access pays the full protocol.
+	smp sampler
+
+	// faults is the run's fault-injection plan (nil in production): its
+	// only probe here is PageFail, fired at page materialization to model
+	// a failed shadow allocation. See SetFaults.
+	faults *faultinject.Plan
+}
+
+// counters is the additive counter set kept by the serial checker and,
+// worker-locally, by every chunk; chunk counters fold into the History.
+type counters struct {
 	reads, writes   uint64
 	readerAppends   uint64
 	readerFlushes   uint64
-	touchedPages    uint64
 	pageCacheHits   uint64
 	ownedSkips      uint64
 	readSharedSkips uint64
@@ -244,15 +259,26 @@ type History struct {
 	sampledAccesses uint64 // slow-path accesses admitted by the sampler
 	budgetSkips     uint64 // rate-admitted accesses denied a page coupon
 	touched         uint64 // Touch checksum; keeps the instr config honest
+}
 
-	// smp is the tier-1 access sampler (sampler.go); the zero value is
-	// disarmed and every access pays the full protocol.
-	smp sampler
-
-	// faults is the run's fault-injection plan (nil in production): its
-	// only probe here is PageFail, fired at page materialization to model
-	// a failed shadow allocation. See SetFaults.
-	faults *faultinject.Plan
+// add folds o into c.
+func (c *counters) add(o *counters) {
+	c.reads += o.reads
+	c.writes += o.writes
+	c.readerAppends += o.readerAppends
+	c.readerFlushes += o.readerFlushes
+	c.pageCacheHits += o.pageCacheHits
+	c.ownedSkips += o.ownedSkips
+	c.readSharedSkips += o.readSharedSkips
+	c.memoHits += o.memoHits
+	c.epochHits += o.epochHits
+	c.epochInflations += o.epochInflations
+	c.epochDeflations += o.epochDeflations
+	c.parRanges += o.parRanges
+	c.parChunks += o.parChunks
+	c.sampledAccesses += o.sampledAccesses
+	c.budgetSkips += o.budgetSkips
+	c.touched += o.touched
 }
 
 // NewHistory returns an empty access history.
@@ -340,15 +366,14 @@ func (h *History) pageFor(pn uint64) *page {
 }
 
 // ResetBatchCaches invalidates the cross-batch carryover state of the
-// serial range path — the single-entry verdict memo and the epoch-transfer
-// memo. The engine calls it at every batch boundary so the serial,
+// serial range path — the verdict cache and the epoch-transfer memo. The engine calls it at every batch boundary so the serial,
 // single-consumer and multi-consumer pipelines answer the same queries
 // from the same caches: a batch always starts with cold memos, whichever
 // consumer checks it. (The last-page cache is deliberately kept:
 // page-cache hits are a plumbing counter, excluded from
 // cross-configuration equivalence.)
 func (h *History) ResetBatchCaches() {
-	h.memoCur = core.NoStrand
+	h.verdictCur = core.NoStrand
 	h.epochCur = core.NoStrand
 }
 
@@ -401,60 +426,8 @@ func (h *History) Read(addr uint64, s core.StrandID, precedes func(u core.Strand
 	}
 	// Append s to the reader list, deduplicating the common case of the
 	// same strand re-reading the location between writes.
-	h.appendReader(w, addr, s)
+	h.spill.addReader(w, s, &h.counters, false)
 	return Racer{}, false
-}
-
-func (h *History) appendReader(w *word, addr uint64, s core.StrandID) {
-	switch {
-	case w.reader0 == core.NoStrand:
-		w.reader0 = s
-		h.readerAppends++
-	case w.reader0&^spillFlag == s:
-	default:
-		h.appendSpill(w, addr, s)
-	}
-}
-
-// appendSpill records a second or later distinct reader of w's address —
-// the read-epoch state machine's inflation: genuine read contention grows
-// the single inline slot into the full spill list. The most recent spilled
-// reader deduplicates repeats, bounding growth by the number of reader
-// alternations, as in the inline slot.
-func (h *History) appendSpill(w *word, addr uint64, s core.StrandID) {
-	if w.reader0&spillFlag != 0 {
-		if more := h.spill[addr]; more[len(more)-1] == s {
-			return // same strand re-reading; already recorded
-		}
-	} else {
-		w.reader0 |= spillFlag
-		h.epochInflations++
-	}
-	if h.spill == nil {
-		h.spill = make(map[uint64][]core.StrandID)
-	}
-	h.spill[addr] = append(h.spill[addr], s)
-	h.readerAppends++
-}
-
-// flushReaders empties the reader list of w after a write install, along
-// with the read-epoch stamp (which must not survive a write: its verdict
-// was proven against the previous writer). An inflated word deflates here
-// — the next race-free read re-enters the single-reader state — with the
-// spill entry keeping its capacity for the next inflation on this word. A
-// word with no readers has no stamp either — a race-free read always
-// records its reader — so the early return cannot strand a stale stamp.
-func (h *History) flushReaders(w *word, addr uint64) {
-	if w.reader0 == core.NoStrand {
-		return
-	}
-	if w.reader0&spillFlag != 0 {
-		h.spill[addr] = h.spill[addr][:0]
-		h.epochDeflations++
-	}
-	w.reader0 = core.NoStrand
-	w.lastReader = core.NoStrand
-	h.readerFlushes++
 }
 
 // Write processes a write of addr by strand s. It returns the first racing
@@ -476,36 +449,37 @@ func (h *History) Write(addr uint64, s core.StrandID, precedes func(u core.Stran
 	h.writes++
 	w := h.wordFor(addr)
 	if prev := w.lastWriter; prev != core.NoStrand && prev != s && !precedes(prev) {
-		h.installWriter(w, addr, s)
+		h.installWriter(w, s)
 		return Racer{Prev: prev, PrevWrite: true}, true
 	}
-	if r0 := w.reader0 &^ spillFlag; r0 != core.NoStrand && r0 != s && !precedes(r0) {
-		h.installWriter(w, addr, s)
-		return Racer{Prev: r0, PrevWrite: false}, true
-	}
-	if w.reader0&spillFlag != 0 {
-		for _, r := range h.spill[addr] {
+	if r0 := w.reader0; r0&spillFlag == 0 {
+		if r0 != core.NoStrand && r0 != s && !precedes(r0) {
+			h.installWriter(w, s)
+			return Racer{Prev: r0, PrevWrite: false}, true
+		}
+	} else {
+		for _, r := range h.spill.readers(r0) {
 			if r != s && !precedes(r) {
-				h.installWriter(w, addr, s)
+				h.installWriter(w, s)
 				return Racer{Prev: r, PrevWrite: false}, true
 			}
 		}
 	}
-	h.installWriter(w, addr, s)
+	h.installWriter(w, s)
 	return Racer{}, false
 }
 
 // installWriter completes a write: the reader list is flushed and s
 // becomes the last writer. Called for race-free and racing writes alike
 // (see Write).
-func (h *History) installWriter(w *word, addr uint64, s core.StrandID) {
-	h.flushReaders(w, addr)
+func (h *History) installWriter(w *word, s core.StrandID) {
+	h.spill.flush(w, &h.counters, false)
 	w.lastWriter = s
 }
 
 // Ctx bundles the per-run reachability context the engine threads through
 // the range operations: the reachability structure queried directly (no
-// per-query closure), the construct generation keying the verdict memo,
+// per-query closure), the construct generation keying the verdict cache,
 // and the race sinks. The engine owns one Ctx per run and bumps Gen at
 // every parallel construct.
 type Ctx struct {
@@ -524,17 +498,16 @@ type Ctx struct {
 }
 
 // precedes answers "u is sequentially before the current strand s" through
-// the single-entry verdict memo. ctx.Gen is the engine's construct
-// generation; (Gen, s) together pin a window during which the reachability
-// relation is immutable, so a memo hit is always safe.
+// the verdict cache. ctx.Gen is the engine's construct generation; (Gen, s)
+// together pin a window during which the reachability relation is
+// immutable, so the cache is reset whenever the pair changes and a hit is
+// always safe.
 func (h *History) precedes(u, s core.StrandID, ctx *Ctx) bool {
-	if h.memoGen == ctx.Gen && h.memoCur == s && h.memoSrc == u {
-		h.memoHits++
-		return h.memoOK
+	if h.verdictGen != ctx.Gen || h.verdictCur != s {
+		h.verdictGen, h.verdictCur = ctx.Gen, s
+		h.verdicts.reset()
 	}
-	ok := ctx.Reach.Precedes(u, s)
-	h.memoGen, h.memoCur, h.memoSrc, h.memoOK = ctx.Gen, s, u, ok
-	return ok
+	return h.verdicts.precedes(u, s, ctx.Reach, &h.memoHits)
 }
 
 // epochOrdered answers "r's read-epoch stamp transfers its race-free
@@ -655,15 +628,7 @@ func (h *History) readWordSlow(w *word, p *page, addr uint64, s core.StrandID, c
 		}
 	}
 	w.lastReader = s
-	if w.reader0 == core.NoStrand {
-		w.reader0 = s
-		h.readerAppends++
-		return
-	}
-	if w.reader0&^spillFlag == s {
-		return // same strand re-reading between writes
-	}
-	h.appendSpill(w, addr, s)
+	h.spill.addReader(w, s, &h.counters, false)
 }
 
 // WriteRange processes writes of words consecutive addresses starting at
@@ -742,29 +707,30 @@ func (h *History) WriteRange(addr uint64, words int, s core.StrandID, ctx *Ctx) 
 // race-free protocol run, so later sampled queries are unaffected.
 func (h *History) writeSlow(w *word, p *page, addr uint64, s core.StrandID, ctx *Ctx) {
 	if h.smp.on && !h.sampleSlow(p, addr, ctx.Gen) {
-		h.installWriter(w, addr, s)
+		h.installWriter(w, s)
 		return
 	}
 	if prev := w.lastWriter; prev != core.NoStrand && prev != s && !h.precedes(prev, s, ctx) {
-		h.installWriter(w, addr, s)
+		h.installWriter(w, s)
 		ctx.OnWriteRace(addr, Racer{Prev: prev, PrevWrite: true}, s)
 		return
 	}
-	if r0 := w.reader0 &^ spillFlag; r0 != core.NoStrand && r0 != s && !h.precedes(r0, s, ctx) {
-		h.installWriter(w, addr, s)
-		ctx.OnWriteRace(addr, Racer{Prev: r0, PrevWrite: false}, s)
-		return
-	}
-	if w.reader0&spillFlag != 0 {
-		for _, r := range h.spill[addr] {
+	if r0 := w.reader0; r0&spillFlag == 0 {
+		if r0 != core.NoStrand && r0 != s && !h.precedes(r0, s, ctx) {
+			h.installWriter(w, s)
+			ctx.OnWriteRace(addr, Racer{Prev: r0, PrevWrite: false}, s)
+			return
+		}
+	} else {
+		for _, r := range h.spill.readers(r0) {
 			if r != s && !h.precedes(r, s, ctx) {
-				h.installWriter(w, addr, s)
+				h.installWriter(w, s)
 				ctx.OnWriteRace(addr, Racer{Prev: r, PrevWrite: false}, s)
 				return
 			}
 		}
 	}
-	h.installWriter(w, addr, s)
+	h.installWriter(w, s)
 }
 
 // Stats describes access-history traffic.
@@ -796,8 +762,9 @@ type Stats struct {
 	// inflated word back toward the single-reader state).
 	EpochInflations uint64
 	EpochDeflations uint64
-	// SpillEntries is the number of reader entries held in the spill table
-	// at the time Stats was taken — the live footprint of inflated words.
+	// SpillEntries is the number of reader entries of inflated words
+	// beyond each word's first reader at the time Stats was taken — the
+	// live footprint of inflated words.
 	SpillEntries uint64
 	// ParRanges counts range operations that fanned out across the worker
 	// pool; ParChunks counts the chunks processed across all fan-outs.
@@ -816,10 +783,6 @@ type Stats struct {
 // Stats returns the history's counters. Called on a quiescent history
 // (after the run, or between accesses), so the spill walk needs no lock.
 func (h *History) Stats() Stats {
-	var spillEntries uint64
-	for _, more := range h.spill {
-		spillEntries += uint64(len(more))
-	}
 	return Stats{
 		Reads: h.reads, Writes: h.writes,
 		ReaderAppends:   h.readerAppends,
@@ -832,7 +795,7 @@ func (h *History) Stats() Stats {
 		EpochHits:       h.epochHits,
 		EpochInflations: h.epochInflations,
 		EpochDeflations: h.epochDeflations,
-		SpillEntries:    spillEntries,
+		SpillEntries:    h.spill.entries(),
 		ParRanges:       h.parRanges,
 		ParChunks:       h.parChunks,
 		SampledAccesses: h.sampledAccesses,

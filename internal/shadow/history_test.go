@@ -91,7 +91,7 @@ func TestReaderDeduplication(t *testing.T) {
 	h2.Read(1, 2, prec())
 	h2.Read(1, 3, prec())
 	h2.Read(1, 3, prec())
-	h2.Read(1, 2, prec()) // reader0 == 2 dedupes
+	h2.Read(1, 2, prec()) // the first reader, 2, dedupes
 	if got := h2.Stats().ReaderAppends; got != 2 {
 		t.Fatalf("ReaderAppends = %d, want 2", got)
 	}

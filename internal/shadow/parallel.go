@@ -1,7 +1,7 @@
 // Parallel range detection: ReadRange/WriteRange/TouchRange fanned out
 // across a persistent worker pool.
 //
-// The enabling observation is the same one behind the verdict memo:
+// The enabling observation is the same one behind the verdict cache:
 // between parallel constructs the reachability relation is immutable
 // (Ctx.Gen keys on exactly that), so every Precedes query made inside one
 // range access is logically read-only. A bulk range can therefore be
@@ -14,9 +14,11 @@
 //     are atomic pointers and creation is serialized by stripe locks
 //     keyed on the page number (pageForShared), while the coordinator
 //     pre-ensures the directory level and overflow pages serially;
-//   - the rare multi-reader spill map is guarded by a mutex on this path;
-//   - each worker keeps its own last-page cache, (Gen, strand) verdict
-//     memo and stat counters, so the hot loop shares nothing.
+//   - inflated reader lists live in a slab whose segments never move; a
+//     mutex is taken only to allocate or free a slot, and each list is
+//     touched only by the worker that owns its word;
+//   - each worker keeps its own last-page cache, verdict cache and stat
+//     counters, so the hot loop shares nothing.
 //
 // Chunks partition the range, so every shadow word is touched by exactly
 // one worker per operation; two workers may share a page (distinct slots)
@@ -144,8 +146,8 @@ func (j *chunkJob) run() {
 }
 
 // chunkState is the worker-local state of one chunk: its own last-page
-// cache, verdict memo and counters, so the per-word loop touches no
-// shared memory except the (disjoint) shadow words themselves.
+// cache, verdict cache and counters, so the per-word loop touches no
+// shared memory except the (disjoint) shadow words and their reader lists.
 type chunkState struct {
 	h   *History
 	ctx *Ctx
@@ -154,11 +156,10 @@ type chunkState struct {
 	lastPN   uint64
 	lastPage *page
 
-	// Verdict memo. Gen and the current strand are fixed for the whole
-	// operation, so the key degenerates to the predecessor strand.
-	memoValid bool
-	memoSrc   core.StrandID
-	memoOK    bool
+	// Verdict cache. Gen and the current strand are fixed for the whole
+	// operation (or View batch), so it is keyed by the predecessor strand
+	// alone; a fresh chunkState starts empty and View.Begin resets it.
+	verdicts verdictCache
 
 	// Epoch-transfer memo, same degenerate key (the stamp holder).
 	epochValid bool
@@ -168,52 +169,11 @@ type chunkState struct {
 	events []parEvent
 
 	// Worker-local counters, folded into the History after the join.
-	reads, writes   uint64
-	readerAppends   uint64
-	readerFlushes   uint64
-	pageCacheHits   uint64
-	ownedSkips      uint64
-	readSharedSkips uint64
-	memoHits        uint64
-	epochHits       uint64
-	epochInflations uint64
-	epochDeflations uint64
-	parRanges       uint64
-	parChunks       uint64
-	sampledAccesses uint64
-	budgetSkips     uint64
-	touched         uint64
-}
-
-// addCounters folds o's counters into c (used when a fan-out's chunk
-// states are folded into the operation's sink state).
-func (c *chunkState) addCounters(o *chunkState) {
-	c.reads += o.reads
-	c.writes += o.writes
-	c.readerAppends += o.readerAppends
-	c.readerFlushes += o.readerFlushes
-	c.pageCacheHits += o.pageCacheHits
-	c.ownedSkips += o.ownedSkips
-	c.readSharedSkips += o.readSharedSkips
-	c.memoHits += o.memoHits
-	c.epochHits += o.epochHits
-	c.epochInflations += o.epochInflations
-	c.epochDeflations += o.epochDeflations
-	c.parRanges += o.parRanges
-	c.parChunks += o.parChunks
-	c.sampledAccesses += o.sampledAccesses
-	c.budgetSkips += o.budgetSkips
-	c.touched += o.touched
+	counters
 }
 
 func (c *chunkState) precedes(u core.StrandID) bool {
-	if c.memoValid && c.memoSrc == u {
-		c.memoHits++
-		return c.memoOK
-	}
-	ok := c.ctx.Reach.Precedes(u, c.s)
-	c.memoValid, c.memoSrc, c.memoOK = true, u, ok
-	return ok
+	return c.verdicts.precedes(u, c.s, c.ctx.Reach, &c.memoHits)
 }
 
 func (c *chunkState) epochOrdered(r core.StrandID) bool {
@@ -271,7 +231,7 @@ func (c *chunkState) readRange(addr uint64, words int) {
 }
 
 // readWordSlow mirrors History.readWordSlow — sampler consult included —
-// with worker-local memo and counters and a locked spill path.
+// with worker-local caches and counters and the shared spill path.
 func (c *chunkState) readWordSlow(w *word, p *page, addr uint64) {
 	if w.lastWriter != core.NoStrand {
 		if r := w.lastReader; r != core.NoStrand && c.epochOrdered(r) {
@@ -284,37 +244,7 @@ func (c *chunkState) readWordSlow(w *word, p *page, addr uint64) {
 		}
 	}
 	w.lastReader = c.s
-	if w.reader0 == core.NoStrand {
-		w.reader0 = c.s
-		c.readerAppends++
-		return
-	}
-	if w.reader0&^spillFlag == c.s {
-		return // same strand re-reading between writes
-	}
-	c.appendSpill(w, addr)
-}
-
-// appendSpill mirrors History.appendSpill under the spill mutex. The
-// inline word is worker-exclusive; only the shared map needs the lock.
-func (c *chunkState) appendSpill(w *word, addr uint64) {
-	h := c.h
-	h.spillMu.Lock()
-	if w.reader0&spillFlag != 0 {
-		if more := h.spill[addr]; more[len(more)-1] == c.s {
-			h.spillMu.Unlock()
-			return // same strand re-reading; already recorded
-		}
-	} else {
-		w.reader0 |= spillFlag
-		c.epochInflations++
-	}
-	if h.spill == nil {
-		h.spill = make(map[uint64][]core.StrandID)
-	}
-	h.spill[addr] = append(h.spill[addr], c.s)
-	h.spillMu.Unlock()
-	c.readerAppends++
+	c.h.spill.addReader(w, c.s, &c.counters, true)
 }
 
 // writeRange is the per-chunk mirror of History.WriteRange's segment loop.
@@ -349,49 +279,35 @@ func (c *chunkState) writeRange(addr uint64, words int) {
 // and the sampler consult (an unsampled write installs without querying).
 func (c *chunkState) writeSlow(w *word, p *page, addr uint64) {
 	if c.h.smp.on && !c.sampleSlow(p, addr) {
-		c.installWriter(w, addr)
+		c.installWriter(w)
 		return
 	}
 	if prev := w.lastWriter; prev != core.NoStrand && prev != c.s && !c.precedes(prev) {
-		c.installWriter(w, addr)
+		c.installWriter(w)
 		c.events = append(c.events, parEvent{addr, Racer{Prev: prev, PrevWrite: true}})
 		return
 	}
-	if r0 := w.reader0 &^ spillFlag; r0 != core.NoStrand && r0 != c.s && !c.precedes(r0) {
-		c.installWriter(w, addr)
-		c.events = append(c.events, parEvent{addr, Racer{Prev: r0, PrevWrite: false}})
-		return
-	}
-	if w.reader0&spillFlag != 0 {
-		c.h.spillMu.Lock()
-		readers := c.h.spill[addr] // this key is only mutated by this worker
-		c.h.spillMu.Unlock()
-		for _, r := range readers {
+	if r0 := w.reader0; r0&spillFlag == 0 {
+		if r0 != core.NoStrand && r0 != c.s && !c.precedes(r0) {
+			c.installWriter(w)
+			c.events = append(c.events, parEvent{addr, Racer{Prev: r0, PrevWrite: false}})
+			return
+		}
+	} else {
+		for _, r := range c.h.spill.readers(r0) {
 			if r != c.s && !c.precedes(r) {
-				c.installWriter(w, addr)
+				c.installWriter(w)
 				c.events = append(c.events, parEvent{addr, Racer{Prev: r, PrevWrite: false}})
 				return
 			}
 		}
 	}
-	c.installWriter(w, addr)
+	c.installWriter(w)
 }
 
-// installWriter mirrors History.installWriter with a locked spill flush;
-// the read-epoch stamp dies with the reader list (its verdict was proven
-// against the previous writer), and an inflated word deflates.
-func (c *chunkState) installWriter(w *word, addr uint64) {
-	if w.reader0 != core.NoStrand {
-		if w.reader0&spillFlag != 0 {
-			c.h.spillMu.Lock()
-			c.h.spill[addr] = c.h.spill[addr][:0]
-			c.h.spillMu.Unlock()
-			c.epochDeflations++
-		}
-		w.reader0 = core.NoStrand
-		w.lastReader = core.NoStrand
-		c.readerFlushes++
-	}
+// installWriter mirrors History.installWriter on the shared spill path.
+func (c *chunkState) installWriter(w *word) {
+	c.h.spill.flush(w, &c.counters, true)
 	w.lastWriter = c.s
 }
 
@@ -552,31 +468,9 @@ func (h *History) fanOut(op int, addr uint64, words int, s core.StrandID, ctx *C
 	sink.parRanges++
 	sink.parChunks += uint64(nchunks)
 	for i := range jobs {
-		sink.addCounters(&jobs[i].cs)
+		sink.counters.add(&jobs[i].cs.counters)
 		sink.events = append(sink.events, jobs[i].cs.events...)
 	}
-}
-
-// foldInto adds the sink counters of one completed operation (or batch)
-// into the History's totals. The single-consumer path calls it directly;
-// Views fold under foldMu.
-func (h *History) foldInto(cs *chunkState) {
-	h.reads += cs.reads
-	h.writes += cs.writes
-	h.readerAppends += cs.readerAppends
-	h.readerFlushes += cs.readerFlushes
-	h.pageCacheHits += cs.pageCacheHits
-	h.ownedSkips += cs.ownedSkips
-	h.readSharedSkips += cs.readSharedSkips
-	h.memoHits += cs.memoHits
-	h.epochHits += cs.epochHits
-	h.epochInflations += cs.epochInflations
-	h.epochDeflations += cs.epochDeflations
-	h.parRanges += cs.parRanges
-	h.parChunks += cs.parChunks
-	h.sampledAccesses += cs.sampledAccesses
-	h.budgetSkips += cs.budgetSkips
-	h.touched += cs.touched
 }
 
 // ReadRangePar is ReadRange fanned out across pool p. Ranges below the
@@ -591,7 +485,7 @@ func (h *History) ReadRangePar(addr uint64, words int, s core.StrandID, ctx *Ctx
 	h.ensureShared(addr, words)
 	var sink chunkState
 	h.fanOut(opRead, addr, words, s, ctx, p, &sink)
-	h.foldInto(&sink)
+	h.counters.add(&sink.counters)
 	for _, ev := range sink.events {
 		ctx.OnReadRace(ev.addr, ev.racer, s)
 	}
@@ -606,7 +500,7 @@ func (h *History) WriteRangePar(addr uint64, words int, s core.StrandID, ctx *Ct
 	h.ensureShared(addr, words)
 	var sink chunkState
 	h.fanOut(opWrite, addr, words, s, ctx, p, &sink)
-	h.foldInto(&sink)
+	h.counters.add(&sink.counters)
 	for _, ev := range sink.events {
 		ctx.OnWriteRace(ev.addr, ev.racer, s)
 	}
@@ -621,5 +515,5 @@ func (h *History) TouchRangePar(addr uint64, words int, p *Pool) {
 	}
 	var sink chunkState
 	h.fanOut(opTouch, addr, words, core.NoStrand, nil, p, &sink)
-	h.foldInto(&sink)
+	h.counters.add(&sink.counters)
 }

@@ -229,20 +229,35 @@ func FuzzRangeMatchesReference(f *testing.F) {
 	f.Add(uint64(0), uint64(1))
 	f.Add(uint64(1), uint64(99))
 	f.Add(uint64(0xdeadbeef), uint64(7))
-	f.Fuzz(differentialRun)
+	f.Fuzz(func(t *testing.T, seed, relSeed uint64) { differentialRun(t, seed, relSeed) })
 }
 
 // TestRangeMatchesReferenceSeeds runs the differential body over a seed
-// sweep so plain `go test` covers many interleavings.
+// sweep so plain `go test` covers many interleavings, and checks that the
+// sweep reaches the inflated-list machinery it exists to cover: lists of
+// three or more readers, and slots recycled through the free list.
 func TestRangeMatchesReferenceSeeds(t *testing.T) {
+	var longest int
+	var recycled bool
 	for seed := uint64(0); seed < 50; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			differentialRun(t, seed, seed*7+1)
+			cov := differentialRun(t, seed, seed*7+1)
+			longest = max(longest, cov.longestList)
+			recycled = recycled || cov.recycled
 		})
+	}
+	if longest < 3 || !recycled {
+		t.Fatalf("sweep missed the inflated lists: longest list %d, slots recycled %v", longest, recycled)
 	}
 }
 
-func differentialRun(t *testing.T, seed, relSeed uint64) {
+// spillCoverage reports what one differential run did to the spill slab.
+type spillCoverage struct {
+	longestList int  // most readers seen in one inflated list
+	recycled    bool // some inflation reused a freed slot
+}
+
+func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	rng := seed
 	next := func(n uint64) uint64 { // xorshift, deterministic per seed
 		rng ^= rng << 13
@@ -252,11 +267,19 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 	}
 	// A fixed arbitrary relation: the protocol equivalence must hold
 	// for any deterministic Precedes answers, so we do not bother
-	// making it a partial order.
+	// making it a partial order. Its density varies with relSeed, so
+	// some runs race early and others walk long reader lists.
+	density := 2 + relSeed%6
 	rel := func(u, v core.StrandID) bool {
 		x := (uint64(u)*2654435761 + uint64(v)*40503) ^ relSeed
 		x ^= x >> 13
-		return x&3 == 0
+		return x&7 < density
+	}
+	// Odd seeds draw from more strands than the verdict cache has
+	// slots, so cached verdicts collide and evict.
+	strands := uint64(6)
+	if seed%2 == 1 {
+		strands = 3 * verdictSlots
 	}
 	fast := NewHistory()
 	ref := NewHistory()
@@ -266,13 +289,21 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 	par := NewHistory()
 	pool := NewPool(4, 4)
 	defer pool.Close()
-	var fastRaces, refRaces, parRaces []raceEvent
+	// view is driven through a consumer View, one batch per op, fanning
+	// out across the pool on odd ops.
+	vh := NewHistory()
+	view := NewView(vh, 0)
+	var fastRaces, refRaces, parRaces, viewRaces []raceEvent
 	ctx := ctxFor(rel, &fastRaces)
 	pctx := ctxFor(rel, &parRaces)
-	const strands = 6
+	vctx := &Ctx{Reach: &relReach{rel: rel}}
 	wantFanout := false
-	for op := 0; op < 200; op++ {
-		s := core.StrandID(next(strands) + 1)
+	var cov spillCoverage
+	s := core.StrandID(1)
+	for op := 0; op < 300; op++ {
+		if next(3) != 0 { // otherwise the previous op's strand continues
+			s = core.StrandID(next(strands) + 1)
+		}
 		// Addresses cluster near a page boundary so ranges regularly
 		// straddle it.
 		addr := uint64(pageSize) - 16 + next(32)
@@ -280,17 +311,30 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 		if next(8) == 0 {
 			words = 0 // exercise the empty-range path
 		}
-		isWrite := next(2) == 0
+		// A read-only opening phase grows long reader lists on fresh
+		// words; afterwards writes deflate them and reads re-inflate.
+		isWrite := op >= 60 && next(2) == 0
 		if words >= 8 { // 2 × the pool's 4-word chunk
 			wantFanout = true
 		}
+		vp := pool
+		if op%2 == 0 {
+			vp = nil
+		}
+		view.Begin(vctx, s)
 		if isWrite {
 			fast.WriteRange(addr, words, s, ctx)
 			par.WriteRangePar(addr, words, s, pctx, pool)
+			view.WriteRange(addr, words, vp)
 		} else {
 			fast.ReadRange(addr, words, s, ctx)
 			par.ReadRangePar(addr, words, s, pctx, pool)
+			view.ReadRange(addr, words, vp)
 		}
+		for _, ev := range view.Events() {
+			viewRaces = append(viewRaces, raceEvent{Addr: ev.Addr, Racer: ev.Racer, Write: ev.Write})
+		}
+		view.End()
 		precedes := func(u core.StrandID) bool { return rel(u, s) }
 		for i := 0; i < words; i++ {
 			a := addr + uint64(i)
@@ -312,6 +356,13 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 			t.Fatalf("op %d: parallel path reported %d races, reference %d\npar: %v\nref: %v",
 				op, len(parRaces), len(refRaces), parRaces, refRaces)
 		}
+		if len(viewRaces) != len(refRaces) {
+			t.Fatalf("op %d: view reported %d races, reference %d\nview: %v\nref:  %v",
+				op, len(viewRaces), len(refRaces), viewRaces, refRaces)
+		}
+		for i := uint32(0); i < fast.spill.next; i++ {
+			cov.longestList = max(cov.longestList, len(*fast.spill.list(i)))
+		}
 	}
 	if !reflect.DeepEqual(fastRaces, refRaces) {
 		t.Fatalf("race streams diverged\nfast: %v\nref:  %v", fastRaces, refRaces)
@@ -319,16 +370,31 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 	if !reflect.DeepEqual(parRaces, refRaces) {
 		t.Fatalf("parallel race stream diverged\npar: %v\nref: %v", parRaces, refRaces)
 	}
+	if !reflect.DeepEqual(viewRaces, refRaces) {
+		t.Fatalf("view race stream diverged\nview: %v\nref:  %v", viewRaces, refRaces)
+	}
 	// The histories must also agree on traffic the protocol defines
-	// exactly (reads/writes observed).
-	fs, rs, ps := fast.Stats(), ref.Stats(), par.Stats()
+	// exactly (reads/writes observed). The fast checkers skip owned and
+	// stamped words the reference still appends, so their reader-list
+	// state machine is compared among themselves.
+	rs, fs := ref.Stats(), fast.Stats()
 	if fs.Reads != rs.Reads || fs.Writes != rs.Writes {
 		t.Fatalf("traffic diverged: fast %+v ref %+v", fs, rs)
 	}
-	if ps.Reads != rs.Reads || ps.Writes != rs.Writes {
-		t.Fatalf("parallel traffic diverged: par %+v ref %+v", ps, rs)
+	for _, p := range []struct {
+		name string
+		st   Stats
+	}{{"parallel", par.Stats()}, {"view", vh.Stats()}} {
+		st := p.st
+		if st.Reads != fs.Reads || st.Writes != fs.Writes || st.ReaderAppends != fs.ReaderAppends ||
+			st.ReaderFlushes != fs.ReaderFlushes || st.EpochInflations != fs.EpochInflations ||
+			st.EpochDeflations != fs.EpochDeflations || st.SpillEntries != fs.SpillEntries {
+			t.Fatalf("%s traffic diverged:\n%s %+v\nfast %+v", p.name, p.name, st, fs)
+		}
 	}
-	if wantFanout && ps.ParRanges == 0 {
+	if wantFanout && par.Stats().ParRanges == 0 {
 		t.Fatal("parallel path never fanned out despite fan-out-sized ranges")
 	}
+	cov.recycled = uint64(fast.spill.next) < fast.Stats().EpochInflations
+	return cov
 }

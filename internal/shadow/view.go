@@ -17,7 +17,7 @@
 //     each view observes exactly the shadow state a serial run would.
 //
 // A View owns a chunkState (the same worker-local machinery the range
-// pool uses): cold per-batch page cache and verdict memo, private
+// pool uses): cold per-batch page cache and verdict cache, private
 // counters, buffered race events. Race events are tagged with their op's
 // access kind and handed back to the scheduler, whose sequence-numbered
 // reorder buffer delivers them in seal order — the report stream is
@@ -105,14 +105,14 @@ func (h *History) auditRelease(id int) {
 	h.auditMu.Unlock()
 }
 
-// Begin prepares the view for one batch: cold page cache, cold verdict
-// and epoch memos, empty buffers. ctx must carry the batch's construct
-// generation and the run's reachability structure; its race sinks are
-// unused (events are buffered and returned by Events).
+// Begin prepares the view for one batch (or stolen chunk of one): cold
+// page cache, verdict cache and epoch memo, empty buffers. ctx must carry
+// the batch's construct generation and the run's reachability structure;
+// its race sinks are unused (events are buffered and returned by Events).
 func (v *View) Begin(ctx *Ctx, s core.StrandID) {
 	v.cs.ctx, v.cs.s = ctx, s
 	v.cs.lastPage = nil
-	v.cs.memoValid = false
+	v.cs.verdicts.reset()
 	v.cs.epochValid = false
 	v.cs.events = v.cs.events[:0]
 	v.events = v.events[:0]
@@ -216,7 +216,7 @@ func (v *View) Events() []RaceEvent { return v.events }
 func (v *View) End() {
 	h := v.cs.h
 	h.foldMu.Lock()
-	h.foldInto(&v.cs)
+	h.counters.add(&v.cs.counters)
 	h.foldMu.Unlock()
 	v.cs = chunkState{h: h, events: v.cs.events[:0]}
 	if h.auditOn {

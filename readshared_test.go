@@ -10,9 +10,8 @@ import (
 // readSharedProgram builds the acceptance workload for the read-shared
 // epoch: k parallel writer strands install an interleaved last-writer
 // pattern over a shared range (so a later reader cannot be served by the
-// owned-word filter and thrashes the single-entry verdict memo at every
-// block boundary), then r parallel reader strands each scan the whole
-// range p times inside one construct window.
+// owned-word filter and must query each writer), then r parallel reader
+// strands each scan the whole range p times inside one construct window.
 func readSharedProgram(base uint64, words, blk, k, r, p int) func(*futurerd.Task) {
 	return func(t *futurerd.Task) {
 		futurerd.For(t, 0, k, 1, func(t *futurerd.Task, i int) {

@@ -130,7 +130,7 @@ func Run(workers int, root func(*Task)) {
 // and writes its construct + memory event stream to w in trace format v2
 // (coalesced range events, delta-compressed addresses, DEFLATE block
 // framing). The trace can be re-detected offline with ReplayTrace —
-// under any algorithm and worker count — without re-running the program,
+// under any algorithm and pipeline — without re-running the program,
 // and makes a compact regression artifact.
 func RecordTrace(w io.Writer, root func(*Task)) error {
 	return trace.Record(w, root)
@@ -145,7 +145,7 @@ func RecordTraceBytes(root func(*Task)) ([]byte, error) {
 // legacy v1 format for older corpora) through the detection engine
 // configured by cfg and returns its report. Replaying a trace yields
 // exactly the same report as detecting the original program, for any
-// algorithm and worker count.
+// algorithm and pipeline.
 func ReplayTrace(r io.Reader, cfg Config) (*Report, error) {
 	return trace.Replay(r, cfg)
 }

@@ -321,39 +321,6 @@ func BenchmarkAccessHistoryRange(b *testing.B) {
 	})
 }
 
-// BenchmarkAccessHistoryRangeWorkers measures the parallel range
-// pipeline: one large seqscan (bulk write + bulk read) per iteration,
-// fanned out across shadow worker pools of increasing width. workers=0 is
-// the serial fast path for comparison; on a single-CPU machine wider
-// pools only add fan-out overhead, while on multicore hardware the chunks
-// run concurrently (the reachability relation is immutable between
-// constructs, so the per-chunk Precedes queries are read-only).
-func BenchmarkAccessHistoryRangeWorkers(b *testing.B) {
-	const words = 1 << 20 // 256 shadow pages, ~8 MB of shadow state
-	arr := futurerd.NewArray[int64](words)
-	base := arr.Addr(0)
-	for _, workers := range []int{0, 2, 4, 8} {
-		b.Run(fmt.Sprintf("seqscan/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := futurerd.Detect(futurerd.Config{
-					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull,
-					Workers: workers,
-				}, func(t *futurerd.Task) {
-					t.WriteRange(base, words)
-					t.ReadRange(base, words)
-				})
-				if rep.Racy() {
-					b.Fatal("unexpected race")
-				}
-				if workers > 1 && rep.Stats.Shadow.ParRanges == 0 {
-					b.Fatal("worker pool never engaged")
-				}
-			}
-			b.ReportMetric(float64(2*words), "words/op")
-		})
-	}
-}
-
 // BenchmarkBatchCap sweeps the event-batch op cap (Config.BatchOps)
 // under a non-coalescible single-word access storm — the only traffic
 // shape the cap governs, since coalescing scans stay one op — with the
@@ -376,7 +343,7 @@ func BenchmarkBatchCap(b *testing.B) {
 		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep := futurerd.Detect(futurerd.Config{
-					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull, Workers: 2,
+					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull, Consumers: 1,
 					BatchOps: cap,
 				}, prog)
 				if rep.Err != nil {
@@ -409,20 +376,20 @@ func BenchmarkRecord(b *testing.B) {
 
 // BenchmarkReplay measures trace-replay throughput — the offline
 // detection path: decode a recorded v2 stream and drive it through full
-// MultiBags+ detection, serially and with the range worker pool.
+// MultiBags+ detection, inline and on the asynchronous single consumer.
 func BenchmarkReplay(b *testing.B) {
 	ins := workloads.NewLCS(256, 16, workloads.StructuredFutures, 1)
 	raw, err := futurerd.RecordTraceBytes(ins.Run)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{0, 4} {
-		b.Run(fmt.Sprintf("lcs/workers=%d", workers), func(b *testing.B) {
+	for _, consumers := range []int{0, 1} {
+		b.Run(fmt.Sprintf("lcs/consumers=%d", consumers), func(b *testing.B) {
 			var words uint64
 			for i := 0; i < b.N; i++ {
 				rep, err := futurerd.ReplayTraceBytes(raw, futurerd.Config{
 					Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-					Workers: workers,
+					Consumers: consumers,
 				})
 				if err != nil {
 					b.Fatal(err)

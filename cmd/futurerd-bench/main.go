@@ -6,7 +6,7 @@
 //
 //	futurerd-bench [-table fig6|fig7|fig8|vc|sample|replay|all] [-iters n]
 //	               [-size test|quick|bench] [-validate] [-json]
-//	               [-workers n] [-traces dir]
+//	               [-consumers n] [-traces dir]
 //
 // By default times are printed as aligned tables, in seconds, with
 // overheads relative to the baseline configuration. With -json
@@ -34,8 +34,7 @@ func main() {
 	size := flag.String("size", "bench", "input scale: test, quick, bench")
 	validate := flag.Bool("validate", false, "re-validate outputs against sequential references")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	workers := flag.Int("workers", 0, "shadow range worker pool width for the detecting configs (<=1 serial)")
-	consumers := flag.Int("consumers", 0, "detection consumer pool width for the detecting configs (<=1 single consumer)")
+	consumers := flag.Int("consumers", 0, "detection pipeline for the detecting configs: 0 inline, 1 one async consumer, >=2 consumer pool width")
 	traces := flag.String("traces", "traces", "directory of the committed trace corpus (replay table)")
 	flag.Parse()
 
@@ -52,8 +51,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := bench.Options{
-		Iters: *iters, Size: sz, Validate: *validate,
-		Workers: *workers, Consumers: *consumers,
+		Iters: *iters, Size: sz, Validate: *validate, Consumers: *consumers,
 	}
 
 	type gen struct {
@@ -67,7 +65,7 @@ func main() {
 			return bench.FigReplay(o, *traces)
 		}},
 	}
-	out := bench.JSONReport{Size: *size, Iters: opts.Iters, Workers: opts.Workers, Consumers: opts.Consumers}
+	out := bench.JSONReport{Size: *size, Iters: opts.Iters, Consumers: opts.Consumers}
 	ran := false
 	for _, g := range gens {
 		if *table != "all" && *table != g.name {

@@ -170,10 +170,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if base.Size != cur.Size || base.Workers != cur.Workers || base.Consumers != cur.Consumers {
+	if base.Size != cur.Size || base.Consumers != cur.Consumers {
 		fmt.Fprintf(os.Stderr,
-			"configuration mismatch: baseline size=%s workers=%d consumers=%d, current size=%s workers=%d consumers=%d\n",
-			base.Size, base.Workers, base.Consumers, cur.Size, cur.Workers, cur.Consumers)
+			"configuration mismatch: baseline size=%s consumers=%d, current size=%s consumers=%d\n",
+			base.Size, base.Consumers, cur.Size, cur.Consumers)
 		os.Exit(1)
 	}
 

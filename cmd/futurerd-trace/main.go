@@ -4,10 +4,10 @@
 //	futurerd-trace run    -bench lcs [-variant structured|general]
 //	                      [-mode multibags|multibags+|spbags|oracle|vc]
 //	                      [-size test|quick|bench] [-mem off|instr|full]
-//	                      [-workers n] [-consumers n] [-dot]
+//	                      [-consumers n] [-dot]
 //	futurerd-trace record -bench lcs [-variant ...] [-size ...]
 //	                      [-format v2|v1] -o trace.bin
-//	futurerd-trace replay -i trace.bin [-mode ...] [-mem ...] [-workers n]
+//	futurerd-trace replay -i trace.bin [-mode ...] [-mem ...]
 //	                      [-consumers n] [-recover]
 //	futurerd-trace stat   -i trace.bin
 //
@@ -19,9 +19,9 @@
 //
 // record executes a benchmark once without detection and writes its
 // event trace (format v2 by default; v1 for migration tooling). replay
-// re-detects a recorded trace — any format, any algorithm, any worker
-// count — and prints the same statistics as run; -workers exercises the
-// parallel range path. A corrupt trace fails with a one-line diagnosis
+// re-detects a recorded trace — any format, any algorithm, any pipeline
+// width — and prints the same statistics as run; -consumers 1 exercises
+// the asynchronous back-end. A corrupt trace fails with a one-line diagnosis
 // and a non-zero exit; -recover instead replays the longest well-formed
 // prefix and reports where and why the stream was cut. stat summarizes a
 // trace: event counts, bytes per event, and the compression ratio against
@@ -158,10 +158,6 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 		fmt.Printf("owned skips     %d\n", s.Shadow.OwnedSkips)
 		fmt.Printf("rd-shared skips %d\n", s.Shadow.ReadSharedSkips)
 		fmt.Printf("memo hits       %d\n", s.Shadow.MemoHits)
-		if s.Shadow.ParRanges > 0 {
-			fmt.Printf("par fan-outs    %d ranges, %d chunks\n",
-				s.Shadow.ParRanges, s.Shadow.ParChunks)
-		}
 		fmt.Printf("batches         %d sealed (%d independent, %d serialized)\n",
 			s.Event.Batches, s.Event.IndependentBatches, s.Event.SerializedBatches)
 		fmt.Printf("footprints      %d spans over %d pages",
@@ -183,15 +179,14 @@ func cmdRun(args []string) {
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	size := parseSize(fs)
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	workers := fs.Int("workers", 0, "shadow range worker pool width (<=1 serial)")
-	consumers := fs.Int("consumers", 0, "detection consumer pool width (<=1 single consumer)")
+	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, 1 one async consumer, >=2 consumer pool width")
 	dot := fs.Bool("dot", false, "dump the computation dag as Graphviz (oracle mode)")
 	fs.Parse(args)
 
 	mk := lookup(*benchName, *variant, sizeClass(*size))
 	m, ml := parseMode(*mode), parseMem(*mem)
 	w := mk()
-	rep := futurerd.Detect(futurerd.Config{Mode: m, Mem: ml, Workers: *workers, Consumers: *consumers}, w.Run)
+	rep := futurerd.Detect(futurerd.Config{Mode: m, Mem: ml, Consumers: *consumers}, w.Run)
 	if rep.Err != nil {
 		fail(fmt.Errorf("engine error: %w", rep.Err))
 	}
@@ -255,8 +250,7 @@ func cmdReplay(args []string) {
 	in := fs.String("i", "", "input trace file (required)")
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	workers := fs.Int("workers", 0, "shadow range worker pool width (<=1 serial)")
-	consumers := fs.Int("consumers", 0, "detection consumer pool width (<=1 single consumer)")
+	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, 1 one async consumer, >=2 consumer pool width")
 	recover := fs.Bool("recover", false,
 		"replay the longest well-formed prefix of a damaged trace instead of failing")
 	fs.Parse(args)
@@ -270,7 +264,7 @@ func cmdReplay(args []string) {
 		fail(err)
 	}
 	defer f.Close()
-	cfg := futurerd.Config{Mode: m, Mem: ml, Workers: *workers, Consumers: *consumers}
+	cfg := futurerd.Config{Mode: m, Mem: ml, Consumers: *consumers}
 	var rep *futurerd.Report
 	if *recover {
 		rep, err = futurerd.ReplayTraceRecover(f, cfg, futurerd.TraceLimits{})
@@ -330,7 +324,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: futurerd-trace [run|record|replay|stat] [flags]")
 	fmt.Fprintln(os.Stderr, "  run     detect a benchmark directly and print statistics (default)")
 	fmt.Fprintln(os.Stderr, "  record  write a benchmark's event trace (v2; -format v1 for legacy)")
-	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-workers for the parallel path)")
+	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-consumers for the async pipeline)")
 	fmt.Fprintln(os.Stderr, "  stat    summarize a trace: events, bytes/event, compression ratio")
 	fmt.Fprintln(os.Stderr, "run 'futurerd-trace <subcommand> -h' for the subcommand's flags")
 }

@@ -88,8 +88,10 @@
 // reachability relation is about to mutate — so everything in one batch
 // executed under a single immutable relation, and each leaves with a
 // footprint: its strand plus a compact summary of the shadow pages it
-// touches. With Config.Workers > 1 or Config.Consumers > 1 sealed
-// batches are checked off the engine goroutine, overlapping continued
+// touches. Config.Consumers picks the detection pipeline: 0 (the
+// default) checks each sealed batch inline on the engine goroutine; with
+// 1 or more, sealed batches are checked off the engine goroutine,
+// overlapping continued
 // program execution, and constructs do not wait for them: the relation
 // is versioned (core.Versioned), constructs record their mutations into
 // a bounded log, each batch carries the version it executed under, and
@@ -97,7 +99,9 @@
 // of detection until the construct-ahead window (Config.ConstructAhead)
 // back-pressures.
 //
-// With Config.Consumers > 1 the back-end is a dependency-scheduled
+// With Config.Consumers == 1 the back-end is one consumer goroutine
+// checking batches in seal order. With Config.Consumers > 1 it is a
+// dependency-scheduled
 // consumer pool with overlapping windows. Construct mutations are
 // classified by whether they fold the relation: spawn, create and init
 // only add nodes, so they are pin-safe and apply under live snapshot
@@ -116,14 +120,16 @@
 // (Stats.Event.StolenChunks); delivery reassembles chunk verdicts in
 // order, so reports stay order-identical. Dependent batches serialize
 // in seal order, so a construct-dense program degenerates to the
-// single-consumer pipeline rather than deadlocking. A sequence-numbered reorder buffer in front of OnRace
-// delivers race reports in seal order. CheckStructured's discipline
+// single-consumer pipeline rather than deadlocking. A sequence-numbered
+// reorder buffer in front of OnRace delivers race reports in seal order. CheckStructured's discipline
 // query no longer drains the pipeline either: it is deferred and
 // answered from the versioned snapshot in stream order (a violation is
 // recorded, never acted on, so nothing needs the answer eagerly).
 // Verdicts, report order and deterministic counters are identical to a
-// synchronous run for every Workers × Consumers combination; a shadow
-// install audit asserts the disjoint-footprint invariant at run time and
+// synchronous run for every Consumers setting. Every pipeline checks
+// batches with one shadow checker type: the engine owns one for the
+// inline and single-consumer paths, each pool consumer owns its own; a
+// shadow install audit asserts the disjoint-footprint invariant at run time and
 // the -race CI suite drives it.
 //
 // # Traces
@@ -132,28 +138,10 @@
 // construct + memory event stream in format v2: coalesced range events,
 // delta-compressed addresses, strand labels, DEFLATE block framing.
 // ReplayTrace re-detects a stream — either format version, any
-// algorithm, any worker count — with exactly the report a direct run
+// algorithm, any pipeline — with exactly the report a direct run
 // produces, replaying iteratively so spawn depth never consumes Go
 // stack. See internal/trace for the wire format and cmd/futurerd-trace
 // for the record/replay/stat CLI.
-//
-// # Parallel range detection
-//
-// Config.Workers > 1 fans large bulk ranges out across a persistent
-// worker pool. Between parallel constructs the reachability relation is
-// immutable, so the per-word Precedes queries of one range are read-only
-// and chunks of the range can be checked concurrently: each worker keeps
-// its own page cache and verdict cache, union-find path compression is
-// CAS-based, page materialization is striped by page number, and the
-// shadow layer's inflated reader lists take a lock only to allocate or
-// free a slot. Race
-// reports are identical, in content and order, to a serial run; Workers
-// <= 1 (the default) keeps every access on the exact serial path. The
-// pool engages for SP-Bags, MultiBags, MultiBags+ and VectorClocks;
-// oracle and Verify runs always stay serial. Config.WorkerChunk tunes the chunk granule.
-// Workers composes with Consumers: Workers parallelizes within one bulk
-// range, Consumers across independent batches, and both share one worker
-// pool.
 //
 // # Failure model
 //

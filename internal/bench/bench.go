@@ -39,7 +39,6 @@ import (
 type JSONReport struct {
 	Size         string        `json:"size"`
 	Iters        int           `json:"iters"`
-	Workers      int           `json:"workers,omitempty"`
 	Consumers    int           `json:"consumers,omitempty"`
 	Measurements []Measurement `json:"measurements"`
 }
@@ -72,13 +71,9 @@ type Options struct {
 	// Validate re-checks every run's output against the sequential
 	// reference (slower; default off for timing runs).
 	Validate bool
-	// Workers sets Config.Workers for the detecting configurations: bulk
-	// ranges fan out across a shadow worker pool of this width. <=1 keeps
-	// the serial path.
-	Workers int
 	// Consumers sets Config.Consumers for the detecting configurations:
-	// independent sealed batches are checked concurrently by a consumer
-	// pool of this width. <=1 keeps the single-consumer back-end.
+	// 0 checks batches inline, 1 on one asynchronous consumer, more on
+	// the scheduled consumer pool of this width.
 	Consumers int
 }
 
@@ -145,8 +140,7 @@ func timeRun(opts Options, ins workloads.Instance, mode futurerd.Mode, mem futur
 		return time.Since(start), nil
 	}
 	rep := futurerd.Detect(futurerd.Config{
-		Mode: mode, Mem: mem,
-		Workers: opts.Workers, Consumers: opts.Consumers,
+		Mode: mode, Mem: mem, Consumers: opts.Consumers,
 	}, ins.Run)
 	return time.Since(start), rep
 }
@@ -401,7 +395,7 @@ func FigVC(opts Options) (*Table, []Measurement, error) {
 // FigReplay measures trace-replay throughput over the committed trace
 // corpus (one v2 trace per paper workload, recorded at test size): each
 // trace is decoded and driven through full MultiBags+ detection with
-// opts.Workers. Wall time is machine-dependent; the replay's execution
+// opts.Consumers. Wall time is machine-dependent; the replay's execution
 // counters are deterministic for a given corpus and code version, which
 // is what the benchtrend gate keys on — a drift means the decoder or the
 // detection pipeline changed behavior.
@@ -426,7 +420,7 @@ func FigReplay(opts Options, dir string) (*Table, []Measurement, error) {
 		}
 		cfg := futurerd.Config{
 			Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-			Workers: opts.Workers, Consumers: opts.Consumers,
+			Consumers: opts.Consumers,
 		}
 		best := time.Duration(math.MaxInt64)
 		var rep *futurerd.Report

@@ -50,8 +50,8 @@ func FigSample(opts Options) (*Table, []Measurement, error) {
 			start := time.Now()
 			r := futurerd.Detect(futurerd.Config{
 				Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-				Workers: opts.Workers, Consumers: opts.Consumers,
-				MaxRaces: 1 << 20, Sampling: smp,
+				Consumers: opts.Consumers,
+				MaxRaces:  1 << 20, Sampling: smp,
 			}, ins.Run)
 			d := time.Since(start)
 			if r.Err != nil {

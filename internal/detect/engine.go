@@ -54,12 +54,15 @@ type Engine struct {
 	maxStrand core.StrandID
 
 	// sctx is the shadow-layer context prototype: the reachability
-	// structure (queried directly, no per-query closure) and the race
-	// sinks (allocated once so the hot path allocates nothing). It is
-	// immutable after construction; processBatch copies it and fills in
-	// the batch's own generation, so the back-end goroutine never reads
-	// engine-mutated state.
+	// structure (queried directly, no per-query closure) and its
+	// epoch-transfer capability. It is immutable after construction;
+	// checkOps copies it and fills in the batch's own generation, so no
+	// checking goroutine ever reads engine-mutated state.
 	sctx shadow.Ctx
+
+	// chk is the shadow checker of the synchronous and single-consumer
+	// pipelines (nil with Consumers > 1, where each consumer owns one).
+	chk *shadow.Checker
 
 	// gen is the parallel-construct generation, bumped at every construct
 	// — exactly when the reachability relation can mutate or the current
@@ -89,13 +92,11 @@ type Engine struct {
 	nudgeAt          int
 	submittedVersion uint64
 
-	// pool, when non-nil, is the shadow worker pool bulk ranges fan out
-	// across (Config.Workers > 1 and a concurrent-query-safe algorithm).
-	pool *shadow.Pool
-
-	// consumers is the effective width of the detection consumer pool
-	// (Config.Consumers clamped by eligibility: concurrent-query-safe
-	// algorithm, no Verify, no oracle).
+	// consumers is the effective pipeline width: 0 checks batches inline,
+	// 1 on one asynchronous consumer, more on the dependency-scheduled
+	// consumer pool (Config.Consumers, clamped to 1 when the pool is not
+	// eligible: it needs a concurrent-query-safe algorithm, no Verify, no
+	// oracle).
 	consumers int
 
 	// Dependency classification of construct mutations, accumulated on
@@ -122,7 +123,7 @@ type Engine struct {
 
 	// Batch-pipeline stats (Stats.Event), counted at seal time on the
 	// engine goroutine in every pipeline mode, so they are deterministic
-	// and identical across Consumers/Workers configurations. prevFP,
+	// and identical across Consumers configurations. prevFP,
 	// prevStrand and havePrev hold the previous sealed batch's footprint
 	// for the pairwise independence classification.
 	evStats    event.Stats
@@ -145,8 +146,8 @@ type Engine struct {
 	// recorded under and the back-end applies construct mutations (from
 	// vr) so every in-flight check observes a snapshot answering its
 	// queries exactly as the batch's own version would. With Consumers >
-	// 1 it is a dependency-scheduled consumer pool (see sched.go);
-	// otherwise a single consumer goroutine in seal order.
+	// 1 it is a dependency-scheduled consumer pool (see sched.go); with
+	// Consumers == 1 a single consumer goroutine in seal order.
 	be *pipeline
 
 	// faults is the run's fault-injection plan (nil in production: every
@@ -169,7 +170,7 @@ type Engine struct {
 	violMu sync.Mutex
 
 	// The race sink. raceMu guards it (and the labels map) because with
-	// Workers > 1 races are reported from the detection back-end
+	// Consumers >= 1 races are reported from the detection back-end
 	// goroutine while the engine goroutine keeps executing; the single
 	// back-end consumer keeps delivery in serial report order. raceSeen
 	// maps a racy address to the signature of the recorded strand pair so
@@ -218,15 +219,8 @@ func NewEngine(cfg Config) *Engine {
 			e.err = fmt.Errorf("detect: %w", errMemFullNeedsMode)
 		case MemInstr:
 			// Instrumentation-only is meaningful without detection (it
-			// measures pure hook overhead); it needs the history for its
-			// checksum state. The worker pool applies here too, so the
-			// instrumentation baseline stays comparable to detecting runs
-			// configured with the same Workers.
-			e.hist = shadow.NewHistory()
-			e.hist.SetFaults(cfg.Faults)
-			if cfg.Workers > 1 {
-				e.pool = shadow.NewPool(cfg.Workers, cfg.WorkerChunk)
-			}
+			// measures pure hook overhead); initPipeline gives it a
+			// history and a checker for the checksum state.
 		}
 		e.initPipeline(cfg)
 		return e
@@ -256,24 +250,6 @@ func NewEngine(cfg Config) *Engine {
 			eng:    e,
 		}
 	}
-	if cfg.Mem != MemOff {
-		e.hist = shadow.NewHistory()
-		e.hist.SetFaults(cfg.Faults)
-		if cfg.Mem == MemFull && cfg.Sampling.Rate > 0 {
-			// Tier-1 sampling sits between the shadow layer's free skips
-			// and the protocol; it only exists where the protocol runs.
-			e.hist.SetSampling(cfg.Sampling.Rate, cfg.Sampling.Budget, cfg.Sampling.Seed)
-		}
-	}
-	if cfg.Workers > 1 && cfg.Mem != MemOff {
-		// The pool only engages when every Precedes the workers can make
-		// is safe to run concurrently between constructs. MemInstr makes
-		// no queries, so any mode qualifies there.
-		qc, ok := e.reach.(core.QueryConcurrent)
-		if cfg.Mem == MemInstr || (ok && qc.ConcurrentPrecedesSafe()) {
-			e.pool = shadow.NewPool(cfg.Workers, cfg.WorkerChunk)
-		}
-	}
 	e.raceSeen = make(map[uint64]uint64)
 	e.sctx.Reach = e.reach
 	// The carried-forward read epoch engages only when the algorithm
@@ -284,68 +260,72 @@ func NewEngine(cfg Config) *Engine {
 	if ec, ok := e.reach.(core.EpochConcurrent); ok {
 		e.sctx.Epoch = ec
 	}
-	e.sctx.OnReadRace = func(addr uint64, r shadow.Racer, cur core.StrandID) {
-		e.reportRace(addr, r.Prev, cur, r.PrevWrite, false)
-	}
-	e.sctx.OnWriteRace = func(addr uint64, r shadow.Racer, cur core.StrandID) {
-		e.reportRace(addr, r.Prev, cur, r.PrevWrite, true)
-	}
 	e.initPipeline(cfg)
 	return e
 }
 
-// initPipeline sets up the access-event batch layer: every engine that
-// observes memory accesses batches them, and Workers > 1 or Consumers > 1
-// additionally runs batch detection asynchronously off the engine
-// goroutine, overlapping it with continued program execution. An
-// asynchronous detecting engine also versions its reachability relation
-// so constructs need not block on back-end drain.
+// initPipeline sets up the shadow history and the access-event batch
+// layer: every engine that observes memory accesses batches them.
+// Consumers == 0 checks each batch inline on the engine goroutine;
+// Consumers >= 1 checks batches asynchronously off it, overlapping
+// detection with continued program execution — on one consumer, or on
+// the scheduled consumer pool when Consumers > 1. An asynchronous
+// detecting engine also versions its reachability relation so constructs
+// need not block on back-end drain.
 func (e *Engine) initPipeline(cfg Config) {
-	if e.hist == nil {
+	if cfg.Mem == MemOff || e.err != nil {
 		return
+	}
+	e.consumers = max(cfg.Consumers, 0)
+	if e.consumers > 1 && !e.consumersEligible(cfg) {
+		e.consumers = 1
+	}
+	e.hist = shadow.NewHistory(e.consumers > 1)
+	e.hist.SetFaults(cfg.Faults)
+	if e.detecting && cfg.Mem == MemFull && cfg.Sampling.Rate > 0 {
+		// Tier-1 sampling sits between the shadow layer's free skips and
+		// the protocol; it only exists where the protocol runs.
+		e.hist.SetSampling(cfg.Sampling.Rate, cfg.Sampling.Budget, cfg.Sampling.Seed)
 	}
 	e.batch = event.New()
 	e.batchOps = cfg.BatchOps
 	if e.batchOps <= 0 {
 		e.batchOps = event.MaxOps
 	}
-	e.consumers = cfg.Consumers
-	if e.consumers < 1 {
-		e.consumers = 1
-	}
-	if e.consumers > 1 && !e.consumersEligible(cfg) {
-		e.consumers = 1
-	}
 	e.stealWords = cfg.StealChunkWords
 	if e.stealWords <= 0 {
 		e.stealWords = 4 << shadow.PageBits
 	}
-	if cfg.Workers > 1 || e.consumers > 1 {
-		if e.detecting {
-			e.vr = core.NewVersioned(e.reach, cfg.ConstructAhead)
-			e.nudgeAt = e.vr.Window() / 2
-			if e.nudgeAt < 1 {
-				e.nudgeAt = 1
-			}
-			// The pin-safe mask decides which recorded mutations the
-			// overlapping-window scheduler may apply under live snapshot
-			// pins. Asserted on the final (possibly wrapped) reach, so
-			// Verify and the oracle conservatively barrier everything.
-			if pc, ok := e.reach.(core.PinConcurrent); ok {
-				for op := core.MutInit; op <= core.MutGet; op++ {
-					e.pinSafe[op] = pc.PinSafeMut(op)
-				}
-			}
-		}
-		if e.consumers > 1 {
-			// Debug assertion backing the whole-pipeline invariant:
-			// concurrently-checked batches touch disjoint shadow pages.
-			// Cheap (a few span comparisons per batch), so it is always on
-			// when the consumer pool is, and the -race CI suite runs it.
-			e.hist.EnableInstallAudit()
-		}
-		e.be = newPipeline(e, e.consumers)
+	if e.consumers <= 1 {
+		e.chk = shadow.NewChecker(e.hist, 0)
 	}
+	if e.consumers == 0 {
+		return
+	}
+	if e.detecting {
+		e.vr = core.NewVersioned(e.reach, cfg.ConstructAhead)
+		e.nudgeAt = e.vr.Window() / 2
+		if e.nudgeAt < 1 {
+			e.nudgeAt = 1
+		}
+		// The pin-safe mask decides which recorded mutations the
+		// overlapping-window scheduler may apply under live snapshot
+		// pins. Asserted on the final (possibly wrapped) reach, so Verify
+		// and the oracle conservatively barrier everything.
+		if pc, ok := e.reach.(core.PinConcurrent); ok {
+			for op := core.MutInit; op <= core.MutGet; op++ {
+				e.pinSafe[op] = pc.PinSafeMut(op)
+			}
+		}
+	}
+	if e.consumers > 1 {
+		// Debug assertion backing the whole-pipeline invariant:
+		// concurrently-checked batches touch disjoint shadow pages. Cheap
+		// (a few span comparisons per batch), so it is always on when the
+		// consumer pool is, and the -race CI suite runs it.
+		e.hist.EnableInstallAudit()
+	}
+	e.be = newPipeline(e, e.consumers)
 }
 
 // consumersEligible reports whether the multi-consumer back-end may run:
@@ -432,7 +412,7 @@ func (e *Engine) stampDep(b *event.Batch) {
 // noteBatchStats classifies one sealed non-empty batch against its
 // predecessor (the deterministic pairwise form of the scheduler's
 // independence condition) and sizes its footprint, in every pipeline
-// mode, so Stats.Event is identical across Consumers/Workers configs.
+// mode, so Stats.Event is identical across Consumers configs.
 func (e *Engine) noteBatchStats(b *event.Batch) {
 	e.evStats.Batches++
 	e.evStats.FootprintSpans += uint64(len(b.FP.Spans))
@@ -510,12 +490,9 @@ func (e *Engine) Run(root func(*Task)) *Report {
 		return e.report()
 	}
 	t := &Task{ex: e}
-	// Release the range workers on every exit path, including a genuine
-	// user panic that the recover below re-raises (Close is idempotent
-	// and nil-safe; report() also closes for the error-config path).
-	// The detection back-end stops first (LIFO defers): it drains its
-	// in-flight batches, which may still be fanning out across the pool.
-	defer e.pool.Close()
+	// Join the detection back-end on every exit path, including a genuine
+	// user panic that the recover below re-raises (stop is idempotent and
+	// nil-safe; report() also stops it).
 	defer e.be.stop()
 	if e.detecting {
 		t.fn = e.newFn()
@@ -558,7 +535,6 @@ func (e *Engine) report() *Report {
 	if e.vr != nil {
 		e.vr.Drain() // post-run mutation drain; no-op after a failure
 	}
-	e.pool.Close() // release the range workers (nil-safe)
 	if v, ok := e.reach.(*verifyReach); ok {
 		if mbp, ok := v.algo.(*core.MultiBagsPlus); ok {
 			for _, s := range mbp.Violations {
@@ -1004,14 +980,13 @@ func (e *Engine) flushBatch() {
 	b.Reset()
 }
 
-// processBatch runs detection over one sealed batch. Every op in the
-// batch was performed by batch.Strand under the relation snapshot named
-// by batch.Version — the back-end consumer applies pending construct
-// mutations up to exactly that version first, so in-flight checks never
-// observe a relation newer than the one the accesses executed under.
-// Large coalesced ranges additionally fan out across the shadow worker
-// pool. Runs on the back-end goroutine when the pipeline is asynchronous,
-// inline otherwise.
+// processBatch runs detection over one sealed batch on the engine's own
+// checker and delivers its races. Every op in the batch was performed by
+// batch.Strand under the relation snapshot named by batch.Version — the
+// single back-end consumer applies pending construct mutations up to
+// exactly that version first, so its checks never observe a relation
+// newer than the one the accesses executed under. Runs on the back-end
+// goroutine when Consumers == 1, inline otherwise.
 func (e *Engine) processBatch(b *event.Batch) {
 	if e.faults.Fire(faultinject.ConsumerPanic) {
 		panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
@@ -1020,37 +995,37 @@ func (e *Engine) processBatch(b *event.Batch) {
 	if e.vr != nil {
 		e.vr.ApplyTo(b.Version)
 	}
-	// Every batch starts with a cold verdict cache, here exactly as on the
-	// multi-consumer views, so memo-hit counters cannot depend on which
-	// pipeline checked the batch.
-	e.hist.ResetBatchCaches()
+	e.checkOps(e.chk, b, 0, len(b.Ops))
+	for _, ev := range e.chk.Events() {
+		e.reportRace(ev.Addr, ev.Racer.Prev, b.Strand, ev.Racer.PrevWrite, ev.Write)
+	}
+}
+
+// checkOps checks ops [lo, hi) of batch b as one batch on checker c: the
+// body every pipeline shares. The checker starts the batch with cold
+// verdict caches, whichever pipeline runs it, so memo-hit counters cannot
+// depend on the configuration; its race events stay buffered for the
+// caller to deliver.
+func (e *Engine) checkOps(c *shadow.Checker, b *event.Batch, lo, hi int) {
+	ctx := e.sctx
+	ctx.Gen = b.Gen
+	c.Begin(&ctx, b.Strand)
 	if e.mem == MemFull {
-		// A local context carries the batch's own generation; the
-		// prototype's relation pointer and race sinks are immutable.
-		ctx := e.sctx
-		ctx.Gen = b.Gen
-		for i := range b.Ops {
+		for i := lo; i < hi; i++ {
 			op := &b.Ops[i]
 			if op.Kind == event.Read {
-				if e.pool != nil {
-					e.hist.ReadRangePar(op.Addr, op.Words, b.Strand, &ctx, e.pool)
-				} else {
-					e.hist.ReadRange(op.Addr, op.Words, b.Strand, &ctx)
-				}
+				c.ReadRange(op.Addr, op.Words)
 			} else {
-				if e.pool != nil {
-					e.hist.WriteRangePar(op.Addr, op.Words, b.Strand, &ctx, e.pool)
-				} else {
-					e.hist.WriteRange(op.Addr, op.Words, b.Strand, &ctx)
-				}
+				c.WriteRange(op.Addr, op.Words)
 			}
 		}
-		return
+	} else {
+		// MemInstr: decode-only traffic.
+		for i := lo; i < hi; i++ {
+			c.TouchRange(b.Ops[i].Addr, b.Ops[i].Words)
+		}
 	}
-	// MemInstr: decode-only traffic.
-	for i := range b.Ops {
-		e.hist.TouchRangePar(b.Ops[i].Addr, b.Ops[i].Words, e.pool)
-	}
+	c.End()
 }
 
 // pairSig condenses a race's identity beyond its address — the strand

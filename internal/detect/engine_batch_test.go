@@ -8,8 +8,8 @@ import (
 )
 
 // These tests pin the event-batch pipeline: accesses buffer in coalescing
-// batches, batches seal at parallel constructs, and with Workers > 1 the
-// sealed batches are checked on the back-end goroutine overlapping
+// batches, batches seal at parallel constructs, and with Consumers >= 1
+// the sealed batches are checked on the back-end goroutine overlapping
 // continued execution — all without changing a single verdict, report
 // order, or deterministic counter.
 
@@ -35,33 +35,33 @@ func stridedRacer(n int) func(*Task) {
 // flushes must preserve every verdict and the report order.
 func TestBatchOverflowFlushesMidWindow(t *testing.T) {
 	n := 3*event.MaxOps + 17
-	for _, workers := range []int{1, 4} {
+	for _, consumers := range []int{0, 1} {
 		rep := NewEngine(Config{
 			Mode: ModeMultiBagsPlus, Mem: MemFull,
-			Workers: workers, MaxRaces: 1 << 21,
+			Consumers: consumers, MaxRaces: 1 << 21,
 		}).Run(stridedRacer(n))
 		if rep.Err != nil {
-			t.Fatalf("workers=%d: %v", workers, rep.Err)
+			t.Fatalf("consumers=%d: %v", consumers, rep.Err)
 		}
 		if got := int(rep.Stats.RaceCount); got != n {
-			t.Fatalf("workers=%d: RaceCount = %d, want %d", workers, got, n)
+			t.Fatalf("consumers=%d: RaceCount = %d, want %d", consumers, got, n)
 		}
 		if len(rep.Races) != n {
-			t.Fatalf("workers=%d: len(Races) = %d, want %d", workers, len(rep.Races), n)
+			t.Fatalf("consumers=%d: len(Races) = %d, want %d", consumers, len(rep.Races), n)
 		}
 		for i, r := range rep.Races {
 			if r.Addr != uint64(1+2*i) {
-				t.Fatalf("workers=%d: race %d at addr %#x, want %#x (order broken)",
-					workers, i, r.Addr, 1+2*i)
+				t.Fatalf("consumers=%d: race %d at addr %#x, want %#x (order broken)",
+					consumers, i, r.Addr, 1+2*i)
 			}
 		}
 	}
 }
 
-// TestAsyncBackendMatchesSerial compares a Workers=4 run (asynchronous
-// back-end; pool engaged where the algorithm allows) against Workers=1
-// for every algorithm — including the oracle, which gets the async
-// back-end but never the intra-range pool.
+// TestAsyncBackendMatchesSerial compares a Consumers=1 run (asynchronous
+// single-consumer back-end) against an inline run for every algorithm —
+// including the oracle, which is not eligible for the consumer pool but
+// still gets the async back-end.
 func TestAsyncBackendMatchesSerial(t *testing.T) {
 	prog := func(t *Task) {
 		h := t.CreateFut(func(ft *Task) any {
@@ -79,8 +79,7 @@ func TestAsyncBackendMatchesSerial(t *testing.T) {
 	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus, ModeOracle} {
 		serial := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}).Run(prog)
 		async := NewEngine(Config{
-			Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
-			Workers: 4, WorkerChunk: 64,
+			Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1,
 		}).Run(prog)
 		if serial.Err != nil || async.Err != nil {
 			t.Fatalf("%v: errs %v / %v", mode, serial.Err, async.Err)
@@ -117,16 +116,16 @@ func TestCoalescingPreservesInstrChecksum(t *testing.T) {
 		t.Spawn(func(c *Task) { c.WriteRange(1, 5_000) })
 		t.Sync()
 	}
-	for _, workers := range []int{1, 4} {
-		rep := NewEngine(Config{Mem: MemInstr, Workers: workers}).Run(prog)
+	for _, consumers := range []int{0, 1, 4} {
+		rep := NewEngine(Config{Mem: MemInstr, Consumers: consumers}).Run(prog)
 		if rep.Err != nil {
-			t.Fatalf("workers=%d: %v", workers, rep.Err)
+			t.Fatalf("consumers=%d: %v", consumers, rep.Err)
 		}
 		sh := rep.Stats.Shadow
 		if sh.Reads != 0 || sh.Writes != 0 {
 			// MemInstr keeps no history; the counters stay zero while the
 			// checksum work still runs (not observable here beyond no-crash).
-			t.Fatalf("workers=%d: instr run kept history: %+v", workers, sh)
+			t.Fatalf("consumers=%d: instr run kept history: %+v", consumers, sh)
 		}
 	}
 }
@@ -168,7 +167,7 @@ func TestOnRaceDeliveredBeforeRunReturns(t *testing.T) {
 	var seen []Race
 	rep := NewEngine(Config{
 		Mode: ModeMultiBagsPlus, Mem: MemFull,
-		Workers: 4, MaxRaces: 1 << 20,
+		Consumers: 1, MaxRaces: 1 << 20,
 		OnRace: func(r Race) { seen = append(seen, r) },
 	}).Run(stridedRacer(500))
 	if rep.Err != nil {
@@ -194,7 +193,7 @@ func TestLabelConcurrentWithBackend(t *testing.T) {
 	n := event.MaxOps + 500
 	rep := NewEngine(Config{
 		Mode: ModeMultiBagsPlus, Mem: MemFull,
-		Workers: 2, MaxRaces: 1 << 21,
+		Consumers: 1, MaxRaces: 1 << 21,
 		OnRace: func(Race) {}, // force the back-end's label lookups
 	}).Run(func(t *Task) {
 		t.Label("main")

@@ -51,14 +51,12 @@ func consumersProg(tk *Task) {
 }
 
 // TestConsumersEquivalence is the acceptance check: across all three
-// algorithms × Consumers ∈ {1,2,4} × Workers ∈ {1,4}, the race stream
-// (content and order), the violations and the full Stats — shadow
-// protocol traffic, both epoch fast paths, memo hits, reachability
-// queries, batch-pipeline counters — must deep-equal the serial run.
-// Only the pool's plumbing counters (fan-out counts, per-worker
-// page-cache locality) and the scheduler's timing-dependent outcome
-// counters (stolen chunks, overlapped windows) may differ, as in the
-// Workers equivalence test.
+// algorithms × Consumers ∈ {0,1,2,4}, the race stream (content and
+// order), the violations and the full Stats — shadow protocol traffic,
+// both epoch fast paths, memo hits, reachability queries, batch-pipeline
+// counters — must deep-equal the serial run. Only the per-checker
+// page-cache locality and the scheduler's timing-dependent outcome
+// counters (stolen chunks, overlapped windows) may differ.
 func TestConsumersEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus} {
 		serial := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}).Run(consumersProg)
@@ -71,32 +69,29 @@ func TestConsumersEquivalence(t *testing.T) {
 		if serial.Stats.Event.IndependentBatches == 0 {
 			t.Fatalf("%v: no independent batches; the test needs concurrent windows", mode)
 		}
-		for _, consumers := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4} {
-				cfg := Config{
-					Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
-					Consumers: consumers, Workers: workers,
-				}
-				rep := NewEngine(cfg).Run(consumersProg)
-				if rep.Err != nil {
-					t.Fatalf("%v c=%d w=%d: %v", mode, consumers, workers, rep.Err)
-				}
-				if !reflect.DeepEqual(serial.Races, rep.Races) {
-					t.Fatalf("%v c=%d w=%d: race streams diverge\nserial %v\ngot    %v",
-						mode, consumers, workers, serial.Races, rep.Races)
-				}
-				if !reflect.DeepEqual(serial.Violations, rep.Violations) {
-					t.Fatalf("%v c=%d w=%d: violations diverge", mode, consumers, workers)
-				}
-				ss, as := serial.Stats, rep.Stats
-				ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-				as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
-				ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-				as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
-				if !reflect.DeepEqual(ss, as) {
-					t.Fatalf("%v c=%d w=%d: stats diverge\nserial %+v\ngot    %+v",
-						mode, consumers, workers, ss, as)
-				}
+		for _, consumers := range []int{0, 1, 2, 4} {
+			cfg := Config{
+				Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
+				Consumers: consumers,
+			}
+			rep := NewEngine(cfg).Run(consumersProg)
+			if rep.Err != nil {
+				t.Fatalf("%v c=%d: %v", mode, consumers, rep.Err)
+			}
+			if !reflect.DeepEqual(serial.Races, rep.Races) {
+				t.Fatalf("%v c=%d: race streams diverge\nserial %v\ngot    %v",
+					mode, consumers, serial.Races, rep.Races)
+			}
+			if !reflect.DeepEqual(serial.Violations, rep.Violations) {
+				t.Fatalf("%v c=%d: violations diverge", mode, consumers)
+			}
+			ss, as := serial.Stats, rep.Stats
+			ss.Shadow.PageCacheHits, as.Shadow.PageCacheHits = 0, 0
+			ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
+			as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
+			if !reflect.DeepEqual(ss, as) {
+				t.Fatalf("%v c=%d: stats diverge\nserial %+v\ngot    %+v",
+					mode, consumers, ss, as)
 			}
 		}
 	}
@@ -130,7 +125,7 @@ func epochProg(tk *Task) {
 
 // TestEpochConsumersEquivalence pins the epoch counters and the stamp
 // transfer across the consumer pool: for every algorithm × Consumers ∈
-// {1,2,4} × Workers ∈ {1,4}, the full Stats — including EpochHits,
+// {0,1,2,4}, the full Stats — including EpochHits,
 // EpochInflations, EpochDeflations and SpillEntries — must deep-equal
 // the serial run, and the serial run must actually take cross-generation
 // transfers. For the verifying algorithms, a Verify run (whose wrapped
@@ -149,28 +144,25 @@ func TestEpochConsumersEquivalence(t *testing.T) {
 		if serial.Stats.Shadow.EpochHits == 0 {
 			t.Fatalf("%v: no cross-generation stamp transfers; the test exercises nothing", mode)
 		}
-		for _, consumers := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4} {
-				rep := NewEngine(Config{
-					Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
-					Consumers: consumers, Workers: workers,
-				}).Run(epochProg)
-				if rep.Err != nil {
-					t.Fatalf("%v c=%d w=%d: %v", mode, consumers, workers, rep.Err)
-				}
-				if !reflect.DeepEqual(serial.Races, rep.Races) {
-					t.Fatalf("%v c=%d w=%d: race streams diverge\nserial %v\ngot    %v",
-						mode, consumers, workers, serial.Races, rep.Races)
-				}
-				ss, as := serial.Stats, rep.Stats
-				ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-				as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
-				ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-				as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
-				if !reflect.DeepEqual(ss, as) {
-					t.Fatalf("%v c=%d w=%d: stats diverge\nserial %+v\ngot    %+v",
-						mode, consumers, workers, ss, as)
-				}
+		for _, consumers := range []int{0, 1, 2, 4} {
+			rep := NewEngine(Config{
+				Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
+				Consumers: consumers,
+			}).Run(epochProg)
+			if rep.Err != nil {
+				t.Fatalf("%v c=%d: %v", mode, consumers, rep.Err)
+			}
+			if !reflect.DeepEqual(serial.Races, rep.Races) {
+				t.Fatalf("%v c=%d: race streams diverge\nserial %v\ngot    %v",
+					mode, consumers, serial.Races, rep.Races)
+			}
+			ss, as := serial.Stats, rep.Stats
+			ss.Shadow.PageCacheHits, as.Shadow.PageCacheHits = 0, 0
+			ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
+			as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
+			if !reflect.DeepEqual(ss, as) {
+				t.Fatalf("%v c=%d: stats diverge\nserial %+v\ngot    %+v",
+					mode, consumers, ss, as)
 			}
 		}
 		if mode == ModeSPBags {
@@ -289,8 +281,7 @@ func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 			t.Fatalf("consumers=%d: %v", consumers, rep.Err)
 		}
 		ss, as := serial.Stats, rep.Stats
-		ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-		as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
+		ss.Shadow.PageCacheHits, as.Shadow.PageCacheHits = 0, 0
 		ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
 		as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
 		if !reflect.DeepEqual(serial.Races, rep.Races) || !reflect.DeepEqual(ss, as) {
@@ -332,20 +323,20 @@ func TestConsumersCheckStructuredDefersGets(t *testing.T) {
 			t.Fatal(serial.Err)
 		}
 		for _, cfg := range []Config{
-			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Workers: 2},
+			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 1},
 			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 4},
-			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 2, Workers: 2},
+			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 2},
 		} {
 			rep := NewEngine(cfg).Run(prog)
 			if rep.Err != nil {
-				t.Fatalf("c=%d w=%d: %v", cfg.Consumers, cfg.Workers, rep.Err)
+				t.Fatalf("c=%d: %v", cfg.Consumers, rep.Err)
 			}
 			if !reflect.DeepEqual(serial.Violations, rep.Violations) {
-				t.Fatalf("c=%d w=%d: violations diverge\nserial %v\ngot    %v",
-					cfg.Consumers, cfg.Workers, serial.Violations, rep.Violations)
+				t.Fatalf("c=%d: violations diverge\nserial %v\ngot    %v",
+					cfg.Consumers, serial.Violations, rep.Violations)
 			}
 			if !reflect.DeepEqual(serial.Races, rep.Races) {
-				t.Fatalf("c=%d w=%d: races diverge", cfg.Consumers, cfg.Workers)
+				t.Fatalf("c=%d: races diverge", cfg.Consumers)
 			}
 		}
 	}

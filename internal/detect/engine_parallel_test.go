@@ -163,112 +163,82 @@ func parallelProg(n int) func(*Task) {
 	}
 }
 
-// TestWorkersVerdictEquivalence runs the same program serially and with
-// worker pools of several widths; the reports must agree on every race,
-// in content and order, and on the deterministic protocol counters.
-func TestWorkersVerdictEquivalence(t *testing.T) {
-	const n = 5000
-	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus} {
-		serial := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 3 * n}).
-			Run(parallelProg(n))
-		if serial.Err != nil {
-			t.Fatal(serial.Err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("%v_w%d", mode, workers), func(t *testing.T) {
-				par := NewEngine(Config{
-					Mode: mode, Mem: MemFull, MaxRaces: 3 * n,
-					Workers: workers, WorkerChunk: 512,
-				}).Run(parallelProg(n))
-				if par.Err != nil {
-					t.Fatal(par.Err)
-				}
-				if par.Stats.Shadow.ParRanges == 0 {
-					t.Fatal("worker pool never engaged")
-				}
-				if len(par.Races) != len(serial.Races) ||
-					par.Stats.RaceCount != serial.Stats.RaceCount {
-					t.Fatalf("race totals diverge: serial %d/%d, workers=%d %d/%d",
-						len(serial.Races), serial.Stats.RaceCount,
-						workers, len(par.Races), par.Stats.RaceCount)
-				}
-				for i := range serial.Races {
-					if serial.Races[i] != par.Races[i] {
-						t.Fatalf("race %d differs: serial %v, parallel %v",
-							i, serial.Races[i], par.Races[i])
-					}
-				}
-				ss, ps := serial.Stats.Shadow, par.Stats.Shadow
-				if ss.Reads != ps.Reads || ss.Writes != ps.Writes ||
-					ss.OwnedSkips != ps.OwnedSkips ||
-					ss.ReaderAppends != ps.ReaderAppends ||
-					ss.ReaderFlushes != ps.ReaderFlushes {
-					t.Fatalf("protocol counters diverge:\nserial %+v\npar    %+v", ss, ps)
-				}
-			})
-		}
-	}
-}
-
-// TestWorkersSerialPathUntouched: Workers<=1 must not construct a pool,
-// and unsupported configurations (oracle, Verify) must stay serial even
-// when Workers asks for more.
-func TestWorkersSerialPathUntouched(t *testing.T) {
-	for _, cfg := range []Config{
-		{Mode: ModeMultiBags, Mem: MemFull, Workers: 1},
-		{Mode: ModeMultiBags, Mem: MemFull, Workers: 0},
-		{Mode: ModeOracle, Mem: MemFull, Workers: 8},
-		{Mode: ModeMultiBagsPlus, Mem: MemFull, Workers: 8, Verify: true},
+// TestConsumersSelectPipeline pins what each Consumers setting runs:
+// 0 checks inline on the engine's checker, 1 on the asynchronous single
+// consumer (for every algorithm, the oracle and Verify runs included),
+// and 2 or more on the consumer pool, whose consumers own their checkers
+// — or on the single consumer when the pool is not eligible. Every
+// pipeline must report the inline run's races.
+func TestConsumersSelectPipeline(t *testing.T) {
+	const n = 2000
+	for _, tc := range []struct {
+		cfg       Config
+		consumers int
+	}{
+		{Config{Mode: ModeMultiBags, Mem: MemFull}, 0},
+		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: -1}, 0},
+		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1}, 1},
+		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 1}, 1},
+		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 4}, 4},
+		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 8}, 1},
+		{Config{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 8, Verify: true}, 1},
+		{Config{Mode: ModeNone, Mem: MemInstr, Consumers: 1}, 1},
 	} {
-		rep := NewEngine(cfg).Run(parallelProg(2000))
-		if rep.Err != nil {
-			t.Fatalf("%+v: %v", cfg, rep.Err)
+		tc.cfg.MaxRaces = 3 * n
+		serial := tc.cfg
+		serial.Consumers = 0
+		want := NewEngine(serial).Run(parallelProg(n))
+		e := NewEngine(tc.cfg)
+		if e.consumers != tc.consumers {
+			t.Fatalf("%+v: consumers = %d, want %d", tc.cfg, e.consumers, tc.consumers)
 		}
-		if rep.Stats.Shadow.ParRanges != 0 {
-			t.Fatalf("%+v fanned out; want serial", cfg)
+		if async := e.be != nil; async != (tc.consumers > 0) {
+			t.Fatalf("%+v: asynchronous back-end = %v, want %v", tc.cfg, async, tc.consumers > 0)
+		}
+		if own := e.chk != nil; own != (tc.consumers <= 1) {
+			t.Fatalf("%+v: engine-owned checker = %v, want %v", tc.cfg, own, tc.consumers <= 1)
+		}
+		rep := e.Run(parallelProg(n))
+		if rep.Err != nil || want.Err != nil {
+			t.Fatalf("%+v: errs %v / %v", tc.cfg, rep.Err, want.Err)
+		}
+		if len(rep.Races) != len(want.Races) || rep.Stats.RaceCount != want.Stats.RaceCount {
+			t.Fatalf("%+v: %d/%d races, inline run %d/%d", tc.cfg,
+				len(rep.Races), rep.Stats.RaceCount, len(want.Races), want.Stats.RaceCount)
+		}
+		for i := range want.Races {
+			if want.Races[i] != rep.Races[i] {
+				t.Fatalf("%+v: race %d differs: inline %v, got %v", tc.cfg, i, want.Races[i], rep.Races[i])
+			}
 		}
 	}
-}
-
-// TestWorkersInstrumentationLevel: the pool also serves MemInstr (pure
-// checksum traffic), where any mode qualifies — including ModeNone, so
-// the instrumentation baseline stays comparable to detecting runs with
-// the same Workers setting.
-func TestWorkersInstrumentationLevel(t *testing.T) {
-	for _, mode := range []Mode{ModeMultiBags, ModeNone} {
-		par := NewEngine(Config{Mode: mode, Mem: MemInstr, Workers: 4}).
-			Run(func(t *Task) { t.WriteRange(1, 1<<15) })
-		if par.Err != nil {
-			t.Fatalf("%v: %v", mode, par.Err)
-		}
-		if par.Stats.Shadow.ParRanges == 0 {
-			t.Fatalf("%v: MemInstr pool never engaged", mode)
-		}
-	}
-	// Checksum equality with the serial path is pinned in the shadow tests.
 }
 
 // TestPoolReleasedOnUserPanic: a panic in user code must not leak the
-// worker goroutines (Run defers the pool close before re-panicking).
+// detection back-end's goroutines — the single consumer or the consumer
+// pool (Run defers the back-end stop before re-panicking).
 func TestPoolReleasedOnUserPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		func() {
-			defer func() { _ = recover() }()
-			NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Workers: 8}).
-				Run(func(t *Task) {
-					t.WriteRange(1, 1<<15) // engage the pool first
-					panic("user bug")
-				})
-		}()
+		for _, consumers := range []int{1, 4} {
+			func() {
+				defer func() { _ = recover() }()
+				NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: consumers}).
+					Run(func(t *Task) {
+						t.WriteRange(1, 1<<15) // engage the back-end first
+						t.Spawn(func(c *Task) { c.WriteRange(1<<20, 100) })
+						panic("user bug")
+					})
+			}()
+		}
 	}
-	// Workers exit asynchronously after the channel close; give them a
-	// moment before comparing.
+	// Goroutines exit asynchronously after the channel close; give them
+	// a moment before comparing.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Fatalf("goroutines grew from %d to %d: pool leaked on panic", before, g)
+		t.Fatalf("goroutines grew from %d to %d: back-end leaked on panic", before, g)
 	}
 }

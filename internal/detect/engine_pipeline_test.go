@@ -23,7 +23,7 @@ import (
 // the held batch, the hold waits for the construct) and the watchdog
 // fails the test.
 func TestConstructProceedsWithBatchInFlight(t *testing.T) {
-	e := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Workers: 2})
+	e := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1})
 	constructsDone := make(chan struct{})
 	var heldInFlight atomic.Bool
 	var sawTimeout atomic.Bool
@@ -94,7 +94,7 @@ func TestConstructAheadWindowBounded(t *testing.T) {
 		go func() {
 			done <- NewEngine(Config{
 				Mode: ModeMultiBagsPlus, Mem: MemFull,
-				Workers: 2, ConstructAhead: window,
+				Consumers: 1, ConstructAhead: window,
 			}).Run(prog)
 		}()
 		var rep *Report
@@ -146,26 +146,22 @@ func TestConstructAheadEquivalence(t *testing.T) {
 			t.Fatalf("%v: %v", mode, serial.Err)
 		}
 		for _, cfg := range []Config{
-			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Workers: 2},
-			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Workers: 4, ConstructAhead: 2},
+			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1},
+			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1, ConstructAhead: 2},
 		} {
 			rep := NewEngine(cfg).Run(prog)
 			if rep.Err != nil {
-				t.Fatalf("%v workers=%d: %v", mode, cfg.Workers, rep.Err)
+				t.Fatalf("%v consumers=%d ahead=%d: %v", mode, cfg.Consumers, cfg.ConstructAhead, rep.Err)
 			}
 			if !reflect.DeepEqual(serial.Races, rep.Races) {
-				t.Fatalf("%v workers=%d: race streams diverge", mode, cfg.Workers)
+				t.Fatalf("%v consumers=%d ahead=%d: race streams diverge", mode, cfg.Consumers, cfg.ConstructAhead)
 			}
 			ss, as := serial.Stats, rep.Stats
-			// The pool legitimately changes its own plumbing counters
-			// (fan-out counts, per-worker page-cache locality); everything
-			// else — verdicts, protocol traffic, both epoch fast paths,
-			// reachability traffic — must be identical.
-			ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-			as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
+			// Everything — verdicts, protocol traffic, both epoch fast
+			// paths, reachability traffic — must be identical.
 			if !reflect.DeepEqual(ss, as) {
-				t.Fatalf("%v workers=%d stats diverge:\nserial %+v\nasync  %+v",
-					mode, cfg.Workers, ss, as)
+				t.Fatalf("%v consumers=%d ahead=%d stats diverge:\nserial %+v\nasync  %+v",
+					mode, cfg.Consumers, cfg.ConstructAhead, ss, as)
 			}
 			if as.Shadow.ReadSharedSkips == 0 {
 				t.Fatalf("%v: program never exercised the read-shared fast path", mode)
@@ -181,10 +177,10 @@ func TestConstructAheadEquivalence(t *testing.T) {
 // must still judge a structured program violation-free even when batches
 // and construct mutations are in flight.
 func TestCheckStructuredQuerySeesGetVersion(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, consumers := range []int{0, 1} {
 		rep := NewEngine(Config{
 			Mode: ModeMultiBagsPlus, Mem: MemFull,
-			Workers: workers, CheckStructured: true,
+			Consumers: consumers, CheckStructured: true,
 		}).Run(func(tk *Task) {
 			for i := 0; i < 50; i++ {
 				h := tk.CreateFut(func(ft *Task) any {
@@ -197,11 +193,11 @@ func TestCheckStructuredQuerySeesGetVersion(t *testing.T) {
 			}
 		})
 		if rep.Err != nil {
-			t.Fatalf("workers=%d: %v", workers, rep.Err)
+			t.Fatalf("consumers=%d: %v", consumers, rep.Err)
 		}
 		// The program is structured: single-touch, creator precedes getter.
 		for _, v := range rep.Violations {
-			t.Fatalf("workers=%d: spurious violation %s: %s", workers, v.Kind, v.Detail)
+			t.Fatalf("consumers=%d: spurious violation %s: %s", consumers, v.Kind, v.Detail)
 		}
 	}
 }

@@ -14,20 +14,18 @@ import (
 // pipeline shape. The leak check is the assertion.
 func TestErrorPathJoinsPipeline(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
-	for _, workers := range []int{0, 4} {
-		for _, consumers := range []int{0, 4} {
-			rep := NewEngine(Config{
-				Mode: ModeMultiBagsPlus, Mem: MemFull,
-				Workers: workers, Consumers: consumers,
-			}).Run(func(t *Task) {
-				for i := 0; i < 200; i++ { // enough traffic to open batches
-					t.Write(uint64(i) * 1024)
-				}
-				t.GetFut(&Fut{}) // never completed: aborts the run
-			})
-			if !errors.Is(rep.Err, ErrFutureNotReady) {
-				t.Fatalf("w=%d c=%d: want ErrFutureNotReady, got %v", workers, consumers, rep.Err)
+	for _, consumers := range []int{0, 1, 4} {
+		rep := NewEngine(Config{
+			Mode: ModeMultiBagsPlus, Mem: MemFull,
+			Consumers: consumers,
+		}).Run(func(t *Task) {
+			for i := 0; i < 200; i++ { // enough traffic to open batches
+				t.Write(uint64(i) * 1024)
 			}
+			t.GetFut(&Fut{}) // never completed: aborts the run
+		})
+		if !errors.Is(rep.Err, ErrFutureNotReady) {
+			t.Fatalf("c=%d: want ErrFutureNotReady, got %v", consumers, rep.Err)
 		}
 	}
 }
@@ -41,8 +39,8 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 	for _, consumers := range []int{1, 4} {
 		rep := NewEngine(Config{
 			Mode: ModeMultiBagsPlus, Mem: MemFull,
-			Workers: 4, Consumers: consumers,
-			Faults: faultinject.Single(faultinject.ConsumerPanic, 1),
+			Consumers: consumers,
+			Faults:    faultinject.Single(faultinject.ConsumerPanic, 1),
 		}).Run(func(t *Task) {
 			for i := 0; i < 64; i++ {
 				t.Spawn(func(c *Task) {
@@ -77,8 +75,8 @@ func TestPoisonedEngineRefusesWork(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	e := NewEngine(Config{
 		Mode: ModeMultiBagsPlus, Mem: MemFull,
-		Workers: 4, Consumers: 4,
-		Faults: faultinject.Single(faultinject.ConsumerPanic, 1),
+		Consumers: 4,
+		Faults:    faultinject.Single(faultinject.ConsumerPanic, 1),
 	})
 	done := make(chan *Report, 1)
 	go func() {
@@ -108,28 +106,26 @@ func TestPoisonedEngineRefusesWork(t *testing.T) {
 func TestStrandOverflowFailsClosed(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	const limit = 40
-	for _, workers := range []int{0, 4} {
-		for _, consumers := range []int{0, 4} {
-			e := NewEngine(Config{
-				Mode: ModeMultiBagsPlus, Mem: MemFull,
-				Workers: workers, Consumers: consumers,
-			})
-			e.maxStrand = limit
-			rep := e.Run(func(t *Task) {
-				for i := 0; i < 100; i++ {
-					t.Spawn(func(c *Task) { c.Write(uint64(i) * 512) })
-				}
-				t.Sync()
-			})
-			var pe *PipelineError
-			if !errors.As(rep.Err, &pe) || pe.Stage != "engine" || !errors.Is(rep.Err, ErrStrandOverflow) {
-				t.Fatalf("w=%d c=%d: want an engine PipelineError caused by ErrStrandOverflow, got %v",
-					workers, consumers, rep.Err)
+	for _, consumers := range []int{0, 1, 4} {
+		e := NewEngine(Config{
+			Mode: ModeMultiBagsPlus, Mem: MemFull,
+			Consumers: consumers,
+		})
+		e.maxStrand = limit
+		rep := e.Run(func(t *Task) {
+			for i := 0; i < 100; i++ {
+				t.Spawn(func(c *Task) { c.Write(uint64(i) * 512) })
 			}
-			if rep.Stats.Strands > limit {
-				t.Fatalf("w=%d c=%d: %d strands allocated past the cap of %d",
-					workers, consumers, rep.Stats.Strands, limit)
-			}
+			t.Sync()
+		})
+		var pe *PipelineError
+		if !errors.As(rep.Err, &pe) || pe.Stage != "engine" || !errors.Is(rep.Err, ErrStrandOverflow) {
+			t.Fatalf("c=%d: want an engine PipelineError caused by ErrStrandOverflow, got %v",
+				consumers, rep.Err)
+		}
+		if rep.Stats.Strands > limit {
+			t.Fatalf("c=%d: %d strands allocated past the cap of %d",
+				consumers, rep.Stats.Strands, limit)
 		}
 	}
 }

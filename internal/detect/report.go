@@ -90,38 +90,22 @@ type Config struct {
 	Mode Mode
 	Mem  MemLevel
 
-	// Workers sets the width of the shadow range-detection worker pool:
-	// bulk ReadRange/WriteRange/TouchRange accesses above a chunk
-	// threshold are split into chunks processed concurrently, exploiting
-	// the fact that the reachability relation is immutable between
-	// parallel constructs. Workers <= 1 keeps every access on the exact
-	// serial path. The pool only engages when Mem is MemFull or MemInstr
-	// and the selected algorithm supports concurrent queries (SP-Bags,
-	// MultiBags, MultiBags+); the oracle and Verify runs stay serial.
-	// Race reports are identical, in content and order, to a serial run.
-	Workers int
-
-	// WorkerChunk overrides the words-per-chunk granule of the parallel
-	// range path (0 means the shadow layer's default). Ranges shorter
-	// than two chunks stay serial. Exposed for tuning and for tests that
-	// need to exercise the fan-out on small ranges.
-	WorkerChunk int
-
-	// Consumers sets the width of the detection consumer pool: sealed
-	// access batches whose footprints are independent — disjoint shadow
-	// pages, distinct strands, and no conflicting construct mutation
-	// between them — are checked concurrently by up to this many
-	// consumers, each under the same pinned snapshot of the versioned
-	// reachability relation; dependent batches serialize in seal order. A
-	// dependency-aware scheduler groups the batch stream into windows and
-	// a sequence-numbered reorder buffer keeps race delivery in seal
-	// order, so reports are verdict-, order- and counter-identical to a
-	// serial run for any Consumers (and any Workers) setting. Consumers
-	// <= 1 keeps the single-consumer back-end; > 1 requires an algorithm
-	// with a concurrent-safe query path (SP-Bags, MultiBags, MultiBags+ —
-	// the oracle and Verify runs fall back to one consumer). Consumers is
-	// independent of Workers: Workers parallelizes within one bulk range,
-	// Consumers across batches; they compose.
+	// Consumers sets the detection pipeline. 0 (the default) checks each
+	// sealed access batch inline on the engine goroutine. 1 checks
+	// batches asynchronously on one consumer goroutine, in seal order,
+	// overlapping detection with continued program execution. 2 or more
+	// runs the dependency-scheduled consumer pool: sealed batches whose
+	// footprints are independent — disjoint shadow pages, distinct
+	// strands, and no conflicting construct mutation between them — are
+	// checked concurrently by up to this many consumers, each under the
+	// same pinned snapshot of the versioned reachability relation;
+	// dependent batches serialize in seal order. A dependency-aware
+	// scheduler groups the batch stream into windows and a
+	// sequence-numbered reorder buffer keeps race delivery in seal order.
+	// Reports are verdict-, order- and counter-identical to an inline run
+	// for any Consumers setting. The pool requires an algorithm with a
+	// concurrent-safe query path (SP-Bags, MultiBags, MultiBags+); the
+	// oracle and Verify runs fall back to one consumer.
 	Consumers int
 
 	// StealChunkWords overrides the words-per-chunk granule at which the
@@ -141,12 +125,12 @@ type Config struct {
 	BatchOps int
 
 	// ConstructAhead bounds how many construct mutations the engine may
-	// record ahead of the asynchronous detection back-end (Workers > 1):
+	// record ahead of the asynchronous detection back-end (Consumers >= 1):
 	// the reachability relation is versioned, sealed batches carry the
 	// version they were recorded under, and parallel constructs proceed
 	// without waiting for in-flight batch checks — up to this window, at
 	// which point the engine back-pressures. 0 means
-	// core.DefaultConstructAhead. Irrelevant for Workers <= 1, where the
+	// core.DefaultConstructAhead. Irrelevant for Consumers == 0, where the
 	// pipeline is synchronous. Reports are verdict-, order- and
 	// counter-identical for any window.
 	ConstructAhead int
@@ -166,7 +150,7 @@ type Config struct {
 	Verify bool
 
 	// StallTimeout arms the pipeline stall watchdog (asynchronous
-	// back-end only — Workers > 1 or Consumers > 1): each pipeline stage
+	// back-end only — Consumers >= 1): each pipeline stage
 	// heartbeats through sealed/dispatched/checked progress counters, and
 	// if none advances for this long while work is outstanding, the run
 	// fails closed with a PipelineError whose Stage is "watchdog" and
@@ -190,7 +174,7 @@ type Config struct {
 	Sampling Sampling
 
 	// OnRace, if non-nil, is called for each distinct race as found,
-	// always before Run returns and in report order. With Workers > 1
+	// always before Run returns and in report order. With Consumers >= 1
 	// detection runs on a back-end goroutine overlapping program
 	// execution, so the callback may fire there, concurrently with user
 	// code — a callback touching state the program also touches must
@@ -221,7 +205,7 @@ type Sampling struct {
 	// to the full query path, decided by a deterministic hash of
 	// (Seed, address, construct generation) — no randomness, so the
 	// admitted set is identical across runs and across every
-	// Workers × Consumers pipeline configuration. Rate 0 (the zero value)
+	// Consumers pipeline configuration. Rate 0 (the zero value)
 	// disables sampling entirely. Rates outside [0, 1] are a
 	// configuration error.
 	Rate float64
@@ -309,7 +293,7 @@ type Stats struct {
 	// deterministic pairwise independent/serialized classification the
 	// multi-consumer scheduler's window rules are built from, and
 	// footprint summary sizes. Counted at seal time on the engine
-	// goroutine, so identical across Workers/Consumers configurations —
+	// goroutine, so identical across Consumers configurations —
 	// except Event.StolenChunks and Event.OverlappedWindows, which count
 	// scheduling outcomes (chunks checked by a stealing consumer, relation
 	// versions published over in-flight batches) and are timing-dependent.

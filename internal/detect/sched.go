@@ -1,10 +1,11 @@
 // The asynchronous detection pipeline: sealed batches are checked off the
 // engine goroutine while the program keeps executing.
 //
-// With Config.Consumers <= 1 the pipeline is the single-consumer stream
+// With Config.Consumers == 1 the pipeline is the single-consumer stream
 // the event-batch design introduced: one goroutine applies each batch's
 // pending construct mutations and checks it, in seal order, which
-// trivially preserves the serial report.
+// trivially preserves the serial report. (Consumers == 0 has no
+// pipeline: the engine checks each batch inline.)
 //
 // With Config.Consumers > 1 the pipeline is an overlapping-window
 // scheduler over a work-stealing consumer pool. The scheduler keeps a
@@ -43,7 +44,7 @@
 // dispatch order (and within a flight in chunk order = op order), so the
 // report stream stays byte-identical to a serial run; verdicts, counters
 // and report order are pinned by TestConsumersEquivalence across
-// algorithms, consumer counts and worker widths.
+// algorithms and consumer counts.
 //
 // # Fail-closed operation
 //
@@ -58,10 +59,10 @@
 // engine's submit path selects against the failure latch, the versioned
 // mutation log is failed so Record never waits on a dead applier, and an
 // optional watchdog (Config.StallTimeout) converts a silent stall into
-// the same structured teardown. The fault matrix in fault_test.go drives
-// every injected fault class through this machinery and asserts the run
-// either matches serial verdicts exactly or returns one PipelineError
-// with no goroutine left behind.
+// the same structured teardown. The fault matrix in
+// internal/progen/fault_test.go drives every injected fault class through
+// this machinery and asserts the run either matches serial verdicts
+// exactly or returns one PipelineError with no goroutine left behind.
 package detect
 
 import (
@@ -341,7 +342,7 @@ type consResult struct {
 }
 
 // consume is one consumer goroutine of the multi-consumer pool: it checks
-// dispatched chunks on its private shadow view and reports buffered race
+// dispatched chunks on its own shadow checker and reports buffered race
 // events back for in-order delivery. The batch stays owned by the
 // scheduler (other chunks of it may be in other consumers' hands), so the
 // consumer never recycles. A panic while checking — injected, an audit
@@ -351,7 +352,7 @@ type consResult struct {
 func (p *pipeline) consume(id int, work <-chan chunkWork, results chan<- consResult, wg *sync.WaitGroup) {
 	defer wg.Done()
 	e := p.e
-	view := shadow.NewView(e.hist, id)
+	chk := shadow.NewChecker(e.hist, id)
 	var claims []shadow.PageClaim
 	for cw := range work {
 		b := cw.b
@@ -367,11 +368,7 @@ func (p *pipeline) consume(id int, work <-chan chunkWork, results chan<- consRes
 				panic(faultinject.Panic{Point: faultinject.StealPanic})
 			}
 			e.faults.Delay(faultinject.ConsumerStall)
-			ctx := e.sctx // prototype copy; race sinks unused (events buffer)
-			ctx.Gen = b.Gen
-			view.Begin(&ctx, b.Strand)
-			full := e.mem == MemFull
-			if full {
+			if e.mem == MemFull {
 				// The install audit asserts concurrent checks touch disjoint
 				// shadow pages, so each chunk claims the batch footprint
 				// clipped to its own page range — chunk ranges are disjoint
@@ -392,32 +389,21 @@ func (p *pipeline) consume(id int, work <-chan chunkWork, results chan<- consRes
 						claims = append(claims, shadow.PageClaim{Lo: lo, Hi: hi})
 					}
 				}
-				view.Claim(claims)
+				chk.Claim(claims)
 			}
-			for i := cw.lo; i < cw.hi; i++ {
-				op := &b.Ops[i]
-				switch {
-				case !full:
-					view.TouchRange(op.Addr, op.Words, e.pool)
-				case op.Kind == event.Read:
-					view.ReadRange(op.Addr, op.Words, e.pool)
-				default:
-					view.WriteRange(op.Addr, op.Words, e.pool)
-				}
-			}
-			if evs := view.Events(); len(evs) > 0 {
+			e.checkOps(chk, b, cw.lo, cw.hi)
+			if evs := chk.Events(); len(evs) > 0 {
 				res.events = append([]shadow.RaceEvent(nil), evs...)
 			}
-			view.End()
 		}); pe != nil {
 			res.err = pe
 			res.events = nil
-			// The view may have died mid-chunk with counters unfolded and
-			// audit claims held; End is recover-shelled because the view's
-			// state is arbitrary at this point.
+			// The checker may have died mid-chunk with counters unfolded
+			// and audit claims held; End is recover-shelled because the
+			// checker's state is arbitrary at this point.
 			func() {
 				defer func() { recover() }()
-				view.End()
+				chk.End()
 			}()
 		}
 		results <- res

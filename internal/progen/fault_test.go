@@ -25,9 +25,9 @@ const (
 	faultTimeout = 40 * time.Millisecond
 )
 
-// faultOne runs one (fault, mode, workers, consumers) cell against the
+// faultOne runs one (fault, mode, consumers) cell against the
 // serial no-fault reference for the same program.
-func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode, workers, consumers int) {
+func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode, consumers int) {
 	t.Helper()
 	// Pair each algorithm with the dialect it is sound for, as the
 	// equivalence fuzzers do.
@@ -50,7 +50,7 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 	plan.Stall = faultStall
 	rep := detect.NewEngine(detect.Config{
 		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Workers: workers, Consumers: consumers,
+		Consumers:    consumers,
 		StallTimeout: faultTimeout,
 		Faults:       plan,
 	}).Run(p.Run)
@@ -58,8 +58,8 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 	if rep.Err != nil {
 		var pe *detect.PipelineError
 		if !errors.As(rep.Err, &pe) {
-			t.Fatalf("seed %d [%v c=%d w=%d]: error is not a PipelineError: %v\n%s",
-				seed, pt, consumers, workers, rep.Err, p)
+			t.Fatalf("seed %d [%v c=%d]: error is not a PipelineError: %v\n%s",
+				seed, pt, consumers, rep.Err, p)
 		}
 		if pe.Stage == "" {
 			t.Fatalf("seed %d [%v]: PipelineError without a stage: %v", seed, pt, pe)
@@ -70,22 +70,22 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 	// touching detection state (a stall, a corrupt footprint the audit
 	// had no occasion to object to). Verdicts must be the serial ones.
 	if len(serial.Races) != len(rep.Races) || serial.Stats.RaceCount != rep.Stats.RaceCount {
-		t.Fatalf("seed %d [%v c=%d w=%d]: %d races (%d obs) vs serial %d (%d)\n%s",
-			seed, pt, consumers, workers, len(rep.Races), rep.Stats.RaceCount,
+		t.Fatalf("seed %d [%v c=%d]: %d races (%d obs) vs serial %d (%d)\n%s",
+			seed, pt, consumers, len(rep.Races), rep.Stats.RaceCount,
 			len(serial.Races), serial.Stats.RaceCount, p)
 	}
 	for i := range serial.Races {
 		if serial.Races[i] != rep.Races[i] {
-			t.Fatalf("seed %d [%v c=%d w=%d]: race %d differs: %v vs %v\n%s",
-				seed, pt, consumers, workers, i, serial.Races[i], rep.Races[i], p)
+			t.Fatalf("seed %d [%v c=%d]: race %d differs: %v vs %v\n%s",
+				seed, pt, consumers, i, serial.Races[i], rep.Races[i], p)
 		}
 	}
 	ss, rs := serial.Stats.Shadow, rep.Stats.Shadow
 	if ss.Reads != rs.Reads || ss.Writes != rs.Writes ||
 		ss.OwnedSkips != rs.OwnedSkips || ss.ReadSharedSkips != rs.ReadSharedSkips ||
 		ss.ReaderAppends != rs.ReaderAppends || ss.ReaderFlushes != rs.ReaderFlushes {
-		t.Fatalf("seed %d [%v c=%d w=%d]: shadow counters diverge\nserial %+v\ngot    %+v\n%s",
-			seed, pt, consumers, workers, ss, rs, p)
+		t.Fatalf("seed %d [%v c=%d]: shadow counters diverge\nserial %+v\ngot    %+v\n%s",
+			seed, pt, consumers, ss, rs, p)
 	}
 }
 
@@ -94,16 +94,14 @@ func TestFaultMatrixFailsClosed(t *testing.T) {
 	modes := []detect.Mode{detect.ModeSPBags, detect.ModeMultiBags, detect.ModeMultiBagsPlus}
 	for _, pt := range faultinject.Points() {
 		for _, mode := range modes {
-			for _, workers := range []int{1, 4} {
-				for _, consumers := range []int{1, 4} {
-					if pt == faultinject.CorruptFootprint && faultinject.Debug && consumers > 1 {
-						// Debug builds re-raise audit violations as hard
-						// panics by design; the corrupted footprint would
-						// halt the whole test process.
-						continue
-					}
-					faultOne(t, 11, pt, mode, workers, consumers)
+			for _, consumers := range []int{0, 1, 4} {
+				if pt == faultinject.CorruptFootprint && faultinject.Debug && consumers > 1 {
+					// Debug builds re-raise audit violations as hard
+					// panics by design; the corrupted footprint would
+					// halt the whole test process.
+					continue
 				}
+				faultOne(t, 11, pt, mode, consumers)
 			}
 		}
 	}
@@ -121,7 +119,7 @@ func TestWatchdogDiagnosesStall(t *testing.T) {
 		plan.Stall = faultStall
 		rep := detect.NewEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
-			Workers: 2, Consumers: consumers,
+			Consumers:    consumers,
 			StallTimeout: faultTimeout,
 			Faults:       plan,
 		}).Run(p.Run)
@@ -177,8 +175,7 @@ func FuzzFailClosed(f *testing.F) {
 	f.Add(uint64(1 << 33))
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		faultinject.GoroutineLeakCheck(t)
-		workers := 1 + int(seed>>8%4)    // 1..4
-		consumers := 1 + int(seed>>16%4) // 1..4
+		consumers := int(seed >> 16 % 5) // 0..4
 		plan := faultinject.NewPlan(seed)
 		plan.Stall = faultStall
 		if faultinject.Debug && plan.Arms(faultinject.CorruptFootprint) {
@@ -196,7 +193,7 @@ func FuzzFailClosed(f *testing.F) {
 		}
 		rep := detect.NewEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
-			Workers: workers, Consumers: consumers,
+			Consumers:    consumers,
 			StallTimeout: faultTimeout,
 			Faults:       plan,
 		}).Run(p.Run)

@@ -31,12 +31,13 @@ func fuzzOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	}
 }
 
-// parallelOne asserts the verdict-set equivalence of the worker-pool
-// range path against the serial engine on one generated program: same
-// races (content and order — the parallel path delivers events in chunk
-// order, which is address order), same observation count, same protocol
-// counters. The tiny WorkerChunk forces even progen's short ranges to
-// fan out across real workers.
+// parallelOne asserts the verdict-set equivalence of the consumer pool
+// against the serial engine on one generated program: same races
+// (content and order — the pool delivers events in seal order, and a
+// split batch in chunk order, which is op order), same observation count,
+// same protocol counters. The tiny StealChunkWords splits every batch
+// whose ops separate into disjoint pages, so stolen chunks run on
+// concurrent checkers.
 func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
 	p := Generate(seed, opts)
@@ -45,7 +46,7 @@ func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	}).Run(p.Run)
 	par := detect.NewEngine(detect.Config{
 		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Workers: 3, WorkerChunk: 4,
+		Consumers: 3, StealChunkWords: 4,
 	}).Run(p.Run)
 	if serial.Err != nil || par.Err != nil {
 		t.Fatalf("seed %d: serial err %v, parallel err %v\n%s", seed, serial.Err, par.Err, p)
@@ -72,14 +73,14 @@ func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 }
 
 // consumersOne asserts multi-consumer equivalence on one generated
-// program: the dependency-scheduled consumer pool (Consumers ∈ {1,4} ×
-// Workers ∈ {1,4}) must reproduce the serial engine's report exactly —
-// same races in the same order, same protocol counters, same memo and
-// fast-path hits, same reachability traffic, same batch-pipeline stats.
-// A final config forces the intra-range fan-out under the consumer pool
-// with a tiny WorkerChunk and compares the verdict counters (per-chunk
-// memos legitimately change memo/query plumbing, exactly as in
-// parallelOne).
+// program: every pipeline (Consumers ∈ {0,1,2,4}) must reproduce the
+// serial engine's report exactly — same races in the same order, same
+// protocol counters, same memo and fast-path hits, same reachability
+// traffic, same batch-pipeline stats. A final config forces chunk
+// stealing under the consumer pool with a tiny StealChunkWords and
+// compares the verdict counters (each stolen chunk starts with a cold
+// verdict cache, which legitimately changes memo/query plumbing, exactly
+// as in parallelOne).
 func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
 	p := Generate(seed, opts)
@@ -92,16 +93,16 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	check := func(cfg detect.Config, full bool) {
 		rep := detect.NewEngine(cfg).Run(p.Run)
 		if rep.Err != nil {
-			t.Fatalf("seed %d [c=%d w=%d]: %v\n%s", seed, cfg.Consumers, cfg.Workers, rep.Err, p)
+			t.Fatalf("seed %d [c=%d]: %v\n%s", seed, cfg.Consumers, rep.Err, p)
 		}
 		if len(serial.Races) != len(rep.Races) {
-			t.Fatalf("seed %d [c=%d w=%d]: %d races vs serial %d\n%s",
-				seed, cfg.Consumers, cfg.Workers, len(rep.Races), len(serial.Races), p)
+			t.Fatalf("seed %d [c=%d]: %d races vs serial %d\n%s",
+				seed, cfg.Consumers, len(rep.Races), len(serial.Races), p)
 		}
 		for i := range serial.Races {
 			if serial.Races[i] != rep.Races[i] {
-				t.Fatalf("seed %d [c=%d w=%d]: race %d differs: %v vs %v\n%s",
-					seed, cfg.Consumers, cfg.Workers, i, serial.Races[i], rep.Races[i], p)
+				t.Fatalf("seed %d [c=%d]: race %d differs: %v vs %v\n%s",
+					seed, cfg.Consumers, i, serial.Races[i], rep.Races[i], p)
 			}
 		}
 		ss, cs := serial.Stats, rep.Stats
@@ -110,32 +111,29 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 			if ss.RaceCount != cs.RaceCount || sh.Reads != ch.Reads || sh.Writes != ch.Writes ||
 				sh.OwnedSkips != ch.OwnedSkips || sh.ReadSharedSkips != ch.ReadSharedSkips ||
 				sh.ReaderAppends != ch.ReaderAppends || sh.ReaderFlushes != ch.ReaderFlushes {
-				t.Fatalf("seed %d [c=%d w=%d chunked]: verdict counters diverge\nserial %+v\ngot    %+v\n%s",
-					seed, cfg.Consumers, cfg.Workers, sh, ch, p)
+				t.Fatalf("seed %d [c=%d chunked]: verdict counters diverge\nserial %+v\ngot    %+v\n%s",
+					seed, cfg.Consumers, sh, ch, p)
 			}
 			return
 		}
-		ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-		cs.Shadow.ParRanges, cs.Shadow.ParChunks, cs.Shadow.PageCacheHits = 0, 0, 0
+		ss.Shadow.PageCacheHits, cs.Shadow.PageCacheHits = 0, 0
 		ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
 		cs.Event.StolenChunks, cs.Event.OverlappedWindows = 0, 0
 		if ss.RaceCount != cs.RaceCount || ss.Shadow != cs.Shadow ||
 			ss.Reach != cs.Reach || ss.Event != cs.Event {
-			t.Fatalf("seed %d [c=%d w=%d]: stats diverge\nserial %+v\ngot    %+v\n%s",
-				seed, cfg.Consumers, cfg.Workers, ss, cs, p)
+			t.Fatalf("seed %d [c=%d]: stats diverge\nserial %+v\ngot    %+v\n%s",
+				seed, cfg.Consumers, ss, cs, p)
 		}
 	}
-	for _, consumers := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			check(detect.Config{
-				Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-				Consumers: consumers, Workers: workers,
-			}, true)
-		}
+	for _, consumers := range []int{0, 1, 2, 4} {
+		check(detect.Config{
+			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
+			Consumers: consumers,
+		}, true)
 	}
 	check(detect.Config{
 		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Consumers: 3, Workers: 3, WorkerChunk: 4,
+		Consumers: 3, StealChunkWords: 4,
 	}, false)
 }
 
@@ -144,7 +142,7 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 // algorithm for oracle cross-checking, the wrapper does not export the
 // EpochConcurrent capability, and so every cross-generation re-read pays
 // the full reference protocol while the oracle audits each verdict. The
-// epoch-enabled runs (Workers ∈ {1,4} × Consumers ∈ {1,4}) must then
+// epoch-enabled runs (Consumers ∈ {0,1,2,4}) must then
 // reproduce that reference report exactly — same races in the same
 // order, same verdict counters — with the stamp transfer switched on.
 func epochOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) uint64 {
@@ -164,35 +162,33 @@ func epochOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) uint64 
 			seed, ref.Stats.Shadow.EpochHits, p)
 	}
 	var hits uint64
-	for _, consumers := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			rep := detect.NewEngine(detect.Config{
-				Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-				Consumers: consumers, Workers: workers,
-			}).Run(p.Run)
-			if rep.Err != nil {
-				t.Fatalf("seed %d [c=%d w=%d]: %v\n%s", seed, consumers, workers, rep.Err, p)
-			}
-			if len(ref.Races) != len(rep.Races) {
-				t.Fatalf("seed %d [c=%d w=%d]: epoch run found %d races, reference %d\n%s",
-					seed, consumers, workers, len(rep.Races), len(ref.Races), p)
-			}
-			for i := range ref.Races {
-				if ref.Races[i] != rep.Races[i] {
-					t.Fatalf("seed %d [c=%d w=%d]: race %d differs: epoch %v, reference %v\n%s",
-						seed, consumers, workers, i, rep.Races[i], ref.Races[i], p)
-				}
-			}
-			rs, es := ref.Stats.Shadow, rep.Stats.Shadow
-			if ref.Stats.RaceCount != rep.Stats.RaceCount ||
-				rs.Reads != es.Reads || rs.Writes != es.Writes ||
-				rs.OwnedSkips != es.OwnedSkips || rs.ReadSharedSkips != es.ReadSharedSkips ||
-				rs.ReaderAppends != es.ReaderAppends || rs.ReaderFlushes != es.ReaderFlushes {
-				t.Fatalf("seed %d [c=%d w=%d]: verdict counters diverge\nreference %+v\nepoch     %+v\n%s",
-					seed, consumers, workers, rs, es, p)
-			}
-			hits += es.EpochHits
+	for _, consumers := range []int{0, 1, 2, 4} {
+		rep := detect.NewEngine(detect.Config{
+			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
+			Consumers: consumers,
+		}).Run(p.Run)
+		if rep.Err != nil {
+			t.Fatalf("seed %d [c=%d]: %v\n%s", seed, consumers, rep.Err, p)
 		}
+		if len(ref.Races) != len(rep.Races) {
+			t.Fatalf("seed %d [c=%d]: epoch run found %d races, reference %d\n%s",
+				seed, consumers, len(rep.Races), len(ref.Races), p)
+		}
+		for i := range ref.Races {
+			if ref.Races[i] != rep.Races[i] {
+				t.Fatalf("seed %d [c=%d]: race %d differs: epoch %v, reference %v\n%s",
+					seed, consumers, i, rep.Races[i], ref.Races[i], p)
+			}
+		}
+		rs, es := ref.Stats.Shadow, rep.Stats.Shadow
+		if ref.Stats.RaceCount != rep.Stats.RaceCount ||
+			rs.Reads != es.Reads || rs.Writes != es.Writes ||
+			rs.OwnedSkips != es.OwnedSkips || rs.ReadSharedSkips != es.ReadSharedSkips ||
+			rs.ReaderAppends != es.ReaderAppends || rs.ReaderFlushes != es.ReaderFlushes {
+			t.Fatalf("seed %d [c=%d]: verdict counters diverge\nreference %+v\nepoch     %+v\n%s",
+				seed, consumers, rs, es, p)
+		}
+		hits += es.EpochHits
 	}
 	return hits
 }
@@ -249,7 +245,7 @@ func vcOne(t *testing.T, seed uint64, opts Options) {
 // replayOne asserts the record→replay→detect equivalence on one
 // generated program: recording its trace and replaying it must reproduce
 // the direct run's report — same races in the same order, same structure
-// and shadow traffic — under every algorithm, serial and parallel.
+// and shadow traffic — under every algorithm and pipeline.
 func replayOne(t *testing.T, seed uint64, opts Options) {
 	t.Helper()
 	p := Generate(seed, opts)
@@ -261,31 +257,31 @@ func replayOne(t *testing.T, seed uint64, opts Options) {
 		detect.ModeSPBags, detect.ModeMultiBags, detect.ModeMultiBagsPlus,
 		detect.ModeVectorClocks,
 	} {
-		for _, workers := range []int{1, 4} {
+		for _, consumers := range []int{0, 1, 4} {
 			cfg := detect.Config{
 				Mode: mode, Mem: detect.MemFull,
-				Workers: workers, WorkerChunk: 4, MaxRaces: 1 << 20,
+				Consumers: consumers, MaxRaces: 1 << 20,
 			}
 			direct := detect.NewEngine(cfg).Run(p.Run)
 			replayed, err := trace.ReplayBytes(raw, cfg)
 			if err != nil {
-				t.Fatalf("seed %d [%s w=%d]: replay: %v\n%s", seed, mode, workers, err, p)
+				t.Fatalf("seed %d [%s c=%d]: replay: %v\n%s", seed, mode, consumers, err, p)
 			}
 			if (direct.Err == nil) != (replayed.Err == nil) {
-				t.Fatalf("seed %d [%s w=%d]: errs diverge: %v vs %v\n%s",
-					seed, mode, workers, direct.Err, replayed.Err, p)
+				t.Fatalf("seed %d [%s c=%d]: errs diverge: %v vs %v\n%s",
+					seed, mode, consumers, direct.Err, replayed.Err, p)
 			}
 			if direct.Stats.RaceCount != replayed.Stats.RaceCount ||
 				len(direct.Races) != len(replayed.Races) {
-				t.Fatalf("seed %d [%s w=%d]: direct %d/%d vs replay %d/%d races\n%s",
-					seed, mode, workers,
+				t.Fatalf("seed %d [%s c=%d]: direct %d/%d vs replay %d/%d races\n%s",
+					seed, mode, consumers,
 					len(direct.Races), direct.Stats.RaceCount,
 					len(replayed.Races), replayed.Stats.RaceCount, p)
 			}
 			for i := range direct.Races {
 				if direct.Races[i] != replayed.Races[i] {
-					t.Fatalf("seed %d [%s w=%d]: race %d differs: %v vs %v\n%s",
-						seed, mode, workers, i, direct.Races[i], replayed.Races[i], p)
+					t.Fatalf("seed %d [%s c=%d]: race %d differs: %v vs %v\n%s",
+						seed, mode, consumers, i, direct.Races[i], replayed.Races[i], p)
 				}
 			}
 			if direct.Stats.Strands != replayed.Stats.Strands ||
@@ -293,16 +289,16 @@ func replayOne(t *testing.T, seed uint64, opts Options) {
 				direct.Stats.Creates != replayed.Stats.Creates ||
 				direct.Stats.Gets != replayed.Stats.Gets ||
 				direct.Stats.Syncs != replayed.Stats.Syncs {
-				t.Fatalf("seed %d [%s w=%d]: structure diverges:\ndirect %+v\nreplay %+v\n%s",
-					seed, mode, workers, direct.Stats, replayed.Stats, p)
+				t.Fatalf("seed %d [%s c=%d]: structure diverges:\ndirect %+v\nreplay %+v\n%s",
+					seed, mode, consumers, direct.Stats, replayed.Stats, p)
 			}
 			ss, rs := direct.Stats.Shadow, replayed.Stats.Shadow
 			if ss.Reads != rs.Reads || ss.Writes != rs.Writes ||
 				ss.OwnedSkips != rs.OwnedSkips || ss.ReadSharedSkips != rs.ReadSharedSkips ||
 				ss.ReaderAppends != rs.ReaderAppends ||
 				ss.ReaderFlushes != rs.ReaderFlushes {
-				t.Fatalf("seed %d [%s w=%d]: shadow counters diverge\ndirect %+v\nreplay %+v\n%s",
-					seed, mode, workers, ss, rs, p)
+				t.Fatalf("seed %d [%s c=%d]: shadow counters diverge\ndirect %+v\nreplay %+v\n%s",
+					seed, mode, consumers, ss, rs, p)
 			}
 		}
 	}
@@ -397,7 +393,7 @@ func TestParallelMatchesSerialSeeds(t *testing.T) {
 }
 
 // TestConsumersMatchSerialSeeds sweeps the multi-consumer differential
-// (Consumers ∈ {1,4} × Workers ∈ {1,4}) over a seed range, in both the
+// (Consumers ∈ {0,1,2,4}) over a seed range, in both the
 // default shape — every access on shadow page zero, so every batch is
 // page-dependent and the pool must degenerate to serial order — and the
 // PageSpread shape, where per-body pages make batches genuinely
@@ -443,7 +439,7 @@ func TestConsumersSeedShapes(t *testing.T) {
 }
 
 // TestReplayMatchesDirectSeeds sweeps the record→replay→detect
-// differential (all three algorithms, Workers ∈ {1, 4}) the same way.
+// differential (every algorithm, Consumers ∈ {0,1,4}) the same way.
 func TestReplayMatchesDirectSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		replayOne(t, seed, Options{Dialect: General, MaxStmts: 60})
@@ -472,7 +468,7 @@ func TestReadSharedHeavySeeds(t *testing.T) {
 
 // TestEpochCrossGenSeeds sweeps the cross-generation epoch differential
 // without the fuzzer — construct-dense read-heavy programs under
-// Workers ∈ {1,4} × Consumers ∈ {1,4} against the oracle-audited,
+// Consumers ∈ {0,1,2,4} against the oracle-audited,
 // epoch-free reference — and checks the sweep actually takes stamp
 // transfers somewhere, so the differential proves something about the
 // carried-forward epoch rather than vacuously passing with it cold.
@@ -491,7 +487,7 @@ func TestEpochCrossGenSeeds(t *testing.T) {
 }
 
 // TestVectorClockEquivalence is the vector-clock back-end's acceptance
-// sweep: across Workers ∈ {1,4} × Consumers ∈ {1,4} and all three progen
+// sweep: across Consumers ∈ {0,1,2,4} and all three progen
 // shapes (general, structured, construct-dense read-heavy), vc must
 // deep-equal MultiBags+ on races (content and order), violations and the
 // verdict counters — while taking clock compares and exactly zero bag
@@ -508,57 +504,55 @@ func TestVectorClockEquivalence(t *testing.T) {
 		for _, opts := range shapes {
 			vcOne(t, seed, opts)
 			p := Generate(seed, opts)
-			for _, consumers := range []int{1, 4} {
-				for _, workers := range []int{1, 4} {
-					mbp := detect.NewEngine(detect.Config{
-						Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
-						Consumers: consumers, Workers: workers,
-					}).Run(p.Run)
-					vc := detect.NewEngine(detect.Config{
-						Mode: detect.ModeVectorClocks, Mem: detect.MemFull, MaxRaces: 1 << 20,
-						Consumers: consumers, Workers: workers,
-					}).Run(p.Run)
-					if mbp.Err != nil || vc.Err != nil {
-						t.Fatalf("seed %d [c=%d w=%d]: multibags+ err %v, vc err %v\n%s",
-							seed, consumers, workers, mbp.Err, vc.Err, p)
-					}
-					if len(mbp.Races) != len(vc.Races) {
-						t.Fatalf("seed %d [c=%d w=%d]: vc %d races, multibags+ %d\n%s",
-							seed, consumers, workers, len(vc.Races), len(mbp.Races), p)
-					}
-					for i := range mbp.Races {
-						if mbp.Races[i] != vc.Races[i] {
-							t.Fatalf("seed %d [c=%d w=%d]: race %d differs: vc %v, multibags+ %v\n%s",
-								seed, consumers, workers, i, vc.Races[i], mbp.Races[i], p)
-						}
-					}
-					if len(mbp.Violations) != len(vc.Violations) {
-						t.Fatalf("seed %d [c=%d w=%d]: vc %d violations, multibags+ %d\n%s",
-							seed, consumers, workers, len(vc.Violations), len(mbp.Violations), p)
-					}
-					for i := range mbp.Violations {
-						if mbp.Violations[i] != vc.Violations[i] {
-							t.Fatalf("seed %d [c=%d w=%d]: violation %d differs: vc %v, multibags+ %v\n%s",
-								seed, consumers, workers, i, vc.Violations[i], mbp.Violations[i], p)
-						}
-					}
-					ms, vs := mbp.Stats.Shadow, vc.Stats.Shadow
-					if mbp.Stats.RaceCount != vc.Stats.RaceCount ||
-						ms.Reads != vs.Reads || ms.Writes != vs.Writes ||
-						ms.OwnedSkips != vs.OwnedSkips || ms.ReadSharedSkips != vs.ReadSharedSkips ||
-						ms.ReaderAppends != vs.ReaderAppends || ms.ReaderFlushes != vs.ReaderFlushes ||
-						ms.EpochHits != vs.EpochHits {
-						t.Fatalf("seed %d [c=%d w=%d]: verdict counters diverge\nmultibags+ %+v\nvc         %+v\n%s",
-							seed, consumers, workers, ms, vs, p)
-					}
-					vr := vc.Stats.Reach
-					if vr.Finds != 0 || vr.Unions != 0 || vr.AttachedSets != 0 ||
-						vr.RArcs != 0 || vr.RCloseWords != 0 {
-						t.Fatalf("seed %d [c=%d w=%d]: vc run took bag probes: %+v\n%s",
-							seed, consumers, workers, vr, p)
-					}
-					compares += vr.ClockCompares
+			for _, consumers := range []int{0, 1, 2, 4} {
+				mbp := detect.NewEngine(detect.Config{
+					Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
+					Consumers: consumers,
+				}).Run(p.Run)
+				vc := detect.NewEngine(detect.Config{
+					Mode: detect.ModeVectorClocks, Mem: detect.MemFull, MaxRaces: 1 << 20,
+					Consumers: consumers,
+				}).Run(p.Run)
+				if mbp.Err != nil || vc.Err != nil {
+					t.Fatalf("seed %d [c=%d]: multibags+ err %v, vc err %v\n%s",
+						seed, consumers, mbp.Err, vc.Err, p)
 				}
+				if len(mbp.Races) != len(vc.Races) {
+					t.Fatalf("seed %d [c=%d]: vc %d races, multibags+ %d\n%s",
+						seed, consumers, len(vc.Races), len(mbp.Races), p)
+				}
+				for i := range mbp.Races {
+					if mbp.Races[i] != vc.Races[i] {
+						t.Fatalf("seed %d [c=%d]: race %d differs: vc %v, multibags+ %v\n%s",
+							seed, consumers, i, vc.Races[i], mbp.Races[i], p)
+					}
+				}
+				if len(mbp.Violations) != len(vc.Violations) {
+					t.Fatalf("seed %d [c=%d]: vc %d violations, multibags+ %d\n%s",
+						seed, consumers, len(vc.Violations), len(mbp.Violations), p)
+				}
+				for i := range mbp.Violations {
+					if mbp.Violations[i] != vc.Violations[i] {
+						t.Fatalf("seed %d [c=%d]: violation %d differs: vc %v, multibags+ %v\n%s",
+							seed, consumers, i, vc.Violations[i], mbp.Violations[i], p)
+					}
+				}
+				ms, vs := mbp.Stats.Shadow, vc.Stats.Shadow
+				if mbp.Stats.RaceCount != vc.Stats.RaceCount ||
+					ms.Reads != vs.Reads || ms.Writes != vs.Writes ||
+					ms.OwnedSkips != vs.OwnedSkips || ms.ReadSharedSkips != vs.ReadSharedSkips ||
+					ms.ReaderAppends != vs.ReaderAppends || ms.ReaderFlushes != vs.ReaderFlushes ||
+					ms.EpochHits != vs.EpochHits {
+					t.Fatalf("seed %d [c=%d]: verdict counters diverge\nmultibags+ %+v\nvc         %+v\n%s",
+						seed, consumers, ms, vs, p)
+				}
+				vr := vc.Stats.Reach
+				if vr.Finds != 0 || vr.Unions != 0 || vr.AttachedSets != 0 ||
+					vr.RArcs != 0 || vr.RCloseWords != 0 {
+					t.Fatalf("seed %d [c=%d]: vc run took bag probes: %+v\n%s",
+						seed, consumers, vr, p)
+				}
+				compares += vr.ClockCompares
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // deliberately independent of rel so tests can probe the shadow layer's
 // contract in isolation: the layer must trust a true answer (skip the
 // writer query) and fall back to the full protocol on false. The call
-// counter is atomic because EpochOrdered runs concurrently on the
-// worker-pool path — the same regime as QueryConcurrent.
+// counter is atomic because EpochOrdered runs concurrently on concurrent
+// checkers — the same regime as QueryConcurrent.
 type epochReach struct {
 	relReach
 	epoch      func(r, s core.StrandID) bool
@@ -25,17 +25,13 @@ func (e *epochReach) EpochOrdered(r, s core.StrandID) bool {
 	return e.epoch(r, s)
 }
 
-// epochCtxFor builds a Ctx whose Reach and Epoch are one epochReach.
-func epochCtxFor(rel, epoch func(u, v core.StrandID) bool, sink *[]raceEvent) (*Ctx, *epochReach) {
+// newEpochEnv builds an env whose Reach and Epoch are one epochReach.
+func newEpochEnv(rel, epoch func(u, v core.StrandID) bool) (*env, *epochReach) {
+	e := newEnv(rel)
 	er := &epochReach{relReach: relReach{rel: rel}, epoch: epoch}
-	ctx := &Ctx{Reach: er, Epoch: er}
-	ctx.OnReadRace = func(addr uint64, r Racer, _ core.StrandID) {
-		*sink = append(*sink, raceEvent{Addr: addr, Racer: r})
-	}
-	ctx.OnWriteRace = func(addr uint64, r Racer, _ core.StrandID) {
-		*sink = append(*sink, raceEvent{Addr: addr, Racer: r, Write: true})
-	}
-	return ctx, er
+	e.reach = &er.relReach
+	e.ctx = Ctx{Reach: er, Epoch: er}
+	return e, er
 }
 
 // TestEpochTransferSkipsWriterQuery: a second reader of stamped words
@@ -44,35 +40,33 @@ func epochCtxFor(rel, epoch func(u, v core.StrandID) bool, sink *[]raceEvent) (*
 // later parallel writer races against the correct reader.
 func TestEpochTransferSkipsWriterQuery(t *testing.T) {
 	const n = 64
-	h := NewHistory()
-	var races []raceEvent
-	ctx, er := epochCtxFor(seqRel(1), func(r, s core.StrandID) bool {
+	e, er := newEpochEnv(seqRel(1), func(r, s core.StrandID) bool {
 		return r == 5 && s == 9
-	}, &races)
-	h.WriteRange(1, n, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRange(1, n, 5, ctx) // proves writer 1 ≺ 5, stamps 5
+	})
+	e.write(1, n, 1)
+	e.ctx.Gen = 2
+	e.read(1, n, 5) // proves writer 1 ≺ 5, stamps 5
 	q1 := er.queries.Load()
-	ctx.Gen = 3
-	h.ReadRange(1, n, 9, ctx) // stamp transfer: 5's verdict serves 9
+	e.ctx.Gen = 3
+	e.read(1, n, 9) // stamp transfer: 5's verdict serves 9
 	if q := er.queries.Load(); q != q1 {
 		t.Fatalf("epoch-transferred read made %d writer queries, want 0", q-q1)
 	}
-	if got := h.Stats().EpochHits; got != n {
+	if got := e.h.Stats().EpochHits; got != n {
 		t.Fatalf("EpochHits = %d, want %d", got, n)
 	}
 	if n := er.epochCalls.Load(); n != 1 {
 		t.Fatalf("EpochOrdered called %d times, want 1 (memoized per stamp holder)", n)
 	}
-	if len(races) != 0 {
-		t.Fatalf("transferred reads raced: %v", races[0])
+	if len(e.races) != 0 {
+		t.Fatalf("transferred reads raced: %v", e.races[0])
 	}
 	// Strand 10 is parallel with everything: its write must race against
 	// reader 5 (the inline slot), proving the transferred read kept the
 	// reference protocol's racer-identity state.
-	h.WriteRange(1, 1, 10, ctx)
-	if len(races) != 1 || races[0].Racer.Prev != 5 || races[0].Racer.PrevWrite {
-		t.Fatalf("write over transferred words: races = %+v, want one read race against 5", races)
+	e.write(1, 1, 10)
+	if len(e.races) != 1 || e.races[0].Racer.Prev != 5 || e.races[0].Racer.PrevWrite {
+		t.Fatalf("write over transferred words: races = %+v, want one read race against 5", e.races)
 	}
 }
 
@@ -80,19 +74,17 @@ func TestEpochTransferSkipsWriterQuery(t *testing.T) {
 // reader pays the full writer query — the stamp never masks the protocol.
 func TestEpochTransferFallsBack(t *testing.T) {
 	const n = 16
-	h := NewHistory()
-	var races []raceEvent
-	ctx, er := epochCtxFor(seqRel(1), func(r, s core.StrandID) bool { return false }, &races)
-	h.WriteRange(1, n, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRange(1, n, 5, ctx)
+	e, er := newEpochEnv(seqRel(1), func(r, s core.StrandID) bool { return false })
+	e.write(1, n, 1)
+	e.ctx.Gen = 2
+	e.read(1, n, 5)
 	q1 := er.queries.Load()
-	ctx.Gen = 3
-	h.ReadRange(1, n, 9, ctx) // no transfer: full protocol
+	e.ctx.Gen = 3
+	e.read(1, n, 9) // no transfer: full protocol
 	if q := er.queries.Load(); q == q1 {
 		t.Fatal("reader 9 made no writer queries despite EpochOrdered == false")
 	}
-	if got := h.Stats().EpochHits; got != 0 {
+	if got := e.h.Stats().EpochHits; got != 0 {
 		t.Fatalf("EpochHits = %d, want 0", got)
 	}
 }
@@ -102,54 +94,51 @@ func TestEpochTransferFallsBack(t *testing.T) {
 // verdict was against the word's writer — after a new parallel write
 // installs, the stamp is gone and the next read races.
 func TestEpochTransferNeverMasksRace(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
 	// Everything transfers; only writer 1 is ordered before anyone.
-	ctx, _ := epochCtxFor(seqRel(1), func(r, s core.StrandID) bool { return true }, &races)
-	h.WriteRange(1, 8, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRange(1, 8, 5, ctx) // race-free, stamps 5
-	h.WriteRange(1, 8, 10, ctx)
-	if len(races) != 8 {
-		t.Fatalf("parallel write over stamped words reported %d races, want 8", len(races))
+	e, _ := newEpochEnv(seqRel(1), func(r, s core.StrandID) bool { return true })
+	e.write(1, 8, 1)
+	e.ctx.Gen = 2
+	e.read(1, 8, 5) // race-free, stamps 5
+	e.write(1, 8, 10)
+	if len(e.races) != 8 {
+		t.Fatalf("parallel write over stamped words reported %d races, want 8", len(e.races))
 	}
-	races = races[:0]
-	ctx.Gen = 3
-	h.ReadRange(1, 8, 5, ctx) // stamp died with the write; 10 ∥ 5 races
-	if len(races) != 8 {
+	e.races = e.races[:0]
+	e.ctx.Gen = 3
+	e.read(1, 8, 5) // stamp died with the write; 10 ∥ 5 races
+	if len(e.races) != 8 {
 		t.Fatalf("re-read after install reported %d races, want 8 (stale stamp transferred)",
-			len(races))
+			len(e.races))
 	}
 }
 
-// TestEpochTransferParallelPath: the worker-pool mirror of the transfer
-// skip, including the per-chunk EpochOrdered memo.
+// TestEpochTransferParallelPath: the concurrent-checker mirror of the
+// transfer skip. Every chunk is its own batch, so each starts with a cold
+// EpochOrdered memo and pays one transfer check.
 func TestEpochTransferParallelPath(t *testing.T) {
 	const n = 4096 * 3
-	h := NewHistory()
-	var races []raceEvent
-	ctx, er := epochCtxFor(seqRel(1), func(r, s core.StrandID) bool {
+	er := &epochReach{relReach: relReach{rel: seqRel(1)}, epoch: func(r, s core.StrandID) bool {
 		return r == 5 && s == 9
-	}, &races)
-	pool := NewPool(4, 512)
-	defer pool.Close()
-	h.WriteRange(1, n, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRangePar(1, n, 5, ctx, pool)
+	}}
+	p := newParEnv(Ctx{Reach: er, Epoch: er}, 4, 1)
+	p.write(1, n, 1)
+	p.ctx.Gen = 2
+	p.read(1, n, 5)
 	q1 := er.queries.Load()
-	ctx.Gen = 3
-	h.ReadRangePar(1, n, 9, ctx, pool)
+	p.ctx.Gen = 3
+	chunks := p.chunks
+	p.read(1, n, 9)
 	if q := er.queries.Load(); q != q1 {
 		t.Fatalf("parallel epoch-transferred read made %d writer queries, want 0", q-q1)
 	}
-	if got := h.Stats().EpochHits; got != n {
+	if got := p.h.Stats().EpochHits; got != n {
 		t.Fatalf("EpochHits = %d, want %d", got, n)
 	}
-	if h.Stats().ParRanges == 0 {
-		t.Fatal("pool never engaged")
+	if got, want := er.epochCalls.Load(), int64(p.chunks-chunks); got != want || want < 2 {
+		t.Fatalf("EpochOrdered called %d times, want %d (one per chunk, several chunks)", got, want)
 	}
-	if len(races) != 0 {
-		t.Fatalf("transferred reads raced: %v", races[0])
+	if len(p.races) != 0 {
+		t.Fatalf("transferred reads raced: %v", p.races[0])
 	}
 }
 
@@ -158,36 +147,34 @@ func TestEpochTransferParallelPath(t *testing.T) {
 // install deflates, and the next single reader re-enters the inline state
 // with no residual spill entries.
 func TestEpochInflateDeflate(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1, 5, 9, 12), &races)
-	h.WriteRange(1, 4, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRange(1, 4, 5, ctx) // single-reader state
-	st := h.Stats()
+	e := newEnv(seqRel(1, 5, 9, 12))
+	e.write(1, 4, 1)
+	e.ctx.Gen = 2
+	e.read(1, 4, 5) // single-reader state
+	st := e.h.Stats()
 	if st.EpochInflations != 0 || st.SpillEntries != 0 {
 		t.Fatalf("single reader inflated: %+v", st)
 	}
-	h.ReadRange(1, 4, 9, ctx) // contention: inflate
-	st = h.Stats()
+	e.read(1, 4, 9) // contention: inflate
+	st = e.h.Stats()
 	if st.EpochInflations != 4 || st.SpillEntries != 4 {
 		t.Fatalf("after second reader: inflations = %d, spill = %d, want 4, 4",
 			st.EpochInflations, st.SpillEntries)
 	}
-	h.WriteRange(1, 4, 12, ctx) // ordered write: deflate
-	st = h.Stats()
+	e.write(1, 4, 12) // ordered write: deflate
+	st = e.h.Stats()
 	if st.EpochDeflations != 4 || st.SpillEntries != 0 {
 		t.Fatalf("after write install: deflations = %d, spill = %d, want 4, 0",
 			st.EpochDeflations, st.SpillEntries)
 	}
-	ctx.Gen = 3
-	h.ReadRange(1, 4, 5, ctx) // back to single-reader, no re-inflation
-	st = h.Stats()
+	e.ctx.Gen = 3
+	e.read(1, 4, 5) // back to single-reader, no re-inflation
+	st = e.h.Stats()
 	if st.EpochInflations != 4 || st.SpillEntries != 0 {
 		t.Fatalf("post-deflation reader re-inflated: %+v", st)
 	}
-	if len(races) != 0 {
-		t.Fatalf("ordered cycle raced: %v", races[0])
+	if len(e.races) != 0 {
+		t.Fatalf("ordered cycle raced: %v", e.races[0])
 	}
 }
 
@@ -195,19 +182,17 @@ func TestEpochInflateDeflate(t *testing.T) {
 // different reader's stamp is never consulted — the full protocol runs.
 func TestEpochNilCapability(t *testing.T) {
 	const n = 8
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1), &races)
-	h.WriteRange(1, n, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRange(1, n, 5, ctx)
-	q1 := ctx.Reach.(*relReach).queries.Load()
-	ctx.Gen = 3
-	h.ReadRange(1, n, 9, ctx)
-	if q := ctx.Reach.(*relReach).queries.Load(); q == q1 {
+	e := newEnv(seqRel(1))
+	e.write(1, n, 1)
+	e.ctx.Gen = 2
+	e.read(1, n, 5)
+	q1 := e.reach.queries.Load()
+	e.ctx.Gen = 3
+	e.read(1, n, 9)
+	if q := e.reach.queries.Load(); q == q1 {
 		t.Fatal("nil Epoch capability still skipped the writer query")
 	}
-	if got := h.Stats().EpochHits; got != 0 {
+	if got := e.h.Stats().EpochHits; got != 0 {
 		t.Fatalf("EpochHits = %d with nil capability, want 0", got)
 	}
 }

@@ -8,13 +8,13 @@ import (
 
 // These tests pin the read-epoch fast path: a strand re-reading words it
 // already read race-free must skip the reachability layer entirely — in
-// any construct generation — on the serial and the worker-pool paths
-// alike, without changing a single verdict.
+// any construct generation — on a lone checker and on concurrent
+// checkers alike, without changing a single verdict.
 
 // writeInterleaved installs an alternating last-writer pattern (strands
 // w1/w2 in blocks of blk words) over [1, 1+n) so a later reader cannot be
 // served by the owned-word filter and must query each writer.
-func writeInterleaved(h *History, ctx *Ctx, n, blk int, w1, w2 core.StrandID) {
+func writeInterleaved(write func(addr uint64, words int, s core.StrandID), n, blk int, w1, w2 core.StrandID) {
 	for base := 0; base < n; base += blk {
 		s := w1
 		if (base/blk)%2 == 1 {
@@ -24,7 +24,7 @@ func writeInterleaved(h *History, ctx *Ctx, n, blk int, w1, w2 core.StrandID) {
 		if end > n {
 			end = n
 		}
-		h.WriteRange(uint64(1+base), end-base, s, ctx)
+		write(uint64(1+base), end-base, s)
 	}
 }
 
@@ -34,60 +34,53 @@ func writeInterleaved(h *History, ctx *Ctx, n, blk int, w1, w2 core.StrandID) {
 // skipped word.
 func TestReadSharedRepeatZeroQueries(t *testing.T) {
 	const n, blk, passes = 4096 + 100, 64, 5
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1, 2), &races)
-	writeInterleaved(h, ctx, n, blk, 1, 2)
-	ctx.Gen = 7 // a fresh generation for the reader
+	e := newEnv(seqRel(1, 2))
+	writeInterleaved(e.write, n, blk, 1, 2)
+	e.ctx.Gen = 7 // a fresh generation for the reader
 	reader := core.StrandID(9)
-	h.ReadRange(1, n, reader, ctx)
-	firstQ := ctx.Reach.(*relReach).queries.Load()
+	e.read(1, n, reader)
+	firstQ := e.reach.queries.Load()
 	if firstQ == 0 {
 		t.Fatal("first pass made no queries; the interleaved pattern is broken")
 	}
 	for p := 1; p < passes; p++ {
-		h.ReadRange(1, n, reader, ctx)
+		e.read(1, n, reader)
 	}
-	if q := ctx.Reach.(*relReach).queries.Load(); q != firstQ {
+	if q := e.reach.queries.Load(); q != firstQ {
 		t.Fatalf("re-reads at a fixed generation made %d extra reachability queries, want 0",
 			q-firstQ)
 	}
-	if got, want := h.Stats().ReadSharedSkips, uint64((passes-1)*n); got != want {
+	if got, want := e.h.Stats().ReadSharedSkips, uint64((passes-1)*n); got != want {
 		t.Fatalf("ReadSharedSkips = %d, want %d", got, want)
 	}
-	if len(races) != 0 {
-		t.Fatalf("race-free re-reads raced: %v", races[0])
+	if len(e.races) != 0 {
+		t.Fatalf("race-free re-reads raced: %v", e.races[0])
 	}
 }
 
-// TestReadSharedRepeatZeroQueriesParallel is the worker-pool mirror: the
-// fan-out path must skip stamped words exactly like the serial path.
+// TestReadSharedRepeatZeroQueriesParallel is the concurrent-checker
+// mirror: checkers sharing one History must skip stamped words exactly
+// like a lone checker.
 func TestReadSharedRepeatZeroQueriesParallel(t *testing.T) {
 	const n, blk, passes = 4096 * 3, 64, 4
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1, 2), &races)
-	pool := NewPool(4, 512)
-	defer pool.Close()
-	writeInterleaved(h, ctx, n, blk, 1, 2)
-	ctx.Gen = 3
+	reach := &relReach{rel: seqRel(1, 2)}
+	p := newParEnv(Ctx{Reach: reach}, 4, 1)
+	writeInterleaved(p.write, n, blk, 1, 2)
+	p.ctx.Gen = 3
 	reader := core.StrandID(9)
-	h.ReadRangePar(1, n, reader, ctx, pool)
-	firstQ := ctx.Reach.(*relReach).queries.Load()
-	for p := 1; p < passes; p++ {
-		h.ReadRangePar(1, n, reader, ctx, pool)
+	p.read(1, n, reader)
+	firstQ := reach.queries.Load()
+	for pass := 1; pass < passes; pass++ {
+		p.read(1, n, reader)
 	}
-	if q := ctx.Reach.(*relReach).queries.Load(); q != firstQ {
+	if q := reach.queries.Load(); q != firstQ {
 		t.Fatalf("parallel re-reads made %d extra reachability queries, want 0", q-firstQ)
 	}
-	if got, want := h.Stats().ReadSharedSkips, uint64((passes-1)*n); got != want {
+	if got, want := p.h.Stats().ReadSharedSkips, uint64((passes-1)*n); got != want {
 		t.Fatalf("ReadSharedSkips = %d, want %d", got, want)
 	}
-	if h.Stats().ParRanges == 0 {
-		t.Fatal("pool never engaged")
-	}
-	if len(races) != 0 {
-		t.Fatalf("race-free re-reads raced: %v", races[0])
+	if len(p.races) != 0 {
+		t.Fatalf("race-free re-reads raced: %v", p.races[0])
 	}
 }
 
@@ -95,32 +88,30 @@ func TestReadSharedRepeatZeroQueriesParallel(t *testing.T) {
 // summary, so the next read runs the full protocol again (and a racing
 // writer is still caught — the stamp can never mask a race).
 func TestReadSharedStampDiesWithWrite(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
 	// Only writer 1 precedes everything; strands 9 and 10 are mutually
 	// parallel.
-	ctx := ctxFor(seqRel(1), &races)
-	h.WriteRange(1, 8, 1, ctx)
-	ctx.Gen = 5
-	h.ReadRange(1, 8, 9, ctx) // stamps (9, gen 5)
-	q1 := ctx.Reach.(*relReach).queries.Load()
-	h.ReadRange(1, 8, 9, ctx) // skips
-	if q := ctx.Reach.(*relReach).queries.Load(); q != q1 {
+	e := newEnv(seqRel(1))
+	e.write(1, 8, 1)
+	e.ctx.Gen = 5
+	e.read(1, 8, 9) // stamps (9, gen 5)
+	q1 := e.reach.queries.Load()
+	e.read(1, 8, 9) // skips
+	if q := e.reach.queries.Load(); q != q1 {
 		t.Fatalf("stamped re-read queried (%d extra)", q-q1)
 	}
 	// Writer 10 is parallel with reader 9: every word races, and the
 	// install clears both the reader list and the summary.
-	h.WriteRange(1, 8, 10, ctx)
-	if len(races) != 8 {
-		t.Fatalf("parallel write over stamped words reported %d races, want 8", len(races))
+	e.write(1, 8, 10)
+	if len(e.races) != 8 {
+		t.Fatalf("parallel write over stamped words reported %d races, want 8", len(e.races))
 	}
-	races = races[:0]
+	e.races = e.races[:0]
 	// Reader 9 re-reads at the same generation: the stamp must be gone,
 	// and the new writer 10 is parallel with 9 — every word must race.
-	h.ReadRange(1, 8, 9, ctx)
-	if len(races) != 8 {
+	e.read(1, 8, 9)
+	if len(e.races) != 8 {
 		t.Fatalf("re-read after clearing write reported %d races, want 8 (stamp masked a race)",
-			len(races))
+			len(e.races))
 	}
 }
 
@@ -128,26 +119,24 @@ func TestReadSharedStampDiesWithWrite(t *testing.T) {
 // at its own generation re-proves its own verdict; the first strand's
 // stamp never answers for it.
 func TestReadSharedStampPerStrand(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
 	// Writer 1 precedes readers 2 and 3.
-	ctx := ctxFor(seqRel(1), &races)
-	h.WriteRange(1, 16, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRange(1, 16, 2, ctx)
-	q1 := ctx.Reach.(*relReach).queries.Load()
-	ctx.Gen = 3
-	h.ReadRange(1, 16, 3, ctx) // different strand: must query again
-	if q := ctx.Reach.(*relReach).queries.Load(); q == q1 {
+	e := newEnv(seqRel(1))
+	e.write(1, 16, 1)
+	e.ctx.Gen = 2
+	e.read(1, 16, 2)
+	q1 := e.reach.queries.Load()
+	e.ctx.Gen = 3
+	e.read(1, 16, 3) // different strand: must query again
+	if q := e.reach.queries.Load(); q == q1 {
 		t.Fatal("second strand's read was served by the first strand's stamp")
 	}
-	sk1 := h.Stats().ReadSharedSkips
-	h.ReadRange(1, 16, 3, ctx) // strand 3's own re-read now skips
-	if got := h.Stats().ReadSharedSkips; got != sk1+16 {
+	sk1 := e.h.Stats().ReadSharedSkips
+	e.read(1, 16, 3) // strand 3's own re-read now skips
+	if got := e.h.Stats().ReadSharedSkips; got != sk1+16 {
 		t.Fatalf("ReadSharedSkips = %d, want %d", got, sk1+16)
 	}
-	if len(races) != 0 {
-		t.Fatalf("ordered reads raced: %v", races[0])
+	if len(e.races) != 0 {
+		t.Fatalf("ordered reads raced: %v", e.races[0])
 	}
 }
 
@@ -157,24 +146,22 @@ func TestReadSharedStampPerStrand(t *testing.T) {
 // current across a generation bump at an empty sync, which mutates
 // nothing, so the stamped verdict is still in force.)
 func TestReadSharedStampSurvivesGenerations(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1), &races)
-	h.WriteRange(1, 32, 1, ctx)
-	ctx.Gen = 4
-	h.ReadRange(1, 32, 5, ctx)
-	q1 := ctx.Reach.(*relReach).queries.Load()
-	sk := h.Stats().ReadSharedSkips
-	ctx.Gen = 6
-	h.ReadRange(1, 32, 5, ctx) // later generation: the stamp still serves
-	if q := ctx.Reach.(*relReach).queries.Load(); q != q1 {
+	e := newEnv(seqRel(1))
+	e.write(1, 32, 1)
+	e.ctx.Gen = 4
+	e.read(1, 32, 5)
+	q1 := e.reach.queries.Load()
+	sk := e.h.Stats().ReadSharedSkips
+	e.ctx.Gen = 6
+	e.read(1, 32, 5) // later generation: the stamp still serves
+	if q := e.reach.queries.Load(); q != q1 {
 		t.Fatalf("cross-generation re-read made %d extra queries, want 0", q-q1)
 	}
-	if got := h.Stats().ReadSharedSkips; got != sk+32 {
+	if got := e.h.Stats().ReadSharedSkips; got != sk+32 {
 		t.Fatalf("ReadSharedSkips = %d, want %d", got, sk+32)
 	}
-	if len(races) != 0 {
-		t.Fatalf("ordered reads raced: %v", races[0])
+	if len(e.races) != 0 {
+		t.Fatalf("ordered reads raced: %v", e.races[0])
 	}
 }
 
@@ -182,17 +169,15 @@ func TestReadSharedStampSurvivesGenerations(t *testing.T) {
 // bits, so runs past any 32-bit boundary keep the fast path (the old
 // truncated-stamp wrap hazard is structurally gone).
 func TestReadSharedStampHugeGenerations(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1), &races)
-	h.WriteRange(1, 4, 1, ctx)
-	ctx.Gen = (1 << 32) + 5
-	h.ReadRange(1, 4, 2, ctx)
-	h.ReadRange(1, 4, 2, ctx)
-	if got := h.Stats().ReadSharedSkips; got != 4 {
+	e := newEnv(seqRel(1))
+	e.write(1, 4, 1)
+	e.ctx.Gen = (1 << 32) + 5
+	e.read(1, 4, 2)
+	e.read(1, 4, 2)
+	if got := e.h.Stats().ReadSharedSkips; got != 4 {
 		t.Fatalf("ReadSharedSkips = %d past the 32-bit boundary, want 4", got)
 	}
-	if len(races) != 0 {
-		t.Fatalf("ordered reads raced: %v", races[0])
+	if len(e.races) != 0 {
+		t.Fatalf("ordered reads raced: %v", e.races[0])
 	}
 }

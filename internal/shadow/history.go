@@ -19,8 +19,8 @@
 //     array) instead of a map, fronted by a last-page cache, so a
 //     sequential scan resolves its page once per 4096 words.
 //
-//   - ReadRange/WriteRange/TouchRange split a bulk access at page
-//     boundaries, hoist the page lookup out of the loop, and run a tight
+//   - Checker.ReadRange/WriteRange split a bulk access at page
+//     boundaries, test the last-page cache inline, and run a tight
 //     per-word loop over the page's slot array.
 //
 //   - Epoch-style ownership: a strand re-accessing a word it already owns
@@ -63,25 +63,25 @@
 //   - Reachability verdicts are cached per batch: a small direct-mapped
 //     cache keyed by the predecessor strand answers repeated "u precedes
 //     the current strand" queries, so a write over words that share k
-//     readers pays k Precedes calls, not k per word. The cache is
-//     invalidated whenever the engine's construct generation or the
-//     current strand changes, and at every batch boundary, so a stale
-//     verdict can never be observed (the reachability relation only
-//     mutates at constructs, and strand ids are never reused).
+//     readers pays k Precedes calls, not k per word. A batch has one
+//     strand and one construct generation, and the cache is reset at
+//     every batch boundary, so a stale verdict can never be observed (the
+//     reachability relation only mutates at constructs, and strand ids
+//     are never reused).
 //
 // The fast paths are verdict-preserving: for every access they report a
 // race if and only if the word-at-a-time reference protocol (Read/Write
 // below) does, with the same racing strand — see the differential fuzz
 // test FuzzRangeMatchesReference.
 //
-// # Parallel ranges
+// # One checker
 //
-// Large bulk accesses can additionally fan out across a persistent worker
-// pool (parallel.go): the reachability relation is immutable between
-// parallel constructs, so the per-word Precedes queries of one range are
-// read-only and chunks of the range can run concurrently. The fan-out is
-// verdict-preserving too, down to the order of reported events; the same
-// fuzz test drives it.
+// The range protocol lives in one type, Checker (checker.go). The
+// engine's synchronous and single-consumer pipelines own one checker; each
+// consumer of the multi-consumer pipeline owns its own, and concurrently
+// checked batches touch disjoint shadow pages. A checker keeps its own
+// last-page cache, verdict cache and counters, buffers race events per
+// batch, and folds its counters into the History when a batch ends.
 package shadow
 
 import (
@@ -129,7 +129,7 @@ const maxDirs = 1 << 20
 // (installWriter clears the stamp). The stamp carries no generation: it
 // stays consultable across construct generations, and verdict transfer to
 // a different current reader goes through the algorithm's EpochOrdered
-// check (see readWordSlow).
+// check (see Checker.readWordSlow).
 type word struct {
 	lastWriter core.StrandID
 	reader0    core.StrandID
@@ -153,8 +153,8 @@ const spillFlag core.StrandID = 1 << 31
 // page is one densely allocated run of shadow words plus the page-level
 // sampling coupon (a packed generation-tag + remaining-budget word, see
 // sampler.go). The struct stays pointer-free, so pages still allocate in
-// noscan spans. The coupon is atomic because workers of one fan-out may
-// share a page (never a word); the serial path pays an uncontended CAS
+// noscan spans. The coupon is atomic so a page's budget stays exact
+// whichever checker samples it; a lone checker pays an uncontended CAS
 // only on sampled accesses under a finite budget.
 type page struct {
 	w      [pageSize]word
@@ -162,72 +162,50 @@ type page struct {
 }
 
 // directory is one node of the flat page table's second level. Entries are
-// atomic pointers so the parallel range path can materialize pages while
-// sibling workers read neighboring entries; on the serial path an atomic
-// load costs the same as a plain one.
+// atomic pointers so one checker can materialize a page while concurrent
+// checkers read neighboring entries; uncontended, an atomic load costs the
+// same as a plain one.
 type directory [dirSize]atomic.Pointer[page]
 
-// pageStripes is the number of stripe locks guarding concurrent page
-// materialization on the parallel range path. Stripes are selected by page
-// number, so two workers only contend when their pages collide mod the
-// stripe count — and then only on each page's first touch.
+// pageStripes is the number of stripe locks guarding page
+// materialization. Stripes are selected by page number, so two checkers
+// only contend when their pages collide mod the stripe count — and then
+// only on each page's first touch.
 const pageStripes = 64
 
 // History is the access history for one detection run.
 type History struct {
 	// dirs is the flat table root, indexed by pageNumber >> dirBits. It is
-	// published through an atomic pointer and grown copy-on-write (growth
-	// is rare: once per dirSize pages): the serial path is the only writer
-	// when the engine runs a single consumer, while the multi-consumer
-	// batch path grows it under dirMu so any consumer's workers can read
-	// the root lock-free mid-materialization.
+	// published through an atomic pointer and grown copy-on-write under
+	// dirMu (growth is rare: once per dirSize pages), so any checker can
+	// read the root lock-free while another materializes a page.
 	dirs  atomic.Pointer[[]*directory]
 	dirMu sync.Mutex
 
-	overflow map[uint64]*page // pages beyond maxDirs directories
+	overflow map[uint64]*page // pages beyond maxDirs directories, under dirMu
+
+	// stripes guards page materialization, selected by page number (see
+	// pageFor).
+	stripes [pageStripes]sync.Mutex
 
 	// spill holds the reader lists of inflated words (spill.go).
 	spill spillSlab
 
-	// foldMu serializes multi-consumer counter folds (View.Fold); the
-	// serial and single-consumer paths add to the counters directly.
+	// foldMu serializes the counter folds of checkers (Checker.End).
 	foldMu sync.Mutex
 
 	// Concurrent-install audit (debug assertion for the multi-consumer
-	// back-end): when enabled, every View claims the exact page range of
-	// each op before touching it and the claim panics if it overlaps
-	// another view's active claim — concurrent batches must touch disjoint
-	// pages or the scheduler is broken. See EnableInstallAudit.
+	// back-end): when enabled, every checker claims the exact page range
+	// of each op before touching it and the claim panics if it overlaps
+	// another checker's active claim — concurrent batches must touch
+	// disjoint pages or the scheduler is broken. See EnableInstallAudit.
 	auditMu     sync.Mutex
 	auditClaims map[int][]PageClaim
 	auditOn     bool
 
-	// stripes guards page materialization on the parallel range path,
-	// selected by page number (see pageForShared).
-	stripes [pageStripes]sync.Mutex
-
-	// Last-page cache: valid whenever lastPage != nil.
-	lastPN   uint64
-	lastPage *page
-
-	// Cached reachability verdicts "u precedes verdictCur" at construct
-	// generation verdictGen; verdicts is reset whenever the pair changes.
-	verdictGen uint64
-	verdictCur core.StrandID
-	verdicts   verdictCache
-
-	// Memoized epoch-transfer verdict for EpochOrdered(epochSrc, epochCur)
-	// at generation epochGen — same single-entry regime as the precedes
-	// memo: bulk re-reads revisit one stamp holder for long runs of words.
-	epochGen uint64
-	epochCur core.StrandID
-	epochSrc core.StrandID
-	epochOK  bool
-
-	// Counters for the benchmark harness. touchedPages is incremented
-	// atomically on the parallel path (workers materialize their own
-	// pages); the rest are either serial or folded in from worker-local
-	// counters after each fan-out or batch.
+	// Counters for the benchmark harness: the reference protocol adds to
+	// them directly, checkers fold theirs in after each batch.
+	// touchedPages is incremented atomically at page materialization.
 	counters
 	touchedPages uint64
 
@@ -241,8 +219,8 @@ type History struct {
 	faults *faultinject.Plan
 }
 
-// counters is the additive counter set kept by the serial checker and,
-// worker-locally, by every chunk; chunk counters fold into the History.
+// counters is the additive counter set kept by every checker and folded
+// into the History after each batch.
 type counters struct {
 	reads, writes   uint64
 	readerAppends   uint64
@@ -254,11 +232,9 @@ type counters struct {
 	epochHits       uint64 // reads resolved by stamp verdict transfer
 	epochInflations uint64 // single-reader → inflated (first spill) transitions
 	epochDeflations uint64 // inflated → flushed (write install) transitions
-	parRanges       uint64 // range ops that actually fanned out
-	parChunks       uint64 // chunks processed across all fan-outs
 	sampledAccesses uint64 // slow-path accesses admitted by the sampler
 	budgetSkips     uint64 // rate-admitted accesses denied a page coupon
-	touched         uint64 // Touch checksum; keeps the instr config honest
+	touched         uint64 // TouchRange checksum; keeps the instr config honest
 }
 
 // add folds o into c.
@@ -274,16 +250,17 @@ func (c *counters) add(o *counters) {
 	c.epochHits += o.epochHits
 	c.epochInflations += o.epochInflations
 	c.epochDeflations += o.epochDeflations
-	c.parRanges += o.parRanges
-	c.parChunks += o.parChunks
 	c.sampledAccesses += o.sampledAccesses
 	c.budgetSkips += o.budgetSkips
 	c.touched += o.touched
 }
 
-// NewHistory returns an empty access history.
-func NewHistory() *History {
+// NewHistory returns an empty access history. concurrent says whether
+// several checkers will run against it at once (the multi-consumer
+// pipeline); only then does spill-slot allocation lock.
+func NewHistory(concurrent bool) *History {
 	h := &History{}
+	h.spill.shared = concurrent
 	root := []*directory(nil)
 	h.dirs.Store(&root)
 	return h
@@ -293,20 +270,8 @@ func NewHistory() *History {
 // default; every probe is then one nil check). Call before any access.
 func (h *History) SetFaults(p *faultinject.Plan) { h.faults = p }
 
-// maybeFailPage is the PageFail probe: a firing plan turns this page
-// materialization into a panic, modeling a failed shadow-page allocation.
-// The detection pipeline's recover shell converts it into a structured
-// PipelineError, which is the point: allocation failure anywhere in the
-// shadow layer must fail the run closed, not corrupt it.
-func (h *History) maybeFailPage() {
-	if h.faults.Fire(faultinject.PageFail) {
-		panic(faultinject.Panic{Point: faultinject.PageFail})
-	}
-}
-
 // growDirs returns a root slab whose entry di exists and is non-nil,
-// growing and republishing copy-on-write if needed. Single-writer (serial
-// path) or dirMu-holder (shared path) only.
+// growing and republishing copy-on-write if needed. dirMu holder only.
 func (h *History) growDirs(di uint64) []*directory {
 	slab := *h.dirs.Load()
 	if di < uint64(len(slab)) && slab[di] != nil {
@@ -326,80 +291,69 @@ func (h *History) growDirs(di uint64) []*directory {
 }
 
 // pageFor returns the page holding page number pn, materializing it on
-// first touch. The last resolved page is cached; sequential scans hit the
-// cache for all but the first word of each page. Serial path only (the
-// engine's single-consumer pipeline); concurrent consumers go through
-// pageForShared.
+// first touch. It is safe for concurrent checkers: a resolved page costs
+// two atomic loads, and only a first touch takes a lock — the page's
+// stripe lock, or dirMu to grow the directory. Overflow pages (addresses
+// the dense allocator never produces) are created and read under dirMu.
+// Checkers front it with their own last-page cache.
+//
+// The PageFail probe fires at materialization: a firing plan turns it into
+// a panic, modeling a failed shadow-page allocation, which the detection
+// pipeline's recover shell converts into a structured PipelineError —
+// allocation failure anywhere in the shadow layer fails the run closed.
 func (h *History) pageFor(pn uint64) *page {
-	if h.lastPage != nil && h.lastPN == pn {
-		h.pageCacheHits++
-		return h.lastPage
-	}
-	var p *page
 	if di := pn >> dirBits; di < maxDirs {
 		slab := *h.dirs.Load()
 		if di >= uint64(len(slab)) || slab[di] == nil {
+			h.dirMu.Lock()
 			slab = h.growDirs(di)
+			h.dirMu.Unlock()
 		}
-		d := slab[di]
-		p = d[pn&dirMask].Load()
-		if p == nil {
-			h.maybeFailPage()
-			p = new(page)
-			d[pn&dirMask].Store(p)
-			h.touchedPages++
+		e := &slab[di][pn&dirMask]
+		if p := e.Load(); p != nil {
+			return p
 		}
-	} else {
-		if h.overflow == nil {
-			h.overflow = make(map[uint64]*page)
-		}
-		p = h.overflow[pn]
-		if p == nil {
-			h.maybeFailPage()
-			p = new(page)
-			h.overflow[pn] = p
-			h.touchedPages++
-		}
+		return h.materialize(e, &h.stripes[pn%pageStripes])
 	}
-	h.lastPN, h.lastPage = pn, p
+	return h.overflowPage(pn)
+}
+
+// materialize publishes a fresh page into directory entry e under the
+// page's stripe lock, unless a concurrent checker got there first.
+func (h *History) materialize(e *atomic.Pointer[page], mu *sync.Mutex) *page {
+	mu.Lock()
+	defer mu.Unlock()
+	p := e.Load()
+	if p == nil {
+		p = h.newPage()
+		e.Store(p)
+	}
 	return p
 }
 
-// ResetBatchCaches invalidates the cross-batch carryover state of the
-// serial range path — the verdict cache and the epoch-transfer memo. The engine calls it at every batch boundary so the serial,
-// single-consumer and multi-consumer pipelines answer the same queries
-// from the same caches: a batch always starts with cold memos, whichever
-// consumer checks it. (The last-page cache is deliberately kept:
-// page-cache hits are a plumbing counter, excluded from
-// cross-configuration equivalence.)
-func (h *History) ResetBatchCaches() {
-	h.verdictCur = core.NoStrand
-	h.epochCur = core.NoStrand
-}
-
-func (h *History) wordFor(addr uint64) *word {
-	return &h.pageFor(addr >> PageBits).w[addr&pageMask]
-}
-
-// Touch decodes addr into its page and slot indices without maintaining
-// or querying the access history — the "instrumentation" configuration of
-// the paper's evaluation: the memory hook fires and pays the dispatch and
-// address-decoding cost, nothing more. The decoded indices are folded
-// into a checksum so the compiler cannot elide the work.
-func (h *History) Touch(addr uint64) {
-	h.touched += (addr >> PageBits) ^ (addr & pageMask)
-}
-
-// TouchRange is the bulk form of Touch: it decodes words consecutive
-// addresses starting at addr into the checksum in one tight loop, without
-// a hook dispatch per word.
-func (h *History) TouchRange(addr uint64, words int) {
-	sum := h.touched
-	for ; words > 0; words-- {
-		sum += (addr >> PageBits) ^ (addr & pageMask)
-		addr++
+// overflowPage returns the overflow page pn, materializing it, under dirMu.
+func (h *History) overflowPage(pn uint64) *page {
+	h.dirMu.Lock()
+	defer h.dirMu.Unlock()
+	if h.overflow == nil {
+		h.overflow = make(map[uint64]*page)
 	}
-	h.touched = sum
+	p := h.overflow[pn]
+	if p == nil {
+		p = h.newPage()
+		h.overflow[pn] = p
+	}
+	return p
+}
+
+// newPage allocates one shadow page behind the PageFail probe. The caller
+// holds the lock that publishes it.
+func (h *History) newPage() *page {
+	if h.faults.Fire(faultinject.PageFail) {
+		panic(faultinject.Panic{Point: faultinject.PageFail})
+	}
+	atomic.AddUint64(&h.touchedPages, 1)
+	return new(page)
 }
 
 // Racer is the pair of conflicting strands found by Read or Write.
@@ -417,7 +371,8 @@ type Racer struct {
 // writer; otherwise the reader is appended to the reader list.
 //
 // Read and Write are the word-at-a-time reference protocol; the engine's
-// hot path is ReadRange/WriteRange, which must stay verdict-equivalent.
+// hot path is Checker.ReadRange/WriteRange, which must stay
+// verdict-equivalent.
 func (h *History) Read(addr uint64, s core.StrandID, precedes func(u core.StrandID) bool) (Racer, bool) {
 	h.reads++
 	w := h.wordFor(addr)
@@ -426,7 +381,7 @@ func (h *History) Read(addr uint64, s core.StrandID, precedes func(u core.Strand
 	}
 	// Append s to the reader list, deduplicating the common case of the
 	// same strand re-reading the location between writes.
-	h.spill.addReader(w, s, &h.counters, false)
+	h.spill.addReader(w, s, &h.counters)
 	return Racer{}, false
 }
 
@@ -469,268 +424,16 @@ func (h *History) Write(addr uint64, s core.StrandID, precedes func(u core.Stran
 	return Racer{}, false
 }
 
+func (h *History) wordFor(addr uint64) *word {
+	return &h.pageFor(addr >> PageBits).w[addr&pageMask]
+}
+
 // installWriter completes a write: the reader list is flushed and s
 // becomes the last writer. Called for race-free and racing writes alike
 // (see Write).
 func (h *History) installWriter(w *word, s core.StrandID) {
-	h.spill.flush(w, &h.counters, false)
+	h.spill.flush(w, &h.counters)
 	w.lastWriter = s
-}
-
-// Ctx bundles the per-run reachability context the engine threads through
-// the range operations: the reachability structure queried directly (no
-// per-query closure), the construct generation keying the verdict cache,
-// and the race sinks. The engine owns one Ctx per run and bumps Gen at
-// every parallel construct.
-type Ctx struct {
-	Reach core.Reach
-	Gen   uint64
-	// Epoch is the algorithm's epoch-transfer capability, or nil when the
-	// algorithm does not offer one (the oracle recorder, the verify
-	// cross-check); nil disables stamp verdict transfer and every
-	// different-reader stamp falls back to the full writer query.
-	Epoch core.EpochConcurrent
-	// OnReadRace/OnWriteRace receive every racing word of a range with
-	// the racer the reference protocol would report and the accessing
-	// strand (so the engine does not track a current strand per access).
-	OnReadRace  func(addr uint64, r Racer, cur core.StrandID)
-	OnWriteRace func(addr uint64, r Racer, cur core.StrandID)
-}
-
-// precedes answers "u is sequentially before the current strand s" through
-// the verdict cache. ctx.Gen is the engine's construct generation; (Gen, s)
-// together pin a window during which the reachability relation is
-// immutable, so the cache is reset whenever the pair changes and a hit is
-// always safe.
-func (h *History) precedes(u, s core.StrandID, ctx *Ctx) bool {
-	if h.verdictGen != ctx.Gen || h.verdictCur != s {
-		h.verdictGen, h.verdictCur = ctx.Gen, s
-		h.verdicts.reset()
-	}
-	return h.verdicts.precedes(u, s, ctx.Reach, &h.memoHits)
-}
-
-// epochOrdered answers "r's read-epoch stamp transfers its race-free
-// verdict to the current strand s" through the algorithm's EpochConcurrent
-// capability, memoized like precedes: a range whose words were all stamped
-// by the same earlier reader pays one EpochOrdered call.
-func (h *History) epochOrdered(r, s core.StrandID, ctx *Ctx) bool {
-	if ctx.Epoch == nil {
-		return false
-	}
-	if h.epochGen == ctx.Gen && h.epochCur == s && h.epochSrc == r {
-		return h.epochOK
-	}
-	ok := ctx.Epoch.EpochOrdered(r, s)
-	h.epochGen, h.epochCur, h.epochSrc, h.epochOK = ctx.Gen, s, r, ok
-	return ok
-}
-
-// ReadRange processes reads of words consecutive addresses starting at
-// addr by strand s, splitting at page boundaries so the page lookup runs
-// once per page segment. Every racing word is reported through report
-// (with the same racer the reference protocol would find); race-free words
-// update the reader lists.
-//
-// Fast paths: a read of a word whose last writer is s itself is race-free
-// and skipped without touching the reader list. That loses no races: any
-// later access racing with this read also races with s's own earlier
-// write, which stays in the history and is checked first by both Read and
-// Write — so every verdict and every reported racer is unchanged.
-//
-// A read of a word s was the last to read is likewise skipped (the
-// read-epoch fast path), in any construct generation: s's earlier read
-// already proved the word's writer precedes s, the reader list already
-// records s, any intervening write would have cleared the stamp — and the
-// engine only keeps a strand current across generation bumps at empty
-// syncs, which mutate nothing, so the proven verdict is still in force.
-// The protocol would re-derive precisely the state the word is already in.
-func (h *History) ReadRange(addr uint64, words int, s core.StrandID, ctx *Ctx) {
-	if words <= 0 {
-		return
-	}
-	h.reads += uint64(words)
-	if words == 1 {
-		// One-word accesses (Array/Var Get) skip the segment machinery.
-		pn := addr >> PageBits
-		p := h.lastPage
-		if p != nil && h.lastPN == pn {
-			h.pageCacheHits++
-		} else {
-			p = h.pageFor(pn)
-		}
-		w := &p.w[addr&pageMask]
-		switch {
-		case w.lastWriter == s:
-			h.ownedSkips++ // epoch fast path: s reads its own last write
-		case w.lastReader == s:
-			h.readSharedSkips++ // read epoch: s's own stamp, still proven
-		default:
-			h.readWordSlow(w, p, addr, s, ctx)
-		}
-		return
-	}
-	for {
-		slot := int(addr & pageMask)
-		n := pageSize - slot
-		if n > words {
-			n = words
-		}
-		pn := addr >> PageBits
-		p := h.lastPage
-		if p != nil && h.lastPN == pn {
-			h.pageCacheHits++
-		} else {
-			p = h.pageFor(pn)
-		}
-		ws := p.w[slot : slot+n]
-		for i := range ws {
-			w := &ws[i]
-			switch {
-			case w.lastWriter == s:
-				h.ownedSkips++ // epoch fast path: s reads its own last write
-			case w.lastReader == s:
-				h.readSharedSkips++ // read epoch: s's own stamp, still proven
-			default:
-				h.readWordSlow(w, p, addr+uint64(i), s, ctx)
-			}
-		}
-		words -= n
-		if words == 0 {
-			return
-		}
-		addr += uint64(n)
-	}
-}
-
-// readWordSlow runs the read protocol for a word s does not own (the
-// owned-word and same-reader epoch fast paths are inlined at the call
-// sites). If a different reader's stamp is present and the algorithm's
-// EpochOrdered transfers its verdict to s, the writer query is skipped —
-// the stamped reader already proved the (unchanged-since) writer precedes
-// it, and the transfer promises the same verdict holds for s. Either way a
-// race-free completion appends s to the reader list and re-stamps, so the
-// word's racer-identity state matches the reference protocol exactly.
-//
-// With sampling armed, a read the free tiers could not resolve consults
-// the sampler before paying the writer query; an unsampled read skips the
-// verdict (a race here is missed) but still installs its reader state
-// below, so later sampled queries see exact racer identity.
-func (h *History) readWordSlow(w *word, p *page, addr uint64, s core.StrandID, ctx *Ctx) {
-	if w.lastWriter != core.NoStrand {
-		if r := w.lastReader; r != core.NoStrand && h.epochOrdered(r, s, ctx) {
-			h.epochHits++ // stamp verdict transfer: no writer query
-		} else if h.smp.on && !h.sampleSlow(p, addr, ctx.Gen) {
-			// Unsampled: fall through to the install below.
-		} else if !h.precedes(w.lastWriter, s, ctx) {
-			ctx.OnReadRace(addr, Racer{Prev: w.lastWriter, PrevWrite: true}, s)
-			return // racy read is not appended (reference protocol), not stamped
-		}
-	}
-	w.lastReader = s
-	h.spill.addReader(w, s, &h.counters, false)
-}
-
-// WriteRange processes writes of words consecutive addresses starting at
-// addr by strand s, with the same page-segment structure as ReadRange.
-//
-// Fast path: a write to a word s already owns (s is the last writer and no
-// readers intervened) is a no-op re-establishing the exact same state, so
-// the protocol is skipped entirely.
-func (h *History) WriteRange(addr uint64, words int, s core.StrandID, ctx *Ctx) {
-	if words <= 0 {
-		return
-	}
-	h.writes += uint64(words)
-	if words == 1 {
-		// One-word accesses (Array/Var Set) skip the segment machinery.
-		pn := addr >> PageBits
-		p := h.lastPage
-		if p != nil && h.lastPN == pn {
-			h.pageCacheHits++
-		} else {
-			p = h.pageFor(pn)
-		}
-		w := &p.w[addr&pageMask]
-		if w.reader0 == core.NoStrand && (w.lastWriter == s || w.lastWriter == core.NoStrand) {
-			// Epoch fast path: owner rewrite or first write to a fresh
-			// word with no readers — no protocol to run.
-			w.lastWriter = s
-			h.ownedSkips++
-		} else {
-			h.writeSlow(w, p, addr, s, ctx)
-		}
-		return
-	}
-	for {
-		slot := int(addr & pageMask)
-		n := pageSize - slot
-		if n > words {
-			n = words
-		}
-		pn := addr >> PageBits
-		p := h.lastPage
-		if p != nil && h.lastPN == pn {
-			h.pageCacheHits++
-		} else {
-			p = h.pageFor(pn)
-		}
-		ws := p.w[slot : slot+n]
-		for i := range ws {
-			w := &ws[i]
-			// Epoch fast path: with no readers to check, a rewrite by the
-			// owner or a first write to a fresh word runs no protocol —
-			// the reference would make zero queries and end in this exact
-			// state.
-			if w.reader0 == core.NoStrand && (w.lastWriter == s || w.lastWriter == core.NoStrand) {
-				w.lastWriter = s
-				h.ownedSkips++
-			} else {
-				h.writeSlow(w, p, addr+uint64(i), s, ctx)
-			}
-		}
-		words -= n
-		if words == 0 {
-			return
-		}
-		addr += uint64(n)
-	}
-}
-
-// writeSlow is the full write protocol for one word. Like the reference
-// Write, a racing write installs itself after reporting so one logical
-// race cannot re-report on every later access of the address.
-//
-// With sampling armed, the sampler is consulted before any query; an
-// unsampled write skips every verdict but still installs itself (readers
-// flushed, s becomes the last writer) — the exact end state of a
-// race-free protocol run, so later sampled queries are unaffected.
-func (h *History) writeSlow(w *word, p *page, addr uint64, s core.StrandID, ctx *Ctx) {
-	if h.smp.on && !h.sampleSlow(p, addr, ctx.Gen) {
-		h.installWriter(w, s)
-		return
-	}
-	if prev := w.lastWriter; prev != core.NoStrand && prev != s && !h.precedes(prev, s, ctx) {
-		h.installWriter(w, s)
-		ctx.OnWriteRace(addr, Racer{Prev: prev, PrevWrite: true}, s)
-		return
-	}
-	if r0 := w.reader0; r0&spillFlag == 0 {
-		if r0 != core.NoStrand && r0 != s && !h.precedes(r0, s, ctx) {
-			h.installWriter(w, s)
-			ctx.OnWriteRace(addr, Racer{Prev: r0, PrevWrite: false}, s)
-			return
-		}
-	} else {
-		for _, r := range h.spill.readers(r0) {
-			if r != s && !h.precedes(r, s, ctx) {
-				h.installWriter(w, s)
-				ctx.OnWriteRace(addr, Racer{Prev: r, PrevWrite: false}, s)
-				return
-			}
-		}
-	}
-	h.installWriter(w, s)
 }
 
 // Stats describes access-history traffic.
@@ -739,7 +442,8 @@ type Stats struct {
 	ReaderAppends uint64
 	ReaderFlushes uint64
 	TouchedPages  uint64
-	// PageCacheHits counts page lookups resolved by the last-page cache.
+	// PageCacheHits counts page lookups resolved by a checker's last-page
+	// cache.
 	PageCacheHits uint64
 	// OwnedSkips counts accesses short-circuited by the epoch-style
 	// ownership fast path (no protocol run, no reachability query).
@@ -749,8 +453,8 @@ type Stats struct {
 	// proven verdict was reused and no protocol ran. Disjoint from
 	// OwnedSkips (an access is counted by at most one skip counter).
 	ReadSharedSkips uint64
-	// MemoHits counts reachability queries answered by the memoized
-	// last-verdict cache instead of the reachability structure.
+	// MemoHits counts reachability queries answered by the per-batch
+	// verdict cache instead of the reachability structure.
 	MemoHits uint64
 	// EpochHits counts reads of a stamped word by a different strand whose
 	// writer query was skipped because the algorithm's EpochOrdered
@@ -766,8 +470,9 @@ type Stats struct {
 	// beyond each word's first reader at the time Stats was taken — the
 	// live footprint of inflated words.
 	SpillEntries uint64
-	// ParRanges counts range operations that fanned out across the worker
-	// pool; ParChunks counts the chunks processed across all fan-outs.
+	// ParRanges and ParChunks are always zero: they counted the fan-outs
+	// of the removed intra-range worker pool, and stay only so existing
+	// consumers of Stats keep compiling.
 	ParRanges uint64
 	ParChunks uint64
 	// SampledAccesses counts slow-path accesses the tier-1 sampler
@@ -781,7 +486,7 @@ type Stats struct {
 }
 
 // Stats returns the history's counters. Called on a quiescent history
-// (after the run, or between accesses), so the spill walk needs no lock.
+// (after the run, or between batches), so the spill walk needs no lock.
 func (h *History) Stats() Stats {
 	return Stats{
 		Reads: h.reads, Writes: h.writes,
@@ -796,8 +501,6 @@ func (h *History) Stats() Stats {
 		EpochInflations: h.epochInflations,
 		EpochDeflations: h.epochDeflations,
 		SpillEntries:    h.spill.entries(),
-		ParRanges:       h.parRanges,
-		ParChunks:       h.parChunks,
 		SampledAccesses: h.sampledAccesses,
 		SkippedByBudget: h.budgetSkips,
 	}

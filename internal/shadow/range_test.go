@@ -12,7 +12,7 @@ import (
 // relReach is a core.Reach stub whose Precedes answers come from an
 // arbitrary deterministic relation. Only Precedes matters to the shadow
 // layer; the construct methods are no-ops. The query counter is atomic so
-// the stub can serve the parallel range path too.
+// the stub can serve concurrent checkers too.
 type relReach struct {
 	rel     func(u, v core.StrandID) bool
 	queries atomic.Uint64
@@ -32,23 +32,39 @@ func (r *relReach) Precedes(u, v core.StrandID) bool {
 	return r.rel(u, v)
 }
 
-// raceEvent is one reported race, tagged with the access kind.
-type raceEvent struct {
-	Addr  uint64
-	Racer Racer
-	Write bool
+// env drives one Checker the way the engine's inline pipeline does —
+// every range call is one batch — and collects the race events each batch
+// hands back.
+type env struct {
+	h     *History
+	c     *Checker
+	ctx   Ctx
+	reach *relReach
+	races []RaceEvent
 }
 
-// ctxFor builds a Ctx over rel that appends every reported race to sink.
-func ctxFor(rel func(u, v core.StrandID) bool, sink *[]raceEvent) *Ctx {
-	ctx := &Ctx{Reach: &relReach{rel: rel}}
-	ctx.OnReadRace = func(addr uint64, r Racer, _ core.StrandID) {
-		*sink = append(*sink, raceEvent{Addr: addr, Racer: r})
-	}
-	ctx.OnWriteRace = func(addr uint64, r Racer, _ core.StrandID) {
-		*sink = append(*sink, raceEvent{Addr: addr, Racer: r, Write: true})
-	}
-	return ctx
+// newEnv builds an env over a fresh serial History, with rel answering
+// every Precedes query.
+func newEnv(rel func(u, v core.StrandID) bool) *env {
+	r := &relReach{rel: rel}
+	h := NewHistory(false)
+	return &env{h: h, c: NewChecker(h, 0), ctx: Ctx{Reach: r}, reach: r}
+}
+
+// batch runs ops as one batch of strand s and collects its events.
+func (e *env) batch(s core.StrandID, ops func(c *Checker)) {
+	e.c.Begin(&e.ctx, s)
+	ops(e.c)
+	e.races = append(e.races, e.c.Events()...)
+	e.c.End()
+}
+
+func (e *env) read(addr uint64, words int, s core.StrandID) {
+	e.batch(s, func(c *Checker) { c.ReadRange(addr, words) })
+}
+
+func (e *env) write(addr uint64, words int, s core.StrandID) {
+	e.batch(s, func(c *Checker) { c.WriteRange(addr, words) })
 }
 
 func seqRel(before ...core.StrandID) func(u, v core.StrandID) bool {
@@ -60,26 +76,24 @@ func seqRel(before ...core.StrandID) func(u, v core.StrandID) bool {
 }
 
 func TestRangeCrossesPageBoundary(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(), &races)
+	e := newEnv(seqRel())
 	// A range straddling three pages: starts mid-page, covers a full page,
 	// ends mid-page.
 	base := uint64(pageSize - 100)
 	n := pageSize + 200
-	h.WriteRange(base, n, 1, ctx)
-	if len(races) != 0 {
-		t.Fatalf("writes to fresh words raced: %v", races[0])
+	e.write(base, n, 1)
+	if len(e.races) != 0 {
+		t.Fatalf("writes to fresh words raced: %v", e.races[0])
 	}
-	if got := h.Stats().TouchedPages; got != 3 {
+	if got := e.h.Stats().TouchedPages; got != 3 {
 		t.Fatalf("TouchedPages = %d, want 3", got)
 	}
 	// A parallel strand reading the same span races on every word.
-	h.ReadRange(base, n, 2, ctx)
-	if len(races) != n {
-		t.Fatalf("got %d races, want %d", len(races), n)
+	e.read(base, n, 2)
+	if len(e.races) != n {
+		t.Fatalf("got %d races, want %d", len(e.races), n)
 	}
-	for i, ev := range races {
+	for i, ev := range e.races {
 		if ev.Addr != base+uint64(i) || ev.Racer.Prev != 1 || !ev.Racer.PrevWrite || ev.Write {
 			t.Fatalf("race %d = %+v, want read race with writer 1 at %#x", i, ev, base+uint64(i))
 		}
@@ -87,96 +101,86 @@ func TestRangeCrossesPageBoundary(t *testing.T) {
 }
 
 func TestEmptyAndNegativeRanges(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(), &races)
-	h.ReadRange(42, 0, 1, ctx)
-	h.WriteRange(42, 0, 1, ctx)
-	h.ReadRange(42, -5, 1, ctx)
-	h.WriteRange(42, -5, 1, ctx)
-	st := h.Stats()
-	if st.Reads != 0 || st.Writes != 0 || st.TouchedPages != 0 || len(races) != 0 {
-		t.Fatalf("empty ranges left traces: %+v, races %v", st, races)
+	e := newEnv(seqRel())
+	e.read(42, 0, 1)
+	e.write(42, 0, 1)
+	e.read(42, -5, 1)
+	e.write(42, -5, 1)
+	st := e.h.Stats()
+	if st.Reads != 0 || st.Writes != 0 || st.TouchedPages != 0 || len(e.races) != 0 {
+		t.Fatalf("empty ranges left traces: %+v, races %v", st, e.races)
 	}
 }
 
 func TestBulkWriteFlushesReaderLists(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(2, 3), &races)
+	e := newEnv(seqRel(2, 3))
 	const n = 64
-	h.ReadRange(100, n, 2, ctx)
-	h.ReadRange(100, n, 3, ctx)
+	e.read(100, n, 2)
+	e.read(100, n, 3)
 	// Strand 4 is ordered after both readers: race free, flushes them all.
-	h.WriteRange(100, n, 4, ctx)
-	if len(races) != 0 {
-		t.Fatalf("ordered bulk write raced: %v", races[0])
+	e.write(100, n, 4)
+	if len(e.races) != 0 {
+		t.Fatalf("ordered bulk write raced: %v", e.races[0])
 	}
-	if got := h.Stats().ReaderFlushes; got != n {
+	if got := e.h.Stats().ReaderFlushes; got != n {
 		t.Fatalf("ReaderFlushes = %d, want %d", got, n)
 	}
 	// A writer parallel with the flushed readers but ordered after 4 must
 	// not race: the flush is what makes bulk rewrites O(1) queries.
-	ctx2Races := []raceEvent{}
-	ctx2 := ctxFor(seqRel(4), &ctx2Races)
-	h.WriteRange(100, n, 5, ctx2)
-	if len(ctx2Races) != 0 {
-		t.Fatalf("write after flush raced against stale readers: %v", ctx2Races[0])
+	e.reach.rel = seqRel(4)
+	e.write(100, n, 5)
+	if len(e.races) != 0 {
+		t.Fatalf("write after flush raced against stale readers: %v", e.races[0])
 	}
 }
 
 func TestOwnedRewriteSkipsProtocol(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(), &races)
+	e := newEnv(seqRel())
 	const n = 256
-	h.WriteRange(1, n, 7, ctx)
-	first := h.Stats().OwnedSkips // fresh words are claimed on the fast path
-	h.WriteRange(1, n, 7, ctx)
-	h.ReadRange(1, n, 7, ctx)
-	st := h.Stats()
+	e.write(1, n, 7)
+	first := e.h.Stats().OwnedSkips // fresh words are claimed on the fast path
+	e.write(1, n, 7)
+	e.read(1, n, 7)
+	st := e.h.Stats()
 	if st.OwnedSkips != first+2*n {
 		t.Fatalf("OwnedSkips = %d, want %d", st.OwnedSkips, first+2*n)
 	}
-	if q := ctx.Reach.(*relReach).queries.Load(); q != 0 {
+	if q := e.reach.queries.Load(); q != 0 {
 		t.Fatalf("owned rewrites made %d reachability queries, want 0", q)
 	}
-	if len(races) != 0 {
-		t.Fatalf("owned rewrite raced: %v", races[0])
+	if len(e.races) != 0 {
+		t.Fatalf("owned rewrite raced: %v", e.races[0])
 	}
 }
 
 func TestVerdictMemoAcrossRun(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1), &races)
+	e := newEnv(seqRel(1))
 	const n = 512
-	h.WriteRange(1, n, 1, ctx)
+	e.write(1, n, 1)
 	// Strand 2 overwrites the whole run: every word has the same last
 	// writer, so one Precedes call should serve the entire range.
-	h.WriteRange(1, n, 2, ctx)
-	if q := ctx.Reach.(*relReach).queries.Load(); q != 1 {
+	e.write(1, n, 2)
+	if q := e.reach.queries.Load(); q != 1 {
 		t.Fatalf("bulk overwrite made %d reachability queries, want 1 (memoized)", q)
 	}
-	if got := h.Stats().MemoHits; got != n-1 {
+	if got := e.h.Stats().MemoHits; got != n-1 {
 		t.Fatalf("MemoHits = %d, want %d", got, n-1)
 	}
-	// Bumping the generation invalidates the memo.
-	ctx.Gen++
-	h.WriteRange(1, 1, 3, ctx)
-	if q := ctx.Reach.(*relReach).queries.Load(); q != 2 {
+	// The next batch (a new generation and strand) starts with a cold
+	// cache.
+	e.ctx.Gen++
+	e.write(1, 1, 3)
+	if q := e.reach.queries.Load(); q != 2 {
 		t.Fatalf("query count after gen bump = %d, want 2", q)
 	}
 }
 
 func TestPageCacheHitsOnSequentialScan(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(), &races)
+	e := newEnv(seqRel())
 	for i := 0; i < pageSize; i++ {
-		h.WriteRange(uint64(i), 1, 1, ctx)
+		e.write(uint64(i), 1, 1)
 	}
-	st := h.Stats()
+	st := e.h.Stats()
 	if st.PageCacheHits != pageSize-1 {
 		t.Fatalf("PageCacheHits = %d, want %d", st.PageCacheHits, pageSize-1)
 	}
@@ -186,43 +190,55 @@ func TestPageCacheHitsOnSequentialScan(t *testing.T) {
 }
 
 func TestSpilledReadersCheckedAndFlushed(t *testing.T) {
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(2, 3), &races)
+	e := newEnv(seqRel(2, 3))
 	// Three distinct readers: the third spills out of the inline slot.
-	h.ReadRange(9, 1, 2, ctx)
-	h.ReadRange(9, 1, 3, ctx)
-	h.ReadRange(9, 1, 4, ctx)
+	e.read(9, 1, 2)
+	e.read(9, 1, 3)
+	e.read(9, 1, 4)
 	// Strand 5 is ordered after 2 and 3 but parallel with spilled reader 4.
-	h.WriteRange(9, 1, 5, ctx)
-	if len(races) != 1 || races[0].Racer.Prev != 4 || races[0].Racer.PrevWrite {
-		t.Fatalf("want write race with spilled reader 4, got %v", races)
+	e.write(9, 1, 5)
+	if len(e.races) != 1 || e.races[0].Racer.Prev != 4 || e.races[0].Racer.PrevWrite {
+		t.Fatalf("want write race with spilled reader 4, got %v", e.races)
 	}
 }
 
-// TestTouchRangeMatchesTouch pins the bulk checksum to the per-word one.
+// TestTouchRangeMatchesTouch pins the bulk checksum to the per-word one
+// and checks that decoding materializes no page.
 func TestTouchRangeMatchesTouch(t *testing.T) {
-	h1, h2 := NewHistory(), NewHistory()
+	bulk, words := newEnv(seqRel()), newEnv(seqRel())
 	base := uint64(pageSize - 3)
-	for i := 0; i < 7; i++ {
-		h1.Touch(base + uint64(i))
+	bulk.batch(1, func(c *Checker) { c.TouchRange(base, 7) })
+	words.batch(1, func(c *Checker) {
+		for i := 0; i < 7; i++ {
+			c.TouchRange(base+uint64(i), 1)
+		}
+	})
+	if bulk.h.touched != words.h.touched || bulk.h.touched == 0 {
+		t.Fatalf("TouchRange checksum %d != per-word checksum %d", bulk.h.touched, words.h.touched)
 	}
-	h2.TouchRange(base, 7)
-	if h1.touched != h2.touched {
-		t.Fatalf("TouchRange checksum %d != Touch checksum %d", h2.touched, h1.touched)
-	}
-	if h1.Stats().TouchedPages != 0 || h2.Stats().TouchedPages != 0 {
-		t.Fatal("Touch materialized pages")
+	if bulk.h.Stats().TouchedPages != 0 || words.h.Stats().TouchedPages != 0 {
+		t.Fatal("TouchRange materialized pages")
 	}
 }
 
 // FuzzRangeMatchesReference is the differential proof obligation for the
-// fast paths: an arbitrary access sequence driven through the bulk range
-// operations must produce exactly the race events — same order, same
-// addresses, same racers — as the word-at-a-time reference protocol
-// (Read/Write) under the same reachability relation, and must leave
-// equivalent reader/writer state behind (probed by the shared trailing
-// writes). Run continuously with
+// checker: an arbitrary access sequence driven through Checker range ops
+// must produce exactly the race events — same order, same addresses, same
+// racers — as the word-at-a-time reference protocol (Read/Write) under the
+// same reachability relation, and must leave equivalent reader/writer
+// state behind (probed by the shared trailing writes). The checker runs in
+// three shapes:
+//
+//   - serial: one checker over a serial History, each batch spanning a
+//     strand's whole run of ops (the inline pipeline's shape);
+//   - shared: two checkers taking turns, one batch per op, over a History
+//     built for concurrent checkers with the install audit armed (the
+//     consumer pool's shape: locked spill slots, per-checker caches,
+//     claims);
+//   - words: each op split into one-word calls inside one batch (the
+//     words == 1 shortcut).
+//
+// Run continuously with
 //
 //	go test -fuzz FuzzRangeMatchesReference ./internal/shadow
 func FuzzRangeMatchesReference(f *testing.F) {
@@ -281,25 +297,28 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	if seed%2 == 1 {
 		strands = 3 * verdictSlots
 	}
-	fast := NewHistory()
-	ref := NewHistory()
-	// par is driven through the parallel range path with a tiny chunk so
-	// even these short ranges fan out across real worker goroutines; it
-	// must produce the identical event stream.
-	par := NewHistory()
-	pool := NewPool(4, 4)
-	defer pool.Close()
-	// view is driven through a consumer View, one batch per op, fanning
-	// out across the pool on odd ops.
-	vh := NewHistory()
-	view := NewView(vh, 0)
-	var fastRaces, refRaces, parRaces, viewRaces []raceEvent
-	ctx := ctxFor(rel, &fastRaces)
-	pctx := ctxFor(rel, &parRaces)
-	vctx := &Ctx{Reach: &relReach{rel: rel}}
-	wantFanout := false
+	ctx := Ctx{Reach: &relReach{rel: rel}}
+	ref := NewHistory(false)
+	serialH := NewHistory(false)
+	serial := NewChecker(serialH, 0)
+	sharedH := NewHistory(true)
+	sharedH.EnableInstallAudit()
+	shared := [2]*Checker{NewChecker(sharedH, 0), NewChecker(sharedH, 1)}
+	wordsH := NewHistory(false)
+	words1 := NewChecker(wordsH, 0)
+
+	var refRaces, serialDone, sharedRaces, wordRaces []RaceEvent
+	serialRaces := func() []RaceEvent {
+		return append(serialDone[:len(serialDone):len(serialDone)], serial.Events()...)
+	}
+	check := func(op int, name string, got []RaceEvent) {
+		if len(got) != len(refRaces) {
+			t.Fatalf("op %d: %s checker reported %d races, reference %d\n%s: %v\nref: %v",
+				op, name, len(got), len(refRaces), name, got, refRaces)
+		}
+	}
 	var cov spillCoverage
-	s := core.StrandID(1)
+	s, batchStrand := core.StrandID(1), core.NoStrand
 	for op := 0; op < 300; op++ {
 		if next(3) != 0 { // otherwise the previous op's strand continues
 			s = core.StrandID(next(strands) + 1)
@@ -314,87 +333,87 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 		// A read-only opening phase grows long reader lists on fresh
 		// words; afterwards writes deflate them and reads re-inflate.
 		isWrite := op >= 60 && next(2) == 0
-		if words >= 8 { // 2 × the pool's 4-word chunk
-			wantFanout = true
+		do := func(c *Checker, addr uint64, words int) {
+			if isWrite {
+				c.WriteRange(addr, words)
+			} else {
+				c.ReadRange(addr, words)
+			}
 		}
-		vp := pool
-		if op%2 == 0 {
-			vp = nil
+
+		if s != batchStrand {
+			serialDone = append(serialDone, serial.Events()...)
+			serial.End()
+			serial.Begin(&ctx, s)
+			batchStrand = s
 		}
-		view.Begin(vctx, s)
-		if isWrite {
-			fast.WriteRange(addr, words, s, ctx)
-			par.WriteRangePar(addr, words, s, pctx, pool)
-			view.WriteRange(addr, words, vp)
-		} else {
-			fast.ReadRange(addr, words, s, ctx)
-			par.ReadRangePar(addr, words, s, pctx, pool)
-			view.ReadRange(addr, words, vp)
+		do(serial, addr, words)
+
+		c := shared[op%2]
+		c.Begin(&ctx, s)
+		if words > 0 {
+			c.Claim([]PageClaim{{Lo: addr >> PageBits, Hi: (addr + uint64(words) - 1) >> PageBits}})
 		}
-		for _, ev := range view.Events() {
-			viewRaces = append(viewRaces, raceEvent{Addr: ev.Addr, Racer: ev.Racer, Write: ev.Write})
+		do(c, addr, words)
+		sharedRaces = append(sharedRaces, c.Events()...)
+		c.End()
+
+		words1.Begin(&ctx, s)
+		for i := 0; i < words; i++ {
+			do(words1, addr+uint64(i), 1)
 		}
-		view.End()
+		wordRaces = append(wordRaces, words1.Events()...)
+		words1.End()
+
 		precedes := func(u core.StrandID) bool { return rel(u, s) }
 		for i := 0; i < words; i++ {
 			a := addr + uint64(i)
 			if isWrite {
 				if r, raced := ref.Write(a, s, precedes); raced {
-					refRaces = append(refRaces, raceEvent{Addr: a, Racer: r, Write: true})
+					refRaces = append(refRaces, RaceEvent{Addr: a, Racer: r, Write: true})
 				}
 			} else {
 				if r, raced := ref.Read(a, s, precedes); raced {
-					refRaces = append(refRaces, raceEvent{Addr: a, Racer: r})
+					refRaces = append(refRaces, RaceEvent{Addr: a, Racer: r})
 				}
 			}
 		}
-		if len(fastRaces) != len(refRaces) {
-			t.Fatalf("op %d: fast path reported %d races, reference %d\nfast: %v\nref:  %v",
-				op, len(fastRaces), len(refRaces), fastRaces, refRaces)
-		}
-		if len(parRaces) != len(refRaces) {
-			t.Fatalf("op %d: parallel path reported %d races, reference %d\npar: %v\nref: %v",
-				op, len(parRaces), len(refRaces), parRaces, refRaces)
-		}
-		if len(viewRaces) != len(refRaces) {
-			t.Fatalf("op %d: view reported %d races, reference %d\nview: %v\nref:  %v",
-				op, len(viewRaces), len(refRaces), viewRaces, refRaces)
-		}
-		for i := uint32(0); i < fast.spill.next; i++ {
-			cov.longestList = max(cov.longestList, len(*fast.spill.list(i)))
+		check(op, "serial", serialRaces())
+		check(op, "shared", sharedRaces)
+		check(op, "one-word", wordRaces)
+		for i := uint32(0); i < serialH.spill.next; i++ {
+			cov.longestList = max(cov.longestList, len(*serialH.spill.list(i)))
 		}
 	}
-	if !reflect.DeepEqual(fastRaces, refRaces) {
-		t.Fatalf("race streams diverged\nfast: %v\nref:  %v", fastRaces, refRaces)
-	}
-	if !reflect.DeepEqual(parRaces, refRaces) {
-		t.Fatalf("parallel race stream diverged\npar: %v\nref: %v", parRaces, refRaces)
-	}
-	if !reflect.DeepEqual(viewRaces, refRaces) {
-		t.Fatalf("view race stream diverged\nview: %v\nref:  %v", viewRaces, refRaces)
+	serialDone = append(serialDone, serial.Events()...)
+	serial.End()
+	for _, p := range []struct {
+		name   string
+		events []RaceEvent
+	}{{"serial", serialDone}, {"shared", sharedRaces}, {"one-word", wordRaces}} {
+		if !reflect.DeepEqual(p.events, refRaces) {
+			t.Fatalf("%s race stream diverged\n%s: %v\nref: %v", p.name, p.name, p.events, refRaces)
+		}
 	}
 	// The histories must also agree on traffic the protocol defines
-	// exactly (reads/writes observed). The fast checkers skip owned and
-	// stamped words the reference still appends, so their reader-list
-	// state machine is compared among themselves.
-	rs, fs := ref.Stats(), fast.Stats()
+	// exactly (reads/writes observed). The checker skips owned and
+	// stamped words the reference still appends, so its reader-list
+	// state machine is compared among the checker shapes.
+	rs, fs := ref.Stats(), serialH.Stats()
 	if fs.Reads != rs.Reads || fs.Writes != rs.Writes {
-		t.Fatalf("traffic diverged: fast %+v ref %+v", fs, rs)
+		t.Fatalf("traffic diverged: serial %+v ref %+v", fs, rs)
 	}
 	for _, p := range []struct {
 		name string
 		st   Stats
-	}{{"parallel", par.Stats()}, {"view", vh.Stats()}} {
+	}{{"shared", sharedH.Stats()}, {"one-word", wordsH.Stats()}} {
 		st := p.st
 		if st.Reads != fs.Reads || st.Writes != fs.Writes || st.ReaderAppends != fs.ReaderAppends ||
 			st.ReaderFlushes != fs.ReaderFlushes || st.EpochInflations != fs.EpochInflations ||
 			st.EpochDeflations != fs.EpochDeflations || st.SpillEntries != fs.SpillEntries {
-			t.Fatalf("%s traffic diverged:\n%s %+v\nfast %+v", p.name, p.name, st, fs)
+			t.Fatalf("%s traffic diverged:\n%s %+v\nserial %+v", p.name, p.name, st, fs)
 		}
 	}
-	if wantFanout && par.Stats().ParRanges == 0 {
-		t.Fatal("parallel path never fanned out despite fan-out-sized ranges")
-	}
-	cov.recycled = uint64(fast.spill.next) < fast.Stats().EpochInflations
+	cov.recycled = uint64(serialH.spill.next) < fs.EpochInflations
 	return cov
 }

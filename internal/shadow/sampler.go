@@ -24,15 +24,13 @@
 // package progen tests for the rate-1.0 identity proof.
 //
 // Determinism: the rate test depends only on (seed, address, generation),
-// all of which are identical across the serial, worker-pool and
-// consumer-View pipelines, so with an unlimited budget the sampled access
-// set — and every verdict and counter derived from it — is identical in
-// every Workers × Consumers configuration. A finite budget keeps the
-// *totals* deterministic (per page and generation, exactly
-// min(budget, rate-admitted accesses) coupons are consumed) but lets
-// scheduling decide *which* accesses win a coupon when two workers share
-// a page, so budgeted runs promise the subset property, not cross-config
-// identity.
+// all of which are identical whichever checker — inline, single consumer
+// or one of several consumers — checks the access, so with an unlimited
+// budget the sampled access set — and every verdict and counter derived
+// from it — is identical in every Consumers configuration. A finite
+// budget keeps the *totals* deterministic (per page and generation,
+// exactly min(budget, rate-admitted accesses) coupons are consumed);
+// budgeted runs promise the subset property, not cross-config identity.
 package shadow
 
 // couponRemBits splits the per-page coupon word: the low bits count the
@@ -107,10 +105,8 @@ func (sm *sampler) admit(addr, gen uint64) bool {
 
 // takeCoupon consumes one admission coupon from p's budget for the given
 // generation, refreshing the budget when the page is first sampled in a
-// new generation. The CAS loop makes the consumed total exact when
-// workers of one fan-out share a page (they never share a word, but the
-// coupon word is page-level); on the serial path the CAS always succeeds
-// on the first try.
+// new generation. The CAS loop keeps the consumed total exact whichever
+// checker samples the page; uncontended, it succeeds on the first try.
 func (sm *sampler) takeCoupon(p *page, gen uint64) bool {
 	tag := ((gen + 1) & couponGenMask) << couponRemBits
 	for {
@@ -128,27 +124,11 @@ func (sm *sampler) takeCoupon(p *page, gen uint64) bool {
 	}
 }
 
-// sampleSlow decides whether one protocol-bound access on the serial path
-// pays the full query cost, maintaining the serial counters. Callers
-// check h.smp.on first so a disarmed sampler costs one predictable
-// branch.
-func (h *History) sampleSlow(p *page, addr, gen uint64) bool {
-	if !h.smp.admit(addr, gen) {
-		return false
-	}
-	if h.smp.budget != 0 && !h.smp.takeCoupon(p, gen) {
-		h.budgetSkips++
-		return false
-	}
-	h.sampledAccesses++
-	return true
-}
-
-// sampleSlow is the worker-local mirror for the fan-out and consumer-View
-// paths: the admission decision is the same pure function (the generation
-// comes from the chunk's pinned Ctx), only the counters land in the
-// chunk's fold set.
-func (c *chunkState) sampleSlow(p *page, addr uint64) bool {
+// sampleSlow decides whether one protocol-bound access pays the full
+// query cost, counting the decision on the checker. The generation comes
+// from the batch's Ctx. Callers check smp.on first so a disarmed sampler
+// costs one predictable branch.
+func (c *Checker) sampleSlow(p *page, addr uint64) bool {
 	sm := &c.h.smp
 	if !sm.admit(addr, c.ctx.Gen) {
 		return false

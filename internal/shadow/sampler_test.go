@@ -11,18 +11,16 @@ import (
 // with every counter equal except SampledAccesses itself.
 func TestSamplerRateOneIdentical(t *testing.T) {
 	parallel := func(u, v core.StrandID) bool { return false }
-	run := func(sample bool) ([]raceEvent, Stats) {
-		h := NewHistory()
+	run := func(sample bool) ([]RaceEvent, Stats) {
+		e := newEnv(parallel)
 		if sample {
-			h.SetSampling(1.0, 0, 0x5eed)
+			e.h.SetSampling(1.0, 0, 0x5eed)
 		}
-		var events []raceEvent
-		ctx := ctxFor(parallel, &events)
-		h.WriteRange(0, 64, 1, ctx)
-		h.ReadRange(16, 64, 2, ctx)  // races with 1 on [16,64)
-		h.WriteRange(32, 16, 3, ctx) // races with 1 (writer) and 2 (readers)
-		h.ReadRange(0, 8, 1, ctx)    // owned fast path, no sampler consult
-		return events, h.Stats()
+		e.write(0, 64, 1)
+		e.read(16, 64, 2)  // races with 1 on [16,64)
+		e.write(32, 16, 3) // races with 1 (writer) and 2 (readers)
+		e.read(0, 8, 1)    // owned fast path, no sampler consult
+		return e.races, e.h.Stats()
 	}
 	fullEv, fullSt := run(false)
 	smpEv, smpSt := run(true)
@@ -51,16 +49,14 @@ func TestSamplerRateOneIdentical(t *testing.T) {
 func TestSamplerSubset(t *testing.T) {
 	parallel := func(u, v core.StrandID) bool { return u == 1 && v == 2 }
 	run := func(rate float64) map[uint64]bool {
-		h := NewHistory()
-		h.SetSampling(rate, 0, 42)
-		var events []raceEvent
-		ctx := ctxFor(parallel, &events)
-		h.WriteRange(0, 256, 1, ctx)
-		h.ReadRange(0, 256, 2, ctx) // ordered after 1: race-free
-		h.WriteRange(0, 256, 3, ctx)
-		h.ReadRange(128, 64, 4, ctx)
+		e := newEnv(parallel)
+		e.h.SetSampling(rate, 0, 42)
+		e.write(0, 256, 1)
+		e.read(0, 256, 2) // ordered after 1: race-free
+		e.write(0, 256, 3)
+		e.read(128, 64, 4)
 		addrs := map[uint64]bool{}
-		for _, ev := range events {
+		for _, ev := range e.races {
 			addrs[ev.Addr] = true
 		}
 		return addrs
@@ -90,17 +86,15 @@ func TestSamplerSubset(t *testing.T) {
 // identity the unsampled installs left behind.
 func TestSamplerBudgetAndRefresh(t *testing.T) {
 	parallel := func(u, v core.StrandID) bool { return false }
-	h := NewHistory()
-	h.SetSampling(1.0, 1, 7)
-	var events []raceEvent
-	ctx := ctxFor(parallel, &events)
+	e := newEnv(parallel)
+	e.h.SetSampling(1.0, 1, 7)
 
-	h.WriteRange(0, 10, 1, ctx) // fresh words: owned fast path, no consult
-	h.WriteRange(0, 10, 2, ctx) // all parallel with 1: slow path ×10
-	if len(events) != 1 {
-		t.Fatalf("budget 1: want exactly 1 reported race, got %d", len(events))
+	e.write(0, 10, 1) // fresh words: owned fast path, no consult
+	e.write(0, 10, 2) // all parallel with 1: slow path ×10
+	if len(e.races) != 1 {
+		t.Fatalf("budget 1: want exactly 1 reported race, got %d", len(e.races))
 	}
-	st := h.Stats()
+	st := e.h.Stats()
 	if st.SampledAccesses != 1 || st.SkippedByBudget != 9 {
 		t.Fatalf("want 1 sampled / 9 budget-skipped, got %d / %d",
 			st.SampledAccesses, st.SkippedByBudget)
@@ -108,13 +102,13 @@ func TestSamplerBudgetAndRefresh(t *testing.T) {
 
 	// Next generation: the coupon refreshes, and the read's racer is
 	// strand 2 — the unsampled writes installed themselves correctly.
-	ctx.Gen++
-	events = events[:0]
-	h.ReadRange(5, 1, 3, ctx)
-	if len(events) != 1 || events[0].Racer.Prev != 2 || !events[0].Racer.PrevWrite {
-		t.Fatalf("after refresh: want read race against writer 2, got %+v", events)
+	e.ctx.Gen++
+	e.races = e.races[:0]
+	e.read(5, 1, 3)
+	if len(e.races) != 1 || e.races[0].Racer.Prev != 2 || !e.races[0].Racer.PrevWrite {
+		t.Fatalf("after refresh: want read race against writer 2, got %+v", e.races)
 	}
-	if st := h.Stats(); st.SampledAccesses != 2 {
+	if st := e.h.Stats(); st.SampledAccesses != 2 {
 		t.Fatalf("refresh did not admit the new generation's access: %+v", st)
 	}
 }

@@ -1,6 +1,6 @@
 // Inflated reader lists and the per-batch verdict cache: the two pieces of
-// shadow state shared by the serial checker (History) and the worker-local
-// one (chunkState).
+// shadow state behind a Checker's slow paths (the spill slab is also used
+// by the History's reference protocol).
 package shadow
 
 import (
@@ -33,11 +33,10 @@ type spillSeg [spillSegSize][]core.StrandID
 //
 // A deflated slot goes on the free list with its capacity intact, so a
 // word that inflates on every write-then-read cycle stops allocating after
-// the first. On the shared path (worker chunks and consumer Views) mu is
-// taken only to allocate or free a slot; the list itself belongs to the
-// word's owner — chunks partition ranges and concurrent batches touch
-// disjoint pages — so appends and reads need no lock. The serial path
-// never locks (no shared path runs beside it).
+// the first. With concurrent checkers (shared) mu is taken only to
+// allocate or free a slot; the list itself belongs to the word's owner —
+// concurrent batches and stolen chunks touch disjoint pages — so appends
+// and reads need no lock. A lone checker never locks.
 type spillSlab struct {
 	// segs is the segment table, grown copy-on-write under mu and
 	// published atomically so lock-free readers always see every segment
@@ -46,6 +45,10 @@ type spillSlab struct {
 	mu   sync.Mutex
 	next uint32   // slots handed out so far, freed ones included
 	free []uint32 // deflated slots, ready for reuse
+
+	// shared is set at construction when several checkers run
+	// concurrently (NewHistory); only then do alloc and release lock.
+	shared bool
 }
 
 // list returns the reader list header of slot.
@@ -59,8 +62,8 @@ func (t *spillSlab) readers(r0 core.StrandID) []core.StrandID {
 }
 
 // alloc returns an empty slot, recycling a freed one when it can.
-func (t *spillSlab) alloc(shared bool) uint32 {
-	if shared {
+func (t *spillSlab) alloc() uint32 {
+	if t.shared {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 	}
@@ -86,10 +89,10 @@ func (t *spillSlab) alloc(shared bool) uint32 {
 }
 
 // release empties slot's list, keeping its capacity, and frees the slot.
-func (t *spillSlab) release(slot uint32, shared bool) {
+func (t *spillSlab) release(slot uint32) {
 	l := t.list(slot)
 	*l = (*l)[:0]
-	if shared {
+	if t.shared {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 	}
@@ -99,7 +102,7 @@ func (t *spillSlab) release(slot uint32, shared bool) {
 // addReader records s in w's reader list after a race-free read: into the
 // inline slot when it is empty, nowhere when s is already the inline
 // reader, otherwise into the spill list.
-func (t *spillSlab) addReader(w *word, s core.StrandID, c *counters, shared bool) {
+func (t *spillSlab) addReader(w *word, s core.StrandID, c *counters) {
 	switch w.reader0 {
 	case core.NoStrand:
 		w.reader0 = s
@@ -108,7 +111,7 @@ func (t *spillSlab) addReader(w *word, s core.StrandID, c *counters, shared bool
 		// Same strand re-reading between writes. An inflated reader0
 		// carries spillFlag, so it never equals a strand id.
 	default:
-		t.appendSpill(w, s, c, shared)
+		t.appendSpill(w, s, c)
 	}
 }
 
@@ -117,9 +120,9 @@ func (t *spillSlab) addReader(w *word, s core.StrandID, c *counters, shared bool
 // inline reader into a slot's list, followed by s. On an inflated word a
 // strand equal to the first or the last entry is already recorded, which
 // bounds growth by the number of reader alternations.
-func (t *spillSlab) appendSpill(w *word, s core.StrandID, c *counters, shared bool) {
+func (t *spillSlab) appendSpill(w *word, s core.StrandID, c *counters) {
 	if w.reader0&spillFlag == 0 {
-		slot := t.alloc(shared)
+		slot := t.alloc()
 		l := t.list(slot)
 		*l = append(*l, w.reader0, s)
 		w.reader0 = spillFlag | core.StrandID(slot)
@@ -143,12 +146,12 @@ func (t *spillSlab) appendSpill(w *word, s core.StrandID, c *counters, shared bo
 // the single-reader state. A word with no readers has no stamp either — a
 // race-free read always records its reader — so the early return cannot
 // strand a stale stamp.
-func (t *spillSlab) flush(w *word, c *counters, shared bool) {
+func (t *spillSlab) flush(w *word, c *counters) {
 	if w.reader0 == core.NoStrand {
 		return
 	}
 	if w.reader0&spillFlag != 0 {
-		t.release(uint32(w.reader0&^spillFlag), shared)
+		t.release(uint32(w.reader0 &^ spillFlag))
 		c.epochDeflations++
 	}
 	w.reader0 = core.NoStrand
@@ -189,9 +192,9 @@ type verdictEntry struct {
 // verdictCache is a direct-mapped cache of "u precedes the current
 // strand" verdicts, keyed by the source strand u. It is valid only while
 // the construct generation and the current strand stay fixed (the window
-// in which the reachability relation is immutable); its owner calls reset
-// whenever either may change. The zero value is an empty cache: its
-// entries name NoStrand, which is never queried.
+// in which the reachability relation is immutable); a Checker resets it
+// at every batch, which has one strand and one generation. The zero value
+// is an empty cache: its entries name NoStrand, which is never queried.
 type verdictCache struct {
 	stamp uint32
 	e     [verdictSlots]verdictEntry

@@ -1,7 +1,6 @@
 package futurerd_test
 
 import (
-	"fmt"
 	"testing"
 
 	"futurerd"
@@ -43,9 +42,9 @@ func TestReadSharedRepeatedReadsQueryFree(t *testing.T) {
 	const words, blk, k, r = 1 << 14, 64, 4, 3
 	arr := futurerd.NewArray[int64](words)
 	base := arr.Addr(0)
-	queries := func(p int, workers int) (uint64, uint64) {
+	queries := func(p int, consumers int) (uint64, uint64) {
 		rep := futurerd.Detect(futurerd.Config{
-			Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull, Workers: workers,
+			Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull, Consumers: consumers,
 		}, readSharedProgram(base, words, blk, k, r, p))
 		if rep.Err != nil {
 			t.Fatal(rep.Err)
@@ -55,15 +54,15 @@ func TestReadSharedRepeatedReadsQueryFree(t *testing.T) {
 		}
 		return rep.Stats.Reach.Queries, rep.Stats.Shadow.ReadSharedSkips
 	}
-	for _, workers := range []int{0, 4} {
-		q1, _ := queries(1, workers)
-		q4, skips := queries(4, workers)
+	for _, consumers := range []int{0, 1, 4} {
+		q1, _ := queries(1, consumers)
+		q4, skips := queries(4, consumers)
 		if q4 != q1 {
-			t.Fatalf("workers=%d: 4 passes made %d queries, 1 pass made %d — re-reads are not free",
-				workers, q4, q1)
+			t.Fatalf("consumers=%d: 4 passes made %d queries, 1 pass made %d — re-reads are not free",
+				consumers, q4, q1)
 		}
 		if want := uint64(3 * r * words); skips != want {
-			t.Fatalf("workers=%d: ReadSharedSkips = %d, want %d", workers, skips, want)
+			t.Fatalf("consumers=%d: ReadSharedSkips = %d, want %d", consumers, skips, want)
 		}
 	}
 }
@@ -99,11 +98,10 @@ func TestEpochSurvivesConstructs(t *testing.T) {
 		}
 	}
 	for _, mode := range []futurerd.Mode{futurerd.ModeMultiBags, futurerd.ModeMultiBagsPlus} {
-		for _, workers := range []int{0, 4} {
+		for _, consumers := range []int{0, 1, 4} {
 			run := func(p int) *futurerd.Report {
 				rep := futurerd.Detect(futurerd.Config{
-					Mode: mode, Mem: futurerd.MemFull,
-					Workers: workers, WorkerChunk: 2048,
+					Mode: mode, Mem: futurerd.MemFull, Consumers: consumers,
 				}, prog(p))
 				if rep.Err != nil {
 					t.Fatal(rep.Err)
@@ -117,11 +115,11 @@ func TestEpochSurvivesConstructs(t *testing.T) {
 			q1 := run(1).Stats.Reach.Queries
 			rep := run(p)
 			if qp := rep.Stats.Reach.Queries; qp != q1 {
-				t.Fatalf("mode=%v workers=%d: %d cross-generation scans made %d queries, one scan makes %d — stamps died at constructs",
-					mode, workers, p, qp, q1)
+				t.Fatalf("mode=%v consumers=%d: %d cross-generation scans made %d queries, one scan makes %d — stamps died at constructs",
+					mode, consumers, p, qp, q1)
 			}
 			if got, want := rep.Stats.Shadow.EpochHits, uint64((p-1)*words); got != want {
-				t.Fatalf("mode=%v workers=%d: EpochHits = %d, want %d", mode, workers, got, want)
+				t.Fatalf("mode=%v consumers=%d: EpochHits = %d, want %d", mode, consumers, got, want)
 			}
 		}
 	}
@@ -151,30 +149,4 @@ func BenchmarkAccessHistoryReadShared(b *testing.B) {
 	}
 	b.ReportMetric(float64(r*p*words), "readwords/op")
 	b.ReportMetric(float64(queries)/float64(reads), "queries/read")
-}
-
-// BenchmarkChunkWords sweeps the parallel range chunk granule
-// (Config.WorkerChunk) over a bulk seqscan so DefaultChunkWords can be
-// picked from data; chunk=0 is the shipped default.
-func BenchmarkChunkWords(b *testing.B) {
-	const words = 1 << 20
-	arr := futurerd.NewArray[int64](words)
-	base := arr.Addr(0)
-	for _, chunk := range []int{0, 2048, 4096, 8192, 16384, 32768, 65536} {
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := futurerd.Detect(futurerd.Config{
-					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull,
-					Workers: 4, WorkerChunk: chunk,
-				}, func(t *futurerd.Task) {
-					t.WriteRange(base, words)
-					t.ReadRange(base, words)
-				})
-				if rep.Racy() {
-					b.Fatal("unexpected race")
-				}
-			}
-			b.ReportMetric(float64(2*words), "words/op")
-		})
-	}
 }

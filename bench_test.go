@@ -376,7 +376,7 @@ func BenchmarkRecord(b *testing.B) {
 
 // BenchmarkReplay measures trace-replay throughput — the offline
 // detection path: decode a recorded v2 stream and drive it through full
-// MultiBags+ detection, inline and on the asynchronous single consumer.
+// MultiBags+ detection, inline and on the scheduled pool of one consumer.
 func BenchmarkReplay(b *testing.B) {
 	ins := workloads.NewLCS(256, 16, workloads.StructuredFutures, 1)
 	raw, err := futurerd.RecordTraceBytes(ins.Run)

@@ -34,7 +34,7 @@ func main() {
 	size := flag.String("size", "bench", "input scale: test, quick, bench")
 	validate := flag.Bool("validate", false, "re-validate outputs against sequential references")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	consumers := flag.Int("consumers", 0, "detection pipeline for the detecting configs: 0 inline, 1 one async consumer, >=2 consumer pool width")
+	consumers := flag.Int("consumers", 0, "detection pipeline for the detecting configs: 0 inline, n>=1 scheduled pool of n consumers")
 	traces := flag.String("traces", "traces", "directory of the committed trace corpus (replay table)")
 	flag.Parse()
 

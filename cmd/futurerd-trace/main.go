@@ -20,8 +20,8 @@
 // record executes a benchmark once without detection and writes its
 // event trace (format v2 by default; v1 for migration tooling). replay
 // re-detects a recorded trace — any format, any algorithm, any pipeline
-// width — and prints the same statistics as run; -consumers 1 exercises
-// the asynchronous back-end. A corrupt trace fails with a one-line diagnosis
+// width — and prints the same statistics as run; -consumers n (n >= 1)
+// exercises the scheduled consumer pool. A corrupt trace fails with a one-line diagnosis
 // and a non-zero exit; -recover instead replays the longest well-formed
 // prefix and reports where and why the stream was cut. stat summarizes a
 // trace: event counts, bytes per event, and the compression ratio against
@@ -179,7 +179,7 @@ func cmdRun(args []string) {
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	size := parseSize(fs)
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, 1 one async consumer, >=2 consumer pool width")
+	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, n>=1 scheduled pool of n consumers (oracle runs inline)")
 	dot := fs.Bool("dot", false, "dump the computation dag as Graphviz (oracle mode)")
 	fs.Parse(args)
 
@@ -250,7 +250,7 @@ func cmdReplay(args []string) {
 	in := fs.String("i", "", "input trace file (required)")
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, 1 one async consumer, >=2 consumer pool width")
+	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, n>=1 scheduled pool of n consumers (oracle runs inline)")
 	recover := fs.Bool("recover", false,
 		"replay the longest well-formed prefix of a damaged trace instead of failing")
 	fs.Parse(args)
@@ -324,7 +324,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: futurerd-trace [run|record|replay|stat] [flags]")
 	fmt.Fprintln(os.Stderr, "  run     detect a benchmark directly and print statistics (default)")
 	fmt.Fprintln(os.Stderr, "  record  write a benchmark's event trace (v2; -format v1 for legacy)")
-	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-consumers for the async pipeline)")
+	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-consumers for the consumer pool)")
 	fmt.Fprintln(os.Stderr, "  stat    summarize a trace: events, bytes/event, compression ratio")
 	fmt.Fprintln(os.Stderr, "run 'futurerd-trace <subcommand> -h' for the subcommand's flags")
 }

@@ -90,19 +90,18 @@
 // footprint: its strand plus a compact summary of the shadow pages it
 // touches. Config.Consumers picks the detection pipeline: 0 (the
 // default) checks each sealed batch inline on the engine goroutine; with
-// 1 or more, sealed batches are checked off the engine goroutine,
-// overlapping continued
-// program execution, and constructs do not wait for them: the relation
+// 1 or more, a scheduled consumer pool of that size checks sealed batches
+// off the engine goroutine, overlapping continued program execution
+// (oracle and Verify runs, whose queries are not concurrent-safe, check
+// inline). Constructs do not wait for the pool: the relation
 // is versioned (core.Versioned), constructs record their mutations into
 // a bounded log, each batch carries the version it executed under, and
 // the back-end replays mutations before checking. The engine runs ahead
 // of detection until the construct-ahead window (Config.ConstructAhead)
 // back-pressures.
 //
-// With Config.Consumers == 1 the back-end is one consumer goroutine
-// checking batches in seal order. With Config.Consumers > 1 it is a
-// dependency-scheduled
-// consumer pool with overlapping windows. Construct mutations are
+// The pool is dependency-scheduled with overlapping windows, at any
+// size including one consumer. Construct mutations are
 // classified by whether they fold the relation: spawn, create and init
 // only add nodes, so they are pin-safe and apply under live snapshot
 // pins (core.Versioned's pin-epoch model), while sync joins and future
@@ -119,16 +118,17 @@
 // (Config.StealChunkWords tunes the granule) that idle consumers steal
 // (Stats.Event.StolenChunks); delivery reassembles chunk verdicts in
 // order, so reports stay order-identical. Dependent batches serialize
-// in seal order, so a construct-dense program degenerates to the
-// single-consumer pipeline rather than deadlocking. A sequence-numbered
+// in seal order, so a construct-dense program degenerates to serial
+// checking rather than deadlocking. A sequence-numbered
 // reorder buffer in front of OnRace delivers race reports in seal order. CheckStructured's discipline
 // query no longer drains the pipeline either: it is deferred and
 // answered from the versioned snapshot in stream order (a violation is
 // recorded, never acted on, so nothing needs the answer eagerly).
 // Verdicts, report order and deterministic counters are identical to a
 // synchronous run for every Consumers setting. Every pipeline checks
-// batches with one shadow checker type: the engine owns one for the
-// inline and single-consumer paths, each pool consumer owns its own; a
+// batches with one shadow checker type and one per-batch body: the
+// engine owns a checker for the inline path, each pool consumer owns its
+// own; a
 // shadow install audit asserts the disjoint-footprint invariant at run time and
 // the -race CI suite drives it.
 //

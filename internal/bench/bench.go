@@ -72,8 +72,8 @@ type Options struct {
 	// reference (slower; default off for timing runs).
 	Validate bool
 	// Consumers sets Config.Consumers for the detecting configurations:
-	// 0 checks batches inline, 1 on one asynchronous consumer, more on
-	// the scheduled consumer pool of this width.
+	// 0 checks batches inline, n >= 1 on the scheduled pool of n
+	// consumers.
 	Consumers int
 }
 
@@ -270,7 +270,7 @@ func footprint(rep *futurerd.Report) string {
 
 // indepPct renders the fraction of sealed batches classified independent
 // of their predecessor — the (deterministic) pairwise form of the
-// multi-consumer scheduler's concurrency condition, so it reads as "how
+// detection scheduler's concurrency condition, so it reads as "how
 // much of this workload's batch stream a consumer pool can overlap".
 func indepPct(rep *futurerd.Report) string {
 	if rep == nil || rep.Stats.Event.Batches == 0 {

@@ -64,7 +64,7 @@ type CreateRec struct {
 // the child's bag into the parent's P-bag). First is the function's first
 // strand; the engine allocates strand ids densely in depth-first execution
 // order, so [First, Last] spans every strand of Fn's subtree — the
-// multi-consumer scheduler uses the span to decide which in-flight batches
+// detection scheduler uses the span to decide which in-flight batches
 // a return's bag retagging could affect. The reachability algorithms
 // ignore it.
 type ReturnRec struct {

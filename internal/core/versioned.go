@@ -23,8 +23,8 @@
 //
 // # Concurrent snapshot reads and pin-safe mutations
 //
-// With a multi-consumer back-end several goroutines query the underlying
-// Reach at once, each under a pinned version: the scheduler applies
+// With the detection scheduler (any Consumers >= 1) several goroutines
+// query the underlying Reach at once, each under a pinned version: the scheduler applies
 // mutations up to a batch's version, calls Pin, dispatches the batch to
 // the consumer pool, and calls Unpin when its consumers finish. While a
 // pin is held the relation may still advance — but only by mutations the

@@ -60,8 +60,8 @@ type Engine struct {
 	// checking goroutine ever reads engine-mutated state.
 	sctx shadow.Ctx
 
-	// chk is the shadow checker of the synchronous and single-consumer
-	// pipelines (nil with Consumers > 1, where each consumer owns one).
+	// chk is the inline pipeline's shadow checker (nil with Consumers >= 1,
+	// where each pool consumer owns one).
 	chk *shadow.Checker
 
 	// gen is the parallel-construct generation, bumped at every construct
@@ -93,10 +93,9 @@ type Engine struct {
 	submittedVersion uint64
 
 	// consumers is the effective pipeline width: 0 checks batches inline,
-	// 1 on one asynchronous consumer, more on the dependency-scheduled
-	// consumer pool (Config.Consumers, clamped to 1 when the pool is not
-	// eligible: it needs a concurrent-query-safe algorithm, no Verify, no
-	// oracle).
+	// 1 or more on the dependency-scheduled consumer pool of that size
+	// (Config.Consumers, clamped to 0 when the pool is not eligible: it
+	// needs a concurrent-query-safe algorithm, no Verify, no oracle).
 	consumers int
 
 	// Dependency classification of construct mutations, accumulated on
@@ -145,9 +144,8 @@ type Engine struct {
 	// batch carries the version of the reachability relation it was
 	// recorded under and the back-end applies construct mutations (from
 	// vr) so every in-flight check observes a snapshot answering its
-	// queries exactly as the batch's own version would. With Consumers >
-	// 1 it is a dependency-scheduled consumer pool (see sched.go); with
-	// Consumers == 1 a single consumer goroutine in seal order.
+	// queries exactly as the batch's own version would. It is the
+	// dependency-scheduled consumer pool of sched.go, nil with Consumers == 0.
 	be *pipeline
 
 	// faults is the run's fault-injection plan (nil in production: every
@@ -170,9 +168,9 @@ type Engine struct {
 	violMu sync.Mutex
 
 	// The race sink. raceMu guards it (and the labels map) because with
-	// Consumers >= 1 races are reported from the detection back-end
-	// goroutine while the engine goroutine keeps executing; the single
-	// back-end consumer keeps delivery in serial report order. raceSeen
+	// Consumers >= 1 races are reported from the scheduler goroutine while
+	// the engine goroutine keeps executing; the scheduler's in-order
+	// delivery keeps them in serial report order. raceSeen
 	// maps a racy address to the signature of the recorded strand pair so
 	// observations of a different pair at the same address can be counted
 	// (droppedPairs) instead of silently vanishing.
@@ -267,18 +265,18 @@ func NewEngine(cfg Config) *Engine {
 // initPipeline sets up the shadow history and the access-event batch
 // layer: every engine that observes memory accesses batches them.
 // Consumers == 0 checks each batch inline on the engine goroutine;
-// Consumers >= 1 checks batches asynchronously off it, overlapping
-// detection with continued program execution — on one consumer, or on
-// the scheduled consumer pool when Consumers > 1. An asynchronous
-// detecting engine also versions its reachability relation so constructs
-// need not block on back-end drain.
+// Consumers >= 1 checks batches off it on the scheduled consumer pool,
+// overlapping detection with continued program execution. An ineligible
+// run (oracle, Verify) checks inline. An asynchronous detecting engine
+// also versions its reachability relation so constructs need not block
+// on back-end drain.
 func (e *Engine) initPipeline(cfg Config) {
 	if cfg.Mem == MemOff || e.err != nil {
 		return
 	}
 	e.consumers = max(cfg.Consumers, 0)
-	if e.consumers > 1 && !e.consumersEligible(cfg) {
-		e.consumers = 1
+	if !e.consumersEligible(cfg) {
+		e.consumers = 0
 	}
 	e.hist = shadow.NewHistory(e.consumers > 1)
 	e.hist.SetFaults(cfg.Faults)
@@ -296,10 +294,8 @@ func (e *Engine) initPipeline(cfg Config) {
 	if e.stealWords <= 0 {
 		e.stealWords = 4 << shadow.PageBits
 	}
-	if e.consumers <= 1 {
-		e.chk = shadow.NewChecker(e.hist, 0)
-	}
 	if e.consumers == 0 {
+		e.chk = shadow.NewChecker(e.hist, 0)
 		return
 	}
 	if e.detecting {
@@ -328,7 +324,7 @@ func (e *Engine) initPipeline(cfg Config) {
 	e.be = newPipeline(e, e.consumers)
 }
 
-// consumersEligible reports whether the multi-consumer back-end may run:
+// consumersEligible reports whether the consumer pool may run:
 // its consumers query the reachability relation concurrently (under a
 // pinned snapshot), so the algorithm must advertise QueryConcurrent;
 // Verify wraps queries in oracle cross-checks and stays serial, as does
@@ -625,31 +621,24 @@ func (e *Engine) newPipelineError(stage string, b *event.Batch, r any) *Pipeline
 	return pe
 }
 
-// rethrowIfDebugAudit re-raises a shadow install-audit violation under
-// the futurerd_debug build tag: the -race CI suite must halt hard on a
-// scheduler bug, while production builds fail closed through the normal
-// PipelineError path.
-func rethrowIfDebugAudit(r any) {
-	if faultinject.Debug {
-		if _, ok := r.(*shadow.AuditError); ok {
-			panic(r)
-		}
-	}
-}
-
-// checkBatchInline is processBatch on the synchronous pipeline (no
-// back-end goroutine), shelled so a detection-side panic — injected or
-// real — poisons the engine instead of unwinding through user frames as
-// a raw panic. No user code runs below this frame, so the recover cannot
-// mask a user panic.
-func (e *Engine) checkBatchInline(b *event.Batch) {
+// guard is the pipeline's one recover shell: it runs fn and converts a
+// panic — injected, an audit violation, or a detector bug — into a
+// structured PipelineError for the named stage (nil when fn completes).
+// No user code runs below it, so the recover cannot mask a user panic.
+// Under the futurerd_debug build tag a shadow install-audit violation
+// re-panics instead: the -race CI suite must halt hard on a scheduler
+// bug, while production builds fail closed.
+func (e *Engine) guard(stage string, b *event.Batch, fn func()) (pe *PipelineError) {
 	defer func() {
 		if r := recover(); r != nil {
-			rethrowIfDebugAudit(r)
-			e.poisonWith(e.newPipelineError("inline", b, r))
+			if _, ok := r.(*shadow.AuditError); ok && faultinject.Debug {
+				panic(r)
+			}
+			pe = e.newPipelineError(stage, b, r)
 		}
 	}()
-	e.processBatch(b)
+	fn()
+	return nil
 }
 
 // DAG runs root under the oracle recorder and returns the recorded
@@ -976,42 +965,53 @@ func (e *Engine) flushBatch() {
 		e.be.submit(workItem{b: b})
 		return
 	}
-	e.checkBatchInline(b)
+	if pe := e.guard("inline", b, func() {
+		for _, ev := range e.checkChunk(e.chk, chunkWork{b: b, hi: len(b.Ops), maxPage: ^uint64(0)}) {
+			e.reportRace(ev.Addr, ev.Racer.Prev, b.Strand, ev.Racer.PrevWrite, ev.Write)
+		}
+	}); pe != nil {
+		e.poisonWith(pe)
+	}
 	b.Reset()
 }
 
-// processBatch runs detection over one sealed batch on the engine's own
-// checker and delivers its races. Every op in the batch was performed by
-// batch.Strand under the relation snapshot named by batch.Version — the
-// single back-end consumer applies pending construct mutations up to
-// exactly that version first, so its checks never observe a relation
-// newer than the one the accesses executed under. Runs on the back-end
-// goroutine when Consumers == 1, inline otherwise.
-func (e *Engine) processBatch(b *event.Batch) {
+// checkChunk is the per-batch body every pipeline shares: the consumer
+// fault probes, the install-audit page claims, and the check of ops
+// [cw.lo, cw.hi) of cw.b on checker c. Every op was performed by the
+// batch's strand under the relation snapshot named by its version, which
+// the scheduler has published before dispatch. The checker starts the
+// chunk with cold verdict caches, whichever pipeline runs it, so memo-hit
+// counters cannot depend on the configuration. It returns c's buffered
+// race events for the caller to deliver (valid until c's next chunk).
+// The inline pipeline checks each batch as one chunk.
+func (e *Engine) checkChunk(c *shadow.Checker, cw chunkWork) []shadow.RaceEvent {
 	if e.faults.Fire(faultinject.ConsumerPanic) {
 		panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
 	}
+	if cw.idx > 0 && e.faults.Fire(faultinject.StealPanic) {
+		panic(faultinject.Panic{Point: faultinject.StealPanic})
+	}
 	e.faults.Delay(faultinject.ConsumerStall)
-	if e.vr != nil {
-		e.vr.ApplyTo(b.Version)
-	}
-	e.checkOps(e.chk, b, 0, len(b.Ops))
-	for _, ev := range e.chk.Events() {
-		e.reportRace(ev.Addr, ev.Racer.Prev, b.Strand, ev.Racer.PrevWrite, ev.Write)
-	}
-}
-
-// checkOps checks ops [lo, hi) of batch b as one batch on checker c: the
-// body every pipeline shares. The checker starts the batch with cold
-// verdict caches, whichever pipeline runs it, so memo-hit counters cannot
-// depend on the configuration; its race events stay buffered for the
-// caller to deliver.
-func (e *Engine) checkOps(c *shadow.Checker, b *event.Batch, lo, hi int) {
+	b := cw.b
 	ctx := e.sctx
 	ctx.Gen = b.Gen
 	c.Begin(&ctx, b.Strand)
 	if e.mem == MemFull {
-		for i := lo; i < hi; i++ {
+		// The install audit asserts concurrent checks touch disjoint
+		// shadow pages, so each chunk claims the batch footprint clipped
+		// to its own page range — chunk ranges are disjoint by
+		// construction (event.SplitOps). Instrumentation-only batches
+		// never touch shadow state (TouchRange is a pure checksum), so the
+		// scheduler legitimately overlaps them and they claim nothing.
+		var buf [event.MaxFootprintSpans]shadow.PageClaim
+		claims := buf[:0]
+		for _, sp := range b.FP.Spans {
+			if lo, hi := max(sp.Lo, cw.minPage), min(sp.Hi, cw.maxPage); lo <= hi {
+				claims = append(claims, shadow.PageClaim{Lo: lo, Hi: hi})
+			}
+		}
+		c.Claim(claims)
+		for i := cw.lo; i < cw.hi; i++ {
 			op := &b.Ops[i]
 			if op.Kind == event.Read {
 				c.ReadRange(op.Addr, op.Words)
@@ -1021,11 +1021,12 @@ func (e *Engine) checkOps(c *shadow.Checker, b *event.Batch, lo, hi int) {
 		}
 	} else {
 		// MemInstr: decode-only traffic.
-		for i := lo; i < hi; i++ {
+		for i := cw.lo; i < cw.hi; i++ {
 			c.TouchRange(b.Ops[i].Addr, b.Ops[i].Words)
 		}
 	}
 	c.End()
+	return c.Events()
 }
 
 // pairSig condenses a race's identity beyond its address — the strand

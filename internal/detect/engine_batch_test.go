@@ -9,7 +9,7 @@ import (
 
 // These tests pin the event-batch pipeline: accesses buffer in coalescing
 // batches, batches seal at parallel constructs, and with Consumers >= 1
-// the sealed batches are checked on the back-end goroutine overlapping
+// the sealed batches are checked on the consumer pool overlapping
 // continued execution — all without changing a single verdict, report
 // order, or deterministic counter.
 
@@ -58,10 +58,10 @@ func TestBatchOverflowFlushesMidWindow(t *testing.T) {
 	}
 }
 
-// TestAsyncBackendMatchesSerial compares a Consumers=1 run (asynchronous
-// single-consumer back-end) against an inline run for every algorithm —
-// including the oracle, which is not eligible for the consumer pool but
-// still gets the async back-end.
+// TestAsyncBackendMatchesSerial compares a Consumers=1 run (the
+// scheduled pool of one consumer) against an inline run for every
+// algorithm — including the oracle, which is not eligible for the pool
+// and checks inline.
 func TestAsyncBackendMatchesSerial(t *testing.T) {
 	prog := func(t *Task) {
 		h := t.CreateFut(func(ft *Task) any {

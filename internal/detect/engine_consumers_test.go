@@ -343,7 +343,7 @@ func TestConsumersCheckStructuredDefersGets(t *testing.T) {
 }
 
 // TestConsumersIneligibleFallsBack: the oracle and Verify runs must fall
-// back to a single consumer (their query paths are not concurrent-safe)
+// back to inline checking (their query paths are not concurrent-safe)
 // and still produce correct reports.
 func TestConsumersIneligibleFallsBack(t *testing.T) {
 	prog := func(tk *Task) {
@@ -356,8 +356,8 @@ func TestConsumersIneligibleFallsBack(t *testing.T) {
 		{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 4, Verify: true},
 	} {
 		e := NewEngine(cfg)
-		if e.consumers != 1 {
-			t.Fatalf("%v verify=%v: consumers = %d, want fallback to 1",
+		if e.consumers != 0 {
+			t.Fatalf("%v verify=%v: consumers = %d, want fallback to 0",
 				cfg.Mode, cfg.Verify, e.consumers)
 		}
 		rep := e.Run(prog)

@@ -75,6 +75,49 @@ func TestOverlapTwoWindowsInFlight(t *testing.T) {
 	}
 }
 
+// TestOverlapSingleConsumer proves a pool of one consumer overlaps
+// windows too: batch 1 is held on the only consumer while the spawned
+// child's batch, sealed only after the hold is confirmed, reaches the
+// scheduler. The scheduler must publish the child's newer version over
+// the held flight before the hold is released.
+func TestOverlapSingleConsumer(t *testing.T) {
+	e := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1})
+	held := make(chan struct{}) // closed once batch 1 is in the consumer's hands
+	var first atomic.Bool
+	first.Store(true)
+	var overlappedWhileHeld atomic.Bool
+	e.be.testHook = func(*event.Batch) {
+		if !first.CompareAndSwap(true, false) {
+			return
+		}
+		close(held)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			if e.be.overlapped.Load() > 0 {
+				overlappedWhileHeld.Store(true)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	rep := e.Run(func(tk *Task) {
+		tk.WriteRange(1, 200) // batch 1: sealed at the spawn, then held
+		tk.Spawn(func(c *Task) {
+			c.WriteRange(8*4096, 300)
+			<-held // seal only after batch 1 is in flight
+		})
+		tk.Sync()
+	})
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	if !overlappedWhileHeld.Load() {
+		t.Fatal("no version was published over the held flight")
+	}
+	if rep.Racy() {
+		t.Fatalf("clean program reported races: %v", rep.Races)
+	}
+}
+
 // TestStealChunksAcrossConsumers proves chunk-granularity stealing: one
 // batch touching two distant page regions splits at the configured
 // granule, and the hook barrier — two arrivals before anyone proceeds —

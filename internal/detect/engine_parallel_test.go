@@ -164,10 +164,9 @@ func parallelProg(n int) func(*Task) {
 }
 
 // TestConsumersSelectPipeline pins what each Consumers setting runs:
-// 0 checks inline on the engine's checker, 1 on the asynchronous single
-// consumer (for every algorithm, the oracle and Verify runs included),
-// and 2 or more on the consumer pool, whose consumers own their checkers
-// — or on the single consumer when the pool is not eligible. Every
+// 0 checks inline on the engine's checker, and 1 or more on the
+// scheduled consumer pool, whose consumers own their checkers — or
+// inline when the pool is not eligible (oracle and Verify runs). Every
 // pipeline must report the inline run's races.
 func TestConsumersSelectPipeline(t *testing.T) {
 	const n = 2000
@@ -178,10 +177,10 @@ func TestConsumersSelectPipeline(t *testing.T) {
 		{Config{Mode: ModeMultiBags, Mem: MemFull}, 0},
 		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: -1}, 0},
 		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1}, 1},
-		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 1}, 1},
+		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 1}, 0},
 		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 4}, 4},
-		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 8}, 1},
-		{Config{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 8, Verify: true}, 1},
+		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 8}, 0},
+		{Config{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 8, Verify: true}, 0},
 		{Config{Mode: ModeNone, Mem: MemInstr, Consumers: 1}, 1},
 	} {
 		tc.cfg.MaxRaces = 3 * n
@@ -195,8 +194,8 @@ func TestConsumersSelectPipeline(t *testing.T) {
 		if async := e.be != nil; async != (tc.consumers > 0) {
 			t.Fatalf("%+v: asynchronous back-end = %v, want %v", tc.cfg, async, tc.consumers > 0)
 		}
-		if own := e.chk != nil; own != (tc.consumers <= 1) {
-			t.Fatalf("%+v: engine-owned checker = %v, want %v", tc.cfg, own, tc.consumers <= 1)
+		if own := e.chk != nil; own != (tc.consumers == 0) {
+			t.Fatalf("%+v: engine-owned checker = %v, want %v", tc.cfg, own, tc.consumers == 0)
 		}
 		rep := e.Run(parallelProg(n))
 		if rep.Err != nil || want.Err != nil {
@@ -215,8 +214,8 @@ func TestConsumersSelectPipeline(t *testing.T) {
 }
 
 // TestPoolReleasedOnUserPanic: a panic in user code must not leak the
-// detection back-end's goroutines — the single consumer or the consumer
-// pool (Run defers the back-end stop before re-panicking).
+// detection back-end's goroutines — the scheduler and its consumer pool,
+// at one consumer or four (Run defers the back-end stop before re-panicking).
 func TestPoolReleasedOnUserPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {

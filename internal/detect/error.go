@@ -23,8 +23,8 @@ var ErrStrandOverflow = errors.New("detect: strand ids exhausted (2^31-1 strands
 // engine submitted, Dispatched counts items a checking goroutine picked
 // up, Checked counts items fully processed; Sealed == Checked means the
 // pipeline was quiescent. ActiveWindow and MaxWindow describe the
-// multi-consumer scheduler's window state (zero on the single-consumer
-// stream).
+// scheduler's window state. The inline pipeline (Consumers 0, and the
+// oracle and Verify runs) has no scheduler and reports zeros.
 type PipelineProgress struct {
 	Sealed, Dispatched, Checked uint64
 	ActiveWindow                int
@@ -38,16 +38,15 @@ func (p PipelineProgress) String() string {
 }
 
 // PipelineError is the structured failure of the fail-closed detection
-// pipeline: any panic or stall in a pipeline goroutine — back-end
-// consumer, scheduler, consumer pool, shadow worker, or the inline
-// checking path — is recovered into one of these, the engine is poisoned
+// pipeline: any panic or stall in a pipeline goroutine — scheduler,
+// pool consumer, or the inline checking path — is recovered into one of
+// these, the engine is poisoned
 // so every subsequent hook aborts the run with it instead of deadlocking,
 // and Run still joins every goroutine before returning it in Report.Err.
 type PipelineError struct {
 	// Stage names the pipeline stage that failed: "consumer" (batch
-	// checking, single- or multi-consumer), "scheduler" (the
-	// multi-consumer window scheduler), "inline" (the synchronous
-	// checking path on the engine goroutine), "watchdog" (a stall
+	// checking on a pool consumer), "scheduler" (the window scheduler),
+	// "inline" (the synchronous checking path on the engine goroutine), "watchdog" (a stall
 	// detected by Config.StallTimeout), or "engine" (the engine ran out
 	// of an identifier space; see ErrStrandOverflow).
 	Stage string

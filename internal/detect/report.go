@@ -91,25 +91,24 @@ type Config struct {
 	Mem  MemLevel
 
 	// Consumers sets the detection pipeline. 0 (the default) checks each
-	// sealed access batch inline on the engine goroutine. 1 checks
-	// batches asynchronously on one consumer goroutine, in seal order,
-	// overlapping detection with continued program execution. 2 or more
-	// runs the dependency-scheduled consumer pool: sealed batches whose
+	// sealed access batch inline on the engine goroutine. 1 or more runs
+	// the dependency-scheduled consumer pool of that size, overlapping
+	// detection with continued program execution: sealed batches whose
 	// footprints are independent — disjoint shadow pages, distinct
 	// strands, and no conflicting construct mutation between them — are
 	// checked concurrently by up to this many consumers, each under the
 	// same pinned snapshot of the versioned reachability relation;
-	// dependent batches serialize in seal order. A dependency-aware
-	// scheduler groups the batch stream into windows and a
-	// sequence-numbered reorder buffer keeps race delivery in seal order.
-	// Reports are verdict-, order- and counter-identical to an inline run
-	// for any Consumers setting. The pool requires an algorithm with a
-	// concurrent-safe query path (SP-Bags, MultiBags, MultiBags+); the
-	// oracle and Verify runs fall back to one consumer.
+	// dependent batches serialize in seal order. The scheduler publishes
+	// relation versions ahead of in-flight checks, even with one consumer,
+	// and a sequence-numbered reorder buffer keeps race delivery in seal
+	// order. Reports are verdict-, order- and counter-identical to an
+	// inline run for any Consumers setting. The pool requires an algorithm
+	// with a concurrent-safe query path (SP-Bags, MultiBags, MultiBags+,
+	// vector clocks); the oracle and Verify runs check inline.
 	Consumers int
 
 	// StealChunkWords overrides the words-per-chunk granule at which the
-	// multi-consumer scheduler splits one large batch into
+	// scheduler of a pool of two or more consumers splits one large batch into
 	// footprint-disjoint chunks that idle consumers steal (0 means the
 	// default of 4 shadow pages). A batch only splits when its prefix and
 	// suffix touch strictly separated page ranges, so chunks of one batch
@@ -125,14 +124,14 @@ type Config struct {
 	BatchOps int
 
 	// ConstructAhead bounds how many construct mutations the engine may
-	// record ahead of the asynchronous detection back-end (Consumers >= 1):
-	// the reachability relation is versioned, sealed batches carry the
-	// version they were recorded under, and parallel constructs proceed
-	// without waiting for in-flight batch checks — up to this window, at
-	// which point the engine back-pressures. 0 means
-	// core.DefaultConstructAhead. Irrelevant for Consumers == 0, where the
-	// pipeline is synchronous. Reports are verdict-, order- and
-	// counter-identical for any window.
+	// record ahead of the consumer pool (Consumers >= 1): the
+	// reachability relation is versioned, sealed batches carry the version
+	// they were recorded under, and parallel constructs proceed without
+	// waiting for in-flight batch checks — up to this window, at which
+	// point the engine back-pressures. 0 means core.DefaultConstructAhead.
+	// Irrelevant to inline runs (Consumers == 0, and the oracle and Verify
+	// runs), which apply mutations directly. Reports are verdict-, order-
+	// and counter-identical for any window.
 	ConstructAhead int
 
 	// MaxRaces caps the number of distinct races collected in the report
@@ -149,13 +148,13 @@ type Config struct {
 	// mismatches. Slow; for tests.
 	Verify bool
 
-	// StallTimeout arms the pipeline stall watchdog (asynchronous
-	// back-end only — Consumers >= 1): each pipeline stage
-	// heartbeats through sealed/dispatched/checked progress counters, and
-	// if none advances for this long while work is outstanding, the run
-	// fails closed with a PipelineError whose Stage is "watchdog" and
-	// whose Progress dumps the per-stage state, instead of hanging. Zero
-	// disables the watchdog. The synchronous pipeline cannot stall
+	// StallTimeout arms the pipeline stall watchdog (consumer pool only —
+	// Consumers >= 1): each pipeline stage heartbeats through
+	// sealed/dispatched/checked progress counters, and if none advances
+	// for this long while work is outstanding, the run fails closed with a
+	// PipelineError whose Stage is "watchdog" and whose Progress dumps the
+	// per-stage state, instead of hanging. Zero disables the watchdog. The
+	// inline pipeline (including oracle and Verify runs) cannot stall
 	// between stages and is unaffected.
 	StallTimeout time.Duration
 
@@ -175,9 +174,9 @@ type Config struct {
 
 	// OnRace, if non-nil, is called for each distinct race as found,
 	// always before Run returns and in report order. With Consumers >= 1
-	// detection runs on a back-end goroutine overlapping program
-	// execution, so the callback may fire there, concurrently with user
-	// code — a callback touching state the program also touches must
+	// (oracle and Verify runs excepted, which check inline) detection runs
+	// on the scheduler goroutine overlapping program execution, so the
+	// callback may fire there, concurrently with user code — a callback touching state the program also touches must
 	// synchronize. Label fields on callback races are best-effort (the
 	// final Report re-resolves them); everything else is final.
 	OnRace func(Race)
@@ -291,7 +290,7 @@ type Stats struct {
 	Shadow shadow.Stats
 	// Event counts batch-pipeline traffic: sealed batches, the
 	// deterministic pairwise independent/serialized classification the
-	// multi-consumer scheduler's window rules are built from, and
+	// scheduler's window rules are built from, and
 	// footprint summary sizes. Counted at seal time on the engine
 	// goroutine, so identical across Consumers configurations —
 	// except Event.StolenChunks and Event.OverlappedWindows, which count

@@ -1,15 +1,12 @@
 // The asynchronous detection pipeline: sealed batches are checked off the
 // engine goroutine while the program keeps executing.
 //
-// With Config.Consumers == 1 the pipeline is the single-consumer stream
-// the event-batch design introduced: one goroutine applies each batch's
-// pending construct mutations and checks it, in seal order, which
-// trivially preserves the serial report. (Consumers == 0 has no
-// pipeline: the engine checks each batch inline.)
-//
-// With Config.Consumers > 1 the pipeline is an overlapping-window
-// scheduler over a work-stealing consumer pool. The scheduler keeps a
-// FIFO of admitted items and advances two cursors over it:
+// Config.Consumers == 0 has no pipeline: the engine checks each batch
+// inline, and so do the oracle and Verify runs, whose queries are not
+// concurrent-safe. With Consumers >= 1 the pipeline is an
+// overlapping-window scheduler over a pool of that many consumers (work
+// stealing needs two or more). The scheduler keeps a FIFO of admitted
+// items and advances two cursors over it:
 //
 //   - Publish, in item order: an item's relation version is applied as
 //     soon as its recorded mutations tolerate everything still in
@@ -102,8 +99,8 @@ type workItem struct {
 // pipeline, so the cap bounds memory without risking deadlock.
 const maxPending = 64
 
-// pipeline is the asynchronous detection back-end: the single-consumer
-// stream or the overlapping-window consumer pool, per Config.Consumers.
+// pipeline is the asynchronous detection back-end: the overlapping-window
+// scheduler and its pool of Config.Consumers consumers.
 type pipeline struct {
 	e         *Engine
 	consumers int
@@ -157,11 +154,7 @@ func newPipeline(e *Engine, consumers int) *pipeline {
 		schedDone: make(chan struct{}),
 		failCh:    make(chan struct{}),
 	}
-	if consumers <= 1 {
-		go p.runSingle()
-	} else {
-		go p.schedule()
-	}
+	go p.schedule()
 	if d := e.cfg.StallTimeout; d > 0 {
 		go p.watchdog(d)
 	}
@@ -201,28 +194,6 @@ func (p *pipeline) failed() bool {
 	}
 }
 
-// newError builds the structured failure for a recovered panic r in the
-// named stage, with the pipeline's progress attached.
-func (p *pipeline) newError(stage string, b *event.Batch, r any) *PipelineError {
-	pe := p.e.newPipelineError(stage, b, r)
-	pe.Progress = p.progress()
-	return pe
-}
-
-// guard runs fn and recovers any panic into a structured PipelineError
-// (nil when fn completes). Audit violations re-panic under the
-// futurerd_debug build tag; see rethrowIfDebugAudit.
-func (p *pipeline) guard(stage string, b *event.Batch, fn func()) (pe *PipelineError) {
-	defer func() {
-		if r := recover(); r != nil {
-			rethrowIfDebugAudit(r)
-			pe = p.newError(stage, b, r)
-		}
-	}()
-	fn()
-	return nil
-}
-
 // submit hands one item to the pipeline, stamping its sequence number.
 // Engine goroutine only. The send selects against the failure latch so a
 // dead pipeline can never block the engine; the dropped item is
@@ -250,35 +221,6 @@ func (p *pipeline) stop() {
 		close(p.items)
 		<-p.schedDone
 	})
-}
-
-// runSingle is the single-consumer loop: items are processed in seal
-// order, each batch's mutations applied just before it is checked. After
-// a failure — its own recovered panic or an external one (watchdog) —
-// the loop drains remaining items without touching the relation, so
-// stop() always joins.
-func (p *pipeline) runSingle() {
-	defer close(p.schedDone)
-	e := p.e
-	for it := range p.items {
-		p.hbDispatched.Add(1)
-		if !p.failed() {
-			it := it
-			if pe := p.guard("consumer", it.b, func() {
-				if it.disc == nil && p.testHook != nil {
-					p.testHook(it.b)
-				}
-				e.processBatch(it.b)
-				if it.disc != nil {
-					e.evalDisc(it.disc)
-				}
-			}); pe != nil {
-				p.fail(pe)
-			}
-		}
-		event.Recycle(it.b)
-		p.hbChecked.Add(1)
-	}
 }
 
 // watchdog converts a silent pipeline stall into a structured teardown:
@@ -341,58 +283,24 @@ type consResult struct {
 	err      *PipelineError     // the chunk's check panicked; events invalid
 }
 
-// consume is one consumer goroutine of the multi-consumer pool: it checks
-// dispatched chunks on its own shadow checker and reports buffered race
-// events back for in-order delivery. The batch stays owned by the
-// scheduler (other chunks of it may be in other consumers' hands), so the
-// consumer never recycles. A panic while checking — injected, an audit
-// violation, or a detector bug — is recovered into the result's err so
+// consume is one consumer goroutine of the pool: it checks dispatched
+// chunks on its own shadow checker and reports buffered race events back
+// for in-order delivery. The batch stays owned by the scheduler (other
+// chunks of it may be in other consumers' hands), so the consumer never
+// recycles. A panic while checking is recovered into the result's err so
 // the scheduler's accounting never loses the chunk; the consumer itself
 // keeps serving until work closes, so the join is unconditional.
 func (p *pipeline) consume(id int, work <-chan chunkWork, results chan<- consResult, wg *sync.WaitGroup) {
 	defer wg.Done()
 	e := p.e
 	chk := shadow.NewChecker(e.hist, id)
-	var claims []shadow.PageClaim
 	for cw := range work {
-		b := cw.b
 		res := consResult{seq: cw.seq, idx: cw.idx, consumer: id}
-		if pe := p.guard("consumer", b, func() {
+		if pe := e.guard("consumer", cw.b, func() {
 			if p.testHook != nil {
-				p.testHook(b)
+				p.testHook(cw.b)
 			}
-			if e.faults.Fire(faultinject.ConsumerPanic) {
-				panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
-			}
-			if cw.idx > 0 && e.faults.Fire(faultinject.StealPanic) {
-				panic(faultinject.Panic{Point: faultinject.StealPanic})
-			}
-			e.faults.Delay(faultinject.ConsumerStall)
-			if e.mem == MemFull {
-				// The install audit asserts concurrent checks touch disjoint
-				// shadow pages, so each chunk claims the batch footprint
-				// clipped to its own page range — chunk ranges are disjoint
-				// by construction (event.SplitOps). Instrumentation-only
-				// batches never touch shadow state (TouchRange is a pure
-				// checksum), so the scheduler legitimately overlaps them and
-				// they claim nothing.
-				claims = claims[:0]
-				for _, sp := range b.FP.Spans {
-					lo, hi := sp.Lo, sp.Hi
-					if lo < cw.minPage {
-						lo = cw.minPage
-					}
-					if hi > cw.maxPage {
-						hi = cw.maxPage
-					}
-					if lo <= hi {
-						claims = append(claims, shadow.PageClaim{Lo: lo, Hi: hi})
-					}
-				}
-				chk.Claim(claims)
-			}
-			e.checkOps(chk, b, cw.lo, cw.hi)
-			if evs := chk.Events(); len(evs) > 0 {
+			if evs := e.checkChunk(chk, cw); len(evs) > 0 {
 				res.events = append([]shadow.RaceEvent(nil), evs...)
 			}
 		}); pe != nil {
@@ -447,7 +355,7 @@ func (p *pipeline) splitBatch(b *event.Batch) []event.OpChunk {
 	return []event.OpChunk{{Lo: 0, Hi: len(b.Ops), MinPage: 0, MaxPage: ^uint64(0)}}
 }
 
-// schedule is the multi-consumer scheduler goroutine: it starts the
+// schedule is the scheduler goroutine: it starts the
 // consumer pool, runs the publish/dispatch loop inside a recover shell,
 // and joins the consumers unconditionally — draining any in-flight
 // results while it waits, so a consumer's send can never deadlock the
@@ -461,7 +369,7 @@ func (p *pipeline) schedule() {
 		consumers.Add(1)
 		go p.consume(i, work, results, &consumers)
 	}
-	if pe := p.guard("scheduler", nil, func() {
+	if pe := p.e.guard("scheduler", nil, func() {
 		p.scheduleLoop(work, results)
 	}); pe != nil {
 		p.fail(pe)
@@ -805,11 +713,10 @@ func (p *pipeline) noteSent(fl *flight) {
 }
 
 // evalDisc answers one deferred discipline check against the relation at
-// (or safely after) the get's version. Runs on the engine goroutine in
-// synchronous mode, the consumer goroutine in single-consumer mode, and
-// the scheduler goroutine in multi-consumer mode (where outstanding
-// flights may be querying concurrently — Precedes is snapshot-safe by
-// the QueryConcurrent contract).
+// (or safely after) the get's version. Runs on the engine goroutine on the
+// inline pipeline and on the scheduler goroutine otherwise (where
+// outstanding flights may be querying concurrently — Precedes is
+// snapshot-safe by the QueryConcurrent contract).
 func (e *Engine) evalDisc(d *discCheck) {
 	if d.touches == 2 {
 		e.violate("multi-touch", fmt.Sprintf(
@@ -824,8 +731,8 @@ func (e *Engine) evalDisc(d *discCheck) {
 }
 
 // MaxDispatchedWindow reports the peak number of concurrently-outstanding
-// flights the multi-consumer scheduler reached (0 when the pipeline was
-// synchronous or single-consumer). Overlap is timing-dependent, so this
+// flights the scheduler reached (0 when the pipeline was inline).
+// Overlap is timing-dependent, so this
 // is a diagnostic for tests and benchmarks, not part of Stats. Valid
 // after Run returns.
 func (e *Engine) MaxDispatchedWindow() int {

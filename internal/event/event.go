@@ -25,7 +25,7 @@
 // A sealed batch carries a footprint: the strand that performed it plus a
 // compact summary of the shadow pages it touches (sorted, merged page
 // spans, collapsed to their hull past a small cap). Footprints are what
-// the multi-consumer detection back-end schedules on — two batches with
+// the detection scheduler works on — two batches with
 // disjoint page spans, distinct strands and no relation-mutation conflict
 // between them touch disjoint shadow words and make queries whose answers
 // are independent of each other's order, so they may be checked
@@ -158,7 +158,7 @@ type Batch struct {
 	// batch identically to this exact version.
 	Version uint64
 	// Seq is the batch's position in seal order, stamped at submit time;
-	// the multi-consumer back-end's reorder buffer delivers race reports
+	// the scheduler's reorder buffer delivers race reports
 	// in Seq order so the report stream is byte-identical to serial.
 	Seq uint64
 	// FP is the page footprint, computed by Summarize at seal time.
@@ -331,7 +331,7 @@ func SplitOps(ops []Op, minWords int, pageBits uint) []OpChunk {
 // footprint does not depend on the immediately preceding sealed batch —
 // distinct strand, disjoint pages, and no conflicting relation mutation
 // recorded in between — which is the (deterministic, timing-free)
-// pairwise form of the condition the multi-consumer scheduler uses to
+// pairwise form of the condition the detection scheduler uses to
 // check batches concurrently. The footprint counters size the summaries
 // the scheduler works with.
 type Stats struct {

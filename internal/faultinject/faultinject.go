@@ -28,15 +28,15 @@ type Point uint8
 
 // Fault points, one per instrumented site class.
 const (
-	// ConsumerPanic panics on the goroutine checking a batch (the
-	// single-consumer loop, a pool consumer, or the engine goroutine on
-	// the synchronous pipeline).
+	// ConsumerPanic panics on the goroutine checking a batch: a pool
+	// consumer (Consumers >= 1), or the engine goroutine on the inline
+	// pipeline (Consumers 0, and oracle and Verify runs).
 	ConsumerPanic Point = iota
 	// ConsumerStall sleeps Plan.Stall on the checking goroutine before a
 	// batch is processed — a wedged consumer for the watchdog to catch.
 	ConsumerStall
-	// SchedulerStall sleeps Plan.Stall on the multi-consumer scheduler
-	// goroutine at an epoch boundary — a wedged window.
+	// SchedulerStall sleeps Plan.Stall on the scheduler goroutine at an
+	// epoch boundary — a wedged window.
 	SchedulerStall
 	// CorruptFootprint mangles a sealed batch's page-footprint summary
 	// before it reaches the scheduler, simulating a summarizer bug; the
@@ -48,7 +48,7 @@ const (
 	PageFail
 	// StealPanic panics on a consumer processing a stolen chunk (a chunk
 	// other than the batch's first), exercising failure of a
-	// partially-checked, multi-consumer batch.
+	// partially-checked batch split across a pool of two or more.
 	StealPanic
 	// OverlapStall sleeps Plan.Stall on the scheduler as it publishes a
 	// relation version while earlier batches are still in flight — a

@@ -9,9 +9,8 @@
 // kind as they are found and handed back through Events, so the caller
 // decides where and when they are delivered.
 //
-// The synchronous and single-consumer pipelines own one checker. Each
-// consumer of the multi-consumer pipeline owns its own, and the detection
-// scheduler supplies the invariants that make them safe together, with no
+// The inline pipeline owns one checker. Each consumer of the scheduled
+// pool owns its own, and the detection scheduler supplies the invariants that make them safe together, with no
 // locking on the per-word path:
 //
 //   - concurrently-checked batches (and the stolen chunks of one batch)

@@ -77,9 +77,9 @@
 // # One checker
 //
 // The range protocol lives in one type, Checker (checker.go). The
-// engine's synchronous and single-consumer pipelines own one checker; each
-// consumer of the multi-consumer pipeline owns its own, and concurrently
-// checked batches touch disjoint shadow pages. A checker keeps its own
+// engine's inline pipeline owns one checker; each consumer of the
+// scheduled pool owns its own, and concurrently checked batches touch
+// disjoint shadow pages. A checker keeps its own
 // last-page cache, verdict cache and counters, buffers race events per
 // batch, and folds its counters into the History when a batch ends.
 package shadow
@@ -256,8 +256,8 @@ func (c *counters) add(o *counters) {
 }
 
 // NewHistory returns an empty access history. concurrent says whether
-// several checkers will run against it at once (the multi-consumer
-// pipeline); only then does spill-slot allocation lock.
+// several checkers will run against it at once (a pool of two or more
+// consumers); only then does spill-slot allocation lock.
 func NewHistory(concurrent bool) *History {
 	h := &History{}
 	h.spill.shared = concurrent

@@ -24,8 +24,8 @@
 // package progen tests for the rate-1.0 identity proof.
 //
 // Determinism: the rate test depends only on (seed, address, generation),
-// all of which are identical whichever checker — inline, single consumer
-// or one of several consumers — checks the access, so with an unlimited
+// all of which are identical whichever checker — the inline one or one of
+// the pool's consumers — checks the access, so with an unlimited
 // budget the sampled access set — and every verdict and counter derived
 // from it — is identical in every Consumers configuration. A finite
 // budget keeps the *totals* deterministic (per page and generation,

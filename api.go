@@ -141,11 +141,10 @@ func RecordTraceBytes(root func(*Task)) ([]byte, error) {
 	return trace.RecordBytes(root)
 }
 
-// ReplayTrace runs a trace recorded by RecordTrace (format v2, or the
-// legacy v1 format for older corpora) through the detection engine
-// configured by cfg and returns its report. Replaying a trace yields
-// exactly the same report as detecting the original program, for any
-// algorithm and pipeline.
+// ReplayTrace runs a trace recorded by RecordTrace through the detection
+// engine configured by cfg and returns its report. Replaying a trace
+// yields exactly the same report as detecting the original program, for
+// any algorithm and pipeline.
 func ReplayTrace(r io.Reader, cfg Config) (*Report, error) {
 	return trace.Replay(r, cfg)
 }

@@ -321,43 +321,6 @@ func BenchmarkAccessHistoryRange(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchCap sweeps the event-batch op cap (Config.BatchOps)
-// under a non-coalescible single-word access storm — the only traffic
-// shape the cap governs, since coalescing scans stay one op — with the
-// asynchronous back-end consuming mid-window flushes. cap=0 is the
-// shipped default (event.MaxOps).
-func BenchmarkBatchCap(b *testing.B) {
-	const n = 200_000
-	prog := func(t *futurerd.Task) {
-		t.Spawn(func(c *futurerd.Task) {
-			for i := 0; i < n; i++ {
-				c.Write(uint64(1 + 2*i)) // stride 2: never coalesces
-			}
-		})
-		t.Sync()
-		for i := 0; i < n; i++ {
-			t.Read(uint64(1 + 2*i))
-		}
-	}
-	for _, cap := range []int{0, 1024, 4096, 16384, 65536} {
-		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := futurerd.Detect(futurerd.Config{
-					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull, Consumers: 1,
-					BatchOps: cap,
-				}, prog)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-				if rep.Racy() {
-					b.Fatal("unexpected race")
-				}
-			}
-			b.ReportMetric(float64(2*n), "words/op")
-		})
-	}
-}
-
 // BenchmarkRecord measures trace-recording throughput: one workload run
 // through the v2 recorder (coalescing batcher + delta encoding + DEFLATE
 // block framing) per iteration.
@@ -471,10 +434,10 @@ func BenchmarkConsumerScaling(b *testing.B) {
 				maxWin := 0
 				var indep, overlapped, stolen uint64
 				for i := 0; i < b.N; i++ {
-					e := detect.NewEngine(detect.Config{
+					e := detect.NewTunedEngine(detect.Config{
 						Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-						Consumers: consumers, StealChunkWords: sh.steal,
-					})
+						Consumers: consumers,
+					}, detect.Tuning{StealChunkWords: sh.steal})
 					rep := e.Run(sh.prog)
 					if rep.Err != nil {
 						b.Fatal(rep.Err)
@@ -506,7 +469,7 @@ func BenchmarkConsumerScaling(b *testing.B) {
 }
 
 // BenchmarkStealChunkWords sweeps the steal-chunk granule
-// (Config.StealChunkWords) over a fan-out whose leaves each write 32
+// (detect.Tuning.StealChunkWords) over a fan-out whose leaves each write 32
 // page-gapped 1024-word blocks, so the granule alone decides how many
 // chunks a sealed batch cuts into: 2048 words => 16 chunks per batch,
 // 4096 => 8, the shipped default (4 pages, chunk=0) => 2, 65536 => no
@@ -535,10 +498,9 @@ func BenchmarkStealChunkWords(b *testing.B) {
 		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
 			var stolen uint64
 			for i := 0; i < b.N; i++ {
-				rep := futurerd.Detect(futurerd.Config{
-					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull,
-					Consumers: 2, StealChunkWords: chunk,
-				}, prog)
+				rep := detect.NewTunedEngine(detect.Config{
+					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull, Consumers: 2,
+				}, detect.Tuning{StealChunkWords: chunk}).Run(prog)
 				if rep.Err != nil {
 					b.Fatal(rep.Err)
 				}

@@ -5,8 +5,7 @@
 //	                      [-mode multibags|multibags+|spbags|oracle|vc]
 //	                      [-size test|quick|bench] [-mem off|instr|full]
 //	                      [-consumers n] [-dot]
-//	futurerd-trace record -bench lcs [-variant ...] [-size ...]
-//	                      [-format v2|v1] -o trace.bin
+//	futurerd-trace record -bench lcs [-variant ...] [-size ...] -o trace.bin
 //	futurerd-trace replay -i trace.bin [-mode ...] [-mem ...]
 //	                      [-consumers n] [-recover]
 //	futurerd-trace stat   -i trace.bin
@@ -18,14 +17,13 @@
 // computation dag in Graphviz format (oracle mode only).
 //
 // record executes a benchmark once without detection and writes its
-// event trace (format v2 by default; v1 for migration tooling). replay
-// re-detects a recorded trace — any format, any algorithm, any pipeline
-// width — and prints the same statistics as run; -consumers n (n >= 1)
-// exercises the scheduled consumer pool. A corrupt trace fails with a one-line diagnosis
-// and a non-zero exit; -recover instead replays the longest well-formed
-// prefix and reports where and why the stream was cut. stat summarizes a
-// trace: event counts, bytes per event, and the compression ratio against
-// the equivalent v1 encoding.
+// event trace (format v2). replay re-detects a recorded trace — any
+// algorithm, any pipeline width — and prints the same statistics as run;
+// -consumers n (n >= 1) exercises the scheduled consumer pool. A corrupt
+// trace fails with a one-line diagnosis and a non-zero exit; -recover
+// instead replays the longest well-formed prefix and reports where and
+// why the stream was cut. stat summarizes a trace: size, event counts
+// and bytes per event.
 //
 // Invoking futurerd-trace with flags and no subcommand behaves as run.
 package main
@@ -111,6 +109,15 @@ func lookup(bench, variant string, sz workloads.SizeClass) func() workloads.Inst
 	return mk
 }
 
+// benchUsage is the -bench flag's help, listing every known benchmark.
+func benchUsage() string {
+	var names []string
+	for _, b := range workloads.All(workloads.SizeTest) {
+		names = append(names, b.Name)
+	}
+	return "benchmark: " + strings.Join(names, ", ")
+}
+
 func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 	s := rep.Stats
 	fmt.Printf("algorithm       %s (%s)\n", rep.Algorithm, ml)
@@ -174,7 +181,7 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	benchName := fs.String("bench", "lcs", "benchmark: lcs, sw, mm, heartwall, dedup, bst")
+	benchName := fs.String("bench", "lcs", benchUsage())
 	variant := fs.String("variant", "structured", "workload variant: structured, general")
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	size := parseSize(fs)
@@ -210,10 +217,9 @@ func cmdRun(args []string) {
 
 func cmdRecord(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	benchName := fs.String("bench", "lcs", "benchmark: lcs, sw, mm, heartwall, dedup, bst")
+	benchName := fs.String("bench", "lcs", benchUsage())
 	variant := fs.String("variant", "structured", "workload variant: structured, general")
 	size := parseSize(fs)
-	format := fs.String("format", "v2", "trace format: v2, v1 (legacy, for migration tooling)")
 	out := fs.String("o", "", "output trace file (required)")
 	fs.Parse(args)
 	if *out == "" {
@@ -226,23 +232,14 @@ func cmdRecord(args []string) {
 		fail(err)
 	}
 	w := mk()
-	switch *format {
-	case "v2":
-		err = futurerd.RecordTrace(f, w.Run)
-	case "v1":
-		err = trace.RecordV1(f, w.Run)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -format %q\n", *format)
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := futurerd.RecordTrace(f, w.Run); err != nil {
 		fail(fmt.Errorf("record failed: %w", err))
 	}
 	if err := f.Close(); err != nil {
 		fail(err)
 	}
 	st, _ := os.Stat(*out)
-	fmt.Printf("recorded %s (%s, %s) to %s (%d bytes)\n", w.Name(), *variant, *format, *out, st.Size())
+	fmt.Printf("recorded %s (%s) to %s (%d bytes)\n", w.Name(), *variant, *out, st.Size())
 }
 
 func cmdReplay(args []string) {
@@ -303,7 +300,6 @@ func cmdStat(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("format          v%d\n", st.Version)
 	fmt.Printf("bytes           %d\n", st.Bytes)
 	fmt.Printf("events          %d\n", st.Events)
 	fmt.Printf("  spawns        %d\n", st.Spawns)
@@ -314,18 +310,14 @@ func cmdStat(args []string) {
 	fmt.Printf("  labels        %d\n", st.Labels)
 	fmt.Printf("  accesses      %d (%d words)\n", st.Accesses, st.Words)
 	fmt.Printf("bytes/event     %.2f\n", st.BytesPerEvent())
-	if st.Version == 2 {
-		fmt.Printf("v1 equivalent   %d bytes (same events, legacy encoding)\n", st.V1Bytes)
-		fmt.Printf("compression     %.1fx\n", st.Ratio())
-	}
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: futurerd-trace [run|record|replay|stat] [flags]")
 	fmt.Fprintln(os.Stderr, "  run     detect a benchmark directly and print statistics (default)")
-	fmt.Fprintln(os.Stderr, "  record  write a benchmark's event trace (v2; -format v1 for legacy)")
+	fmt.Fprintln(os.Stderr, "  record  write a benchmark's event trace")
 	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-consumers for the consumer pool)")
-	fmt.Fprintln(os.Stderr, "  stat    summarize a trace: events, bytes/event, compression ratio")
+	fmt.Fprintln(os.Stderr, "  stat    summarize a trace: size, events, bytes/event")
 	fmt.Fprintln(os.Stderr, "run 'futurerd-trace <subcommand> -h' for the subcommand's flags")
 }
 

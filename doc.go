@@ -97,8 +97,8 @@
 // is versioned (core.Versioned), constructs record their mutations into
 // a bounded log, each batch carries the version it executed under, and
 // the back-end replays mutations before checking. The engine runs ahead
-// of detection until the construct-ahead window (Config.ConstructAhead)
-// back-pressures.
+// of detection until the construct-ahead window of
+// core.DefaultConstructAhead mutations back-pressures.
 //
 // The pool is dependency-scheduled with overlapping windows, at any
 // size including one consumer. Construct mutations are
@@ -115,7 +115,7 @@
 // drains (Stats.Event.OverlappedWindows counts versions published over
 // an outstanding flight). Large batches additionally split at
 // page-disjoint cut points into chunk descriptors
-// (Config.StealChunkWords tunes the granule) that idle consumers steal
+// (detect.DefaultStealChunkWords words each) that idle consumers steal
 // (Stats.Event.StolenChunks); delivery reassembles chunk verdicts in
 // order, so reports stay order-identical. Dependent batches serialize
 // in seal order, so a construct-dense program degenerates to serial
@@ -137,10 +137,9 @@
 // RecordTrace executes a program once (no detection) and writes its
 // construct + memory event stream in format v2: coalesced range events,
 // delta-compressed addresses, strand labels, DEFLATE block framing.
-// ReplayTrace re-detects a stream — either format version, any
-// algorithm, any pipeline — with exactly the report a direct run
-// produces, replaying iteratively so spawn depth never consumes Go
-// stack. See internal/trace for the wire format and cmd/futurerd-trace
+// ReplayTrace re-detects a stream — any algorithm, any pipeline — with
+// exactly the report a direct run produces, replaying iteratively so
+// spawn depth never consumes Go stack. See internal/trace for the wire format and cmd/futurerd-trace
 // for the record/replay/stat CLI.
 //
 // # Failure model

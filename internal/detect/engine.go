@@ -116,7 +116,8 @@ type Engine struct {
 	// pinSafe caches the algorithm's core.PinConcurrent mask per mutation
 	// op; all-false (every mutation an apply barrier) when the algorithm
 	// does not advertise the capability. stealWords is the effective
-	// chunk-steal granule (Config.StealChunkWords or the default).
+	// chunk-steal granule (Tuning.StealChunkWords or
+	// DefaultStealChunkWords).
 	pinSafe    [6]bool
 	stealWords int
 
@@ -133,10 +134,9 @@ type Engine struct {
 	// batch is the open access-event batch: Read/Write append to it
 	// (coalescing contiguous same-kind accesses into ranges) and the
 	// whole batch is handed to the detection back-end at the next
-	// parallel construct, or earlier when it reaches batchOps ops. Nil
-	// when memory accesses are ignored (Mem == MemOff).
-	batch    *event.Batch
-	batchOps int
+	// parallel construct, or earlier when it reaches event.MaxOps ops.
+	// Nil when memory accesses are ignored (Mem == MemOff).
+	batch *event.Batch
 
 	// be, when non-nil, is the asynchronous detection back-end: sealed
 	// batches are checked off the engine goroutine while the program
@@ -189,14 +189,55 @@ type Engine struct {
 	err                          error
 }
 
+// DefaultStealChunkWords is the words-per-chunk granule at which a pool
+// of two or more consumers splits a large batch for stealing: 4 shadow
+// pages.
+const DefaultStealChunkWords = 4 << shadow.PageBits
+
+// Tuning holds the engine settings that exist for tests and benchmark
+// sweeps rather than for users; the zero value is what NewEngine runs
+// with. Verdicts, report order and deterministic counters are identical
+// for any StealChunkWords and ConstructAhead.
+type Tuning struct {
+	// StealChunkWords overrides the words-per-chunk granule at which the
+	// scheduler of a pool of two or more consumers splits one large batch
+	// into footprint-disjoint chunks that idle consumers steal (0 means
+	// DefaultStealChunkWords). A batch only splits when its prefix and
+	// suffix touch strictly separated page ranges, so chunks of one batch
+	// never share a shadow word; batches below twice the granule are
+	// never split.
+	StealChunkWords int
+
+	// ConstructAhead bounds how many construct mutations the engine may
+	// record ahead of the consumer pool (Consumers >= 1): the
+	// reachability relation is versioned, sealed batches carry the
+	// version they were recorded under, and parallel constructs proceed
+	// without waiting for in-flight batch checks — up to this window, at
+	// which point the engine back-pressures. 0 means
+	// core.DefaultConstructAhead. Irrelevant to inline runs, which apply
+	// mutations directly.
+	ConstructAhead int
+
+	// Faults, when non-nil, arms deterministic fault injection at the
+	// pipeline's instrumented sites — consumer panics, stage stalls,
+	// corrupted batch footprints, failed page materializations. For the
+	// robustness test suite; nil keeps every probe at one nil check.
+	Faults *faultinject.Plan
+}
+
 // NewEngine builds an engine for one run. Engines are single-use.
 func NewEngine(cfg Config) *Engine {
+	return NewTunedEngine(cfg, Tuning{})
+}
+
+// NewTunedEngine is NewEngine with test and sweep settings applied.
+func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		detecting: cfg.Mode != ModeNone,
 		mem:       cfg.Mem,
 		maxRaces:  cfg.MaxRaces,
-		faults:    cfg.Faults,
+		faults:    tu.Faults,
 		maxStrand: core.MaxStrand,
 	}
 	if e.maxRaces <= 0 {
@@ -220,7 +261,7 @@ func NewEngine(cfg Config) *Engine {
 			// measures pure hook overhead); initPipeline gives it a
 			// history and a checker for the checksum state.
 		}
-		e.initPipeline(cfg)
+		e.initPipeline(cfg, tu)
 		return e
 	}
 	e.st = core.NewStrandTable(1024)
@@ -258,7 +299,7 @@ func NewEngine(cfg Config) *Engine {
 	if ec, ok := e.reach.(core.EpochConcurrent); ok {
 		e.sctx.Epoch = ec
 	}
-	e.initPipeline(cfg)
+	e.initPipeline(cfg, tu)
 	return e
 }
 
@@ -270,7 +311,7 @@ func NewEngine(cfg Config) *Engine {
 // run (oracle, Verify) checks inline. An asynchronous detecting engine
 // also versions its reachability relation so constructs need not block
 // on back-end drain.
-func (e *Engine) initPipeline(cfg Config) {
+func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 	if cfg.Mem == MemOff || e.err != nil {
 		return
 	}
@@ -279,27 +320,23 @@ func (e *Engine) initPipeline(cfg Config) {
 		e.consumers = 0
 	}
 	e.hist = shadow.NewHistory(e.consumers > 1)
-	e.hist.SetFaults(cfg.Faults)
+	e.hist.SetFaults(tu.Faults)
 	if e.detecting && cfg.Mem == MemFull && cfg.Sampling.Rate > 0 {
 		// Tier-1 sampling sits between the shadow layer's free skips and
 		// the protocol; it only exists where the protocol runs.
 		e.hist.SetSampling(cfg.Sampling.Rate, cfg.Sampling.Budget, cfg.Sampling.Seed)
 	}
 	e.batch = event.New()
-	e.batchOps = cfg.BatchOps
-	if e.batchOps <= 0 {
-		e.batchOps = event.MaxOps
-	}
-	e.stealWords = cfg.StealChunkWords
+	e.stealWords = tu.StealChunkWords
 	if e.stealWords <= 0 {
-		e.stealWords = 4 << shadow.PageBits
+		e.stealWords = DefaultStealChunkWords
 	}
 	if e.consumers == 0 {
 		e.chk = shadow.NewChecker(e.hist, 0)
 		return
 	}
 	if e.detecting {
-		e.vr = core.NewVersioned(e.reach, cfg.ConstructAhead)
+		e.vr = core.NewVersioned(e.reach, tu.ConstructAhead)
 		e.nudgeAt = e.vr.Window() / 2
 		if e.nudgeAt < 1 {
 			e.nudgeAt = 1
@@ -918,7 +955,7 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 		e.flushBatch()
 	}
 	e.batch.Strand = t.strand
-	if e.batch.Append(k, addr, words) >= e.batchOps {
+	if e.batch.Append(k, addr, words) >= event.MaxOps {
 		e.flushBatch()
 	}
 }

@@ -266,10 +266,10 @@ func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 	for _, consumers := range []int{2, 4} {
 		done := make(chan *Report, 1)
 		go func() {
-			done <- NewEngine(Config{
+			done <- NewTunedEngine(Config{
 				Mode: ModeMultiBagsPlus, Mem: MemFull, MaxRaces: 1 << 20,
-				Consumers: consumers, ConstructAhead: 8,
-			}).Run(prog)
+				Consumers: consumers,
+			}, Tuning{ConstructAhead: 8}).Run(prog)
 		}()
 		var rep *Report
 		select {

@@ -124,9 +124,9 @@ func TestOverlapSingleConsumer(t *testing.T) {
 // only completes when the two chunks are being checked by two distinct
 // consumers at once, which is exactly what StolenChunks counts.
 func TestStealChunksAcrossConsumers(t *testing.T) {
-	e := NewEngine(Config{
-		Mode: ModeMultiBags, Mem: MemFull, Consumers: 2, StealChunkWords: 64,
-	})
+	e := NewTunedEngine(Config{
+		Mode: ModeMultiBags, Mem: MemFull, Consumers: 2,
+	}, Tuning{StealChunkWords: 64})
 	arrived := make(chan struct{}, 4)
 	proceed := make(chan struct{})
 	var sawTimeout atomic.Bool
@@ -224,11 +224,9 @@ func TestOverlapConstructDense(t *testing.T) {
 func TestDrainRecyclesPartiallyStolenWindow(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	before := event.Live()
-	e := NewEngine(Config{
-		Mode: ModeMultiBags, Mem: MemFull, Consumers: 2, StealChunkWords: 64,
-		MaxRaces: 1 << 20,
-		Faults:   faultinject.Single(faultinject.StealPanic, 1),
-	})
+	e := NewTunedEngine(Config{
+		Mode: ModeMultiBags, Mem: MemFull, Consumers: 2, MaxRaces: 1 << 20,
+	}, Tuning{StealChunkWords: 64, Faults: faultinject.Single(faultinject.StealPanic, 1)})
 	rep := e.Run(func(tk *Task) {
 		for i := 0; i < 12; i++ {
 			lo := uint64(1 + i*2*4096)
@@ -261,10 +259,10 @@ func TestOverlapStallFailsClosed(t *testing.T) {
 	before := event.Live()
 	plan := faultinject.Single(faultinject.OverlapStall, 1)
 	plan.Stall = 200 * time.Millisecond
-	e := NewEngine(Config{
+	e := NewTunedEngine(Config{
 		Mode: ModeMultiBags, Mem: MemFull, Consumers: 2, MaxRaces: 1 << 20,
-		StallTimeout: 40 * time.Millisecond, Faults: plan,
-	})
+		StallTimeout: 40 * time.Millisecond,
+	}, Tuning{Faults: plan})
 	release := make(chan struct{})
 	var first atomic.Bool
 	first.Store(true)

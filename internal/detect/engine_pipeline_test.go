@@ -92,10 +92,9 @@ func TestConstructAheadWindowBounded(t *testing.T) {
 	for _, window := range []int{1, 2, 8, 0 /* default */} {
 		done := make(chan *Report, 1)
 		go func() {
-			done <- NewEngine(Config{
-				Mode: ModeMultiBagsPlus, Mem: MemFull,
-				Consumers: 1, ConstructAhead: window,
-			}).Run(prog)
+			done <- NewTunedEngine(Config{
+				Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 1,
+			}, Tuning{ConstructAhead: window}).Run(prog)
 		}()
 		var rep *Report
 		select {
@@ -145,16 +144,14 @@ func TestConstructAheadEquivalence(t *testing.T) {
 		if serial.Err != nil {
 			t.Fatalf("%v: %v", mode, serial.Err)
 		}
-		for _, cfg := range []Config{
-			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1},
-			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1, ConstructAhead: 2},
-		} {
-			rep := NewEngine(cfg).Run(prog)
+		cfg := Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1}
+		for _, ahead := range []int{0 /* default */, 2} {
+			rep := NewTunedEngine(cfg, Tuning{ConstructAhead: ahead}).Run(prog)
 			if rep.Err != nil {
-				t.Fatalf("%v consumers=%d ahead=%d: %v", mode, cfg.Consumers, cfg.ConstructAhead, rep.Err)
+				t.Fatalf("%v ahead=%d: %v", mode, ahead, rep.Err)
 			}
 			if !reflect.DeepEqual(serial.Races, rep.Races) {
-				t.Fatalf("%v consumers=%d ahead=%d: race streams diverge", mode, cfg.Consumers, cfg.ConstructAhead)
+				t.Fatalf("%v ahead=%d: race streams diverge", mode, ahead)
 			}
 			ss, as := serial.Stats, rep.Stats
 			// Everything — verdicts, protocol traffic, both epoch fast
@@ -163,8 +160,8 @@ func TestConstructAheadEquivalence(t *testing.T) {
 			ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
 			as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
 			if !reflect.DeepEqual(ss, as) {
-				t.Fatalf("%v consumers=%d ahead=%d stats diverge:\nserial %+v\nasync  %+v",
-					mode, cfg.Consumers, cfg.ConstructAhead, ss, as)
+				t.Fatalf("%v ahead=%d stats diverge:\nserial %+v\nasync  %+v",
+					mode, ahead, ss, as)
 			}
 			if as.Shadow.ReadSharedSkips == 0 {
 				t.Fatalf("%v: program never exercised the read-shared fast path", mode)

@@ -37,11 +37,9 @@ func TestErrorPathJoinsPipeline(t *testing.T) {
 func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	for _, consumers := range []int{1, 4} {
-		rep := NewEngine(Config{
-			Mode: ModeMultiBagsPlus, Mem: MemFull,
-			Consumers: consumers,
-			Faults:    faultinject.Single(faultinject.ConsumerPanic, 1),
-		}).Run(func(t *Task) {
+		rep := NewTunedEngine(Config{
+			Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: consumers,
+		}, Tuning{Faults: faultinject.Single(faultinject.ConsumerPanic, 1)}).Run(func(t *Task) {
 			for i := 0; i < 64; i++ {
 				t.Spawn(func(c *Task) {
 					for j := 0; j < 64; j++ {
@@ -73,11 +71,9 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 // dead pipeline (or blocking on it).
 func TestPoisonedEngineRefusesWork(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
-	e := NewEngine(Config{
-		Mode: ModeMultiBagsPlus, Mem: MemFull,
-		Consumers: 4,
-		Faults:    faultinject.Single(faultinject.ConsumerPanic, 1),
-	})
+	e := NewTunedEngine(Config{
+		Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 4,
+	}, Tuning{Faults: faultinject.Single(faultinject.ConsumerPanic, 1)})
 	done := make(chan *Report, 1)
 	go func() {
 		done <- e.Run(func(t *Task) {

@@ -6,7 +6,6 @@ import (
 
 	"futurerd/internal/core"
 	"futurerd/internal/event"
-	"futurerd/internal/faultinject"
 	"futurerd/internal/shadow"
 )
 
@@ -107,33 +106,6 @@ type Config struct {
 	// vector clocks); the oracle and Verify runs check inline.
 	Consumers int
 
-	// StealChunkWords overrides the words-per-chunk granule at which the
-	// scheduler of a pool of two or more consumers splits one large batch into
-	// footprint-disjoint chunks that idle consumers steal (0 means the
-	// default of 4 shadow pages). A batch only splits when its prefix and
-	// suffix touch strictly separated page ranges, so chunks of one batch
-	// never share a shadow word; batches below twice the granule are never
-	// split. Exposed for the steal-path tests and the chunk-size sweep.
-	StealChunkWords int
-
-	// BatchOps overrides the op cap of one access-event batch (0 means
-	// event.MaxOps): a batch that reaches the cap flushes mid-window so
-	// pipeline memory stays bounded on non-coalescing access storms.
-	// Exposed for the BenchmarkBatchCap sweep; verdicts are identical for
-	// any cap ≥ 1.
-	BatchOps int
-
-	// ConstructAhead bounds how many construct mutations the engine may
-	// record ahead of the consumer pool (Consumers >= 1): the
-	// reachability relation is versioned, sealed batches carry the version
-	// they were recorded under, and parallel constructs proceed without
-	// waiting for in-flight batch checks — up to this window, at which
-	// point the engine back-pressures. 0 means core.DefaultConstructAhead.
-	// Irrelevant to inline runs (Consumers == 0, and the oracle and Verify
-	// runs), which apply mutations directly. Reports are verdict-, order-
-	// and counter-identical for any window.
-	ConstructAhead int
-
 	// MaxRaces caps the number of distinct races collected in the report
 	// (detection continues and keeps counting). 0 means DefaultMaxRaces.
 	MaxRaces int
@@ -157,13 +129,6 @@ type Config struct {
 	// inline pipeline (including oracle and Verify runs) cannot stall
 	// between stages and is unaffected.
 	StallTimeout time.Duration
-
-	// Faults, when non-nil, arms deterministic fault injection at the
-	// pipeline's instrumented sites — consumer panics, stage stalls,
-	// corrupted batch footprints, failed page materializations. For the
-	// robustness test suite; nil (the default) keeps every probe at one
-	// nil check.
-	Faults *faultinject.Plan
 
 	// Sampling, when Rate > 0, arms the always-on sampling front-end: a
 	// deterministic tier between the shadow layer's free skips and the

@@ -33,7 +33,7 @@
 //     can never be dispatched after it.
 //
 // A large flight is split into footprint-disjoint chunks (event.SplitOps,
-// granule Config.StealChunkWords) that are fed one by one to the shared
+// granule Tuning.StealChunkWords) that are fed one by one to the shared
 // work channel, so an idle consumer steals the tail of a batch another
 // consumer is still checking (Stats.Event.StolenChunks); each chunk
 // claims only its own page range, keeping the shadow install audit

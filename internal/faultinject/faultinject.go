@@ -4,10 +4,10 @@
 //
 // A production engine carries a nil *Plan, so every probe is one nil
 // check and the instrumented paths cost nothing measurable. Tests arm a
-// Plan — either an explicit Single(point, occurrence) or a seed-derived
-// NewPlan(seed) — and the pipeline then panics, stalls, corrupts a batch
-// footprint or fails a page materialization at exactly the chosen
-// occurrence of the chosen point. Determinism is the point: the
+// Plan through detect.Tuning.Faults — either an explicit Single(point,
+// occurrence) or a seed-derived NewPlan(seed) — and the pipeline then
+// panics, stalls, corrupts a batch footprint or fails a page
+// materialization at exactly the chosen occurrence of the chosen point. Determinism is the point: the
 // differential-fuzz arm replays the same seed against the same program
 // and asserts the fail-closed invariant (verdicts identical to serial,
 // or one structured PipelineError and no goroutine left behind).

@@ -48,12 +48,11 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 
 	plan := faultinject.Single(pt, 2)
 	plan.Stall = faultStall
-	rep := detect.NewEngine(detect.Config{
+	rep := detect.NewTunedEngine(detect.Config{
 		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
 		Consumers:    consumers,
 		StallTimeout: faultTimeout,
-		Faults:       plan,
-	}).Run(p.Run)
+	}, detect.Tuning{Faults: plan}).Run(p.Run)
 
 	if rep.Err != nil {
 		var pe *detect.PipelineError
@@ -117,12 +116,11 @@ func TestWatchdogDiagnosesStall(t *testing.T) {
 	for _, consumers := range []int{1, 4} {
 		plan := faultinject.Single(faultinject.ConsumerStall, 1)
 		plan.Stall = faultStall
-		rep := detect.NewEngine(detect.Config{
+		rep := detect.NewTunedEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
 			Consumers:    consumers,
 			StallTimeout: faultTimeout,
-			Faults:       plan,
-		}).Run(p.Run)
+		}, detect.Tuning{Faults: plan}).Run(p.Run)
 		if rep.Err == nil {
 			t.Fatalf("c=%d: stalled run reported no error", consumers)
 		}
@@ -149,11 +147,10 @@ func TestSchedulerStallDiagnosed(t *testing.T) {
 	p := Generate(7, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
 	plan := faultinject.Single(faultinject.SchedulerStall, 1)
 	plan.Stall = faultStall
-	rep := detect.NewEngine(detect.Config{
+	rep := detect.NewTunedEngine(detect.Config{
 		Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
 		Consumers: 4, StallTimeout: faultTimeout,
-		Faults: plan,
-	}).Run(p.Run)
+	}, detect.Tuning{Faults: plan}).Run(p.Run)
 	if rep.Err == nil {
 		t.Fatal("stalled scheduler reported no error")
 	}
@@ -191,12 +188,11 @@ func FuzzFailClosed(f *testing.F) {
 		if serial.Err != nil {
 			t.Fatalf("seed %d: serial reference failed: %v", seed, serial.Err)
 		}
-		rep := detect.NewEngine(detect.Config{
+		rep := detect.NewTunedEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
 			Consumers:    consumers,
 			StallTimeout: faultTimeout,
-			Faults:       plan,
-		}).Run(p.Run)
+		}, detect.Tuning{Faults: plan}).Run(p.Run)
 		if rep.Err != nil {
 			var pe *detect.PipelineError
 			if !errors.As(rep.Err, &pe) {

@@ -35,8 +35,8 @@ func fuzzOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 // against the serial engine on one generated program: same races
 // (content and order — the pool delivers events in seal order, and a
 // split batch in chunk order, which is op order), same observation count,
-// same protocol counters. The tiny StealChunkWords splits every batch
-// whose ops separate into disjoint pages, so stolen chunks run on
+// same protocol counters. The tiny Tuning.StealChunkWords splits every
+// batch whose ops separate into disjoint pages, so stolen chunks run on
 // concurrent checkers.
 func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
@@ -44,10 +44,9 @@ func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	serial := detect.NewEngine(detect.Config{
 		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
 	}).Run(p.Run)
-	par := detect.NewEngine(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Consumers: 3, StealChunkWords: 4,
-	}).Run(p.Run)
+	par := detect.NewTunedEngine(detect.Config{
+		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Consumers: 3,
+	}, detect.Tuning{StealChunkWords: 4}).Run(p.Run)
 	if serial.Err != nil || par.Err != nil {
 		t.Fatalf("seed %d: serial err %v, parallel err %v\n%s", seed, serial.Err, par.Err, p)
 	}
@@ -77,7 +76,7 @@ func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 // serial engine's report exactly — same races in the same order, same
 // protocol counters, same memo and fast-path hits, same reachability
 // traffic, same batch-pipeline stats. A final config forces chunk
-// stealing under the consumer pool with a tiny StealChunkWords and
+// stealing under the consumer pool with a tiny Tuning.StealChunkWords and
 // compares the verdict counters (each stolen chunk starts with a cold
 // verdict cache, which legitimately changes memo/query plumbing, exactly
 // as in parallelOne).
@@ -90,8 +89,8 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	if serial.Err != nil {
 		t.Fatalf("seed %d: serial err %v\n%s", seed, serial.Err, p)
 	}
-	check := func(cfg detect.Config, full bool) {
-		rep := detect.NewEngine(cfg).Run(p.Run)
+	check := func(cfg detect.Config, tu detect.Tuning, full bool) {
+		rep := detect.NewTunedEngine(cfg, tu).Run(p.Run)
 		if rep.Err != nil {
 			t.Fatalf("seed %d [c=%d]: %v\n%s", seed, cfg.Consumers, rep.Err, p)
 		}
@@ -129,12 +128,11 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 		check(detect.Config{
 			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
 			Consumers: consumers,
-		}, true)
+		}, detect.Tuning{}, true)
 	}
 	check(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Consumers: 3, StealChunkWords: 4,
-	}, false)
+		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Consumers: 3,
+	}, detect.Tuning{StealChunkWords: 4}, false)
 }
 
 // epochOne is the cross-generation read-epoch differential on one

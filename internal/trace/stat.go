@@ -1,43 +1,20 @@
-// Trace stream statistics: event counts, on-disk size, and the size the
-// same event sequence would occupy in the legacy v1 encoding — the
-// yardstick for v2's compression ratio.
+// Trace stream statistics: event counts and on-disk size.
 package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"io"
-
-	"futurerd/internal/detect"
 )
 
 // StatInfo summarizes one trace stream.
 type StatInfo struct {
-	Version int   // 1 or 2
-	Bytes   int64 // stream size on the wire
-	Events  int64 // all events, structural and access
+	Bytes  int64 // stream size on the wire
+	Events int64 // all events, structural and access
 
 	Spawns, Creates, Gets, Syncs, TaskEnds, Labels int64
 
 	Accesses int64 // access events (coalesced ranges count once)
 	Words    int64 // shadow words covered by the accesses
-
-	// V1Bytes is the size of this exact event sequence in the v1
-	// encoding (labels excluded — v1 cannot represent them). For a v2
-	// stream this understates what a v1 recorder would have written,
-	// because v2 events are already coalesced; the true ratio against an
-	// uncoalesced v1 recording is at least Ratio().
-	V1Bytes int64
-}
-
-// Ratio returns the compression ratio of the stream against the v1
-// encoding of the same events (1 for v1 input).
-func (s *StatInfo) Ratio() float64 {
-	if s.Bytes == 0 {
-		return 0
-	}
-	return float64(s.V1Bytes) / float64(s.Bytes)
 }
 
 // BytesPerEvent returns the mean wire bytes per event.
@@ -46,11 +23,6 @@ func (s *StatInfo) BytesPerEvent() float64 {
 		return 0
 	}
 	return float64(s.Bytes) / float64(s.Events)
-}
-
-func uvarintLen(v uint64) int64 {
-	var buf [binary.MaxVarintLen64]byte
-	return int64(binary.PutUvarint(buf[:], v))
 }
 
 // countingReader tracks the bytes consumed from the wrapped reader.
@@ -65,17 +37,14 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Stat decodes a trace stream (either format) and returns its summary.
+// Stat decodes a trace stream and returns its summary.
 func Stat(r io.Reader) (*StatInfo, error) {
 	cr := &countingReader{r: r}
 	dec, err := newDecoder(bufio.NewReader(cr))
 	if err != nil {
 		return nil, err
 	}
-	st := &StatInfo{Version: 2, V1Bytes: int64(len(magicV1)) + 1} // magic + v1EOF
-	if _, ok := dec.(*v1Decoder); ok {
-		st.Version = 1
-	}
+	st := &StatInfo{}
 	for {
 		v, err := dec.next()
 		if err != nil {
@@ -88,48 +57,21 @@ func Stat(r io.Reader) (*StatInfo, error) {
 		switch v.kind {
 		case tevSpawn:
 			st.Spawns++
-			st.V1Bytes++
 		case tevCreate:
 			st.Creates++
-			st.V1Bytes += 1 + uvarintLen(v.id)
 		case tevTaskEnd:
 			st.TaskEnds++
-			st.V1Bytes++
 		case tevSync:
 			st.Syncs++
-			st.V1Bytes++
 		case tevGet:
 			st.Gets++
-			st.V1Bytes += 1 + uvarintLen(v.id)
 		case tevRead, tevWrite:
 			st.Accesses++
 			st.Words += int64(v.words)
-			st.V1Bytes += 1 + uvarintLen(v.addr) + uvarintLen(uint64(v.words))
 		case tevLabel:
-			st.Labels++ // v1 has no label encoding; contributes nothing there
+			st.Labels++
 		}
 	}
 	st.Bytes = cr.n
-	return st, nil
-}
-
-// StatOf records root in format v2 and in the legacy v1 format and
-// returns the v2 summary with V1Bytes set to the true uncoalesced v1
-// recording size — the honest "equivalent v1 encoding" for compression
-// claims.
-func StatOf(root func(*detect.Task)) (*StatInfo, error) {
-	raw, err := RecordBytes(root)
-	if err != nil {
-		return nil, err
-	}
-	st, err := Stat(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	v1, err := RecordBytesV1(root)
-	if err != nil {
-		return nil, err
-	}
-	st.V1Bytes = int64(len(v1))
 	return st, nil
 }

@@ -45,9 +45,9 @@
 // BeginSpawn/EndSpawn construct API from an explicit stack, so arbitrary
 // spawn depth costs no Go stack.
 //
-// Replay also accepts the legacy v1 format ("FUTRD1\n": one byte opcode
-// plus absolute uvarint operands per event, no labels, no framing);
-// RecordV1 still writes it for migration tooling and size comparisons.
+// v2 is the only format read. A stream with the magic of the retired v1
+// format ("FUTRD1\n") is rejected with ErrBadTrace and a request to
+// re-record it.
 package trace
 
 import (
@@ -60,16 +60,13 @@ import (
 	"futurerd/internal/detect"
 )
 
-// Stream magics, one per format version.
-var (
-	magicV1 = []byte("FUTRD1\n")
-	magicV2 = []byte("FUTRD2\n")
-)
+// magicV2 opens every trace stream.
+var magicV2 = []byte("FUTRD2\n")
 
 // ErrBadTrace reports a malformed or truncated stream.
 var ErrBadTrace = errors.New("trace: malformed event stream")
 
-// tevKind enumerates the canonical replay events every format decodes to.
+// tevKind enumerates the replay events the decoder yields.
 type tevKind uint8
 
 const (
@@ -80,7 +77,7 @@ const (
 	tevSync
 	tevGet // id
 	tevRead
-	tevWrite // must stay tevRead+1: decoders compute kind arithmetically
+	tevWrite // must stay tevRead+1: the decoder computes kind arithmetically
 	tevLabel
 )
 
@@ -93,22 +90,17 @@ type tev struct {
 	label string
 }
 
-// decoder yields the event stream of one format.
-type decoder interface {
-	next() (tev, error)
-}
-
-// newDecoder sniffs the magic and returns the matching format decoder.
-func newDecoder(br *bufio.Reader) (decoder, error) {
+// newDecoder checks the magic and returns the stream's decoder.
+func newDecoder(br *bufio.Reader) (*v2Decoder, error) {
 	head := make([]byte, len(magicV2))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
 	}
-	switch {
-	case bytes.Equal(head, magicV2):
+	switch string(head) {
+	case string(magicV2):
 		return &v2Decoder{r: br}, nil
-	case bytes.Equal(head, magicV1):
-		return &v1Decoder{r: br}, nil
+	case "FUTRD1\n":
+		return nil, fmt.Errorf("%w: format v1 is no longer read; re-record the trace", ErrBadTrace)
 	}
 	return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
 }
@@ -138,10 +130,10 @@ func RecordBytes(root func(*detect.Task)) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Replay runs the event stream (format v1 or v2) through a detection
-// engine configured by cfg and returns its report. Replaying a trace
-// yields exactly the same report as detecting the original program, for
-// any algorithm and worker count.
+// Replay runs the event stream through a detection engine configured by
+// cfg and returns its report. Replaying a trace yields exactly the same
+// report as detecting the original program, for any algorithm and worker
+// count.
 func Replay(r io.Reader, cfg detect.Config) (*detect.Report, error) {
 	dec, err := newDecoder(bufio.NewReader(r))
 	if err != nil {
@@ -197,7 +189,6 @@ func ReplayRecover(r io.Reader, cfg detect.Config, lim Limits) (*detect.Report, 
 	if err != nil {
 		// Not even a magic: the report covers the empty prefix.
 		ts = detect.TraceStats{Truncated: true, Reason: err.Error()}
-		dec = nil
 	}
 	eng := detect.NewEngine(cfg)
 	rep := eng.Run(func(t *detect.Task) {
@@ -212,7 +203,7 @@ func ReplayRecover(r io.Reader, cfg detect.Config, lim Limits) (*detect.Report, 
 // replayRecover is replayEvents with a recovery policy: decode errors and
 // limit hits truncate the stream instead of failing it, and the open
 // frame stack is unwound so the engine observes a well-formed program.
-func replayRecover(e *detect.Engine, root *detect.Task, dec decoder, lim Limits) detect.TraceStats {
+func replayRecover(e *detect.Engine, root *detect.Task, dec *v2Decoder, lim Limits) detect.TraceStats {
 	type frame struct {
 		t   *detect.Task
 		h   *detect.Fut
@@ -308,7 +299,7 @@ func replayRecover(e *detect.Engine, root *detect.Task, dec decoder, lim Limits)
 // iteratively: task nesting lives on an explicit frame stack (via the
 // engine's BeginSpawn/EndSpawn and BeginFut/EndFut construct API), so a
 // spawn chain of any depth replays in constant Go stack.
-func replayEvents(e *detect.Engine, root *detect.Task, dec decoder) error {
+func replayEvents(e *detect.Engine, root *detect.Task, dec *v2Decoder) error {
 	type frame struct {
 		t   *detect.Task
 		h   *detect.Fut

@@ -5,9 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"futurerd/internal/detect"
@@ -51,8 +50,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 }
 
 // TestReplayCarriesLabels: the v2 stream records Task.Label calls, so a
-// replayed report names the racing strands exactly like a direct run —
-// the v1 recorder dropped them.
+// replayed report names the racing strands exactly like a direct run.
 func TestReplayCarriesLabels(t *testing.T) {
 	cfg := detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull}
 	direct := detect.NewEngine(cfg).Run(prog)
@@ -157,8 +155,29 @@ func TestRecordDeterministic(t *testing.T) {
 }
 
 func TestReplayRejectsGarbage(t *testing.T) {
-	if _, err := ReplayBytes([]byte("not a trace"), detect.Config{Mode: detect.ModeOracle}); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("bad magic: err = %v", err)
+	// Streams rejected at the magic: Replay and Stat fail with
+	// ErrBadTrace, and ReplayRecover reports the empty prefix with the
+	// same diagnosis. A retired v1 stream is rejected by name.
+	for _, tc := range []struct {
+		name, raw, reason string
+	}{
+		{"garbage", "not a trace", "bad magic"},
+		{"v1", "FUTRD1\n\x01\x03\x08", "format v1 is no longer read; re-record the trace"},
+	} {
+		cfg := detect.Config{Mode: detect.ModeOracle}
+		if _, err := ReplayBytes([]byte(tc.raw), cfg); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), tc.reason) {
+			t.Fatalf("%s: Replay err = %v, want ErrBadTrace with %q", tc.name, err, tc.reason)
+		}
+		rep, err := ReplayRecover(strings.NewReader(tc.raw), cfg, Limits{})
+		if err != nil {
+			t.Fatalf("%s: ReplayRecover: %v", tc.name, err)
+		}
+		if ts := rep.Stats.Trace; !ts.Truncated || !strings.Contains(ts.Reason, tc.reason) {
+			t.Fatalf("%s: ReplayRecover trace stats %+v, want a cut with %q", tc.name, ts, tc.reason)
+		}
+		if _, err := Stat(strings.NewReader(tc.raw)); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("%s: Stat err = %v, want ErrBadTrace", tc.name, err)
+		}
 	}
 	// Valid magic, truncated body.
 	raw, _ := RecordBytes(prog)
@@ -234,18 +253,17 @@ func TestTraceCompactness(t *testing.T) {
 	}
 }
 
-// TestDeepSpawnChainReplaysIteratively is the regression test for the
-// recursive replayTask of the v1 reader: a 100k-deep spawn chain must
+// TestDeepSpawnChainReplaysIteratively: a 100k-deep spawn chain must
 // replay in constant Go stack. The stack cap makes a recursive replay
 // (≳ depth × frame size) fatal rather than silently fine on a machine
-// with a big default limit; both formats are exercised.
+// with a big default limit.
 func TestDeepSpawnChainReplaysIteratively(t *testing.T) {
 	const depth = 100_000
 	old := debug.SetMaxStack(4 << 20)
 	defer debug.SetMaxStack(old)
 
-	// v2: hand-framed event bytes (a recursive recorder would need the
-	// very stack this test takes away).
+	// Hand-framed event bytes: a recursive recorder would need the very
+	// stack this test takes away.
 	var payload []byte
 	for i := 0; i < depth; i++ {
 		payload = append(payload, v2Spawn)
@@ -255,98 +273,20 @@ func TestDeepSpawnChainReplaysIteratively(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		payload = append(payload, v2TaskEnd)
 	}
-	var v2buf bytes.Buffer
-	v2buf.Write(magicV2)
-	v2buf.Write(encodeTestBlock(t, payload))
-	v2buf.WriteByte(0)
+	var buf bytes.Buffer
+	buf.Write(magicV2)
+	buf.Write(encodeTestBlock(t, payload))
+	buf.WriteByte(0)
 
-	// v1 equivalent.
-	var v1buf bytes.Buffer
-	v1buf.Write(magicV1)
-	for i := 0; i < depth; i++ {
-		v1buf.WriteByte(v1Spawn)
-	}
-	v1buf.WriteByte(v1Write)
-	v1buf.Write(binary.AppendUvarint(nil, 1))
-	v1buf.Write(binary.AppendUvarint(nil, 1))
-	for i := 0; i < depth; i++ {
-		v1buf.WriteByte(v1TaskEnd)
-	}
-	v1buf.WriteByte(v1EOF)
-
-	for name, raw := range map[string][]byte{"v2": v2buf.Bytes(), "v1": v1buf.Bytes()} {
-		rep, err := ReplayBytes(raw, detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rep.Err != nil {
-			t.Fatalf("%s: %v", name, rep.Err)
-		}
-		if rep.Stats.Spawns != depth {
-			t.Fatalf("%s: replayed %d spawns, want %d", name, rep.Stats.Spawns, depth)
-		}
-	}
-}
-
-// TestGoldenV1Fixture proves the migration reader still decodes a trace
-// recorded by the original v1 recorder: the committed fixture must keep
-// replaying with the same verdicts forever, whatever happens to the
-// current writer.
-func TestGoldenV1Fixture(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "v1_golden.trace"))
+	rep, err := ReplayBytes(buf.Bytes(), detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, magicV1) {
-		t.Fatal("fixture is not a v1 stream")
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
-	rep, err := ReplayBytes(raw, detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Races) != 1 || rep.Races[0].Addr != 5 {
-		t.Fatalf("fixture races = %v, want one race on addr 5", rep.Races)
-	}
-	if rep.Races[0].PrevLabel != "" {
-		t.Fatal("v1 fixtures cannot carry labels; reader invented one")
-	}
-	if rep.Stats.Creates != 1 || rep.Stats.Spawns != 1 {
-		t.Fatalf("fixture structure: %+v", rep.Stats)
-	}
-}
-
-// TestV1RecorderRoundTrip keeps the legacy writer usable for migration
-// tooling: a fresh v1 recording must replay with the same verdicts as a
-// v2 recording of the same program.
-func TestV1RecorderRoundTrip(t *testing.T) {
-	for seed := uint64(0); seed < 25; seed++ {
-		p := progen.Generate(seed, progen.Options{Dialect: progen.General})
-		cfg := detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull}
-		v1raw, err := RecordBytesV1(p.Run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2raw, err := RecordBytes(p.Run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := ReplayBytes(v1raw, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: v1 replay: %v", seed, err)
-		}
-		r2, err := ReplayBytes(v2raw, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: v2 replay: %v", seed, err)
-		}
-		if len(r1.Races) != len(r2.Races) || r1.Stats.RaceCount != r2.Stats.RaceCount {
-			t.Fatalf("seed %d: v1 %d/%d races vs v2 %d/%d", seed,
-				len(r1.Races), r1.Stats.RaceCount, len(r2.Races), r2.Stats.RaceCount)
-		}
-		for i := range r1.Races {
-			if r1.Races[i] != r2.Races[i] {
-				t.Fatalf("seed %d: race %d: v1 %v vs v2 %v", seed, i, r1.Races[i], r2.Races[i])
-			}
-		}
+	if rep.Stats.Spawns != depth {
+		t.Fatalf("replayed %d spawns, want %d", rep.Stats.Spawns, depth)
 	}
 }
 
@@ -360,8 +300,8 @@ func TestStatCountsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != 2 || st.Bytes != int64(len(raw)) {
-		t.Fatalf("version/bytes: %+v (stream is %d bytes)", st, len(raw))
+	if st.Bytes != int64(len(raw)) {
+		t.Fatalf("bytes: %+v (stream is %d bytes)", st, len(raw))
 	}
 	if st.Spawns != 1 || st.Creates != 1 || st.Gets != 1 || st.Labels != 2 {
 		t.Fatalf("structural counts: %+v", st)
@@ -370,17 +310,6 @@ func TestStatCountsEvents(t *testing.T) {
 	// coalesce into one range.
 	if st.Words != 5 || st.Accesses != 4 {
 		t.Fatalf("Words/Accesses = %d/%d, want 5/4", st.Words, st.Accesses)
-	}
-	v1raw, err := RecordBytesV1(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1st, err := Stat(bytes.NewReader(v1raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1st.Version != 1 || v1st.V1Bytes != int64(len(v1raw)) {
-		t.Fatalf("v1 stat must reproduce its own size: %+v vs %d bytes", v1st, len(v1raw))
 	}
 }
 

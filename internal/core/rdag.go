@@ -22,7 +22,7 @@ type rdag struct {
 
 // addNode creates a new node with no arcs and returns its id.
 func (r *rdag) addNode() int32 {
-	r.anc = append(r.anc, ds.NewBitVec(64))
+	r.anc = append(r.anc, new(ds.BitVec))
 	r.succ = append(r.succ, nil)
 	return int32(len(r.anc) - 1)
 }

@@ -119,6 +119,38 @@ func TestRdagMatchesFloyd(t *testing.T) {
 	}
 }
 
+// TestRdagRowsExact: closure rows are sized to their highest ancestor, so
+// no row ends in a zero word (a row with no ancestors holds no words).
+// Arcs go in random order over ids spread across several words, so rows
+// grow both from a source's wider row and from the source's own bit.
+func TestRdagRowsExact(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		const n = 300
+		var r rdag
+		for i := 0; i < n; i++ {
+			r.addNode()
+		}
+		for k := 0; k < 400; k++ {
+			i := rng.IntN(n - 1)
+			r.addArc(int32(i), int32(i+1+rng.IntN(n-1-i)))
+		}
+		for x, row := range r.anc {
+			w := row.Words()
+			if w == 0 {
+				continue
+			}
+			top := false
+			for bit := uint32(64 * (w - 1)); bit < uint32(64*w); bit++ {
+				top = top || row.Has(bit)
+			}
+			if !top {
+				t.Fatalf("seed %d: row %d (%d words, %d ancestors) ends in a zero word", seed, x, w, row.Count())
+			}
+		}
+	}
+}
+
 func TestRdagClosureWords(t *testing.T) {
 	var r rdag
 	a := r.addNode()

@@ -13,18 +13,17 @@ type BitVec struct {
 	w []uint64
 }
 
-// NewBitVec returns a vector with capacity hint n bits.
-func NewBitVec(n int) *BitVec {
-	return &BitVec{w: make([]uint64, (n+wordBits-1)/wordBits)}
-}
-
+// grow lengthens b to at least words words, doubling so that a vector
+// grown bit by bit (UnionFind.present) reallocates O(log n) times.
 func (b *BitVec) grow(words int) {
 	if words <= len(b.w) {
 		return
 	}
-	if c := 2 * len(b.w); words < c {
-		words = c
-	}
+	b.resize(max(words, 2*len(b.w)))
+}
+
+// resize lengthens b to exactly words words.
+func (b *BitVec) resize(words int) {
 	nw := make([]uint64, words)
 	copy(nw, b.w)
 	b.w = nw
@@ -67,11 +66,17 @@ func (b *BitVec) Or(o *BitVec) bool {
 
 // OrWithBit sets b = b ∪ o ∪ {bit} and reports whether b changed.
 // It is the inner step of R arc insertion: the target's ancestor set
-// absorbs the source's ancestors plus the source itself.
+// absorbs the source's ancestors plus the source itself. b grows at most
+// once, to exactly the words the result needs, so a vector built only by
+// OrWithBit from such vectors never ends in a zero word.
 func (b *BitVec) OrWithBit(o *BitVec, bit uint32) bool {
+	wi := int(bit / wordBits)
+	if n := max(len(o.w), wi+1); n > len(b.w) {
+		b.resize(n)
+	}
 	changed := b.Or(o)
-	if !b.Has(bit) {
-		b.Set(bit)
+	if m := uint64(1) << (bit % wordBits); b.w[wi]&m == 0 {
+		b.w[wi] |= m
 		changed = true
 	}
 	return changed

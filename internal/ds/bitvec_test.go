@@ -33,8 +33,8 @@ func TestBitVecSetHasClear(t *testing.T) {
 }
 
 func TestBitVecOr(t *testing.T) {
-	a := NewBitVec(128)
-	b := NewBitVec(128)
+	a := new(BitVec)
+	b := new(BitVec)
 	a.Set(1)
 	b.Set(2)
 	b.Set(200) // force growth in a
@@ -50,8 +50,8 @@ func TestBitVecOr(t *testing.T) {
 }
 
 func TestBitVecOrWithBit(t *testing.T) {
-	a := NewBitVec(8)
-	b := NewBitVec(8)
+	a := new(BitVec)
+	b := new(BitVec)
 	b.Set(3)
 	if !a.OrWithBit(b, 5) {
 		t.Fatal("expected change")
@@ -69,6 +69,31 @@ func TestBitVecOrWithBit(t *testing.T) {
 	}
 	if !a.Has(70) {
 		t.Fatal("bit 70 missing")
+	}
+}
+
+// OrWithBit grows its target once, to exactly the source's length or the
+// bit's word, whichever is longer; Set keeps doubling.
+func TestBitVecOrWithBitExactSize(t *testing.T) {
+	var src, dst BitVec
+	src.Set(130) // 3 words
+	if dst.OrWithBit(&src, 5); dst.Words() != 3 {
+		t.Fatalf("grown to %d words, want the source's 3", dst.Words())
+	}
+	if dst.OrWithBit(&src, 64*7+1); dst.Words() != 8 {
+		t.Fatalf("grown to %d words, want 8 for bit %d", dst.Words(), 64*7+1)
+	}
+	if dst.OrWithBit(&src, 9); dst.Words() != 8 {
+		t.Fatalf("a fitting OrWithBit resized the target to %d words", dst.Words())
+	}
+	var set BitVec
+	set.Set(0)
+	set.Set(64)
+	if set.Words() != 2 {
+		t.Fatalf("Set grew to %d words, want 2", set.Words())
+	}
+	if set.Set(128); set.Words() != 4 {
+		t.Fatalf("Set grew to %d words, want 4 (doubling)", set.Words())
 	}
 }
 
@@ -130,8 +155,8 @@ func TestBitVecMatchesMap(t *testing.T) {
 // after, and Count is bounded by the sum.
 func TestBitVecOrQuick(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
-		a := NewBitVec(8)
-		b := NewBitVec(8)
+		a := new(BitVec)
+		b := new(BitVec)
 		for _, x := range xs {
 			a.Set(uint32(x) % 4096)
 		}

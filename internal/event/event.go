@@ -212,14 +212,17 @@ func (b *Batch) Len() int { return len(b.Ops) }
 // Summarize computes the batch's page footprint from its ops: one span
 // per op, insertion-sorted and merged (ops are coalesced, so there are
 // few), collapsed to the hull past MaxFootprintSpans. PageBits is the
-// shadow layer's page size exponent.
+// shadow layer's page size exponent. An op inside one span already in the
+// union leaves the union as it is, so it is not inserted.
 func (b *Batch) Summarize(pageBits uint) {
 	spans := b.FP.Spans[:0]
 	for i := range b.Ops {
 		op := &b.Ops[i]
 		lo := op.Addr >> pageBits
 		hi := (op.Addr + uint64(op.Words) - 1) >> pageBits
-		spans = insertSpan(spans, PageSpan{lo, hi})
+		if !covered(spans, lo, hi) {
+			spans = insertSpan(spans, PageSpan{lo, hi})
+		}
 	}
 	b.FP.Exact = true
 	if len(spans) > MaxFootprintSpans {
@@ -227,6 +230,20 @@ func (b *Batch) Summarize(pageBits uint) {
 		b.FP.Exact = false
 	}
 	b.FP.Spans = spans
+}
+
+// covered reports whether pages [lo, hi] lie inside one span of the
+// sorted span list.
+func covered(spans []PageSpan, lo, hi uint64) bool {
+	for _, sp := range spans {
+		if sp.Lo > lo {
+			return false
+		}
+		if hi <= sp.Hi {
+			return true
+		}
+	}
+	return false
 }
 
 // insertSpan inserts s into the sorted, disjoint, non-adjacent span list,

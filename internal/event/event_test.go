@@ -1,6 +1,8 @@
 package event
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"futurerd/internal/core"
@@ -205,5 +207,32 @@ func TestSplitOpsPartitionsPageDisjointRuns(t *testing.T) {
 
 	if got := SplitOps(nil, 16, pageBits); got != nil {
 		t.Fatalf("SplitOps(nil) = %+v, want nil", got)
+	}
+}
+
+// TestSummarizeSkipMatchesInsertAll: skipping ops already covered by the
+// union yields the footprint of inserting every op, on random op lists.
+func TestSummarizeSkipMatchesInsertAll(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var b Batch
+	for trial := 0; trial < 2000; trial++ {
+		b.Reset()
+		for n := rng.IntN(40); len(b.Ops) < n; {
+			// Few pages, so ops land inside, beside and across spans.
+			addr := rng.Uint64N(24 << 12)
+			b.Ops = append(b.Ops, Op{Addr: addr, Words: 1 + rng.IntN(3<<12), Kind: Read})
+		}
+		var all []PageSpan
+		for _, op := range b.Ops {
+			all = insertSpan(all, PageSpan{op.Addr >> 12, (op.Addr + uint64(op.Words) - 1) >> 12})
+		}
+		exact := len(all) <= MaxFootprintSpans
+		if !exact {
+			all = []PageSpan{{all[0].Lo, all[len(all)-1].Hi}}
+		}
+		b.Summarize(12)
+		if !slices.Equal(b.FP.Spans, all) || b.FP.Exact != exact {
+			t.Fatalf("trial %d: footprint %+v, inserting every op gives %v (exact %v)\nops %v", trial, b.FP, all, exact, b.Ops)
+		}
 	}
 }

@@ -25,10 +25,12 @@
 //
 // Pages are materialized under stripe locks (History.pageFor) and spill
 // slots are allocated under the slab's mutex when the History was built
-// for concurrent checkers. Everything else a checker touches is private:
-// its last-page cache (kept across batches — pages never move), its
-// verdict cache and epoch memo (reset every batch), its counters and its
-// event buffer.
+// for concurrent checkers. A spill slot is shared only by words of one
+// page, so its list and holder count belong to that page's owner.
+// Everything else a checker touches is private: its last-page cache (kept
+// across batches — pages never move), its verdict cache, epoch memo and
+// scan memo (reset every batch), its segment transition memo, its
+// counters and its event buffer.
 //
 // EnableInstallAudit arms a debug assertion that re-checks the first
 // invariant at access granularity: every op claims its exact page range
@@ -92,6 +94,12 @@ type Checker struct {
 	epochSrc   core.StrandID
 	epochOK    bool
 
+	// share is the reader-list transition memo of the page segment being
+	// read, settled at the segment's end; scans is the write-side scan
+	// memo of inflated lists, reset by Begin.
+	share shareMemo
+	scans scanMemo
+
 	events []RaceEvent
 	claims []PageClaim // active audit claims (this batch's footprint)
 
@@ -120,6 +128,7 @@ func (h *History) EnableInstallAudit() {
 func (c *Checker) Begin(ctx *Ctx, s core.StrandID) {
 	c.ctx, c.s = *ctx, s
 	c.verdicts.reset()
+	c.scans.reset()
 	c.epochValid = false
 	c.events = c.events[:0]
 }
@@ -145,6 +154,7 @@ func (c *Checker) Events() []RaceEvent { return c.events }
 // mutex (uncontended unless checkers run concurrently) and audit claims
 // release. End is safe to call on a checker whose batch panicked midway.
 func (c *Checker) End() {
+	c.settle()
 	h := c.h
 	h.foldMu.Lock()
 	h.counters.add(&c.counters)
@@ -286,6 +296,7 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 			c.readSharedSkips++ // read epoch: s's own stamp, still proven
 		default:
 			c.readWordSlow(w, p, addr)
+			c.settle()
 		}
 		return
 	}
@@ -314,6 +325,7 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 				c.readWordSlow(w, p, addr+uint64(i))
 			}
 		}
+		c.settle() // sharing never crosses a page
 		words -= n
 		if words == 0 {
 			return
@@ -348,8 +360,11 @@ func (c *Checker) readWordSlow(w *word, p *page, addr uint64) {
 		}
 	}
 	w.lastReader = c.s
-	c.h.spill.addReader(w, c.s, &c.counters)
+	c.h.spill.addShared(w, c.s, &c.share, &c.counters, &c.scans)
 }
+
+// settle ends the segment's reader-list transition memo (see shareMemo).
+func (c *Checker) settle() { c.h.spill.settle(&c.share, &c.counters, &c.scans) }
 
 // WriteRange checks writes of words consecutive addresses starting at
 // addr by the batch's strand, with the same page-segment structure as
@@ -447,22 +462,42 @@ func (c *Checker) writeSlow(w *word, p *page, addr uint64) {
 			c.events = append(c.events, RaceEvent{addr, Racer{Prev: r0, PrevWrite: false}, true})
 			return
 		}
-	} else {
-		for _, r := range c.h.spill.readers(r0) {
-			if r != s && !c.precedes(r) {
-				c.installWriter(w)
-				c.events = append(c.events, RaceEvent{addr, Racer{Prev: r, PrevWrite: false}, true})
-				return
+	} else if r := c.scan(r0); r != core.NoStrand {
+		c.installWriter(w)
+		c.events = append(c.events, RaceEvent{addr, Racer{Prev: r, PrevWrite: false}, true})
+		return
+	}
+	c.installWriter(w)
+}
+
+// scan returns the first reader of the inflated list r0 that does not
+// precede the batch's strand, or NoStrand. The result is memoized per
+// batch, so words that share the list scan it once; a memoized scan
+// counts its verdict lookups as cache hits, as rescanning would.
+func (c *Checker) scan(r0 core.StrandID) core.StrandID {
+	e, ok := c.scans.lookup(r0)
+	if ok {
+		c.memoHits += uint64(e.calls)
+		return e.racer
+	}
+	s, racer, calls := c.s, core.NoStrand, uint32(0)
+	for _, r := range c.h.spill.readers(r0) {
+		if r != s {
+			calls++
+			if !c.precedes(r) {
+				racer = r
+				break
 			}
 		}
 	}
-	c.installWriter(w)
+	*e = scanEntry{list: r0, racer: racer, calls: calls, stamp: c.scans.stamp}
+	return racer
 }
 
 // installWriter completes a write: the reader list is flushed and the
 // strand becomes the last writer.
 func (c *Checker) installWriter(w *word) {
-	c.h.spill.flush(w, &c.counters)
+	c.h.spill.flush(w, &c.counters, &c.scans)
 	w.lastWriter = c.s
 }
 

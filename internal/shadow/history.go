@@ -58,7 +58,18 @@
 //   - Inflated reader lists live in a slab (spill.go), not a map: an
 //     inflated word's reader0 holds its slot index, so appending a reader,
 //     checking the list on a write and flushing it each cost one slice
-//     index. Deflated slots are recycled with their capacity.
+//     index. Freed slots are recycled with their capacity.
+//
+//   - Reader lists are shared copy-on-write across a page segment, after
+//     Wilcox et al.'s array shadow state compression (ASE 2015): the
+//     words of one range read that go through the same transition (old
+//     reader0 plus the new reader) end up pointing at one slot, so a bulk
+//     read by k strands pays one inflation, append or copy per page
+//     segment instead of one per word. Slots are reference-counted and a
+//     list grows in place only while one word holds it. A write scans
+//     each shared list once per batch (Checker.scan). Counters stay
+//     word-logical: every word counts the appends, inflations and spill
+//     entries the per-word protocol would give it.
 //
 //   - Reachability verdicts are cached per batch: a small direct-mapped
 //     cache keyed by the predecessor strand answers repeated "u precedes
@@ -80,8 +91,9 @@
 // engine's inline pipeline owns one checker; each consumer of the
 // scheduled pool owns its own, and concurrently checked batches touch
 // disjoint shadow pages. A checker keeps its own
-// last-page cache, verdict cache and counters, buffers race events per
-// batch, and folds its counters into the History when a batch ends.
+// last-page cache, verdict cache, reader-list memos and counters, buffers
+// race events per batch, and folds its counters into the History when a
+// batch ends.
 package shadow
 
 import (
@@ -121,7 +133,9 @@ const maxDirs = 1 << 20
 // multiple. The uncommon case of several distinct readers between two
 // writes spills to a list in History.spill (the inflated state): reader0
 // then holds spillFlag plus the list's slot index, and the first reader
-// moves to element 0 of the list.
+// moves to element 0 of the list. Words of one page with equal reader
+// lists may hold the same slot; the list is copied before it changes
+// under any of them (spillSlab).
 //
 // The stamp invariant: lastReader is non-zero only if it completed a
 // race-free read of this word — meaning the word's writer at that moment
@@ -232,6 +246,7 @@ type counters struct {
 	epochHits       uint64 // reads resolved by stamp verdict transfer
 	epochInflations uint64 // single-reader → inflated (first spill) transitions
 	epochDeflations uint64 // inflated → flushed (write install) transitions
+	spillEntries    uint64 // live spill entries, word-logical (a signed delta in a checker)
 	sampledAccesses uint64 // slow-path accesses admitted by the sampler
 	budgetSkips     uint64 // rate-admitted accesses denied a page coupon
 	touched         uint64 // TouchRange checksum; keeps the instr config honest
@@ -250,6 +265,7 @@ func (c *counters) add(o *counters) {
 	c.epochHits += o.epochHits
 	c.epochInflations += o.epochInflations
 	c.epochDeflations += o.epochDeflations
+	c.spillEntries += o.spillEntries
 	c.sampledAccesses += o.sampledAccesses
 	c.budgetSkips += o.budgetSkips
 	c.touched += o.touched
@@ -260,7 +276,7 @@ func (c *counters) add(o *counters) {
 // consumers); only then does spill-slot allocation lock.
 func NewHistory(concurrent bool) *History {
 	h := &History{}
-	h.spill.shared = concurrent
+	h.spill.concurrent = concurrent
 	root := []*directory(nil)
 	h.dirs.Store(&root)
 	return h
@@ -432,7 +448,7 @@ func (h *History) wordFor(addr uint64) *word {
 // becomes the last writer. Called for race-free and racing writes alike
 // (see Write).
 func (h *History) installWriter(w *word, s core.StrandID) {
-	h.spill.flush(w, &h.counters)
+	h.spill.flush(w, &h.counters, nil)
 	w.lastWriter = s
 }
 
@@ -468,7 +484,9 @@ type Stats struct {
 	EpochDeflations uint64
 	// SpillEntries is the number of reader entries of inflated words
 	// beyond each word's first reader at the time Stats was taken — the
-	// live footprint of inflated words.
+	// live footprint of inflated words under the per-word protocol. It
+	// counts every word's list, so words that share one slot each count
+	// its entries; the slab itself holds the shared list once.
 	SpillEntries uint64
 	// ParRanges and ParChunks are always zero: they counted the fan-outs
 	// of the removed intra-range worker pool, and stay only so existing
@@ -486,7 +504,7 @@ type Stats struct {
 }
 
 // Stats returns the history's counters. Called on a quiescent history
-// (after the run, or between batches), so the spill walk needs no lock.
+// (after the run, or between batches).
 func (h *History) Stats() Stats {
 	return Stats{
 		Reads: h.reads, Writes: h.writes,
@@ -500,7 +518,7 @@ func (h *History) Stats() Stats {
 		EpochHits:       h.epochHits,
 		EpochInflations: h.epochInflations,
 		EpochDeflations: h.epochDeflations,
-		SpillEntries:    h.spill.entries(),
+		SpillEntries:    h.spillEntries,
 		SampledAccesses: h.sampledAccesses,
 		SkippedByBudget: h.budgetSkips,
 	}

@@ -1,6 +1,6 @@
-// Inflated reader lists and the per-batch verdict cache: the two pieces of
-// shadow state behind a Checker's slow paths (the spill slab is also used
-// by the History's reference protocol).
+// Inflated reader lists, the memos that share and scan them, and the
+// per-batch verdict cache: the shadow state behind a Checker's slow paths
+// (the spill slab is also used by the History's reference protocol).
 package shadow
 
 import (
@@ -24,19 +24,39 @@ const maxSpillSlots = uint32(spillFlag)
 // spillSeg is one segment of the slab. Segments are allocated once and
 // never move, so a slot's list header keeps its address for the life of
 // the history.
-type spillSeg [spillSegSize][]core.StrandID
+type spillSeg struct {
+	lists [spillSegSize][]core.StrandID
+	// refs counts each slot's references beyond the first: zero means
+	// one word holds the slot. The table is allocated when one of the
+	// segment's slots is first shared, so a segment of unshared slots
+	// costs one nil pointer more than its list headers. A slot is shared
+	// only by words of one page, so at most pageSize words hold it and
+	// its count belongs to that page's owner, like the words themselves.
+	refs atomic.Pointer[[spillSegSize]uint16]
+}
+
+var _ [1<<16 - pageSize]struct{} // a page's words fit a uint16 count
 
 // spillSlab holds the reader lists of inflated words. An inflated word
 // stores its slot index in reader0 under spillFlag; element 0 of the
 // slot's list is the word's first reader, the rest follow in append order.
 // Reaching a list is two slice indexes, no hash.
 //
-// A deflated slot goes on the free list with its capacity intact, so a
-// word that inflates on every write-then-read cycle stops allocating after
-// the first. With concurrent checkers (shared) mu is taken only to
-// allocate or free a slot; the list itself belongs to the word's owner —
-// concurrent batches and stolen chunks touch disjoint pages — so appends
-// and reads need no lock. A lone checker never locks.
+// Words of one page that went through the same reader-list transition
+// share one slot (see shareMemo): a slot is reference-counted and
+// copy-on-write. A list is appended in place only while one word holds
+// it; a reader joining a shared list copies it into a fresh slot, and the
+// words that follow the same transition point at the copy. Every word
+// still sees exactly the list the per-word protocol would give it, so
+// verdicts, racers and the word-logical counters are unchanged.
+//
+// A freed slot goes on the free list with its capacity intact, so a word
+// that inflates on every write-then-read cycle stops allocating after the
+// first. With concurrent checkers (concurrent) mu is taken only to
+// allocate or free a slot; the list and its count belong to the words'
+// owner — concurrent batches and stolen chunks touch disjoint pages, and
+// sharing never crosses a page — so appends, copies and reads need no
+// lock. A lone checker never locks.
 type spillSlab struct {
 	// segs is the segment table, grown copy-on-write under mu and
 	// published atomically so lock-free readers always see every segment
@@ -44,26 +64,35 @@ type spillSlab struct {
 	segs atomic.Pointer[[]*spillSeg]
 	mu   sync.Mutex
 	next uint32   // slots handed out so far, freed ones included
-	free []uint32 // deflated slots, ready for reuse
+	free []uint32 // freed slots, ready for reuse
 
-	// shared is set at construction when several checkers run
+	// concurrent is set at construction when several checkers run
 	// concurrently (NewHistory); only then do alloc and release lock.
-	shared bool
+	concurrent bool
+}
+
+// slotOf returns the slot index of an inflated word's reader0.
+func slotOf(r0 core.StrandID) uint32 { return uint32(r0 &^ spillFlag) }
+
+// seg returns the segment holding slot.
+func (t *spillSlab) seg(slot uint32) *spillSeg {
+	return (*t.segs.Load())[slot>>spillSegBits]
 }
 
 // list returns the reader list header of slot.
 func (t *spillSlab) list(slot uint32) *[]core.StrandID {
-	return &(*t.segs.Load())[slot>>spillSegBits][slot&spillSegMask]
+	return &t.seg(slot).lists[slot&spillSegMask]
 }
 
 // readers returns the reader list of an inflated word, given its reader0.
 func (t *spillSlab) readers(r0 core.StrandID) []core.StrandID {
-	return *t.list(uint32(r0 &^ spillFlag))
+	return *t.list(slotOf(r0))
 }
 
-// alloc returns an empty slot, recycling a freed one when it can.
+// alloc returns an empty unshared slot, recycling a freed one when it
+// can.
 func (t *spillSlab) alloc() uint32 {
-	if t.shared {
+	if t.concurrent {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 	}
@@ -89,14 +118,72 @@ func (t *spillSlab) alloc() uint32 {
 }
 
 // release empties slot's list, keeping its capacity, and frees the slot.
-func (t *spillSlab) release(slot uint32) {
-	l := t.list(slot)
+// Its count is already zero: a slot is freed by its last holder.
+func (t *spillSlab) release(sg *spillSeg, slot uint32) {
+	l := &sg.lists[slot&spillSegMask]
 	*l = (*l)[:0]
-	if t.shared {
+	if t.concurrent {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 	}
 	t.free = append(t.free, slot)
+}
+
+// shared reports whether more than one word holds slot.
+func (sg *spillSeg) shared(slot uint32) bool {
+	r := sg.refs.Load()
+	return r != nil && r[slot&spillSegMask] != 0
+}
+
+// share adds n holders to slot, allocating the segment's count table on
+// its first shared slot.
+func (t *spillSlab) share(slot uint32, n uint64) {
+	sg := t.seg(slot)
+	r := sg.refs.Load()
+	if r == nil {
+		r = new([spillSegSize]uint16)
+		if !sg.refs.CompareAndSwap(nil, r) {
+			r = sg.refs.Load() // another page's owner allocated it first
+		}
+	}
+	r[slot&spillSegMask] += uint16(n)
+}
+
+// unref drops n holders of slot and frees it when none are left. A freed
+// list is dropped from scans, the caller's scan memo (nil for the
+// reference protocol, which keeps none).
+func (t *spillSlab) unref(sg *spillSeg, slot uint32, n uint64, scans *scanMemo) {
+	if r := sg.refs.Load(); r != nil {
+		c := &r[slot&spillSegMask]
+		if uint64(*c) >= n {
+			*c -= uint16(n)
+			return
+		}
+		*c = 0
+	}
+	t.release(sg, slot)
+	if scans != nil {
+		scans.drop(spillFlag | core.StrandID(slot))
+	}
+}
+
+// shareMemo is the last reader-list transition made in one page segment:
+// a word's reader0 went from from to to when the reader joined its list.
+// Every later word of the segment whose reader0 is still from holds the
+// same list, so the same reader makes it the same new list and the word
+// just points at to. Only the first word pays for the inflation, in-place
+// append or copy. Holder counts and counters for all n words are applied
+// in one step by settle.
+//
+// The memo is valid for one op's segment on one page (settle ends it):
+// sharing never crosses a page, which keeps every slot private to the
+// page's owner. The empty memo has from NoStrand, a reader0 addShared
+// handles before it consults the memo.
+type shareMemo struct {
+	from, to core.StrandID // reader0 before and after the transition
+	n        uint64        // words that took it, the first included
+	grew     bool          // the reader joined (false: already at an end)
+	inflated bool          // from was a lone inline reader
 }
 
 // addReader records s in w's reader list after a race-free read: into the
@@ -111,47 +198,108 @@ func (t *spillSlab) addReader(w *word, s core.StrandID, c *counters) {
 		// Same strand re-reading between writes. An inflated reader0
 		// carries spillFlag, so it never equals a strand id.
 	default:
-		t.appendSpill(w, s, c)
+		var m shareMemo
+		t.step(w, s, &m)
+		t.settle(&m, c, nil)
 	}
 }
 
-// appendSpill records a second or later distinct reader of w — the
-// read-epoch state machine's inflation: genuine read contention moves the
-// inline reader into a slot's list, followed by s. On an inflated word a
-// strand equal to the first or the last entry is already recorded, which
-// bounds growth by the number of reader alternations.
-func (t *spillSlab) appendSpill(w *word, s core.StrandID, c *counters) {
-	if w.reader0&spillFlag == 0 {
+// addShared is addReader for the words of one page segment, through the
+// segment's transition memo m; scans is the caller's scan memo.
+func (t *spillSlab) addShared(w *word, s core.StrandID, m *shareMemo, c *counters, scans *scanMemo) {
+	switch r0 := w.reader0; r0 {
+	case core.NoStrand:
+		w.reader0 = s
+		c.readerAppends++
+	case m.from:
+		w.reader0 = m.to
+		m.n++
+	case s:
+	default:
+		t.settle(m, c, scans)
+		t.step(w, s, m)
+	}
+}
+
+// step records a second or later distinct reader s of w and starts the
+// memo m for that transition — the read-epoch state machine's inflation:
+// genuine read contention moves the inline reader into a slot's list,
+// followed by s. On an inflated word a strand equal to the first or the
+// last entry is already recorded, which bounds growth by the number of
+// reader alternations. A list held by one word grows in place; a shared
+// one is copied, since its other holders keep the old list.
+func (t *spillSlab) step(w *word, s core.StrandID, m *shareMemo) {
+	r0 := w.reader0
+	*m = shareMemo{from: r0, to: r0, n: 1, grew: true}
+	if r0&spillFlag == 0 {
 		slot := t.alloc()
 		l := t.list(slot)
-		*l = append(*l, w.reader0, s)
-		w.reader0 = spillFlag | core.StrandID(slot)
-		c.epochInflations++
-		c.readerAppends++
+		*l = append(*l, r0, s)
+		m.to, m.inflated = spillFlag|core.StrandID(slot), true
+	} else {
+		slot := slotOf(r0)
+		sg := t.seg(slot)
+		l := &sg.lists[slot&spillSegMask]
+		switch rs := *l; {
+		case rs[0] == s || rs[len(rs)-1] == s:
+			m.grew = false
+		case !sg.shared(slot):
+			*l = append(rs, s)
+		default:
+			ns := t.alloc()
+			nl := t.list(ns)
+			*nl = append(append(*nl, rs...), s)
+			m.to = spillFlag | core.StrandID(ns)
+		}
+	}
+	w.reader0 = m.to
+}
+
+// settle ends the memo m: the counters of its n words and the holder
+// counts of both slots are brought up to date. The old list is freed when
+// every holder moved to the copy.
+func (t *spillSlab) settle(m *shareMemo, c *counters, scans *scanMemo) {
+	n := m.n
+	if n == 0 {
 		return
 	}
-	l := t.list(uint32(w.reader0 &^ spillFlag))
-	rs := *l
-	if rs[0] == s || rs[len(rs)-1] == s {
-		return
+	if m.grew {
+		c.readerAppends += n
+		c.spillEntries += n
 	}
-	*l = append(rs, s)
-	c.readerAppends++
+	if m.inflated {
+		c.epochInflations += n
+	}
+	if m.to != m.from {
+		if n > 1 {
+			t.share(slotOf(m.to), n-1)
+		}
+		if !m.inflated {
+			from := slotOf(m.from)
+			t.unref(t.seg(from), from, n, scans)
+		}
+	}
+	*m = shareMemo{}
 }
 
 // flush empties w's reader list after a write install, along with the
 // read-epoch stamp (which must not survive a write: its verdict was
 // proven against the previous writer). An inflated word deflates here —
-// its slot returns to the free list and the next race-free read re-enters
-// the single-reader state. A word with no readers has no stamp either — a
-// race-free read always records its reader — so the early return cannot
-// strand a stale stamp.
-func (t *spillSlab) flush(w *word, c *counters) {
-	if w.reader0 == core.NoStrand {
+// it lets go of its slot, the last holder frees it, and the next
+// race-free read re-enters the single-reader state. A word with no
+// readers has no stamp either — a race-free read always records its
+// reader — so the early return cannot strand a stale stamp. scans is the
+// caller's scan memo.
+func (t *spillSlab) flush(w *word, c *counters, scans *scanMemo) {
+	r0 := w.reader0
+	if r0 == core.NoStrand {
 		return
 	}
-	if w.reader0&spillFlag != 0 {
-		t.release(uint32(w.reader0 &^ spillFlag))
+	if r0&spillFlag != 0 {
+		slot := slotOf(r0)
+		sg := t.seg(slot)
+		c.spillEntries -= uint64(len(sg.lists[slot&spillSegMask]) - 1)
+		t.unref(sg, slot, 1, scans)
 		c.epochDeflations++
 	}
 	w.reader0 = core.NoStrand
@@ -159,26 +307,57 @@ func (t *spillSlab) flush(w *word, c *counters) {
 	c.readerFlushes++
 }
 
-// entries counts the reader entries of live lists beyond each list's
-// first (the inline reader the word held before inflating). Quiescent
-// history only.
-func (t *spillSlab) entries() uint64 {
-	p := t.segs.Load()
-	if p == nil {
-		return 0
+// scanSlots is the size of the direct-mapped scan memo.
+const scanSlots = 16
+
+// scanEntry is the write-side scan of one inflated list under stamp: the
+// first reader that does not precede the batch's strand (NoStrand if all
+// do), and the number of verdicts the scan looked up to find it.
+type scanEntry struct {
+	list  core.StrandID // the scanned list's reader0
+	racer core.StrandID
+	calls uint32
+	stamp uint32
+}
+
+// scanMemo caches, per batch, the write-side scan of inflated lists keyed
+// by slot: a write over many words that share one list scans the list
+// once. The batch's strand and relation are fixed, so a list's scan
+// result only changes if its slot is freed and reused (an in-place append
+// during the batch adds the batch's own strand, which the scan skips).
+// Freeing a slot drops its entry (unref), and only the owner of the
+// slot's page frees it, so the memo stays private to its checker. The
+// zero value is empty: no entry names NoStrand.
+type scanMemo struct {
+	stamp uint32
+	e     [scanSlots]scanEntry
+}
+
+// reset invalidates every entry, as verdictCache.reset does.
+func (m *scanMemo) reset() {
+	m.stamp++
+	if m.stamp == 0 {
+		m.e = [scanSlots]scanEntry{}
 	}
-	var n uint64
-	for i := uint32(0); i < t.next; i++ {
-		if l := len((*p)[i>>spillSegBits][i&spillSegMask]); l > 1 {
-			n += uint64(l - 1)
-		}
+}
+
+// lookup returns the entry of list if it holds a scan from this batch.
+func (m *scanMemo) lookup(list core.StrandID) (*scanEntry, bool) {
+	e := &m.e[list&(scanSlots-1)]
+	return e, e.list == list && e.stamp == m.stamp
+}
+
+// drop forgets the scan of a list whose slot was freed.
+func (m *scanMemo) drop(list core.StrandID) {
+	if e := &m.e[list&(scanSlots-1)]; e.list == list {
+		e.list = core.NoStrand
 	}
-	return n
 }
 
 // verdictSlots is the size of the direct-mapped verdict cache. A write
-// over words sharing k inflated readers cycles through those k strands on
-// every word; with k well under the slot count each reader costs one query
+// over words whose own lists hold the same k readers cycles through those
+// k strands on every word (words sharing one list scan it once, see
+// scanMemo); with k well under the slot count each reader costs one query
 // per batch instead of one per word.
 const verdictSlots = 64
 

@@ -126,11 +126,18 @@ func TestVerdictCacheInvalidation(t *testing.T) {
 
 // TestSpillSlotsRecycle: a deflated slot returns to the free list with its
 // capacity, and the next inflation reuses it instead of growing the slab.
+// The reads are one word each, so every word holds its own slot (range
+// reads would share one slot per page segment).
 func TestSpillSlotsRecycle(t *testing.T) {
 	e := newEnv(allPrecede)
+	perWord := func(addr uint64, words int, s core.StrandID) {
+		for i := 0; i < words; i++ {
+			e.read(addr+uint64(i), 1, s)
+		}
+	}
 	const n = spillSegSize + 5 // spans two segments
 	for cycle := 0; cycle < 3; cycle++ {
-		inflate(e.read, 1, n, 4)
+		inflate(perWord, 1, n, 4)
 		if e.h.spill.next != n {
 			t.Fatalf("cycle %d: %d slots handed out, want %d", cycle, e.h.spill.next, n)
 		}

@@ -144,7 +144,7 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 	if s.Reach.AttachedSets > 0 {
 		fmt.Printf("attached sets   %d\n", s.Reach.AttachedSets)
 		fmt.Printf("R arcs          %d\n", s.Reach.RArcs)
-		fmt.Printf("R closure       %d words (%.1f KiB)\n",
+		fmt.Printf("R closure       %d words (%.1f KiB: shared 512-bit chunks + row index)\n",
 			s.Reach.RCloseWords, float64(s.Reach.RCloseWords)/128)
 		fmt.Printf("sync cases      neither=%d both=%d mixed=%d\n",
 			s.Reach.SyncNeither, s.Reach.SyncBoth, s.Reach.SyncMixed)

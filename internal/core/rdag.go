@@ -1,7 +1,5 @@
 package core
 
-import "futurerd/internal/ds"
-
 // rdag is the reachability dag R of MultiBags+ (§5). Its nodes are the
 // attached sets; it explicitly maintains a full transitive closure so that
 // "is there a path from A to B" is a single bit test.
@@ -11,25 +9,79 @@ import "futurerd/internal/ds"
 // added; the sync case (Figure 4 lines 35–36) can additionally insert arcs
 // between pre-existing nodes, so arc insertion ORs ancestor sets and
 // propagates the change along successor lists until it stops changing
-// anything. FutureRD represents R exactly this way: "a vector of bit
-// vectors ... reachability is transitively propagated via parallel bit
-// operations".
+// anything. FutureRD represents R as "a vector of bit vectors ...
+// reachability is transitively propagated via parallel bit operations".
+//
+// Here each bit vector is cut into 512-bit chunks that rows share. A row
+// is a slice of chunk ids; the chunks live in an append-only slab and are
+// never changed once written. The OR keeps a row's chunk, or takes the
+// source's, whenever one already contains the other, so it allocates only
+// the chunks an arc really changes. The two rows one create_fut makes, and
+// a wavefront tile's get-continuation row and the row of the tile above,
+// then share all but a chunk or two. A query is still one index load and
+// one bit test.
 type rdag struct {
-	anc  []*ds.BitVec
-	succ [][]int32
-	arcs uint64
+	rows   [][]int32 // rows[x][c]: id of chunk c (bits 512c..512c+511) of x's ancestors
+	blocks []*[blockChunks]chunk
+	chunks int32 // chunks written to the slab, the zero chunk included
+	fold   foldMemo
+	succ   [][]int32
+	arcs   uint64
 }
+
+// foldMemo remembers the last chunk orInto wrote for a source's own bit:
+// the same destination chunk, source chunk and source node give the same
+// result, so the continuation and future-first rows one create_fut hangs
+// under its creator share that chunk too. out is 0 until a chunk is
+// written.
+type foldMemo struct {
+	key foldKey
+	out int32
+}
+
+type foldKey struct{ dst, src, node int32 }
+
+const (
+	chunkWords  = 8
+	chunkBits   = 64 * chunkWords
+	blockChunks = 512 // 32 KB slab blocks; a small R allocates one
+)
+
+// chunk is 512 bits of one row. Chunk 0 is the all-zero chunk, so a row
+// reads id 0 for any chunk it has no ancestors in.
+type chunk [chunkWords]uint64
 
 // addNode creates a new node with no arcs and returns its id.
 func (r *rdag) addNode() int32 {
-	r.anc = append(r.anc, new(ds.BitVec))
+	if r.blocks == nil {
+		r.blocks = append(r.blocks, new([blockChunks]chunk))
+		r.chunks = 1
+	}
+	r.rows = append(r.rows, nil)
 	r.succ = append(r.succ, nil)
-	return int32(len(r.anc) - 1)
+	return int32(len(r.rows) - 1)
+}
+
+// chunk returns the chunk with the given id. Blocks never move, so the
+// pointer stays valid while later chunks are written.
+func (r *rdag) chunk(id int32) *chunk {
+	return &r.blocks[uint32(id)/blockChunks][uint32(id)%blockChunks]
+}
+
+// newChunk writes c to the slab and returns its id.
+func (r *rdag) newChunk(c *chunk) int32 {
+	id := r.chunks
+	if int(uint32(id)/blockChunks) == len(r.blocks) {
+		r.blocks = append(r.blocks, new([blockChunks]chunk))
+	}
+	*r.chunk(id) = *c
+	r.chunks++
+	return id
 }
 
 // addArc inserts arc a → b and restores the transitive closure.
 func (r *rdag) addArc(a, b int32) {
-	if a == b || r.anc[b].Has(uint32(a)) {
+	if a == b || r.reaches(a, b) {
 		return // already reachable or self arc; closure unchanged
 	}
 	r.arcs++
@@ -41,7 +93,7 @@ func (r *rdag) addArc(a, b int32) {
 // that changed x, recurses along x's successors. Because the dag is
 // acyclic and each step only adds bits, this terminates.
 func (r *rdag) propagate(x, src int32) {
-	if !r.anc[x].OrWithBit(r.anc[src], uint32(src)) {
+	if !r.orInto(x, src) {
 		return
 	}
 	for _, s := range r.succ[x] {
@@ -49,19 +101,105 @@ func (r *rdag) propagate(x, src int32) {
 	}
 }
 
+// orInto sets row x to row x ∪ row src ∪ {src}, chunk by chunk, and
+// reports whether row x changed. The row grows at most once, to exactly
+// the chunks the result needs.
+func (r *rdag) orInto(x, src int32) bool {
+	s, d := r.rows[src], r.rows[x]
+	bc := int(uint32(src) / chunkBits)
+	if n := max(len(s), bc+1); n > len(d) {
+		nd := make([]int32, n)
+		copy(nd, d)
+		d, r.rows[x] = nd, nd
+	}
+	changed := false
+	for c, sid := range s {
+		if c == bc {
+			continue // folded with src's own bit below
+		}
+		if id := r.union(d[c], sid); id != d[c] {
+			d[c] = id
+			changed = true
+		}
+	}
+	var sid int32
+	if bc < len(s) {
+		sid = s[bc]
+	}
+	key := foldKey{d[bc], sid, src}
+	if r.fold.out != 0 && r.fold.key == key {
+		d[bc] = r.fold.out
+		return true
+	}
+	sc := *r.chunk(sid)
+	sc[uint32(src)%chunkBits/64] |= 1 << (uint32(src) % 64)
+	dc := r.chunk(d[bc])
+	if !contains(dc, &sc) {
+		for i := range sc {
+			sc[i] |= dc[i]
+		}
+		d[bc] = r.newChunk(&sc)
+		r.fold = foldMemo{key, d[bc]}
+		changed = true
+	}
+	return changed
+}
+
+// union returns the id of a chunk holding chunks did ∪ sid: one of the
+// two ids when one contains the other, else a new chunk.
+func (r *rdag) union(did, sid int32) int32 {
+	if sid == 0 || sid == did {
+		return did
+	}
+	if did == 0 {
+		return sid
+	}
+	dc, sc := r.chunk(did), r.chunk(sid)
+	if contains(dc, sc) {
+		return did
+	}
+	if contains(sc, dc) {
+		return sid
+	}
+	var u chunk
+	for i := range u {
+		u[i] = dc[i] | sc[i]
+	}
+	return r.newChunk(&u)
+}
+
+// contains reports whether every bit of b is set in a.
+func contains(a, b *chunk) bool {
+	for i := range a {
+		if b[i]&^a[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // reaches reports whether there is a (non-empty) path from a to b.
-func (r *rdag) reaches(a, b int32) bool { return r.anc[b].Has(uint32(a)) }
+func (r *rdag) reaches(a, b int32) bool {
+	row := r.rows[b]
+	c := uint32(a) / chunkBits
+	if c >= uint32(len(row)) {
+		return false
+	}
+	return r.chunk(row[c])[uint32(a)%chunkBits/64]&(1<<(uint32(a)%64)) != 0
+}
 
 // nodes returns the number of nodes in R.
-func (r *rdag) nodes() int { return len(r.anc) }
+func (r *rdag) nodes() int { return len(r.rows) }
 
-// closureWords returns the total number of 64-bit words held by the
-// transitive closure, the "memory required for the reachability matrix R"
-// that the paper calls out for small base cases (Figure 8 discussion).
+// closureWords returns the 64-bit words held by the transitive closure,
+// the "memory required for the reachability matrix R" that the paper
+// calls out for small base cases (Figure 8 discussion): the words of every
+// chunk written to the slab except the zero chunk, plus the row index at
+// two chunk ids per word.
 func (r *rdag) closureWords() uint64 {
-	var n uint64
-	for _, a := range r.anc {
-		n += uint64(a.Words())
+	var ids uint64
+	for _, row := range r.rows {
+		ids += uint64(len(row))
 	}
-	return n
+	return uint64(max(r.chunks-1, 0))*chunkWords + (ids+1)/2
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -119,35 +120,119 @@ func TestRdagMatchesFloyd(t *testing.T) {
 	}
 }
 
-// TestRdagRowsExact: closure rows are sized to their highest ancestor, so
-// no row ends in a zero word (a row with no ancestors holds no words).
-// Arcs go in random order over ids spread across several words, so rows
-// grow both from a source's wider row and from the source's own bit.
-func TestRdagRowsExact(t *testing.T) {
-	for seed := uint64(0); seed < 20; seed++ {
+// TestRdagMatchesBFS compares reaches against a BFS closure on random
+// dags of about 1,500 nodes, whose ids span several chunks, and checks no
+// row ends in the zero chunk. Arcs go in random order, so many land on
+// nodes that already have descendants (the sync lines 35–36 case) and
+// must propagate through shared chunks; half are short, so long paths
+// cross chunk boundaries.
+func TestRdagMatchesBFS(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 7))
-		const n = 300
+		const n = 1500
 		var r rdag
 		for i := 0; i < n; i++ {
 			r.addNode()
 		}
-		for k := 0; k < 400; k++ {
+		adj := make([][]int32, n)
+		for k := 0; k < 3000; k++ {
 			i := rng.IntN(n - 1)
-			r.addArc(int32(i), int32(i+1+rng.IntN(n-1-i)))
+			span := n - 1 - i
+			if k%2 == 0 {
+				span = min(span, 40)
+			}
+			j := i + 1 + rng.IntN(span)
+			r.addArc(int32(i), int32(j))
+			adj[i] = append(adj[i], int32(j))
 		}
-		for x, row := range r.anc {
-			w := row.Words()
-			if w == 0 {
-				continue
-			}
-			top := false
-			for bit := uint32(64 * (w - 1)); bit < uint32(64*w); bit++ {
-				top = top || row.Has(bit)
-			}
-			if !top {
-				t.Fatalf("seed %d: row %d (%d words, %d ancestors) ends in a zero word", seed, x, w, row.Count())
+		// Rows are sized to the chunk of their highest ancestor.
+		for x, row := range r.rows {
+			if len(row) > 0 && row[len(row)-1] == 0 {
+				t.Fatalf("seed %d: row %d ends in the zero chunk", seed, x)
 			}
 		}
+		seen := make([]bool, n)
+		for probe := 0; probe < 40; probe++ {
+			src := int32(rng.IntN(n))
+			clear(seen)
+			stack := append([]int32(nil), adj[src]...)
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if !seen[v] {
+					seen[v] = true
+					stack = append(stack, adj[v]...)
+				}
+			}
+			for v := range seen {
+				if got := r.reaches(src, int32(v)); got != seen[v] {
+					t.Fatalf("seed %d: reaches(%d,%d) = %v, want %v", seed, src, v, got, seen[v])
+				}
+			}
+		}
+	}
+}
+
+// wavefrontR builds R the way MultiBags+ does for a tiles×tiles general
+// wavefront: the main strand creates one future per tile in row-major
+// order (create_fut: a continuation node and a future-first node, both
+// under the creator), and each tile future gets the tile above and then
+// the tile to its left (get_fut: a continuation node under the getter and
+// under the gotten future's last node).
+func wavefrontR(tiles int) *rdag {
+	r := new(rdag)
+	cur := r.addNode()
+	last := make([]int32, tiles*tiles)
+	for i := 0; i < tiles; i++ {
+		for j := 0; j < tiles; j++ {
+			cont, fut := r.addNode(), r.addNode()
+			r.addArc(cur, cont)
+			r.addArc(cur, fut)
+			cur = cont
+			get := func(from int32) {
+				g := r.addNode()
+				r.addArc(fut, g)
+				r.addArc(from, g)
+				fut = g
+			}
+			if i > 0 {
+				get(last[(i-1)*tiles+j])
+			}
+			if j > 0 {
+				get(last[i*tiles+j-1])
+			}
+			last[i*tiles+j] = fut
+		}
+	}
+	return r
+}
+
+// TestRdagSharesChunks: on a wavefront-shaped R, rows share their chunks,
+// so the closure stays well below the n²/128 words of unshared rows (49,957
+// against 127,071 here: rows at most 8 chunks long still pay about one
+// fresh chunk per node, and the saving grows with the row length).
+func TestRdagSharesChunks(t *testing.T) {
+	r := wavefrontR(32)
+	n := uint64(r.nodes())
+	unshared := n * n / 128
+	if got := r.closureWords(); got > unshared/2 {
+		t.Fatalf("closure holds %d words for %d nodes, want at most %d (unshared %d)",
+			got, n, unshared/2, unshared)
+	}
+	// Every node with an arc out reaches the last tile's last node.
+	fin := int32(n - 1)
+	for x := int32(1); x < fin; x++ {
+		if !r.reaches(x, fin) && len(r.succ[x]) > 0 {
+			t.Fatalf("node %d does not reach the last tile's last node", x)
+		}
+	}
+	// The continuation and future-first rows of one create_fut are equal,
+	// so they hold the same chunks, the one with the creator's bit too.
+	cont, fut := r.addNode(), r.addNode()
+	r.addArc(fin, cont)
+	r.addArc(fin, fut)
+	if !slices.Equal(r.rows[cont], r.rows[fut]) {
+		t.Fatalf("create_fut rows hold different chunks: %v and %v", r.rows[cont], r.rows[fut])
 	}
 }
 
@@ -176,5 +261,14 @@ func BenchmarkRdagChainInsert(b *testing.B) {
 			r.addArc(prev, n)
 			prev = n
 		}
+	}
+}
+
+func BenchmarkRdagWavefront(b *testing.B) {
+	// General-wavefront R (lcs under MultiBags+): create and get arcs over
+	// a 32×32 tile grid, the shape whose rows share chunks.
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		wavefrontR(32)
 	}
 }

@@ -207,7 +207,7 @@ type ReachStats struct {
 	Queries       uint64 // Precedes calls
 	AttachedSets  uint64 // attached sets created (MultiBags+ only)
 	RArcs         uint64 // arcs inserted into R (MultiBags+ only)
-	RCloseWords   uint64 // 64-bit words held by R's transitive closure
+	RCloseWords   uint64 // words of R's closure: its distinct 512-bit chunks plus the row index, two ids a word
 	StrandsSeen   uint64
 	FunctionsSeen uint64
 

@@ -1,6 +1,7 @@
 // Package ds provides the low-level data structures shared by the race
-// detection algorithms: Tarjan's fast disjoint-set structure and growable
-// bit vectors used for the transitive closure of the attached-set DAG.
+// detection algorithms: Tarjan's fast disjoint-set structure, the growable
+// bit vector it keeps its registered elements in, and a published slice
+// for concurrent readers.
 package ds
 
 import "sync/atomic"

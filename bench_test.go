@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"futurerd"
-	"futurerd/internal/detect"
 	"futurerd/internal/workloads"
 )
 
@@ -226,17 +225,13 @@ func BenchmarkAccessHistoryRange(b *testing.B) {
 		b.ReportMetric(float64(64*1024), "words/op")
 	})
 	// gapscan/consumers=N: page-gapped blocks — 64 non-coalescing ops over
-	// ascending, page-disjoint regions — checked by a consumer pool. The
-	// single sealed batch splits at the steal granule (default 4 pages:
-	// 4 chunks here), so these rows curve with chunk-level stealing rather
-	// than batch-level concurrency. stolen_chunks is a scheduling outcome
-	// (maximum across iterations), deliberately not benchtrend-gated.
+	// ascending, page-disjoint regions — checked inline and on the async
+	// consumer.
 	const blocks, blockWords, blockStride = 64, 1024, 1024 + 4096
 	garr := futurerd.NewArray[int64](blocks * blockStride)
 	gbase := garr.Addr(0)
-	for _, consumers := range []int{0, 2, 4} {
+	for _, consumers := range []int{0, 1} {
 		b.Run(fmt.Sprintf("gapscan/consumers=%d", consumers), func(b *testing.B) {
-			var stolen uint64
 			for i := 0; i < b.N; i++ {
 				rep := futurerd.Detect(futurerd.Config{
 					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull,
@@ -252,12 +247,8 @@ func BenchmarkAccessHistoryRange(b *testing.B) {
 				if rep.Racy() {
 					b.Fatal("unexpected race")
 				}
-				if v := rep.Stats.Event.StolenChunks; v > stolen {
-					stolen = v
-				}
 			}
 			b.ReportMetric(float64(blocks*blockWords), "words/op")
-			b.ReportMetric(float64(stolen), "stolen_chunks")
 		})
 	}
 	b.Run("pagecross", func(b *testing.B) {
@@ -339,7 +330,7 @@ func BenchmarkRecord(b *testing.B) {
 
 // BenchmarkReplay measures trace-replay throughput — the offline
 // detection path: decode a recorded v2 stream and drive it through full
-// MultiBags+ detection, inline and on the scheduled pool of one consumer.
+// MultiBags+ detection, inline and on the async consumer.
 func BenchmarkReplay(b *testing.B) {
 	ins := workloads.NewLCS(256, 16, workloads.StructuredFutures, 1)
 	raw, err := futurerd.RecordTraceBytes(ins.Run)
@@ -379,140 +370,6 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				futurerd.Run(workers, ins.Run)
 			}
-		})
-	}
-}
-
-// BenchmarkConsumerScaling drives two leaf fan-out shapes through the
-// multi-consumer detection back-end as a scaling curve over the pool
-// width: fanout — 64 leaves each touching their own multi-page region
-// (batch-level concurrency) — and skewed — each leaf touching two
-// distant regions, so every sealed batch splits into footprint-disjoint
-// chunks and the rows exercise chunk-level stealing. On real multicore
-// hardware the consumers>1 rows should shrink toward the batch-check
-// critical path; on the 1-CPU dev container wall time is flat, so the
-// reported metrics carry the proof instead: indep_batches
-// (deterministic, benchtrend-gated) counts batches independent of their
-// predecessor, maxwindow is the peak number of flights dispatched
-// concurrently, and overlap_windows / stolen_chunks are the overlapping
-// scheduler's outcome counters (timing-dependent; reported as the
-// maximum across iterations, not gated).
-func BenchmarkConsumerScaling(b *testing.B) {
-	const tasks, words = 64, 2*4096 + 512 // ~2.1 pages per leaf, disjoint
-	fanout := func(t *futurerd.Task) {
-		for i := 0; i < tasks; i++ {
-			base := uint64(1 + i*4*4096)
-			t.Spawn(func(c *futurerd.Task) {
-				c.WriteRange(base, words)
-				c.ReadRange(base, words)
-			})
-		}
-		t.Sync()
-	}
-	skewed := func(t *futurerd.Task) {
-		for i := 0; i < tasks; i++ {
-			lo := uint64(1 + i*4*4096)
-			hi := uint64(1<<24 + i*4*4096)
-			t.Spawn(func(c *futurerd.Task) {
-				c.WriteRange(lo, words)
-				c.WriteRange(hi, words) // 4096 pages away: a stealable chunk
-			})
-		}
-		t.Sync()
-	}
-	shapes := []struct {
-		name  string
-		prog  func(*futurerd.Task)
-		steal int // chunk granule; 0 keeps the shipped default
-	}{
-		{"fanout", fanout, 0},
-		{"skewed", skewed, 4096},
-	}
-	for _, sh := range shapes {
-		for _, consumers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/consumers=%d", sh.name, consumers), func(b *testing.B) {
-				maxWin := 0
-				var indep, overlapped, stolen uint64
-				for i := 0; i < b.N; i++ {
-					e := detect.NewTunedEngine(detect.Config{
-						Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-						Consumers: consumers,
-					}, detect.Tuning{StealChunkWords: sh.steal})
-					rep := e.Run(sh.prog)
-					if rep.Err != nil {
-						b.Fatal(rep.Err)
-					}
-					if rep.Racy() {
-						b.Fatalf("fan-out raced: %v", rep.Races[0])
-					}
-					indep = rep.Stats.Event.IndependentBatches
-					if w := e.MaxDispatchedWindow(); w > maxWin {
-						maxWin = w
-					}
-					if v := rep.Stats.Event.OverlappedWindows; v > overlapped {
-						overlapped = v
-					}
-					if v := rep.Stats.Event.StolenChunks; v > stolen {
-						stolen = v
-					}
-				}
-				if indep == 0 {
-					b.Fatal("fan-out produced no independent batches")
-				}
-				b.ReportMetric(float64(indep), "indep_batches")
-				b.ReportMetric(float64(maxWin), "maxwindow")
-				b.ReportMetric(float64(overlapped), "overlap_windows")
-				b.ReportMetric(float64(stolen), "stolen_chunks")
-			})
-		}
-	}
-}
-
-// BenchmarkStealChunkWords sweeps the steal-chunk granule
-// (detect.Tuning.StealChunkWords) over a fan-out whose leaves each write 32
-// page-gapped 1024-word blocks, so the granule alone decides how many
-// chunks a sealed batch cuts into: 2048 words => 16 chunks per batch,
-// 4096 => 8, the shipped default (4 pages, chunk=0) => 2, 65536 => no
-// split. Smaller granules buy finer stealing at the price of per-chunk
-// claim and delivery overhead; larger ones converge to whole-batch
-// dispatch. stolen_chunks is the maximum across iterations. On the
-// 1-CPU dev container the sweep is flat within noise (~11 ms across all
-// granules, 2026-08), so the shipped default stays at 4 pages — coarse
-// enough that claim overhead never shows, fine enough that a two-region
-// batch still splits.
-func BenchmarkStealChunkWords(b *testing.B) {
-	const leaves, blocks, blockWords, blockStride = 16, 32, 1024, 1024 + 4096
-	const leafSpan = blocks * blockStride
-	prog := func(t *futurerd.Task) {
-		for i := 0; i < leaves; i++ {
-			base := uint64(1 + i*leafSpan)
-			t.Spawn(func(c *futurerd.Task) {
-				for blk := 0; blk < blocks; blk++ {
-					c.WriteRange(base+uint64(blk*blockStride), blockWords)
-				}
-			})
-		}
-		t.Sync()
-	}
-	for _, chunk := range []int{0, 2048, 4096, 16384, 65536} {
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			var stolen uint64
-			for i := 0; i < b.N; i++ {
-				rep := detect.NewTunedEngine(detect.Config{
-					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull, Consumers: 2,
-				}, detect.Tuning{StealChunkWords: chunk}).Run(prog)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-				if rep.Racy() {
-					b.Fatal("unexpected race")
-				}
-				if v := rep.Stats.Event.StolenChunks; v > stolen {
-					stolen = v
-				}
-			}
-			b.ReportMetric(float64(leaves*blocks*blockWords), "words/op")
-			b.ReportMetric(float64(stolen), "stolen_chunks")
 		})
 	}
 }

@@ -6,13 +6,11 @@
 // shared CI runners is noise. The run counters are different: for a given
 // input size, code version and (serial) configuration, the number of
 // shadow accesses, ownership skips, memo hits, epoch transfers and
-// inflations, reachability queries and races is exactly reproducible. Any unexplained change is a behavioral
-// regression — a fast path silently disabled, a protocol change leaking
-// extra queries, a race appearing — even when the timings look fine.
-// The overlapping scheduler's outcome counters (event.overlapped,
-// event.stolen) are the one exception: they are gated at zero for
-// serial documents but skipped when the documents were measured with a
-// consumer pool, where goroutine timing decides their values.
+// inflations, reachability queries and races is exactly reproducible, on
+// the inline pipeline and the async consumer alike. Any unexplained
+// change is a behavioral regression — a fast path silently disabled, a
+// protocol change leaking extra queries, a race appearing — even when the
+// timings look fine.
 // The two documents must also agree on the algorithm set: a table family
 // (fig6, fig7, vc, ...) present on one side only is a named hard failure,
 // not a silent row skip — adding a back-end without regenerating the
@@ -93,25 +91,7 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 		"shadow.sampled":     s.Shadow.SampledAccesses,
 		"shadow.budgetskips": s.Shadow.SkippedByBudget,
 		"event.batches":      s.Event.Batches,
-		"event.independent":  s.Event.IndependentBatches,
-		"event.serialized":   s.Event.SerializedBatches,
-		"event.fpspans":      s.Event.FootprintSpans,
-		"event.fppages":      s.Event.FootprintPages,
-		"event.collapsed":    s.Event.CollapsedFootprints,
-		"event.overlapped":   s.Event.OverlappedWindows,
-		"event.stolen":       s.Event.StolenChunks,
 	}
-}
-
-// timingDependent lists counter rows that are scheduling outcomes rather
-// than functions of the input: deterministically zero for inline runs —
-// where the gate holds them at zero — but dependent on goroutine timing
-// once the overlapping scheduler runs, even with one consumer, so for
-// consumer-pool documents (Consumers >= 1) they are skipped instead of
-// gated.
-var timingDependent = map[string]bool{
-	"event.overlapped": true,
-	"event.stolen":     true,
 }
 
 func key(m *bench.Measurement) string {
@@ -212,9 +192,6 @@ func main() {
 		}
 		checked++
 		for name, want := range bc {
-			if cur.Consumers >= 1 && timingDependent[name] {
-				continue
-			}
 			if got := cc[name]; got != want {
 				fails++
 				fmt.Printf("DRIFT  %s: %s = %d, baseline %d (%+d)\n",

@@ -18,8 +18,8 @@
 //
 // record executes a benchmark once without detection and writes its
 // event trace (format v2). replay re-detects a recorded trace — any
-// algorithm, any pipeline width — and prints the same statistics as run;
-// -consumers n (n >= 1) exercises the scheduled consumer pool. A corrupt
+// algorithm, either pipeline — and prints the same statistics as run;
+// -consumers n (n >= 1) checks on the async consumer. A corrupt
 // trace fails with a one-line diagnosis and a non-zero exit; -recover
 // instead replays the longest well-formed prefix and reports where and
 // why the stream was cut. stat summarizes a trace: size, event counts
@@ -165,14 +165,7 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 		fmt.Printf("owned skips     %d\n", s.Shadow.OwnedSkips)
 		fmt.Printf("rd-shared skips %d\n", s.Shadow.ReadSharedSkips)
 		fmt.Printf("memo hits       %d\n", s.Shadow.MemoHits)
-		fmt.Printf("batches         %d sealed (%d independent, %d serialized)\n",
-			s.Event.Batches, s.Event.IndependentBatches, s.Event.SerializedBatches)
-		fmt.Printf("footprints      %d spans over %d pages",
-			s.Event.FootprintSpans, s.Event.FootprintPages)
-		if s.Event.CollapsedFootprints > 0 {
-			fmt.Printf(" (%d collapsed to hull)", s.Event.CollapsedFootprints)
-		}
-		fmt.Println()
+		fmt.Printf("batches         %d sealed\n", s.Event.Batches)
 	}
 	for _, r := range rep.Races {
 		fmt.Printf("  %s\n", r)
@@ -186,7 +179,7 @@ func cmdRun(args []string) {
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	size := parseSize(fs)
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, n>=1 scheduled pool of n consumers (oracle runs inline)")
+	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, >=1 async")
 	dot := fs.Bool("dot", false, "dump the computation dag as Graphviz (oracle mode)")
 	fs.Parse(args)
 
@@ -247,7 +240,7 @@ func cmdReplay(args []string) {
 	in := fs.String("i", "", "input trace file (required)")
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, n>=1 scheduled pool of n consumers (oracle runs inline)")
+	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, >=1 async")
 	recover := fs.Bool("recover", false,
 		"replay the longest well-formed prefix of a damaged trace instead of failing")
 	fs.Parse(args)
@@ -316,7 +309,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: futurerd-trace [run|record|replay|stat] [flags]")
 	fmt.Fprintln(os.Stderr, "  run     detect a benchmark directly and print statistics (default)")
 	fmt.Fprintln(os.Stderr, "  record  write a benchmark's event trace")
-	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-consumers for the consumer pool)")
+	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-consumers 1 for the async consumer)")
 	fmt.Fprintln(os.Stderr, "  stat    summarize a trace: size, events, bytes/event")
 	fmt.Fprintln(os.Stderr, "run 'futurerd-trace <subcommand> -h' for the subcommand's flags")
 }

@@ -78,59 +78,33 @@
 //
 // # Event pipeline
 //
-// The detection stack is front-ends → batcher → scheduler → consumer
-// pool. Every execution front-end (a live program under Detect, a
-// recorded trace under ReplayTrace, a generated workload) appends its
-// accesses to coalescing event batches (internal/event): contiguous
-// same-kind accesses merge into ranges before they reach the shadow
-// layer, so even word-at-a-time code pays the per-range, not per-word,
-// cost. Batches are sealed at parallel constructs — where the
-// reachability relation is about to mutate — so everything in one batch
-// executed under a single immutable relation, and each leaves with a
-// footprint: its strand plus a compact summary of the shadow pages it
-// touches. Config.Consumers picks the detection pipeline: 0 (the
-// default) checks each sealed batch inline on the engine goroutine; with
-// 1 or more, a scheduled consumer pool of that size checks sealed batches
-// off the engine goroutine, overlapping continued program execution
-// (oracle and Verify runs, whose queries are not concurrent-safe, check
-// inline). Constructs do not wait for the pool: the relation
-// is versioned (core.Versioned), constructs record their mutations into
-// a bounded log, each batch carries the version it executed under, and
-// the back-end replays mutations before checking. The engine runs ahead
-// of detection until the construct-ahead window of
-// core.DefaultConstructAhead mutations back-pressures.
-//
-// The pool is dependency-scheduled with overlapping windows, at any
-// size including one consumer. Construct mutations are
-// classified by whether they fold the relation: spawn, create and init
-// only add nodes, so they are pin-safe and apply under live snapshot
-// pins (core.Versioned's pin-epoch model), while sync joins and future
-// gets fold reachability state and barrier until the pool is quiescent.
-// The scheduler publishes each sealed batch's relation version as soon
-// as its mutations allow — even while earlier flights are still being
-// checked — and dispatches, in seal order, every published batch whose
-// page footprint, strand and return-span conflicts are disjoint from
-// the outstanding flights. Successive windows therefore overlap:
-// window N+1's version is live and its batches in flight while window N
-// drains (Stats.Event.OverlappedWindows counts versions published over
-// an outstanding flight). Large batches additionally split at
-// page-disjoint cut points into chunk descriptors
-// (detect.DefaultStealChunkWords words each) that idle consumers steal
-// (Stats.Event.StolenChunks); delivery reassembles chunk verdicts in
-// order, so reports stay order-identical. Dependent batches serialize
-// in seal order, so a construct-dense program degenerates to serial
-// checking rather than deadlocking. A sequence-numbered
-// reorder buffer in front of OnRace delivers race reports in seal order. CheckStructured's discipline
-// query no longer drains the pipeline either: it is deferred and
-// answered from the versioned snapshot in stream order (a violation is
-// recorded, never acted on, so nothing needs the answer eagerly).
-// Verdicts, report order and deterministic counters are identical to a
-// synchronous run for every Consumers setting. Every pipeline checks
-// batches with one shadow checker type and one per-batch body: the
-// engine owns a checker for the inline path, each pool consumer owns its
-// own; a
-// shadow install audit asserts the disjoint-footprint invariant at run time and
-// the -race CI suite drives it.
+// The detection stack is front-ends → batcher → one consumer. Every
+// execution front-end (a live program under Detect, a recorded trace
+// under ReplayTrace, a generated workload) appends its accesses to
+// coalescing event batches (internal/event): contiguous same-kind
+// accesses merge into ranges before they reach the shadow layer, so even
+// word-at-a-time code pays the per-range, not per-word, cost. Batches are
+// sealed at parallel constructs — where the reachability relation is
+// about to mutate — so everything in one batch executed under a single
+// immutable relation and a single strand. Config.Consumers picks the
+// detection pipeline: 0 (the default) checks each sealed batch inline on
+// the engine goroutine; any value of 1 or more hands sealed batches to
+// one async consumer goroutine, which checks them in seal order while the
+// program keeps executing. Constructs do not wait for the consumer: the
+// relation is versioned (core.Versioned), constructs record their
+// mutations into a bounded log, each batch carries the version it
+// executed under, and the consumer applies the logged mutations up to
+// that version before checking the batch. The engine runs ahead of
+// detection until the construct-ahead window of
+// core.DefaultConstructAhead mutations back-pressures. CheckStructured's
+// discipline query is deferred the same way and answered at the get's
+// version, in stream order (a violation is recorded, never acted on, so
+// nothing needs the answer eagerly). Since the consumer checks batches
+// in seal order, races reach OnRace and the report in seal order with no
+// reorder buffer, and verdicts, report order and every counter are
+// identical to an inline run. Both pipelines run one per-batch body on
+// one shadow checker: the engine owns it on the inline path, the
+// consumer owns it otherwise.
 //
 // # Traces
 //
@@ -144,13 +118,14 @@
 //
 // # Failure model
 //
-// The detection pipeline fails closed. A panic or stall on any pipeline
-// goroutine is recovered into a structured PipelineError (failed stage,
-// batch diagnostic, per-stage progress snapshot) returned through
-// Report.Err, with the engine poisoned so subsequent hooks return
-// instead of feeding a dead pipeline, and every goroutine joined before
-// Detect returns. Config.StallTimeout arms a watchdog that converts a
-// wedged stage into the same structured error (cause ErrStalled).
+// The detection pipeline fails closed. A panic or stall on the inline
+// checking path or the async consumer is recovered into a structured
+// PipelineError (failed stage, batch diagnostic, per-stage progress
+// snapshot) returned through Report.Err, with the engine poisoned so
+// subsequent hooks return instead of feeding a dead pipeline, and every
+// goroutine joined before Detect returns. Config.StallTimeout arms a
+// watchdog that converts a wedged consumer into the same structured
+// error (cause ErrStalled).
 // Trace inputs are treated as hostile — per-block checksums, bounded
 // chunked reads — and ReplayTraceRecover replays the longest
 // well-formed prefix of a damaged trace, describing the cut in

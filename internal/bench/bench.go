@@ -72,8 +72,7 @@ type Options struct {
 	// reference (slower; default off for timing runs).
 	Validate bool
 	// Consumers sets Config.Consumers for the detecting configurations:
-	// 0 checks batches inline, n >= 1 on the scheduled pool of n
-	// consumers.
+	// 0 checks batches inline, n >= 1 on the async consumer.
 	Consumers int
 }
 
@@ -268,39 +267,6 @@ func footprint(rep *futurerd.Report) string {
 	return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
 }
 
-// indepPct renders the fraction of sealed batches classified independent
-// of their predecessor — the (deterministic) pairwise form of the
-// detection scheduler's concurrency condition, so it reads as "how
-// much of this workload's batch stream a consumer pool can overlap".
-func indepPct(rep *futurerd.Report) string {
-	if rep == nil || rep.Stats.Event.Batches == 0 {
-		return "-"
-	}
-	ev := rep.Stats.Event
-	return fmt.Sprintf("%.0f%%", 100*float64(ev.IndependentBatches)/float64(ev.Batches))
-}
-
-// overlapped / stolen render the overlapping scheduler's outcome
-// counters: relation versions published while an earlier window was
-// still in flight, and chunks of a split batch checked away from the
-// consumer that took the batch's head. Both are scheduling outcomes —
-// deterministically zero for serial runs, timing-dependent once a
-// consumer pool races the scheduler — so they are surfaced here but
-// excluded from the benchtrend drift gate for consumer-pool documents.
-func overlapped(rep *futurerd.Report) string {
-	if rep == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%d", rep.Stats.Event.OverlappedWindows)
-}
-
-func stolen(rep *futurerd.Report) string {
-	if rep == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%d", rep.Stats.Event.StolenChunks)
-}
-
 // figure runs one of the paper's overhead tables (Figure 6 for structured
 // variants under MultiBags, Figure 7 for general variants under
 // MultiBags+).
@@ -308,7 +274,7 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 	opts.defaults()
 	t := &Table{
 		Title:  title,
-		Header: []string{"bench", "baseline", "reach", "", "instr", "", "full", "", "owned", "rdshare", "epoch", "indep", "ovlp", "stolen", "shadow"},
+		Header: []string{"bench", "baseline", "reach", "", "instr", "", "full", "", "owned", "rdshare", "epoch", "shadow"},
 	}
 	var ms []Measurement
 	var reachR, instrR, fullR []float64
@@ -326,8 +292,7 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 			secs(reach), ratio(reach, base),
 			secs(instr), ratio(instr, base),
 			secs(full), ratio(full, base),
-			ownedPct(fullRep), readSharedPct(fullRep), epochPct(fullRep), indepPct(fullRep),
-			overlapped(fullRep), stolen(fullRep), footprint(fullRep),
+			ownedPct(fullRep), readSharedPct(fullRep), epochPct(fullRep), footprint(fullRep),
 		})
 		ms = append(ms,
 			Measurement{Figure: name, Bench: b.Name, Config: "baseline", Seconds: base.Seconds()},
@@ -354,10 +319,6 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 		"owned/rdshare = full-config accesses resolved by the shadow owned-word and",
 		"read-shared epoch fast paths (disjoint; each access counts at most once);",
 		"epoch = accesses whose writer query a cross-generation stamp transfer paid;",
-		"indep = sealed batches independent of their predecessor (what a multi-",
-		"consumer back-end can check concurrently); ovlp/stolen = windows published",
-		"over an in-flight predecessor and chunks checked by a non-primary consumer",
-		"(scheduling outcomes: zero for serial runs, timing-dependent with a pool);",
 		"shadow = resident shadow footprint (touched pages at 12 B/word + spill entries)")
 	return t, ms, nil
 }

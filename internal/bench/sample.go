@@ -135,8 +135,7 @@ func FigSample(opts Options) (*Table, []Measurement, error) {
 			// the JSON document: it is counter-identical to full detection
 			// by contract (SampledAccesses excepted), so benchtrend gating
 			// it pins the contract per commit. Fractional rates and budget
-			// rows stay timing-comparable but ungated — which accesses a
-			// coupon admits under a concurrent pipeline is schedule-bound.
+			// rows are timed only.
 			if smp.Rate == 1.0 && smp.Budget == 0 {
 				m.Stats = &rep.Stats
 			}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"futurerd/internal/ds"
-)
+import "futurerd/internal/ds"
 
 // Bag tags. A function instance's bag is either an S-bag (its strands are
 // sequentially before the currently executing strand) or a P-bag (they are
@@ -34,12 +30,8 @@ const (
 type MultiBags struct {
 	st *StrandTable
 	uf *ds.UnionFind
-	// tag is per function id, authoritative only at set roots. Published
-	// (ds.PubSlice) because pin-safe mutations grow and write it while
-	// concurrent Precedes readers hold snapshots; every index a pin-safe
-	// mutation writes belongs to a set no concurrently pinned query can
-	// reach (fresh function, or the scheduler-excluded return subtree).
-	tag ds.PubSlice[byte]
+	// tag is per function id, authoritative only at set roots.
+	tag []byte
 
 	queries uint64
 	fns     uint64
@@ -48,9 +40,7 @@ type MultiBags struct {
 // NewMultiBags returns a MultiBags instance sharing the engine's strand
 // table.
 func NewMultiBags(st *StrandTable) *MultiBags {
-	m := &MultiBags{st: st, uf: ds.NewUnionFind(64)}
-	m.tag.Grow(64)
-	return m
+	return &MultiBags{st: st, uf: ds.NewUnionFind(64), tag: make([]byte, 0, 64)}
 }
 
 // Name implements Reach.
@@ -58,9 +48,9 @@ func (m *MultiBags) Name() string { return "multibags" }
 
 // makeSBag creates S_F = {F}.
 func (m *MultiBags) makeSBag(f FnID) {
-	m.tag.Grow(int(f) + 1)
+	m.tag = extend(m.tag, int(f)+1, tagS)
 	m.uf.MakeSet(uint32(f))
-	m.tag.W()[f] = tagS
+	m.tag[f] = tagS
 	m.fns++
 }
 
@@ -78,7 +68,7 @@ func (m *MultiBags) CreateFut(r CreateRec) { m.makeSBag(r.FutFn) }
 // crucial difference from SP-Bags.
 func (m *MultiBags) Return(r ReturnRec) {
 	root := m.uf.Find(uint32(r.Fn))
-	m.tag.W()[root] = tagP
+	m.tag[root] = tagP
 }
 
 // SyncJoin implements Reach: joining a spawned child is a get_fut on it.
@@ -89,22 +79,20 @@ func (m *MultiBags) GetFut(r GetRec) { m.join(r.Fn, r.FutFn) }
 
 func (m *MultiBags) join(parent, child FnID) {
 	root := m.uf.Union(uint32(parent), uint32(child))
-	m.tag.W()[root] = tagS
+	m.tag[root] = tagS
 }
 
 // Precedes implements Reach (Figure 1, Query): u ≺ v iff u's function is
-// currently in an S-bag. Safe for concurrent use even while pin-safe
-// mutations apply: the union-find read uses CAS-compressed FindRO on the
-// published parent snapshot, the tag array is read through a published
-// snapshot, and the query counter is atomic.
+// currently in an S-bag.
 func (m *MultiBags) Precedes(u, _ StrandID) bool {
-	atomic.AddUint64(&m.queries, 1)
-	root := m.uf.FindRO(uint32(m.st.FnOf(u)))
-	return m.tag.RO()[root] == tagS
+	m.queries++
+	return m.inSBag(u)
 }
 
-// ConcurrentPrecedesSafe implements QueryConcurrent.
-func (m *MultiBags) ConcurrentPrecedesSafe() bool { return true }
+// inSBag reports whether u's function is currently in an S-bag.
+func (m *MultiBags) inSBag(u StrandID) bool {
+	return m.tag[m.uf.Find(uint32(m.st.FnOf(u)))] == tagS
+}
 
 // EpochOrdered implements EpochConcurrent with two arms. Same-function
 // stamps transfer: strand ids within one function instance are allocated
@@ -130,24 +118,7 @@ func (m *MultiBags) EpochOrdered(u, v StrandID) bool {
 	if u < v && m.st.FnOf(u) == m.st.FnOf(v) {
 		return true
 	}
-	root := m.uf.FindRO(uint32(m.st.FnOf(u)))
-	return m.tag.RO()[root] == tagS
-}
-
-// PinSafeMut implements PinConcurrent. Spawn and create make fresh
-// singleton S-bags; init is the very first mutation; a return retags the
-// returning function's set root P, which only changes answers for strands
-// of that function's subtree — exactly the strands the scheduler's
-// return-span rule keeps out of concurrently pinned batches. Joins and
-// gets union a P-bag into an S-bag and retag S, which flips answers for
-// strands concurrent queries may legitimately hold, so they remain
-// barriers.
-func (m *MultiBags) PinSafeMut(op MutOp) bool {
-	switch op {
-	case MutInit, MutSpawn, MutCreate, MutReturn:
-		return true
-	}
-	return false
+	return m.inSBag(u)
 }
 
 // Stats implements Reach.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"futurerd/internal/ds"
 )
@@ -34,13 +33,9 @@ type MultiBagsPlus struct {
 	// Per-strand payloads, authoritative at DNSP roots only.
 	// att is the R-node id of an attached set, or -1 for unattached.
 	// attPred/attSucc are R-node ids; attSucc may be -1 ("null").
-	// Published (ds.PubSlice) because the pin-safe mutations (spawn,
-	// return) grow and write them while concurrent Precedes readers hold
-	// snapshots; pin-safe writes only touch fresh strand indices no
-	// in-flight query can name.
-	att     ds.PubSlice[int32]
-	attPred ds.PubSlice[int32]
-	attSucc ds.PubSlice[int32]
+	att     []int32
+	attPred []int32
+	attSucc []int32
 
 	attachedSets uint64
 	queries      uint64
@@ -71,17 +66,9 @@ func (m *MultiBagsPlus) Name() string { return "multibags+" }
 
 func (m *MultiBagsPlus) ensure(s StrandID) {
 	n := int(s) + 1
-	if n <= m.att.Len() {
-		return
-	}
-	old := m.att.Len()
-	m.att.Grow(n)
-	m.attPred.Grow(n)
-	m.attSucc.Grow(n)
-	a, p, su := m.att.W(), m.attPred.W(), m.attSucc.W()
-	for i := old; i < len(a); i++ {
-		a[i], p[i], su[i] = noRNode, noRNode, noRNode
-	}
+	m.att = extend(m.att, n, noRNode)
+	m.attPred = extend(m.attPred, n, noRNode)
+	m.attSucc = extend(m.attSucc, n, noRNode)
 }
 
 // makeUnattached registers strand s as a fresh unattached singleton whose
@@ -89,9 +76,9 @@ func (m *MultiBagsPlus) ensure(s StrandID) {
 func (m *MultiBagsPlus) makeUnattached(s StrandID, pred int32) {
 	m.ensure(s)
 	m.nsp.MakeSet(uint32(s))
-	m.att.W()[s] = noRNode
-	m.attPred.W()[s] = pred
-	m.attSucc.W()[s] = noRNode
+	m.att[s] = noRNode
+	m.attPred[s] = pred
+	m.attSucc[s] = noRNode
 }
 
 // makeAttached registers strand s as a fresh attached singleton and
@@ -100,9 +87,9 @@ func (m *MultiBagsPlus) makeAttached(s StrandID) int32 {
 	m.ensure(s)
 	m.nsp.MakeSet(uint32(s))
 	rn := m.r.addNode()
-	m.att.W()[s] = rn
-	m.attPred.W()[s] = rn // an attached set is its own attached predecessor
-	m.attSucc.W()[s] = rn // ... and successor
+	m.att[s] = rn
+	m.attPred[s] = rn // an attached set is its own attached predecessor
+	m.attSucc[s] = rn // ... and successor
 	m.attachedSets++
 	return rn
 }
@@ -112,9 +99,9 @@ func (m *MultiBagsPlus) makeAttached(s StrandID) int32 {
 func (m *MultiBagsPlus) makeRaw(s StrandID) {
 	m.ensure(s)
 	m.nsp.MakeSet(uint32(s))
-	m.att.W()[s] = noRNode
-	m.attPred.W()[s] = noRNode
-	m.attSucc.W()[s] = noRNode
+	m.att[s] = noRNode
+	m.attPred[s] = noRNode
+	m.attSucc[s] = noRNode
 }
 
 // predOf returns the attached predecessor (an R node) of the set
@@ -122,22 +109,22 @@ func (m *MultiBagsPlus) makeRaw(s StrandID) {
 // otherwise.
 func (m *MultiBagsPlus) predOf(s StrandID) int32 {
 	root := m.nsp.Find(uint32(s))
-	if a := m.att.W()[root]; a != noRNode {
+	if a := m.att[root]; a != noRNode {
 		return a
 	}
-	return m.attPred.W()[root]
+	return m.attPred[root]
 }
 
 // attachify implements Figure 4 lines 18–22: convert the set containing u
 // into an attached set, wiring it under its attached predecessor.
 func (m *MultiBagsPlus) attachify(u StrandID) {
 	root := m.nsp.Find(uint32(u))
-	if m.att.W()[root] != noRNode {
+	if m.att[root] != noRNode {
 		return
 	}
 	rn := m.r.addNode()
-	m.r.addArc(m.attPred.W()[root], rn)
-	m.att.W()[root] = rn
+	m.r.addArc(m.attPred[root], rn)
+	m.att[root] = rn
 	m.attachedSets++
 }
 
@@ -148,7 +135,7 @@ func (m *MultiBagsPlus) attachify(u StrandID) {
 // the invariant tests.
 func (m *MultiBagsPlus) rnodeOf(s StrandID, site string) int32 {
 	root := m.nsp.Find(uint32(s))
-	if m.att.W()[root] == noRNode {
+	if m.att[root] == noRNode {
 		if m.CheckInvariants {
 			m.Violations = append(m.Violations,
 				fmt.Sprintf("%s: set of strand %d expected attached", site, s))
@@ -156,7 +143,7 @@ func (m *MultiBagsPlus) rnodeOf(s StrandID, site string) int32 {
 		m.attachify(s)
 		root = m.nsp.Find(uint32(s))
 	}
-	return m.att.W()[root]
+	return m.att[root]
 }
 
 // unionKeep unions the set containing other into the set containing keep,
@@ -164,9 +151,9 @@ func (m *MultiBagsPlus) rnodeOf(s StrandID, site string) int32 {
 // "unions the set B into A").
 func (m *MultiBagsPlus) unionKeep(keep, other StrandID) {
 	rk := m.nsp.Find(uint32(keep))
-	a, ap, as := m.att.W()[rk], m.attPred.W()[rk], m.attSucc.W()[rk]
+	a, ap, as := m.att[rk], m.attPred[rk], m.attSucc[rk]
 	root := m.nsp.Union(uint32(keep), uint32(other))
-	m.att.W()[root], m.attPred.W()[root], m.attSucc.W()[root] = a, ap, as
+	m.att[root], m.attPred[root], m.attSucc[root] = a, ap, as
 }
 
 // Init implements Reach (Figure 4 line 1): the first strand goes into an
@@ -220,8 +207,8 @@ func (m *MultiBagsPlus) SyncJoin(r JoinRec) {
 	t1, t2, j := r.ChildLast, r.ContLast, r.Join
 	rt1 := m.nsp.Find(uint32(t1))
 	rt2 := m.nsp.Find(uint32(t2))
-	a1 := m.att.W()[rt1] != noRNode
-	a2 := m.att.W()[rt2] != noRNode
+	a1 := m.att[rt1] != noRNode
+	a2 := m.att[rt2] != noRNode
 
 	switch {
 	case !a1 && !a2:
@@ -238,11 +225,11 @@ func (m *MultiBagsPlus) SyncJoin(r JoinRec) {
 		// lines 33–40: both branches have non-SP edges.
 		m.attachify(f)
 		rf := m.rnodeOf(f, "sync/f")
-		m.r.addArc(rf, m.rnodeOf(s1, "sync/s1"))          // line 35
-		m.r.addArc(rf, m.rnodeOf(s2, "sync/s2"))          // line 36
-		aj := m.makeAttached(j)                           // lines 37–38
-		m.r.addArc(m.att.W()[m.nsp.Find(uint32(t1))], aj) // line 39
-		m.r.addArc(m.att.W()[m.nsp.Find(uint32(t2))], aj) // line 40
+		m.r.addArc(rf, m.rnodeOf(s1, "sync/s1"))      // line 35
+		m.r.addArc(rf, m.rnodeOf(s2, "sync/s2"))      // line 36
+		aj := m.makeAttached(j)                       // lines 37–38
+		m.r.addArc(m.att[m.nsp.Find(uint32(t1))], aj) // line 39
+		m.r.addArc(m.att[m.nsp.Find(uint32(t2))], aj) // line 40
 
 	default:
 		m.syncMixed++
@@ -253,29 +240,22 @@ func (m *MultiBagsPlus) SyncJoin(r JoinRec) {
 		} else {
 			ta, sa, tu = t2, s2, t1
 		}
-		if m.att.W()[m.nsp.Find(uint32(f))] == noRNode {
+		if m.att[m.nsp.Find(uint32(f))] == noRNode {
 			m.unionKeep(sa, f) // lines 43–44
 		}
 		m.makeRaw(j)
 		m.unionKeep(ta, j) // line 45
 		// line 46: Find(tu).attSucc = Find(j), which is ta's attached set.
 		rtu := m.nsp.Find(uint32(tu))
-		m.attSucc.W()[rtu] = m.rnodeOf(j, "sync/j")
+		m.attSucc[rtu] = m.rnodeOf(j, "sync/j")
 	}
 }
 
 // Precedes implements Reach (Figure 3): u ≺ v in Gfull iff either DSP says
 // u's function is in an S-bag, or the (possibly proxied) attached sets of
 // u and v are ordered in R.
-//
-// Safe for concurrent use even while pin-safe mutations (spawn, return)
-// apply: both disjoint-set reads go through CAS-compressed FindRO on
-// published parent snapshots, the per-strand payload arrays are read
-// through published snapshots (pin-safe writes only touch fresh strand
-// indices), R's transitive closure only mutates at barrier constructs,
-// and the counters are atomic.
 func (m *MultiBagsPlus) Precedes(u, v StrandID) bool {
-	atomic.AddUint64(&m.queries, 1)
+	m.queries++
 	return m.ordered(u, v)
 }
 
@@ -283,19 +263,18 @@ func (m *MultiBagsPlus) Precedes(u, v StrandID) bool {
 // Precedes and by EpochOrdered's last arm, which answers from the same
 // structures but stands in for queries rather than being one.
 func (m *MultiBagsPlus) ordered(u, v StrandID) bool {
-	root := m.dsp.uf.FindRO(uint32(m.st.FnOf(u)))
-	if m.dsp.tag.RO()[root] == tagS { // lines 1–2
+	if m.dsp.inSBag(u) { // lines 1–2
 		return true
 	}
-	att, attPred, attSucc := m.att.RO(), m.attPred.RO(), m.attSucc.RO()
-	rv := m.nsp.FindRO(uint32(v))
+	att, attPred, attSucc := m.att, m.attPred, m.attSucc
+	rv := m.nsp.Find(uint32(v))
 	sv := att[rv]
 	vProxied := false
 	if sv == noRNode { // lines 4–5
 		sv = attPred[rv]
 		vProxied = true
 	}
-	ru := m.nsp.FindRO(uint32(u))
+	ru := m.nsp.Find(uint32(u))
 	su := att[ru]
 	uProxied := false
 	if su == noRNode { // lines 7–9
@@ -314,9 +293,6 @@ func (m *MultiBagsPlus) ordered(u, v StrandID) bool {
 	}
 	return m.r.reaches(su, sv) // line 10
 }
-
-// ConcurrentPrecedesSafe implements QueryConcurrent.
-func (m *MultiBagsPlus) ConcurrentPrecedesSafe() bool { return true }
 
 // EpochOrdered implements EpochConcurrent. MultiBags+ is exact on every
 // forward-pointing program (Theorem 5.4), so any sufficient condition for
@@ -337,21 +313,6 @@ func (m *MultiBagsPlus) EpochOrdered(u, v StrandID) bool {
 		return true
 	}
 	return m.ordered(u, v)
-}
-
-// PinSafeMut implements PinConcurrent. Only spawn and return qualify:
-// spawn makes a fresh DSP S-bag and two fresh unattached DNSP singletons
-// (no union, no R mutation), and return retags the DSP root of the
-// returning function's subtree, which the scheduler's return-span rule
-// keeps out of concurrently pinned batches. Init, create_fut, get_fut and
-// sync all add R nodes or arcs (mutating the transitive closure concurrent
-// queries read) or fold DNSP sets, so they remain barriers.
-func (m *MultiBagsPlus) PinSafeMut(op MutOp) bool {
-	switch op {
-	case MutSpawn, MutReturn:
-		return true
-	}
-	return false
 }
 
 // Stats implements Reach.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"futurerd/internal/ds"
-)
+import "futurerd/internal/ds"
 
 // SPBags is the classic SP-Bags algorithm (Feng & Leiserson 1997) for
 // series-parallel (fork-join only) programs. It is included as the
@@ -31,18 +27,14 @@ import (
 type SPBags struct {
 	st *StrandTable
 	uf *ds.UnionFind
-	// tag is per element, authoritative at roots. Published (ds.PubSlice)
-	// because pin-safe mutations grow and write it while concurrent
-	// Precedes readers hold snapshots; every index a pin-safe mutation
-	// writes belongs to a set no concurrently pinned query can reach.
-	tag ds.PubSlice[byte]
+	// tag is per element, authoritative at roots.
+	tag []byte
 
 	// anchor[f] is the element created when f started; it stays a valid
 	// member of whatever set f's strands currently occupy, so Precedes
-	// can always start its Find there (published, same regime as tag).
-	// pElem[f] is any element of f's current P-bag, or noElem when the
-	// P-bag is empty — applier-private, never read by queries.
-	anchor ds.PubSlice[uint32]
+	// can always start its Find there. pElem[f] is any element of f's
+	// current P-bag, or noElem when the P-bag is empty.
+	anchor []uint32
 	pElem  []uint32
 
 	next    uint32
@@ -61,32 +53,21 @@ func NewSPBags(st *StrandTable) *SPBags {
 func (m *SPBags) Name() string { return "spbags" }
 
 func (m *SPBags) ensureFn(f FnID) {
-	if int(f) < len(m.pElem) {
-		return
-	}
-	old := m.anchor.Len()
-	m.anchor.Grow(int(f) + 1)
-	w := m.anchor.W()
-	for i := old; i < len(w); i++ {
-		w[i] = noElem
-	}
-	for int(f) >= len(m.pElem) {
-		m.pElem = append(m.pElem, noElem)
-	}
+	m.anchor = extend(m.anchor, int(f)+1, noElem)
+	m.pElem = extend(m.pElem, int(f)+1, noElem)
 }
 
 func (m *SPBags) newElem(t byte) uint32 {
 	e := m.next
 	m.next++
 	m.uf.MakeSet(e)
-	m.tag.Grow(int(e) + 1)
-	m.tag.W()[e] = t
+	m.tag = extend(m.tag, int(e)+1, t)
 	return e
 }
 
 func (m *SPBags) enterFn(f FnID) {
 	m.ensureFn(f)
-	m.anchor.W()[f] = m.newElem(tagS)
+	m.anchor[f] = m.newElem(tagS)
 	m.pElem[f] = noElem
 	m.fns++
 }
@@ -100,24 +81,18 @@ func (m *SPBags) Spawn(r SpawnRec) { m.enterFn(r.ChildFn) }
 // CreateFut implements Reach: approximated as a spawn.
 func (m *SPBags) CreateFut(r CreateRec) { m.enterFn(r.FutFn) }
 
-// Return implements Reach: P_parent = Union(P_parent, S_child).
-//
-// The child's root is tagged P *before* any union so the write is ordered
-// before the union's atomic parent store: a concurrently pinned reader
-// (whose strands the scheduler's return-span rule keeps outside the
-// child's subtree) can only reach the child's root after observing that
-// store, so it observes the tag too. The parent's existing P-bag root is
-// never re-tagged — it is already P by the pElem invariant, and a
-// same-value rewrite would still race with concurrent readers.
+// Return implements Reach: P_parent = Union(P_parent, S_child). The
+// parent's existing P-bag root is already tagged P by the pElem
+// invariant, so only the child's root is retagged.
 func (m *SPBags) Return(r ReturnRec) {
 	if r.ParentFn == NoFn {
 		return // main returning; nothing joins it
 	}
 	m.ensureFn(r.ParentFn)
 	m.ensureFn(r.Fn)
-	child := m.anchor.W()[r.Fn]
+	child := m.anchor[r.Fn]
 	croot := m.uf.Find(child)
-	m.tag.W()[croot] = tagP
+	m.tag[croot] = tagP
 	if p := m.pElem[r.ParentFn]; p == noElem {
 		m.pElem[r.ParentFn] = child
 	} else {
@@ -139,23 +114,16 @@ func (m *SPBags) foldP(f FnID) {
 	if p == noElem {
 		return
 	}
-	root := m.uf.Union(m.anchor.W()[f], p)
-	m.tag.W()[root] = tagS
+	root := m.uf.Union(m.anchor[f], p)
+	m.tag[root] = tagS
 	m.pElem[f] = noElem
 }
 
-// Precedes implements Reach. Safe for concurrent use even while pin-safe
-// mutations apply (CAS-compressed find on the published parent snapshot,
-// atomic counter, tag/anchor read through published snapshots).
+// Precedes implements Reach.
 func (m *SPBags) Precedes(u, _ StrandID) bool {
-	atomic.AddUint64(&m.queries, 1)
-	f := m.st.FnOf(u)
-	root := m.uf.FindRO(m.anchor.RO()[f])
-	return m.tag.RO()[root] == tagS
+	m.queries++
+	return m.tag[m.uf.Find(m.anchor[m.st.FnOf(u)])] == tagS
 }
-
-// ConcurrentPrecedesSafe implements QueryConcurrent.
-func (m *SPBags) ConcurrentPrecedesSafe() bool { return true }
 
 // EpochOrdered implements EpochConcurrent: same-function stamps transfer.
 // If r and s belong to the same function instance F and r executed first
@@ -171,21 +139,6 @@ func (m *SPBags) ConcurrentPrecedesSafe() bool { return true }
 // futures included.
 func (m *SPBags) EpochOrdered(u, v StrandID) bool {
 	return u != NoStrand && u < v && m.st.FnOf(u) == m.st.FnOf(v)
-}
-
-// PinSafeMut implements PinConcurrent. Init, spawn and create only make
-// fresh bags no in-flight query can name; a return folds the child's
-// subtree bag into the parent's P-bag, which is safe because the
-// scheduler's return-span rule keeps every strand of that subtree out of
-// concurrently pinned batches. Joins and gets fold the P-bag into the
-// S-bag — flipping answers for strands concurrent queries may hold — so
-// they wait for pin drain.
-func (m *SPBags) PinSafeMut(op MutOp) bool {
-	switch op {
-	case MutInit, MutSpawn, MutCreate, MutReturn:
-		return true
-	}
-	return false
 }
 
 // Stats implements Reach.

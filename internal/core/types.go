@@ -61,16 +61,10 @@ type CreateRec struct {
 // ReturnRec reports that function Fn finished executing; Last is its final
 // strand (the sink of its SP dag). ParentFn is the function that spawned
 // or created Fn (needed by the SP-Bags baseline, whose return rule moves
-// the child's bag into the parent's P-bag). First is the function's first
-// strand; the engine allocates strand ids densely in depth-first execution
-// order, so [First, Last] spans every strand of Fn's subtree — the
-// detection scheduler uses the span to decide which in-flight batches
-// a return's bag retagging could affect. The reachability algorithms
-// ignore it.
+// the child's bag into the parent's P-bag).
 type ReturnRec struct {
 	Fn       FnID
 	ParentFn FnID
-	First    StrandID
 	Last     StrandID
 }
 
@@ -133,42 +127,6 @@ type Reach interface {
 	Stats() ReachStats
 }
 
-// QueryConcurrent is the optional capability interface for Reach
-// implementations whose Precedes is safe to call from multiple goroutines
-// at once, provided no construct event (Spawn, CreateFut, Return,
-// SyncJoin, GetFut) runs concurrently. Between parallel constructs the
-// reachability relation is immutable, so implementations qualify by
-// making their query path read-only up to atomic bookkeeping: CAS-based
-// union-find path compression and atomic stat counters. The detection
-// engine only fans range detection out across workers when its Reach
-// advertises this capability; otherwise ranges stay on the serial path.
-type QueryConcurrent interface {
-	// ConcurrentPrecedesSafe reports whether concurrent Precedes calls
-	// are safe between constructs.
-	ConcurrentPrecedesSafe() bool
-}
-
-// PinConcurrent is the optional capability interface for Reach
-// implementations that can additionally apply *fold-free* construct
-// mutations while concurrent Precedes calls are in flight — the lever
-// behind the overlapping-window scheduler. A mutation op qualifies when
-// applying it can only add fresh dag structure (new strands, new
-// functions, new singleton sets) or move structure in ways no concurrent
-// query can observe: it must never fold two sets an in-flight query could
-// distinguish, nor rewrite an element a query could read mid-update.
-// Implementations back this with published-slice growth (ds.PubSlice) and
-// atomic union-find parent access, so readers on a stale snapshot see a
-// consistent older version of the relation.
-//
-// A Reach that does not implement PinConcurrent gets the conservative
-// behavior: every mutation is a scheduling barrier, which degrades to the
-// strict quiescent-epoch pipeline.
-type PinConcurrent interface {
-	// PinSafeMut reports whether mutations of the given op kind may be
-	// applied while snapshot pins are held.
-	PinSafeMut(op MutOp) bool
-}
-
 // EpochConcurrent is the optional capability interface behind the shadow
 // layer's carried-forward read epoch. EpochOrdered(r, s) is a cheap,
 // query-free sufficient condition for r ≺ s that additionally promises
@@ -189,11 +147,10 @@ type PinConcurrent interface {
 // full Precedes.
 //
 // s must be the currently executing strand (same restriction as Precedes);
-// r must be a strand that completed a race-free read earlier. Calls must
-// be safe under the same concurrency regime as QueryConcurrent (concurrent
-// with other queries, never with a construct mutation), and must not count
-// toward ReachStats.Queries — they replace queries rather than add to
-// them.
+// r must be a strand that completed a race-free read earlier. Calls come
+// from the goroutine that checks batches, between construct mutations,
+// like Precedes, and must not count toward ReachStats.Queries — they
+// replace queries rather than add to them.
 type EpochConcurrent interface {
 	// EpochOrdered reports whether the stamp of reader r transfers its
 	// race-free verdict to the current strand s.
@@ -236,9 +193,9 @@ type ReachStats struct {
 // detection engine owns one table per run and shares it with the Reach
 // implementation, so the mapping is stored once.
 //
-// The engine goroutine appends strands at parallel constructs while, under
-// the non-blocking construct pipeline, the detection back-end consumer
-// resolves FnOf for in-flight batches and races. The mapping is therefore
+// The engine goroutine appends strands at parallel constructs while the
+// async detection consumer resolves FnOf for in-flight batches and races.
+// The mapping is therefore
 // published through an atomic slice header: readers load a consistent
 // (pointer, len) pair, and every strand a reader can name was published
 // before the batch naming it was sealed (the channel hand-off orders the
@@ -279,3 +236,18 @@ func (t *StrandTable) FnOf(s StrandID) FnID { return (*t.hdr.Load())[s] }
 
 // Len returns the number of registered strands (excluding the reserved 0).
 func (t *StrandTable) Len() int { return len(*t.hdr.Load()) - 1 }
+
+// extend returns s grown with fill values to at least length n. The
+// capacity at least doubles when it runs out, so the per-element tables
+// of a large run are copied O(log n) times.
+func extend[T any](s []T, n int, fill T) []T {
+	if n > cap(s) {
+		ns := make([]T, len(s), max(n, 2*cap(s)))
+		copy(ns, s)
+		s = ns
+	}
+	for len(s) < n {
+		s = append(s, fill)
+	}
+	return s
+}

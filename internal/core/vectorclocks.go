@@ -1,11 +1,5 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"futurerd/internal/ds"
-)
-
 // noSlot marks an absent inline stamp in a vcRep.
 const noSlot = ^uint32(0)
 
@@ -33,8 +27,7 @@ type vcStamp struct{ slot, tick uint32 }
 // C(r)[s] = max(base[s], own if s==own.slot, aux if s==aux.slot), each
 // override at least the base entry by the slot-chain invariant, so lookup
 // is a two-compare dispatch, never a max. A strand's rep is written once,
-// before the strand is published, and never mutated — that immutability
-// is what makes every construct mutation pin-safe.
+// when the strand is created, and never mutated.
 type vcRep struct {
 	base    uint32 // index into vecs; vector 0 is empty
 	own     vcStamp
@@ -76,35 +69,24 @@ type slotState struct {
 // keeps each slot's strand history a happens-before chain, so vector
 // width tracks live parallelism (ReachStats.ClockWidth) rather than total
 // strands.
-//
-// Concurrency: strand reps and base vectors are immutable once published
-// (ds.PubSlice growth; fresh indices only), so Precedes and EpochOrdered
-// are safe from any number of goroutines between constructs
-// (QueryConcurrent) — and, stronger, every construct mutation is
-// fold-free (PinConcurrent's mask is all-true): a mutation only writes
-// reps of strands no pinned query can name yet, plus writer-private slot
-// state no query reads. The overlapping-window scheduler therefore never
-// drains pins to advance this relation.
 type VectorClocks struct {
 	st   *StrandTable
-	reps ds.PubSlice[vcRep]
+	reps []vcRep
 	// vecs holds the materialized base vectors, indexed by vcRep.base.
 	// Entry 0 is the empty vector; later entries are written once at
-	// creation and never mutated. nvecs counts the used entries — Grow
-	// over-allocates (at-least-doubling), so Len() is not the next id.
-	vecs  ds.PubSlice[[]uint32]
-	nvecs uint32
+	// creation and never mutated.
+	vecs [][]uint32
 
-	// Writer-private compaction state: per-slot chain ticks, the LIFO
-	// pool of retired slots, and the high-water mark of the live slot
-	// count (len(slots) - len(free)) that drives adaptive pool scanning
-	// in allocSlot. Queries never read these.
+	// Compaction state: per-slot chain ticks, the LIFO pool of retired
+	// slots, and the high-water mark of the live slot count
+	// (len(slots) - len(free)) that drives adaptive pool scanning in
+	// allocSlot. Queries never read these.
 	slots  []slotState
 	free   []uint32
 	liveHW int
 
-	queries    uint64 // atomic: Precedes calls
-	compares   uint64 // atomic: epoch/clock comparisons (Precedes + EpochOrdered)
+	queries    uint64 // Precedes calls
+	compares   uint64 // epoch/clock comparisons (Precedes + EpochOrdered)
 	inflations uint64
 	clockBytes uint64
 	fns        uint64
@@ -113,21 +95,20 @@ type VectorClocks struct {
 // NewVectorClocks returns a VectorClocks instance sharing the engine's
 // strand table.
 func NewVectorClocks(st *StrandTable) *VectorClocks {
-	v := &VectorClocks{st: st}
-	v.reps.Grow(64)
-	v.vecs.Grow(1) // vector 0: the empty clock
-	v.nvecs = 1
-	v.slots = make([]slotState, 0, 16)
-	return v
+	return &VectorClocks{
+		st:    st,
+		reps:  make([]vcRep, 0, 64),
+		vecs:  [][]uint32{nil}, // vector 0: the empty clock
+		slots: make([]slotState, 0, 16),
+	}
 }
 
 // Name implements Reach.
 func (v *VectorClocks) Name() string { return "vc" }
 
-// lookup returns C(r)[s] against the given vector snapshot: the newest
-// tick of slot s among the strands preceding (or equal to) the strand r
-// represents. Safe for concurrent readers when vecs came from a published
-// snapshot.
+// lookup returns C(r)[s] against the given vectors: the newest tick of
+// slot s among the strands preceding (or equal to) the strand r
+// represents.
 func lookup(r *vcRep, vecs [][]uint32, s uint32) uint32 {
 	if s == r.own.slot {
 		return r.own.tick
@@ -142,19 +123,17 @@ func lookup(r *vcRep, vecs [][]uint32, s uint32) uint32 {
 	return 0
 }
 
-// setRep publishes the rep of freshly created strand s. The element write
-// lands on an index no published reader can name; the batch hand-off
-// orders it before any query that may.
+// setRep records the rep of freshly created strand s.
 func (v *VectorClocks) setRep(s StrandID, r vcRep) {
-	v.reps.Grow(int(s) + 1)
-	v.reps.W()[s] = r
+	v.reps = extend(v.reps, int(s)+1, vcRep{})
+	v.reps[s] = r
 }
 
 // materialize builds r's full clock as a fresh vector at the current
 // width.
 func (v *VectorClocks) materialize(r *vcRep) []uint32 {
 	vec := make([]uint32, len(v.slots))
-	copy(vec, v.vecs.W()[r.base])
+	copy(vec, v.vecs[r.base])
 	if r.auxSlot != noSlot && vec[r.auxSlot] < r.auxTick {
 		vec[r.auxSlot] = r.auxTick
 	}
@@ -166,7 +145,7 @@ func (v *VectorClocks) materialize(r *vcRep) []uint32 {
 
 // foldInto raises vec to vec ⊔ C(r) pointwise.
 func (v *VectorClocks) foldInto(vec []uint32, r *vcRep) {
-	for s, t := range v.vecs.W()[r.base] {
+	for s, t := range v.vecs[r.base] {
 		if vec[s] < t {
 			vec[s] = t
 		}
@@ -179,12 +158,10 @@ func (v *VectorClocks) foldInto(vec []uint32, r *vcRep) {
 	}
 }
 
-// addVec publishes a freshly materialized vector and returns its id.
+// addVec stores a freshly materialized vector and returns its id.
 func (v *VectorClocks) addVec(vec []uint32) uint32 {
-	id := v.nvecs
-	v.nvecs++
-	v.vecs.Grow(int(v.nvecs))
-	v.vecs.W()[id] = vec
+	id := uint32(len(v.vecs))
+	v.vecs = append(v.vecs, vec)
 	v.inflations++
 	v.clockBytes += 4 * uint64(len(vec))
 	return id
@@ -207,7 +184,7 @@ func (v *VectorClocks) addVec(vec []uint32) uint32 {
 // column. Pressure is rare (the LIFO top almost always hits), so the
 // deep scan does not change the common-case cost.
 func (v *VectorClocks) allocSlot(parent *vcRep) uint32 {
-	vecs := v.vecs.W()
+	vecs := v.vecs
 	depth := compactScan
 	if live := len(v.slots) - len(v.free); live+1 <= v.liveHW {
 		depth = len(v.free)
@@ -273,7 +250,7 @@ func (v *VectorClocks) CreateFut(r CreateRec) {
 // do all their continuations). The fork strand's published rep is never
 // touched.
 func (v *VectorClocks) fork(fork, childFirst, contFirst StrandID) {
-	f := v.reps.W()[fork]
+	f := v.reps[fork]
 	if f.auxSlot != noSlot {
 		f.base = v.addVec(v.materialize(&f))
 		f.auxSlot = noSlot
@@ -312,7 +289,7 @@ func (v *VectorClocks) GetFut(r GetRec) { v.join(r.FutLast, r.Getter, r.Cont) }
 // real fan-in and the joined clock materializes. Either way the branch's
 // chain is over and its slot retires for reuse.
 func (v *VectorClocks) join(branch, cur, next StrandID) {
-	reps := v.reps.W()
+	reps := v.reps
 	b, c := reps[branch], reps[cur]
 	v.slots[c.own.slot].tick++
 	nr := vcRep{
@@ -320,7 +297,7 @@ func (v *VectorClocks) join(branch, cur, next StrandID) {
 		own:     vcStamp{slot: c.own.slot, tick: v.slots[c.own.slot].tick},
 		auxSlot: c.auxSlot, auxTick: c.auxTick,
 	}
-	if lookup(&c, v.vecs.W(), b.own.slot) < b.own.tick {
+	if lookup(&c, v.vecs, b.own.slot) < b.own.tick {
 		vec := v.materialize(&c)
 		v.foldInto(vec, &b)
 		nr.base = v.addVec(vec)
@@ -331,12 +308,10 @@ func (v *VectorClocks) join(branch, cur, next StrandID) {
 }
 
 // ordered is the one clock comparison behind Precedes and EpochOrdered:
-// u ≼ v iff v's clock has reached u's epoch. All loads go through
-// published snapshots, so it is safe concurrently with pin-safe mutations
-// — which for this back-end is every mutation.
+// u ≼ v iff v's clock has reached u's epoch.
 func (v *VectorClocks) ordered(u, w StrandID) bool {
-	atomic.AddUint64(&v.compares, 1)
-	reps := v.reps.RO()
+	v.compares++
+	reps := v.reps
 	ru, rw := &reps[u], &reps[w]
 	if ru.own.slot == rw.own.slot {
 		return ru.own.tick <= rw.own.tick
@@ -344,28 +319,15 @@ func (v *VectorClocks) ordered(u, w StrandID) bool {
 	if ru.own.slot == rw.auxSlot {
 		return ru.own.tick <= rw.auxTick
 	}
-	b := v.vecs.RO()[rw.base]
+	b := v.vecs[rw.base]
 	return int(ru.own.slot) < len(b) && ru.own.tick <= b[ru.own.slot]
 }
 
 // Precedes implements Reach.
 func (v *VectorClocks) Precedes(u, w StrandID) bool {
-	atomic.AddUint64(&v.queries, 1)
+	v.queries++
 	return v.ordered(u, w)
 }
-
-// ConcurrentPrecedesSafe implements QueryConcurrent.
-func (v *VectorClocks) ConcurrentPrecedesSafe() bool { return true }
-
-// PinSafeMut implements PinConcurrent: every vector-clock mutation is
-// fold-free. Constructs only write the reps of strands created by that
-// construct — ids no concurrently pinned batch can name — plus fresh base
-// vectors and writer-private slot state; the rep and base vector of every
-// published strand are immutable, so no mutation can change the
-// precedence between strands an in-flight query is entitled to ask about.
-// Joins and gets remain scheduling barriers for batch dependencies, but
-// the relation itself never needs a pin drain to advance.
-func (v *VectorClocks) PinSafeMut(MutOp) bool { return true }
 
 // EpochOrdered implements EpochConcurrent: the same clock comparison,
 // without the query counter (stamp transfers replace queries rather than
@@ -384,8 +346,8 @@ func (v *VectorClocks) EpochOrdered(r, s StrandID) bool {
 // has no union-find and no R-dag, which is the point.
 func (v *VectorClocks) Stats() ReachStats {
 	return ReachStats{
-		Queries:         atomic.LoadUint64(&v.queries),
-		ClockCompares:   atomic.LoadUint64(&v.compares),
+		Queries:         v.queries,
+		ClockCompares:   v.compares,
 		ClockInflations: v.inflations,
 		ClockBytes:      v.clockBytes,
 		ClockWidth:      uint64(len(v.slots)),

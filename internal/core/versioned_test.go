@@ -124,103 +124,3 @@ func TestStrandTableConcurrentReads(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", st.Len(), n)
 	}
 }
-
-// TestVersionedPinBlocksApply pins the snapshot-read discipline: while
-// any consumer holds a pin the relation must be frozen — ApplyTo is a
-// detector bug and panics — and once every pin is released application
-// resumes normally. Unbalanced Unpin panics too.
-func TestVersionedPinBlocksApply(t *testing.T) {
-	st := NewStrandTable(4)
-	v := NewVersioned(NewMultiBags(st), 8)
-	v.Record(Mut{Op: MutInit, InitFn: 1, InitS: 1})
-	st.Add(1, 1)
-
-	v.Pin()
-	v.Pin() // pins nest
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("ApplyTo under a live pin did not panic")
-			}
-		}()
-		v.ApplyTo(1)
-	}()
-	v.Unpin()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("ApplyTo under the remaining pin did not panic")
-			}
-		}()
-		v.Drain()
-	}()
-	v.Unpin()
-	v.Drain() // quiescent again: applies fine
-	if got := v.Lag(); got != 0 {
-		t.Fatalf("Lag after drain = %d, want 0", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("unbalanced Unpin did not panic")
-			}
-		}()
-		v.Unpin()
-	}()
-}
-
-// TestVersionedPinSafePrefixApplies pins the overlap half of the pin
-// discipline: mutations the recorder stamped PinSafe (fold-free
-// constructs) apply while a snapshot pin is live — that is what lets the
-// scheduler publish the next window's version over in-flight batches —
-// while the first folding mutation in the log still panics under the
-// pin and applies cleanly once it drains.
-func TestVersionedPinSafePrefixApplies(t *testing.T) {
-	st := NewStrandTable(8)
-	v := NewVersioned(NewMultiBags(st), 16)
-	v.Record(Mut{Op: MutInit, InitFn: 1, InitS: 1, PinSafe: true})
-	st.Add(1, 1)
-	v.Record(Mut{Op: MutSpawn, PinSafe: true, Spawn: SpawnRec{
-		ParentFn: 1, ChildFn: 2, Fork: 1, ChildFirst: 2, ContFirst: 3,
-	}})
-	st.Add(2, 2)
-	st.Add(3, 1)
-
-	v.Pin()
-	v.ApplyTo(2) // fold-free prefix: applies under the live pin
-	if got := v.Lag(); got != 0 {
-		t.Fatalf("Lag after pin-safe apply = %d, want 0", got)
-	}
-	if !v.Reach().Precedes(1, 2) {
-		t.Fatal("pinned reader does not see the pin-safe spawn applied")
-	}
-
-	v.Record(Mut{Op: MutReturn, PinSafe: true, Return: ReturnRec{
-		Fn: 2, ParentFn: 1, First: 2, Last: 2,
-	}})
-	v.Record(Mut{Op: MutJoin, Join: JoinRec{
-		Fn: 1, ChildFn: 2, Fork: 1, ChildFirst: 2, ContFirst: 3,
-		ChildLast: 2, ContLast: 3, Join: 4,
-	}})
-	st.Add(4, 1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("folding mutation applied under a live pin")
-			}
-		}()
-		v.Drain()
-	}()
-	// The panic fired at the join; the pin-safe return before it applied.
-	if got := v.Lag(); got != 1 {
-		t.Fatalf("Lag after blocked fold = %d, want 1 (the join)", got)
-	}
-	v.Unpin()
-	v.Drain()
-	if got := v.Lag(); got != 0 {
-		t.Fatalf("Lag after unpinned drain = %d, want 0", got)
-	}
-	if !v.Reach().Precedes(2, 4) {
-		t.Fatal("joined child does not precede the join strand after drain")
-	}
-}

@@ -56,12 +56,12 @@ type Engine struct {
 	// sctx is the shadow-layer context prototype: the reachability
 	// structure (queried directly, no per-query closure) and its
 	// epoch-transfer capability. It is immutable after construction;
-	// checkOps copies it and fills in the batch's own generation, so no
-	// checking goroutine ever reads engine-mutated state.
+	// process copies it and fills in the batch's own generation, so the
+	// consumer never reads engine-mutated state.
 	sctx shadow.Ctx
 
 	// chk is the inline pipeline's shadow checker (nil with Consumers >= 1,
-	// where each pool consumer owns one).
+	// where the consumer owns the run's checker).
 	chk *shadow.Checker
 
 	// gen is the parallel-construct generation, bumped at every construct
@@ -72,14 +72,14 @@ type Engine struct {
 	// batches carry their generation to the back-end.
 	gen uint64
 
-	// vr, when non-nil (detecting with an asynchronous back-end), is the
+	// vr, when non-nil (detecting with the async consumer), is the
 	// versioned view of the reachability relation: constructs record
 	// their mutations here instead of applying them inline, sealed
 	// batches carry the version they were recorded under, and the
-	// back-end consumer applies pending mutations up to each batch's
-	// version before checking it. Constructs therefore no longer block on
-	// back-end drain; the engine may run up to the construct-ahead window
-	// ahead of detection.
+	// consumer applies pending mutations up to each batch's version
+	// before checking it. Constructs therefore do not block on the
+	// consumer; the engine may run up to the construct-ahead window ahead
+	// of detection.
 	vr *core.Versioned
 
 	// nudgeAt is the pending-mutation threshold at which the engine hands
@@ -92,44 +92,9 @@ type Engine struct {
 	nudgeAt          int
 	submittedVersion uint64
 
-	// consumers is the effective pipeline width: 0 checks batches inline,
-	// 1 or more on the dependency-scheduled consumer pool of that size
-	// (Config.Consumers, clamped to 0 when the pool is not eligible: it
-	// needs a concurrent-query-safe algorithm, no Verify, no oracle).
-	consumers int
-
-	// Dependency classification of construct mutations, accumulated on
-	// the engine goroutine between pipeline items (depBarrier/depSpans,
-	// consumed by stampDep at every submit) and between sealed non-empty
-	// batches (statBarrier/statSpans, consumed by noteBatchStats). A
-	// barrier is a mutation that can change existing query answers (sync
-	// join, future get); a span names the subtree a return retags.
-	// depApplyBarrier additionally accumulates whether any mutation since
-	// the last item is not pin-safe — the scheduler must drain snapshot
-	// pins before advancing the relation past it.
-	depBarrier      bool
-	depApplyBarrier bool
-	depSpans        []event.StrandSpan
-	statBarrier     bool
-	statSpans       []event.StrandSpan
-
-	// pinSafe caches the algorithm's core.PinConcurrent mask per mutation
-	// op; all-false (every mutation an apply barrier) when the algorithm
-	// does not advertise the capability. stealWords is the effective
-	// chunk-steal granule (Tuning.StealChunkWords or
-	// DefaultStealChunkWords).
-	pinSafe    [6]bool
-	stealWords int
-
-	// Batch-pipeline stats (Stats.Event), counted at seal time on the
-	// engine goroutine in every pipeline mode, so they are deterministic
-	// and identical across Consumers configurations. prevFP,
-	// prevStrand and havePrev hold the previous sealed batch's footprint
-	// for the pairwise independence classification.
-	evStats    event.Stats
-	prevFP     event.Footprint
-	prevStrand core.StrandID
-	havePrev   bool
+	// evStats counts sealed batches (Stats.Event) on the engine goroutine,
+	// so it is identical across Consumers configurations.
+	evStats event.Stats
 
 	// batch is the open access-event batch: Read/Write append to it
 	// (coalescing contiguous same-kind accesses into ranges) and the
@@ -138,14 +103,12 @@ type Engine struct {
 	// Nil when memory accesses are ignored (Mem == MemOff).
 	batch *event.Batch
 
-	// be, when non-nil, is the asynchronous detection back-end: sealed
-	// batches are checked off the engine goroutine while the program
-	// keeps executing — across parallel constructs too, because each
-	// batch carries the version of the reachability relation it was
-	// recorded under and the back-end applies construct mutations (from
-	// vr) so every in-flight check observes a snapshot answering its
-	// queries exactly as the batch's own version would. It is the
-	// dependency-scheduled consumer pool of sched.go, nil with Consumers == 0.
+	// be, when non-nil, is the async consumer of sched.go: sealed batches
+	// are checked off the engine goroutine while the program keeps
+	// executing — across parallel constructs too, because each batch
+	// carries the version of the reachability relation it was recorded
+	// under and the consumer applies construct mutations (from vr) up to
+	// exactly that version before checking it. Nil with Consumers <= 0.
 	be *pipeline
 
 	// faults is the run's fault-injection plan (nil in production: every
@@ -162,15 +125,15 @@ type Engine struct {
 
 	labels map[core.FnID]string
 
-	// violMu guards violations: Verify-mode reachability mismatches are
-	// recorded from the detection back-end goroutine, while discipline
-	// violations arrive from the engine goroutine.
+	// violMu guards violations: Verify-mode reachability mismatches and
+	// deferred discipline checks are recorded on the consumer, while
+	// inline discipline violations arrive from the engine goroutine.
 	violMu sync.Mutex
 
 	// The race sink. raceMu guards it (and the labels map) because with
-	// Consumers >= 1 races are reported from the scheduler goroutine while
-	// the engine goroutine keeps executing; the scheduler's in-order
-	// delivery keeps them in serial report order. raceSeen
+	// Consumers >= 1 races are reported from the consumer while the engine
+	// goroutine keeps executing; the consumer checks batches in seal
+	// order, so reports stay in serial report order. raceSeen
 	// maps a racy address to the signature of the recorded strand pair so
 	// observations of a different pair at the same address can be counted
 	// (droppedPairs) instead of silently vanishing.
@@ -189,27 +152,13 @@ type Engine struct {
 	err                          error
 }
 
-// DefaultStealChunkWords is the words-per-chunk granule at which a pool
-// of two or more consumers splits a large batch for stealing: 4 shadow
-// pages.
-const DefaultStealChunkWords = 4 << shadow.PageBits
-
 // Tuning holds the engine settings that exist for tests and benchmark
 // sweeps rather than for users; the zero value is what NewEngine runs
-// with. Verdicts, report order and deterministic counters are identical
-// for any StealChunkWords and ConstructAhead.
+// with. Verdicts, report order and counters are identical for any
+// ConstructAhead.
 type Tuning struct {
-	// StealChunkWords overrides the words-per-chunk granule at which the
-	// scheduler of a pool of two or more consumers splits one large batch
-	// into footprint-disjoint chunks that idle consumers steal (0 means
-	// DefaultStealChunkWords). A batch only splits when its prefix and
-	// suffix touch strictly separated page ranges, so chunks of one batch
-	// never share a shadow word; batches below twice the granule are
-	// never split.
-	StealChunkWords int
-
 	// ConstructAhead bounds how many construct mutations the engine may
-	// record ahead of the consumer pool (Consumers >= 1): the
+	// record ahead of the async consumer (Consumers >= 1): the
 	// reachability relation is versioned, sealed batches carry the
 	// version they were recorded under, and parallel constructs proceed
 	// without waiting for in-flight batch checks — up to this window, at
@@ -219,9 +168,9 @@ type Tuning struct {
 	ConstructAhead int
 
 	// Faults, when non-nil, arms deterministic fault injection at the
-	// pipeline's instrumented sites — consumer panics, stage stalls,
-	// corrupted batch footprints, failed page materializations. For the
-	// robustness test suite; nil keeps every probe at one nil check.
+	// pipeline's instrumented sites — consumer panics, consumer stalls,
+	// failed page materializations. For the robustness test suite; nil
+	// keeps every probe at one nil check.
 	Faults *faultinject.Plan
 }
 
@@ -306,20 +255,15 @@ func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 // initPipeline sets up the shadow history and the access-event batch
 // layer: every engine that observes memory accesses batches them.
 // Consumers == 0 checks each batch inline on the engine goroutine;
-// Consumers >= 1 checks batches off it on the scheduled consumer pool,
-// overlapping detection with continued program execution. An ineligible
-// run (oracle, Verify) checks inline. An asynchronous detecting engine
-// also versions its reachability relation so constructs need not block
-// on back-end drain.
+// Consumers >= 1 checks batches off it on the one async consumer,
+// overlapping detection with continued program execution. An async
+// detecting engine also versions its reachability relation so constructs
+// need not wait for the consumer.
 func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 	if cfg.Mem == MemOff || e.err != nil {
 		return
 	}
-	e.consumers = max(cfg.Consumers, 0)
-	if !e.consumersEligible(cfg) {
-		e.consumers = 0
-	}
-	e.hist = shadow.NewHistory(e.consumers > 1)
+	e.hist = shadow.NewHistory()
 	e.hist.SetFaults(tu.Faults)
 	if e.detecting && cfg.Mem == MemFull && cfg.Sampling.Rate > 0 {
 		// Tier-1 sampling sits between the shadow layer's free skips and
@@ -327,191 +271,44 @@ func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 		e.hist.SetSampling(cfg.Sampling.Rate, cfg.Sampling.Budget, cfg.Sampling.Seed)
 	}
 	e.batch = event.New()
-	e.stealWords = tu.StealChunkWords
-	if e.stealWords <= 0 {
-		e.stealWords = DefaultStealChunkWords
-	}
-	if e.consumers == 0 {
-		e.chk = shadow.NewChecker(e.hist, 0)
+	if cfg.Consumers <= 0 {
+		e.chk = shadow.NewChecker(e.hist)
 		return
 	}
 	if e.detecting {
 		e.vr = core.NewVersioned(e.reach, tu.ConstructAhead)
-		e.nudgeAt = e.vr.Window() / 2
-		if e.nudgeAt < 1 {
-			e.nudgeAt = 1
-		}
-		// The pin-safe mask decides which recorded mutations the
-		// overlapping-window scheduler may apply under live snapshot
-		// pins. Asserted on the final (possibly wrapped) reach, so Verify
-		// and the oracle conservatively barrier everything.
-		if pc, ok := e.reach.(core.PinConcurrent); ok {
-			for op := core.MutInit; op <= core.MutGet; op++ {
-				e.pinSafe[op] = pc.PinSafeMut(op)
-			}
-		}
+		e.nudgeAt = max(e.vr.Window()/2, 1)
 	}
-	if e.consumers > 1 {
-		// Debug assertion backing the whole-pipeline invariant:
-		// concurrently-checked batches touch disjoint shadow pages. Cheap
-		// (a few span comparisons per batch), so it is always on when the
-		// consumer pool is, and the -race CI suite runs it.
-		e.hist.EnableInstallAudit()
-	}
-	e.be = newPipeline(e, e.consumers)
-}
-
-// consumersEligible reports whether the consumer pool may run:
-// its consumers query the reachability relation concurrently (under a
-// pinned snapshot), so the algorithm must advertise QueryConcurrent;
-// Verify wraps queries in oracle cross-checks and stays serial, as does
-// the oracle itself. Instrumentation-only engines make no queries and
-// always qualify.
-func (e *Engine) consumersEligible(cfg Config) bool {
-	if !e.detecting {
-		return true // MemInstr without detection: touch traffic only
-	}
-	if cfg.Verify || cfg.Mode == ModeOracle {
-		return false
-	}
-	if cfg.Mem == MemInstr {
-		return true
-	}
-	qc, ok := e.reach.(core.QueryConcurrent)
-	return ok && qc.ConcurrentPrecedesSafe()
-}
-
-// maxDepSpans bounds either dependency-span accumulator between resets;
-// past it the accumulator degrades to a barrier (strictly more
-// conservative: a barrier subsumes every span conflict), so access-free
-// spawn storms cannot grow memory while nothing flushes.
-const maxDepSpans = 1024
-
-// addDepSpan appends sp to one accumulator under the subsumption and
-// bounding rules: a set barrier already serializes against everything a
-// span could, and an over-full accumulator collapses into one.
-func addDepSpan(barrier *bool, spans []event.StrandSpan, sp event.StrandSpan) []event.StrandSpan {
-	if *barrier {
-		return spans
-	}
-	if len(spans) >= maxDepSpans {
-		*barrier = true
-		return spans[:0]
-	}
-	return append(spans, sp)
-}
-
-// classifyMut accumulates the dependency class of one construct mutation
-// for the scheduler (dep*) and the batch stats (stat*): joins and gets
-// are barriers, returns of multi-strand subtrees carry their strand span,
-// spawns/creates/init only introduce fresh elements and are free. With no
-// batch layer (MemOff) nothing ever consumes or resets the accumulators,
-// so classification is skipped entirely.
-func (e *Engine) classifyMut(m *core.Mut) {
-	if e.batch == nil {
-		return
-	}
-	if !m.PinSafe {
-		e.depApplyBarrier = true
-	}
-	switch m.Op {
-	case core.MutJoin, core.MutGet:
-		e.depBarrier, e.statBarrier = true, true
-	case core.MutReturn:
-		if m.Return.First != m.Return.Last {
-			sp := event.StrandSpan{First: m.Return.First, Last: m.Return.Last}
-			e.depSpans = addDepSpan(&e.depBarrier, e.depSpans, sp)
-			e.statSpans = addDepSpan(&e.statBarrier, e.statSpans, sp)
-		}
-		// A single-strand subtree's return retags a bag no other strand
-		// occupies and a batch never queries its own strand, so it cannot
-		// conflict with any in-flight batch: drop the span entirely. This
-		// is what lets wide fan-outs of leaf tasks (spawn, body, return,
-		// spawn, ...) form one independent window.
-	}
-}
-
-// stampDep moves the accumulated since-last-item dependency info onto the
-// outgoing batch and resets the accumulator. Engine goroutine only.
-func (e *Engine) stampDep(b *event.Batch) {
-	b.Barrier = e.depBarrier
-	b.ApplyBarrier = e.depApplyBarrier
-	b.RetSpans = append(b.RetSpans[:0], e.depSpans...)
-	e.depBarrier = false
-	e.depApplyBarrier = false
-	e.depSpans = e.depSpans[:0]
-}
-
-// noteBatchStats classifies one sealed non-empty batch against its
-// predecessor (the deterministic pairwise form of the scheduler's
-// independence condition) and sizes its footprint, in every pipeline
-// mode, so Stats.Event is identical across Consumers configs.
-func (e *Engine) noteBatchStats(b *event.Batch) {
-	e.evStats.Batches++
-	e.evStats.FootprintSpans += uint64(len(b.FP.Spans))
-	e.evStats.FootprintPages += b.FP.Pages()
-	if !b.FP.Exact {
-		e.evStats.CollapsedFootprints++
-	}
-	dep := !e.havePrev || e.statBarrier || b.Strand == e.prevStrand ||
-		b.FP.Overlaps(&e.prevFP)
-	if !dep {
-		for _, sp := range e.statSpans {
-			if sp.Contains(e.prevStrand) {
-				dep = true
-				break
-			}
-		}
-	}
-	if dep {
-		e.evStats.SerializedBatches++
-	} else {
-		e.evStats.IndependentBatches++
-	}
-	e.statBarrier = false
-	e.statSpans = e.statSpans[:0]
-	e.prevFP.Spans = append(e.prevFP.Spans[:0], b.FP.Spans...)
-	e.prevFP.Exact = b.FP.Exact
-	e.prevStrand = b.Strand
-	e.havePrev = true
+	e.be = newPipeline(e)
 }
 
 // mutate applies one construct mutation to the reachability relation:
 // inline when the pipeline is synchronous, recorded into the versioned log
-// (for the back-end to apply in batch order) when it is not. Either way
-// the mutation's dependency class is accumulated for the scheduler and
-// the batch stats.
+// (for the consumer to apply in batch order) when it is not.
 func (e *Engine) mutate(m core.Mut) {
-	m.PinSafe = e.pinSafe[m.Op]
 	if e.vr == nil {
-		e.classifyMut(&m)
 		m.ApplyTo(e.reach)
 		return
 	}
 	// The log must stay drainable before Record can block on the window,
-	// and the back-end only applies mutations when it processes a
-	// version-bearing batch. Normally the batches themselves cover that —
+	// and the consumer only applies mutations when it processes a
+	// version-bearing item. Normally the batches themselves cover that —
 	// submittedVersion tracks the version carried by the last submitted
 	// batch — so a nudge (an empty batch at the current version) is only
 	// needed on construct-dense stretches whose mutations outpace real
 	// traffic. The guard is lock-free and rate-limited to one nudge per
 	// nudgeAt mutations: applied never exceeds submittedVersion while the
-	// back-end runs, so staying within nudgeAt of the last submitted
-	// version guarantees the applier can always bring the lag back under
+	// consumer runs, so staying within nudgeAt of the last submitted
+	// version guarantees the consumer can always bring the lag back under
 	// the window, and Record can never block for good. Submitting may
-	// block briefly on the batch channel, which is ordinary back-pressure.
+	// block briefly on the item channel, which is ordinary back-pressure.
 	if rec := e.vr.Recorded(); rec-e.submittedVersion >= uint64(e.nudgeAt) {
 		b := event.New()
 		b.Gen = e.gen
 		b.Version = rec
 		e.submittedVersion = rec
-		// The nudge carries the dependency info of the mutations recorded
-		// before it; m itself is recorded after the nudge's version and is
-		// classified below, for the next item.
-		e.stampDep(b)
 		e.be.submit(workItem{b: b})
 	}
-	e.classifyMut(&m)
 	e.vr.Record(m)
 }
 
@@ -604,13 +401,6 @@ func (e *Engine) report() *Report {
 	if e.hist != nil {
 		rep.Stats.Shadow = e.hist.Stats()
 		rep.Stats.Event = e.evStats
-		if e.be != nil {
-			// Scheduling-outcome counters live on the pipeline (they are
-			// counted where the decisions happen) and are merged here;
-			// unlike the rest of Stats.Event they are timing-dependent.
-			rep.Stats.Event.StolenChunks = e.be.stolen.Load()
-			rep.Stats.Event.OverlappedWindows = e.be.overlapped.Load()
-		}
 	}
 	return rep
 }
@@ -659,18 +449,12 @@ func (e *Engine) newPipelineError(stage string, b *event.Batch, r any) *Pipeline
 }
 
 // guard is the pipeline's one recover shell: it runs fn and converts a
-// panic — injected, an audit violation, or a detector bug — into a
-// structured PipelineError for the named stage (nil when fn completes).
-// No user code runs below it, so the recover cannot mask a user panic.
-// Under the futurerd_debug build tag a shadow install-audit violation
-// re-panics instead: the -race CI suite must halt hard on a scheduler
-// bug, while production builds fail closed.
+// panic — injected or a detector bug — into a structured PipelineError
+// for the named stage (nil when fn completes). No user code runs below
+// it, so the recover cannot mask a user panic.
 func (e *Engine) guard(stage string, b *event.Batch, fn func()) (pe *PipelineError) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(*shadow.AuditError); ok && faultinject.Debug {
-				panic(r)
-			}
 			pe = e.newPipelineError(stage, b, r)
 		}
 	}()
@@ -714,7 +498,7 @@ func (e *Engine) newStrand(fn core.FnID) core.StrandID {
 // it in the final report (resolved once the run completes, so a label
 // applies to its function's races regardless of where in the body it was
 // set). No-op when not detecting. raceMu orders the map write against
-// the asynchronous back-end's best-effort label lookups for OnRace.
+// the async consumer's best-effort label lookups for OnRace.
 func (e *Engine) Label(t *Task, label string) {
 	if !e.detecting {
 		return
@@ -773,7 +557,7 @@ func (e *Engine) EndSpawn(t, child *Task) {
 	r := child.born
 	r.childLast = child.strand
 	e.mutate(core.Mut{Op: core.MutReturn, Return: core.ReturnRec{
-		Fn: child.fn, ParentFn: t.fn, First: r.childFirst, Last: r.childLast,
+		Fn: child.fn, ParentFn: t.fn, Last: r.childLast,
 	}})
 	t.spawns = append(t.spawns, r)
 	t.strand = r.cont
@@ -834,7 +618,7 @@ func (e *Engine) BeginFut(t *Task) (*Task, *Fut) {
 		ParentFn: t.fn, FutFn: futFn,
 		Creator: creator, FutFirst: futFirst, ContFirst: cont,
 	}})
-	h := &Fut{fn: futFn, creatorStrand: creator, first: futFirst}
+	h := &Fut{fn: futFn, creatorStrand: creator}
 	child := &Task{ex: e, fn: futFn, strand: futFirst}
 	child.born = spawnRec{cont: cont}
 	return child, h
@@ -853,7 +637,7 @@ func (e *Engine) EndFut(t, child *Task, h *Fut, val any) {
 	h.last = child.strand
 	h.done = true
 	e.mutate(core.Mut{Op: core.MutReturn, Return: core.ReturnRec{
-		Fn: h.fn, ParentFn: t.fn, First: h.first, Last: h.last,
+		Fn: h.fn, ParentFn: t.fn, Last: h.last,
 	}})
 	t.strand = child.born.cont
 }
@@ -878,13 +662,12 @@ func (e *Engine) GetFut(t *Task, h *Fut) any {
 	if e.cfg.CheckStructured {
 		// The discipline query (creator sequentially precedes getter) must
 		// see the relation at exactly this construct's version. The engine
-		// no longer drains the back-end for it: with an asynchronous
-		// pipeline the check is deferred — enqueued in stream order and
-		// answered from the versioned snapshot once the back-end has
-		// applied this version — because a violation is recorded, never
-		// acted on, so nothing downstream needs the answer eagerly. The
-		// synchronous pipeline's relation is always current and evaluates
-		// inline.
+		// does not wait for the consumer for it: with the async pipeline
+		// the check is deferred — enqueued in stream order and answered
+		// once the consumer has applied this version — because a violation
+		// is recorded, never acted on, so nothing downstream needs the
+		// answer eagerly. The inline pipeline's relation is always current
+		// and evaluates inline.
 		d := &discCheck{
 			futFn:   h.fn,
 			creator: h.creatorStrand,
@@ -899,7 +682,6 @@ func (e *Engine) GetFut(t *Task, h *Fut) any {
 				b.Version = e.vr.Recorded()
 				e.submittedVersion = b.Version
 			}
-			e.stampDep(b)
 			e.be.submit(workItem{b: b, disc: d})
 		} else {
 			e.evalDisc(d)
@@ -950,8 +732,8 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 	e.checkPoison()
 	if len(e.batch.Ops) > 0 && e.batch.Strand != t.strand {
 		// Unreachable today — the current strand only changes at
-		// constructs, which seal — but the single-strand batch invariant
-		// is what makes overlapped checking sound, so enforce it locally.
+		// constructs, which seal — but every batch must carry a single
+		// strand, so enforce it locally.
 		e.flushBatch()
 	}
 	e.batch.Strand = t.strand
@@ -962,9 +744,8 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 
 // seal closes the open batch at a parallel construct. The batch leaves
 // stamped with the generation and relation version it executed under, so
-// an asynchronous back-end can keep checking it — against the immutable
-// snapshot named by that version — while the construct proceeds and the
-// program keeps executing: constructs do not block on back-end drain.
+// the async consumer can check it against the relation at that version
+// while the construct proceeds and the program keeps executing.
 func (e *Engine) seal() {
 	if e.batch == nil {
 		return
@@ -972,12 +753,12 @@ func (e *Engine) seal() {
 	e.flushBatch()
 }
 
-// flushBatch hands the open batch to the detection back-end: inline on
-// the engine goroutine when the pipeline is synchronous, queued to the
-// back-end (overlapping continued execution) when it is not. The batch is
-// stamped with the current construct generation, relation version, page
-// footprint and dependency info either way, and the batch-pipeline stats
-// are counted here so they are identical across pipeline modes.
+// flushBatch hands the open batch to detection: checked inline on the
+// engine goroutine when the pipeline is synchronous, queued to the async
+// consumer (overlapping continued execution) when it is not. The batch is
+// stamped with the current construct generation and relation version
+// either way, and Stats.Event is counted here so it is identical across
+// pipeline modes.
 func (e *Engine) flushBatch() {
 	if len(e.batch.Ops) == 0 {
 		return
@@ -988,67 +769,44 @@ func (e *Engine) flushBatch() {
 		b.Version = e.vr.Recorded()
 		e.submittedVersion = b.Version
 	}
-	b.Summarize(shadow.PageBits)
-	e.noteBatchStats(b)
-	e.stampDep(b)
-	if e.faults.Fire(faultinject.CorruptFootprint) {
-		// After noteBatchStats, so the deterministic Stats.Event counters
-		// stay identical to a fault-free run; only the scheduler and the
-		// install audit see the lie.
-		b.FP.Corrupt()
-	}
+	e.evStats.Batches++
 	if e.be != nil {
 		e.batch = event.New()
 		e.be.submit(workItem{b: b})
 		return
 	}
-	if pe := e.guard("inline", b, func() {
-		for _, ev := range e.checkChunk(e.chk, chunkWork{b: b, hi: len(b.Ops), maxPage: ^uint64(0)}) {
-			e.reportRace(ev.Addr, ev.Racer.Prev, b.Strand, ev.Racer.PrevWrite, ev.Write)
-		}
-	}); pe != nil {
+	if pe := e.guard("inline", b, func() { e.process(e.chk, workItem{b: b}) }); pe != nil {
 		e.poisonWith(pe)
 	}
 	b.Reset()
 }
 
-// checkChunk is the per-batch body every pipeline shares: the consumer
-// fault probes, the install-audit page claims, and the check of ops
-// [cw.lo, cw.hi) of cw.b on checker c. Every op was performed by the
-// batch's strand under the relation snapshot named by its version, which
-// the scheduler has published before dispatch. The checker starts the
-// chunk with cold verdict caches, whichever pipeline runs it, so memo-hit
-// counters cannot depend on the configuration. It returns c's buffered
-// race events for the caller to deliver (valid until c's next chunk).
-// The inline pipeline checks each batch as one chunk.
-func (e *Engine) checkChunk(c *shadow.Checker, cw chunkWork) []shadow.RaceEvent {
+// process is the per-item body both pipelines share: it brings the
+// relation to the item's version, answers its deferred discipline check,
+// checks the batch's ops on checker c and reports their races, in op
+// order. Every op was performed by the batch's strand under the relation
+// at the batch's version. The checker starts each batch with cold verdict
+// caches, so memo-hit counters cannot depend on the pipeline.
+func (e *Engine) process(c *shadow.Checker, it workItem) {
+	b := it.b
+	if e.vr != nil {
+		e.vr.ApplyTo(b.Version)
+	}
+	if it.disc != nil {
+		e.evalDisc(it.disc)
+	}
+	if len(b.Ops) == 0 {
+		return
+	}
 	if e.faults.Fire(faultinject.ConsumerPanic) {
 		panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
 	}
-	if cw.idx > 0 && e.faults.Fire(faultinject.StealPanic) {
-		panic(faultinject.Panic{Point: faultinject.StealPanic})
-	}
 	e.faults.Delay(faultinject.ConsumerStall)
-	b := cw.b
 	ctx := e.sctx
 	ctx.Gen = b.Gen
 	c.Begin(&ctx, b.Strand)
 	if e.mem == MemFull {
-		// The install audit asserts concurrent checks touch disjoint
-		// shadow pages, so each chunk claims the batch footprint clipped
-		// to its own page range — chunk ranges are disjoint by
-		// construction (event.SplitOps). Instrumentation-only batches
-		// never touch shadow state (TouchRange is a pure checksum), so the
-		// scheduler legitimately overlaps them and they claim nothing.
-		var buf [event.MaxFootprintSpans]shadow.PageClaim
-		claims := buf[:0]
-		for _, sp := range b.FP.Spans {
-			if lo, hi := max(sp.Lo, cw.minPage), min(sp.Hi, cw.maxPage); lo <= hi {
-				claims = append(claims, shadow.PageClaim{Lo: lo, Hi: hi})
-			}
-		}
-		c.Claim(claims)
-		for i := cw.lo; i < cw.hi; i++ {
+		for i := range b.Ops {
 			op := &b.Ops[i]
 			if op.Kind == event.Read {
 				c.ReadRange(op.Addr, op.Words)
@@ -1058,12 +816,14 @@ func (e *Engine) checkChunk(c *shadow.Checker, cw chunkWork) []shadow.RaceEvent 
 		}
 	} else {
 		// MemInstr: decode-only traffic.
-		for i := cw.lo; i < cw.hi; i++ {
+		for i := range b.Ops {
 			c.TouchRange(b.Ops[i].Addr, b.Ops[i].Words)
 		}
 	}
 	c.End()
-	return c.Events()
+	for _, ev := range c.Events() {
+		e.reportRace(ev.Addr, ev.Racer.Prev, b.Strand, ev.Racer.PrevWrite, ev.Write)
+	}
 }
 
 // pairSig condenses a race's identity beyond its address — the strand

@@ -9,7 +9,7 @@ import (
 
 // These tests pin the event-batch pipeline: accesses buffer in coalescing
 // batches, batches seal at parallel constructs, and with Consumers >= 1
-// the sealed batches are checked on the consumer pool overlapping
+// the sealed batches are checked on the async consumer overlapping
 // continued execution — all without changing a single verdict, report
 // order, or deterministic counter.
 
@@ -58,10 +58,9 @@ func TestBatchOverflowFlushesMidWindow(t *testing.T) {
 	}
 }
 
-// TestAsyncBackendMatchesSerial compares a Consumers=1 run (the
-// scheduled pool of one consumer) against an inline run for every
-// algorithm — including the oracle, which is not eligible for the pool
-// and checks inline.
+// TestAsyncBackendMatchesSerial compares a Consumers=1 run (the async
+// consumer) against an inline run for every algorithm, the oracle
+// included.
 func TestAsyncBackendMatchesSerial(t *testing.T) {
 	prog := func(t *Task) {
 		h := t.CreateFut(func(ft *Task) any {
@@ -116,7 +115,7 @@ func TestCoalescingPreservesInstrChecksum(t *testing.T) {
 		t.Spawn(func(c *Task) { c.WriteRange(1, 5_000) })
 		t.Sync()
 	}
-	for _, consumers := range []int{0, 1, 4} {
+	for _, consumers := range []int{0, 1} {
 		rep := NewEngine(Config{Mem: MemInstr, Consumers: consumers}).Run(prog)
 		if rep.Err != nil {
 			t.Fatalf("consumers=%d: %v", consumers, rep.Err)

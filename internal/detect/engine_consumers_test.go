@@ -2,35 +2,29 @@ package detect
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"futurerd/internal/event"
 )
 
-// These tests pin the multi-consumer detection back-end: independent
-// batches (disjoint page footprints, distinct strands, no conflicting
-// construct mutation between them) are checked concurrently by a
-// dependency-scheduled consumer pool under a pinned relation snapshot,
-// while dependent batches serialize in seal order — with reports that
-// stay verdict-, order- and counter-identical to a serial run.
+// These tests pin the async detection consumer: sealed batches are
+// checked off the engine goroutine in seal order, each against the
+// relation at its own version, with reports that stay verdict-, order-
+// and counter-identical to an inline run.
 
-// consumersProg mixes every scheduling regime: a wide fan-out of leaf
-// tasks over disjoint pages (independent windows), children sharing racy
-// pages (dependent, ordered race delivery), a future raced against its
-// creator, owned-word re-reads and repeated read-shared passes.
+// consumersProg mixes the pipeline's regimes: a wide fan-out of leaf
+// tasks over disjoint pages, children sharing racy pages (ordered race
+// delivery), a future raced against its creator, owned-word re-reads and
+// repeated read-shared passes.
 func consumersProg(tk *Task) {
 	tk.WriteRange(1<<20, 300) // shared region, written before the fan-out
 	for i := 0; i < 8; i++ {
-		base := uint64(1 + i*4*4096) // four pages apart: disjoint footprints
+		base := uint64(1 + i*4*4096) // four pages apart
 		tk.Spawn(func(c *Task) {
 			c.WriteRange(base, 900)
 			c.ReadRange(base, 900) // own writes: owned skips
 			if i%2 == 1 {
-				// Odd children also touch the shared region: page overlap
-				// makes these batches dependent, and the re-writes race
-				// against the parent's pre-fan-out writes.
+				// Odd children also touch the shared region: the re-writes
+				// race against the parent's pre-fan-out writes.
 				c.WriteRange(1<<20, 150)
 			}
 		})
@@ -51,54 +45,45 @@ func consumersProg(tk *Task) {
 }
 
 // TestConsumersEquivalence is the acceptance check: across all three
-// algorithms × Consumers ∈ {0,1,2,4}, the race stream (content and
-// order), the violations and the full Stats — shadow protocol traffic,
-// both epoch fast paths, memo hits, reachability queries, batch-pipeline
-// counters — must deep-equal the serial run. Only the per-checker
-// page-cache locality and the scheduler's timing-dependent outcome
-// counters (stolen chunks, overlapped windows) may differ.
+// algorithms, the async run (Consumers 1) must deep-equal the inline run
+// — the race stream (content and order), the violations and the full
+// Stats, shadow protocol traffic, page-cache hits, both epoch fast paths,
+// memo hits, reachability queries and batch counters included. Every
+// Consumers >= 1 runs the same one consumer, so 2 and 4 must deep-equal
+// 1 as whole Reports. The oracle and Verify runs take the async pipeline
+// too and must match their inline runs the same way.
 func TestConsumersEquivalence(t *testing.T) {
-	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus} {
-		serial := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}).Run(consumersProg)
+	type run struct {
+		mode   Mode
+		verify bool
+	}
+	runs := []run{{mode: ModeSPBags}, {mode: ModeMultiBags}, {mode: ModeMultiBagsPlus},
+		{mode: ModeOracle}, {mode: ModeMultiBags, verify: true}, {mode: ModeMultiBagsPlus, verify: true}}
+	for _, r := range runs {
+		cfg := Config{Mode: r.mode, Mem: MemFull, MaxRaces: 1 << 20, Verify: r.verify}
+		serial := NewEngine(cfg).Run(consumersProg)
 		if serial.Err != nil {
-			t.Fatalf("%v: %v", mode, serial.Err)
+			t.Fatalf("%+v: %v", r, serial.Err)
 		}
 		if !serial.Racy() {
-			t.Fatalf("%v: program raced nowhere; the test needs races to order", mode)
+			t.Fatalf("%+v: program raced nowhere; the test needs races to order", r)
 		}
-		if serial.Stats.Event.IndependentBatches == 0 {
-			t.Fatalf("%v: no independent batches; the test needs concurrent windows", mode)
+		cfg.Consumers = 1
+		async := NewEngine(cfg).Run(consumersProg)
+		if !reflect.DeepEqual(serial, async) {
+			t.Fatalf("%+v: async run diverges from inline\ninline %+v\nasync  %+v", r, serial, async)
 		}
-		for _, consumers := range []int{0, 1, 2, 4} {
-			cfg := Config{
-				Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
-				Consumers: consumers,
-			}
-			rep := NewEngine(cfg).Run(consumersProg)
-			if rep.Err != nil {
-				t.Fatalf("%v c=%d: %v", mode, consumers, rep.Err)
-			}
-			if !reflect.DeepEqual(serial.Races, rep.Races) {
-				t.Fatalf("%v c=%d: race streams diverge\nserial %v\ngot    %v",
-					mode, consumers, serial.Races, rep.Races)
-			}
-			if !reflect.DeepEqual(serial.Violations, rep.Violations) {
-				t.Fatalf("%v c=%d: violations diverge", mode, consumers)
-			}
-			ss, as := serial.Stats, rep.Stats
-			ss.Shadow.PageCacheHits, as.Shadow.PageCacheHits = 0, 0
-			ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-			as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
-			if !reflect.DeepEqual(ss, as) {
-				t.Fatalf("%v c=%d: stats diverge\nserial %+v\ngot    %+v",
-					mode, consumers, ss, as)
+		for _, consumers := range []int{2, 4} {
+			cfg.Consumers = consumers
+			if rep := NewEngine(cfg).Run(consumersProg); !reflect.DeepEqual(async, rep) {
+				t.Fatalf("%+v c=%d: report diverges from Consumers 1\nc=1 %+v\ngot %+v", r, consumers, async, rep)
 			}
 		}
 	}
 }
 
-// epochProg exercises the carried-forward read epoch under the consumer
-// pool: four children install disjoint writer blocks over one shared
+// epochProg exercises the carried-forward read epoch under the async
+// consumer: four children install disjoint writer blocks over one shared
 // range, then the parent re-scans the whole range with a real spawn+sync
 // between scans — every scan runs in a new construct generation on a new
 // strand of the same function, so only the cross-generation stamp
@@ -124,8 +109,8 @@ func epochProg(tk *Task) {
 }
 
 // TestEpochConsumersEquivalence pins the epoch counters and the stamp
-// transfer across the consumer pool: for every algorithm × Consumers ∈
-// {0,1,2,4}, the full Stats — including EpochHits,
+// transfer across both pipelines: for every algorithm × Consumers ∈
+// {0,1}, the full Stats — including EpochHits,
 // EpochInflations, EpochDeflations and SpillEntries — must deep-equal
 // the serial run, and the serial run must actually take cross-generation
 // transfers. For the verifying algorithms, a Verify run (whose wrapped
@@ -144,7 +129,7 @@ func TestEpochConsumersEquivalence(t *testing.T) {
 		if serial.Stats.Shadow.EpochHits == 0 {
 			t.Fatalf("%v: no cross-generation stamp transfers; the test exercises nothing", mode)
 		}
-		for _, consumers := range []int{0, 1, 2, 4} {
+		for _, consumers := range []int{0, 1} {
 			rep := NewEngine(Config{
 				Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
 				Consumers: consumers,
@@ -156,13 +141,9 @@ func TestEpochConsumersEquivalence(t *testing.T) {
 				t.Fatalf("%v c=%d: race streams diverge\nserial %v\ngot    %v",
 					mode, consumers, serial.Races, rep.Races)
 			}
-			ss, as := serial.Stats, rep.Stats
-			ss.Shadow.PageCacheHits, as.Shadow.PageCacheHits = 0, 0
-			ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-			as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
-			if !reflect.DeepEqual(ss, as) {
+			if !reflect.DeepEqual(serial.Stats, rep.Stats) {
 				t.Fatalf("%v c=%d: stats diverge\nserial %+v\ngot    %+v",
-					mode, consumers, ss, as)
+					mode, consumers, serial.Stats, rep.Stats)
 			}
 		}
 		if mode == ModeSPBags {
@@ -186,64 +167,11 @@ func TestEpochConsumersEquivalence(t *testing.T) {
 	}
 }
 
-// TestConsumersCheckConcurrently proves true overlap: the first batch is
-// held in flight on one consumer while the engine seals the fan-out's
-// batches; once released, the scheduler must dispatch the accumulated
-// window across both consumers — the hook rendezvous only completes when
-// two consumer goroutines are inside batch checks at the same time.
-func TestConsumersCheckConcurrently(t *testing.T) {
-	e := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 2})
-	release := make(chan struct{})
-	proceed := make(chan struct{})
-	arrivals := make(chan struct{}, 16)
-	var first atomic.Bool
-	first.Store(true)
-	var sawTimeout atomic.Bool
-	e.be.testHook = func(*event.Batch) {
-		if first.CompareAndSwap(true, false) {
-			<-release // hold batch 1: the fan-out seals behind it
-			return
-		}
-		arrivals <- struct{}{}
-		select {
-		case <-proceed:
-		case <-time.After(10 * time.Second):
-			sawTimeout.Store(true)
-		}
-	}
-	go func() { // rendezvous: two batches in flight at once
-		<-arrivals
-		<-arrivals
-		close(proceed)
-	}()
-	rep := e.Run(func(tk *Task) {
-		tk.WriteRange(1, 200) // batch 1: held
-		for i := 0; i < 4; i++ {
-			base := uint64(1 + (i+1)*2*4096)
-			tk.Spawn(func(c *Task) { c.WriteRange(base, 300) })
-		}
-		close(release) // everything sealed; let the window form and fly
-		tk.Sync()
-	})
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if sawTimeout.Load() {
-		t.Fatal("consumers never checked two batches concurrently")
-	}
-	if rep.Racy() {
-		t.Fatalf("clean program reported races: %v", rep.Races)
-	}
-	if w := e.MaxDispatchedWindow(); w < 2 {
-		t.Fatalf("MaxDispatchedWindow = %d, want >= 2 (independent fan-out)", w)
-	}
-}
-
 // TestConsumersDependentDegeneratesToSerial drives a construct-dense
-// program in which every batch is dependent on its predecessor (same
-// pages, plus a sync barrier between any two) through the consumer pool:
-// the pipeline must degenerate to serial order — zero independent
-// batches, identical report — and terminate (no deadlock; watchdog).
+// program in which every batch depends on its predecessor (same pages,
+// plus a sync between any two) through the async consumer with a tight
+// construct-ahead window: the report must match the inline run and the
+// pipeline must terminate (no deadlock).
 func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 	prog := func(tk *Task) {
 		tk.Write(1)
@@ -259,43 +187,29 @@ func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 	if serial.Err != nil {
 		t.Fatal(serial.Err)
 	}
-	if serial.Stats.Event.IndependentBatches != 0 {
-		t.Fatalf("IndependentBatches = %d, want 0 (every batch is dependent)",
-			serial.Stats.Event.IndependentBatches)
+	done := make(chan *Report, 1)
+	go func() {
+		done <- NewTunedEngine(Config{
+			Mode: ModeMultiBagsPlus, Mem: MemFull, MaxRaces: 1 << 20,
+			Consumers: 1,
+		}, Tuning{ConstructAhead: 8}).Run(prog)
+	}()
+	var rep *Report
+	select {
+	case rep = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("dependent pipeline deadlocked")
 	}
-	for _, consumers := range []int{2, 4} {
-		done := make(chan *Report, 1)
-		go func() {
-			done <- NewTunedEngine(Config{
-				Mode: ModeMultiBagsPlus, Mem: MemFull, MaxRaces: 1 << 20,
-				Consumers: consumers,
-			}, Tuning{ConstructAhead: 8}).Run(prog)
-		}()
-		var rep *Report
-		select {
-		case rep = <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("consumers=%d: dependent pipeline deadlocked", consumers)
-		}
-		if rep.Err != nil {
-			t.Fatalf("consumers=%d: %v", consumers, rep.Err)
-		}
-		ss, as := serial.Stats, rep.Stats
-		ss.Shadow.PageCacheHits, as.Shadow.PageCacheHits = 0, 0
-		ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-		as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
-		if !reflect.DeepEqual(serial.Races, rep.Races) || !reflect.DeepEqual(ss, as) {
-			t.Fatalf("consumers=%d diverges from serial:\nserial %+v\ngot    %+v",
-				consumers, ss, as)
-		}
+	if !reflect.DeepEqual(serial, rep) {
+		t.Fatalf("async run diverges from inline:\ninline %+v\nasync  %+v", serial, rep)
 	}
 }
 
 // TestConsumersCheckStructuredDefersGets: CheckStructured's discipline
-// query no longer drains the back-end — it is deferred and answered from
-// the versioned snapshot in stream order. A structured program must stay
+// query does not wait for the consumer — it is deferred and answered at
+// the get's version in stream order. A structured program must stay
 // violation-free and a multi-touch one must report the same violations in
-// the same order as the synchronous pipeline, for every consumer count.
+// the same order as the inline pipeline.
 func TestConsumersCheckStructuredDefersGets(t *testing.T) {
 	structured := func(tk *Task) {
 		for i := 0; i < 40; i++ {
@@ -324,8 +238,7 @@ func TestConsumersCheckStructuredDefersGets(t *testing.T) {
 		}
 		for _, cfg := range []Config{
 			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 1},
-			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 4},
-			{Mode: ModeMultiBags, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 2},
+			{Mode: ModeOracle, Mem: MemFull, CheckStructured: true, MaxRaces: 1 << 20, Consumers: 1},
 		} {
 			rep := NewEngine(cfg).Run(prog)
 			if rep.Err != nil {
@@ -342,41 +255,40 @@ func TestConsumersCheckStructuredDefersGets(t *testing.T) {
 	}
 }
 
-// TestConsumersIneligibleFallsBack: the oracle and Verify runs must fall
-// back to inline checking (their query paths are not concurrent-safe)
-// and still produce correct reports.
-func TestConsumersIneligibleFallsBack(t *testing.T) {
+// TestConsumersOracleAndVerifyAsync: the oracle and Verify runs take the
+// async consumer like every other algorithm — the consumer is the only
+// goroutine querying their relations — and still find the race.
+func TestConsumersOracleAndVerifyAsync(t *testing.T) {
 	prog := func(tk *Task) {
 		tk.Spawn(func(c *Task) { c.WriteRange(1, 100) })
 		tk.ReadRange(1, 100) // races
 		tk.Sync()
 	}
 	for _, cfg := range []Config{
-		{Mode: ModeOracle, Mem: MemFull, Consumers: 4},
-		{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 4, Verify: true},
+		{Mode: ModeOracle, Mem: MemFull, Consumers: 1},
+		{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 1, Verify: true},
 	} {
 		e := NewEngine(cfg)
-		if e.consumers != 0 {
-			t.Fatalf("%v verify=%v: consumers = %d, want fallback to 0",
-				cfg.Mode, cfg.Verify, e.consumers)
+		if e.be == nil {
+			t.Fatalf("%v verify=%v: no async consumer", cfg.Mode, cfg.Verify)
 		}
 		rep := e.Run(prog)
 		if rep.Err != nil {
 			t.Fatal(rep.Err)
 		}
 		if !rep.Racy() {
-			t.Fatalf("%v: race missed after fallback", cfg.Mode)
+			t.Fatalf("%v: race missed on the async consumer", cfg.Mode)
+		}
+		for _, v := range rep.Violations {
+			t.Fatalf("%v verify: %s: %s", cfg.Mode, v.Kind, v.Detail)
 		}
 	}
 }
 
 // TestConsumersInstrumentationOnly: MemInstr batches carry no queries or
-// installs, so any consumer count must run and keep the zeroed history
-// counters of the instrumentation configuration. The second program
-// deliberately overlaps every task on the same pages: instrumentation
-// touch traffic commutes, the scheduler legitimately checks those
-// batches concurrently, and the install audit must not treat the
-// overlap as a scheduler bug (instr batches claim nothing).
+// installs, so the async consumer must run them and keep the zeroed
+// history counters of the instrumentation configuration, whether the
+// tasks touch disjoint pages or the same pages every time.
 func TestConsumersInstrumentationOnly(t *testing.T) {
 	disjoint := func(tk *Task) {
 		for i := 0; i < 6; i++ {
@@ -393,7 +305,7 @@ func TestConsumersInstrumentationOnly(t *testing.T) {
 	}
 	for _, prog := range []func(*Task){disjoint, overlapping} {
 		for _, detecting := range []Mode{ModeNone, ModeMultiBags} {
-			rep := NewEngine(Config{Mode: detecting, Mem: MemInstr, Consumers: 4}).Run(prog)
+			rep := NewEngine(Config{Mode: detecting, Mem: MemInstr, Consumers: 1}).Run(prog)
 			if rep.Err != nil {
 				t.Fatalf("mode=%v: %v", detecting, rep.Err)
 			}
@@ -401,55 +313,5 @@ func TestConsumersInstrumentationOnly(t *testing.T) {
 				t.Fatalf("mode=%v: instr run kept history: %+v", detecting, sh)
 			}
 		}
-	}
-}
-
-// TestDepAccumulatorsBounded: a MemOff engine has no batch layer, so the
-// dependency classifiers must not accumulate at all; and on a batching
-// engine an access-free return storm must stay within the accumulator
-// bound (collapsing to a barrier past it) instead of growing per spawn.
-func TestDepAccumulatorsBounded(t *testing.T) {
-	spawnStorm := func(n int) func(*Task) {
-		return func(tk *Task) {
-			for i := 0; i < n; i++ {
-				// A two-strand child subtree, so the return carries a span.
-				tk.Spawn(func(c *Task) {
-					c.Spawn(func(*Task) {})
-					c.Sync()
-				})
-			}
-			tk.Sync()
-		}
-	}
-	e := NewEngine(Config{Mode: ModeMultiBagsPlus, Mem: MemOff})
-	if rep := e.Run(spawnStorm(500)); rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if len(e.depSpans) != 0 || len(e.statSpans) != 0 {
-		t.Fatalf("MemOff run accumulated %d/%d dependency spans, want 0/0",
-			len(e.depSpans), len(e.statSpans))
-	}
-	// Barrier-free span storm: a spawned child that creates (and never
-	// gets) a future returns a multi-strand subtree with no join or get
-	// mutation anywhere, so only the accumulator bound can stop growth.
-	futStorm := func(n int) func(*Task) {
-		return func(tk *Task) {
-			for i := 0; i < n; i++ {
-				tk.Spawn(func(c *Task) {
-					c.CreateFut(func(*Task) any { return nil })
-				})
-			}
-		}
-	}
-	// MultiBags here: MultiBags+'s R closure is deliberately O(k²) in
-	// never-gotten futures (the paper's Fig. 8 term) and this storm only
-	// needs the engine-side accumulators exercised.
-	e = NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull})
-	if rep := e.Run(futStorm(3 * maxDepSpans)); rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if len(e.depSpans) > maxDepSpans || len(e.statSpans) > maxDepSpans {
-		t.Fatalf("access-free storm grew accumulators to %d/%d, bound %d",
-			len(e.depSpans), len(e.statSpans), maxDepSpans)
 	}
 }

@@ -164,38 +164,34 @@ func parallelProg(n int) func(*Task) {
 }
 
 // TestConsumersSelectPipeline pins what each Consumers setting runs:
-// 0 checks inline on the engine's checker, and 1 or more on the
-// scheduled consumer pool, whose consumers own their checkers — or
-// inline when the pool is not eligible (oracle and Verify runs). Every
-// pipeline must report the inline run's races.
+// 0 (or less) checks inline on the engine's checker, and 1 or more on the
+// one async consumer, which owns the run's checker — for every algorithm,
+// the oracle and Verify runs included. Every pipeline must report the
+// inline run's races.
 func TestConsumersSelectPipeline(t *testing.T) {
 	const n = 2000
 	for _, tc := range []struct {
-		cfg       Config
-		consumers int
+		cfg   Config
+		async bool
 	}{
-		{Config{Mode: ModeMultiBags, Mem: MemFull}, 0},
-		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: -1}, 0},
-		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1}, 1},
-		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 1}, 0},
-		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 4}, 4},
-		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 8}, 0},
-		{Config{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 8, Verify: true}, 0},
-		{Config{Mode: ModeNone, Mem: MemInstr, Consumers: 1}, 1},
+		{Config{Mode: ModeMultiBags, Mem: MemFull}, false},
+		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: -1}, false},
+		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1}, true},
+		{Config{Mode: ModeOracle, Mem: MemFull, Consumers: 1}, true},
+		{Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 4}, true},
+		{Config{Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 8, Verify: true}, true},
+		{Config{Mode: ModeNone, Mem: MemInstr, Consumers: 1}, true},
 	} {
 		tc.cfg.MaxRaces = 3 * n
 		serial := tc.cfg
 		serial.Consumers = 0
 		want := NewEngine(serial).Run(parallelProg(n))
 		e := NewEngine(tc.cfg)
-		if e.consumers != tc.consumers {
-			t.Fatalf("%+v: consumers = %d, want %d", tc.cfg, e.consumers, tc.consumers)
+		if async := e.be != nil; async != tc.async {
+			t.Fatalf("%+v: async consumer = %v, want %v", tc.cfg, async, tc.async)
 		}
-		if async := e.be != nil; async != (tc.consumers > 0) {
-			t.Fatalf("%+v: asynchronous back-end = %v, want %v", tc.cfg, async, tc.consumers > 0)
-		}
-		if own := e.chk != nil; own != (tc.consumers == 0) {
-			t.Fatalf("%+v: engine-owned checker = %v, want %v", tc.cfg, own, tc.consumers == 0)
+		if own := e.chk != nil; own == tc.async {
+			t.Fatalf("%+v: engine-owned checker = %v, want %v", tc.cfg, own, !tc.async)
 		}
 		rep := e.Run(parallelProg(n))
 		if rep.Err != nil || want.Err != nil {
@@ -214,15 +210,15 @@ func TestConsumersSelectPipeline(t *testing.T) {
 }
 
 // TestPoolReleasedOnUserPanic: a panic in user code must not leak the
-// detection back-end's goroutines — the scheduler and its consumer pool,
-// at one consumer or four (Run defers the back-end stop before re-panicking).
+// async consumer's goroutine (Run defers the back-end stop before
+// re-panicking).
 func TestPoolReleasedOnUserPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		for _, consumers := range []int{1, 4} {
+		for _, stall := range []time.Duration{0, time.Minute} {
 			func() {
 				defer func() { _ = recover() }()
-				NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: consumers}).
+				NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1, StallTimeout: stall}).
 					Run(func(t *Task) {
 						t.WriteRange(1, 1<<15) // engage the back-end first
 						t.Spawn(func(c *Task) { c.WriteRange(1<<20, 100) })

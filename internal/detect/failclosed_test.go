@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"futurerd/internal/event"
 	"futurerd/internal/faultinject"
 )
 
@@ -14,7 +15,7 @@ import (
 // pipeline shape. The leak check is the assertion.
 func TestErrorPathJoinsPipeline(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
-	for _, consumers := range []int{0, 1, 4} {
+	for _, consumers := range []int{0, 1} {
 		rep := NewEngine(Config{
 			Mode: ModeMultiBagsPlus, Mem: MemFull,
 			Consumers: consumers,
@@ -30,13 +31,15 @@ func TestErrorPathJoinsPipeline(t *testing.T) {
 	}
 }
 
-// TestInjectedPanicBecomesPipelineError pins the recovery chain on the
-// consumer path: the injected panic value must survive — wrapped, not
+// TestInjectedPanicBecomesPipelineError pins the recovery chain on both
+// checking paths: the injected panic value must survive — wrapped, not
 // swallowed — into a PipelineError carrying the stage and a progress
-// snapshot, and the engine must be poisoned, not wedged.
+// snapshot, the engine must be poisoned, not wedged, and the consumer's
+// drain must recycle every pooled batch it still held.
 func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
-	for _, consumers := range []int{1, 4} {
+	for consumers, stage := range []string{"inline", "consumer"} {
+		before := event.Live()
 		rep := NewTunedEngine(Config{
 			Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: consumers,
 		}, Tuning{Faults: faultinject.Single(faultinject.ConsumerPanic, 1)}).Run(func(t *Task) {
@@ -53,15 +56,19 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 		if !errors.As(rep.Err, &pe) {
 			t.Fatalf("c=%d: want a PipelineError, got %v", consumers, rep.Err)
 		}
-		if pe.Stage != "consumer" {
-			t.Fatalf("c=%d: stage = %q, want consumer", consumers, pe.Stage)
+		if pe.Stage != stage {
+			t.Fatalf("c=%d: stage = %q, want %s", consumers, pe.Stage, stage)
 		}
 		var fp faultinject.Panic
 		if !errors.As(pe, &fp) || fp.Point != faultinject.ConsumerPanic {
 			t.Fatalf("c=%d: injected panic lost in the cause chain: %v", consumers, pe)
 		}
-		if !strings.Contains(pe.Error(), "consumer") {
+		if !strings.Contains(pe.Error(), stage) {
 			t.Fatalf("c=%d: error text does not name the stage: %v", consumers, pe)
+		}
+		if got := event.Live(); got != before {
+			t.Fatalf("c=%d: failed run leaked pooled batches: %d live before, %d after",
+				consumers, before, got)
 		}
 	}
 }
@@ -72,7 +79,7 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 func TestPoisonedEngineRefusesWork(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	e := NewTunedEngine(Config{
-		Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 4,
+		Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 1,
 	}, Tuning{Faults: faultinject.Single(faultinject.ConsumerPanic, 1)})
 	done := make(chan *Report, 1)
 	go func() {
@@ -102,7 +109,7 @@ func TestPoisonedEngineRefusesWork(t *testing.T) {
 func TestStrandOverflowFailsClosed(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	const limit = 40
-	for _, consumers := range []int{0, 1, 4} {
+	for _, consumers := range []int{0, 1} {
 		e := NewEngine(Config{
 			Mode: ModeMultiBagsPlus, Mem: MemFull,
 			Consumers: consumers,
@@ -129,9 +136,9 @@ func TestStrandOverflowFailsClosed(t *testing.T) {
 // TestProgressStringIsReadable keeps the diagnostic surface stable: the
 // progress snapshot inside a stall error is what an operator reads first.
 func TestProgressStringIsReadable(t *testing.T) {
-	p := PipelineProgress{Sealed: 9, Dispatched: 7, Checked: 4, ActiveWindow: 2}
+	p := PipelineProgress{Sealed: 9, Dispatched: 7, Checked: 4}
 	s := p.String()
-	for _, want := range []string{"9", "7", "4", "2"} {
+	for _, want := range []string{"9", "7", "4"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("progress string %q lost a counter (%s)", s, want)
 		}

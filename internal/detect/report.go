@@ -89,21 +89,16 @@ type Config struct {
 	Mode Mode
 	Mem  MemLevel
 
-	// Consumers sets the detection pipeline. 0 (the default) checks each
-	// sealed access batch inline on the engine goroutine. 1 or more runs
-	// the dependency-scheduled consumer pool of that size, overlapping
-	// detection with continued program execution: sealed batches whose
-	// footprints are independent — disjoint shadow pages, distinct
-	// strands, and no conflicting construct mutation between them — are
-	// checked concurrently by up to this many consumers, each under the
-	// same pinned snapshot of the versioned reachability relation;
-	// dependent batches serialize in seal order. The scheduler publishes
-	// relation versions ahead of in-flight checks, even with one consumer,
-	// and a sequence-numbered reorder buffer keeps race delivery in seal
-	// order. Reports are verdict-, order- and counter-identical to an
-	// inline run for any Consumers setting. The pool requires an algorithm
-	// with a concurrent-safe query path (SP-Bags, MultiBags, MultiBags+,
-	// vector clocks); the oracle and Verify runs check inline.
+	// Consumers sets the detection pipeline. 0 (the default, as is any
+	// negative value) checks each sealed access batch inline on the engine
+	// goroutine. Every value of 1 or more runs the same one async
+	// consumer goroutine, which overlaps detection with continued program
+	// execution: it takes sealed batches in seal order, applies the
+	// recorded construct mutations up to each batch's relation version,
+	// checks the batch and reports its races. The count above 1 only
+	// exists for compatibility; 2 runs exactly what 1 runs. Reports are
+	// verdict-, order- and counter-identical to an inline run, for every
+	// algorithm, the oracle and Verify runs included.
 	Consumers int
 
 	// MaxRaces caps the number of distinct races collected in the report
@@ -120,14 +115,13 @@ type Config struct {
 	// mismatches. Slow; for tests.
 	Verify bool
 
-	// StallTimeout arms the pipeline stall watchdog (consumer pool only —
-	// Consumers >= 1): each pipeline stage heartbeats through
-	// sealed/dispatched/checked progress counters, and if none advances
-	// for this long while work is outstanding, the run fails closed with a
-	// PipelineError whose Stage is "watchdog" and whose Progress dumps the
-	// per-stage state, instead of hanging. Zero disables the watchdog. The
-	// inline pipeline (including oracle and Verify runs) cannot stall
-	// between stages and is unaffected.
+	// StallTimeout arms the pipeline stall watchdog (async consumer only —
+	// Consumers >= 1): the pipeline heartbeats through sealed/dispatched/
+	// checked progress counters, and if none advances for this long while
+	// work is outstanding, the run fails closed with a PipelineError whose
+	// Stage is "watchdog" and whose Progress dumps the per-stage state,
+	// instead of hanging. Zero disables the watchdog. The inline pipeline
+	// cannot stall between stages and is unaffected.
 	StallTimeout time.Duration
 
 	// Sampling, when Rate > 0, arms the always-on sampling front-end: a
@@ -139,11 +133,11 @@ type Config struct {
 
 	// OnRace, if non-nil, is called for each distinct race as found,
 	// always before Run returns and in report order. With Consumers >= 1
-	// (oracle and Verify runs excepted, which check inline) detection runs
-	// on the scheduler goroutine overlapping program execution, so the
-	// callback may fire there, concurrently with user code — a callback touching state the program also touches must
-	// synchronize. Label fields on callback races are best-effort (the
-	// final Report re-resolves them); everything else is final.
+	// detection runs on the async consumer overlapping program execution,
+	// so the callback fires there, concurrently with user code — a
+	// callback touching state the program also touches must synchronize.
+	// Label fields on callback races are best-effort (the final Report
+	// re-resolves them); everything else is final.
 	OnRace func(Race)
 }
 
@@ -168,8 +162,8 @@ type Sampling struct {
 	// Rate in (0, 1] is the fraction of protocol-bound accesses admitted
 	// to the full query path, decided by a deterministic hash of
 	// (Seed, address, construct generation) — no randomness, so the
-	// admitted set is identical across runs and across every
-	// Consumers pipeline configuration. Rate 0 (the zero value)
+	// admitted set is identical across runs and across both pipelines.
+	// Rate 0 (the zero value)
 	// disables sampling entirely. Rates outside [0, 1] are a
 	// configuration error.
 	Rate float64
@@ -177,11 +171,9 @@ type Sampling struct {
 	// Budget, when > 0, additionally bounds admissions per shadow page
 	// per construct generation with a coupon refreshed at each new
 	// generation, so repeated hot-page traffic converges to O(1) sampled
-	// accesses per page per epoch regardless of Rate. The totals stay
-	// deterministic, but under a concurrent pipeline the schedule decides
-	// which accesses win a page's last coupons — budgeted runs promise
-	// the race-subset property, not cross-configuration identity. 0 means
-	// unlimited.
+	// accesses per page per epoch regardless of Rate. One checker sees
+	// every access in seal order in either pipeline, so budgeted runs are
+	// deterministic too. 0 means unlimited.
 	Budget int
 
 	// Seed drives the deterministic admission hash; two runs with the
@@ -253,14 +245,8 @@ type Stats struct {
 
 	Reach  core.ReachStats
 	Shadow shadow.Stats
-	// Event counts batch-pipeline traffic: sealed batches, the
-	// deterministic pairwise independent/serialized classification the
-	// scheduler's window rules are built from, and
-	// footprint summary sizes. Counted at seal time on the engine
-	// goroutine, so identical across Consumers configurations —
-	// except Event.StolenChunks and Event.OverlappedWindows, which count
-	// scheduling outcomes (chunks checked by a stealing consumer, relation
-	// versions published over in-flight batches) and are timing-dependent.
+	// Event counts sealed batches, on the engine goroutine, so it is
+	// identical across Consumers configurations.
 	Event event.Stats
 
 	// Trace describes how a trace replay ended; meaningful only for

@@ -113,7 +113,7 @@ type Fut struct {
 	done          bool
 	fn            core.FnID
 	creatorStrand core.StrandID
-	first, last   core.StrandID
+	last          core.StrandID
 	touches       int
 
 	// Scheduler fields (see internal/sched).

@@ -1,9 +1,7 @@
 package ds
 
 import (
-	"fmt"
 	"math/rand/v2"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -175,58 +173,5 @@ func BenchmarkUnionFindFind(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.Find(uint32(i) % n)
-	}
-}
-
-// TestFindROConcurrent checks the CAS-compressed concurrent find: with
-// unions frozen, any number of goroutines must agree with the serial
-// Find on every element, while their path-halving still converges.
-func TestFindROConcurrent(t *testing.T) {
-	const n = 1 << 12
-	u := NewUnionFind(n)
-	for i := uint32(0); i < n; i++ {
-		u.MakeSet(i)
-	}
-	// Build a few deep sets with deterministic structure.
-	for i := uint32(1); i < n; i++ {
-		if i%7 != 0 {
-			u.Union(i-1, i)
-		}
-	}
-	want := make([]uint32, n)
-	for i := uint32(0); i < n; i++ {
-		want[i] = u.Find(i)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for round := 0; round < 4; round++ {
-				for i := uint32(0); i < n; i++ {
-					x := (i*uint32(g+3) + uint32(g)) % n
-					if got := u.FindRO(x); got != want[x] {
-						select {
-						case errs <- fmt.Sprintf("FindRO(%d) = %d, want %d", x, got, want[x]):
-						default:
-						}
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-	// Serial operation still works afterwards and agrees.
-	for i := uint32(0); i < n; i++ {
-		if u.Find(i) != want[i] {
-			t.Fatalf("post-concurrent Find(%d) changed", i)
-		}
 	}
 }

@@ -6,8 +6,8 @@
 // check and the instrumented paths cost nothing measurable. Tests arm a
 // Plan through detect.Tuning.Faults — either an explicit Single(point,
 // occurrence) or a seed-derived NewPlan(seed) — and the pipeline then
-// panics, stalls, corrupts a batch footprint or fails a page
-// materialization at exactly the chosen occurrence of the chosen point. Determinism is the point: the
+// panics, stalls or fails a page materialization at exactly the chosen
+// occurrence of the chosen point. Determinism is the point: the
 // differential-fuzz arm replays the same seed against the same program
 // and asserts the fail-closed invariant (verdicts identical to serial,
 // or one structured PipelineError and no goroutine left behind).
@@ -28,32 +28,16 @@ type Point uint8
 
 // Fault points, one per instrumented site class.
 const (
-	// ConsumerPanic panics on the goroutine checking a batch: a pool
+	// ConsumerPanic panics on the goroutine checking a batch: the async
 	// consumer (Consumers >= 1), or the engine goroutine on the inline
-	// pipeline (Consumers 0, and oracle and Verify runs).
+	// pipeline (Consumers 0).
 	ConsumerPanic Point = iota
 	// ConsumerStall sleeps Plan.Stall on the checking goroutine before a
 	// batch is processed — a wedged consumer for the watchdog to catch.
 	ConsumerStall
-	// SchedulerStall sleeps Plan.Stall on the scheduler goroutine at an
-	// epoch boundary — a wedged window.
-	SchedulerStall
-	// CorruptFootprint mangles a sealed batch's page-footprint summary
-	// before it reaches the scheduler, simulating a summarizer bug; the
-	// shadow install audit is what must catch the consequences.
-	CorruptFootprint
 	// PageFail fails a shadow page materialization (the allocation edge
-	// of the access history), on whichever goroutine first touches the
-	// page.
+	// of the access history) on the checking goroutine.
 	PageFail
-	// StealPanic panics on a consumer processing a stolen chunk (a chunk
-	// other than the batch's first), exercising failure of a
-	// partially-checked batch split across a pool of two or more.
-	StealPanic
-	// OverlapStall sleeps Plan.Stall on the scheduler as it publishes a
-	// relation version while earlier batches are still in flight — a
-	// wedged overlapping window for the watchdog to catch.
-	OverlapStall
 
 	numPoints
 )
@@ -65,16 +49,8 @@ func (p Point) String() string {
 		return "consumer-panic"
 	case ConsumerStall:
 		return "consumer-stall"
-	case SchedulerStall:
-		return "scheduler-stall"
-	case CorruptFootprint:
-		return "corrupt-footprint"
 	case PageFail:
 		return "page-fail"
-	case StealPanic:
-		return "steal-panic"
-	case OverlapStall:
-		return "overlap-stall"
 	default:
 		return fmt.Sprintf("point(%d)", uint8(p))
 	}
@@ -92,7 +68,7 @@ func Points() []Point {
 // Plan is one run's fault schedule: for each point, the 1-based
 // occurrence at which the fault fires (0 = never). Plans are armed once
 // before the run and then only read; the per-point hit counters are
-// atomic because probes fire from every pipeline goroutine.
+// atomic because probes fire from the engine and the consumer alike.
 //
 // A nil *Plan is the production configuration: every method is
 // nil-receiver-safe and Fire degenerates to one pointer test.
@@ -132,13 +108,6 @@ func NewPlan(seed uint64) *Plan {
 	pt := Point(h % uint64(numPoints))
 	occ := 1 + (splitmix64(h) % 8)
 	return Single(pt, occ)
-}
-
-// Arms reports whether the plan ever fires pt — tests use it to steer
-// around configurations where a fault is designed to be fatal (the debug
-// build's hard audit panic).
-func (p *Plan) Arms(pt Point) bool {
-	return p != nil && p.fireAt[pt] != 0
 }
 
 // Fire reports whether this probe of pt is the one the plan arms. Safe

@@ -9,7 +9,7 @@ import (
 func TestNilPlanNeverFires(t *testing.T) {
 	var p *Plan
 	for _, pt := range Points() {
-		if p.Fire(pt) || p.Arms(pt) {
+		if p.Fire(pt) {
 			t.Fatalf("nil plan fired %v", pt)
 		}
 		p.Delay(pt) // must not sleep or crash
@@ -27,8 +27,8 @@ func TestSingleFiresAtExactOccurrence(t *testing.T) {
 	if p.Fire(ConsumerStall) {
 		t.Fatal("unarmed point fired")
 	}
-	if !p.Arms(ConsumerPanic) || p.Arms(ConsumerStall) {
-		t.Fatal("Arms does not reflect the plan")
+	if p.fireAt[ConsumerPanic] != 3 || p.fireAt[ConsumerStall] != 0 {
+		t.Fatalf("plan arms %v, want consumer-panic at 3 only", p.fireAt)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestNewPlanDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: plans diverge: %v vs %v", seed, a.fireAt, b.fireAt)
 		}
 		for _, pt := range Points() {
-			if a.Arms(pt) {
+			if a.fireAt[pt] != 0 {
 				seen[pt] = true
 			}
 		}

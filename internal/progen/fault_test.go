@@ -10,7 +10,7 @@ import (
 )
 
 // The differential fault matrix: every injected fault class, driven
-// through generated programs under every pipeline shape, must leave the
+// through generated programs under both pipelines, must leave the
 // run fail-closed — either the report is identical to the serial
 // reference (the fault never fired, or was absorbed without touching
 // detection state), or Report.Err is one structured PipelineError — and
@@ -66,8 +66,8 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 		return
 	}
 	// No failure surfaced: the fault never fired, or fired without
-	// touching detection state (a stall, a corrupt footprint the audit
-	// had no occasion to object to). Verdicts must be the serial ones.
+	// touching detection state (a stall the watchdog did not catch).
+	// Verdicts must be the serial ones.
 	if len(serial.Races) != len(rep.Races) || serial.Stats.RaceCount != rep.Stats.RaceCount {
 		t.Fatalf("seed %d [%v c=%d]: %d races (%d obs) vs serial %d (%d)\n%s",
 			seed, pt, consumers, len(rep.Races), rep.Stats.RaceCount,
@@ -93,13 +93,7 @@ func TestFaultMatrixFailsClosed(t *testing.T) {
 	modes := []detect.Mode{detect.ModeSPBags, detect.ModeMultiBags, detect.ModeMultiBagsPlus}
 	for _, pt := range faultinject.Points() {
 		for _, mode := range modes {
-			for _, consumers := range []int{0, 1, 4} {
-				if pt == faultinject.CorruptFootprint && faultinject.Debug && consumers > 1 {
-					// Debug builds re-raise audit violations as hard
-					// panics by design; the corrupted footprint would
-					// halt the whole test process.
-					continue
-				}
+			for _, consumers := range []int{0, 1} {
 				faultOne(t, 11, pt, mode, consumers)
 			}
 		}
@@ -113,50 +107,25 @@ func TestFaultMatrixFailsClosed(t *testing.T) {
 func TestWatchdogDiagnosesStall(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	p := Generate(7, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
-	for _, consumers := range []int{1, 4} {
-		plan := faultinject.Single(faultinject.ConsumerStall, 1)
-		plan.Stall = faultStall
-		rep := detect.NewTunedEngine(detect.Config{
-			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
-			Consumers:    consumers,
-			StallTimeout: faultTimeout,
-		}, detect.Tuning{Faults: plan}).Run(p.Run)
-		if rep.Err == nil {
-			t.Fatalf("c=%d: stalled run reported no error", consumers)
-		}
-		var pe *detect.PipelineError
-		if !errors.As(rep.Err, &pe) {
-			t.Fatalf("c=%d: error is not a PipelineError: %v", consumers, rep.Err)
-		}
-		if pe.Stage != "watchdog" || !errors.Is(pe, detect.ErrStalled) {
-			t.Fatalf("c=%d: want a watchdog ErrStalled failure, got stage %q: %v",
-				consumers, pe.Stage, pe)
-		}
-		if pe.Progress.Sealed == 0 || pe.Progress.Sealed == pe.Progress.Checked {
-			t.Fatalf("c=%d: watchdog progress does not describe outstanding work: %+v",
-				consumers, pe.Progress)
-		}
-	}
-}
-
-// TestSchedulerStallDiagnosed covers the multi-consumer scheduler's own
-// stall probe (it sleeps at the epoch flush, between dispatching
-// windows).
-func TestSchedulerStallDiagnosed(t *testing.T) {
-	faultinject.GoroutineLeakCheck(t)
-	p := Generate(7, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
-	plan := faultinject.Single(faultinject.SchedulerStall, 1)
+	plan := faultinject.Single(faultinject.ConsumerStall, 1)
 	plan.Stall = faultStall
 	rep := detect.NewTunedEngine(detect.Config{
 		Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
-		Consumers: 4, StallTimeout: faultTimeout,
+		Consumers:    1,
+		StallTimeout: faultTimeout,
 	}, detect.Tuning{Faults: plan}).Run(p.Run)
 	if rep.Err == nil {
-		t.Fatal("stalled scheduler reported no error")
+		t.Fatal("stalled run reported no error")
 	}
 	var pe *detect.PipelineError
 	if !errors.As(rep.Err, &pe) {
 		t.Fatalf("error is not a PipelineError: %v", rep.Err)
+	}
+	if pe.Stage != "watchdog" || !errors.Is(pe, detect.ErrStalled) {
+		t.Fatalf("want a watchdog ErrStalled failure, got stage %q: %v", pe.Stage, pe)
+	}
+	if pe.Progress.Sealed == 0 || pe.Progress.Sealed == pe.Progress.Checked {
+		t.Fatalf("watchdog progress does not describe outstanding work: %+v", pe.Progress)
 	}
 }
 
@@ -172,15 +141,9 @@ func FuzzFailClosed(f *testing.F) {
 	f.Add(uint64(1 << 33))
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		faultinject.GoroutineLeakCheck(t)
-		consumers := int(seed >> 16 % 5) // 0..4
+		consumers := int(seed >> 16 % 2) // 0 inline, 1 async
 		plan := faultinject.NewPlan(seed)
 		plan.Stall = faultStall
-		if faultinject.Debug && plan.Arms(faultinject.CorruptFootprint) {
-			// The debug build turns a tripped install audit into a hard
-			// panic by design; keep the corrupted footprint away from the
-			// audit by staying single-consumer.
-			consumers = 1
-		}
 		p := Generate(seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
 		serial := detect.NewEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,

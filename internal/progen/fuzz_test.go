@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"reflect"
 	"testing"
 
 	"futurerd/internal/detect"
@@ -31,108 +32,49 @@ func fuzzOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	}
 }
 
-// parallelOne asserts the verdict-set equivalence of the consumer pool
-// against the serial engine on one generated program: same races
-// (content and order — the pool delivers events in seal order, and a
-// split batch in chunk order, which is op order), same observation count,
-// same protocol counters. The tiny Tuning.StealChunkWords splits every
-// batch whose ops separate into disjoint pages, so stolen chunks run on
-// concurrent checkers.
+// parallelOne asserts that the async consumer under a stress-tight
+// construct-ahead window (two mutations) reproduces the inline engine's
+// report exactly on one generated program: the engine keeps running ahead
+// of detection, so nearly every construct waits for the consumer or
+// nudges it.
 func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
 	p := Generate(seed, opts)
-	serial := detect.NewEngine(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-	}).Run(p.Run)
-	par := detect.NewTunedEngine(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Consumers: 3,
-	}, detect.Tuning{StealChunkWords: 4}).Run(p.Run)
-	if serial.Err != nil || par.Err != nil {
-		t.Fatalf("seed %d: serial err %v, parallel err %v\n%s", seed, serial.Err, par.Err, p)
-	}
-	if serial.Stats.RaceCount != par.Stats.RaceCount ||
-		len(serial.Races) != len(par.Races) {
-		t.Fatalf("seed %d: verdicts diverge: serial %d races (%d observations), parallel %d (%d)\n%s",
-			seed, len(serial.Races), serial.Stats.RaceCount,
-			len(par.Races), par.Stats.RaceCount, p)
-	}
-	for i := range serial.Races {
-		if serial.Races[i] != par.Races[i] {
-			t.Fatalf("seed %d: race %d differs: serial %v, parallel %v\n%s",
-				seed, i, serial.Races[i], par.Races[i], p)
-		}
-	}
-	ss, ps := serial.Stats.Shadow, par.Stats.Shadow
-	if ss.Reads != ps.Reads || ss.Writes != ps.Writes ||
-		ss.OwnedSkips != ps.OwnedSkips || ss.ReadSharedSkips != ps.ReadSharedSkips ||
-		ss.ReaderAppends != ps.ReaderAppends ||
-		ss.ReaderFlushes != ps.ReaderFlushes {
-		t.Fatalf("seed %d: shadow counters diverge\nserial %+v\npar    %+v\n%s", seed, ss, ps, p)
+	cfg := detect.Config{Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20}
+	serial := detect.NewEngine(cfg).Run(p.Run)
+	cfg.Consumers = 1
+	async := detect.NewTunedEngine(cfg, detect.Tuning{ConstructAhead: 2}).Run(p.Run)
+	if !reflect.DeepEqual(serial, async) {
+		t.Fatalf("seed %d: async run diverges from inline\ninline %+v\nasync  %+v\n%s",
+			seed, serial, async, p)
 	}
 }
 
-// consumersOne asserts multi-consumer equivalence on one generated
-// program: every pipeline (Consumers ∈ {0,1,2,4}) must reproduce the
-// serial engine's report exactly — same races in the same order, same
-// protocol counters, same memo and fast-path hits, same reachability
-// traffic, same batch-pipeline stats. A final config forces chunk
-// stealing under the consumer pool with a tiny Tuning.StealChunkWords and
-// compares the verdict counters (each stolen chunk starts with a cold
-// verdict cache, which legitimately changes memo/query plumbing, exactly
-// as in parallelOne).
+// consumersOne asserts pipeline equivalence on one generated program:
+// the async consumer (Consumers 1) must reproduce the inline engine's
+// report exactly — same races in the same order, same protocol counters,
+// same memo, page-cache and fast-path hits, same reachability traffic,
+// same batch stats.
 func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
 	p := Generate(seed, opts)
-	serial := detect.NewEngine(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-	}).Run(p.Run)
+	cfg := detect.Config{Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20}
+	serial := detect.NewEngine(cfg).Run(p.Run)
 	if serial.Err != nil {
 		t.Fatalf("seed %d: serial err %v\n%s", seed, serial.Err, p)
 	}
-	check := func(cfg detect.Config, tu detect.Tuning, full bool) {
-		rep := detect.NewTunedEngine(cfg, tu).Run(p.Run)
-		if rep.Err != nil {
-			t.Fatalf("seed %d [c=%d]: %v\n%s", seed, cfg.Consumers, rep.Err, p)
-		}
-		if len(serial.Races) != len(rep.Races) {
-			t.Fatalf("seed %d [c=%d]: %d races vs serial %d\n%s",
-				seed, cfg.Consumers, len(rep.Races), len(serial.Races), p)
-		}
-		for i := range serial.Races {
-			if serial.Races[i] != rep.Races[i] {
-				t.Fatalf("seed %d [c=%d]: race %d differs: %v vs %v\n%s",
-					seed, cfg.Consumers, i, serial.Races[i], rep.Races[i], p)
-			}
-		}
-		ss, cs := serial.Stats, rep.Stats
-		if !full {
-			sh, ch := ss.Shadow, cs.Shadow
-			if ss.RaceCount != cs.RaceCount || sh.Reads != ch.Reads || sh.Writes != ch.Writes ||
-				sh.OwnedSkips != ch.OwnedSkips || sh.ReadSharedSkips != ch.ReadSharedSkips ||
-				sh.ReaderAppends != ch.ReaderAppends || sh.ReaderFlushes != ch.ReaderFlushes {
-				t.Fatalf("seed %d [c=%d chunked]: verdict counters diverge\nserial %+v\ngot    %+v\n%s",
-					seed, cfg.Consumers, sh, ch, p)
-			}
-			return
-		}
-		ss.Shadow.PageCacheHits, cs.Shadow.PageCacheHits = 0, 0
-		ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-		cs.Event.StolenChunks, cs.Event.OverlappedWindows = 0, 0
-		if ss.RaceCount != cs.RaceCount || ss.Shadow != cs.Shadow ||
-			ss.Reach != cs.Reach || ss.Event != cs.Event {
-			t.Fatalf("seed %d [c=%d]: stats diverge\nserial %+v\ngot    %+v\n%s",
-				seed, cfg.Consumers, ss, cs, p)
-		}
+	cfg.Consumers = 1
+	rep := detect.NewEngine(cfg).Run(p.Run)
+	if rep.Err != nil {
+		t.Fatalf("seed %d [async]: %v\n%s", seed, rep.Err, p)
 	}
-	for _, consumers := range []int{0, 1, 2, 4} {
-		check(detect.Config{
-			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-			Consumers: consumers,
-		}, detect.Tuning{}, true)
+	if !reflect.DeepEqual(serial.Races, rep.Races) {
+		t.Fatalf("seed %d [async]: races diverge\nserial %v\ngot    %v\n%s", seed, serial.Races, rep.Races, p)
 	}
-	check(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Consumers: 3,
-	}, detect.Tuning{StealChunkWords: 4}, false)
+	if serial.Stats != rep.Stats {
+		t.Fatalf("seed %d [async]: stats diverge\nserial %+v\ngot    %+v\n%s",
+			seed, serial.Stats, rep.Stats, p)
+	}
 }
 
 // epochOne is the cross-generation read-epoch differential on one
@@ -140,7 +82,7 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 // algorithm for oracle cross-checking, the wrapper does not export the
 // EpochConcurrent capability, and so every cross-generation re-read pays
 // the full reference protocol while the oracle audits each verdict. The
-// epoch-enabled runs (Consumers ∈ {0,1,2,4}) must then
+// epoch-enabled runs (Consumers ∈ {0,1}) must then
 // reproduce that reference report exactly — same races in the same
 // order, same verdict counters — with the stamp transfer switched on.
 func epochOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) uint64 {
@@ -160,7 +102,7 @@ func epochOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) uint64 
 			seed, ref.Stats.Shadow.EpochHits, p)
 	}
 	var hits uint64
-	for _, consumers := range []int{0, 1, 2, 4} {
+	for _, consumers := range []int{0, 1} {
 		rep := detect.NewEngine(detect.Config{
 			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
 			Consumers: consumers,
@@ -255,7 +197,7 @@ func replayOne(t *testing.T, seed uint64, opts Options) {
 		detect.ModeSPBags, detect.ModeMultiBags, detect.ModeMultiBagsPlus,
 		detect.ModeVectorClocks,
 	} {
-		for _, consumers := range []int{0, 1, 4} {
+		for _, consumers := range []int{0, 1} {
 			cfg := detect.Config{
 				Mode: mode, Mem: detect.MemFull,
 				Consumers: consumers, MaxRaces: 1 << 20,
@@ -390,12 +332,10 @@ func TestParallelMatchesSerialSeeds(t *testing.T) {
 	}
 }
 
-// TestConsumersMatchSerialSeeds sweeps the multi-consumer differential
-// (Consumers ∈ {0,1,2,4}) over a seed range, in both the
-// default shape — every access on shadow page zero, so every batch is
-// page-dependent and the pool must degenerate to serial order — and the
-// PageSpread shape, where per-body pages make batches genuinely
-// independent and the concurrent windows carry real traffic.
+// TestConsumersMatchSerialSeeds sweeps the pipeline differential
+// (Consumers ∈ {0,1}) over a seed range, in both the default shape —
+// every access on shadow page zero — and the PageSpread shape, where each
+// body touches its own pages.
 func TestConsumersMatchSerialSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		consumersOne(t, seed, Options{Dialect: General, MaxStmts: 60}, detect.ModeMultiBagsPlus)
@@ -405,39 +345,34 @@ func TestConsumersMatchSerialSeeds(t *testing.T) {
 	}
 }
 
-// TestConsumersSeedShapes pins the two scheduling regimes the sweep
-// relies on: default programs are fully dependent (batches share page
-// zero), while a PageSpread sweep produces at least some independent
-// batches somewhere — otherwise the differential above proves nothing
-// about concurrent windows.
+// TestConsumersSeedShapes pins the two program shapes the sweep relies
+// on: default programs keep every access on shadow page zero, while a
+// PageSpread sweep spreads bodies over several pages — otherwise the
+// differential above would exercise a single page only.
 func TestConsumersSeedShapes(t *testing.T) {
-	dep := Generate(3, Options{Dialect: Structured, MaxStmts: 60})
-	rep := detect.NewEngine(detect.Config{Mode: detect.ModeMultiBags, Mem: detect.MemFull,
-		MaxRaces: 1 << 20}).Run(dep.Run)
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep.Stats.Event.IndependentBatches != 0 {
-		t.Fatalf("default-shape program has %d independent batches, want 0 (single shared page)",
-			rep.Stats.Event.IndependentBatches)
-	}
-	var independent uint64
-	for seed := uint64(0); seed < 25; seed++ {
-		p := Generate(seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
-		rep := detect.NewEngine(detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
+	pages := func(opts Options, mode detect.Mode, seed uint64) uint64 {
+		p := Generate(seed, opts)
+		rep := detect.NewEngine(detect.Config{Mode: mode, Mem: detect.MemFull,
 			MaxRaces: 1 << 20}).Run(p.Run)
 		if rep.Err != nil {
 			t.Fatalf("seed %d: %v", seed, rep.Err)
 		}
-		independent += rep.Stats.Event.IndependentBatches
+		return rep.Stats.Shadow.TouchedPages
 	}
-	if independent == 0 {
-		t.Fatal("PageSpread sweep produced no independent batches")
+	if got := pages(Options{Dialect: Structured, MaxStmts: 60}, detect.ModeMultiBags, 3); got > 1 {
+		t.Fatalf("default-shape program touched %d shadow pages, want at most 1 (single shared page)", got)
+	}
+	var spread uint64
+	for seed := uint64(0); seed < 25; seed++ {
+		spread = max(spread, pages(Options{Dialect: General, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBagsPlus, seed))
+	}
+	if spread < 2 {
+		t.Fatal("PageSpread sweep never touched more than one shadow page")
 	}
 }
 
 // TestReplayMatchesDirectSeeds sweeps the record→replay→detect
-// differential (every algorithm, Consumers ∈ {0,1,4}) the same way.
+// differential (every algorithm, Consumers ∈ {0,1}) the same way.
 func TestReplayMatchesDirectSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		replayOne(t, seed, Options{Dialect: General, MaxStmts: 60})
@@ -466,7 +401,7 @@ func TestReadSharedHeavySeeds(t *testing.T) {
 
 // TestEpochCrossGenSeeds sweeps the cross-generation epoch differential
 // without the fuzzer — construct-dense read-heavy programs under
-// Consumers ∈ {0,1,2,4} against the oracle-audited,
+// Consumers ∈ {0,1} against the oracle-audited,
 // epoch-free reference — and checks the sweep actually takes stamp
 // transfers somewhere, so the differential proves something about the
 // carried-forward epoch rather than vacuously passing with it cold.
@@ -485,12 +420,12 @@ func TestEpochCrossGenSeeds(t *testing.T) {
 }
 
 // TestVectorClockEquivalence is the vector-clock back-end's acceptance
-// sweep: across Consumers ∈ {0,1,2,4} and all three progen
+// sweep: across Consumers ∈ {0,1} and all three progen
 // shapes (general, structured, construct-dense read-heavy), vc must
 // deep-equal MultiBags+ on races (content and order), violations and the
 // verdict counters — while taking clock compares and exactly zero bag
 // probes. The serial vcOne differential runs first so a divergence
-// blames the algorithm before the scheduler.
+// blames the algorithm before the pipeline.
 func TestVectorClockEquivalence(t *testing.T) {
 	shapes := []Options{
 		{Dialect: General, MaxStmts: 60},
@@ -502,7 +437,7 @@ func TestVectorClockEquivalence(t *testing.T) {
 		for _, opts := range shapes {
 			vcOne(t, seed, opts)
 			p := Generate(seed, opts)
-			for _, consumers := range []int{0, 1, 2, 4} {
+			for _, consumers := range []int{0, 1} {
 				mbp := detect.NewEngine(detect.Config{
 					Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
 					Consumers: consumers,

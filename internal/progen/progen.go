@@ -118,11 +118,9 @@ type Options struct {
 	// PageSpread gives every spawned/created function body its own
 	// page-aligned address region for most of its accesses (a quarter
 	// still hit the shared low locations). Default programs keep all
-	// traffic on shadow page zero, so every batch is page-dependent and
-	// the multi-consumer scheduler degenerates to serial order;
-	// PageSpread programs produce genuinely independent batch footprints
-	// so the consumer pool's concurrent windows carry real traffic in the
-	// differential arms.
+	// traffic on shadow page zero; PageSpread programs spread it over
+	// many pages, so the differential arms also cover page-table growth
+	// and the checker's last-page cache across batches.
 	PageSpread bool
 }
 

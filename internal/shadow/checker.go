@@ -9,39 +9,15 @@
 // kind as they are found and handed back through Events, so the caller
 // decides where and when they are delivered.
 //
-// The inline pipeline owns one checker. Each consumer of the scheduled
-// pool owns its own, and the detection scheduler supplies the invariants that make them safe together, with no
-// locking on the per-word path:
-//
-//   - concurrently-checked batches (and the stolen chunks of one batch)
-//     touch disjoint shadow pages, so the per-word protocol state each
-//     checker reads and writes is exclusively its own while it runs;
-//   - the reachability relation is frozen (pinned at one version) while
-//     any checker is running, so every Precedes query is a read-only
-//     snapshot read through the algorithm's QueryConcurrent-safe path;
-//   - dependent batches — page overlap, same strand, or a conflicting
-//     construct mutation between them — are never in flight together, so
-//     each checker observes exactly the shadow state a serial run would.
-//
-// Pages are materialized under stripe locks (History.pageFor) and spill
-// slots are allocated under the slab's mutex when the History was built
-// for concurrent checkers. A spill slot is shared only by words of one
-// page, so its list and holder count belong to that page's owner.
-// Everything else a checker touches is private: its last-page cache (kept
-// across batches — pages never move), its verdict cache, epoch memo and
-// scan memo (reset every batch), its segment transition memo, its
+// A run owns one checker, on the engine goroutine in the inline pipeline
+// or on the async consumer, so nothing on the per-word path locks.
+// Everything a checker keeps between ops is its own: its last-page cache
+// (kept across batches — pages never move), its verdict cache, epoch memo
+// and scan memo (reset every batch), its segment transition memo, its
 // counters and its event buffer.
-//
-// EnableInstallAudit arms a debug assertion that re-checks the first
-// invariant at access granularity: every op claims its exact page range
-// and panics if the claim overlaps another checker's active claim. The
-// audit is cheap (a few span comparisons per op) and runs in the -race
-// CI suite, so a scheduler bug cannot silently corrupt shadow state.
 package shadow
 
-import (
-	"futurerd/internal/core"
-)
+import "futurerd/internal/core"
 
 // Ctx bundles the reachability context of one batch: the reachability
 // structure (queried directly, no per-query closure), the algorithm's
@@ -67,18 +43,11 @@ type RaceEvent struct {
 	Write bool // the racing access (the batch's own op) was a write
 }
 
-// PageClaim is one claimed page range of the install audit, inclusive.
-type PageClaim struct {
-	Lo, Hi uint64
-}
-
 // Checker runs the access-history protocol over the range ops of one
-// batch at a time against a shared History. Checkers are
-// single-goroutine; call Begin, optionally Claim, the ops, then End for
-// each batch.
+// batch at a time against a History. Checkers are single-goroutine; call
+// Begin, the ops, then End for each batch.
 type Checker struct {
 	h   *History
-	id  int // consumer id, for the install audit's diagnostics
 	ctx Ctx
 	s   core.StrandID
 
@@ -101,27 +70,17 @@ type Checker struct {
 	scans scanMemo
 
 	events []RaceEvent
-	claims []PageClaim // active audit claims (this batch's footprint)
 
 	// The batch's counters, folded into the History by End.
 	counters
 }
 
-// NewChecker returns a checker over h. id names the checker in install
-// audit diagnostics (the consumer index; 0 for a lone checker).
-func NewChecker(h *History, id int) *Checker {
-	return &Checker{h: h, id: id}
+// NewChecker returns a checker over h.
+func NewChecker(h *History) *Checker {
+	return &Checker{h: h}
 }
 
-// EnableInstallAudit arms the concurrent-install debug assertion on h:
-// every checker op claims its page range and overlapping claims from two
-// checkers panic. Call before any checker runs.
-func (h *History) EnableInstallAudit() {
-	h.auditOn = true
-	h.auditClaims = make(map[int][]PageClaim)
-}
-
-// Begin starts one batch (or stolen chunk of one) made by strand s under
+// Begin starts one batch made by strand s under
 // ctx: the verdict cache and epoch memo start cold and the event buffer
 // empties. ctx is copied; it must carry the batch's construct generation
 // and the run's reachability structure.
@@ -133,90 +92,16 @@ func (c *Checker) Begin(ctx *Ctx, s core.StrandID) {
 	c.events = c.events[:0]
 }
 
-// Claim registers the batch's footprint spans with the install audit
-// (no-op when the audit is off): overlapping claims from two live
-// checkers panic immediately, and every subsequent op of this batch must
-// stay inside the claimed spans.
-func (c *Checker) Claim(spans []PageClaim) {
-	if !c.h.auditOn {
-		return
-	}
-	c.claims = append(c.claims[:0], spans...)
-	c.h.auditClaimSpans(c.id, c.claims)
-}
-
 // Events returns the batch's race events in the order found — op order,
 // address order within an op — valid until the next Begin. Callers that
 // deliver later must copy.
 func (c *Checker) Events() []RaceEvent { return c.events }
 
-// End completes the batch: counters fold into the History under its fold
-// mutex (uncontended unless checkers run concurrently) and audit claims
-// release. End is safe to call on a checker whose batch panicked midway.
+// End completes the batch: its counters fold into the History.
 func (c *Checker) End() {
 	c.settle()
-	h := c.h
-	h.foldMu.Lock()
-	h.counters.add(&c.counters)
-	h.foldMu.Unlock()
+	c.h.counters.add(&c.counters)
 	c.counters = counters{}
-	if h.auditOn {
-		c.claims = c.claims[:0]
-		h.auditRelease(c.id)
-	}
-}
-
-// auditClaimSpans registers the footprint spans checker id is about to
-// touch and panics if any overlaps another checker's active claim. Span
-// lists are small (capped by the footprint summarizer), so the
-// cross-check is a few dozen comparisons per batch.
-func (h *History) auditClaimSpans(id int, spans []PageClaim) {
-	h.auditMu.Lock()
-	defer h.auditMu.Unlock()
-	for other, held := range h.auditClaims {
-		if other == id {
-			continue
-		}
-		for _, sp := range held {
-			for _, c := range spans {
-				if c.Lo <= sp.Hi && sp.Lo <= c.Hi {
-					panic(&AuditError{
-						Kind:    "claim-overlap",
-						Checker: id, Other: other,
-						Op: c, Conflict: sp,
-					})
-				}
-			}
-		}
-	}
-	h.auditClaims[id] = append(h.auditClaims[id][:0], spans...)
-}
-
-// auditRelease drops every claim held by checker id.
-func (h *History) auditRelease(id int) {
-	h.auditMu.Lock()
-	h.auditClaims[id] = h.auditClaims[id][:0]
-	h.auditMu.Unlock()
-}
-
-// claim asserts one op's page range lies inside the batch's claimed
-// footprint — a Summarize bug would otherwise let an op slip outside the
-// range the scheduler reasoned about. Audit-armed histories only.
-func (c *Checker) claim(addr uint64, words int) {
-	lo := addr >> PageBits
-	hi := (addr + uint64(words) - 1) >> PageBits
-	for _, cl := range c.claims {
-		if cl.Lo <= lo && hi <= cl.Hi {
-			return
-		}
-	}
-	panic(&AuditError{
-		Kind:    "footprint-escape",
-		Checker: c.id,
-		Op:      PageClaim{Lo: lo, Hi: hi},
-		// Copied: the thrown error outlives the checker's reused buffer.
-		Claims: append([]PageClaim(nil), c.claims...),
-	})
 }
 
 // pageMiss resolves pn through the History's page table and caches it.
@@ -273,9 +158,6 @@ func (c *Checker) epochOrdered(r core.StrandID) bool {
 func (c *Checker) ReadRange(addr uint64, words int) {
 	if words <= 0 {
 		return
-	}
-	if c.h.auditOn {
-		c.claim(addr, words)
 	}
 	c.reads += uint64(words)
 	s := c.s
@@ -376,9 +258,6 @@ func (c *Checker) settle() { c.h.spill.settle(&c.share, &c.counters, &c.scans) }
 func (c *Checker) WriteRange(addr uint64, words int) {
 	if words <= 0 {
 		return
-	}
-	if c.h.auditOn {
-		c.claim(addr, words)
 	}
 	c.writes += uint64(words)
 	s := c.s
@@ -506,8 +385,7 @@ func (c *Checker) installWriter(w *word) {
 // history — the "instrumentation" configuration of the paper's
 // evaluation: the memory hook fires and pays the dispatch and
 // address-decoding cost, nothing more. The decoded indices are folded
-// into a checksum so the compiler cannot elide the work. It touches no
-// shadow page, so it needs no audit claim.
+// into a checksum so the compiler cannot elide the work.
 func (c *Checker) TouchRange(addr uint64, words int) {
 	sum := c.touched
 	for ; words > 0; words-- {

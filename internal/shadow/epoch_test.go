@@ -1,7 +1,6 @@
 package shadow
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"futurerd/internal/core"
@@ -11,17 +10,15 @@ import (
 // an algorithm with the EpochConcurrent capability. The epoch function is
 // deliberately independent of rel so tests can probe the shadow layer's
 // contract in isolation: the layer must trust a true answer (skip the
-// writer query) and fall back to the full protocol on false. The call
-// counter is atomic because EpochOrdered runs concurrently on concurrent
-// checkers — the same regime as QueryConcurrent.
+// writer query) and fall back to the full protocol on false.
 type epochReach struct {
 	relReach
 	epoch      func(r, s core.StrandID) bool
-	epochCalls atomic.Int64
+	epochCalls int64
 }
 
 func (e *epochReach) EpochOrdered(r, s core.StrandID) bool {
-	e.epochCalls.Add(1)
+	e.epochCalls++
 	return e.epoch(r, s)
 }
 
@@ -46,16 +43,16 @@ func TestEpochTransferSkipsWriterQuery(t *testing.T) {
 	e.write(1, n, 1)
 	e.ctx.Gen = 2
 	e.read(1, n, 5) // proves writer 1 ≺ 5, stamps 5
-	q1 := er.queries.Load()
+	q1 := er.queries
 	e.ctx.Gen = 3
 	e.read(1, n, 9) // stamp transfer: 5's verdict serves 9
-	if q := er.queries.Load(); q != q1 {
+	if q := er.queries; q != q1 {
 		t.Fatalf("epoch-transferred read made %d writer queries, want 0", q-q1)
 	}
 	if got := e.h.Stats().EpochHits; got != n {
 		t.Fatalf("EpochHits = %d, want %d", got, n)
 	}
-	if n := er.epochCalls.Load(); n != 1 {
+	if n := er.epochCalls; n != 1 {
 		t.Fatalf("EpochOrdered called %d times, want 1 (memoized per stamp holder)", n)
 	}
 	if len(e.races) != 0 {
@@ -78,10 +75,10 @@ func TestEpochTransferFallsBack(t *testing.T) {
 	e.write(1, n, 1)
 	e.ctx.Gen = 2
 	e.read(1, n, 5)
-	q1 := er.queries.Load()
+	q1 := er.queries
 	e.ctx.Gen = 3
 	e.read(1, n, 9) // no transfer: full protocol
-	if q := er.queries.Load(); q == q1 {
+	if q := er.queries; q == q1 {
 		t.Fatal("reader 9 made no writer queries despite EpochOrdered == false")
 	}
 	if got := e.h.Stats().EpochHits; got != 0 {
@@ -109,36 +106,6 @@ func TestEpochTransferNeverMasksRace(t *testing.T) {
 	if len(e.races) != 8 {
 		t.Fatalf("re-read after install reported %d races, want 8 (stale stamp transferred)",
 			len(e.races))
-	}
-}
-
-// TestEpochTransferParallelPath: the concurrent-checker mirror of the
-// transfer skip. Every chunk is its own batch, so each starts with a cold
-// EpochOrdered memo and pays one transfer check.
-func TestEpochTransferParallelPath(t *testing.T) {
-	const n = 4096 * 3
-	er := &epochReach{relReach: relReach{rel: seqRel(1)}, epoch: func(r, s core.StrandID) bool {
-		return r == 5 && s == 9
-	}}
-	p := newParEnv(Ctx{Reach: er, Epoch: er}, 4, 1)
-	p.write(1, n, 1)
-	p.ctx.Gen = 2
-	p.read(1, n, 5)
-	q1 := er.queries.Load()
-	p.ctx.Gen = 3
-	chunks := p.chunks
-	p.read(1, n, 9)
-	if q := er.queries.Load(); q != q1 {
-		t.Fatalf("parallel epoch-transferred read made %d writer queries, want 0", q-q1)
-	}
-	if got := p.h.Stats().EpochHits; got != n {
-		t.Fatalf("EpochHits = %d, want %d", got, n)
-	}
-	if got, want := er.epochCalls.Load(), int64(p.chunks-chunks); got != want || want < 2 {
-		t.Fatalf("EpochOrdered called %d times, want %d (one per chunk, several chunks)", got, want)
-	}
-	if len(p.races) != 0 {
-		t.Fatalf("transferred reads raced: %v", p.races[0])
 	}
 }
 
@@ -186,10 +153,10 @@ func TestEpochNilCapability(t *testing.T) {
 	e.write(1, n, 1)
 	e.ctx.Gen = 2
 	e.read(1, n, 5)
-	q1 := e.reach.queries.Load()
+	q1 := e.reach.queries
 	e.ctx.Gen = 3
 	e.read(1, n, 9)
-	if q := e.reach.queries.Load(); q == q1 {
+	if q := e.reach.queries; q == q1 {
 		t.Fatal("nil Epoch capability still skipped the writer query")
 	}
 	if got := e.h.Stats().EpochHits; got != 0 {

@@ -8,8 +8,7 @@ import (
 
 // These tests pin the read-epoch fast path: a strand re-reading words it
 // already read race-free must skip the reachability layer entirely — in
-// any construct generation — on a lone checker and on concurrent
-// checkers alike, without changing a single verdict.
+// any construct generation — without changing a single verdict.
 
 // writeInterleaved installs an alternating last-writer pattern (strands
 // w1/w2 in blocks of blk words) over [1, 1+n) so a later reader cannot be
@@ -39,14 +38,14 @@ func TestReadSharedRepeatZeroQueries(t *testing.T) {
 	e.ctx.Gen = 7 // a fresh generation for the reader
 	reader := core.StrandID(9)
 	e.read(1, n, reader)
-	firstQ := e.reach.queries.Load()
+	firstQ := e.reach.queries
 	if firstQ == 0 {
 		t.Fatal("first pass made no queries; the interleaved pattern is broken")
 	}
 	for p := 1; p < passes; p++ {
 		e.read(1, n, reader)
 	}
-	if q := e.reach.queries.Load(); q != firstQ {
+	if q := e.reach.queries; q != firstQ {
 		t.Fatalf("re-reads at a fixed generation made %d extra reachability queries, want 0",
 			q-firstQ)
 	}
@@ -55,32 +54,6 @@ func TestReadSharedRepeatZeroQueries(t *testing.T) {
 	}
 	if len(e.races) != 0 {
 		t.Fatalf("race-free re-reads raced: %v", e.races[0])
-	}
-}
-
-// TestReadSharedRepeatZeroQueriesParallel is the concurrent-checker
-// mirror: checkers sharing one History must skip stamped words exactly
-// like a lone checker.
-func TestReadSharedRepeatZeroQueriesParallel(t *testing.T) {
-	const n, blk, passes = 4096 * 3, 64, 4
-	reach := &relReach{rel: seqRel(1, 2)}
-	p := newParEnv(Ctx{Reach: reach}, 4, 1)
-	writeInterleaved(p.write, n, blk, 1, 2)
-	p.ctx.Gen = 3
-	reader := core.StrandID(9)
-	p.read(1, n, reader)
-	firstQ := reach.queries.Load()
-	for pass := 1; pass < passes; pass++ {
-		p.read(1, n, reader)
-	}
-	if q := reach.queries.Load(); q != firstQ {
-		t.Fatalf("parallel re-reads made %d extra reachability queries, want 0", q-firstQ)
-	}
-	if got, want := p.h.Stats().ReadSharedSkips, uint64((passes-1)*n); got != want {
-		t.Fatalf("ReadSharedSkips = %d, want %d", got, want)
-	}
-	if len(p.races) != 0 {
-		t.Fatalf("race-free re-reads raced: %v", p.races[0])
 	}
 }
 
@@ -94,9 +67,9 @@ func TestReadSharedStampDiesWithWrite(t *testing.T) {
 	e.write(1, 8, 1)
 	e.ctx.Gen = 5
 	e.read(1, 8, 9) // stamps (9, gen 5)
-	q1 := e.reach.queries.Load()
+	q1 := e.reach.queries
 	e.read(1, 8, 9) // skips
-	if q := e.reach.queries.Load(); q != q1 {
+	if q := e.reach.queries; q != q1 {
 		t.Fatalf("stamped re-read queried (%d extra)", q-q1)
 	}
 	// Writer 10 is parallel with reader 9: every word races, and the
@@ -124,10 +97,10 @@ func TestReadSharedStampPerStrand(t *testing.T) {
 	e.write(1, 16, 1)
 	e.ctx.Gen = 2
 	e.read(1, 16, 2)
-	q1 := e.reach.queries.Load()
+	q1 := e.reach.queries
 	e.ctx.Gen = 3
 	e.read(1, 16, 3) // different strand: must query again
-	if q := e.reach.queries.Load(); q == q1 {
+	if q := e.reach.queries; q == q1 {
 		t.Fatal("second strand's read was served by the first strand's stamp")
 	}
 	sk1 := e.h.Stats().ReadSharedSkips
@@ -150,11 +123,11 @@ func TestReadSharedStampSurvivesGenerations(t *testing.T) {
 	e.write(1, 32, 1)
 	e.ctx.Gen = 4
 	e.read(1, 32, 5)
-	q1 := e.reach.queries.Load()
+	q1 := e.reach.queries
 	sk := e.h.Stats().ReadSharedSkips
 	e.ctx.Gen = 6
 	e.read(1, 32, 5) // later generation: the stamp still serves
-	if q := e.reach.queries.Load(); q != q1 {
+	if q := e.reach.queries; q != q1 {
 		t.Fatalf("cross-generation re-read made %d extra queries, want 0", q-q1)
 	}
 	if got := e.h.Stats().ReadSharedSkips; got != sk+32 {

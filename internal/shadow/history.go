@@ -87,18 +87,15 @@
 //
 // # One checker
 //
-// The range protocol lives in one type, Checker (checker.go). The
-// engine's inline pipeline owns one checker; each consumer of the
-// scheduled pool owns its own, and concurrently checked batches touch
-// disjoint shadow pages. A checker keeps its own
-// last-page cache, verdict cache, reader-list memos and counters, buffers
-// race events per batch, and folds its counters into the History when a
-// batch ends.
+// The range protocol lives in one type, Checker (checker.go). A run owns
+// one checker, on the engine goroutine in the inline pipeline or on the
+// async consumer, so the History is only ever touched by one goroutine
+// and needs no locking. The checker keeps its last-page cache, verdict
+// cache, reader-list memos and counters, buffers race events per batch,
+// and folds its counters into the History when a batch ends.
 package shadow
 
 import (
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"futurerd/internal/core"
@@ -167,59 +164,29 @@ const spillFlag core.StrandID = 1 << 31
 // page is one densely allocated run of shadow words plus the page-level
 // sampling coupon (a packed generation-tag + remaining-budget word, see
 // sampler.go). The struct stays pointer-free, so pages still allocate in
-// noscan spans. The coupon is atomic so a page's budget stays exact
-// whichever checker samples it; a lone checker pays an uncontended CAS
-// only on sampled accesses under a finite budget.
+// noscan spans.
 type page struct {
 	w      [pageSize]word
-	coupon atomic.Uint64
+	coupon uint64
 }
 
-// directory is one node of the flat page table's second level. Entries are
-// atomic pointers so one checker can materialize a page while concurrent
-// checkers read neighboring entries; uncontended, an atomic load costs the
-// same as a plain one.
-type directory [dirSize]atomic.Pointer[page]
-
-// pageStripes is the number of stripe locks guarding page
-// materialization. Stripes are selected by page number, so two checkers
-// only contend when their pages collide mod the stripe count — and then
-// only on each page's first touch.
-const pageStripes = 64
+// directory is one node of the flat page table's second level.
+type directory [dirSize]*page
 
 // History is the access history for one detection run.
 type History struct {
-	// dirs is the flat table root, indexed by pageNumber >> dirBits. It is
-	// published through an atomic pointer and grown copy-on-write under
-	// dirMu (growth is rare: once per dirSize pages), so any checker can
-	// read the root lock-free while another materializes a page.
-	dirs  atomic.Pointer[[]*directory]
-	dirMu sync.Mutex
+	// dirs is the flat table root, indexed by pageNumber >> dirBits and
+	// grown densely (once per dirSize pages).
+	dirs []*directory
 
-	overflow map[uint64]*page // pages beyond maxDirs directories, under dirMu
-
-	// stripes guards page materialization, selected by page number (see
-	// pageFor).
-	stripes [pageStripes]sync.Mutex
+	overflow map[uint64]*page // pages beyond maxDirs directories
 
 	// spill holds the reader lists of inflated words (spill.go).
 	spill spillSlab
 
-	// foldMu serializes the counter folds of checkers (Checker.End).
-	foldMu sync.Mutex
-
-	// Concurrent-install audit (debug assertion for the multi-consumer
-	// back-end): when enabled, every checker claims the exact page range
-	// of each op before touching it and the claim panics if it overlaps
-	// another checker's active claim — concurrent batches must touch
-	// disjoint pages or the scheduler is broken. See EnableInstallAudit.
-	auditMu     sync.Mutex
-	auditClaims map[int][]PageClaim
-	auditOn     bool
-
 	// Counters for the benchmark harness: the reference protocol adds to
 	// them directly, checkers fold theirs in after each batch.
-	// touchedPages is incremented atomically at page materialization.
+	// touchedPages counts page materializations.
 	counters
 	touchedPages uint64
 
@@ -271,86 +238,44 @@ func (c *counters) add(o *counters) {
 	c.touched += o.touched
 }
 
-// NewHistory returns an empty access history. concurrent says whether
-// several checkers will run against it at once (a pool of two or more
-// consumers); only then does spill-slot allocation lock.
-func NewHistory(concurrent bool) *History {
-	h := &History{}
-	h.spill.concurrent = concurrent
-	root := []*directory(nil)
-	h.dirs.Store(&root)
-	return h
-}
+// NewHistory returns an empty access history.
+func NewHistory() *History { return &History{} }
 
 // SetFaults arms fault injection on the history (nil disarms — the
 // default; every probe is then one nil check). Call before any access.
 func (h *History) SetFaults(p *faultinject.Plan) { h.faults = p }
 
-// growDirs returns a root slab whose entry di exists and is non-nil,
-// growing and republishing copy-on-write if needed. dirMu holder only.
-func (h *History) growDirs(di uint64) []*directory {
-	slab := *h.dirs.Load()
-	if di < uint64(len(slab)) && slab[di] != nil {
-		return slab
-	}
-	n := uint64(len(slab))
-	if di >= n {
-		n = di + 1
-	}
-	ns := make([]*directory, n)
-	copy(ns, slab)
-	if ns[di] == nil {
-		ns[di] = new(directory)
-	}
-	h.dirs.Store(&ns)
-	return ns
-}
-
 // pageFor returns the page holding page number pn, materializing it on
-// first touch. It is safe for concurrent checkers: a resolved page costs
-// two atomic loads, and only a first touch takes a lock — the page's
-// stripe lock, or dirMu to grow the directory. Overflow pages (addresses
-// the dense allocator never produces) are created and read under dirMu.
-// Checkers front it with their own last-page cache.
+// first touch. Overflow pages (addresses the dense allocator never
+// produces) live in a map. Checkers front it with their own last-page
+// cache.
 //
 // The PageFail probe fires at materialization: a firing plan turns it into
 // a panic, modeling a failed shadow-page allocation, which the detection
 // pipeline's recover shell converts into a structured PipelineError —
 // allocation failure anywhere in the shadow layer fails the run closed.
 func (h *History) pageFor(pn uint64) *page {
-	if di := pn >> dirBits; di < maxDirs {
-		slab := *h.dirs.Load()
-		if di >= uint64(len(slab)) || slab[di] == nil {
-			h.dirMu.Lock()
-			slab = h.growDirs(di)
-			h.dirMu.Unlock()
-		}
-		e := &slab[di][pn&dirMask]
-		if p := e.Load(); p != nil {
-			return p
-		}
-		return h.materialize(e, &h.stripes[pn%pageStripes])
+	di := pn >> dirBits
+	if di >= maxDirs {
+		return h.overflowPage(pn)
 	}
-	return h.overflowPage(pn)
+	for uint64(len(h.dirs)) <= di {
+		h.dirs = append(h.dirs, nil)
+	}
+	d := h.dirs[di]
+	if d == nil {
+		d = new(directory)
+		h.dirs[di] = d
+	}
+	e := &d[pn&dirMask]
+	if *e == nil {
+		*e = h.newPage()
+	}
+	return *e
 }
 
-// materialize publishes a fresh page into directory entry e under the
-// page's stripe lock, unless a concurrent checker got there first.
-func (h *History) materialize(e *atomic.Pointer[page], mu *sync.Mutex) *page {
-	mu.Lock()
-	defer mu.Unlock()
-	p := e.Load()
-	if p == nil {
-		p = h.newPage()
-		e.Store(p)
-	}
-	return p
-}
-
-// overflowPage returns the overflow page pn, materializing it, under dirMu.
+// overflowPage returns the overflow page pn, materializing it.
 func (h *History) overflowPage(pn uint64) *page {
-	h.dirMu.Lock()
-	defer h.dirMu.Unlock()
 	if h.overflow == nil {
 		h.overflow = make(map[uint64]*page)
 	}
@@ -362,13 +287,12 @@ func (h *History) overflowPage(pn uint64) *page {
 	return p
 }
 
-// newPage allocates one shadow page behind the PageFail probe. The caller
-// holds the lock that publishes it.
+// newPage allocates one shadow page behind the PageFail probe.
 func (h *History) newPage() *page {
 	if h.faults.Fire(faultinject.PageFail) {
 		panic(faultinject.Panic{Point: faultinject.PageFail})
 	}
-	atomic.AddUint64(&h.touchedPages, 1)
+	h.touchedPages++
 	return new(page)
 }
 

@@ -17,7 +17,7 @@ func prec(before ...core.StrandID) func(core.StrandID) bool {
 }
 
 func TestReadAfterOrderedWrite(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	if _, raced := h.Write(10, 1, prec()); raced {
 		t.Fatal("first write raced")
 	}
@@ -27,7 +27,7 @@ func TestReadAfterOrderedWrite(t *testing.T) {
 }
 
 func TestReadAfterParallelWriteRaces(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	h.Write(10, 1, prec())
 	r, raced := h.Read(10, 2, prec()) // strand 1 not an ancestor
 	if !raced || r.Prev != 1 || !r.PrevWrite {
@@ -36,7 +36,7 @@ func TestReadAfterParallelWriteRaces(t *testing.T) {
 }
 
 func TestWriteChecksAllReaders(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	h.Write(5, 1, prec())
 	h.Read(5, 2, prec(1))
 	h.Read(5, 3, prec(1))
@@ -49,7 +49,7 @@ func TestWriteChecksAllReaders(t *testing.T) {
 }
 
 func TestWriteFlushesReaders(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	h.Read(7, 2, prec())
 	h.Read(7, 3, prec())
 	if _, raced := h.Write(7, 4, prec(2, 3)); raced {
@@ -66,7 +66,7 @@ func TestWriteFlushesReaders(t *testing.T) {
 }
 
 func TestSameStrandNeverRaces(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	h.Write(3, 9, prec())
 	if _, raced := h.Write(3, 9, prec()); raced {
 		t.Fatal("same-strand write-write raced")
@@ -77,7 +77,7 @@ func TestSameStrandNeverRaces(t *testing.T) {
 }
 
 func TestReaderDeduplication(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	for i := 0; i < 100; i++ {
 		h.Read(1, 2, prec())
 	}
@@ -87,7 +87,7 @@ func TestReaderDeduplication(t *testing.T) {
 	}
 	// Alternating strands: inline slot + last-element dedupe still bounds
 	// the growth to the number of distinct alternations.
-	h2 := NewHistory(false)
+	h2 := NewHistory()
 	h2.Read(1, 2, prec())
 	h2.Read(1, 3, prec())
 	h2.Read(1, 3, prec())
@@ -99,7 +99,7 @@ func TestReaderDeduplication(t *testing.T) {
 
 func TestReadRaceDoesNotPoisonHistory(t *testing.T) {
 	// Paper protocol: on a racy read the reader is not appended.
-	h := NewHistory(false)
+	h := NewHistory()
 	h.Write(1, 1, prec())
 	if _, raced := h.Read(1, 2, prec()); !raced {
 		t.Fatal("expected race")
@@ -111,14 +111,14 @@ func TestReadRaceDoesNotPoisonHistory(t *testing.T) {
 }
 
 func TestPagesSparse(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	h.Write(1, 1, prec())
 	h.Write(1<<30, 1, prec())
 	if got := h.Stats().TouchedPages; got != 2 {
 		t.Fatalf("TouchedPages = %d, want 2", got)
 	}
 	// TouchRange decodes only; it must not materialize pages.
-	c := NewChecker(h, 0)
+	c := NewChecker(h)
 	c.Begin(&Ctx{}, 1)
 	c.TouchRange(1<<40, 1)
 	c.End()
@@ -128,7 +128,7 @@ func TestPagesSparse(t *testing.T) {
 }
 
 func TestDistinctAddressesIndependent(t *testing.T) {
-	h := NewHistory(false)
+	h := NewHistory()
 	h.Write(100, 1, prec())
 	if _, raced := h.Write(101, 2, prec()); raced {
 		t.Fatal("neighboring addresses interfered")
@@ -136,7 +136,7 @@ func TestDistinctAddressesIndependent(t *testing.T) {
 }
 
 func BenchmarkHistoryWriteRead(b *testing.B) {
-	h := NewHistory(false)
+	h := NewHistory()
 	yes := func(core.StrandID) bool { return true }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,7 +3,6 @@ package shadow
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"futurerd/internal/core"
@@ -11,11 +10,10 @@ import (
 
 // relReach is a core.Reach stub whose Precedes answers come from an
 // arbitrary deterministic relation. Only Precedes matters to the shadow
-// layer; the construct methods are no-ops. The query counter is atomic so
-// the stub can serve concurrent checkers too.
+// layer; the construct methods are no-ops.
 type relReach struct {
 	rel     func(u, v core.StrandID) bool
-	queries atomic.Uint64
+	queries uint64
 }
 
 func (r *relReach) Init(core.FnID, core.StrandID) {}
@@ -28,7 +26,7 @@ func (r *relReach) Name() string                  { return "rel" }
 func (r *relReach) Stats() core.ReachStats        { return core.ReachStats{} }
 
 func (r *relReach) Precedes(u, v core.StrandID) bool {
-	r.queries.Add(1)
+	r.queries++
 	return r.rel(u, v)
 }
 
@@ -47,8 +45,8 @@ type env struct {
 // every Precedes query.
 func newEnv(rel func(u, v core.StrandID) bool) *env {
 	r := &relReach{rel: rel}
-	h := NewHistory(false)
-	return &env{h: h, c: NewChecker(h, 0), ctx: Ctx{Reach: r}, reach: r}
+	h := NewHistory()
+	return &env{h: h, c: NewChecker(h), ctx: Ctx{Reach: r}, reach: r}
 }
 
 // batch runs ops as one batch of strand s and collects its events.
@@ -65,6 +63,52 @@ func (e *env) read(addr uint64, words int, s core.StrandID) {
 
 func (e *env) write(addr uint64, words int, s core.StrandID) {
 	e.batch(s, func(c *Checker) { c.WriteRange(addr, words) })
+}
+
+// chunkEnv checks every range cut at page-aligned chunk boundaries: each
+// chunk is its own batch, taken by the next of several checkers in turn
+// over one History, and the chunks' events are collected in chunk
+// (address) order.
+type chunkEnv struct {
+	h          *History
+	cs         []*Checker
+	ctx        Ctx
+	chunkPages int
+	chunks     int // chunks checked so far; also whose turn is next
+	races      []RaceEvent
+}
+
+func newChunkEnv(ctx Ctx, checkers, chunkPages int) *chunkEnv {
+	h := NewHistory()
+	p := &chunkEnv{h: h, ctx: ctx, chunkPages: chunkPages}
+	for i := 0; i < checkers; i++ {
+		p.cs = append(p.cs, NewChecker(h))
+	}
+	return p
+}
+
+// run checks op over [addr, addr+words) for strand s.
+func (p *chunkEnv) run(op func(c *Checker, addr uint64, words int), addr uint64, words int, s core.StrandID) {
+	for words > 0 {
+		end := (addr>>PageBits + uint64(p.chunkPages)) << PageBits
+		n := int(min(uint64(words), end-addr))
+		c := p.cs[p.chunks%len(p.cs)]
+		p.chunks++
+		c.Begin(&p.ctx, s)
+		op(c, addr, n)
+		p.races = append(p.races, c.Events()...)
+		c.End()
+		addr += uint64(n)
+		words -= n
+	}
+}
+
+func (p *chunkEnv) read(addr uint64, words int, s core.StrandID) {
+	p.run((*Checker).ReadRange, addr, words, s)
+}
+
+func (p *chunkEnv) write(addr uint64, words int, s core.StrandID) {
+	p.run((*Checker).WriteRange, addr, words, s)
 }
 
 func seqRel(before ...core.StrandID) func(u, v core.StrandID) bool {
@@ -97,6 +141,35 @@ func TestRangeCrossesPageBoundary(t *testing.T) {
 		if ev.Addr != base+uint64(i) || ev.Racer.Prev != 1 || !ev.Racer.PrevWrite || ev.Write {
 			t.Fatalf("race %d = %+v, want read race with writer 1 at %#x", i, ev, base+uint64(i))
 		}
+	}
+}
+
+// TestParallelChunkBoundaries sweeps range lengths around the page (and
+// so chunk) boundary: two parallel strands write a page-straddling range,
+// once whole on a lone checker and once cut into one batch per page on
+// checkers taking turns. The race streams must match, one race per word,
+// so off-by-ones in the page cut surface.
+func TestParallelChunkBoundaries(t *testing.T) {
+	rel := func(u, v core.StrandID) bool { return false } // everything races
+	for _, words := range []int{31, 32, 33, 47, 48, 49, 64, 16*3 - 1, 16 * 3, 16*3 + 1} {
+		t.Run(fmt.Sprint(words), func(t *testing.T) {
+			serial := newEnv(rel)
+			chunked := newChunkEnv(Ctx{Reach: &relReach{rel: rel}}, 3, 1)
+			base := uint64(pageSize) - 24 // straddle a page boundary
+			serial.write(base, words, 1)
+			serial.write(base, words, 2)
+			chunked.write(base, words, 1)
+			chunked.write(base, words, 2)
+			if len(serial.races) != words {
+				t.Fatalf("serial: %d races, want %d", len(serial.races), words)
+			}
+			if !reflect.DeepEqual(chunked.races, serial.races) {
+				t.Fatalf("events diverge at words=%d", words)
+			}
+			if chunked.chunks != 4 {
+				t.Fatalf("%d chunks, want 2 per range", chunked.chunks)
+			}
+		})
 	}
 }
 
@@ -145,7 +218,7 @@ func TestOwnedRewriteSkipsProtocol(t *testing.T) {
 	if st.OwnedSkips != first+2*n {
 		t.Fatalf("OwnedSkips = %d, want %d", st.OwnedSkips, first+2*n)
 	}
-	if q := e.reach.queries.Load(); q != 0 {
+	if q := e.reach.queries; q != 0 {
 		t.Fatalf("owned rewrites made %d reachability queries, want 0", q)
 	}
 	if len(e.races) != 0 {
@@ -160,7 +233,7 @@ func TestVerdictMemoAcrossRun(t *testing.T) {
 	// Strand 2 overwrites the whole run: every word has the same last
 	// writer, so one Precedes call should serve the entire range.
 	e.write(1, n, 2)
-	if q := e.reach.queries.Load(); q != 1 {
+	if q := e.reach.queries; q != 1 {
 		t.Fatalf("bulk overwrite made %d reachability queries, want 1 (memoized)", q)
 	}
 	if got := e.h.Stats().MemoHits; got != n-1 {
@@ -170,7 +243,7 @@ func TestVerdictMemoAcrossRun(t *testing.T) {
 	// cache.
 	e.ctx.Gen++
 	e.write(1, 1, 3)
-	if q := e.reach.queries.Load(); q != 2 {
+	if q := e.reach.queries; q != 2 {
 		t.Fatalf("query count after gen bump = %d, want 2", q)
 	}
 }
@@ -231,10 +304,8 @@ func TestTouchRangeMatchesTouch(t *testing.T) {
 //
 //   - serial: one checker over a serial History, each batch spanning a
 //     strand's whole run of ops (the inline pipeline's shape);
-//   - shared: two checkers taking turns, one batch per op, over a History
-//     built for concurrent checkers with the install audit armed (the
-//     consumer pool's shape: locked spill slots, per-checker caches,
-//     claims);
+//   - turns: two checkers taking turns over one History, one batch per
+//     op, so every op starts with cold per-batch caches;
 //   - words: each op split into one-word calls inside one batch (the
 //     words == 1 shortcut).
 //
@@ -298,16 +369,15 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 		strands = 3 * verdictSlots
 	}
 	ctx := Ctx{Reach: &relReach{rel: rel}}
-	ref := NewHistory(false)
-	serialH := NewHistory(false)
-	serial := NewChecker(serialH, 0)
-	sharedH := NewHistory(true)
-	sharedH.EnableInstallAudit()
-	shared := [2]*Checker{NewChecker(sharedH, 0), NewChecker(sharedH, 1)}
-	wordsH := NewHistory(false)
-	words1 := NewChecker(wordsH, 0)
+	ref := NewHistory()
+	serialH := NewHistory()
+	serial := NewChecker(serialH)
+	turnsH := NewHistory()
+	turns := [2]*Checker{NewChecker(turnsH), NewChecker(turnsH)}
+	wordsH := NewHistory()
+	words1 := NewChecker(wordsH)
 
-	var refRaces, serialDone, sharedRaces, wordRaces []RaceEvent
+	var refRaces, serialDone, turnRaces, wordRaces []RaceEvent
 	serialRaces := func() []RaceEvent {
 		return append(serialDone[:len(serialDone):len(serialDone)], serial.Events()...)
 	}
@@ -349,13 +419,10 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 		}
 		do(serial, addr, words)
 
-		c := shared[op%2]
+		c := turns[op%2]
 		c.Begin(&ctx, s)
-		if words > 0 {
-			c.Claim([]PageClaim{{Lo: addr >> PageBits, Hi: (addr + uint64(words) - 1) >> PageBits}})
-		}
 		do(c, addr, words)
-		sharedRaces = append(sharedRaces, c.Events()...)
+		turnRaces = append(turnRaces, c.Events()...)
 		c.End()
 
 		words1.Begin(&ctx, s)
@@ -379,7 +446,7 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 			}
 		}
 		check(op, "serial", serialRaces())
-		check(op, "shared", sharedRaces)
+		check(op, "turns", turnRaces)
 		check(op, "one-word", wordRaces)
 		for i := uint32(0); i < serialH.spill.next; i++ {
 			cov.longestList = max(cov.longestList, len(*serialH.spill.list(i)))
@@ -390,7 +457,7 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	for _, p := range []struct {
 		name   string
 		events []RaceEvent
-	}{{"serial", serialDone}, {"shared", sharedRaces}, {"one-word", wordRaces}} {
+	}{{"serial", serialDone}, {"turns", turnRaces}, {"one-word", wordRaces}} {
 		if !reflect.DeepEqual(p.events, refRaces) {
 			t.Fatalf("%s race stream diverged\n%s: %v\nref: %v", p.name, p.name, p.events, refRaces)
 		}
@@ -406,7 +473,7 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	for _, p := range []struct {
 		name string
 		st   Stats
-	}{{"shared", sharedH.Stats()}, {"one-word", wordsH.Stats()}} {
+	}{{"turns", turnsH.Stats()}, {"one-word", wordsH.Stats()}} {
 		st := p.st
 		if st.Reads != fs.Reads || st.Writes != fs.Writes || st.ReaderAppends != fs.ReaderAppends ||
 			st.ReaderFlushes != fs.ReaderFlushes || st.EpochInflations != fs.EpochInflations ||

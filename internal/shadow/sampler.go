@@ -24,13 +24,9 @@
 // package progen tests for the rate-1.0 identity proof.
 //
 // Determinism: the rate test depends only on (seed, address, generation),
-// all of which are identical whichever checker — the inline one or one of
-// the pool's consumers — checks the access, so with an unlimited
-// budget the sampled access set — and every verdict and counter derived
-// from it — is identical in every Consumers configuration. A finite
-// budget keeps the *totals* deterministic (per page and generation,
-// exactly min(budget, rate-admitted accesses) coupons are consumed);
-// budgeted runs promise the subset property, not cross-config identity.
+// and one checker sees every access in seal order in either pipeline, so
+// the sampled access set — and every verdict and counter derived from it —
+// is identical in every Consumers configuration, budgeted or not.
 package shadow
 
 // couponRemBits splits the per-page coupon word: the low bits count the
@@ -105,23 +101,18 @@ func (sm *sampler) admit(addr, gen uint64) bool {
 
 // takeCoupon consumes one admission coupon from p's budget for the given
 // generation, refreshing the budget when the page is first sampled in a
-// new generation. The CAS loop keeps the consumed total exact whichever
-// checker samples the page; uncontended, it succeeds on the first try.
+// new generation.
 func (sm *sampler) takeCoupon(p *page, gen uint64) bool {
 	tag := ((gen + 1) & couponGenMask) << couponRemBits
-	for {
-		old := p.coupon.Load()
-		rem := old & couponRemMask
-		if old&^uint64(couponRemMask) != tag {
-			rem = sm.budget // first sample of this generation: refresh
-		}
-		if rem == 0 {
-			return false
-		}
-		if p.coupon.CompareAndSwap(old, tag|(rem-1)) {
-			return true
-		}
+	rem := p.coupon & couponRemMask
+	if p.coupon&^uint64(couponRemMask) != tag {
+		rem = sm.budget // first sample of this generation: refresh
 	}
+	if rem == 0 {
+		return false
+	}
+	p.coupon = tag | (rem - 1)
+	return true
 }
 
 // sampleSlow decides whether one protocol-bound access pays the full

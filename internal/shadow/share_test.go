@@ -2,7 +2,6 @@ package shadow
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"futurerd/internal/core"
@@ -81,7 +80,6 @@ func checkScript(c *Checker, ctx *Ctx, sc []access, pn uint64, perWord bool) []R
 	for _, a := range sc {
 		addr := pn<<PageBits + uint64(a.off)
 		c.Begin(ctx, a.s)
-		c.Claim([]PageClaim{{Lo: pn, Hi: pn}})
 		op := c.ReadRange
 		if a.write {
 			op = c.WriteRange
@@ -115,18 +113,18 @@ func sameLogicalLists(t *testing.T, got, want Stats) {
 // word-logical counters of a checker that never shares.
 func TestSharedListsMatchReference(t *testing.T) {
 	sc := sharedScript()
-	ref := refScript(NewHistory(false), sc, 1)
+	ref := refScript(NewHistory(), sc, 1)
 	if len(ref) < pageSize {
 		t.Fatalf("the script raced %d times; it should race on every word at least once", len(ref))
 	}
 
 	ctx := Ctx{Reach: &relReach{rel: sharedRel}}
-	rangeH, wordH := NewHistory(false), NewHistory(false)
-	got := checkScript(NewChecker(rangeH, 0), &ctx, sc, 1, false)
+	rangeH, wordH := NewHistory(), NewHistory()
+	got := checkScript(NewChecker(rangeH), &ctx, sc, 1, false)
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("race stream diverged from the reference (%d vs %d events)", len(got), len(ref))
 	}
-	if perWord := checkScript(NewChecker(wordH, 0), &ctx, sc, 1, true); !reflect.DeepEqual(perWord, ref) {
+	if perWord := checkScript(NewChecker(wordH), &ctx, sc, 1, true); !reflect.DeepEqual(perWord, ref) {
 		t.Fatalf("one-word race stream diverged from the reference (%d vs %d events)", len(perWord), len(ref))
 	}
 	sameLogicalLists(t, rangeH.Stats(), wordH.Stats())
@@ -135,38 +133,32 @@ func TestSharedListsMatchReference(t *testing.T) {
 	}
 }
 
-// TestSharedListsTwoCheckers runs the script on two adjacent pages at
-// once, one checker per page on its own goroutine, over a History built
-// for concurrent checkers. The two pages' slots come from one spill
-// segment, so the checkers share its count table; run under -race this
-// pins that sharing stays page-private.
+// TestSharedListsTwoCheckers runs the script on two adjacent pages, one
+// checker per page, taking turns op by op over one History. The two
+// pages' slots come from one spill segment, so the checkers share its
+// count table; this pins that sharing stays page-private.
 func TestSharedListsTwoCheckers(t *testing.T) {
 	sc := sharedScript()
-	refH := NewHistory(false)
+	refH := NewHistory()
 	want := [2][]RaceEvent{refScript(refH, sc, 1), refScript(refH, sc, 2)}
 
-	h := NewHistory(true)
-	h.EnableInstallAudit()
+	h := NewHistory()
+	ctx := Ctx{Reach: &relReach{rel: sharedRel}}
+	checkers := [2]*Checker{NewChecker(h), NewChecker(h)}
 	var got [2][]RaceEvent
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := Ctx{Reach: &relReach{rel: sharedRel}}
-			got[i] = checkScript(NewChecker(h, i), &ctx, sc, uint64(1+i), false)
-		}()
+	for _, a := range sc {
+		for i, c := range checkers {
+			got[i] = append(got[i], checkScript(c, &ctx, []access{a}, uint64(1+i), false)...)
+		}
 	}
-	wg.Wait()
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("page %d: race stream diverged from the reference (%d vs %d events)", 1+i, len(got[i]), len(want[i]))
 		}
 	}
-	lone := NewHistory(false)
-	ctx := Ctx{Reach: &relReach{rel: sharedRel}}
-	checkScript(NewChecker(lone, 0), &ctx, sc, 1, false)
-	checkScript(NewChecker(lone, 0), &ctx, sc, 2, false)
+	lone := NewHistory()
+	checkScript(NewChecker(lone), &ctx, sc, 1, false)
+	checkScript(NewChecker(lone), &ctx, sc, 2, false)
 	sameLogicalLists(t, h.Stats(), lone.Stats())
 	if h.spill.next >= spillSegSize {
 		t.Fatalf("%d slots: the pages' lists did not land in one segment", h.spill.next)
@@ -184,7 +176,7 @@ func TestSharedListScannedOnce(t *testing.T) {
 		t.Fatalf("%d slots for one shared list and its copy", e.h.spill.next)
 	}
 	e.write(0, n, 1000)
-	if q := e.reach.queries.Load(); q != k {
+	if q := e.reach.queries; q != k {
 		t.Fatalf("the write made %d queries, want %d (one scan)", q, k)
 	}
 	st := e.h.Stats()

@@ -3,12 +3,7 @@
 // (the spill slab is also used by the History's reference protocol).
 package shadow
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"futurerd/internal/core"
-)
+import "futurerd/internal/core"
 
 // spillSegBits sets the spill slab's segment size: 2^spillSegBits reader
 // lists per segment.
@@ -30,9 +25,8 @@ type spillSeg struct {
 	// one word holds the slot. The table is allocated when one of the
 	// segment's slots is first shared, so a segment of unshared slots
 	// costs one nil pointer more than its list headers. A slot is shared
-	// only by words of one page, so at most pageSize words hold it and
-	// its count belongs to that page's owner, like the words themselves.
-	refs atomic.Pointer[[spillSegSize]uint16]
+	// only by words of one page, so at most pageSize words hold it.
+	refs *[spillSegSize]uint16
 }
 
 var _ [1<<16 - pageSize]struct{} // a page's words fit a uint16 count
@@ -52,23 +46,11 @@ var _ [1<<16 - pageSize]struct{} // a page's words fit a uint16 count
 //
 // A freed slot goes on the free list with its capacity intact, so a word
 // that inflates on every write-then-read cycle stops allocating after the
-// first. With concurrent checkers (concurrent) mu is taken only to
-// allocate or free a slot; the list and its count belong to the words'
-// owner — concurrent batches and stolen chunks touch disjoint pages, and
-// sharing never crosses a page — so appends, copies and reads need no
-// lock. A lone checker never locks.
+// first.
 type spillSlab struct {
-	// segs is the segment table, grown copy-on-write under mu and
-	// published atomically so lock-free readers always see every segment
-	// their slot lives in.
-	segs atomic.Pointer[[]*spillSeg]
-	mu   sync.Mutex
-	next uint32   // slots handed out so far, freed ones included
-	free []uint32 // freed slots, ready for reuse
-
-	// concurrent is set at construction when several checkers run
-	// concurrently (NewHistory); only then do alloc and release lock.
-	concurrent bool
+	segs []*spillSeg // the segment table, one segment per 2^spillSegBits slots
+	next uint32      // slots handed out so far, freed ones included
+	free []uint32    // freed slots, ready for reuse
 }
 
 // slotOf returns the slot index of an inflated word's reader0.
@@ -76,7 +58,7 @@ func slotOf(r0 core.StrandID) uint32 { return uint32(r0 &^ spillFlag) }
 
 // seg returns the segment holding slot.
 func (t *spillSlab) seg(slot uint32) *spillSeg {
-	return (*t.segs.Load())[slot>>spillSegBits]
+	return t.segs[slot>>spillSegBits]
 }
 
 // list returns the reader list header of slot.
@@ -92,10 +74,6 @@ func (t *spillSlab) readers(r0 core.StrandID) []core.StrandID {
 // alloc returns an empty unshared slot, recycling a freed one when it
 // can.
 func (t *spillSlab) alloc() uint32 {
-	if t.concurrent {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	if n := len(t.free); n > 0 {
 		slot := t.free[n-1]
 		t.free = t.free[:n-1]
@@ -106,13 +84,8 @@ func (t *spillSlab) alloc() uint32 {
 		panic("shadow: spill slot space exhausted")
 	}
 	t.next++
-	var segs []*spillSeg
-	if p := t.segs.Load(); p != nil {
-		segs = *p
-	}
-	if int(slot>>spillSegBits) == len(segs) {
-		grown := append(segs[:len(segs):len(segs)], new(spillSeg))
-		t.segs.Store(&grown)
+	if int(slot>>spillSegBits) == len(t.segs) {
+		t.segs = append(t.segs, new(spillSeg))
 	}
 	return slot
 }
@@ -122,38 +95,29 @@ func (t *spillSlab) alloc() uint32 {
 func (t *spillSlab) release(sg *spillSeg, slot uint32) {
 	l := &sg.lists[slot&spillSegMask]
 	*l = (*l)[:0]
-	if t.concurrent {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	t.free = append(t.free, slot)
 }
 
 // shared reports whether more than one word holds slot.
 func (sg *spillSeg) shared(slot uint32) bool {
-	r := sg.refs.Load()
-	return r != nil && r[slot&spillSegMask] != 0
+	return sg.refs != nil && sg.refs[slot&spillSegMask] != 0
 }
 
 // share adds n holders to slot, allocating the segment's count table on
 // its first shared slot.
 func (t *spillSlab) share(slot uint32, n uint64) {
 	sg := t.seg(slot)
-	r := sg.refs.Load()
-	if r == nil {
-		r = new([spillSegSize]uint16)
-		if !sg.refs.CompareAndSwap(nil, r) {
-			r = sg.refs.Load() // another page's owner allocated it first
-		}
+	if sg.refs == nil {
+		sg.refs = new([spillSegSize]uint16)
 	}
-	r[slot&spillSegMask] += uint16(n)
+	sg.refs[slot&spillSegMask] += uint16(n)
 }
 
 // unref drops n holders of slot and frees it when none are left. A freed
 // list is dropped from scans, the caller's scan memo (nil for the
 // reference protocol, which keeps none).
 func (t *spillSlab) unref(sg *spillSeg, slot uint32, n uint64, scans *scanMemo) {
-	if r := sg.refs.Load(); r != nil {
+	if r := sg.refs; r != nil {
 		c := &r[slot&spillSegMask]
 		if uint64(*c) >= n {
 			*c -= uint16(n)

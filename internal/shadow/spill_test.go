@@ -27,11 +27,11 @@ func TestInflatedWriteQueriesPerReaderSerial(t *testing.T) {
 	for batch := 0; batch < 2; batch++ {
 		base := uint64(1 + batch*inflN)
 		inflate(e.read, base, inflN, inflK)
-		if q := e.reach.queries.Load(); q != uint64(batch*inflK) {
+		if q := e.reach.queries; q != uint64(batch*inflK) {
 			t.Fatalf("batch %d: reads of fresh words made %d queries", batch, q-uint64(batch*inflK))
 		}
 		e.write(base, inflN, 100)
-		if got, want := e.reach.queries.Load(), uint64((batch+1)*inflK); got != want {
+		if got, want := e.reach.queries, uint64((batch+1)*inflK); got != want {
 			t.Fatalf("batch %d: %d queries in total, want %d", batch, got, want)
 		}
 	}
@@ -47,19 +47,20 @@ func TestInflatedWriteQueriesPerReaderSerial(t *testing.T) {
 	}
 }
 
-// When a batch is split into stolen chunks, every chunk starts with its
-// own empty cache, so the same write makes k queries per chunk.
+// When one write is checked as several batches, one per page, every batch
+// starts with its own empty cache, so the same write makes k queries per
+// batch.
 func TestInflatedWriteQueriesPerReaderFanOut(t *testing.T) {
 	reach := &relReach{rel: allPrecede}
-	p := newParEnv(Ctx{Reach: reach}, 3, 1)
+	p := newChunkEnv(Ctx{Reach: reach}, 3, 1)
 	base := uint64(pageSize - inflN/2) // two chunks, one per page
 	inflate(p.read, base, inflN, inflK)
-	if q := reach.queries.Load(); q != 0 {
+	if q := reach.queries; q != 0 {
 		t.Fatalf("reads of fresh words made %d queries", q)
 	}
 	chunks := p.chunks
 	p.write(base, inflN, 100)
-	if got, want := reach.queries.Load(), uint64(inflK*(p.chunks-chunks)); got != want || p.chunks-chunks != 2 {
+	if got, want := reach.queries, uint64(inflK*(p.chunks-chunks)); got != want || p.chunks-chunks != 2 {
 		t.Fatalf("chunked write made %d queries over %d chunks, want %d (k per chunk)", got, p.chunks-chunks, want)
 	}
 	st := p.h.Stats()
@@ -71,24 +72,35 @@ func TestInflatedWriteQueriesPerReaderFanOut(t *testing.T) {
 	}
 }
 
-// A consumer's checker over a History built for concurrent checkers
-// (locked spill slots, counters folded under the mutex) pays k queries
-// per batch too; two checkers take turns, as consumers do.
+// Two checkers taking turns over one History, one batch each, pay k
+// queries per batch too: each batch starts with its checker's cache cold.
 func TestInflatedWriteQueriesPerReaderView(t *testing.T) {
 	reach := &relReach{rel: allPrecede}
-	p := newParEnv(Ctx{Reach: reach}, 2, 1)
-	for batch := 0; batch < 2; batch++ {
-		base := uint64(1 + batch*inflN)
-		inflate(p.read, base, inflN, inflK)
-		p.write(base, inflN, 100)
-		if len(p.races) != 0 {
-			t.Fatalf("batch %d: ordered write raced %d times", batch, len(p.races))
+	h := NewHistory()
+	ctx := Ctx{Reach: reach}
+	checkers := [2]*Checker{NewChecker(h), NewChecker(h)}
+	turn := 0
+	batch := func(s core.StrandID, op func(c *Checker)) {
+		c := checkers[turn%2]
+		turn++
+		c.Begin(&ctx, s)
+		op(c)
+		if n := len(c.Events()); n != 0 {
+			t.Fatalf("ordered access raced %d times", n)
 		}
-		if got, want := reach.queries.Load(), uint64((batch+1)*inflK); got != want {
-			t.Fatalf("batch %d: %d queries in total, want %d", batch, got, want)
+		c.End()
+	}
+	for b := 0; b < 2; b++ {
+		base := uint64(1 + b*inflN)
+		inflate(func(addr uint64, words int, s core.StrandID) {
+			batch(s, func(c *Checker) { c.ReadRange(addr, words) })
+		}, base, inflN, inflK)
+		batch(100, func(c *Checker) { c.WriteRange(base, inflN) })
+		if got, want := reach.queries, uint64((b+1)*inflK); got != want {
+			t.Fatalf("batch %d: %d queries in total, want %d", b, got, want)
 		}
 	}
-	if st := p.h.Stats(); st.MemoHits != uint64(2*inflK*(inflN-1)) {
+	if st := h.Stats(); st.MemoHits != uint64(2*inflK*(inflN-1)) {
 		t.Fatalf("MemoHits = %d, want %d", st.MemoHits, 2*inflK*(inflN-1))
 	}
 }
@@ -105,7 +117,7 @@ func TestVerdictCacheInvalidation(t *testing.T) {
 	e.write(3, 1, 100) // a new batch of the same strand: 3 more
 	e.ctx.Gen++
 	e.write(4, 1, 101) // a new generation and strand: 3 more
-	if got := e.reach.queries.Load(); got != 9 {
+	if got := e.reach.queries; got != 9 {
 		t.Fatalf("queries = %d, want 9", got)
 	}
 

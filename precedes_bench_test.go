@@ -46,7 +46,7 @@ func chain(m core.Reach, st *core.StrandTable, strands, stride int) (core.Strand
 			ParentFn: mainFn, FutFn: fn,
 			Creator: cur, FutFirst: futFirst, ContFirst: contFirst,
 		})
-		m.Return(core.ReturnRec{Fn: fn, ParentFn: mainFn, First: futFirst, Last: futFirst})
+		m.Return(core.ReturnRec{Fn: fn, ParentFn: mainFn, Last: futFirst})
 		futs = append(futs, fut{fn: fn, last: futFirst, creator: cur})
 		cur = contFirst
 		if gets < len(futs)-stride {

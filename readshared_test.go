@@ -54,7 +54,7 @@ func TestReadSharedRepeatedReadsQueryFree(t *testing.T) {
 		}
 		return rep.Stats.Reach.Queries, rep.Stats.Shadow.ReadSharedSkips
 	}
-	for _, consumers := range []int{0, 1, 4} {
+	for _, consumers := range []int{0, 1} {
 		q1, _ := queries(1, consumers)
 		q4, skips := queries(4, consumers)
 		if q4 != q1 {
@@ -98,7 +98,7 @@ func TestEpochSurvivesConstructs(t *testing.T) {
 		}
 	}
 	for _, mode := range []futurerd.Mode{futurerd.ModeMultiBags, futurerd.ModeMultiBagsPlus} {
-		for _, consumers := range []int{0, 1, 4} {
+		for _, consumers := range []int{0, 1} {
 			run := func(p int) *futurerd.Report {
 				rep := futurerd.Detect(futurerd.Config{
 					Mode: mode, Mem: futurerd.MemFull, Consumers: consumers,

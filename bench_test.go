@@ -13,10 +13,12 @@ package futurerd_test
 // shapes match the full-size harness.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"futurerd"
+	"futurerd/internal/trace"
 	"futurerd/internal/workloads"
 )
 
@@ -330,32 +332,46 @@ func BenchmarkRecord(b *testing.B) {
 
 // BenchmarkReplay measures trace-replay throughput — the offline
 // detection path: decode a recorded v2 stream and drive it through full
-// MultiBags+ detection, inline and on the async consumer.
+// MultiBags+ detection, inline and on the async consumer. lcs coalesces
+// into range events; mm is a stream of single-word accesses that never
+// coalesce, one wire event per word.
 func BenchmarkReplay(b *testing.B) {
-	ins := workloads.NewLCS(256, 16, workloads.StructuredFutures, 1)
-	raw, err := futurerd.RecordTraceBytes(ins.Run)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, consumers := range []int{0, 1} {
-		b.Run(fmt.Sprintf("lcs/consumers=%d", consumers), func(b *testing.B) {
-			var words uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := futurerd.ReplayTraceBytes(raw, futurerd.Config{
-					Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-					Consumers: consumers,
-				})
-				if err != nil {
-					b.Fatal(err)
+	for _, w := range []struct {
+		name string
+		run  func(*futurerd.Task)
+	}{
+		{"lcs", workloads.NewLCS(256, 16, workloads.StructuredFutures, 1).Run},
+		{"mm", workloads.NewMM(64, 16, workloads.GeneralFutures, 1).Run},
+	} {
+		raw, err := futurerd.RecordTraceBytes(w.run)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := trace.Stat(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, consumers := range []int{0, 1} {
+			b.Run(fmt.Sprintf("%s/consumers=%d", w.name, consumers), func(b *testing.B) {
+				var words uint64
+				for i := 0; i < b.N; i++ {
+					rep, err := futurerd.ReplayTraceBytes(raw, futurerd.Config{
+						Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
+						Consumers: consumers,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rep.Err != nil {
+						b.Fatal(rep.Err)
+					}
+					words = rep.Stats.Shadow.Reads + rep.Stats.Shadow.Writes
 				}
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-				words = rep.Stats.Shadow.Reads + rep.Stats.Shadow.Writes
-			}
-			b.SetBytes(int64(len(raw)))
-			b.ReportMetric(float64(words), "words/op")
-		})
+				b.SetBytes(int64(len(raw)))
+				b.ReportMetric(float64(words), "words/op")
+				b.ReportMetric(float64(st.Events), "events/op")
+			})
+		}
 	}
 }
 

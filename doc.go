@@ -112,9 +112,12 @@
 // construct + memory event stream in format v2: coalesced range events,
 // delta-compressed addresses, strand labels, DEFLATE block framing.
 // ReplayTrace re-detects a stream — any algorithm, any pipeline — with
-// exactly the report a direct run produces, replaying iteratively so
-// spawn depth never consumes Go stack. See internal/trace for the wire format and cmd/futurerd-trace
-// for the record/replay/stat CLI.
+// exactly the report a direct run produces. Replay decodes and delivers
+// accesses a run at a time: consecutive access events go straight into
+// the engine's event batch in one call, with the same batch boundaries
+// as direct detection. Task nesting replays iteratively, so spawn depth
+// never consumes Go stack. See internal/trace for the wire format and
+// cmd/futurerd-trace for the record/replay/stat CLI.
 //
 // # Failure model
 //

@@ -742,6 +742,33 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 	}
 }
 
+// Accesses delivers a run of accesses made in order by t's current
+// strand — the trace replayer's entry, one call per decoded access run.
+// It is exactly one Read or Write per op: every op is appended with the
+// same coalescing and MaxOps flush rule, so batch boundaries and every
+// counter match per-op delivery. The poison and strand checks run once
+// per run, and again after a mid-run flush.
+func (e *Engine) Accesses(t *Task, ops []event.Op) {
+	if e.batch == nil || len(ops) == 0 {
+		return
+	}
+	e.checkPoison()
+	if len(e.batch.Ops) > 0 && e.batch.Strand != t.strand {
+		e.flushBatch() // unreachable today; see access
+	}
+	e.batch.Strand = t.strand
+	for i := range ops {
+		op := &ops[i]
+		if e.batch.Append(op.Kind, op.Addr, op.Words) >= event.MaxOps {
+			e.flushBatch()
+			if i+1 < len(ops) {
+				e.checkPoison()
+				e.batch.Strand = t.strand
+			}
+		}
+	}
+}
+
 // seal closes the open batch at a parallel construct. The batch leaves
 // stamped with the generation and relation version it executed under, so
 // the async consumer can check it against the relation at that version

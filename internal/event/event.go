@@ -44,8 +44,9 @@ type Op struct {
 	Kind  Kind
 }
 
-// MaxOps is the cap on the ops buffered in one batch, used by the engine
-// and the trace recorder alike. A front-end flushes a full batch
+// MaxOps is the cap on the ops buffered in one batch, used by the
+// engine's per-access Read/Write, its run-at-a-time Accesses (the trace
+// replay path) and the trace recorder alike. A front-end flushes a full batch
 // mid-window (the detection back-end can start on it early); the cap
 // bounds pipeline memory on construct-free access storms that do not
 // coalesce. Coalescing scans, however long, stay a single op. A sweep of

@@ -318,18 +318,45 @@ func (r *recorder) Label(t *detect.Task, label string) {
 	r.endEvent()
 }
 
+// runCap is the capacity of the decoder's access-run buffer. It is fixed
+// and allocated once per decoder: a buffer grown towards event.MaxOps
+// costs allocation for no speed.
+const runCap = 256
+
 // v2Decoder streams a v2 trace one block at a time.
 type v2Decoder struct {
-	r    *bufio.Reader
+	w    *wire
 	fr   io.ReadCloser // flate reader, reused across blocks
 	raw  []byte
 	pos  int
 	comp []byte
+	ops  []event.Op // access-run buffer of runCap ops, reused by every run
 
 	dec     [2]addrCoder
 	creates uint64
 	lastGot uint64
-	done    bool
+}
+
+// wire is the decoder's view of the stream. It counts the bytes the
+// decoder consumes, so Stat reports the stream's size through its
+// terminator whatever the bufio read-ahead pulled in.
+type wire struct {
+	r *bufio.Reader
+	n int64
+}
+
+func (w *wire) Read(p []byte) (int, error) {
+	n, err := w.r.Read(p)
+	w.n += int64(n)
+	return n, err
+}
+
+func (w *wire) ReadByte() (byte, error) {
+	b, err := w.r.ReadByte()
+	if err == nil {
+		w.n++
+	}
+	return b, err
 }
 
 func malformed(format string, args ...any) error {
@@ -366,20 +393,25 @@ func readCapped(r io.Reader, buf []byte, want uint64) ([]byte, error) {
 }
 
 // loadBlock reads, checks and decompresses the next block; it reports
-// false at the terminator. Every declared length is bounded before use
-// and read incrementally, and the compressed payload must match its
-// recorded CRC32-C, so a truncated, bit-flipped or forged stream is
-// diagnosed here — it can neither allocate unbounded memory nor leak
-// garbage events into replay.
+// false at the terminator, which must end the stream. Every declared
+// length is bounded before use and read incrementally, and the
+// compressed payload must match its recorded CRC32-C, so a truncated,
+// bit-flipped or forged stream is diagnosed here — it can neither
+// allocate unbounded memory nor leak garbage events into replay.
 func (d *v2Decoder) loadBlock() (bool, error) {
-	compLen, err := binary.ReadUvarint(d.r)
+	compLen, err := binary.ReadUvarint(d.w)
 	if err != nil {
 		return false, malformed("truncated block header: %v", err)
 	}
 	if compLen == 0 {
+		if _, err := d.w.r.Peek(1); err == nil {
+			return false, malformed("trailing bytes after terminator")
+		} else if err != io.EOF {
+			return false, malformed("reading past terminator: %v", err)
+		}
 		return false, nil
 	}
-	rawLen, err := binary.ReadUvarint(d.r)
+	rawLen, err := binary.ReadUvarint(d.w)
 	if err != nil {
 		return false, malformed("truncated block header: %v", err)
 	}
@@ -387,11 +419,11 @@ func (d *v2Decoder) loadBlock() (bool, error) {
 		return false, malformed("implausible block size (%d compressed, %d raw)", compLen, rawLen)
 	}
 	var sumb [4]byte
-	if _, err := io.ReadFull(d.r, sumb[:]); err != nil {
+	if _, err := io.ReadFull(d.w, sumb[:]); err != nil {
 		return false, malformed("truncated block header: %v", err)
 	}
 	want := binary.LittleEndian.Uint32(sumb[:])
-	if d.comp, err = readCapped(d.r, d.comp, compLen); err != nil {
+	if d.comp, err = readCapped(d.w, d.comp, compLen); err != nil {
 		return false, malformed("truncated block: %v", err)
 	}
 	if got := crc32.Checksum(d.comp, castagnoli); got != want {
@@ -419,51 +451,105 @@ func (d *v2Decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *v2Decoder) next() (tev, error) {
-	for d.pos >= len(d.raw) {
-		if d.done {
-			return tev{kind: tevEOF}, nil
-		}
-		ok, err := d.loadBlock()
-		if err != nil {
-			return tev{}, err
-		}
-		if !ok {
-			d.done = true
-			return tev{kind: tevEOF}, nil
-		}
-	}
-	b := d.raw[d.pos]
-	d.pos++
-	switch {
-	case b >= cacheBase:
-		kb := int(b>>6) & 1
-		c := &d.dec[kb]
-		addr := uint64(int64(c.lastEnd) + c.cache[b&(cacheSlots-1)])
-		c.lastEnd = addr + 1
-		return tev{kind: tevRead + tevKind(kb), addr: addr, words: 1}, nil
-	case b >= medBase:
-		v := int(b) - medBase
-		kb := v / medHi
+// run decodes the access events that follow into the run buffer, one op
+// per wire event (the recorder coalesced before encoding), across block
+// boundaries. It stops at the first structural event, which it returns
+// decoded as end, or when the buffer is full (end is tevNone); end is
+// tevEOF at the terminator, after which run must not be called again.
+// On a decode error ops holds the well-formed accesses before the bad
+// event. ops aliases the buffer, so it is valid until the next call.
+func (d *v2Decoder) run() (ops []event.Op, end tev, err error) {
+	buf := d.ops
+	n := 0
+	for n < len(buf) {
 		if d.pos >= len(d.raw) {
-			return tev{}, malformed("truncated medium-delta operand")
+			ok, err := d.loadBlock()
+			if err != nil {
+				return buf[:n], tev{}, err
+			}
+			if !ok {
+				return buf[:n], tev{kind: tevEOF}, nil
+			}
 		}
-		lo := int(d.raw[d.pos])
-		d.pos++
-		delta := int64(v%medHi<<8|lo) - medBias
-		c := &d.dec[kb]
-		addr := uint64(int64(c.lastEnd) + delta)
-		c.lastEnd = addr + 1
-		c.insert(delta)
-		return tev{kind: tevRead + tevKind(kb), addr: addr, words: 1}, nil
-	case b >= smallBase:
-		v := int(b) - smallBase
-		kb := v / smallSpan
-		c := &d.dec[kb]
-		addr := uint64(int64(c.lastEnd) + int64(v%smallSpan) - smallBias)
-		c.lastEnd = addr + 1
-		return tev{kind: tevRead + tevKind(kb), addr: addr, words: 1}, nil
+		raw, pos := d.raw, d.pos
+		for ; n < len(buf) && pos < len(raw); n++ {
+			b := raw[pos]
+			pos++
+			var kb int
+			var addr uint64
+			switch {
+			case b >= cacheBase:
+				kb = int(b>>6) & 1
+				c := &d.dec[kb]
+				addr = uint64(int64(c.lastEnd) + c.cache[b&(cacheSlots-1)])
+			case b >= medBase:
+				v := int(b) - medBase
+				kb = v / medHi
+				if pos >= len(raw) {
+					return buf[:n], tev{}, malformed("truncated medium-delta operand")
+				}
+				delta := int64(v%medHi<<8|int(raw[pos])) - medBias
+				pos++
+				c := &d.dec[kb]
+				addr = uint64(int64(c.lastEnd) + delta)
+				c.insert(delta)
+			case b >= smallBase:
+				v := int(b) - smallBase
+				kb = v / smallSpan
+				addr = uint64(int64(d.dec[kb].lastEnd) + int64(v%smallSpan) - smallBias)
+			case b >= v2Read && b <= v2WriteN:
+				d.pos = pos
+				op, err := d.varintAccess(b)
+				if err != nil {
+					return buf[:n], tev{}, err
+				}
+				buf[n] = op
+				pos = d.pos
+				continue
+			default:
+				d.pos = pos
+				end, err := d.structural(b)
+				return buf[:n], end, err
+			}
+			d.dec[kb].lastEnd = addr + 1
+			buf[n] = event.Op{Addr: addr, Words: 1, Kind: event.Kind(kb)}
+		}
+		d.pos = pos
 	}
+	return buf, tev{}, nil
+}
+
+// varintAccess decodes the operands of a v2Read, v2Write, v2ReadN or
+// v2WriteN event whose opcode b has been consumed.
+func (d *v2Decoder) varintAccess(b byte) (event.Op, error) {
+	kb, words := int(b-v2Read), uint64(1)
+	if b >= v2ReadN {
+		kb = int(b - v2ReadN)
+	}
+	u, err := d.uvarint()
+	if err != nil {
+		return event.Op{}, err
+	}
+	delta := unzigzag(u)
+	c := &d.dec[kb]
+	if b >= v2ReadN {
+		if words, err = d.uvarint(); err != nil {
+			return event.Op{}, err
+		}
+		if words == 0 || words > maxWords {
+			return event.Op{}, malformed("implausible range of %d words", words)
+		}
+	} else {
+		c.insert(delta)
+	}
+	addr := uint64(int64(c.lastEnd) + delta)
+	c.lastEnd = addr + words
+	return event.Op{Addr: addr, Words: int(words), Kind: event.Kind(kb)}, nil
+}
+
+// structural decodes the structural event whose opcode b has been
+// consumed.
+func (d *v2Decoder) structural(b byte) (tev, error) {
 	switch b {
 	case v2Spawn:
 		return tev{kind: tevSpawn}, nil
@@ -486,35 +572,6 @@ func (d *v2Decoder) next() (tev, error) {
 			id = ^uint64(0) // not (yet) created: replay fails like detection would
 		}
 		return tev{kind: tevGet, id: id}, nil
-	case v2Read, v2Write:
-		kb := int(b - v2Read)
-		u, err := d.uvarint()
-		if err != nil {
-			return tev{}, err
-		}
-		delta := unzigzag(u)
-		c := &d.dec[kb]
-		addr := uint64(int64(c.lastEnd) + delta)
-		c.lastEnd = addr + 1
-		c.insert(delta)
-		return tev{kind: tevRead + tevKind(kb), addr: addr, words: 1}, nil
-	case v2ReadN, v2WriteN:
-		kb := int(b - v2ReadN)
-		u, err := d.uvarint()
-		if err != nil {
-			return tev{}, err
-		}
-		w, err := d.uvarint()
-		if err != nil {
-			return tev{}, err
-		}
-		if w == 0 || w > maxWords {
-			return tev{}, malformed("implausible range of %d words", w)
-		}
-		c := &d.dec[kb]
-		addr := uint64(int64(c.lastEnd) + unzigzag(u))
-		c.lastEnd = addr + w
-		return tev{kind: tevRead + tevKind(kb), addr: addr, words: int(w)}, nil
 	case v2Label:
 		n, err := d.uvarint()
 		if err != nil {

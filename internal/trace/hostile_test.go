@@ -162,6 +162,66 @@ func TestReplayRecoverLimits(t *testing.T) {
 	}
 }
 
+// TestReplayRecoverLimitsInsideRun: on a multi-block stream of nothing
+// but single-word accesses, each limit cuts in the middle of a decoded
+// run, and the replay covers exactly the prefix up to the limit.
+func TestReplayRecoverLimitsInsideRun(t *testing.T) {
+	raw, err := RecordBytes(strides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		lim   Limits
+		limit uint64
+	}{
+		// Past the first block, not a multiple of the run buffer or of
+		// event.MaxOps.
+		{"events", Limits{MaxEvents: 33_333}, 33_333},
+		{"words", Limits{MaxWords: 9_999}, 9_999},
+	} {
+		rep, err := ReplayRecover(bytes.NewReader(raw), hostileCfg, tc.lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := rep.Stats.Trace
+		if !ts.Truncated || ts.TruncatedAtEvent != tc.limit || !strings.Contains(ts.Reason, "limit") {
+			t.Fatalf("%s limit %d: %+v", tc.name, tc.limit, ts)
+		}
+		// Every event of the prefix is a single-word access.
+		if got := rep.Stats.Shadow.Reads + rep.Stats.Shadow.Writes; got != tc.limit {
+			t.Fatalf("%s limit %d: replayed %d words", tc.name, tc.limit, got)
+		}
+	}
+}
+
+// TestTruncatedMediumOperand: a block that ends in a medium-class opcode
+// without its operand byte fails strict replay, and the recovering
+// replay cuts at the access before it.
+func TestTruncatedMediumOperand(t *testing.T) {
+	const smallZero = smallBase + smallBias // 1-word read, delta 0
+	payload := []byte{smallZero, smallZero + smallSpan, medBase}
+	var buf bytes.Buffer
+	buf.Write(magicV2)
+	buf.Write(encodeTestBlock(t, payload))
+	buf.WriteByte(0)
+	const reason = "truncated medium-delta operand"
+	if _, err := ReplayBytes(buf.Bytes(), hostileCfg); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("strict replay err = %v, want ErrBadTrace with %q", err, reason)
+	}
+	rep, err := ReplayRecover(bytes.NewReader(buf.Bytes()), hostileCfg, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := rep.Stats.Trace
+	if !ts.Truncated || ts.TruncatedAtEvent != 2 || !strings.Contains(ts.Reason, reason) {
+		t.Fatalf("recovery %+v, want a cut after 2 events", ts)
+	}
+	if rep.Stats.Shadow.Reads != 1 || rep.Stats.Shadow.Writes != 1 {
+		t.Fatalf("recovered shadow traffic %+v, want one read and one write", rep.Stats.Shadow)
+	}
+}
+
 // FuzzTraceReader throws raw bytes at the v2 reader. The recovering
 // replay must never panic, OOM, or hang, whatever the stream claims; the
 // strict replay must fail with an error rather than a panic.
@@ -171,6 +231,21 @@ func FuzzTraceReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
+	// A multi-block seed whose block boundary falls well inside the
+	// fuzz limit of 4096 events: ~10-byte range events spill past the
+	// 32 KiB block target within one access run.
+	multi, err := RecordBytes(func(t *detect.Task) {
+		for i := uint64(0); i < 3500; i++ {
+			t.ReadRange(i%2<<50+4*i, 2)
+		}
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if n := blockCount(f, multi); n < 2 {
+		f.Fatalf("multi-block seed has %d block(s)", n)
+	}
+	f.Add(multi)
 	for seed := uint64(0); seed < 8; seed++ {
 		bad, _ := faultinject.CorruptBytes(seed, raw, len(magicV2))
 		f.Add(bad)

@@ -1,14 +1,11 @@
 // Trace stream statistics: event counts and on-disk size.
 package trace
 
-import (
-	"bufio"
-	"io"
-)
+import "io"
 
 // StatInfo summarizes one trace stream.
 type StatInfo struct {
-	Bytes  int64 // stream size on the wire
+	Bytes  int64 // stream size on the wire, through its terminator
 	Events int64 // all events, structural and access
 
 	Spawns, Creates, Gets, Syncs, TaskEnds, Labels int64
@@ -25,36 +22,31 @@ func (s *StatInfo) BytesPerEvent() float64 {
 	return float64(s.Bytes) / float64(s.Events)
 }
 
-// countingReader tracks the bytes consumed from the wrapped reader.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Stat decodes a trace stream and returns its summary.
+// Stat decodes a trace stream and returns its summary. Like Replay, it
+// fails with ErrBadTrace on a malformed stream, including one with bytes
+// after its terminator.
 func Stat(r io.Reader) (*StatInfo, error) {
-	cr := &countingReader{r: r}
-	dec, err := newDecoder(bufio.NewReader(cr))
+	dec, err := newDecoder(r)
 	if err != nil {
 		return nil, err
 	}
 	st := &StatInfo{}
 	for {
-		v, err := dec.next()
+		ops, v, err := dec.run()
 		if err != nil {
 			return nil, err
 		}
-		if v.kind == tevEOF {
-			break
+		st.Events += int64(len(ops))
+		st.Accesses += int64(len(ops))
+		for i := range ops {
+			st.Words += int64(ops[i].Words)
 		}
-		st.Events++
 		switch v.kind {
+		case tevNone:
+			continue
+		case tevEOF:
+			st.Bytes = dec.w.n
+			return st, nil
 		case tevSpawn:
 			st.Spawns++
 		case tevCreate:
@@ -65,13 +57,9 @@ func Stat(r io.Reader) (*StatInfo, error) {
 			st.Syncs++
 		case tevGet:
 			st.Gets++
-		case tevRead, tevWrite:
-			st.Accesses++
-			st.Words += int64(v.words)
 		case tevLabel:
 			st.Labels++
 		}
+		st.Events++
 	}
-	st.Bytes = cr.n
-	return st, nil
 }

@@ -43,7 +43,14 @@
 // in event order (a spawn/create is followed by the child's complete
 // subsequence and a task-end), and replay drives the engine's
 // BeginSpawn/EndSpawn construct API from an explicit stack, so arbitrary
-// spawn depth costs no Go stack.
+// spawn depth costs no Go stack. Accesses are decoded a run at a time:
+// the decoder fills a fixed buffer with consecutive access events, one
+// op per event, and replay hands each run to the engine in one call
+// (Engine.Accesses), which batches it exactly as per-word delivery
+// would.
+//
+// A zero-length block terminates the stream; bytes after it make the
+// stream malformed.
 //
 // v2 is the only format read. A stream with the magic of the retired v1
 // format ("FUTRD1\n") is rejected with ErrBadTrace and a request to
@@ -58,6 +65,7 @@ import (
 	"io"
 
 	"futurerd/internal/detect"
+	"futurerd/internal/event"
 )
 
 // magicV2 opens every trace stream.
@@ -66,39 +74,38 @@ var magicV2 = []byte("FUTRD2\n")
 // ErrBadTrace reports a malformed or truncated stream.
 var ErrBadTrace = errors.New("trace: malformed event stream")
 
-// tevKind enumerates the replay events the decoder yields.
+// tevKind enumerates the structural events the decoder yields; accesses
+// arrive as runs of event.Op instead (see v2Decoder.run).
 type tevKind uint8
 
 const (
-	tevEOF tevKind = iota
+	tevNone tevKind = iota // an access run filled its buffer; more may follow
+	tevEOF
 	tevSpawn
 	tevCreate // id
 	tevTaskEnd
 	tevSync
 	tevGet // id
-	tevRead
-	tevWrite // must stay tevRead+1: the decoder computes kind arithmetically
 	tevLabel
 )
 
-// tev is one decoded event.
+// tev is one decoded structural event.
 type tev struct {
 	kind  tevKind
 	id    uint64
-	addr  uint64
-	words int
 	label string
 }
 
 // newDecoder checks the magic and returns the stream's decoder.
-func newDecoder(br *bufio.Reader) (*v2Decoder, error) {
+func newDecoder(r io.Reader) (*v2Decoder, error) {
+	w := &wire{r: bufio.NewReader(r)}
 	head := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(w, head); err != nil {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
 	}
 	switch string(head) {
 	case string(magicV2):
-		return &v2Decoder{r: br}, nil
+		return &v2Decoder{w: w, ops: make([]event.Op, runCap)}, nil
 	case "FUTRD1\n":
 		return nil, fmt.Errorf("%w: format v1 is no longer read; re-record the trace", ErrBadTrace)
 	}
@@ -135,7 +142,7 @@ func RecordBytes(root func(*detect.Task)) ([]byte, error) {
 // report as detecting the original program, for any algorithm and worker
 // count.
 func Replay(r io.Reader, cfg detect.Config) (*detect.Report, error) {
-	dec, err := newDecoder(bufio.NewReader(r))
+	dec, err := newDecoder(r)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +192,7 @@ func ReplayRecover(r io.Reader, cfg detect.Config, lim Limits) (*detect.Report, 
 		lim.MaxWords = DefaultMaxReplayWords
 	}
 	var ts detect.TraceStats
-	dec, err := newDecoder(bufio.NewReader(r))
+	dec, err := newDecoder(r)
 	if err != nil {
 		// Not even a magic: the report covers the empty prefix.
 		ts = detect.TraceStats{Truncated: true, Reason: err.Error()}
@@ -200,159 +207,147 @@ func ReplayRecover(r io.Reader, cfg detect.Config, lim Limits) (*detect.Report, 
 	return rep, nil
 }
 
-// replayRecover is replayEvents with a recovery policy: decode errors and
-// limit hits truncate the stream instead of failing it, and the open
-// frame stack is unwound so the engine observes a well-formed program.
-func replayRecover(e *detect.Engine, root *detect.Task, dec *v2Decoder, lim Limits) detect.TraceStats {
-	type frame struct {
-		t   *detect.Task
-		h   *detect.Fut
-		fut bool
-	}
-	var stack []frame
-	cur := root
-	futs := make(map[uint64]*detect.Fut)
-	var ts detect.TraceStats
-	var words uint64
-	cut := func(reason string) {
-		ts.Truncated = true
-		ts.Reason = reason
-	}
-	for !ts.Truncated {
-		v, err := dec.next()
-		if err != nil {
-			cut(err.Error())
-			break
-		}
-		if v.kind == tevEOF {
-			if len(stack) != 0 {
-				cut(fmt.Sprintf("stream ends with %d unterminated tasks", len(stack)))
-			}
-			break
-		}
-		if lim.MaxEvents != 0 && ts.TruncatedAtEvent >= lim.MaxEvents {
-			cut(fmt.Sprintf("replay limit: more than %d events", lim.MaxEvents))
-			break
-		}
-		switch v.kind {
-		case tevSpawn:
-			child := e.BeginSpawn(cur)
-			stack = append(stack, frame{t: cur})
-			cur = child
-		case tevCreate:
-			child, h := e.BeginFut(cur)
-			futs[v.id] = h
-			stack = append(stack, frame{t: cur, h: h, fut: true})
-			cur = child
-		case tevTaskEnd:
-			if len(stack) == 0 {
-				cut("task end with no open task")
-				continue
-			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if f.fut {
-				e.EndFut(f.t, cur, f.h, nil)
-			} else {
-				e.EndSpawn(f.t, cur)
-			}
-			cur = f.t
-		case tevSync:
-			cur.Sync()
-		case tevGet:
-			cur.GetFut(futs[v.id])
-		case tevRead, tevWrite:
-			words += uint64(v.words)
-			if words > lim.MaxWords {
-				cut(fmt.Sprintf("replay limit: more than %d words accessed", lim.MaxWords))
-				continue
-			}
-			if v.kind == tevRead {
-				cur.ReadRange(v.addr, v.words)
-			} else {
-				cur.WriteRange(v.addr, v.words)
-			}
-		case tevLabel:
-			cur.Label(v.label)
-		}
-		ts.TruncatedAtEvent++
-	}
-	// Unwind the open tasks so the engine sees a well-formed (if shorter)
-	// program; detection over the replayed prefix stays valid.
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.fut {
-			e.EndFut(f.t, cur, f.h, nil)
-		} else {
-			e.EndSpawn(f.t, cur)
-		}
-		cur = f.t
-	}
-	if !ts.Truncated {
-		ts.TruncatedAtEvent = 0 // clean replay: the count is not a cut point
-	}
-	return ts
+// replayer drives the engine through a decoded stream iteratively: task
+// nesting lives on an explicit frame stack (via the engine's
+// BeginSpawn/EndSpawn and BeginFut/EndFut construct API), so a spawn
+// chain of any depth replays in constant Go stack.
+type replayer struct {
+	e     *detect.Engine
+	cur   *detect.Task
+	stack []frame
+	futs  map[uint64]*detect.Fut
 }
 
-// replayEvents drives the engine through the decoded event stream
-// iteratively: task nesting lives on an explicit frame stack (via the
-// engine's BeginSpawn/EndSpawn and BeginFut/EndFut construct API), so a
-// spawn chain of any depth replays in constant Go stack.
-func replayEvents(e *detect.Engine, root *detect.Task, dec *v2Decoder) error {
-	type frame struct {
-		t   *detect.Task
-		h   *detect.Fut
-		fut bool
+type frame struct {
+	t   *detect.Task
+	h   *detect.Fut
+	fut bool
+}
+
+func newReplayer(e *detect.Engine, root *detect.Task) *replayer {
+	return &replayer{e: e, cur: root, futs: make(map[uint64]*detect.Fut)}
+}
+
+// construct replays one structural event.
+func (r *replayer) construct(v tev) error {
+	switch v.kind {
+	case tevSpawn:
+		child := r.e.BeginSpawn(r.cur)
+		r.stack = append(r.stack, frame{t: r.cur})
+		r.cur = child
+	case tevCreate:
+		child, h := r.e.BeginFut(r.cur)
+		r.futs[v.id] = h
+		r.stack = append(r.stack, frame{t: r.cur, h: h, fut: true})
+		r.cur = child
+	case tevTaskEnd:
+		if len(r.stack) == 0 {
+			return malformed("task end with no open task")
+		}
+		r.end()
+	case tevSync:
+		r.cur.Sync()
+	case tevGet:
+		// A missing id yields a nil handle; GetFut fails the run with
+		// ErrFutureNotReady, matching what detection of the original
+		// (non-forward-pointing) program would report.
+		r.cur.GetFut(r.futs[v.id])
+	case tevLabel:
+		r.cur.Label(v.label)
 	}
-	var stack []frame
-	cur := root
-	futs := make(map[uint64]*detect.Fut)
+	return nil
+}
+
+// end closes the innermost open task.
+func (r *replayer) end() {
+	f := r.stack[len(r.stack)-1]
+	r.stack = r.stack[:len(r.stack)-1]
+	if f.fut {
+		r.e.EndFut(f.t, r.cur, f.h, nil)
+	} else {
+		r.e.EndSpawn(f.t, r.cur)
+	}
+	r.cur = f.t
+}
+
+// replayEvents replays the whole stream, failing on the first malformed
+// event. Each decoded access run goes straight into the engine's event
+// batch in one call.
+func replayEvents(e *detect.Engine, root *detect.Task, dec *v2Decoder) error {
+	r := newReplayer(e, root)
 	for {
-		v, err := dec.next()
+		ops, v, err := dec.run()
 		if err != nil {
 			return err
 		}
+		e.Accesses(r.cur, ops)
 		switch v.kind {
-		case tevSpawn:
-			child := e.BeginSpawn(cur)
-			stack = append(stack, frame{t: cur})
-			cur = child
-		case tevCreate:
-			child, h := e.BeginFut(cur)
-			futs[v.id] = h
-			stack = append(stack, frame{t: cur, h: h, fut: true})
-			cur = child
-		case tevTaskEnd:
-			if len(stack) == 0 {
-				return fmt.Errorf("%w: task end with no open task", ErrBadTrace)
-			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if f.fut {
-				e.EndFut(f.t, cur, f.h, nil)
-			} else {
-				e.EndSpawn(f.t, cur)
-			}
-			cur = f.t
-		case tevSync:
-			cur.Sync()
-		case tevGet:
-			// A missing id yields a nil handle; GetFut fails the run with
-			// ErrFutureNotReady, matching what detection of the original
-			// (non-forward-pointing) program would report.
-			cur.GetFut(futs[v.id])
-		case tevRead:
-			cur.ReadRange(v.addr, v.words)
-		case tevWrite:
-			cur.WriteRange(v.addr, v.words)
-		case tevLabel:
-			cur.Label(v.label)
+		case tevNone:
+			continue
 		case tevEOF:
-			if len(stack) != 0 {
-				return fmt.Errorf("%w: stream ends with %d unterminated tasks", ErrBadTrace, len(stack))
+			if len(r.stack) != 0 {
+				return malformed("stream ends with %d unterminated tasks", len(r.stack))
 			}
 			return nil
 		}
+		if err := r.construct(v); err != nil {
+			return err
+		}
 	}
+}
+
+// replayRecover is replayEvents with a recovery policy: decode errors and
+// limit hits truncate the stream instead of failing it, and the open
+// tasks are closed so the engine sees a well-formed (if shorter)
+// program; detection over the replayed prefix stays valid.
+func replayRecover(e *detect.Engine, root *detect.Task, dec *v2Decoder, lim Limits) detect.TraceStats {
+	r := newReplayer(e, root)
+	var events, words uint64
+	reason := ""
+	for reason == "" {
+		ops, v, err := dec.run()
+		ops, reason = lim.clip(ops, events, &words)
+		e.Accesses(r.cur, ops)
+		events += uint64(len(ops))
+		switch {
+		case reason != "":
+		case err != nil:
+			reason = err.Error()
+		case v.kind == tevNone:
+		case v.kind == tevEOF:
+			if len(r.stack) == 0 {
+				return detect.TraceStats{} // clean replay: no cut to report
+			}
+			reason = fmt.Sprintf("stream ends with %d unterminated tasks", len(r.stack))
+		case lim.MaxEvents != 0 && events >= lim.MaxEvents:
+			reason = fmt.Sprintf("replay limit: more than %d events", lim.MaxEvents)
+		default:
+			if err := r.construct(v); err != nil {
+				reason = err.Error()
+			} else {
+				events++
+			}
+		}
+	}
+	for len(r.stack) > 0 {
+		r.end()
+	}
+	return detect.TraceStats{Truncated: true, TruncatedAtEvent: events, Reason: reason}
+}
+
+// clip cuts a decoded access run at its first op past lim, given the
+// events replayed before the run and the running word total. It returns
+// the ops to replay and, when it cut, the reason.
+func (lim Limits) clip(ops []event.Op, events uint64, words *uint64) ([]event.Op, string) {
+	reason := ""
+	if lim.MaxEvents != 0 && events+uint64(len(ops)) > lim.MaxEvents {
+		ops = ops[:lim.MaxEvents-events]
+		reason = fmt.Sprintf("replay limit: more than %d events", lim.MaxEvents)
+	}
+	for i := range ops {
+		if *words += uint64(ops[i].Words); *words > lim.MaxWords {
+			return ops[:i], fmt.Sprintf("replay limit: more than %d words accessed", lim.MaxWords)
+		}
+	}
+	return ops, reason
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
 
 	"futurerd/internal/detect"
+	"futurerd/internal/event"
 	"futurerd/internal/progen"
 )
 
@@ -74,43 +77,94 @@ func TestReplayCarriesLabels(t *testing.T) {
 	}
 }
 
+// longRun is one strand issuing far more non-coalescing single-word
+// writes than event.MaxOps — 40k one-byte events, past the 32 KiB block
+// target — between two spawned children, so replay's run buffer, the
+// MaxOps flush and a block boundary all fall inside one access run. The
+// label before the loop ends a decoded run without sealing the batch,
+// so the first MaxOps flush falls inside a decoded run. The write just
+// after that flush races with the first child: ops after a mid-run
+// flush must still carry the run's strand. The second child races with
+// the continuation.
+func longRun(t *detect.Task) {
+	const pre, n = 100, 40_000
+	const racy = event.MaxOps - pre // loop index of the first write after the first flush
+	t.Spawn(func(c *detect.Task) { c.Write(2 * racy) })
+	for i := 0; i < pre; i++ {
+		t.Write(uint64(1<<30 + 2*i))
+	}
+	t.Label("long run")
+	for i := 0; i < n; i++ {
+		t.Write(uint64(2 * i))
+	}
+	t.Spawn(func(c *detect.Task) { c.Write(1<<21 + 1) })
+	t.Read(1<<21 + 1)
+	t.Sync()
+}
+
+// blockCount walks a v2 stream's block framing and returns the number of
+// data blocks before the terminator.
+func blockCount(t testing.TB, raw []byte) int {
+	t.Helper()
+	b := raw[len(magicV2):]
+	for n := 0; ; n++ {
+		compLen, k := binary.Uvarint(b)
+		if k <= 0 {
+			t.Fatal("bad block header")
+		}
+		if compLen == 0 {
+			return n
+		}
+		_, m := binary.Uvarint(b[k:])
+		b = b[k+m+4+int(compLen):]
+	}
+}
+
 // TestReplayMatchesDirectDetection is the package's core guarantee: for
-// random programs, detecting a replayed trace gives exactly the same
-// report as detecting the original program.
+// random programs and for one long access run, detecting a replayed
+// trace gives exactly the same report — every race and every counter,
+// batch boundaries included — as detecting the original program, on
+// both pipelines.
 func TestReplayMatchesDirectDetection(t *testing.T) {
-	for _, dialect := range []progen.Dialect{progen.Structured, progen.General} {
-		for seed := uint64(0); seed < 150; seed++ {
-			p := progen.Generate(seed, progen.Options{Dialect: dialect})
-			raw, err := RecordBytes(p.Run)
+	raw, err := RecordBytes(longRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := blockCount(t, raw); n < 2 {
+		t.Fatalf("longRun recorded %d block(s); it must span a block boundary", n)
+	}
+	for _, consumers := range []int{0, 1} {
+		cfg := detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, Consumers: consumers}
+		check := func(name string, run func(*detect.Task)) *detect.Report {
+			t.Helper()
+			raw, err := RecordBytes(run)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull}
-			direct := detect.NewEngine(cfg).Run(p.Run)
+			direct := detect.NewEngine(cfg).Run(run)
 			replayed, err := ReplayBytes(raw, cfg)
 			if err != nil {
-				t.Fatalf("seed %d [%s]: %v", seed, dialect, err)
+				t.Fatalf("%s consumers=%d: %v", name, consumers, err)
 			}
-			if direct.Stats.RaceCount != replayed.Stats.RaceCount ||
-				len(direct.Races) != len(replayed.Races) {
-				t.Fatalf("seed %d [%s]: direct %d/%d vs replay %d/%d races\n%s",
-					seed, dialect,
-					len(direct.Races), direct.Stats.RaceCount,
-					len(replayed.Races), replayed.Stats.RaceCount, p)
+			if !reflect.DeepEqual(direct.Races, replayed.Races) {
+				t.Fatalf("%s consumers=%d: races differ:\ndirect %v\nreplay %v",
+					name, consumers, direct.Races, replayed.Races)
 			}
-			for i := range direct.Races {
-				if direct.Races[i] != replayed.Races[i] {
-					t.Fatalf("seed %d [%s]: race %d differs: %v vs %v",
-						seed, dialect, i, direct.Races[i], replayed.Races[i])
-				}
+			if !reflect.DeepEqual(direct.Stats, replayed.Stats) {
+				t.Fatalf("%s consumers=%d: stats differ:\ndirect %+v\nreplay %+v",
+					name, consumers, direct.Stats, replayed.Stats)
 			}
-			// Structural statistics must match too: the replay rebuilds
-			// the identical dag.
-			if direct.Stats.Strands != replayed.Stats.Strands ||
-				direct.Stats.Creates != replayed.Stats.Creates ||
-				direct.Stats.Gets != replayed.Stats.Gets {
-				t.Fatalf("seed %d [%s]: structure differs: %+v vs %+v",
-					seed, dialect, direct.Stats, replayed.Stats)
+			return replayed
+		}
+		rep := check("longRun", longRun)
+		if len(rep.Races) != 2 || rep.Stats.Event.Batches <= 9 {
+			t.Fatalf("longRun consumers=%d: %d races over %d batches, want 2 races over more than 9 batches",
+				consumers, len(rep.Races), rep.Stats.Event.Batches)
+		}
+		for _, dialect := range []progen.Dialect{progen.Structured, progen.General} {
+			for seed := uint64(0); seed < 150; seed++ {
+				p := progen.Generate(seed, progen.Options{Dialect: dialect})
+				check(fmt.Sprintf("seed %d [%s]", seed, dialect), p.Run)
 			}
 		}
 	}
@@ -311,20 +365,63 @@ func TestStatCountsEvents(t *testing.T) {
 	if st.Words != 5 || st.Accesses != 4 {
 		t.Fatalf("Words/Accesses = %d/%d, want 5/4", st.Words, st.Accesses)
 	}
+	// Bytes after the terminator are not part of the stream: Stat
+	// rejects them instead of counting the bufio read-ahead.
+	junk := append(append([]byte{}, raw...), make([]byte, 100)...)
+	if st, err := Stat(bytes.NewReader(junk)); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Stat accepted 100 trailing bytes: %+v, %v", st, err)
+	}
+}
+
+// TestTrailingBytesAfterTerminator: the terminator block ends the
+// stream. Strict replay fails on anything after it; the recovering
+// replay keeps every event before it and reports the cut.
+func TestTrailingBytesAfterTerminator(t *testing.T) {
+	raw, err := RecordBytes(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Stat(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reason = "trailing bytes after terminator"
+	for _, tail := range [][]byte{{0}, make([]byte, 100), raw} {
+		junk := append(append([]byte{}, raw...), tail...)
+		if _, err := ReplayBytes(junk, hostileCfg); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), reason) {
+			t.Fatalf("%d trailing bytes: Replay err = %v, want ErrBadTrace with %q", len(tail), err, reason)
+		}
+		if _, err := Stat(bytes.NewReader(junk)); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), reason) {
+			t.Fatalf("%d trailing bytes: Stat err = %v, want ErrBadTrace with %q", len(tail), err, reason)
+		}
+		rep, err := ReplayRecover(bytes.NewReader(junk), hostileCfg, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := rep.Stats.Trace
+		if !ts.Truncated || ts.TruncatedAtEvent != uint64(st.Events) || !strings.Contains(ts.Reason, reason) {
+			t.Fatalf("%d trailing bytes: recovery %+v, want a cut after all %d events", len(tail), ts, st.Events)
+		}
+		if len(rep.Races) != 1 || rep.Races[0].Addr != 5 {
+			t.Fatalf("%d trailing bytes: recovered races = %v, want one race on addr 5", len(tail), rep.Races)
+		}
+	}
 }
 
 // TestBlockFramingSpansBlocks forces multi-block streams and checks the
 // decoder's cross-block state (delta caches, create counter) survives.
-func TestBlockFramingSpansBlocks(t *testing.T) {
-	big := func(t *detect.Task) {
-		for i := 0; i < 200_000; i++ {
-			// Three strides that never coalesce: fills blocks fast.
-			t.Read(uint64(1 + i))
-			t.Read(uint64(1_000_000 + i*3))
-			t.Write(uint64(9_000_000 + i*5))
-		}
+// strides is a multi-block stream of nothing but single-word accesses:
+// three strides that never coalesce fill blocks fast.
+func strides(t *detect.Task) {
+	for i := 0; i < 200_000; i++ {
+		t.Read(uint64(1 + i))
+		t.Read(uint64(1_000_000 + i*3))
+		t.Write(uint64(9_000_000 + i*5))
 	}
-	raw, err := RecordBytes(big)
+}
+
+func TestBlockFramingSpansBlocks(t *testing.T) {
+	raw, err := RecordBytes(strides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +433,7 @@ func TestBlockFramingSpansBlocks(t *testing.T) {
 		t.Fatalf("accesses = %d, want 600000", st.Accesses)
 	}
 	cfg := detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull}
-	direct := detect.NewEngine(cfg).Run(big)
+	direct := detect.NewEngine(cfg).Run(strides)
 	rep, err := ReplayBytes(raw, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -284,6 +284,35 @@ func BenchmarkAccessHistoryRange(b *testing.B) {
 		})
 		b.ReportMetric(float64(passes*words), "words/op")
 	})
+	b.Run("sharedscan", func(b *testing.B) {
+		// The pagerank shape: k futures write 64-word blocks in stripes,
+		// then k spawned readers each read the whole region once. Every
+		// reader meets runs of 64 words in one shadow state, broken only
+		// at the writer blocks' edges.
+		const k, blk = 16, 64
+		arr := futurerd.NewArray[int64](words)
+		base := arr.Addr(0)
+		b.ResetTimer()
+		run(b, func(t *futurerd.Task) {
+			futs := make([]futurerd.Future[int], k)
+			for i := range futs {
+				futs[i] = futurerd.Async(t, func(t *futurerd.Task) int {
+					for off := i * blk; off < words; off += k * blk {
+						t.WriteRange(base+uint64(off), blk)
+					}
+					return i
+				})
+			}
+			for _, f := range futs {
+				f.Get(t)
+			}
+			for r := 0; r < k; r++ {
+				t.Spawn(func(c *futurerd.Task) { c.ReadRange(base, words) })
+			}
+			t.Sync()
+		})
+		b.ReportMetric(float64((k+1)*words), "words/op")
+	})
 	b.Run("inflated", func(b *testing.B) {
 		// k parallel readers per word, then one ordered writer over the
 		// range: every word's reader list inflates, and the write checks

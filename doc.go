@@ -57,14 +57,18 @@
 // last-page cache, bulk ReadRange/WriteRange operations that split at page
 // boundaries and hoist the page lookup out of the per-word loop, and
 // epoch-style fast paths — a strand re-accessing a word it already owns
-// (owned epoch) or re-reading a word it was the last to read at the
-// current construct generation (read-shared epoch) skips the protocol
-// outright, and the most recent reachability verdict is memoized across
-// consecutive words with the same last writer. The fast paths are
-// verdict-preserving: they report exactly the races the paper's
-// word-at-a-time protocol reports. Prefer the bulk accessors
-// (Task.ReadRange/WriteRange, Matrix.ReadRow/WriteRow) for contiguous
-// data; they amortize hook dispatch and page lookup over the whole range.
+// (owned epoch) or re-reading a word it was the last to read, in any
+// construct generation since the word's last write (read-shared epoch),
+// skips the protocol outright, and reachability verdicts are cached per
+// event batch in a 64-entry cache keyed by the predecessor strand. A bulk
+// read runs the protocol once per run of consecutive words in the same
+// shadow state and gives the rest of the run the first word's outcome;
+// a run ends at any change of state, at a racing word, and whenever
+// sampling is armed. The fast paths are verdict-preserving: they report
+// exactly the races the paper's word-at-a-time protocol reports. Prefer
+// the bulk accessors (Task.ReadRange/WriteRange, Matrix.ReadRow/WriteRow)
+// for contiguous data; they amortize hook dispatch and page lookup over
+// the whole range.
 //
 // Config.Sampling adds an always-on front-end behind those free filters
 // for production-shaped traffic: a deterministic, seed-driven rate

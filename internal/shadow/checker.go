@@ -155,6 +155,14 @@ func (c *Checker) epochOrdered(r core.StrandID) bool {
 // at empty syncs, which mutate nothing, so the proven verdict is still in
 // force. The protocol would re-derive precisely the state the word is
 // already in.
+//
+// Run path: within a page segment, a word that needs the protocol heads a
+// run of the consecutive words after it in the same 12-byte state. The
+// head runs the protocol; the rest of the run takes the head's new state
+// and the counters the per-word protocol would give it (see readRun). A
+// run stops at the first word in another state, and there is none when
+// the head races (the words after it go one by one and report their own
+// races) or when sampling is armed.
 func (c *Checker) ReadRange(addr uint64, words int) {
 	if words <= 0 {
 		return
@@ -182,6 +190,14 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 		}
 		return
 	}
+	c.readSegments(addr, words)
+}
+
+// readSegments is ReadRange's multi-word path: one page lookup per page
+// segment, then the per-word loop over the segment's slots, settling the
+// segment's sharing memo at its end.
+func (c *Checker) readSegments(addr uint64, words int) {
+	s := c.s
 	for {
 		slot := int(addr & pageMask)
 		n := pageSize - slot
@@ -196,7 +212,7 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 			p = c.pageMiss(pn)
 		}
 		ws := p.w[slot : slot+n]
-		for i := range ws {
+		for i := 0; i < len(ws); i++ {
 			w := &ws[i]
 			switch {
 			case w.lastWriter == s:
@@ -204,7 +220,7 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 			case w.lastReader == s:
 				c.readSharedSkips++ // read epoch: s's own stamp, still proven
 			default:
-				c.readWordSlow(w, p, addr+uint64(i))
+				i += c.readRun(ws[i:], p, addr+uint64(i))
 			}
 		}
 		c.settle() // sharing never crosses a page
@@ -214,6 +230,49 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 		}
 		addr += uint64(n)
 	}
+}
+
+// readRun checks ws[0] through readWordSlow, then gives every following
+// word still in ws[0]'s old state ws[0]'s new state, and returns how many
+// words it gave it. That is exact: what readWordSlow does to a word
+// depends only on the word's state, the batch's strand and the batch's
+// memos, and ws[0] has just set those memos for this state — its writer
+// verdict is in the verdict cache (or its stamp holder in the epoch
+// memo), and the segment's sharing memo maps its old reader0 to the new
+// one. Each such word also gets the counters the per-word protocol would
+// add for it: a verdict-cache or epoch-memo hit, and a reader append or
+// one more word on the sharing memo. A racing ws[0], or an armed sampler
+// (which decides per address), leaves the following words to the caller.
+func (c *Checker) readRun(ws []word, p *page, addr uint64) int {
+	pre, events, epochHits := ws[0], len(c.events), c.epochHits
+	c.readWordSlow(&ws[0], p, addr)
+	if c.h.smp.on || len(c.events) != events {
+		return 0
+	}
+	post, run, k := ws[0], ws[1:], 0
+	for k < len(run) && run[k] == pre {
+		run[k] = post
+		k++
+	}
+	if k == 0 {
+		return 0
+	}
+	n := uint64(k)
+	if pre.lastWriter != core.NoStrand {
+		if c.epochHits != epochHits {
+			c.epochHits += n // the epoch memo answers for the same stamp holder
+		} else {
+			c.memoHits += n // the verdict cache answers for the same writer
+		}
+	}
+	switch pre.reader0 {
+	case core.NoStrand:
+		c.readerAppends += n
+	case c.s:
+	default:
+		c.share.n += n // the sharing memo's from is now pre.reader0
+	}
+	return k
 }
 
 // readWordSlow runs the read protocol for a word the strand does not own

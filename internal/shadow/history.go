@@ -23,6 +23,17 @@
 //     boundaries, test the last-page cache inline, and run a tight
 //     per-word loop over the page's slot array.
 //
+//   - Run-at-a-time reads: in a multi-word read, a word that needs the
+//     protocol heads a run of the following words of its page segment
+//     that are in the same 12-byte state. What the protocol does to a
+//     word depends only on that state, the batch's strand and the
+//     batch's memos, which the head has just set for this state, so the
+//     rest of the run takes the head's new state and its word-logical
+//     counters without repeating the protocol. A run stops at any change
+//     of state; a racing head starts none (the words after it are
+//     checked one by one), and neither does any read while sampling is
+//     armed, since the sampler decides per address.
+//
 //   - Epoch-style ownership: a strand re-accessing a word it already owns
 //     (it is the last writer, and for writes no readers intervened) is
 //     race-free by definition and skips the protocol entirely — the

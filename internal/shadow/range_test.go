@@ -397,8 +397,13 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 		// straddle it.
 		addr := uint64(pageSize) - 16 + next(32)
 		words := int(next(20)) + 1
-		if next(8) == 0 {
+		switch next(8) {
+		case 0:
 			words = 0 // exercise the empty-range path
+		case 1:
+			// A long range: runs of equal words outlast the verdict cache
+			// and cross the page boundary.
+			words = int(next(300)) + 1
 		}
 		// A read-only opening phase grows long reader lists on fresh
 		// words; afterwards writes deflate them and reads re-inflate.

@@ -19,13 +19,6 @@ type Fut = detect.Fut
 // Config configures a detection run.
 type Config = detect.Config
 
-// Sampling configures the always-on tier-1 access sampler
-// (Config.Sampling): a deterministic rate plus an optional per-page
-// per-generation budget bound the fraction of accesses that pay full
-// protocol cost. Sampled runs report a subset of full detection's races —
-// never a superset — and Rate 1.0 is identical to full detection.
-type Sampling = detect.Sampling
-
 // Report is the outcome of a detection run.
 type Report = detect.Report
 

@@ -60,37 +60,35 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 	}
 	s := m.Stats
 	return map[string]uint64{
-		"spawns":             s.Spawns,
-		"creates":            s.Creates,
-		"gets":               s.Gets,
-		"syncs":              s.Syncs,
-		"strands":            uint64(s.Strands),
-		"functions":          uint64(s.Functions),
-		"races":              s.RaceCount,
-		"reach.queries":      s.Reach.Queries,
-		"reach.finds":        s.Reach.Finds,
-		"reach.unions":       s.Reach.Unions,
-		"reach.attached":     s.Reach.AttachedSets,
-		"reach.rarcs":        s.Reach.RArcs,
-		"reach.clockcmps":    s.Reach.ClockCompares,
-		"reach.clockinfl":    s.Reach.ClockInflations,
-		"reach.clockbytes":   s.Reach.ClockBytes,
-		"reach.clockwidth":   s.Reach.ClockWidth,
-		"shadow.reads":       s.Shadow.Reads,
-		"shadow.writes":      s.Shadow.Writes,
-		"shadow.appends":     s.Shadow.ReaderAppends,
-		"shadow.flushes":     s.Shadow.ReaderFlushes,
-		"shadow.pages":       s.Shadow.TouchedPages,
-		"shadow.owned":       s.Shadow.OwnedSkips,
-		"shadow.readshared":  s.Shadow.ReadSharedSkips,
-		"shadow.memo":        s.Shadow.MemoHits,
-		"shadow.epochhits":   s.Shadow.EpochHits,
-		"shadow.inflations":  s.Shadow.EpochInflations,
-		"shadow.deflations":  s.Shadow.EpochDeflations,
-		"shadow.spill":       s.Shadow.SpillEntries,
-		"shadow.sampled":     s.Shadow.SampledAccesses,
-		"shadow.budgetskips": s.Shadow.SkippedByBudget,
-		"event.batches":      s.Event.Batches,
+		"spawns":            s.Spawns,
+		"creates":           s.Creates,
+		"gets":              s.Gets,
+		"syncs":             s.Syncs,
+		"strands":           uint64(s.Strands),
+		"functions":         uint64(s.Functions),
+		"races":             s.RaceCount,
+		"reach.queries":     s.Reach.Queries,
+		"reach.finds":       s.Reach.Finds,
+		"reach.unions":      s.Reach.Unions,
+		"reach.attached":    s.Reach.AttachedSets,
+		"reach.rarcs":       s.Reach.RArcs,
+		"reach.clockcmps":   s.Reach.ClockCompares,
+		"reach.clockinfl":   s.Reach.ClockInflations,
+		"reach.clockbytes":  s.Reach.ClockBytes,
+		"reach.clockwidth":  s.Reach.ClockWidth,
+		"shadow.reads":      s.Shadow.Reads,
+		"shadow.writes":     s.Shadow.Writes,
+		"shadow.appends":    s.Shadow.ReaderAppends,
+		"shadow.flushes":    s.Shadow.ReaderFlushes,
+		"shadow.pages":      s.Shadow.TouchedPages,
+		"shadow.owned":      s.Shadow.OwnedSkips,
+		"shadow.readshared": s.Shadow.ReadSharedSkips,
+		"shadow.memo":       s.Shadow.MemoHits,
+		"shadow.epochhits":  s.Shadow.EpochHits,
+		"shadow.inflations": s.Shadow.EpochInflations,
+		"shadow.deflations": s.Shadow.EpochDeflations,
+		"shadow.spill":      s.Shadow.SpillEntries,
+		"event.batches":     s.Event.Batches,
 	}
 }
 

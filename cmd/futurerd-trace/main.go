@@ -165,15 +165,10 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 		fmt.Printf("owned skips     %d\n", s.Shadow.OwnedSkips)
 		fmt.Printf("rd-shared skips %d\n", s.Shadow.ReadSharedSkips)
 		fmt.Printf("memo hits       %d\n", s.Shadow.MemoHits)
-		// The filter tiers in the order an access meets them. The sampler
-		// tier shows only when sampling is armed (its counters are zero
-		// otherwise).
-		fmt.Printf("filter funnel   accesses %d > owned %d > rd-shared %d > epoch %d",
-			s.Shadow.Reads+s.Shadow.Writes, s.Shadow.OwnedSkips, s.Shadow.ReadSharedSkips, s.Shadow.EpochHits)
-		if s.Shadow.SampledAccesses+s.Shadow.SkippedByBudget > 0 {
-			fmt.Printf(" > sampled %d", s.Shadow.SampledAccesses)
-		}
-		fmt.Printf(" > memo %d > queries %d\n", s.Shadow.MemoHits, s.Reach.Queries)
+		// The filter tiers in the order an access meets them.
+		fmt.Printf("filter funnel   accesses %d > owned %d > rd-shared %d > epoch %d > memo %d > queries %d\n",
+			s.Shadow.Reads+s.Shadow.Writes, s.Shadow.OwnedSkips, s.Shadow.ReadSharedSkips, s.Shadow.EpochHits,
+			s.Shadow.MemoHits, s.Reach.Queries)
 		fmt.Printf("batches         %d sealed\n", s.Event.Batches)
 	}
 	for _, r := range rep.Races {

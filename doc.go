@@ -63,22 +63,12 @@
 // event batch in a 64-entry cache keyed by the predecessor strand. A bulk
 // read runs the protocol once per run of consecutive words in the same
 // shadow state and gives the rest of the run the first word's outcome;
-// a run ends at any change of state, at a racing word, and whenever
-// sampling is armed. The fast paths are verdict-preserving: they report
-// exactly the races the paper's word-at-a-time protocol reports. Prefer
-// the bulk accessors (Task.ReadRange/WriteRange, Matrix.ReadRow/WriteRow)
-// for contiguous data; they amortize hook dispatch and page lookup over
-// the whole range.
-//
-// Config.Sampling adds an always-on front-end behind those free filters
-// for production-shaped traffic: a deterministic, seed-driven rate
-// admits a fraction of the remaining protocol-bound accesses, and an
-// optional per-page budget (refreshed each construct generation) bounds
-// hot-page cost to O(1) sampled accesses per page per epoch. Unsampled
-// accesses skip only the verdict query — they still install their shadow
-// state — so a sampled run reports a subset of full detection's races,
-// never a superset, and Rate 1.0 is verdict- and counter-identical to
-// full detection. See the Sampling type.
+// a run ends at any change of state and at a racing word. Every access
+// that no fast path resolves runs the full protocol. The fast paths are
+// verdict-preserving: they report exactly the races the paper's
+// word-at-a-time protocol reports. Prefer the bulk accessors
+// (Task.ReadRange/WriteRange, Matrix.ReadRow/WriteRow) for contiguous
+// data; they amortize hook dispatch and page lookup over the whole range.
 //
 // # Event pipeline
 //

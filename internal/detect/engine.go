@@ -26,12 +26,6 @@ var ErrFutureNotReady = errors.New("get_fut on a future that has not completed; 
 var errMemFullNeedsMode = errors.New(
 	"Config.Mem=MemFull requires a detection mode (use MemInstr for instrumentation-only runs)")
 
-// errBadSampling is wrapped into Report.Err when Config.Sampling is
-// malformed; rejecting up front keeps a typo'd rate from silently running
-// full (or no) detection.
-var errBadSampling = errors.New(
-	"Config.Sampling.Rate must be in [0, 1] (0 disables sampling) and Budget must be >= 0")
-
 // engineFailure carries an engine error through panic/recover without
 // masking genuine panics from user code.
 type engineFailure struct{ err error }
@@ -192,13 +186,6 @@ func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 	if e.maxRaces <= 0 {
 		e.maxRaces = DefaultMaxRaces
 	}
-	if s := cfg.Sampling; s.Rate < 0 || s.Rate > 1 || s.Rate != s.Rate || s.Budget < 0 {
-		// (Rate != Rate rejects NaN.) Fail the run closed before any
-		// pipeline state exists; Run returns the report with this error.
-		e.err = fmt.Errorf("detect: %w", errBadSampling)
-		e.detecting = false
-		return e
-	}
 	if !e.detecting {
 		switch cfg.Mem {
 		case MemFull:
@@ -265,11 +252,6 @@ func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 	}
 	e.hist = shadow.NewHistory()
 	e.hist.SetFaults(tu.Faults)
-	if e.detecting && cfg.Mem == MemFull && cfg.Sampling.Rate > 0 {
-		// Tier-1 sampling sits between the shadow layer's free skips and
-		// the protocol; it only exists where the protocol runs.
-		e.hist.SetSampling(cfg.Sampling.Rate, cfg.Sampling.Budget, cfg.Sampling.Seed)
-	}
 	e.batch = event.New()
 	if cfg.Consumers <= 0 {
 		e.chk = shadow.NewChecker(e.hist)

@@ -124,13 +124,6 @@ type Config struct {
 	// cannot stall between stages and is unaffected.
 	StallTimeout time.Duration
 
-	// Sampling, when Rate > 0, arms the always-on sampling front-end: a
-	// deterministic tier between the shadow layer's free skips and the
-	// detection protocol that bounds per-access cost for production
-	// traffic. See the Sampling type; the zero value keeps full detection.
-	// Only meaningful under MemFull (the other levels run no protocol).
-	Sampling Sampling
-
 	// OnRace, if non-nil, is called for each distinct race as found,
 	// always before Run returns and in report order. With Consumers >= 1
 	// detection runs on the async consumer overlapping program execution,
@@ -143,43 +136,6 @@ type Config struct {
 
 // DefaultMaxRaces bounds report size when MaxRaces is unset.
 const DefaultMaxRaces = 64
-
-// Sampling configures the tier-1 access sampler, the always-on front-end
-// between the shadow layer's free skips and the detection protocol. The
-// filter stack per access, cheapest first: owned-word skip → read-epoch
-// skip → epoch verdict transfer (tier 0, always run, verdicts proven) →
-// sampler (tier 1) → full protocol. Only accesses that would otherwise
-// pay a real reachability query consult the sampler.
-//
-// Sampling is sound-for-reports by construction: unsampled accesses skip
-// the race verdict but still install their writer/reader shadow state, so
-// every race a sampled run reports is a race full detection reports —
-// sampling can only miss races, never invent them. Rate 1.0 with Budget 0
-// is verdict-, order- and counter-identical to full detection (only the
-// SampledAccesses counter is new); the detection-rate trade-off at lower
-// rates is measured by the futurerd-bench `sample` table.
-type Sampling struct {
-	// Rate in (0, 1] is the fraction of protocol-bound accesses admitted
-	// to the full query path, decided by a deterministic hash of
-	// (Seed, address, construct generation) — no randomness, so the
-	// admitted set is identical across runs and across both pipelines.
-	// Rate 0 (the zero value)
-	// disables sampling entirely. Rates outside [0, 1] are a
-	// configuration error.
-	Rate float64
-
-	// Budget, when > 0, additionally bounds admissions per shadow page
-	// per construct generation with a coupon refreshed at each new
-	// generation, so repeated hot-page traffic converges to O(1) sampled
-	// accesses per page per epoch regardless of Rate. One checker sees
-	// every access in seal order in either pipeline, so budgeted runs are
-	// deterministic too. 0 means unlimited.
-	Budget int
-
-	// Seed drives the deterministic admission hash; two runs with the
-	// same seed sample the same accesses.
-	Seed uint64
-}
 
 // Race describes one determinacy race: two logically parallel accesses to
 // the same location, at least one a write. Curr is always the later access

@@ -162,7 +162,7 @@ func (c *Checker) epochOrdered(r core.StrandID) bool {
 // and the counters the per-word protocol would give it (see readRun). A
 // run stops at the first word in another state, and there is none when
 // the head races (the words after it go one by one and report their own
-// races) or when sampling is armed.
+// races).
 func (c *Checker) ReadRange(addr uint64, words int) {
 	if words <= 0 {
 		return
@@ -185,7 +185,7 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 		case w.lastReader == s:
 			c.readSharedSkips++ // read epoch: s's own stamp, still proven
 		default:
-			c.readWordSlow(w, p, addr)
+			c.readWordSlow(w, addr)
 			c.settle()
 		}
 		return
@@ -220,7 +220,7 @@ func (c *Checker) readSegments(addr uint64, words int) {
 			case w.lastReader == s:
 				c.readSharedSkips++ // read epoch: s's own stamp, still proven
 			default:
-				i += c.readRun(ws[i:], p, addr+uint64(i))
+				i += c.readRun(ws[i:], addr+uint64(i))
 			}
 		}
 		c.settle() // sharing never crosses a page
@@ -241,12 +241,12 @@ func (c *Checker) readSegments(addr uint64, words int) {
 // memo), and the segment's sharing memo maps its old reader0 to the new
 // one. Each such word also gets the counters the per-word protocol would
 // add for it: a verdict-cache or epoch-memo hit, and a reader append or
-// one more word on the sharing memo. A racing ws[0], or an armed sampler
-// (which decides per address), leaves the following words to the caller.
-func (c *Checker) readRun(ws []word, p *page, addr uint64) int {
+// one more word on the sharing memo. A racing ws[0] leaves the following
+// words to the caller.
+func (c *Checker) readRun(ws []word, addr uint64) int {
 	pre, events, epochHits := ws[0], len(c.events), c.epochHits
-	c.readWordSlow(&ws[0], p, addr)
-	if c.h.smp.on || len(c.events) != events {
+	c.readWordSlow(&ws[0], addr)
+	if len(c.events) != events {
 		return 0
 	}
 	post, run, k := ws[0], ws[1:], 0
@@ -284,17 +284,10 @@ func (c *Checker) readRun(ws []word, p *page, addr uint64) int {
 // for this strand. Either way a race-free completion appends the strand
 // to the reader list and re-stamps, so the word's racer-identity state
 // matches the reference protocol exactly.
-//
-// With sampling armed, a read the free tiers could not resolve consults
-// the sampler before paying the writer query; an unsampled read skips the
-// verdict (a race here is missed) but still installs its reader state
-// below, so later sampled queries see exact racer identity.
-func (c *Checker) readWordSlow(w *word, p *page, addr uint64) {
+func (c *Checker) readWordSlow(w *word, addr uint64) {
 	if w.lastWriter != core.NoStrand {
 		if r := w.lastReader; r != core.NoStrand && c.epochOrdered(r) {
 			c.epochHits++ // stamp verdict transfer: no writer query
-		} else if c.h.smp.on && !c.sampleSlow(p, addr) {
-			// Unsampled: fall through to the install below.
 		} else if !c.precedes(w.lastWriter) {
 			c.events = append(c.events, RaceEvent{addr, Racer{Prev: w.lastWriter, PrevWrite: true}, false})
 			return // racy read is not appended (reference protocol), not stamped
@@ -336,7 +329,7 @@ func (c *Checker) WriteRange(addr uint64, words int) {
 			w.lastWriter = s
 			c.ownedSkips++
 		} else {
-			c.writeSlow(w, p, addr)
+			c.writeSlow(w, addr)
 		}
 		return
 	}
@@ -364,7 +357,7 @@ func (c *Checker) WriteRange(addr uint64, words int) {
 				w.lastWriter = s
 				c.ownedSkips++
 			} else {
-				c.writeSlow(w, p, addr+uint64(i))
+				c.writeSlow(w, addr+uint64(i))
 			}
 		}
 		words -= n
@@ -378,16 +371,7 @@ func (c *Checker) WriteRange(addr uint64, words int) {
 // writeSlow is the full write protocol for one word. Like the reference
 // Write, a racing write installs itself after reporting so one logical
 // race cannot re-report on every later access of the address.
-//
-// With sampling armed, the sampler is consulted before any query; an
-// unsampled write skips every verdict but still installs itself (readers
-// flushed, the strand becomes the last writer) — the exact end state of a
-// race-free protocol run, so later sampled queries are unaffected.
-func (c *Checker) writeSlow(w *word, p *page, addr uint64) {
-	if c.h.smp.on && !c.sampleSlow(p, addr) {
-		c.installWriter(w)
-		return
-	}
+func (c *Checker) writeSlow(w *word, addr uint64) {
 	s := c.s
 	if prev := w.lastWriter; prev != core.NoStrand && prev != s && !c.precedes(prev) {
 		c.installWriter(w)

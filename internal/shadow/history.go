@@ -31,8 +31,7 @@
 //     rest of the run takes the head's new state and its word-logical
 //     counters without repeating the protocol. A run stops at any change
 //     of state; a racing head starts none (the words after it are
-//     checked one by one), and neither does any read while sampling is
-//     armed, since the sampler decides per address.
+//     checked one by one).
 //
 //   - Epoch-style ownership: a strand re-accessing a word it already owns
 //     (it is the last writer, and for writes no readers intervened) is
@@ -172,14 +171,17 @@ var _ [1]struct{} = [unsafe.Sizeof(word{}) - WordBytes + 1]struct{}{}
 // (core.MaxStrand; the engine fails closed at the cap).
 const spillFlag core.StrandID = 1 << 31
 
-// page is one densely allocated run of shadow words plus the page-level
-// sampling coupon (a packed generation-tag + remaining-budget word, see
-// sampler.go). The struct stays pointer-free, so pages still allocate in
-// noscan spans.
+// page is one densely allocated run of shadow words and nothing else:
+// pointer-free, so it allocates in a noscan span.
 type page struct {
-	w      [pageSize]word
-	coupon uint64
+	w [pageSize]word
 }
+
+// A page is exactly its words, 48 KiB, which is a size class of its own.
+// One more page-level field would push every page into the 56 KiB class,
+// 8 KiB more per touched page; the blank array fails to compile if the
+// page layout drifts.
+var _ [1]struct{} = [unsafe.Sizeof(page{}) - pageSize*WordBytes + 1]struct{}{}
 
 // directory is one node of the flat page table's second level.
 type directory [dirSize]*page
@@ -201,10 +203,6 @@ type History struct {
 	counters
 	touchedPages uint64
 
-	// smp is the tier-1 access sampler (sampler.go); the zero value is
-	// disarmed and every access pays the full protocol.
-	smp sampler
-
 	// faults is the run's fault-injection plan (nil in production): its
 	// only probe here is PageFail, fired at page materialization to model
 	// a failed shadow allocation. See SetFaults.
@@ -225,8 +223,6 @@ type counters struct {
 	epochInflations uint64 // single-reader → inflated (first spill) transitions
 	epochDeflations uint64 // inflated → flushed (write install) transitions
 	spillEntries    uint64 // live spill entries, word-logical (a signed delta in a checker)
-	sampledAccesses uint64 // slow-path accesses admitted by the sampler
-	budgetSkips     uint64 // rate-admitted accesses denied a page coupon
 	touched         uint64 // TouchRange checksum; keeps the instr config honest
 }
 
@@ -244,8 +240,6 @@ func (c *counters) add(o *counters) {
 	c.epochInflations += o.epochInflations
 	c.epochDeflations += o.epochDeflations
 	c.spillEntries += o.spillEntries
-	c.sampledAccesses += o.sampledAccesses
-	c.budgetSkips += o.budgetSkips
 	c.touched += o.touched
 }
 
@@ -428,14 +422,6 @@ type Stats struct {
 	// consumers of Stats keep compiling.
 	ParRanges uint64
 	ParChunks uint64
-	// SampledAccesses counts slow-path accesses the tier-1 sampler
-	// admitted to the full protocol; SkippedByBudget counts rate-admitted
-	// accesses denied by an exhausted per-page coupon budget. Both are
-	// zero when sampling is disarmed, and SampledAccesses at rate 1.0
-	// (unlimited budget) equals the number of protocol-bound slow-path
-	// accesses — deterministic for every pipeline configuration.
-	SampledAccesses uint64
-	SkippedByBudget uint64
 }
 
 // Stats returns the history's counters. Called on a quiescent history
@@ -454,7 +440,5 @@ func (h *History) Stats() Stats {
 		EpochInflations: h.epochInflations,
 		EpochDeflations: h.epochDeflations,
 		SpillEntries:    h.spillEntries,
-		SampledAccesses: h.sampledAccesses,
-		SkippedByBudget: h.budgetSkips,
 	}
 }

@@ -41,10 +41,8 @@ func runRel(u, v core.StrandID) bool { return u != runRacy || v != runRacer }
 // TestRunMatchesOneWordReads: a range read that checks runs of equal
 // words at a time reports the race stream and every counter (page-cache
 // hits aside) of the same reads made one word at a time in the same
-// batches — with no epoch capability, with one that transfers for some
-// stamp holders, and with the sampler armed, which takes every word on
-// its own (at rate 1 it admits every word, so SampledAccesses counts
-// them all).
+// batches — with no epoch capability, and with one that transfers for
+// some stamp holders.
 func TestRunMatchesOneWordReads(t *testing.T) {
 	er := &epochReach{relReach: relReach{rel: runRel}, epoch: func(r, s core.StrandID) bool {
 		return r%3 == 0 && s != runRacer
@@ -52,17 +50,13 @@ func TestRunMatchesOneWordReads(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		ctx  Ctx
-		rate float64
 	}{
-		{"epoch=nil", Ctx{Reach: &relReach{rel: runRel}}, 0},
-		{"epoch=some", Ctx{Reach: er, Epoch: er}, 0},
-		{"sampled", Ctx{Reach: &relReach{rel: runRel}}, 1},
+		{"epoch=nil", Ctx{Reach: &relReach{rel: runRel}}},
+		{"epoch=some", Ctx{Reach: er, Epoch: er}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := runScript()
 			rangeH, wordH := NewHistory(), NewHistory()
-			rangeH.SetSampling(tc.rate, 0, 1)
-			wordH.SetSampling(tc.rate, 0, 1)
 			got := checkScript(NewChecker(rangeH), &tc.ctx, sc, 1, false)
 			want := checkScript(NewChecker(wordH), &tc.ctx, sc, 1, true)
 			if !reflect.DeepEqual(got, want) {

@@ -174,48 +174,6 @@ func bstDepth(sz SizeClass) int {
 	return 8
 }
 
-// armRace turns on an instance's race injection. Every workload type
-// carries an InjectRace switch; keeping the dispatch here lets callers
-// arm instances through the Benchmark constructors without naming the
-// concrete types.
-func armRace(ins Instance) Instance {
-	switch v := ins.(type) {
-	case *LCS:
-		v.InjectRace = true
-	case *SW:
-		v.InjectRace = true
-	case *MM:
-		v.InjectRace = true
-	case *Heartwall:
-		v.InjectRace = true
-	case *Dedup:
-		v.InjectRace = true
-	case *BST:
-		v.InjectRace = true
-	case *PageRank:
-		v.InjectRace = true
-	}
-	return ins
-}
-
-// Racy returns the All(sz) benchmark list with every constructor armed
-// to inject its deliberate race — the ground-truth inputs for measuring
-// detection miss rates (the bench sample table) and for tests that
-// confirm the detector sees through each benchmark's synchronization.
-func Racy(sz SizeClass) []Benchmark {
-	all := All(sz)
-	out := make([]Benchmark, 0, len(all))
-	for _, b := range all {
-		st := b.Structured
-		rb := Benchmark{Name: b.Name, Structured: func() Instance { return armRace(st()) }}
-		if g := b.General; g != nil {
-			rb.General = func() Instance { return armRace(g()) }
-		}
-		out = append(out, rb)
-	}
-	return out
-}
-
 // Lookup returns the benchmark with the given name.
 func Lookup(name string, sz SizeClass) (Benchmark, error) {
 	for _, b := range All(sz) {

@@ -5,8 +5,8 @@
 // Wall-clock timings vary with the machine, so a timing-based gate on
 // shared CI runners is noise. The run counters are different: for a given
 // input size, code version and (serial) configuration, the number of
-// shadow accesses, ownership skips, memo hits, epoch transfers and
-// inflations, reachability queries and races is exactly reproducible, on
+// shadow accesses, ownership skips, memo hits, reader-list inflations,
+// reachability queries and races is exactly reproducible, on
 // the inline pipeline and the async consumer alike. Any unexplained
 // change is a behavioral regression — a fast path silently disabled, a
 // protocol change leaking extra queries, a race appearing — even when the
@@ -84,7 +84,6 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 		"shadow.owned":      s.Shadow.OwnedSkips,
 		"shadow.readshared": s.Shadow.ReadSharedSkips,
 		"shadow.memo":       s.Shadow.MemoHits,
-		"shadow.epochhits":  s.Shadow.EpochHits,
 		"shadow.inflations": s.Shadow.EpochInflations,
 		"shadow.deflations": s.Shadow.EpochDeflations,
 		"shadow.spill":      s.Shadow.SpillEntries,

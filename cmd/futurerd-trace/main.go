@@ -166,8 +166,8 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 		fmt.Printf("rd-shared skips %d\n", s.Shadow.ReadSharedSkips)
 		fmt.Printf("memo hits       %d\n", s.Shadow.MemoHits)
 		// The filter tiers in the order an access meets them.
-		fmt.Printf("filter funnel   accesses %d > owned %d > rd-shared %d > epoch %d > memo %d > queries %d\n",
-			s.Shadow.Reads+s.Shadow.Writes, s.Shadow.OwnedSkips, s.Shadow.ReadSharedSkips, s.Shadow.EpochHits,
+		fmt.Printf("filter funnel   accesses %d > owned %d > rd-shared %d > memo %d > queries %d\n",
+			s.Shadow.Reads+s.Shadow.Writes, s.Shadow.OwnedSkips, s.Shadow.ReadSharedSkips,
 			s.Shadow.MemoHits, s.Reach.Queries)
 		fmt.Printf("batches         %d sealed\n", s.Event.Batches)
 	}

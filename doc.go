@@ -57,9 +57,11 @@
 // last-page cache, bulk ReadRange/WriteRange operations that split at page
 // boundaries and hoist the page lookup out of the per-word loop, and
 // epoch-style fast paths — a strand re-accessing a word it already owns
-// (owned epoch) or re-reading a word it was the last to read, in any
-// construct generation since the word's last write (read-shared epoch),
-// skips the protocol outright, and reachability verdicts are cached per
+// (owned epoch) or re-reading a word whose reader list already records
+// it, in any construct generation since the word's last write
+// (read-shared epoch), skips the protocol outright. Each shadow word is
+// 8 bytes, its last writer and first reader. Reachability verdicts are
+// cached per
 // event batch in a 64-entry cache keyed by the predecessor strand. A bulk
 // read runs the protocol once per run of consecutive words in the same
 // shadow state and gives the rest of the run the first word's outcome;

@@ -220,7 +220,7 @@ func checkValidate(opts Options, ins workloads.Instance) error {
 }
 
 // skipPct renders the fraction of full-config accesses resolved by one of
-// the shadow epoch fast paths — pick selects the counter. An access is
+// the shadow fast paths — pick selects the counter. An access is
 // counted by at most one skip counter, so each column is ≤ 100% and the
 // two columns sum to the total fast-path rate (memo hits are a per-query
 // metric and live in the JSON stats).
@@ -244,15 +244,6 @@ func readSharedPct(rep *futurerd.Report) string {
 	return skipPct(rep, func(s futurerd.Stats) uint64 { return s.Shadow.ReadSharedSkips })
 }
 
-// epochPct renders the fraction of accesses whose writer query was
-// answered by a cross-generation stamp transfer (EpochOrdered carrying a
-// prior reader's proven verdict to the current strand). Unlike owned and
-// rdshare this is not a skip — the read still appends — so the column
-// reads as "how much of the query bill the carried-forward epoch paid".
-func epochPct(rep *futurerd.Report) string {
-	return skipPct(rep, func(s futurerd.Stats) uint64 { return s.Shadow.EpochHits })
-}
-
 // footprint renders the resident shadow-memory footprint of the full
 // run: every touched shadow page holds a word record per application
 // word, plus one spill entry per reader held beyond the inline slot on
@@ -274,7 +265,7 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 	opts.defaults()
 	t := &Table{
 		Title:  title,
-		Header: []string{"bench", "baseline", "reach", "", "instr", "", "full", "", "owned", "rdshare", "epoch", "shadow"},
+		Header: []string{"bench", "baseline", "reach", "", "instr", "", "full", "", "owned", "rdshare", "shadow"},
 	}
 	var ms []Measurement
 	var reachR, instrR, fullR []float64
@@ -292,7 +283,7 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 			secs(reach), ratio(reach, base),
 			secs(instr), ratio(instr, base),
 			secs(full), ratio(full, base),
-			ownedPct(fullRep), readSharedPct(fullRep), epochPct(fullRep), footprint(fullRep),
+			ownedPct(fullRep), readSharedPct(fullRep), footprint(fullRep),
 		})
 		ms = append(ms,
 			Measurement{Figure: name, Bench: b.Name, Config: "baseline", Seconds: base.Seconds()},
@@ -317,9 +308,8 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 	t.Notes = append(t.Notes,
 		"times are seconds (min of iterations); (x) columns are overhead vs baseline;",
 		"owned/rdshare = full-config accesses resolved by the shadow owned-word and",
-		"read-shared epoch fast paths (disjoint; each access counts at most once);",
-		"epoch = accesses whose writer query a cross-generation stamp transfer paid;",
-		"shadow = resident shadow footprint (touched pages at 12 B/word + spill entries)")
+		"read-shared fast paths (disjoint; each access counts at most once);",
+		"shadow = resident shadow footprint (touched pages at 8 B/word + spill entries)")
 	return t, ms, nil
 }
 

@@ -94,33 +94,6 @@ func (m *MultiBags) inSBag(u StrandID) bool {
 	return m.tag[m.uf.Find(uint32(m.st.FnOf(u)))] == tagS
 }
 
-// EpochOrdered implements EpochConcurrent with two arms. Same-function
-// stamps transfer: strand ids within one function instance are allocated
-// in execution order, so u < v with FnOf(u) == FnOf(v) means u ≺ v
-// through the function's own continuation chain. Otherwise the bag check
-// itself — u's function currently in an S-bag — is the Precedes answer
-// for the running strand, taken without the query counter (the shadow
-// layer memoizes one EpochOrdered per stamp holder per window, where the
-// full protocol would pay one writer query per stamp-boundary).
-//
-// Soundness in both arms: on structured programs MultiBags is exact
-// (Theorem 4.2), so the stamped verdict Precedes(w, u) == true means
-// w ≺ u in the dag; u ≺ v and transitivity give w ≺ v, and — again by
-// exactness — Precedes(w, v) == true now. Outside the structured
-// discipline MultiBags' answers carry no guarantee to begin with (a
-// multi-touch get can fold an S-set that a late-joining getter's return
-// then retags P), so the epoch inherits exactly the algorithm's documented
-// program class.
-func (m *MultiBags) EpochOrdered(u, v StrandID) bool {
-	if u == NoStrand {
-		return false
-	}
-	if u < v && m.st.FnOf(u) == m.st.FnOf(v) {
-		return true
-	}
-	return m.inSBag(u)
-}
-
 // Stats implements Reach.
 func (m *MultiBags) Stats() ReachStats {
 	f, un := m.uf.Ops()

@@ -256,13 +256,6 @@ func (m *MultiBagsPlus) SyncJoin(r JoinRec) {
 // u and v are ordered in R.
 func (m *MultiBagsPlus) Precedes(u, v StrandID) bool {
 	m.queries++
-	return m.ordered(u, v)
-}
-
-// ordered is the body of Precedes without the query counter: shared by
-// Precedes and by EpochOrdered's last arm, which answers from the same
-// structures but stands in for queries rather than being one.
-func (m *MultiBagsPlus) ordered(u, v StrandID) bool {
 	if m.dsp.inSBag(u) { // lines 1–2
 		return true
 	}
@@ -292,27 +285,6 @@ func (m *MultiBagsPlus) ordered(u, v StrandID) bool {
 		return uProxied || vProxied
 	}
 	return m.r.reaches(su, sv) // line 10
-}
-
-// EpochOrdered implements EpochConcurrent. MultiBags+ is exact on every
-// forward-pointing program (Theorem 5.4), so any sufficient condition for
-// u ≺ v in the dag gives verdict transfer: the stamped Precedes(w, u) ==
-// true means w ≺ u, monotonicity gives w ≺ v, and exactness turns that
-// back into Precedes(w, v) == true. The first arm is free: u and v being
-// strands of the same function instance with u allocated first means they
-// are ordered through the function's own continuation chain. Otherwise
-// the full Precedes answer (DSP tag, then R-closure) decides — taken
-// without the query counter, because the shadow layer memoizes one
-// EpochOrdered per stamp holder per window where the reference protocol
-// would pay one writer query per stamp-boundary.
-func (m *MultiBagsPlus) EpochOrdered(u, v StrandID) bool {
-	if u == NoStrand {
-		return false
-	}
-	if u < v && m.st.FnOf(u) == m.st.FnOf(v) {
-		return true
-	}
-	return m.ordered(u, v)
 }
 
 // Stats implements Reach.

@@ -125,22 +125,6 @@ func (m *SPBags) Precedes(u, _ StrandID) bool {
 	return m.tag[m.uf.Find(m.anchor[m.st.FnOf(u)])] == tagS
 }
 
-// EpochOrdered implements EpochConcurrent: same-function stamps transfer.
-// If r and s belong to the same function instance F and r executed first
-// (strand ids within one function are allocated in execution order), then
-// between r's read and s's read execution stayed inside F's subtree — F
-// cannot return and resume. SP-Bags sets only ever gain members that have
-// already returned (a child's S-bag moves into the parent's P-bag at the
-// child's return, and P-bags fold into S-bags at the live parent's
-// sync/get, retagging S), so a set that was S-tagged at r's read cannot be
-// retagged P before s's read: the only S→P transition is Return, and every
-// member that could still return is a live ancestor of F. SP-Bags' verdict
-// for the word's writer therefore cannot have flipped — on any program,
-// futures included.
-func (m *SPBags) EpochOrdered(u, v StrandID) bool {
-	return u != NoStrand && u < v && m.st.FnOf(u) == m.st.FnOf(v)
-}
-
 // Stats implements Reach.
 func (m *SPBags) Stats() ReachStats {
 	f, un := m.uf.Ops()

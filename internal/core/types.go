@@ -127,36 +127,6 @@ type Reach interface {
 	Stats() ReachStats
 }
 
-// EpochConcurrent is the optional capability interface behind the shadow
-// layer's carried-forward read epoch. EpochOrdered(r, s) is a cheap,
-// query-free sufficient condition for r ≺ s that additionally promises
-// *verdict transfer*: whenever it returns true, every strand w for which
-// this algorithm's Precedes(w, r) returned true while r was the executing
-// strand would also get Precedes(w, s) == true now. The shadow layer uses
-// that promise to skip the writer-side reachability query on a word whose
-// last race-free reader was r — the stamp "carries forward" across
-// construct generations instead of dying at every spawn/join.
-//
-// The contract is strictly stronger than plain reachability: for an
-// algorithm that is exact on its program class (MultiBags on structured
-// programs, MultiBags+ on all forward-pointing programs), r ≺ s plus dag
-// monotonicity gives the transfer for free; for an approximate algorithm
-// (SP-Bags on futures) the implementation must only answer true when its
-// own internal verdict provably cannot have flipped between r's read and
-// s's. False negatives are always safe — the caller falls back to the
-// full Precedes.
-//
-// s must be the currently executing strand (same restriction as Precedes);
-// r must be a strand that completed a race-free read earlier. Calls come
-// from the goroutine that checks batches, between construct mutations,
-// like Precedes, and must not count toward ReachStats.Queries — they
-// replace queries rather than add to them.
-type EpochConcurrent interface {
-	// EpochOrdered reports whether the stamp of reader r transfers its
-	// race-free verdict to the current strand s.
-	EpochOrdered(r, s StrandID) bool
-}
-
 // ReachStats aggregates data-structure traffic for reporting.
 type ReachStats struct {
 	Finds         uint64 // union-find Find operations
@@ -177,8 +147,8 @@ type ReachStats struct {
 
 	// Vector-clock back-end counters (VectorClocks only; zero elsewhere,
 	// just as the bag counters above stay zero on VectorClocks runs).
-	// ClockCompares counts epoch/clock comparisons — every Precedes and
-	// every EpochOrdered resolves in exactly one — while ClockInflations
+	// ClockCompares counts epoch/clock comparisons — every Precedes
+	// resolves in exactly one — while ClockInflations
 	// and ClockBytes size the full-vector materializations that real
 	// fan-in forces, and ClockWidth is the slot high-water mark: how many
 	// clock columns were ever live at once (live parallelism, not total

@@ -86,7 +86,7 @@ type VectorClocks struct {
 	liveHW int
 
 	queries    uint64 // Precedes calls
-	compares   uint64 // epoch/clock comparisons (Precedes + EpochOrdered)
+	compares   uint64 // epoch/clock comparisons, one per Precedes
 	inflations uint64
 	clockBytes uint64
 	fns        uint64
@@ -307,9 +307,10 @@ func (v *VectorClocks) join(branch, cur, next StrandID) {
 	v.retire(b.own.slot, b.own.tick)
 }
 
-// ordered is the one clock comparison behind Precedes and EpochOrdered:
-// u ≼ v iff v's clock has reached u's epoch.
-func (v *VectorClocks) ordered(u, w StrandID) bool {
+// Precedes implements Reach with one clock comparison: u ≼ w iff w's
+// clock has reached u's epoch.
+func (v *VectorClocks) Precedes(u, w StrandID) bool {
+	v.queries++
 	v.compares++
 	reps := v.reps
 	ru, rw := &reps[u], &reps[w]
@@ -321,24 +322,6 @@ func (v *VectorClocks) ordered(u, w StrandID) bool {
 	}
 	b := v.vecs[rw.base]
 	return int(ru.own.slot) < len(b) && ru.own.tick <= b[ru.own.slot]
-}
-
-// Precedes implements Reach.
-func (v *VectorClocks) Precedes(u, w StrandID) bool {
-	v.queries++
-	return v.ordered(u, w)
-}
-
-// EpochOrdered implements EpochConcurrent: the same clock comparison,
-// without the query counter (stamp transfers replace queries rather than
-// add to them). The verdict-transfer promise holds because the clocks are
-// exact on all forward-pointing programs: r ≺ s plus dag monotonicity
-// means any w with Precedes(w, r) == true also has Precedes(w, s) == true.
-func (v *VectorClocks) EpochOrdered(r, s StrandID) bool {
-	if r == NoStrand {
-		return false
-	}
-	return v.ordered(r, s)
 }
 
 // Stats implements Reach. The bag-probe counters (Finds, Unions,

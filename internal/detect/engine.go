@@ -47,23 +47,15 @@ type Engine struct {
 	// lowered only by tests to reach the cap without 2^31 constructs.
 	maxStrand core.StrandID
 
-	// sctx is the shadow-layer context prototype: the reachability
-	// structure (queried directly, no per-query closure) and its
-	// epoch-transfer capability. It is immutable after construction;
-	// process copies it and fills in the batch's own generation, so the
-	// consumer never reads engine-mutated state.
-	sctx shadow.Ctx
-
 	// chk is the inline pipeline's shadow checker (nil with Consumers >= 1,
 	// where the consumer owns the run's checker).
 	chk *shadow.Checker
 
 	// gen is the parallel-construct generation, bumped at every construct
 	// — exactly when the reachability relation can mutate or the current
-	// strand changes — so the shadow layer's memoized Precedes verdicts
-	// and read-shared stamps, keyed on (Gen, strand), can never outlive
-	// the relation they were computed under. Engine goroutine only;
-	// batches carry their generation to the back-end.
+	// strand changes. Engine goroutine only; batches carry their
+	// generation to the back-end, which names it in PipelineError
+	// snapshots.
 	gen uint64
 
 	// vr, when non-nil (detecting with the async consumer), is the
@@ -226,15 +218,6 @@ func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 		}
 	}
 	e.raceSeen = make(map[uint64]uint64)
-	e.sctx.Reach = e.reach
-	// The carried-forward read epoch engages only when the algorithm
-	// offers verdict transfer. The oracle recorder and the Verify
-	// cross-check wrapper don't, so verified runs exercise the full
-	// protocol on every stamped word — the differential arms compare
-	// epoch-on runs against them.
-	if ec, ok := e.reach.(core.EpochConcurrent); ok {
-		e.sctx.Epoch = ec
-	}
 	e.initPipeline(cfg, tu)
 	return e
 }
@@ -254,7 +237,7 @@ func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 	e.hist.SetFaults(tu.Faults)
 	e.batch = event.New()
 	if cfg.Consumers <= 0 {
-		e.chk = shadow.NewChecker(e.hist)
+		e.chk = shadow.NewChecker(e.hist, e.reach)
 		return
 	}
 	if e.detecting {
@@ -811,9 +794,7 @@ func (e *Engine) process(c *shadow.Checker, it workItem) {
 		panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
 	}
 	e.faults.Delay(faultinject.ConsumerStall)
-	ctx := e.sctx
-	ctx.Gen = b.Gen
-	c.Begin(&ctx, b.Strand)
+	c.Begin(b.Strand)
 	if e.mem == MemFull {
 		for i := range b.Ops {
 			op := &b.Ops[i]

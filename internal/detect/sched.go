@@ -178,7 +178,7 @@ func (p *pipeline) stop() {
 func (p *pipeline) consume() {
 	defer close(p.done)
 	e := p.e
-	chk := shadow.NewChecker(e.hist)
+	chk := shadow.NewChecker(e.hist, e.reach)
 	for it := range p.items {
 		if !p.failed() {
 			p.hbDispatched.Add(1)

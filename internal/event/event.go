@@ -60,9 +60,9 @@ type Batch struct {
 	// Strand is the strand that performed every op in the batch (the
 	// current strand can only change at a construct, which seals).
 	Strand core.StrandID
-	// Gen is the engine's construct generation the ops executed under; it
-	// keys the shadow layer's memoized verdicts and read-shared stamps.
-	// Stamped at seal time, when the batch leaves the engine goroutine.
+	// Gen is the engine's construct generation the ops executed under,
+	// reported in PipelineError snapshots. Stamped at seal time, when the
+	// batch leaves the engine goroutine.
 	Gen uint64
 	// Version is the reachability-relation version (count of construct
 	// mutations recorded) the ops executed under. The async consumer

@@ -101,18 +101,17 @@ type Options struct {
 	// locations: many strands repeatedly re-reading overlapping shared
 	// ranges, with writes rare enough that reader lists survive across
 	// construct windows. This is the traffic shape of the shadow layer's
-	// read-shared epoch fast path, so differential arms with ReadHeavy
-	// pin that path (serial, worker-pool, and replay alike) against the
-	// reference protocol and the oracle.
+	// read-shared fast path, so differential arms with ReadHeavy pin that
+	// path (inline, async, and replay alike) against the reference
+	// protocol and the oracle.
 	ReadHeavy bool
 
 	// ConstructDense doubles the spawn and sync weight of the statement
 	// mix (while keeping a read-leaning access profile), so construct
 	// generations bump every few statements and most re-reads land in a
-	// later generation than the stamp they hope to ride. This is the
-	// traffic shape of the carried-forward read epoch: differential arms
-	// combining ConstructDense with ReadHeavy pin the cross-generation
-	// stamp transfer against the reference protocol and the oracle.
+	// later generation than the read that recorded the strand. Differential
+	// arms combining ConstructDense with ReadHeavy pin the cross-generation
+	// read-shared skip against the reference protocol and the oracle.
 	ConstructDense bool
 
 	// PageSpread gives every spawned/created function body its own
@@ -242,7 +241,7 @@ func (g *generator) genStmt(depth int, fr *frame) Stmt {
 	// extra reads (12:2:2:1:2:1), so reader lists pile up and survive
 	// across construct windows. Construct-dense programs instead trade
 	// reads for spawns and syncs (10:2:4:1:1:2), so generations bump every
-	// few statements and stamped verdicts must carry across them.
+	// few statements and recorded read verdicts must carry across them.
 	readCut, writeCut, spawnCut, createCut, getCut := 7, 12, 15, 17, 19
 	if g.opts.ReadHeavy {
 		readCut, writeCut, spawnCut, createCut, getCut = 12, 14, 16, 17, 19

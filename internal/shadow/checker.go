@@ -3,36 +3,21 @@
 //
 // The engine checks sealed batches of range accesses. Every op of a batch
 // was made by one strand under one construct generation, so a Checker
-// works batch by batch: Begin pins the batch's strand and generation and
-// empties the per-batch caches, the ops run, and End folds the checker's
-// counters into the History. Race events are buffered with their access
+// works batch by batch: Begin pins the batch's strand and empties the
+// per-batch caches, the ops run, and End folds the checker's counters
+// into the History. Race events are buffered with their access
 // kind as they are found and handed back through Events, so the caller
 // decides where and when they are delivered.
 //
 // A run owns one checker, on the engine goroutine in the inline pipeline
 // or on the async consumer, so nothing on the per-word path locks.
 // Everything a checker keeps between ops is its own: its last-page cache
-// (kept across batches — pages never move), its verdict cache, epoch memo
-// and scan memo (reset every batch), its segment transition memo, its
-// counters and its event buffer.
+// (kept across batches — pages never move), its verdict cache and scan
+// memo (reset every batch), its segment transition memo, its counters and
+// its event buffer.
 package shadow
 
 import "futurerd/internal/core"
-
-// Ctx bundles the reachability context of one batch: the reachability
-// structure (queried directly, no per-query closure), the algorithm's
-// epoch-transfer capability, and the construct generation the batch ran
-// under. The engine keeps one prototype per run and fills in Gen per
-// batch.
-type Ctx struct {
-	Reach core.Reach
-	Gen   uint64
-	// Epoch is the algorithm's epoch-transfer capability, or nil when the
-	// algorithm does not offer one (the oracle recorder, the verify
-	// cross-check); nil disables stamp verdict transfer and every
-	// different-reader stamp falls back to the full writer query.
-	Epoch core.EpochConcurrent
-}
 
 // RaceEvent is one race found while checking a batch: the racing word,
 // the earlier access it raced with, and the kind of the batch's own
@@ -47,21 +32,18 @@ type RaceEvent struct {
 // batch at a time against a History. Checkers are single-goroutine; call
 // Begin, the ops, then End for each batch.
 type Checker struct {
-	h   *History
-	ctx Ctx
-	s   core.StrandID
+	h     *History
+	reach core.Reach // queried directly, no per-query closure
+	s     core.StrandID
 
 	// Last-page cache: valid whenever lastPage != nil.
 	lastPN   uint64
 	lastPage *page
 
-	// Verdict cache and epoch-transfer memo. Gen and the current strand
-	// are fixed for the whole batch, so both are keyed by the predecessor
-	// strand alone and reset by Begin.
-	verdicts   verdictCache
-	epochValid bool
-	epochSrc   core.StrandID
-	epochOK    bool
+	// Verdict cache. The relation and the current strand are fixed for
+	// the whole batch, so it is keyed by the predecessor strand alone and
+	// reset by Begin.
+	verdicts verdictCache
 
 	// share is the reader-list transition memo of the page segment being
 	// read, settled at the segment's end; scans is the write-side scan
@@ -75,20 +57,18 @@ type Checker struct {
 	counters
 }
 
-// NewChecker returns a checker over h.
-func NewChecker(h *History) *Checker {
-	return &Checker{h: h}
+// NewChecker returns a checker over h that asks reach whether an earlier
+// access precedes the batch's strand.
+func NewChecker(h *History, reach core.Reach) *Checker {
+	return &Checker{h: h, reach: reach}
 }
 
-// Begin starts one batch made by strand s under
-// ctx: the verdict cache and epoch memo start cold and the event buffer
-// empties. ctx is copied; it must carry the batch's construct generation
-// and the run's reachability structure.
-func (c *Checker) Begin(ctx *Ctx, s core.StrandID) {
-	c.ctx, c.s = *ctx, s
+// Begin starts one batch made by strand s: the verdict cache and the
+// scan memo start cold and the event buffer empties.
+func (c *Checker) Begin(s core.StrandID) {
+	c.s = s
 	c.verdicts.reset()
 	c.scans.reset()
-	c.epochValid = false
 	c.events = c.events[:0]
 }
 
@@ -115,24 +95,13 @@ func (c *Checker) pageMiss(pn uint64) *page {
 // precedes answers "u is sequentially before the batch's strand" through
 // the verdict cache.
 func (c *Checker) precedes(u core.StrandID) bool {
-	return c.verdicts.precedes(u, c.s, c.ctx.Reach, &c.memoHits)
+	return c.verdicts.precedes(u, c.s, c.reach, &c.memoHits)
 }
 
-// epochOrdered answers "r's read-epoch stamp transfers its race-free
-// verdict to the batch's strand" through the algorithm's EpochConcurrent
-// capability, memoized on the stamp holder: a range whose words were all
-// stamped by the same earlier reader pays one EpochOrdered call.
-func (c *Checker) epochOrdered(r core.StrandID) bool {
-	if c.ctx.Epoch == nil {
-		return false
-	}
-	if c.epochValid && c.epochSrc == r {
-		return c.epochOK
-	}
-	ok := c.ctx.Epoch.EpochOrdered(r, c.s)
-	c.epochValid, c.epochSrc, c.epochOK = true, r, ok
-	return ok
-}
+// recorded reports whether the inflated reader list r0 records the
+// batch's strand: as its first or last entry, the entries
+// spillSlab.step treats as recorded.
+func (c *Checker) recorded(r0 core.StrandID) bool { return c.h.spill.recorded(r0, c.s) }
 
 // ReadRange checks reads of words consecutive addresses starting at addr
 // by the batch's strand, splitting at page boundaries so the page lookup
@@ -147,17 +116,17 @@ func (c *Checker) epochOrdered(r core.StrandID) bool {
 // first by both Read and Write — so every verdict and every reported
 // racer is unchanged.
 //
-// A read of a word the strand was the last to read is likewise skipped
-// (the read-epoch fast path), in any construct generation: its earlier
-// read already proved the word's writer precedes it, the reader list
-// already records it, any intervening write would have cleared the stamp
+// A read of a word whose reader list already records the strand is
+// likewise skipped (the read-shared fast path), in any construct
+// generation: the strand's earlier race-free read proved the word's
+// writer precedes it, any intervening write would have emptied the list
 // — and the engine only keeps a strand current across generation bumps
 // at empty syncs, which mutate nothing, so the proven verdict is still in
 // force. The protocol would re-derive precisely the state the word is
 // already in.
 //
 // Run path: within a page segment, a word that needs the protocol heads a
-// run of the consecutive words after it in the same 12-byte state. The
+// run of the consecutive words after it in the same 8-byte state. The
 // head runs the protocol; the rest of the run takes the head's new state
 // and the counters the per-word protocol would give it (see readRun). A
 // run stops at the first word in another state, and there is none when
@@ -179,11 +148,11 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 			p = c.pageMiss(pn)
 		}
 		w := &p.w[addr&pageMask]
-		switch {
+		switch r0 := w.reader0; {
 		case w.lastWriter == s:
 			c.ownedSkips++ // epoch fast path: s reads its own last write
-		case w.lastReader == s:
-			c.readSharedSkips++ // read epoch: s's own stamp, still proven
+		case r0 == s || r0&spillFlag != 0 && c.recorded(r0):
+			c.readSharedSkips++ // s's list entry: its verdict still holds
 		default:
 			c.readWordSlow(w, addr)
 			c.settle()
@@ -214,11 +183,11 @@ func (c *Checker) readSegments(addr uint64, words int) {
 		ws := p.w[slot : slot+n]
 		for i := 0; i < len(ws); i++ {
 			w := &ws[i]
-			switch {
+			switch r0 := w.reader0; {
 			case w.lastWriter == s:
 				c.ownedSkips++ // epoch fast path: s reads its own last write
-			case w.lastReader == s:
-				c.readSharedSkips++ // read epoch: s's own stamp, still proven
+			case r0 == s || r0&spillFlag != 0 && c.recorded(r0):
+				c.readSharedSkips++ // s's list entry: its verdict still holds
 			default:
 				i += c.readRun(ws[i:], addr+uint64(i))
 			}
@@ -237,14 +206,13 @@ func (c *Checker) readSegments(addr uint64, words int) {
 // words it gave it. That is exact: what readWordSlow does to a word
 // depends only on the word's state, the batch's strand and the batch's
 // memos, and ws[0] has just set those memos for this state — its writer
-// verdict is in the verdict cache (or its stamp holder in the epoch
-// memo), and the segment's sharing memo maps its old reader0 to the new
-// one. Each such word also gets the counters the per-word protocol would
-// add for it: a verdict-cache or epoch-memo hit, and a reader append or
-// one more word on the sharing memo. A racing ws[0] leaves the following
-// words to the caller.
+// verdict is in the verdict cache, and the segment's sharing memo maps
+// its old reader0 to the new one. Each such word also gets the counters
+// the per-word protocol would add for it: a verdict-cache hit, and a
+// reader append or one more word on the sharing memo. A racing ws[0]
+// leaves the following words to the caller.
 func (c *Checker) readRun(ws []word, addr uint64) int {
-	pre, events, epochHits := ws[0], len(c.events), c.epochHits
+	pre, events := ws[0], len(c.events)
 	c.readWordSlow(&ws[0], addr)
 	if len(c.events) != events {
 		return 0
@@ -259,41 +227,25 @@ func (c *Checker) readRun(ws []word, addr uint64) int {
 	}
 	n := uint64(k)
 	if pre.lastWriter != core.NoStrand {
-		if c.epochHits != epochHits {
-			c.epochHits += n // the epoch memo answers for the same stamp holder
-		} else {
-			c.memoHits += n // the verdict cache answers for the same writer
-		}
+		c.memoHits += n // the verdict cache answers for the same writer
 	}
-	switch pre.reader0 {
-	case core.NoStrand:
+	if pre.reader0 == core.NoStrand {
 		c.readerAppends += n
-	case c.s:
-	default:
+	} else {
 		c.share.n += n // the sharing memo's from is now pre.reader0
 	}
 	return k
 }
 
 // readWordSlow runs the read protocol for a word the strand does not own
-// (the owned-word and same-reader epoch fast paths are inlined at the
-// call sites). If a different reader's stamp is present and the
-// algorithm's EpochOrdered transfers its verdict, the writer query is
-// skipped — the stamped reader already proved the (unchanged-since)
-// writer precedes it, and the transfer promises the same verdict holds
-// for this strand. Either way a race-free completion appends the strand
-// to the reader list and re-stamps, so the word's racer-identity state
-// matches the reference protocol exactly.
+// and whose reader list does not record it (those fast paths are inlined
+// at the call sites): a read races iff the word's writer does not precede
+// the strand, and a race-free read appends the strand to the reader list.
 func (c *Checker) readWordSlow(w *word, addr uint64) {
-	if w.lastWriter != core.NoStrand {
-		if r := w.lastReader; r != core.NoStrand && c.epochOrdered(r) {
-			c.epochHits++ // stamp verdict transfer: no writer query
-		} else if !c.precedes(w.lastWriter) {
-			c.events = append(c.events, RaceEvent{addr, Racer{Prev: w.lastWriter, PrevWrite: true}, false})
-			return // racy read is not appended (reference protocol), not stamped
-		}
+	if w.lastWriter != core.NoStrand && !c.precedes(w.lastWriter) {
+		c.events = append(c.events, RaceEvent{addr, Racer{Prev: w.lastWriter, PrevWrite: true}, false})
+		return // racy read is not appended (reference protocol)
 	}
-	w.lastReader = c.s
 	c.h.spill.addShared(w, c.s, &c.share, &c.counters, &c.scans)
 }
 

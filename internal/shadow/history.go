@@ -25,7 +25,7 @@
 //
 //   - Run-at-a-time reads: in a multi-word read, a word that needs the
 //     protocol heads a run of the following words of its page segment
-//     that are in the same 12-byte state. What the protocol does to a
+//     that are in the same 8-byte state. What the protocol does to a
 //     word depends only on that state, the batch's strand and the
 //     batch's memos, which the head has just set for this state, so the
 //     rest of the run takes the head's new state and its word-logical
@@ -38,32 +38,20 @@
 //     race-free by definition and skips the protocol entirely — the
 //     FastTrack "same epoch" observation transplanted to strand ids.
 //
-//   - Carried-forward read epochs: each word additionally carries a
-//     lastReader stamp recorded when a read completes race-free, and the
-//     stamp stays valid *across* construct generations — it dies only at
-//     the next write install (spillSlab.flush), never at a spawn or join.
-//     The word's read state is a two-state machine: *single-reader* (the
-//     inline reader0 slot plus the stamp) inflating to *inflated* (the
-//     spill list, entered only on genuine read contention — a second
-//     distinct reader between writes) and deflating back on the next
-//     write-then-read cycle. The stamp is consulted twice:
-//
-//     1. A strand re-reading a word it was the last to read skips the
-//     protocol outright. The engine only keeps a strand current across a
-//     generation bump at an empty sync, which records no relation
-//     mutation, so the verdict proven at the stamp is still in force —
-//     no generation check needed.
-//
-//     2. For a different current reader s, the stamp transfers its
-//     verdict through the algorithm's EpochConcurrent capability:
-//     EpochOrdered(lastReader, s) promises that the writer-side Precedes
-//     the stamp holder proved would still answer true for s, so the
-//     writer query is skipped (counted as an epoch hit) and the word is
-//     appended/re-stamped race-free. This is FastTrack's adaptive
-//     read-epoch observation carried over to strand ids: repeated
-//     cross-generation reads of shared data, the dominant pattern in
-//     future-parallel code, cost ~0 reachability queries instead of one
-//     per (word, strand, generation).
+//   - Read-shared skips: a strand re-reading a word whose reader list
+//     already records it skips the protocol. A strand is recorded only
+//     by a race-free read, and a write install empties the list, so the
+//     word's writer was proven to precede the strand and has not changed
+//     since; the protocol would re-derive exactly the state the word is
+//     in. This holds in any later construct generation: the engine only
+//     keeps a strand current across a generation bump at an empty sync,
+//     which mutates nothing. The word's read state is a two-state machine: *single-reader*
+//     (the inline reader0 slot) inflating to *inflated* (the spill list,
+//     entered only on genuine read contention — a second distinct reader
+//     between writes) and deflating back on the next write-then-read
+//     cycle. The skip tests the entries the list's append already treats
+//     as recorded: reader0, or the first or last entry of the spill list,
+//     through a per-batch memo of the lists found to record the strand.
 //
 //   - Inflated reader lists live in a slab (spill.go), not a map: an
 //     inflated word's reader0 holds its slot index, so appending a reader,
@@ -131,36 +119,26 @@ const dirMask = dirSize - 1
 // which the library's dense allocator never produces — spill into a map.
 const maxDirs = 1 << 20
 
-// word is the shadow state of one address: the last writer, the first
-// reader since that write, and the carried-forward read-epoch stamp (the
-// most recent race-free reader) — 12 pointer-free bytes. Keeping pages
-// free of pointers matters as much as the lookup structure: a page
-// allocates in a noscan span, so the garbage collector never walks shadow
-// memory, and first-touch zeroing clears 48KB instead of a pointer-scanned
-// multiple. The uncommon case of several distinct readers between two
-// writes spills to a list in History.spill (the inflated state): reader0
-// then holds spillFlag plus the list's slot index, and the first reader
-// moves to element 0 of the list. Words of one page with equal reader
-// lists may hold the same slot; the list is copied before it changes
-// under any of them (spillSlab).
-//
-// The stamp invariant: lastReader is non-zero only if it completed a
-// race-free read of this word — meaning the word's writer at that moment
-// was proven to precede it — and no write has touched the word since
-// (installWriter clears the stamp). The stamp carries no generation: it
-// stays consultable across construct generations, and verdict transfer to
-// a different current reader goes through the algorithm's EpochOrdered
-// check (see Checker.readWordSlow).
+// word is the shadow state of one address: the last writer and the first
+// reader since that write — 8 pointer-free bytes. Keeping pages free of
+// pointers matters as much as the lookup structure: a page allocates in a
+// noscan span, so the garbage collector never walks shadow memory, and
+// first-touch zeroing clears 32KB instead of a pointer-scanned multiple.
+// The uncommon case of several distinct readers between two writes spills
+// to a list in History.spill (the inflated state): reader0 then holds
+// spillFlag plus the list's slot index, and the first reader moves to
+// element 0 of the list. Words of one page with equal reader lists may
+// hold the same slot; the list is copied before it changes under any of
+// them (spillSlab).
 type word struct {
 	lastWriter core.StrandID
 	reader0    core.StrandID
-	lastReader core.StrandID
 }
 
 // WordBytes is the resident footprint of one shadow word; the benchmark
 // harness multiplies it by the touched-page word count to report shadow
 // bytes. The blank array below fails to compile if the word layout drifts.
-const WordBytes = 12
+const WordBytes = 8
 
 var _ [1]struct{} = [unsafe.Sizeof(word{}) - WordBytes + 1]struct{}{}
 
@@ -177,8 +155,8 @@ type page struct {
 	w [pageSize]word
 }
 
-// A page is exactly its words, 48 KiB, which is a size class of its own.
-// One more page-level field would push every page into the 56 KiB class,
+// A page is exactly its words, 32 KiB, which is a size class of its own.
+// One more page-level field would push every page into the 40 KiB class,
 // 8 KiB more per touched page; the blank array fails to compile if the
 // page layout drifts.
 var _ [1]struct{} = [unsafe.Sizeof(page{}) - pageSize*WordBytes + 1]struct{}{}
@@ -219,7 +197,6 @@ type counters struct {
 	ownedSkips      uint64
 	readSharedSkips uint64
 	memoHits        uint64
-	epochHits       uint64 // reads resolved by stamp verdict transfer
 	epochInflations uint64 // single-reader → inflated (first spill) transitions
 	epochDeflations uint64 // inflated → flushed (write install) transitions
 	spillEntries    uint64 // live spill entries, word-logical (a signed delta in a checker)
@@ -236,7 +213,6 @@ func (c *counters) add(o *counters) {
 	c.ownedSkips += o.ownedSkips
 	c.readSharedSkips += o.readSharedSkips
 	c.memoHits += o.memoHits
-	c.epochHits += o.epochHits
 	c.epochInflations += o.epochInflations
 	c.epochDeflations += o.epochDeflations
 	c.spillEntries += o.spillEntries
@@ -393,17 +369,17 @@ type Stats struct {
 	// OwnedSkips counts accesses short-circuited by the epoch-style
 	// ownership fast path (no protocol run, no reachability query).
 	OwnedSkips uint64
-	// ReadSharedSkips counts reads short-circuited by the read-epoch fast
-	// path: the strand re-read a word it was the last to read, so the
-	// proven verdict was reused and no protocol ran. Disjoint from
+	// ReadSharedSkips counts reads short-circuited by the read-shared
+	// fast path: the word's reader list already recorded the strand, so
+	// its proven verdict was reused and no protocol ran. Disjoint from
 	// OwnedSkips (an access is counted by at most one skip counter).
 	ReadSharedSkips uint64
 	// MemoHits counts reachability queries answered by the per-batch
 	// verdict cache instead of the reachability structure.
 	MemoHits uint64
-	// EpochHits counts reads of a stamped word by a different strand whose
-	// writer query was skipped because the algorithm's EpochOrdered
-	// transferred the stamp holder's race-free verdict to the reader.
+	// EpochHits is always zero: it counted the reads whose writer query
+	// a removed read-epoch verdict transfer answered, and stays only so
+	// existing consumers of Stats keep compiling.
 	EpochHits uint64
 	// EpochInflations counts single-reader → inflated transitions (a
 	// word's reader list outgrowing the inline slot into the spill list);
@@ -436,7 +412,6 @@ func (h *History) Stats() Stats {
 		OwnedSkips:      h.ownedSkips,
 		ReadSharedSkips: h.readSharedSkips,
 		MemoHits:        h.memoHits,
-		EpochHits:       h.epochHits,
 		EpochInflations: h.epochInflations,
 		EpochDeflations: h.epochDeflations,
 		SpillEntries:    h.spillEntries,

@@ -118,8 +118,8 @@ func TestPagesSparse(t *testing.T) {
 		t.Fatalf("TouchedPages = %d, want 2", got)
 	}
 	// TouchRange decodes only; it must not materialize pages.
-	c := NewChecker(h)
-	c.Begin(&Ctx{}, 1)
+	c := NewChecker(h, nil)
+	c.Begin(1)
 	c.TouchRange(1<<40, 1)
 	c.End()
 	if got := h.Stats().TouchedPages; got != 2 {

@@ -41,48 +41,34 @@ func runRel(u, v core.StrandID) bool { return u != runRacy || v != runRacer }
 // TestRunMatchesOneWordReads: a range read that checks runs of equal
 // words at a time reports the race stream and every counter (page-cache
 // hits aside) of the same reads made one word at a time in the same
-// batches — with no epoch capability, and with one that transfers for
-// some stamp holders.
+// batches.
 func TestRunMatchesOneWordReads(t *testing.T) {
-	er := &epochReach{relReach: relReach{rel: runRel}, epoch: func(r, s core.StrandID) bool {
-		return r%3 == 0 && s != runRacer
-	}}
-	for _, tc := range []struct {
-		name string
-		ctx  Ctx
-	}{
-		{"epoch=nil", Ctx{Reach: &relReach{rel: runRel}}},
-		{"epoch=some", Ctx{Reach: er, Epoch: er}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sc := runScript()
-			rangeH, wordH := NewHistory(), NewHistory()
-			got := checkScript(NewChecker(rangeH), &tc.ctx, sc, 1, false)
-			want := checkScript(NewChecker(wordH), &tc.ctx, sc, 1, true)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("race streams diverged: %d range events, %d one-word events", len(got), len(want))
+	t.Run("epoch=nil", func(t *testing.T) {
+		sc := runScript()
+		reach := &relReach{rel: runRel}
+		rangeH, wordH := NewHistory(), NewHistory()
+		got := checkScript(NewChecker(rangeH, reach), sc, 1, false)
+		want := checkScript(NewChecker(wordH, reach), sc, 1, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("race streams diverged: %d range events, %d one-word events", len(got), len(want))
+		}
+		// The racer's head word of each of runRacy's blocks races, and so
+		// must the 63 words after it.
+		if n := pageSize / runBlock / runWriters * runBlock; len(got) != n {
+			t.Fatalf("%d races, want %d", len(got), n)
+		}
+		for _, ev := range got {
+			if ev.Racer != (Racer{Prev: runRacy, PrevWrite: true}) || ev.Write {
+				t.Fatalf("race %+v, want a read racing writer %d", ev, runRacy)
 			}
-			// The racer's head word of each of runRacy's blocks races, and
-			// so must the 63 words after it.
-			if n := pageSize / runBlock / runWriters * runBlock; len(got) != n {
-				t.Fatalf("%d races, want %d", len(got), n)
-			}
-			for _, ev := range got {
-				if ev.Racer != (Racer{Prev: runRacy, PrevWrite: true}) || ev.Write {
-					t.Fatalf("race %+v, want a read racing writer %d", ev, runRacy)
-				}
-			}
-			gs, ws := rangeH.Stats(), wordH.Stats()
-			gs.PageCacheHits, ws.PageCacheHits = 0, 0
-			if gs != ws {
-				t.Fatalf("counters diverged:\nrange    %+v\none-word %+v", gs, ws)
-			}
-			if gs.MemoHits == 0 || gs.SpillEntries == 0 {
-				t.Fatalf("the script missed the verdict cache or the spill lists: %+v", gs)
-			}
-			if tc.ctx.Epoch != nil && gs.EpochHits == 0 {
-				t.Fatalf("no stamp transferred: %+v", gs)
-			}
-		})
-	}
+		}
+		gs, ws := rangeH.Stats(), wordH.Stats()
+		gs.PageCacheHits, ws.PageCacheHits = 0, 0
+		if gs != ws {
+			t.Fatalf("counters diverged:\nrange    %+v\none-word %+v", gs, ws)
+		}
+		if gs.MemoHits == 0 || gs.SpillEntries == 0 {
+			t.Fatalf("the script missed the verdict cache or the spill lists: %+v", gs)
+		}
+	})
 }

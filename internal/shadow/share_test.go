@@ -75,11 +75,11 @@ func refScript(h *History, sc []access, pn uint64) []RaceEvent {
 
 // checkScript runs sc on page pn through c, one batch per op (or per word
 // when perWord is set), and returns the race events in order.
-func checkScript(c *Checker, ctx *Ctx, sc []access, pn uint64, perWord bool) []RaceEvent {
+func checkScript(c *Checker, sc []access, pn uint64, perWord bool) []RaceEvent {
 	var races []RaceEvent
 	for _, a := range sc {
 		addr := pn<<PageBits + uint64(a.off)
-		c.Begin(ctx, a.s)
+		c.Begin(a.s)
 		op := c.ReadRange
 		if a.write {
 			op = c.WriteRange
@@ -118,13 +118,13 @@ func TestSharedListsMatchReference(t *testing.T) {
 		t.Fatalf("the script raced %d times; it should race on every word at least once", len(ref))
 	}
 
-	ctx := Ctx{Reach: &relReach{rel: sharedRel}}
+	reach := &relReach{rel: sharedRel}
 	rangeH, wordH := NewHistory(), NewHistory()
-	got := checkScript(NewChecker(rangeH), &ctx, sc, 1, false)
+	got := checkScript(NewChecker(rangeH, reach), sc, 1, false)
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("race stream diverged from the reference (%d vs %d events)", len(got), len(ref))
 	}
-	if perWord := checkScript(NewChecker(wordH), &ctx, sc, 1, true); !reflect.DeepEqual(perWord, ref) {
+	if perWord := checkScript(NewChecker(wordH, reach), sc, 1, true); !reflect.DeepEqual(perWord, ref) {
 		t.Fatalf("one-word race stream diverged from the reference (%d vs %d events)", len(perWord), len(ref))
 	}
 	sameLogicalLists(t, rangeH.Stats(), wordH.Stats())
@@ -143,12 +143,12 @@ func TestSharedListsTwoCheckers(t *testing.T) {
 	want := [2][]RaceEvent{refScript(refH, sc, 1), refScript(refH, sc, 2)}
 
 	h := NewHistory()
-	ctx := Ctx{Reach: &relReach{rel: sharedRel}}
-	checkers := [2]*Checker{NewChecker(h), NewChecker(h)}
+	reach := &relReach{rel: sharedRel}
+	checkers := [2]*Checker{NewChecker(h, reach), NewChecker(h, reach)}
 	var got [2][]RaceEvent
 	for _, a := range sc {
 		for i, c := range checkers {
-			got[i] = append(got[i], checkScript(c, &ctx, []access{a}, uint64(1+i), false)...)
+			got[i] = append(got[i], checkScript(c, []access{a}, uint64(1+i), false)...)
 		}
 	}
 	for i := range got {
@@ -157,8 +157,8 @@ func TestSharedListsTwoCheckers(t *testing.T) {
 		}
 	}
 	lone := NewHistory()
-	checkScript(NewChecker(lone), &ctx, sc, 1, false)
-	checkScript(NewChecker(lone), &ctx, sc, 2, false)
+	checkScript(NewChecker(lone, reach), sc, 1, false)
+	checkScript(NewChecker(lone, reach), sc, 2, false)
 	sameLogicalLists(t, h.Stats(), lone.Stats())
 	if h.spill.next >= spillSegSize {
 		t.Fatalf("%d slots: the pages' lists did not land in one segment", h.spill.next)

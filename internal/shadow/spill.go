@@ -71,6 +71,14 @@ func (t *spillSlab) readers(r0 core.StrandID) []core.StrandID {
 	return *t.list(slotOf(r0))
 }
 
+// recorded reports whether the inflated list r0 already records s as its
+// first or last entry — the entries step checks before it appends, so
+// step never appends a strand recorded there.
+func (t *spillSlab) recorded(r0, s core.StrandID) bool {
+	rs := t.readers(r0)
+	return rs[0] == s || rs[len(rs)-1] == s
+}
+
 // alloc returns an empty unshared slot, recycling a freed one when it
 // can.
 func (t *spillSlab) alloc() uint32 {
@@ -169,7 +177,8 @@ func (t *spillSlab) addReader(w *word, s core.StrandID, c *counters) {
 }
 
 // addShared is addReader for the words of one page segment, through the
-// segment's transition memo m; scans is the caller's scan memo.
+// segment's transition memo m; scans is the caller's scan memo. The
+// caller has already skipped a word whose list records s.
 func (t *spillSlab) addShared(w *word, s core.StrandID, m *shareMemo, c *counters, scans *scanMemo) {
 	switch r0 := w.reader0; r0 {
 	case core.NoStrand:
@@ -178,7 +187,6 @@ func (t *spillSlab) addShared(w *word, s core.StrandID, m *shareMemo, c *counter
 	case m.from:
 		w.reader0 = m.to
 		m.n++
-	case s:
 	default:
 		t.settle(m, c, scans)
 		t.step(w, s, m)
@@ -186,7 +194,7 @@ func (t *spillSlab) addShared(w *word, s core.StrandID, m *shareMemo, c *counter
 }
 
 // step records a second or later distinct reader s of w and starts the
-// memo m for that transition — the read-epoch state machine's inflation:
+// memo m for that transition — the read-state machine's inflation:
 // genuine read contention moves the inline reader into a slot's list,
 // followed by s. On an inflated word a strand equal to the first or the
 // last entry is already recorded, which bounds growth by the number of
@@ -204,15 +212,15 @@ func (t *spillSlab) step(w *word, s core.StrandID, m *shareMemo) {
 		slot := slotOf(r0)
 		sg := t.seg(slot)
 		l := &sg.lists[slot&spillSegMask]
-		switch rs := *l; {
-		case rs[0] == s || rs[len(rs)-1] == s:
+		switch {
+		case t.recorded(r0, s):
 			m.grew = false
 		case !sg.shared(slot):
-			*l = append(rs, s)
+			*l = append(*l, s)
 		default:
 			ns := t.alloc()
 			nl := t.list(ns)
-			*nl = append(append(*nl, rs...), s)
+			*nl = append(append(*nl, *l...), s)
 			m.to = spillFlag | core.StrandID(ns)
 		}
 	}
@@ -246,13 +254,10 @@ func (t *spillSlab) settle(m *shareMemo, c *counters, scans *scanMemo) {
 	*m = shareMemo{}
 }
 
-// flush empties w's reader list after a write install, along with the
-// read-epoch stamp (which must not survive a write: its verdict was
-// proven against the previous writer). An inflated word deflates here —
-// it lets go of its slot, the last holder frees it, and the next
-// race-free read re-enters the single-reader state. A word with no
-// readers has no stamp either — a race-free read always records its
-// reader — so the early return cannot strand a stale stamp. scans is the
+// flush empties w's reader list after a write install: the readers'
+// verdicts were proven against the previous writer. An inflated word
+// deflates here — it lets go of its slot, the last holder frees it, and
+// the next race-free read re-enters the single-reader state. scans is the
 // caller's scan memo.
 func (t *spillSlab) flush(w *word, c *counters, scans *scanMemo) {
 	r0 := w.reader0
@@ -267,7 +272,6 @@ func (t *spillSlab) flush(w *word, c *counters, scans *scanMemo) {
 		c.epochDeflations++
 	}
 	w.reader0 = core.NoStrand
-	w.lastReader = core.NoStrand
 	c.readerFlushes++
 }
 

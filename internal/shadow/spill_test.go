@@ -52,7 +52,7 @@ func TestInflatedWriteQueriesPerReaderSerial(t *testing.T) {
 // batch.
 func TestInflatedWriteQueriesPerReaderFanOut(t *testing.T) {
 	reach := &relReach{rel: allPrecede}
-	p := newChunkEnv(Ctx{Reach: reach}, 3, 1)
+	p := newChunkEnv(reach, 3, 1)
 	base := uint64(pageSize - inflN/2) // two chunks, one per page
 	inflate(p.read, base, inflN, inflK)
 	if q := reach.queries; q != 0 {
@@ -77,13 +77,12 @@ func TestInflatedWriteQueriesPerReaderFanOut(t *testing.T) {
 func TestInflatedWriteQueriesPerReaderView(t *testing.T) {
 	reach := &relReach{rel: allPrecede}
 	h := NewHistory()
-	ctx := Ctx{Reach: reach}
-	checkers := [2]*Checker{NewChecker(h), NewChecker(h)}
+	checkers := [2]*Checker{NewChecker(h, reach), NewChecker(h, reach)}
 	turn := 0
 	batch := func(s core.StrandID, op func(c *Checker)) {
 		c := checkers[turn%2]
 		turn++
-		c.Begin(&ctx, s)
+		c.Begin(s)
 		op(c)
 		if n := len(c.Events()); n != 0 {
 			t.Fatalf("ordered access raced %d times", n)
@@ -105,6 +104,40 @@ func TestInflatedWriteQueriesPerReaderView(t *testing.T) {
 	}
 }
 
+// TestEpochInflateDeflate pins the read-state machine's transitions and
+// counters: a second distinct reader inflates (spill entered), a write
+// install deflates, and the next single reader re-enters the inline state
+// with no residual spill entries.
+func TestEpochInflateDeflate(t *testing.T) {
+	e := newEnv(seqRel(1, 5, 9, 12))
+	e.write(1, 4, 1)
+	e.read(1, 4, 5) // single-reader state
+	st := e.h.Stats()
+	if st.EpochInflations != 0 || st.SpillEntries != 0 {
+		t.Fatalf("single reader inflated: %+v", st)
+	}
+	e.read(1, 4, 9) // contention: inflate
+	st = e.h.Stats()
+	if st.EpochInflations != 4 || st.SpillEntries != 4 {
+		t.Fatalf("after second reader: inflations = %d, spill = %d, want 4, 4",
+			st.EpochInflations, st.SpillEntries)
+	}
+	e.write(1, 4, 12) // ordered write: deflate
+	st = e.h.Stats()
+	if st.EpochDeflations != 4 || st.SpillEntries != 0 {
+		t.Fatalf("after write install: deflations = %d, spill = %d, want 4, 0",
+			st.EpochDeflations, st.SpillEntries)
+	}
+	e.read(1, 4, 5) // back to single-reader, no re-inflation
+	st = e.h.Stats()
+	if st.EpochInflations != 4 || st.SpillEntries != 0 {
+		t.Fatalf("post-deflation reader re-inflated: %+v", st)
+	}
+	if len(e.races) != 0 {
+		t.Fatalf("ordered cycle raced: %v", e.races[0])
+	}
+}
+
 // TestVerdictCacheInvalidation pins the points where cached verdicts die:
 // every new batch, and stamp wraparound.
 func TestVerdictCacheInvalidation(t *testing.T) {
@@ -115,8 +148,7 @@ func TestVerdictCacheInvalidation(t *testing.T) {
 		c.WriteRange(2, 1) // same batch: 3 hits
 	})
 	e.write(3, 1, 100) // a new batch of the same strand: 3 more
-	e.ctx.Gen++
-	e.write(4, 1, 101) // a new generation and strand: 3 more
+	e.write(4, 1, 101) // a new batch and strand: 3 more
 	if got := e.reach.queries; got != 9 {
 		t.Fatalf("queries = %d, want 9", got)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // readSharedProgram builds the acceptance workload for the read-shared
-// epoch: k parallel writer strands install an interleaved last-writer
+// fast path: k parallel writer strands install an interleaved last-writer
 // pattern over a shared range (so a later reader cannot be served by the
 // owned-word filter and must query each writer), then r parallel reader
 // strands each scan the whole range p times inside one construct window.
@@ -67,70 +67,12 @@ func TestReadSharedRepeatedReadsQueryFree(t *testing.T) {
 	}
 }
 
-// TestEpochSurvivesConstructs is the engine-level acceptance check for
-// the carried-forward read epoch: the parent re-scans a shared range p
-// times with a real spawn+sync between scans, so every scan runs in a new
-// construct generation on a new strand of the same function. The stamps
-// from the previous scan transfer their verdicts (EpochOrdered same-
-// function arm), so p cross-generation scans cost exactly what one scan
-// costs in reachability queries — before this, every generation re-paid
-// the full block-boundary query bill.
-func TestEpochSurvivesConstructs(t *testing.T) {
-	const words, blk, k = 1 << 14, 64, 4
-	arr := futurerd.NewArray[int64](words)
-	base := arr.Addr(0)
-	prog := func(p int) func(*futurerd.Task) {
-		return func(t *futurerd.Task) {
-			futurerd.For(t, 0, k, 1, func(t *futurerd.Task, i int) {
-				for b := i * blk; b < words; b += k * blk {
-					n := blk
-					if b+n > words {
-						n = words - b
-					}
-					t.WriteRange(base+uint64(b), n)
-				}
-			})
-			for pass := 0; pass < p; pass++ {
-				t.Spawn(func(c *futurerd.Task) {})
-				t.Sync() // a folding construct between every pair of scans
-				t.ReadRange(base, words)
-			}
-		}
-	}
-	for _, mode := range []futurerd.Mode{futurerd.ModeMultiBags, futurerd.ModeMultiBagsPlus} {
-		for _, consumers := range []int{0, 1} {
-			run := func(p int) *futurerd.Report {
-				rep := futurerd.Detect(futurerd.Config{
-					Mode: mode, Mem: futurerd.MemFull, Consumers: consumers,
-				}, prog(p))
-				if rep.Err != nil {
-					t.Fatal(rep.Err)
-				}
-				if rep.Racy() {
-					t.Fatalf("race-free program raced: %v", rep.Races[0])
-				}
-				return rep
-			}
-			const p = 4
-			q1 := run(1).Stats.Reach.Queries
-			rep := run(p)
-			if qp := rep.Stats.Reach.Queries; qp != q1 {
-				t.Fatalf("mode=%v consumers=%d: %d cross-generation scans made %d queries, one scan makes %d — stamps died at constructs",
-					mode, consumers, p, qp, q1)
-			}
-			if got, want := rep.Stats.Shadow.EpochHits, uint64((p-1)*words); got != want {
-				t.Fatalf("mode=%v consumers=%d: EpochHits = %d, want %d", mode, consumers, got, want)
-			}
-		}
-	}
-}
-
 // BenchmarkAccessHistoryReadShared times the read-shared workload shape —
 // parallel writers, then parallel readers re-scanning the whole shared
 // range — and reports the reachability queries per read, the metric the
-// fast path exists to crush: without the per-word stamps every pass pays
-// one query per writer-block boundary; with them only each strand's first
-// pass does.
+// fast path exists to crush: without the read-shared skip every pass
+// pays one query per writer-block boundary; with it only each strand's
+// first pass does.
 func BenchmarkAccessHistoryReadShared(b *testing.B) {
 	const words, blk, k, r, p = 1 << 16, 64, 4, 2, 4
 	arr := futurerd.NewArray[int64](words)

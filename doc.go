@@ -87,20 +87,20 @@
 // the engine goroutine; any value of 1 or more hands sealed batches to
 // one async consumer goroutine, which checks them in seal order while the
 // program keeps executing. Constructs do not wait for the consumer: the
-// relation is versioned (core.Versioned), constructs record their
-// mutations into a bounded log, each batch carries the version it
-// executed under, and the consumer applies the logged mutations up to
-// that version before checking the batch. The engine runs ahead of
-// detection until the construct-ahead window of
-// core.DefaultConstructAhead mutations back-pressures. CheckStructured's
-// discipline query is deferred the same way and answered at the get's
-// version, in stream order (a violation is recorded, never acted on, so
-// nothing needs the answer eagerly). Since the consumer checks batches
-// in seal order, races reach OnRace and the report in seal order with no
-// reorder buffer, and verdicts, report order and every counter are
-// identical to an inline run. Both pipelines run one per-batch body on
-// one shadow checker: the engine owns it on the inline path, the
-// consumer owns it otherwise.
+// serial stream orders every construct and access, so each construct's
+// reachability mutations ride at the front of the next batch handed off,
+// and the consumer applies them before checking that batch's accesses. A
+// construct-only stretch hands mutations off in bounded groups of their
+// own. The engine runs ahead of detection until the bounded item channel
+// back-pressures. CheckStructured's discipline query rides the same
+// stream and is answered after every mutation before the get and none
+// after it (a violation is recorded, never acted on, so nothing needs
+// the answer eagerly). Since the consumer checks batches in seal order,
+// races reach OnRace and the report in seal order with no reorder buffer,
+// and verdicts, report order and every counter are identical to an
+// inline run. Both pipelines run one per-batch body on one shadow
+// checker: the engine owns it on the inline path, the consumer owns it
+// otherwise.
 //
 // # Traces
 //

@@ -127,6 +127,52 @@ type Reach interface {
 	Stats() ReachStats
 }
 
+// MutOp tags one construct mutation.
+type MutOp uint8
+
+// Mutation kinds, one per Reach maintenance method.
+const (
+	MutInit MutOp = iota
+	MutSpawn
+	MutCreate
+	MutReturn
+	MutJoin
+	MutGet
+)
+
+// Mut is one construct event as a value, so the async detection pipeline
+// can hand it to its consumer in stream order. Only the record matching Op
+// is meaningful; the struct is flat (no pointers) so a batch's mutations
+// are one reusable slice of values.
+type Mut struct {
+	Op     MutOp
+	InitFn FnID     // MutInit
+	InitS  StrandID // MutInit
+	Spawn  SpawnRec
+	Create CreateRec
+	Return ReturnRec
+	Join   JoinRec
+	Get    GetRec
+}
+
+// ApplyTo replays the mutation into r.
+func (m *Mut) ApplyTo(r Reach) {
+	switch m.Op {
+	case MutInit:
+		r.Init(m.InitFn, m.InitS)
+	case MutSpawn:
+		r.Spawn(m.Spawn)
+	case MutCreate:
+		r.CreateFut(m.Create)
+	case MutReturn:
+		r.Return(m.Return)
+	case MutJoin:
+		r.SyncJoin(m.Join)
+	case MutGet:
+		r.GetFut(m.Get)
+	}
+}
+
 // ReachStats aggregates data-structure traffic for reporting.
 type ReachStats struct {
 	Finds         uint64 // union-find Find operations

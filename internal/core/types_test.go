@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestStrandTable(t *testing.T) {
 	st := NewStrandTable(4)
@@ -38,5 +41,41 @@ func TestStrandTableGrowth(t *testing.T) {
 	}
 	if st.FnOf(9999) != FnID(9999%7) {
 		t.Fatal("FnOf after growth wrong")
+	}
+}
+
+// TestStrandTableConcurrentReads: the recorder appends strands while
+// readers resolve already-published ids from another goroutine — the
+// atomic header publish keeps this race-free (run under -race).
+func TestStrandTableConcurrentReads(t *testing.T) {
+	st := NewStrandTable(4)
+	const n = 20000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if l := st.Len(); l > 0 {
+				s := StrandID(1 + l/2)
+				if got := st.FnOf(s); got != FnID(s)+1 {
+					t.Errorf("FnOf(%d) = %d, want %d", s, got, FnID(s)+1)
+					return
+				}
+			}
+		}
+	}()
+	for i := 1; i <= n; i++ {
+		st.Add(StrandID(i), FnID(i)+1)
+	}
+	close(stop)
+	wg.Wait()
+	if st.Len() != n {
+		t.Fatalf("Len = %d, want %d", st.Len(), n)
 	}
 }

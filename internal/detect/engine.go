@@ -58,26 +58,6 @@ type Engine struct {
 	// snapshots.
 	gen uint64
 
-	// vr, when non-nil (detecting with the async consumer), is the
-	// versioned view of the reachability relation: constructs record
-	// their mutations here instead of applying them inline, sealed
-	// batches carry the version they were recorded under, and the
-	// consumer applies pending mutations up to each batch's version
-	// before checking it. Constructs therefore do not block on the
-	// consumer; the engine may run up to the construct-ahead window ahead
-	// of detection.
-	vr *core.Versioned
-
-	// nudgeAt is the pending-mutation threshold at which the engine hands
-	// the back-end an empty version-bearing batch, keeping the mutation
-	// log drainable through construct-dense stretches with no memory
-	// traffic (the back-end only applies mutations when it processes a
-	// batch). submittedVersion is the relation version carried by the
-	// last batch handed to the back-end; mutations at or below it need no
-	// nudge.
-	nudgeAt          int
-	submittedVersion uint64
-
 	// evStats counts sealed batches (Stats.Event) on the engine goroutine,
 	// so it is identical across Consumers configurations.
 	evStats event.Stats
@@ -91,10 +71,10 @@ type Engine struct {
 
 	// be, when non-nil, is the async consumer of sched.go: sealed batches
 	// are checked off the engine goroutine while the program keeps
-	// executing — across parallel constructs too, because each batch
-	// carries the version of the reachability relation it was recorded
-	// under and the consumer applies construct mutations (from vr) up to
-	// exactly that version before checking it. Nil with Consumers <= 0.
+	// executing — across parallel constructs too, because constructs
+	// append their mutations to the open batch instead of applying them,
+	// and the consumer applies each batch's mutations before checking its
+	// ops. Nil with Consumers <= 0.
 	be *pipeline
 
 	// faults is the run's fault-injection plan (nil in production: every
@@ -102,11 +82,10 @@ type Engine struct {
 	faults *faultinject.Plan
 
 	// poisoned is the fail-closed latch: the first pipeline failure
-	// stores its PipelineError here (and fails the versioned log so the
-	// engine can never block on a dead applier); every subsequent
-	// Read/Write/Begin*/End*/Sync/GetFut hook aborts the run with that
-	// error instead of feeding a broken pipeline. Written by pipeline
-	// goroutines, read by the engine goroutine.
+	// stores its PipelineError here; every subsequent Read/Write/Begin*/
+	// End*/Sync/GetFut hook aborts the run with that error instead of
+	// feeding a broken pipeline. Written by pipeline goroutines, read by
+	// the engine goroutine.
 	poisoned atomic.Pointer[PipelineError]
 
 	labels map[core.FnID]string
@@ -138,21 +117,9 @@ type Engine struct {
 	err                          error
 }
 
-// Tuning holds the engine settings that exist for tests and benchmark
-// sweeps rather than for users; the zero value is what NewEngine runs
-// with. Verdicts, report order and counters are identical for any
-// ConstructAhead.
+// Tuning holds the engine settings that exist for tests rather than for
+// users; the zero value is what NewEngine runs with.
 type Tuning struct {
-	// ConstructAhead bounds how many construct mutations the engine may
-	// record ahead of the async consumer (Consumers >= 1): the
-	// reachability relation is versioned, sealed batches carry the
-	// version they were recorded under, and parallel constructs proceed
-	// without waiting for in-flight batch checks — up to this window, at
-	// which point the engine back-pressures. 0 means
-	// core.DefaultConstructAhead. Irrelevant to inline runs, which apply
-	// mutations directly.
-	ConstructAhead int
-
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// pipeline's instrumented sites — consumer panics, consumer stalls,
 	// failed page materializations. For the robustness test suite; nil
@@ -226,9 +193,7 @@ func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 // layer: every engine that observes memory accesses batches them.
 // Consumers == 0 checks each batch inline on the engine goroutine;
 // Consumers >= 1 checks batches off it on the one async consumer,
-// overlapping detection with continued program execution. An async
-// detecting engine also versions its reachability relation so constructs
-// need not wait for the consumer.
+// overlapping detection with continued program execution.
 func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 	if cfg.Mem == MemOff || e.err != nil {
 		return
@@ -240,41 +205,29 @@ func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 		e.chk = shadow.NewChecker(e.hist, e.reach)
 		return
 	}
-	if e.detecting {
-		e.vr = core.NewVersioned(e.reach, tu.ConstructAhead)
-		e.nudgeAt = max(e.vr.Window()/2, 1)
-	}
 	e.be = newPipeline(e)
 }
 
+// maxMuts bounds the mutations one hand-off carries, so a construct-only
+// stretch (no memory traffic to seal a batch) still feeds the consumer
+// and the item channel bounds pipeline memory: at 256 mutations of 128
+// bytes each, a queued item holds at most 32 KB of them.
+const maxMuts = 256
+
 // mutate applies one construct mutation to the reachability relation:
-// inline when the pipeline is synchronous, recorded into the versioned log
-// (for the consumer to apply in batch order) when it is not.
+// inline when the pipeline is synchronous. With the async pipeline it
+// appends the mutation to the open batch, whose ops (none yet: every
+// construct seals before it mutates) run after it; the consumer applies
+// it just before checking them.
 func (e *Engine) mutate(m core.Mut) {
-	if e.vr == nil {
+	if e.be == nil {
 		m.ApplyTo(e.reach)
 		return
 	}
-	// The log must stay drainable before Record can block on the window,
-	// and the consumer only applies mutations when it processes a
-	// version-bearing item. Normally the batches themselves cover that —
-	// submittedVersion tracks the version carried by the last submitted
-	// batch — so a nudge (an empty batch at the current version) is only
-	// needed on construct-dense stretches whose mutations outpace real
-	// traffic. The guard is lock-free and rate-limited to one nudge per
-	// nudgeAt mutations: applied never exceeds submittedVersion while the
-	// consumer runs, so staying within nudgeAt of the last submitted
-	// version guarantees the consumer can always bring the lag back under
-	// the window, and Record can never block for good. Submitting may
-	// block briefly on the item channel, which is ordinary back-pressure.
-	if rec := e.vr.Recorded(); rec-e.submittedVersion >= uint64(e.nudgeAt) {
-		b := event.New()
-		b.Gen = e.gen
-		b.Version = rec
-		e.submittedVersion = rec
-		e.be.submit(workItem{b: b})
+	e.batch.Muts = append(e.batch.Muts, m)
+	if len(e.batch.Muts) >= maxMuts {
+		e.handOff(nil)
 	}
-	e.vr.Record(m)
 }
 
 // Run executes root under the engine and returns the report.
@@ -311,7 +264,10 @@ func (e *Engine) Run(root func(*Task)) *Report {
 }
 
 func (e *Engine) report() *Report {
-	e.seal()    // flush any still-open batch
+	e.seal() // flush any still-open batch
+	if e.be != nil && len(e.batch.Muts) > 0 {
+		e.handOff(nil) // trailing mutations: the final relation is reported
+	}
 	e.be.stop() // quiesce the detection back-end (nil-safe)
 	if e.batch != nil {
 		// Return the (now necessarily empty) open batch to the pool so a
@@ -326,9 +282,6 @@ func (e *Engine) report() *Report {
 		if pe := e.poisoned.Load(); pe != nil {
 			e.err = pe
 		}
-	}
-	if e.vr != nil {
-		e.vr.Drain() // post-run mutation drain; no-op after a failure
 	}
 	if v, ok := e.reach.(*verifyReach); ok {
 		if mbp, ok := v.algo.(*core.MultiBagsPlus); ok {
@@ -372,16 +325,10 @@ func (e *Engine) report() *Report {
 
 func (e *Engine) fail(err error) { panic(engineFailure{err}) }
 
-// poisonWith latches the first pipeline failure: the error is stored for
-// every later hook to trip over, and the versioned mutation log is failed
-// so the engine can never block in Record waiting for an applier that
-// died. Idempotent; safe from any goroutine.
+// poisonWith latches the first pipeline failure for every later hook to
+// trip over. Idempotent; safe from any goroutine.
 func (e *Engine) poisonWith(pe *PipelineError) {
-	if e.poisoned.CompareAndSwap(nil, pe) {
-		if e.vr != nil {
-			e.vr.Fail()
-		}
-	}
+	e.poisoned.CompareAndSwap(nil, pe)
 }
 
 // checkPoison aborts the run with the latched pipeline failure, if any.
@@ -626,12 +573,14 @@ func (e *Engine) GetFut(t *Task, h *Fut) any {
 	h.touches++
 	if e.cfg.CheckStructured {
 		// The discipline query (creator sequentially precedes getter) must
-		// see the relation at exactly this construct's version. The engine
-		// does not wait for the consumer for it: with the async pipeline
-		// the check is deferred — enqueued in stream order and answered
-		// once the consumer has applied this version — because a violation
-		// is recorded, never acted on, so nothing downstream needs the
-		// answer eagerly. The inline pipeline's relation is always current
+		// see the relation with every mutation before this get and none
+		// after. The engine does not wait for the consumer for it: with
+		// the async pipeline the check rides the open batch, whose
+		// mutations are exactly the ones not yet handed off, and the
+		// consumer answers it after applying them — a violation is
+		// recorded, never acted on, so nothing downstream needs the answer
+		// eagerly. The batch leaves now, so the get's own mutation starts
+		// the next one. The inline pipeline's relation is always current
 		// and evaluates inline.
 		d := &discCheck{
 			futFn:   h.fn,
@@ -640,14 +589,8 @@ func (e *Engine) GetFut(t *Task, h *Fut) any {
 			touches: h.touches,
 		}
 		if e.be != nil {
-			b := event.New()
-			b.Strand = getter
-			b.Gen = e.gen
-			if e.vr != nil {
-				b.Version = e.vr.Recorded()
-				e.submittedVersion = b.Version
-			}
-			e.be.submit(workItem{b: b, disc: d})
+			e.batch.Strand = getter
+			e.handOff(d)
 		} else {
 			e.evalDisc(d)
 		}
@@ -735,9 +678,10 @@ func (e *Engine) Accesses(t *Task, ops []event.Op) {
 }
 
 // seal closes the open batch at a parallel construct. The batch leaves
-// stamped with the generation and relation version it executed under, so
-// the async consumer can check it against the relation at that version
-// while the construct proceeds and the program keeps executing.
+// stamped with the generation it executed under; with the async pipeline
+// it carries the mutations that precede its ops, so the consumer can
+// check it against exactly that relation while the construct proceeds
+// and the program keeps executing.
 func (e *Engine) seal() {
 	if e.batch == nil {
 		return
@@ -747,42 +691,46 @@ func (e *Engine) seal() {
 
 // flushBatch hands the open batch to detection: checked inline on the
 // engine goroutine when the pipeline is synchronous, queued to the async
-// consumer (overlapping continued execution) when it is not. The batch is
-// stamped with the current construct generation and relation version
-// either way, and Stats.Event is counted here so it is identical across
-// pipeline modes.
+// consumer (overlapping continued execution) when it is not. A batch
+// without ops stays open, collecting mutations. Stats.Event is counted
+// here so it is identical across pipeline modes.
 func (e *Engine) flushBatch() {
 	if len(e.batch.Ops) == 0 {
 		return
 	}
-	b := e.batch
-	b.Gen = e.gen
-	if e.vr != nil {
-		b.Version = e.vr.Recorded()
-		e.submittedVersion = b.Version
-	}
 	e.evStats.Batches++
 	if e.be != nil {
-		e.batch = event.New()
-		e.be.submit(workItem{b: b})
+		e.handOff(nil)
 		return
 	}
+	b := e.batch
+	b.Gen = e.gen
 	if pe := e.guard("inline", b, func() { e.process(e.chk, workItem{b: b}) }); pe != nil {
 		e.poisonWith(pe)
 	}
 	b.Reset()
 }
 
-// process is the per-item body both pipelines share: it brings the
-// relation to the item's version, answers its deferred discipline check,
+// handOff queues the open batch, with discipline check d if non-nil, to
+// the async consumer and opens a fresh one. The batch is stamped with the
+// current construct generation.
+func (e *Engine) handOff(d *discCheck) {
+	b := e.batch
+	b.Gen = e.gen
+	e.batch = event.New()
+	e.be.submit(workItem{b: b, disc: d})
+}
+
+// process is the per-item body both pipelines share: it applies the
+// batch's construct mutations, answers its deferred discipline check,
 // checks the batch's ops on checker c and reports their races, in op
 // order. Every op was performed by the batch's strand under the relation
-// at the batch's version. The checker starts each batch with cold verdict
-// caches, so memo-hit counters cannot depend on the pipeline.
+// those mutations complete. The checker starts each batch with cold
+// verdict caches, so memo-hit counters cannot depend on the pipeline.
 func (e *Engine) process(c *shadow.Checker, it workItem) {
 	b := it.b
-	if e.vr != nil {
-		e.vr.ApplyTo(b.Version)
+	for i := range b.Muts {
+		b.Muts[i].ApplyTo(e.reach)
 	}
 	if it.disc != nil {
 		e.evalDisc(it.disc)

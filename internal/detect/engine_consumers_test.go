@@ -170,9 +170,9 @@ func TestEpochConsumersEquivalence(t *testing.T) {
 
 // TestConsumersDependentDegeneratesToSerial drives a construct-dense
 // program in which every batch depends on its predecessor (same pages,
-// plus a sync between any two) through the async consumer with a tight
-// construct-ahead window: the report must match the inline run and the
-// pipeline must terminate (no deadlock).
+// plus a sync between any two) through the async consumer: the report
+// must match the inline run and the pipeline must terminate (no
+// deadlock).
 func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 	prog := func(tk *Task) {
 		tk.Write(1)
@@ -190,10 +190,10 @@ func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 	}
 	done := make(chan *Report, 1)
 	go func() {
-		done <- NewTunedEngine(Config{
+		done <- NewEngine(Config{
 			Mode: ModeMultiBagsPlus, Mem: MemFull, MaxRaces: 1 << 20,
 			Consumers: 1,
-		}, Tuning{ConstructAhead: 8}).Run(prog)
+		}).Run(prog)
 	}()
 	var rep *Report
 	select {

@@ -9,11 +9,11 @@ import (
 	"futurerd/internal/event"
 )
 
-// These tests pin the non-blocking construct pipeline: the reachability
-// relation is versioned, sealed batches carry the version they were
-// recorded under, and parallel constructs proceed while batch checks are
-// still in flight — bounded by the construct-ahead window, with reports
-// that stay verdict-, order- and counter-identical to a serial run.
+// These tests pin the non-blocking construct pipeline: constructs hand
+// their mutations to the consumer at the front of the next batch instead
+// of applying them, so parallel constructs proceed while batch checks are
+// still in flight — bounded only by the item channel, with reports that
+// stay verdict-, order- and counter-identical to a serial run.
 
 // TestConstructProceedsWithBatchInFlight is the acceptance proof that
 // constructs no longer block on back-end drain: the first sealed batch is
@@ -66,61 +66,67 @@ func TestConstructProceedsWithBatchInFlight(t *testing.T) {
 	}
 }
 
-// TestConstructAheadWindowBounded drives a construct-dense, access-sparse
-// program (mostly empty batches, so only the engine's nudge keeps the
-// mutation log drainable) through tiny construct-ahead windows: the run
-// must terminate and match the serial report exactly. A window of 1
-// degenerates to lock-step application; the default window runs far
-// ahead.
-func TestConstructAheadWindowBounded(t *testing.T) {
-	prog := func(tk *Task) {
-		tk.Write(1)
-		for i := 0; i < 400; i++ {
-			tk.Spawn(func(c *Task) {
-				if i%16 == 0 {
-					c.Write(uint64(10 + i)) // occasional real batch
-				}
-			})
-			tk.Sync()
+// TestConstructStretchWithBatchInFlight: mutations travel in the item
+// stream, so a long construct-only stretch needs no consumer progress.
+// The first batch is held in flight while the engine runs 4×256
+// access-free spawn/sync pairs (three mutations each, so a dozen
+// mutation-only hand-offs, well inside the item buffer). The run must
+// finish, match the inline report exactly, and have sealed more items
+// than access batches. A mutation log bounded by a window of a few hundred
+// mutations blocks the engine here and the hold times out.
+func TestConstructStretchWithBatchInFlight(t *testing.T) {
+	prog := func(stretchDone chan struct{}) func(*Task) {
+		return func(tk *Task) {
+			tk.WriteRange(1, 300) // batch 1: held in flight by the hook
+			for i := 0; i < 4*256; i++ {
+				tk.Spawn(func(*Task) {})
+				tk.Sync()
+			}
+			if stretchDone != nil {
+				close(stretchDone)
+			}
+			tk.ReadRange(1, 300)
 		}
-		tk.Read(1)
 	}
-	serial := NewEngine(Config{Mode: ModeMultiBagsPlus, Mem: MemFull}).Run(prog)
-	if serial.Err != nil {
-		t.Fatal(serial.Err)
+	cfg := Config{Mode: ModeMultiBagsPlus, Mem: MemFull}
+	inline := NewEngine(cfg).Run(prog(nil))
+	if inline.Err != nil {
+		t.Fatal(inline.Err)
 	}
-	for _, window := range []int{1, 2, 8, 0 /* default */} {
-		done := make(chan *Report, 1)
-		go func() {
-			done <- NewTunedEngine(Config{
-				Mode: ModeMultiBagsPlus, Mem: MemFull, Consumers: 1,
-			}, Tuning{ConstructAhead: window}).Run(prog)
-		}()
-		var rep *Report
+	cfg.Consumers = 1
+	e := NewEngine(cfg)
+	stretchDone := make(chan struct{})
+	var sawTimeout atomic.Bool
+	first := true
+	e.be.testHook = func(*event.Batch) {
+		if !first {
+			return
+		}
+		first = false
 		select {
-		case rep = <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("window=%d: pipeline deadlocked", window)
+		case <-stretchDone:
+		case <-time.After(10 * time.Second):
+			sawTimeout.Store(true)
 		}
-		if rep.Err != nil {
-			t.Fatalf("window=%d: %v", window, rep.Err)
-		}
-		if !reflect.DeepEqual(serial.Races, rep.Races) ||
-			serial.Stats.RaceCount != rep.Stats.RaceCount ||
-			serial.Stats.Strands != rep.Stats.Strands ||
-			!reflect.DeepEqual(serial.Stats.Reach, rep.Stats.Reach) {
-			t.Fatalf("window=%d diverges from serial:\nserial %+v\nasync  %+v",
-				window, serial.Stats, rep.Stats)
-		}
+	}
+	rep := e.Run(prog(stretchDone))
+	if sawTimeout.Load() {
+		t.Fatal("the construct stretch blocked on the batch in flight")
+	}
+	if !reflect.DeepEqual(inline, rep) {
+		t.Fatalf("async run diverges from inline:\ninline %+v\nasync  %+v", inline, rep)
+	}
+	if sealed := e.be.progress().Sealed; sealed <= rep.Stats.Event.Batches {
+		t.Fatalf("sealed %d items for %d access batches: no mutation-only hand-off",
+			sealed, rep.Stats.Event.Batches)
 	}
 }
 
-// TestConstructAheadEquivalence is the construct-ahead equivalence check
-// across all three reachability algorithms: a program mixing racy and
-// ordered traffic, bulk ranges, futures and syncs must produce identical
-// reports — full stats included, read-shared skips and all — whether the
-// pipeline is serial, asynchronous with the default window, or
-// asynchronous with a stress-tight window.
+// TestConstructAheadEquivalence is the run-ahead equivalence check across
+// all three reachability algorithms: a program mixing racy and ordered
+// traffic, bulk ranges, futures and syncs must produce identical reports —
+// full stats included, read-shared skips and all — whether the pipeline
+// is serial or the engine runs ahead of the async consumer.
 func TestConstructAheadEquivalence(t *testing.T) {
 	prog := func(tk *Task) {
 		tk.WriteRange(1, 400)
@@ -144,34 +150,31 @@ func TestConstructAheadEquivalence(t *testing.T) {
 		if serial.Err != nil {
 			t.Fatalf("%v: %v", mode, serial.Err)
 		}
-		cfg := Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1}
-		for _, ahead := range []int{0 /* default */, 2} {
-			rep := NewTunedEngine(cfg, Tuning{ConstructAhead: ahead}).Run(prog)
-			if rep.Err != nil {
-				t.Fatalf("%v ahead=%d: %v", mode, ahead, rep.Err)
-			}
-			if !reflect.DeepEqual(serial.Races, rep.Races) {
-				t.Fatalf("%v ahead=%d: race streams diverge", mode, ahead)
-			}
-			// Everything — verdicts, protocol traffic, both epoch fast
-			// paths, reachability traffic — must be identical.
-			ss, as := serial.Stats, rep.Stats
-			if !reflect.DeepEqual(ss, as) {
-				t.Fatalf("%v ahead=%d stats diverge:\nserial %+v\nasync  %+v",
-					mode, ahead, ss, as)
-			}
-			if as.Shadow.ReadSharedSkips == 0 {
-				t.Fatalf("%v: program never exercised the read-shared fast path", mode)
-			}
+		rep := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 1}).Run(prog)
+		if rep.Err != nil {
+			t.Fatalf("%v: %v", mode, rep.Err)
+		}
+		if !reflect.DeepEqual(serial.Races, rep.Races) {
+			t.Fatalf("%v: race streams diverge", mode)
+		}
+		// Everything — verdicts, protocol traffic, the fast paths,
+		// reachability traffic — must be identical.
+		ss, as := serial.Stats, rep.Stats
+		if !reflect.DeepEqual(ss, as) {
+			t.Fatalf("%v stats diverge:\nserial %+v\nasync  %+v", mode, ss, as)
+		}
+		if as.Shadow.ReadSharedSkips == 0 {
+			t.Fatalf("%v: program never exercised the read-shared fast path", mode)
 		}
 	}
 }
 
 // TestCheckStructuredQuerySeesGetVersion pins the deferred discipline
 // check: CheckStructured's creator-precedes-getter query does not wait
-// for the consumer — it is enqueued in stream order and answered at the
-// get's version — and must still judge a structured program violation-free even when batches
-// and construct mutations are in flight.
+// for the consumer — it rides the hand-off that carries every mutation
+// before the get, and the consumer answers it before applying the get's
+// own — and must still judge a structured program violation-free even
+// when batches and construct mutations are in flight.
 func TestCheckStructuredQuerySeesGetVersion(t *testing.T) {
 	for _, consumers := range []int{0, 1} {
 		rep := NewEngine(Config{

@@ -19,8 +19,9 @@ var ErrStrandOverflow = errors.New("detect: strand ids exhausted (2^31-1 strands
 
 // PipelineProgress is the per-stage progress snapshot a PipelineError
 // carries: how far each stage of the pipeline had advanced, in seal-order
-// sequence counts, when the failure was recorded. Sealed counts items the
-// engine submitted, Dispatched counts items the consumer picked up,
+// sequence counts, when the failure was recorded. An item is an access
+// batch or a mutation-only hand-off. Sealed counts items the engine
+// submitted, Dispatched counts items the consumer picked up,
 // Checked counts items fully processed; Sealed == Checked means the
 // pipeline was quiescent. The inline pipeline (Consumers 0) has no
 // consumer and reports zeros.
@@ -50,7 +51,7 @@ type PipelineError struct {
 	// when the stage failed (0 when no batch was in hand).
 	Seq uint64
 	// Batch is a diagnostic one-liner of that batch: strand, generation,
-	// relation version and op count.
+	// construct-mutation count and op count.
 	Batch string
 	// Progress is the pipeline's per-stage progress at failure time.
 	Progress PipelineProgress
@@ -81,6 +82,6 @@ func batchDiag(b *event.Batch) string {
 	if b == nil {
 		return ""
 	}
-	return fmt.Sprintf("strand %d gen %d version %d ops %d",
-		b.Strand, b.Gen, b.Version, len(b.Ops))
+	return fmt.Sprintf("strand %d gen %d muts %d ops %d",
+		b.Strand, b.Gen, len(b.Muts), len(b.Ops))
 }

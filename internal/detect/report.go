@@ -94,8 +94,8 @@ type Config struct {
 	// goroutine. Every value of 1 or more runs the same one async
 	// consumer goroutine, which overlaps detection with continued program
 	// execution: it takes sealed batches in seal order, applies the
-	// recorded construct mutations up to each batch's relation version,
-	// checks the batch and reports its races. The count above 1 only
+	// construct mutations each batch carries ahead of its ops, checks the
+	// batch and reports its races. The count above 1 only
 	// exists for compatibility; 2 runs exactly what 1 runs. Reports are
 	// verdict-, order- and counter-identical to an inline run, for every
 	// algorithm, the oracle and Verify runs included.

@@ -4,16 +4,18 @@
 // Config.Consumers == 0 has no pipeline: the engine checks each batch
 // inline. With Consumers >= 1 one consumer goroutine takes the sealed
 // items in seal order and, for each, runs the body the inline path runs
-// too (Engine.process): it applies the recorded construct mutations up to
-// the item's relation version, answers a deferred discipline check, checks
-// the batch on its own shadow.Checker and reports the races directly.
-// Seal order is report order, so no reorder buffer is needed, and the one
-// consumer is the only goroutine that applies or queries the reachability
-// relation while the engine runs. The engine only records mutations into
-// the bounded versioned log (core.Versioned), which is the construct-ahead
-// window: it back-pressures the engine when the consumer falls behind, and
-// the engine nudges the consumer with empty version-bearing items so a
-// construct-dense stretch without memory traffic keeps the log drainable.
+// too (Engine.process): it applies the construct mutations the item
+// carries, answers a deferred discipline check, checks the batch on its
+// own shadow.Checker and reports the races directly. Seal order is report
+// order, so no reorder buffer is needed, and the one consumer is the only
+// goroutine that applies or queries the reachability relation while the
+// engine runs. The engine appends each construct's mutations to the open
+// batch, ahead of the ops that run after them, and hands a batch off
+// early once it holds maxMuts mutations, so a construct-only stretch
+// still feeds the consumer. The bounded item channel is the one
+// back-pressure and the one point where engine and consumer synchronize:
+// it bounds pipeline memory at itemBuffer × (event.MaxOps ops + maxMuts ×
+// 128 B of mutations).
 //
 // # Fail-closed operation
 //
@@ -23,9 +25,8 @@
 // with it) and flips the consumer into drain mode, where it recycles the
 // remaining items unchecked until the engine closes intake. Nothing blocks
 // forever: the engine's submit path selects against the failure latch,
-// the versioned mutation log is failed so Record never waits on a dead
-// applier, and an optional watchdog (Config.StallTimeout) converts a
-// silent stall into the same structured teardown. The fault matrix in
+// and an optional watchdog (Config.StallTimeout) converts a silent stall
+// into the same structured teardown. The fault matrix in
 // internal/progen/fault_test.go drives every injected fault class through
 // this machinery and asserts the run either matches serial verdicts
 // exactly or returns one PipelineError with no goroutine left behind.
@@ -43,9 +44,9 @@ import (
 )
 
 // discCheck is a deferred CheckStructured discipline query: instead of
-// draining the pipeline at every get, the engine enqueues the query and
-// the consumer answers it from the relation at the get's version, in
-// stream order.
+// draining the pipeline at every get, the engine hands the query off with
+// the mutations before the get, and the consumer answers it from the
+// relation they complete, in stream order.
 type discCheck struct {
 	futFn   core.FnID
 	creator core.StrandID
@@ -54,7 +55,7 @@ type discCheck struct {
 }
 
 // workItem is one unit of the pipeline stream: a sealed batch (possibly
-// empty — a version-bearing nudge), optionally carrying a deferred
+// without ops — a mutation-only hand-off), optionally carrying a deferred
 // discipline check.
 type workItem struct {
 	b    *event.Batch
@@ -64,8 +65,8 @@ type workItem struct {
 // itemBuffer is how many sealed items the engine may queue ahead of the
 // consumer before submit back-pressures it: enough for the engine to
 // keep executing through a burst of small batches while the consumer
-// checks a large one. A batch holds at most event.MaxOps ops, so the
-// queue also bounds pipeline memory.
+// checks a large one. A batch holds at most event.MaxOps ops and maxMuts
+// mutations, so the queue also bounds pipeline memory.
 const itemBuffer = 64
 
 // pipeline is the asynchronous detection back-end: one consumer goroutine
@@ -93,8 +94,8 @@ type pipeline struct {
 	hbDispatched atomic.Uint64
 	hbChecked    atomic.Uint64
 
-	// testHook, when non-nil, runs on the consumer before each non-empty
-	// batch is checked; pipeline tests use it to hold batches in flight.
+	// testHook, when non-nil, runs on the consumer before each batch with
+	// ops is checked; pipeline tests use it to hold batches in flight.
 	testHook func(*event.Batch)
 }
 
@@ -122,10 +123,9 @@ func (p *pipeline) progress() PipelineProgress {
 }
 
 // fail records the pipeline's first failure: the engine is poisoned (its
-// next hook aborts the run with pe, and the versioned log stops blocking
-// its recorder) and the failure latch is closed so every pipeline
-// hand-off unblocks into drain mode. Later failures are dropped — the
-// first one is the diagnosis.
+// next hook aborts the run with pe) and the failure latch is closed so
+// every pipeline hand-off unblocks into drain mode. Later failures are
+// dropped — the first one is the diagnosis.
 func (p *pipeline) fail(pe *PipelineError) {
 	p.failOnce.Do(func() {
 		p.e.poisonWith(pe)
@@ -235,9 +235,9 @@ func (p *pipeline) watchdog(timeout time.Duration) {
 	}
 }
 
-// evalDisc answers one deferred discipline check against the relation at
-// the get's version. Runs on the engine goroutine on the inline pipeline
-// and on the consumer otherwise.
+// evalDisc answers one deferred discipline check against the relation
+// just before the get's mutation. Runs on the engine goroutine on the
+// inline pipeline and on the consumer otherwise.
 func (e *Engine) evalDisc(d *discCheck) {
 	if d.touches == 2 {
 		e.violate("multi-touch", fmt.Sprintf(

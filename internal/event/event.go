@@ -5,8 +5,10 @@
 // as one unit — at the next parallel construct, where the reachability
 // relation is about to mutate. Everything inside one batch therefore
 // executed under a single, immutable reachability relation and a single
-// strand, which is exactly the invariant that lets a sealed batch be
-// checked on the async consumer while the program keeps executing.
+// strand. With the async pipeline a batch also carries, ahead of its ops,
+// the construct mutations recorded since the previous hand-off, so the
+// consumer brings the relation to exactly the ops' state before checking
+// them while the program keeps executing.
 //
 // Appends coalesce: an access that extends the previous op of the same
 // kind contiguously is merged into it, so a word-at-a-time scan reaches
@@ -55,7 +57,9 @@ type Op struct {
 const MaxOps = 4096
 
 // Batch is an ordered run of accesses made by one strand between two
-// parallel constructs.
+// parallel constructs, preceded by the construct mutations that order
+// them (async pipeline only). A batch with mutations and no ops is a
+// mutation-only hand-off.
 type Batch struct {
 	// Strand is the strand that performed every op in the batch (the
 	// current strand can only change at a construct, which seals).
@@ -64,11 +68,12 @@ type Batch struct {
 	// reported in PipelineError snapshots. Stamped at seal time, when the
 	// batch leaves the engine goroutine.
 	Gen uint64
-	// Version is the reachability-relation version (count of construct
-	// mutations recorded) the ops executed under. The async consumer
-	// applies pending mutations up to exactly this version before
-	// checking the batch.
-	Version uint64
+	// Muts are the construct mutations the engine made since the previous
+	// hand-off, in program order. They all precede the ops: the async
+	// consumer applies them to the reachability relation before checking
+	// the batch. Always empty on the inline pipeline, which applies
+	// mutations directly.
+	Muts []core.Mut
 	// Seq is the batch's position in seal order, stamped at submit time,
 	// for pipeline diagnostics.
 	Seq uint64
@@ -100,9 +105,9 @@ func (b *Batch) Len() int { return len(b.Ops) }
 // Reset empties the batch, keeping its capacity.
 func (b *Batch) Reset() {
 	b.Ops = b.Ops[:0]
+	b.Muts = b.Muts[:0]
 	b.Strand = core.NoStrand
 	b.Gen = 0
-	b.Version = 0
 	b.Seq = 0
 }
 

@@ -32,18 +32,17 @@ func fuzzOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	}
 }
 
-// parallelOne asserts that the async consumer under a stress-tight
-// construct-ahead window (two mutations) reproduces the inline engine's
-// report exactly on one generated program: the engine keeps running ahead
-// of detection, so nearly every construct waits for the consumer or
-// nudges it.
+// parallelOne asserts that the async consumer reproduces the inline
+// engine's whole report exactly on one generated program, violations and
+// error included: the engine runs ahead of detection, handing each
+// construct's mutations to the consumer with the batch that follows it.
 func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
 	p := Generate(seed, opts)
 	cfg := detect.Config{Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20}
 	serial := detect.NewEngine(cfg).Run(p.Run)
 	cfg.Consumers = 1
-	async := detect.NewTunedEngine(cfg, detect.Tuning{ConstructAhead: 2}).Run(p.Run)
+	async := detect.NewEngine(cfg).Run(p.Run)
 	if !reflect.DeepEqual(serial, async) {
 		t.Fatalf("seed %d: async run diverges from inline\ninline %+v\nasync  %+v\n%s",
 			seed, serial, async, p)

@@ -42,7 +42,6 @@ const (
 	ModeMultiBags     = detect.ModeMultiBags
 	ModeMultiBagsPlus = detect.ModeMultiBagsPlus
 	ModeOracle        = detect.ModeOracle
-	ModeVectorClocks  = detect.ModeVectorClocks
 )
 
 // MemLevel selects how much of the memory-access pipeline runs.

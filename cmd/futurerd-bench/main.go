@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	futurerd-bench [-table fig6|fig7|fig8|vc|replay|all] [-iters n]
+//	futurerd-bench [-table fig6|fig7|fig8|replay|all] [-iters n]
 //	               [-size test|quick|bench] [-validate] [-json]
 //	               [-consumers n] [-traces dir]
 //
@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: fig6, fig7, fig8, vc, replay, all")
+	table := flag.String("table", "all", "which table to run: fig6, fig7, fig8, replay, all")
 	iters := flag.Int("iters", 3, "timed repetitions per configuration (minimum is reported)")
 	size := flag.String("size", "bench", "input scale: test, quick, bench")
 	validate := flag.Bool("validate", false, "re-validate outputs against sequential references")
@@ -60,7 +60,6 @@ func main() {
 	}
 	gens := []gen{
 		{"fig6", bench.Fig6}, {"fig7", bench.Fig7}, {"fig8", bench.Fig8},
-		{"vc", bench.FigVC},
 		{"replay", func(o bench.Options) (*bench.Table, []bench.Measurement, error) {
 			return bench.FigReplay(o, *traces)
 		}},
@@ -84,7 +83,7 @@ func main() {
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown -table %q (want fig6, fig7, fig8, vc, replay or all)\n", *table)
+		fmt.Fprintf(os.Stderr, "unknown -table %q (want fig6, fig7, fig8, replay or all)\n", *table)
 		os.Exit(2)
 	}
 	if *asJSON {

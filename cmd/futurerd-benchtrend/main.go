@@ -12,7 +12,7 @@
 // protocol change leaking extra queries, a race appearing — even when the
 // timings look fine.
 // The two documents must also agree on the algorithm set: a table family
-// (fig6, fig7, vc, ...) present on one side only is a named hard failure,
+// (fig6, fig7, replay, ...) present on one side only is a named hard failure,
 // not a silent row skip — adding a back-end without regenerating the
 // baseline would otherwise pass the gate with the new rows unchecked.
 // Intentional changes regenerate the baseline in the same commit:
@@ -72,10 +72,6 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 		"reach.unions":      s.Reach.Unions,
 		"reach.attached":    s.Reach.AttachedSets,
 		"reach.rarcs":       s.Reach.RArcs,
-		"reach.clockcmps":   s.Reach.ClockCompares,
-		"reach.clockinfl":   s.Reach.ClockInflations,
-		"reach.clockbytes":  s.Reach.ClockBytes,
-		"reach.clockwidth":  s.Reach.ClockWidth,
 		"shadow.reads":      s.Shadow.Reads,
 		"shadow.writes":     s.Shadow.Writes,
 		"shadow.appends":    s.Shadow.ReaderAppends,
@@ -161,7 +157,7 @@ func main() {
 
 	// The two documents must agree on the algorithm/table set (the Figure
 	// field names the algorithm family: fig6 = multibags, fig7 =
-	// multibags+, vc = vector clocks, ...). A family present on one side
+	// multibags+, replay = trace replay, ...). A family present on one side
 	// only would otherwise degrade to a silent row skip (baseline-only) or
 	// an informational NEW flood (current-only), and the gate would pass
 	// while covering nothing of the new back-end — so it is a named, hard

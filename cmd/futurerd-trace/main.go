@@ -2,7 +2,7 @@
 // traces, in four subcommands:
 //
 //	futurerd-trace run    -bench lcs [-variant structured|general]
-//	                      [-mode multibags|multibags+|spbags|oracle|vc]
+//	                      [-mode multibags|multibags+|spbags|oracle]
 //	                      [-size test|quick|bench] [-mem off|instr|full]
 //	                      [-consumers n] [-dot]
 //	futurerd-trace record -bench lcs [-variant ...] [-size ...] -o trace.bin
@@ -69,8 +69,6 @@ func parseMode(s string) futurerd.Mode {
 		return futurerd.ModeSPBags
 	case "oracle":
 		return futurerd.ModeOracle
-	case "vc":
-		return futurerd.ModeVectorClocks
 	}
 	fmt.Fprintf(os.Stderr, "unknown -mode %q\n", s)
 	os.Exit(2)
@@ -149,12 +147,6 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 		fmt.Printf("sync cases      neither=%d both=%d mixed=%d\n",
 			s.Reach.SyncNeither, s.Reach.SyncBoth, s.Reach.SyncMixed)
 	}
-	if s.Reach.ClockCompares > 0 {
-		fmt.Printf("clock compares  %d\n", s.Reach.ClockCompares)
-		fmt.Printf("clock inflates  %d (%.1f KiB)\n",
-			s.Reach.ClockInflations, float64(s.Reach.ClockBytes)/1024)
-		fmt.Printf("clock width     %d columns\n", s.Reach.ClockWidth)
-	}
 	if ml != futurerd.MemOff {
 		fmt.Printf("shadow reads    %d\n", s.Shadow.Reads)
 		fmt.Printf("shadow writes   %d\n", s.Shadow.Writes)
@@ -180,7 +172,7 @@ func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	benchName := fs.String("bench", "lcs", benchUsage())
 	variant := fs.String("variant", "structured", "workload variant: structured, general")
-	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
+	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle")
 	size := parseSize(fs)
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
 	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, >=1 async")
@@ -242,7 +234,7 @@ func cmdRecord(args []string) {
 func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file (required)")
-	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
+	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle")
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
 	consumers := fs.Int("consumers", 0, "detection pipeline: 0 inline, >=1 async")
 	recover := fs.Bool("recover", false,

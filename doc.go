@@ -34,12 +34,6 @@
 //     Runs in O(T1·α(m,n)).
 //   - MultiBags+ (§5): for arbitrary (multi-touch, escaping) futures.
 //     Runs in O((T1+k²)·α(m,n)) for k Get operations.
-//   - VectorClocks: a FastTrack-style alternative for arbitrary futures —
-//     per-strand vector clocks joined at spawn/sync/get, so Precedes is a
-//     single epoch/clock comparison with no bag probes and no R-closure
-//     growth. An epoch-fast representation inflates to a full clock only
-//     on real fan-in, and clock columns are recycled so clock width
-//     tracks live parallelism. Race- and verdict-identical to MultiBags+.
 //   - SP-Bags: the classic fork-join detector, provided as a baseline
 //     (unsound when futures are used).
 //   - Oracle: brute-force dag reachability, for tests.

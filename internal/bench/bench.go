@@ -331,18 +331,6 @@ func Fig7(opts Options) (*Table, []Measurement, error) {
 		func(b workloads.Benchmark) func() workloads.Instance { return b.General })
 }
 
-// FigVC runs the Figure 7 grid (general-future variants) under the
-// vector-clock back-end. Verdicts and shadow counters are identical to
-// Fig7 row for row — the progen equivalence suite enforces it — so the
-// table isolates the cost-model difference: clock compares instead of
-// bag probes, with zero R-closure growth.
-func FigVC(opts Options) (*Table, []Measurement, error) {
-	return figure(opts, "vc",
-		"Vector clocks: general futures + VC back-end (clock-compare Precedes)",
-		futurerd.ModeVectorClocks,
-		func(b workloads.Benchmark) func() workloads.Instance { return b.General })
-}
-
 // FigReplay measures trace-replay throughput over the committed trace
 // corpus (one v2 trace per paper workload, recorded at test size): each
 // trace is decoded and driven through full MultiBags+ detection with
@@ -447,8 +435,8 @@ func Fig8(opts Options) (*Table, []Measurement, error) {
 		}},
 	}
 	t := &Table{
-		Title:  "Figure 8: reachability-only, MultiBags vs MultiBags+ vs vector clocks on structured programs (cf. paper Fig. 8)",
-		Header: []string{"bench", "baseline", "multibags", "", "multibags+", "", "vc", "", "k (gets)", "R nodes", "vc clockB", "vc cmps"},
+		Title:  "Figure 8: reachability-only, MultiBags vs MultiBags+ on structured programs (cf. paper Fig. 8)",
+		Header: []string{"bench", "baseline", "multibags", "", "multibags+", "", "k (gets)", "R nodes"},
 	}
 	var ms []Measurement
 	for _, r := range rows {
@@ -462,33 +450,22 @@ func Fig8(opts Options) (*Table, []Measurement, error) {
 		if repP != nil && repP.Err != nil {
 			return nil, nil, fmt.Errorf("%s: %v", ins.Name(), repP.Err)
 		}
-		vc, repV := measure(opts, ins, futurerd.ModeVectorClocks, futurerd.MemOff)
-		if repV != nil && repV.Err != nil {
-			return nil, nil, fmt.Errorf("%s: %v", ins.Name(), repV.Err)
-		}
 		t.Rows = append(t.Rows, []string{
 			r.name, secs(base),
 			secs(mb), ratio(mb, base),
 			secs(mbp), ratio(mbp, base),
-			secs(vc), ratio(vc, base),
 			fmt.Sprintf("%d", repP.Stats.Gets),
 			fmt.Sprintf("%d", repP.Stats.Reach.AttachedSets),
-			fmt.Sprintf("%d", repV.Stats.Reach.ClockBytes),
-			fmt.Sprintf("%d", repV.Stats.Reach.ClockCompares),
 		})
 		ms = append(ms,
 			Measurement{Figure: "fig8", Bench: r.name, Config: "baseline", Seconds: base.Seconds()},
 			Measurement{Figure: "fig8", Bench: r.name, Config: "multibags",
 				Seconds: mb.Seconds(), Overhead: float64(mb) / float64(base), Stats: &rep.Stats},
 			Measurement{Figure: "fig8", Bench: r.name, Config: "multibags+",
-				Seconds: mbp.Seconds(), Overhead: float64(mbp) / float64(base), Stats: &repP.Stats},
-			Measurement{Figure: "fig8", Bench: r.name, Config: "vc",
-				Seconds: vc.Seconds(), Overhead: float64(vc) / float64(base), Stats: &repV.Stats})
+				Seconds: mbp.Seconds(), Overhead: float64(mbp) / float64(base), Stats: &repP.Stats})
 	}
 	t.Notes = append(t.Notes,
 		"smaller base case => more futures => the k^2 term and R's transitive closure grow;",
-		"lcs blows up, sw is insulated by its Theta(n^3) work, matching the paper's Figure 8;",
-		"the vc column is this implementation's fourth back-end: clock bytes and compares",
-		"stay linear in k where MultiBags+'s R closure (R nodes) grows quadratically")
+		"lcs blows up, sw is insulated by its Theta(n^3) work, matching the paper's Figure 8")
 	return t, ms, nil
 }

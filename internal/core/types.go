@@ -190,19 +190,6 @@ type ReachStats struct {
 	SyncNeither uint64
 	SyncBoth    uint64
 	SyncMixed   uint64
-
-	// Vector-clock back-end counters (VectorClocks only; zero elsewhere,
-	// just as the bag counters above stay zero on VectorClocks runs).
-	// ClockCompares counts epoch/clock comparisons — every Precedes
-	// resolves in exactly one — while ClockInflations
-	// and ClockBytes size the full-vector materializations that real
-	// fan-in forces, and ClockWidth is the slot high-water mark: how many
-	// clock columns were ever live at once (live parallelism, not total
-	// strands).
-	ClockCompares   uint64
-	ClockInflations uint64
-	ClockBytes      uint64
-	ClockWidth      uint64
 }
 
 // StrandTable maps strands to their owning function instance. The

@@ -167,8 +167,6 @@ func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 		e.reach = core.NewMultiBags(e.st)
 	case ModeMultiBagsPlus:
 		e.reach = core.NewMultiBagsPlus(e.st)
-	case ModeVectorClocks:
-		e.reach = core.NewVectorClocks(e.st)
 	case ModeOracle:
 		e.reach = graph.NewRecorder(e.st)
 	default:

@@ -27,11 +27,6 @@ const (
 	// ModeOracle records the full computation dag and answers queries by
 	// graph search. Slow; intended for tests and cross-validation.
 	ModeOracle
-	// ModeVectorClocks uses the FastTrack-style vector-clock back-end:
-	// Precedes is one epoch/clock comparison, with no bag probes and no
-	// R-closure maintenance. Exact on the same program class as
-	// MultiBags+ (all forward-pointing futures).
-	ModeVectorClocks
 )
 
 // String returns the mode name.
@@ -47,8 +42,6 @@ func (m Mode) String() string {
 		return "multibags+"
 	case ModeOracle:
 		return "oracle"
-	case ModeVectorClocks:
-		return "vc"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}

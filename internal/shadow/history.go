@@ -45,13 +45,14 @@
 //     since; the protocol would re-derive exactly the state the word is
 //     in. This holds in any later construct generation: the engine only
 //     keeps a strand current across a generation bump at an empty sync,
-//     which mutates nothing. The word's read state is a two-state machine: *single-reader*
-//     (the inline reader0 slot) inflating to *inflated* (the spill list,
-//     entered only on genuine read contention — a second distinct reader
-//     between writes) and deflating back on the next write-then-read
-//     cycle. The skip tests the entries the list's append already treats
-//     as recorded: reader0, or the first or last entry of the spill list,
-//     through a per-batch memo of the lists found to record the strand.
+//     which mutates nothing. The word's read state is a two-state
+//     machine: *single-reader* (the inline reader0 slot) inflating to
+//     *inflated* (the spill list, entered only on genuine read contention
+//     — a second distinct reader between writes) and deflating back on
+//     the next write-then-read cycle. The skip tests the entries the
+//     list's append already treats as recorded: reader0, or the first or
+//     last entry of the spill list, which it reads directly on every
+//     test.
 //
 //   - Inflated reader lists live in a slab (spill.go), not a map: an
 //     inflated word's reader0 holds its slot index, so appending a reader,

@@ -1,16 +1,14 @@
 package futurerd_test
 
-// BenchmarkPrecedes is the cost-model microbenchmark behind the
-// vector-clock back-end's no-closure-growth claim: it times one Precedes
-// query on each back-end after executions of increasing strand count, so
-// the output is a curve, not an assertion. The driver replays a
-// get-heavy future chain — every round creates a future and gets one
-// created stride rounds earlier — which is exactly the shape that makes
-// MultiBags+ accumulate R-closure (each escaping get adds arcs) while
-// the vector-clock representation stays a per-strand epoch. A back-end
-// whose query cost is independent of execution length shows a flat
-// ns/op across the strands= columns; closure- or probe-based back-ends
-// drift upward.
+// BenchmarkPrecedes is the query-cost curve of SP-Bags, MultiBags and
+// MultiBags+: it times one Precedes query on each back-end after
+// executions of increasing strand count, so the output is a curve, not an
+// assertion. The driver replays a get-heavy future chain — every round
+// creates a future and gets one created stride rounds earlier — which is
+// exactly the shape that makes MultiBags+ accumulate R-closure (each
+// escaping get adds arcs). A back-end whose query cost is independent of
+// execution length shows a flat ns/op across the strands= columns; one
+// whose query walks a growing structure drifts upward.
 
 import (
 	"fmt"
@@ -82,7 +80,6 @@ func BenchmarkPrecedes(b *testing.B) {
 		{"spbags", func(st *core.StrandTable) core.Reach { return core.NewSPBags(st) }},
 		{"multibags", func(st *core.StrandTable) core.Reach { return core.NewMultiBags(st) }},
 		{"multibags+", func(st *core.StrandTable) core.Reach { return core.NewMultiBagsPlus(st) }},
-		{"vc", func(st *core.StrandTable) core.Reach { return core.NewVectorClocks(st) }},
 	}
 	for _, be := range backends {
 		for _, strands := range []int{512, 2048, 8192} {

@@ -237,19 +237,23 @@ func FuzzReadSharedPrograms(f *testing.F) {
 	})
 }
 
-// TestConsumersMatchSerialSeeds sweeps the pipeline differential
-// (Consumers ∈ {0,1}) over a seed range so plain `go test` (and
-// `go test -race`) covers many programs without the fuzzer: seeds 0–39
-// in the default shape — every access on shadow page zero — and seeds
-// 0–24 in the PageSpread shape, where each body touches its own pages.
-func TestConsumersMatchSerialSeeds(t *testing.T) {
+// TestParallelMatchesSerialSeeds sweeps the pipeline differential
+// (Consumers ∈ {0,1}) over seeds 0–39 in the default shape — every
+// access on shadow page zero — so plain `go test` (and `go test -race`)
+// covers many programs without the fuzzer.
+func TestParallelMatchesSerialSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		consumersOne(t, seed, Options{Dialect: General, MaxStmts: 60}, detect.ModeMultiBagsPlus)
 		consumersOne(t, seed, Options{Dialect: Structured, MaxStmts: 60}, detect.ModeMultiBags)
-		if seed < 25 {
-			consumersOne(t, seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBagsPlus)
-			consumersOne(t, seed, Options{Dialect: Structured, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBags)
-		}
+	}
+}
+
+// TestConsumersMatchSerialSeeds sweeps the same differential over seeds
+// 0–24 in the PageSpread shape, where each body touches its own pages.
+func TestConsumersMatchSerialSeeds(t *testing.T) {
+	for seed := uint64(0); seed < 25; seed++ {
+		consumersOne(t, seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBagsPlus)
+		consumersOne(t, seed, Options{Dialect: Structured, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBags)
 	}
 }
 

@@ -3,6 +3,7 @@ package futurerd_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -241,6 +242,37 @@ func TestTraceRoundTripPublicAPI(t *testing.T) {
 	}
 	if !rep.Racy() {
 		t.Fatal("replayed trace lost the race")
+	}
+}
+
+// TestTraceLabelMidBatch: a strand reads two arrays in interleaved
+// streams and sets its label halfway. The label does not seal the open
+// batch, so the recorded trace must keep that batch whole: replay appends
+// the recorded ops as they are, and its Stats equal the direct run's.
+func TestTraceLabelMidBatch(t *testing.T) {
+	const n = 64
+	a, b := futurerd.NewArray[int](n), futurerd.NewArray[int](n)
+	prog := func(tk *futurerd.Task) {
+		for i := 0; i < n; i++ {
+			if i == n/2 {
+				tk.Label("second half")
+			}
+			a.Get(tk, i)
+			b.Get(tk, i)
+		}
+	}
+	cfg := futurerd.Config{Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull}
+	direct := futurerd.Detect(cfg, prog)
+	raw, err := futurerd.RecordTraceBytes(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := futurerd.ReplayTraceBytes(raw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct.Stats, replayed.Stats) {
+		t.Fatalf("stats differ:\ndirect %+v\nreplay %+v", direct.Stats, replayed.Stats)
 	}
 }
 

@@ -362,8 +362,8 @@ func BenchmarkRecord(b *testing.B) {
 // BenchmarkReplay measures trace-replay throughput — the offline
 // detection path: decode a recorded v2 stream and drive it through full
 // MultiBags+ detection, inline and on the async consumer. lcs coalesces
-// into range events; mm is a stream of single-word accesses that never
-// coalesce, one wire event per word.
+// into range events; mm's inner loop interleaves three contiguous
+// streams, which coalesce into one range event per stream.
 func BenchmarkReplay(b *testing.B) {
 	for _, w := range []struct {
 		name string

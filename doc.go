@@ -73,7 +73,11 @@
 // under ReplayTrace, a generated workload) appends its accesses to
 // coalescing event batches (internal/event): contiguous same-kind
 // accesses merge into ranges before they reach the shadow layer, so even
-// word-at-a-time code pays the per-range, not per-word, cost. Batches are
+// word-at-a-time code pays the per-range, not per-word, cost. An access
+// may extend the last op or one of the two before it, so interleaved
+// streams coalesce too; it never moves past another access to one of
+// its words, so every word runs the same protocol steps with the same
+// verdict and racer, and only the order across words changes. Batches are
 // sealed at parallel constructs — where the reachability relation is
 // about to mutate — so everything in one batch executed under a single
 // immutable relation and a single strand. Config.Consumers picks the

@@ -618,10 +618,10 @@ func (e *Engine) violate(kind, detail string) {
 }
 
 // Read implements Executor: the access is appended to the open event
-// batch (coalescing contiguous same-kind accesses into ranges), and the
-// batch as a whole reaches the shadow layer at the next parallel
-// construct — or earlier when it fills — where the page lookup, strand
-// and race plumbing are resolved once per coalesced range.
+// batch, merged into an op it extends contiguously (package event's
+// coalescing rule), and the batch as a whole reaches the shadow layer at
+// the next parallel construct — or earlier when it fills — where the page
+// lookup, strand and race plumbing are resolved once per coalesced range.
 func (e *Engine) Read(t *Task, addr uint64, words int) {
 	e.access(t, event.Read, addr, words)
 }
@@ -642,18 +642,31 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 		// strand, so enforce it locally.
 		e.flushBatch()
 	}
-	e.batch.Strand = t.strand
-	if e.batch.Append(k, addr, words) >= event.MaxOps {
+	b := e.batch
+	b.Strand = t.strand
+	if b.Extend(k, addr, words) {
+		return
+	}
+	// event.Batch.Append, spelled out so that only Merge is a call.
+	var n int
+	if b.Near(addr) {
+		n = b.Merge(k, addr, words)
+	} else {
+		n = b.Push(k, addr, words)
+	}
+	if n >= event.MaxOps {
 		e.flushBatch()
 	}
 }
 
 // Accesses delivers a run of accesses made in order by t's current
 // strand — the trace replayer's entry, one call per decoded access run.
-// It is exactly one Read or Write per op: every op is appended with the
-// same coalescing and MaxOps flush rule, so batch boundaries and every
-// counter match per-op delivery. The poison and strand checks run once
-// per run, and again after a mid-run flush.
+// The ops are appended verbatim, not coalesced again: a recorded trace
+// holds the recorder's batches, which Read and Write build by the same
+// rule between the same constructs, and a full batch flushes at the same
+// MaxOps op. Replay thus rebuilds the direct run's batches exactly. The
+// poison and strand checks run once per run, and again after a mid-run
+// flush.
 func (e *Engine) Accesses(t *Task, ops []event.Op) {
 	if e.batch == nil || len(ops) == 0 {
 		return
@@ -662,16 +675,17 @@ func (e *Engine) Accesses(t *Task, ops []event.Op) {
 	if len(e.batch.Ops) > 0 && e.batch.Strand != t.strand {
 		e.flushBatch() // unreachable today; see access
 	}
-	e.batch.Strand = t.strand
-	for i := range ops {
-		op := &ops[i]
-		if e.batch.Append(op.Kind, op.Addr, op.Words) >= event.MaxOps {
+	for {
+		e.batch.Strand = t.strand
+		n := min(len(ops), event.MaxOps-len(e.batch.Ops))
+		e.batch.Ops = append(e.batch.Ops, ops[:n]...)
+		if ops = ops[n:]; len(e.batch.Ops) >= event.MaxOps {
 			e.flushBatch()
-			if i+1 < len(ops) {
-				e.checkPoison()
-				e.batch.Strand = t.strand
-			}
 		}
+		if len(ops) == 0 {
+			return
+		}
+		e.checkPoison()
 	}
 }
 

@@ -10,13 +10,23 @@
 // consumer brings the relation to exactly the ops' state before checking
 // them while the program keeps executing.
 //
-// Appends coalesce: an access that extends the previous op of the same
-// kind contiguously is merged into it, so a word-at-a-time scan reaches
-// the shadow layer as one bulk range and pays one page lookup and one
-// memoized reachability verdict instead of thousands. Coalescing is
-// verdict-preserving — the merged range covers the same words in the same
-// order with no intervening access, so the shadow protocol runs the exact
-// same per-word steps.
+// Appends coalesce: an access that extends an op of the same kind
+// contiguously is merged into it, so a word-at-a-time scan reaches the
+// shadow layer as one bulk range and pays one page lookup and one
+// memoized reachability verdict instead of thousands. An access may
+// extend the last op, or one of the lookback ops before it when no op
+// after that one touches the access's words; so interleaved scans, such
+// as a matrix kernel that reads one row while it reads and writes
+// another, coalesce into one op per stream (BigFoot's check coalescing,
+// Rhodes et al., PLDI 2017).
+//
+// Coalescing is verdict-preserving. Every op of a batch is one strand
+// under one reachability relation, and merging never moves an access
+// past another access to the same word: each word still sees the same
+// accesses, of the same kinds, in the same order, so the shadow protocol
+// runs the same per-word steps with the same verdict and racer. Only the
+// order across words moves, and with it the order of racy addresses
+// within a batch and the counters that depend on op boundaries.
 //
 // Batches are pooled: the detection back-end recycles them after
 // processing, so a steady-state pipeline allocates nothing per batch.
@@ -80,24 +90,92 @@ type Batch struct {
 	Ops []Op
 }
 
-// Append records an access, coalescing it into the previous op when it
-// extends that op contiguously with the same kind. It returns the op
-// count so callers can flush at MaxOps. Non-positive word counts are
-// ignored.
+// lookback is the number of ops before the last that an access may
+// extend: two cover the three interleaved streams of a matrix kernel's
+// inner loop, and every access that merges nowhere pays one test per op.
+// On a 2-vCPU VM a third op made futurerd-perf's lcs-mbplus no faster,
+// raised its alloc_mb 5.5% and pagerank-mb's slowdown 3.5%.
+const lookback = 2
+
+// Append records an access, coalescing it into an op it extends (see the
+// package documentation). It returns the op count so callers can flush
+// at MaxOps. Non-positive word counts are ignored.
+//
+// Append is Extend, then Near and Merge, else Push. A per-access caller
+// on a hot path makes the same calls itself: all but Merge inline, so an
+// access that merges nowhere pays no call.
 func (b *Batch) Append(k Kind, addr uint64, words int) int {
 	if words <= 0 {
 		return len(b.Ops)
 	}
+	if b.Extend(k, addr, words) {
+		return len(b.Ops)
+	}
+	if b.Near(addr) {
+		return b.Merge(k, addr, words)
+	}
+	return b.Push(k, addr, words)
+}
+
+// Extend merges a positive-length access into the last op when it extends
+// that op contiguously with the same kind, and reports whether it did.
+func (b *Batch) Extend(k Kind, addr uint64, words int) bool {
 	if n := len(b.Ops); n > 0 {
 		last := &b.Ops[n-1]
 		if last.Kind == k && last.Addr+uint64(last.Words) == addr {
 			last.Words += words
+			return true
+		}
+	}
+	return false
+}
+
+// Near reports whether addr is where one of the lookback ops before the
+// last ends: only then may Merge coalesce an access that Extend did not.
+// The two tests are unrolled so that Near inlines; a batch of fewer than
+// lookback+1 ops is never near.
+func (b *Batch) Near(addr uint64) bool {
+	n := len(b.Ops)
+	return n > lookback && (b.Ops[n-2].end() == addr || b.Ops[n-3].end() == addr)
+}
+
+// Merge records a positive-length access that Extend did not merge and
+// that is Near. It merges the access into the nearest of the lookback ops
+// before the last that it extends with the same kind and whose later ops
+// leave its words untouched, else pushes it as a new op. It returns the
+// op count.
+func (b *Batch) Merge(k Kind, addr uint64, words int) int {
+	n := len(b.Ops)
+	for i := n - 2; i >= 0 && i >= n-1-lookback; i-- {
+		op := &b.Ops[i]
+		if op.end() == addr && op.Kind == k && !b.overlapsAfter(i, addr, words) {
+			op.Words += words
 			return n
 		}
 	}
+	return b.Push(k, addr, words)
+}
+
+// Push appends an access as a new op and returns the op count.
+func (b *Batch) Push(k Kind, addr uint64, words int) int {
 	b.Ops = append(b.Ops, Op{Addr: addr, Words: words, Kind: k})
 	return len(b.Ops)
 }
+
+// overlapsAfter reports whether an op after op i touches a word of
+// [addr, addr+words).
+func (b *Batch) overlapsAfter(i int, addr uint64, words int) bool {
+	end := addr + uint64(words)
+	for _, op := range b.Ops[i+1:] {
+		if op.Addr < end && addr < op.end() {
+			return true
+		}
+	}
+	return false
+}
+
+// end returns the address just past the op's last word.
+func (op *Op) end() uint64 { return op.Addr + uint64(op.Words) }
 
 // Len returns the number of (coalesced) ops buffered.
 func (b *Batch) Len() int { return len(b.Ops) }

@@ -108,8 +108,10 @@ func (e *addrEncoder) insert(d int64) {
 // recorder implements detect.Executor: it executes the program eagerly
 // on the calling goroutine (like the detection engine, minus detection)
 // and logs every event in format v2. Accesses pass through an
-// event.Batch first, so word-at-a-time scans reach the stream as range
-// events — the same coalescing the engine's detection pipeline applies.
+// event.Batch first, with the engine's coalescing rule, flushed at the
+// engine's seal points (every construct) and at MaxOps, so the stream
+// holds exactly the ops of the engine's batches and replay appends them
+// as they are.
 type recorder struct {
 	w    *bufio.Writer
 	raw  []byte       // open block, uncompressed
@@ -306,9 +308,13 @@ func (r *recorder) Write(t *detect.Task, addr uint64, words int) {
 
 // Label records the strand label of the current task body (Task.Label
 // finds this method through its optional-capability check), so replayed
-// reports carry the same strand names as a direct run.
+// reports carry the same strand names as a direct run. It leaves the
+// buffered accesses buffered, as the engine's Label leaves its batch
+// open, so recorded batches stay the engine's batches. The label event
+// then precedes some of its strand's earlier accesses on the wire, which
+// changes nothing on replay: a label names the task's function, whenever
+// it is set.
 func (r *recorder) Label(t *detect.Task, label string) {
-	r.flushAccesses()
 	if len(label) > maxLabel {
 		label = label[:maxLabel]
 	}
@@ -452,12 +458,13 @@ func (d *v2Decoder) uvarint() (uint64, error) {
 }
 
 // run decodes the access events that follow into the run buffer, one op
-// per wire event (the recorder coalesced before encoding), across block
-// boundaries. It stops at the first structural event, which it returns
-// decoded as end, or when the buffer is full (end is tevNone); end is
-// tevEOF at the terminator, after which run must not be called again.
-// On a decode error ops holds the well-formed accesses before the bad
-// event. ops aliases the buffer, so it is valid until the next call.
+// per wire event, across block boundaries. Each op is one op of a
+// recorded batch, ready for Engine.Accesses to append as it is. It stops
+// at the first structural event, which it returns decoded as end, or
+// when the buffer is full (end is tevNone); end is tevEOF at the
+// terminator, after which run must not be called again. On a decode
+// error ops holds the well-formed accesses before the bad event. ops
+// aliases the buffer, so it is valid until the next call.
 func (d *v2Decoder) run() (ops []event.Op, end tev, err error) {
 	buf := d.ops
 	n := 0

@@ -46,8 +46,8 @@
 // spawn depth costs no Go stack. Accesses are decoded a run at a time:
 // the decoder fills a fixed buffer with consecutive access events, one
 // op per event, and replay hands each run to the engine in one call
-// (Engine.Accesses), which batches it exactly as per-word delivery
-// would.
+// (Engine.Accesses), which appends the ops as they are: they are the ops
+// of the recorded batches, so replay rebuilds the direct run's batches.
 //
 // A zero-length block terminates the stream; bytes after it make the
 // stream malformed.

@@ -77,18 +77,24 @@ func TestReplayCarriesLabels(t *testing.T) {
 	}
 }
 
+// longRun's shape: writes before its label and after it, and the loop
+// index of the first write after the first MaxOps flush.
+const (
+	longRunPre  = 100
+	longRunN    = 40_000
+	longRunRacy = event.MaxOps - longRunPre
+)
+
 // longRun is one strand issuing far more non-coalescing single-word
 // writes than event.MaxOps — 40k one-byte events, past the 32 KiB block
 // target — between two spawned children, so replay's run buffer, the
 // MaxOps flush and a block boundary all fall inside one access run. The
-// label before the loop ends a decoded run without sealing the batch,
-// so the first MaxOps flush falls inside a decoded run. The write just
-// after that flush races with the first child: ops after a mid-run
-// flush must still carry the run's strand. The second child races with
-// the continuation.
+// write just after the first flush races with the first child; the
+// second child races with the continuation. The label between the loops
+// does not seal, so its batch holds the pre-loop writes too: that first
+// flush falls inside a decoded run only in midRunFlushTrace.
 func longRun(t *detect.Task) {
-	const pre, n = 100, 40_000
-	const racy = event.MaxOps - pre // loop index of the first write after the first flush
+	const pre, n, racy = longRunPre, longRunN, longRunRacy
 	t.Spawn(func(c *detect.Task) { c.Write(2 * racy) })
 	for i := 0; i < pre; i++ {
 		t.Write(uint64(1<<30 + 2*i))
@@ -166,6 +172,71 @@ func TestReplayMatchesDirectDetection(t *testing.T) {
 				p := progen.Generate(seed, progen.Options{Dialect: dialect})
 				check(fmt.Sprintf("seed %d [%s]", seed, dialect), p.Run)
 			}
+		}
+	}
+}
+
+// midRunFlushTrace hand-encodes longRun with its label event after the
+// pre-loop writes instead of before them, in two blocks split inside the
+// main loop. The label ends a decoded run 100 ops into the open batch,
+// so the first MaxOps flush falls 3996 ops into the next run, mid-run
+// (the run buffer holds 256 ops). Every access is a varint event.
+func midRunFlushTrace(t *testing.T) []byte {
+	t.Helper()
+	const pre, n, racy = longRunPre, longRunN, longRunRacy
+	var raw []byte
+	var end [2]uint64 // per kind: end of the previous access
+	access := func(k event.Kind, addr uint64) {
+		raw = append(raw, v2Read+byte(k))
+		raw = binary.AppendUvarint(raw, zigzag(int64(addr)-int64(end[k])))
+		end[k] = addr + 1
+	}
+	var out bytes.Buffer
+	out.Write(magicV2)
+	raw = append(raw, v2Spawn)
+	access(event.Write, 2*racy)
+	raw = append(raw, v2TaskEnd)
+	for i := 0; i < pre; i++ {
+		access(event.Write, uint64(1<<30+2*i))
+	}
+	raw = append(raw, v2Label, byte(len("long run")))
+	raw = append(raw, "long run"...)
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			out.Write(encodeTestBlock(t, raw))
+			raw = raw[:0]
+		}
+		access(event.Write, uint64(2*i))
+	}
+	raw = append(raw, v2Spawn)
+	access(event.Write, 1<<21+1)
+	raw = append(raw, v2TaskEnd)
+	access(event.Read, 1<<21+1)
+	raw = append(raw, v2Sync)
+	out.Write(encodeTestBlock(t, raw))
+	out.WriteByte(0)
+	return out.Bytes()
+}
+
+// TestReplayFlushInsideRun: where a label ends a decoded run without
+// sealing, a MaxOps flush falls inside the next run, and the ops after it
+// must still carry the run's strand. The replay equals direct detection
+// of longRun, whose ops and batches are the same: the write just after
+// the flush races with the first child.
+func TestReplayFlushInsideRun(t *testing.T) {
+	raw := midRunFlushTrace(t)
+	for _, consumers := range []int{0, 1} {
+		cfg := detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, Consumers: consumers}
+		direct := detect.NewEngine(cfg).Run(longRun)
+		replayed, err := ReplayBytes(raw, cfg)
+		if err != nil {
+			t.Fatalf("consumers=%d: %v", consumers, err)
+		}
+		if len(replayed.Races) != 2 || !reflect.DeepEqual(direct.Races, replayed.Races) {
+			t.Fatalf("consumers=%d: races differ:\ndirect %v\nreplay %v", consumers, direct.Races, replayed.Races)
+		}
+		if !reflect.DeepEqual(direct.Stats, replayed.Stats) {
+			t.Fatalf("consumers=%d: stats differ:\ndirect %+v\nreplay %+v", consumers, direct.Stats, replayed.Stats)
 		}
 	}
 }
@@ -411,10 +482,11 @@ func TestTrailingBytesAfterTerminator(t *testing.T) {
 // TestBlockFramingSpansBlocks forces multi-block streams and checks the
 // decoder's cross-block state (delta caches, create counter) survives.
 // strides is a multi-block stream of nothing but single-word accesses:
-// three strides that never coalesce fill blocks fast.
+// three interleaved streams of strides 2, 3 and 5, so no access extends
+// any op and none coalesce, fill blocks fast.
 func strides(t *detect.Task) {
 	for i := 0; i < 200_000; i++ {
-		t.Read(uint64(1 + i))
+		t.Read(uint64(1 + 2*i))
 		t.Read(uint64(1_000_000 + i*3))
 		t.Write(uint64(9_000_000 + i*5))
 	}

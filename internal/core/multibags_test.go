@@ -17,11 +17,6 @@ func scriptCreateGet(m Reach) {
 	m.GetFut(GetRec{Fn: 1, FutFn: 2, Getter: 3, FutLast: 2, Cont: 4, Creator: 1, Touch: 1})
 }
 
-func newTable(n int) *StrandTable {
-	st := NewStrandTable(n)
-	return st
-}
-
 func addStrands(st *StrandTable, fns ...FnID) {
 	for i, f := range fns {
 		st.Add(StrandID(i+1), f)
@@ -29,7 +24,7 @@ func addStrands(st *StrandTable, fns ...FnID) {
 }
 
 func TestMultiBagsLifecycle(t *testing.T) {
-	st := newTable(8)
+	st := NewStrandTable()
 	addStrands(st, 1, 2, 1, 1) // strand→fn: 1→main, 2→G, 3→main, 4→main
 	m := NewMultiBags(st)
 	m.Init(1, 1)
@@ -60,7 +55,7 @@ func TestMultiBagsLifecycle(t *testing.T) {
 
 func TestMultiBagsSpawnSyncAsFutures(t *testing.T) {
 	// spawn ≡ create_fut and sync-join ≡ get_fut for MultiBags (§4).
-	st := newTable(8)
+	st := NewStrandTable()
 	addStrands(st, 1, 2, 1, 1)
 	m := NewMultiBags(st)
 	m.Init(1, 1)
@@ -92,14 +87,14 @@ func TestMultiBagsVsSPBagsReturnRule(t *testing.T) {
 			ChildLast: 4, ContLast: 5, Join: 6})
 		return m.Precedes(2, 6) // G's strand vs the post-sync strand
 	}
-	stA := newTable(8)
+	stA := NewStrandTable()
 	addStrands(stA, 1, 2, 1, 3, 1, 1)
 	mb := NewMultiBags(stA)
 	mb.Init(1, 1)
 	if run(mb) {
 		t.Fatal("MultiBags: unjoined future must stay parallel across a sync")
 	}
-	stB := newTable(8)
+	stB := NewStrandTable()
 	addStrands(stB, 1, 2, 1, 3, 1, 1)
 	sp := NewSPBags(stB)
 	sp.Init(1, 1)
@@ -112,7 +107,7 @@ func TestMultiBagsVsSPBagsReturnRule(t *testing.T) {
 // TestMultiBagsPlusDSPIgnoresGet pins §5's DSP rule: get_fut does not
 // union bags (multi-touch futures), yet the query still answers true via R.
 func TestMultiBagsPlusDSPIgnoresGet(t *testing.T) {
-	st := newTable(8)
+	st := NewStrandTable()
 	addStrands(st, 1, 2, 1, 1, 1)
 	m := NewMultiBagsPlus(st)
 	m.Init(1, 1)
@@ -139,7 +134,7 @@ func TestMultiBagsPlusDSPIgnoresGet(t *testing.T) {
 func TestSPBagsPureForkJoin(t *testing.T) {
 	// On a pure fork-join script SP-Bags is exact: child parallel until
 	// sync, sequential after.
-	st := newTable(8)
+	st := NewStrandTable()
 	addStrands(st, 1, 2, 1, 1)
 	sp := NewSPBags(st)
 	sp.Init(1, 1)
@@ -159,7 +154,7 @@ func TestSPBagsPureForkJoin(t *testing.T) {
 }
 
 func TestReachNames(t *testing.T) {
-	st := newTable(4)
+	st := NewStrandTable()
 	if NewMultiBags(st).Name() != "multibags" ||
 		NewMultiBagsPlus(st).Name() != "multibags+" ||
 		NewSPBags(st).Name() != "spbags" {

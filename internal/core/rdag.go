@@ -18,15 +18,25 @@ package core
 // source's, whenever one already contains the other, so it allocates only
 // the chunks an arc really changes. The two rows one create_fut makes, and
 // a wavefront tile's get-continuation row and the row of the tile above,
-// then share all but a chunk or two. A query is still one index load and
-// one bit test.
+// then share all but a chunk or two.
+//
+// Like the chunk slab, the node table is a list of fixed blocks that never
+// move, so adding a node allocates only when its block fills and never
+// copies the table. A query is a node-block load, a row load and the
+// chunk's bit test.
 type rdag struct {
-	rows   [][]int32 // rows[x][c]: id of chunk c (bits 512c..512c+511) of x's ancestors
-	blocks []*[blockChunks]chunk
-	chunks int32 // chunks written to the slab, the zero chunk included
-	fold   foldMemo
-	succ   [][]int32
-	arcs   uint64
+	nodeBlocks []*[blockNodes]rnode
+	n          int32 // nodes added
+	blocks     []*[blockChunks]chunk
+	chunks     int32 // chunks written to the slab, the zero chunk included
+	fold       foldMemo
+	arcs       uint64
+}
+
+// rnode is one node of R: its row of ancestor chunks and its successors.
+type rnode struct {
+	row  []int32 // row[c]: id of chunk c (bits 512c..512c+511) of the node's ancestors
+	succ []int32
 }
 
 // foldMemo remembers the last chunk orInto wrote for a source's own bit:
@@ -44,7 +54,8 @@ type foldKey struct{ dst, src, node int32 }
 const (
 	chunkWords  = 8
 	chunkBits   = 64 * chunkWords
-	blockChunks = 512 // 32 KB slab blocks; a small R allocates one
+	blockChunks = 512  // 32 KB slab blocks; a small R allocates one
+	blockNodes  = 1024 // 48 KB node blocks
 )
 
 // chunk is 512 bits of one row. Chunk 0 is the all-zero chunk, so a row
@@ -57,9 +68,18 @@ func (r *rdag) addNode() int32 {
 		r.blocks = append(r.blocks, new([blockChunks]chunk))
 		r.chunks = 1
 	}
-	r.rows = append(r.rows, nil)
-	r.succ = append(r.succ, nil)
-	return int32(len(r.rows) - 1)
+	x := r.n
+	if int(uint32(x)/blockNodes) == len(r.nodeBlocks) {
+		r.nodeBlocks = append(r.nodeBlocks, new([blockNodes]rnode))
+	}
+	r.n++
+	return x
+}
+
+// node returns node x. Node blocks never move, so the pointer stays valid
+// while later nodes are added.
+func (r *rdag) node(x int32) *rnode {
+	return &r.nodeBlocks[uint32(x)/blockNodes][uint32(x)%blockNodes]
 }
 
 // chunk returns the chunk with the given id. Blocks never move, so the
@@ -85,7 +105,8 @@ func (r *rdag) addArc(a, b int32) {
 		return // already reachable or self arc; closure unchanged
 	}
 	r.arcs++
-	r.succ[a] = append(r.succ[a], b)
+	na := r.node(a)
+	na.succ = append(na.succ, b)
 	r.propagate(b, a)
 }
 
@@ -96,7 +117,7 @@ func (r *rdag) propagate(x, src int32) {
 	if !r.orInto(x, src) {
 		return
 	}
-	for _, s := range r.succ[x] {
+	for _, s := range r.node(x).succ {
 		r.propagate(s, x)
 	}
 }
@@ -105,12 +126,13 @@ func (r *rdag) propagate(x, src int32) {
 // reports whether row x changed. The row grows at most once, to exactly
 // the chunks the result needs.
 func (r *rdag) orInto(x, src int32) bool {
-	s, d := r.rows[src], r.rows[x]
+	nx := r.node(x)
+	s, d := r.node(src).row, nx.row
 	bc := int(uint32(src) / chunkBits)
 	if n := max(len(s), bc+1); n > len(d) {
 		nd := make([]int32, n)
 		copy(nd, d)
-		d, r.rows[x] = nd, nd
+		d, nx.row = nd, nd
 	}
 	changed := false
 	for c, sid := range s {
@@ -180,7 +202,7 @@ func contains(a, b *chunk) bool {
 
 // reaches reports whether there is a (non-empty) path from a to b.
 func (r *rdag) reaches(a, b int32) bool {
-	row := r.rows[b]
+	row := r.node(b).row
 	c := uint32(a) / chunkBits
 	if c >= uint32(len(row)) {
 		return false
@@ -189,7 +211,7 @@ func (r *rdag) reaches(a, b int32) bool {
 }
 
 // nodes returns the number of nodes in R.
-func (r *rdag) nodes() int { return len(r.rows) }
+func (r *rdag) nodes() int { return int(r.n) }
 
 // closureWords returns the 64-bit words held by the transitive closure,
 // the "memory required for the reachability matrix R" that the paper
@@ -198,8 +220,8 @@ func (r *rdag) nodes() int { return len(r.rows) }
 // two chunk ids per word.
 func (r *rdag) closureWords() uint64 {
 	var ids uint64
-	for _, row := range r.rows {
-		ids += uint64(len(row))
+	for x := int32(0); x < r.n; x++ {
+		ids += uint64(len(r.node(x).row))
 	}
 	return uint64(max(r.chunks-1, 0))*chunkWords + (ids+1)/2
 }

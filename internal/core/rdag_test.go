@@ -146,8 +146,8 @@ func TestRdagMatchesBFS(t *testing.T) {
 			adj[i] = append(adj[i], int32(j))
 		}
 		// Rows are sized to the chunk of their highest ancestor.
-		for x, row := range r.rows {
-			if len(row) > 0 && row[len(row)-1] == 0 {
+		for x := int32(0); x < r.n; x++ {
+			if row := r.node(x).row; len(row) > 0 && row[len(row)-1] == 0 {
 				t.Fatalf("seed %d: row %d ends in the zero chunk", seed, x)
 			}
 		}
@@ -222,7 +222,7 @@ func TestRdagSharesChunks(t *testing.T) {
 	// Every node with an arc out reaches the last tile's last node.
 	fin := int32(n - 1)
 	for x := int32(1); x < fin; x++ {
-		if !r.reaches(x, fin) && len(r.succ[x]) > 0 {
+		if !r.reaches(x, fin) && len(r.node(x).succ) > 0 {
 			t.Fatalf("node %d does not reach the last tile's last node", x)
 		}
 	}
@@ -231,8 +231,8 @@ func TestRdagSharesChunks(t *testing.T) {
 	cont, fut := r.addNode(), r.addNode()
 	r.addArc(fin, cont)
 	r.addArc(fin, fut)
-	if !slices.Equal(r.rows[cont], r.rows[fut]) {
-		t.Fatalf("create_fut rows hold different chunks: %v and %v", r.rows[cont], r.rows[fut])
+	if rc, rf := r.node(cont).row, r.node(fut).row; !slices.Equal(rc, rf) {
+		t.Fatalf("create_fut rows hold different chunks: %v and %v", rc, rf)
 	}
 }
 
@@ -246,6 +246,39 @@ func TestRdagClosureWords(t *testing.T) {
 	}
 	if r.nodes() != 2 {
 		t.Fatalf("nodes = %d, want 2", r.nodes())
+	}
+}
+
+// TestRdagAddNodeAllocs: adding a node inside a block allocates nothing;
+// only a full block costs an allocation.
+func TestRdagAddNodeAllocs(t *testing.T) {
+	var r rdag
+	r.addNode() // allocates the first node block and chunk slab block
+	if a := testing.AllocsPerRun(blockNodes/2, func() { r.addNode() }); a != 0 {
+		t.Fatalf("addNode inside a block allocates %v times, want 0", a)
+	}
+}
+
+// TestRdagNodesStayPut: a node pointer and a row taken before thousands
+// more nodes are added still read the same node, so the table never
+// moves a node.
+func TestRdagNodesStayPut(t *testing.T) {
+	var r rdag
+	a, b := r.addNode(), r.addNode()
+	r.addArc(a, b)
+	nb, row := r.node(b), r.node(b).row
+	for i := 0; i < 5000; i++ {
+		x := r.addNode()
+		r.addArc(b, x)
+	}
+	if r.node(b) != nb {
+		t.Fatal("node b moved after later addNode calls")
+	}
+	if !slices.Equal(nb.row, row) || &nb.row[0] != &row[0] {
+		t.Fatalf("node b's row changed: %v, was %v", nb.row, row)
+	}
+	if len(nb.succ) != 5000 || !r.reaches(a, b) || !r.reaches(a, r.n-1) {
+		t.Fatal("node b lost its arcs")
 	}
 }
 

@@ -198,47 +198,61 @@ type ReachStats struct {
 //
 // The engine goroutine appends strands at parallel constructs while the
 // async detection consumer resolves FnOf for in-flight batches and races.
-// The mapping is therefore
-// published through an atomic slice header: readers load a consistent
-// (pointer, len) pair, and every strand a reader can name was published
-// before the batch naming it was sealed (the channel hand-off orders the
-// stores). In-place element writes land beyond every published reader's
-// length, so they never race with reads.
+// The mapping is therefore stored in fixed blocks that never move, behind
+// a block directory and an atomic length. Add fills the strand's slot and
+// then publishes the new length; only when a block is added does it
+// republish the directory, through an atomic pointer, before the slot
+// write. Every strand a reader can name was published before the batch
+// naming it was sealed (the channel hand-off orders the stores), so its
+// slot and its block are visible to the reader. Slot writes land beyond
+// every published length, so they never race with reads.
 type StrandTable struct {
-	hdr atomic.Pointer[[]FnID]
-	fn  []FnID // recorder-private backing; hdr republishes it after each Add
+	dir    atomic.Pointer[[]*[strandBlock]FnID]
+	n      atomic.Uint32        // published length, the reserved 0 included
+	blocks []*[strandBlock]FnID // recorder-private directory; dir republishes it when a block is added
 }
 
-// NewStrandTable returns a table with capacity hint n strands.
-func NewStrandTable(n int) *StrandTable {
-	t := &StrandTable{fn: make([]FnID, 1, n+1)}
-	t.publish()
+const strandBlock = 1024 // 4 KB blocks of FnID
+
+// NewStrandTable returns an empty table.
+func NewStrandTable() *StrandTable {
+	t := &StrandTable{}
+	t.grow()
+	t.n.Store(1)
 	return t
 }
 
-func (t *StrandTable) publish() {
-	h := t.fn
-	t.hdr.Store(&h)
+// grow adds a block and republishes the directory.
+func (t *StrandTable) grow() {
+	t.blocks = append(t.blocks, new([strandBlock]FnID))
+	d := t.blocks
+	t.dir.Store(&d)
 }
 
 // Add registers strand s as belonging to function f. Strands must be added
 // in id order (the engine allocates them densely). Single recorder
 // goroutine only.
 func (t *StrandTable) Add(s StrandID, f FnID) {
-	if int(s) != len(t.fn) {
+	if uint32(s) != t.n.Load() {
 		panic("core: strands must be registered densely in order")
 	}
-	t.fn = append(t.fn, f)
-	t.publish()
+	b := int(s / strandBlock)
+	if b == len(t.blocks) {
+		t.grow()
+	}
+	t.blocks[b][s%strandBlock] = f
+	t.n.Store(uint32(s) + 1)
 }
 
 // FnOf returns the function instance owning strand s. Safe to call from
 // the detection back-end for any strand published before the event naming
 // it was handed over.
-func (t *StrandTable) FnOf(s StrandID) FnID { return (*t.hdr.Load())[s] }
+func (t *StrandTable) FnOf(s StrandID) FnID {
+	return (*t.dir.Load())[s/strandBlock][s%strandBlock]
+}
 
 // Len returns the number of registered strands (excluding the reserved 0).
-func (t *StrandTable) Len() int { return len(*t.hdr.Load()) - 1 }
+func (t *StrandTable) Len() int { return int(t.n.Load()) - 1 }
 
 // extend returns s grown with fill values to at least length n. The
 // capacity at least doubles when it runs out, so the per-element tables

@@ -6,7 +6,7 @@ import (
 )
 
 func TestStrandTable(t *testing.T) {
-	st := NewStrandTable(4)
+	st := NewStrandTable()
 	if st.Len() != 0 {
 		t.Fatalf("fresh table Len = %d", st.Len())
 	}
@@ -22,7 +22,7 @@ func TestStrandTable(t *testing.T) {
 }
 
 func TestStrandTableDensePanic(t *testing.T) {
-	st := NewStrandTable(4)
+	st := NewStrandTable()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-order Add must panic: the engine relies on dense ids")
@@ -32,7 +32,7 @@ func TestStrandTableDensePanic(t *testing.T) {
 }
 
 func TestStrandTableGrowth(t *testing.T) {
-	st := NewStrandTable(1)
+	st := NewStrandTable()
 	for s := StrandID(1); s <= 10000; s++ {
 		st.Add(s, FnID(s%7))
 	}
@@ -44,12 +44,26 @@ func TestStrandTableGrowth(t *testing.T) {
 	}
 }
 
-// TestStrandTableConcurrentReads: the recorder appends strands while
-// readers resolve already-published ids from another goroutine — the
-// atomic header publish keeps this race-free (run under -race).
+// TestStrandTableAddAllocs: adding a strand inside a block allocates
+// nothing; only a full block costs an allocation.
+func TestStrandTableAddAllocs(t *testing.T) {
+	st := NewStrandTable()
+	s := StrandID(1)
+	if a := testing.AllocsPerRun(strandBlock/2, func() { st.Add(s, 1); s++ }); a != 0 {
+		t.Fatalf("Add inside a block allocates %v times, want 0", a)
+	}
+	if st.Len() != int(s)-1 {
+		t.Fatalf("Len = %d, want %d", st.Len(), s-1)
+	}
+}
+
+// TestStrandTableConcurrentReads: the recorder appends strands while a
+// reader resolves the newest published id from another goroutine, so
+// reads meet every block boundary as it is published; the atomic length
+// and directory keep this race-free (run under -race).
 func TestStrandTableConcurrentReads(t *testing.T) {
-	st := NewStrandTable(4)
-	const n = 20000
+	st := NewStrandTable()
+	const n = 20 * strandBlock
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -62,7 +76,7 @@ func TestStrandTableConcurrentReads(t *testing.T) {
 			default:
 			}
 			if l := st.Len(); l > 0 {
-				s := StrandID(1 + l/2)
+				s := StrandID(l)
 				if got := st.FnOf(s); got != FnID(s)+1 {
 					t.Errorf("FnOf(%d) = %d, want %d", s, got, FnID(s)+1)
 					return

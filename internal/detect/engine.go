@@ -159,7 +159,7 @@ func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 		e.initPipeline(cfg, tu)
 		return e
 	}
-	e.st = core.NewStrandTable(1024)
+	e.st = core.NewStrandTable()
 	switch cfg.Mode {
 	case ModeSPBags:
 		e.reach = core.NewSPBags(e.st)

@@ -9,7 +9,7 @@ import (
 
 // buildDiamond builds  1 → {2, 3} → 4  with strand 5 detached.
 func buildDiamond() *Recorder {
-	st := core.NewStrandTable(8)
+	st := core.NewStrandTable()
 	for s := core.StrandID(1); s <= 5; s++ {
 		st.Add(s, 1)
 	}
@@ -68,7 +68,7 @@ func TestDegreesAndEdges(t *testing.T) {
 }
 
 func TestHasNonSPEdge(t *testing.T) {
-	st := core.NewStrandTable(8)
+	st := core.NewStrandTable()
 	for s := core.StrandID(1); s <= 3; s++ {
 		st.Add(s, 1)
 	}
@@ -110,7 +110,7 @@ func TestLemma44PathDecomposition(t *testing.T) {
 	// Reconstruct a small structured dag by hand: main creates future F,
 	// continues, gets F.
 	//   1 —create→ 2(F) —get→ 4;  1 —cont→ 3 —cont→ 4
-	st := core.NewStrandTable(8)
+	st := core.NewStrandTable()
 	st.Add(1, 1)
 	st.Add(2, 2)
 	st.Add(3, 1)

@@ -84,7 +84,7 @@ func BenchmarkPrecedes(b *testing.B) {
 	for _, be := range backends {
 		for _, strands := range []int{512, 2048, 8192} {
 			b.Run(fmt.Sprintf("algo=%s/strands=%d", be.name, strands), func(b *testing.B) {
-				st := core.NewStrandTable(strands + 8)
+				st := core.NewStrandTable()
 				m := be.mk(st)
 				cur, us := chain(m, st, strands, 16)
 				b.ResetTimer()

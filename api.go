@@ -66,7 +66,7 @@ const MaxViolations = detect.MaxViolations
 var ErrFutureNotReady = detect.ErrFutureNotReady
 
 // PipelineError is the structured failure of the fail-closed detection
-// pipeline: any panic or stall in a detection goroutine is recovered into
+// pipeline: a panic in a detection goroutine is recovered into
 // one of these (stage, batch diagnostic, per-stage progress) and returned
 // through Report.Err, with every pipeline goroutine joined before Detect
 // returns. Test with errors.As.
@@ -75,10 +75,6 @@ type PipelineError = detect.PipelineError
 // PipelineProgress is the per-stage progress snapshot a PipelineError
 // carries.
 type PipelineProgress = detect.PipelineProgress
-
-// ErrStalled is the cause of a watchdog-raised PipelineError: no pipeline
-// stage advanced for Config.StallTimeout while work was outstanding.
-var ErrStalled = detect.ErrStalled
 
 // ErrStrandOverflow is the cause of the PipelineError a run fails with
 // when it would need more than 2^31-1 strand ids.

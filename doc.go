@@ -115,14 +115,14 @@
 //
 // # Failure model
 //
-// The detection pipeline fails closed. A panic or stall on the inline
-// checking path or the async consumer is recovered into a structured
+// The detection pipeline fails closed. A panic on the inline checking
+// path or the async consumer is recovered into a structured
 // PipelineError (failed stage, batch diagnostic, per-stage progress
 // snapshot) returned through Report.Err, with the engine poisoned so
 // subsequent hooks return instead of feeding a dead pipeline, and every
-// goroutine joined before Detect returns. Config.StallTimeout arms a
-// watchdog that converts a wedged consumer into the same structured
-// error (cause ErrStalled).
+// goroutine joined before Detect returns. A stalled consumer is not a
+// failure: Detect waits for it and joins it, so the stall delays the run
+// and leaves its verdicts unchanged.
 // Trace inputs are treated as hostile — per-block checksums, bounded
 // chunked reads — and ReplayTraceRecover replays the longest
 // well-formed prefix of a damaged trace, describing the cut in

@@ -3,9 +3,9 @@ package detect
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
+
+	"futurerd/internal/faultinject"
 )
 
 // TestConfigMatrixNoPanic is the mem × mode regression for the
@@ -209,31 +209,24 @@ func TestConsumersSelectPipeline(t *testing.T) {
 	}
 }
 
-// TestPoolReleasedOnUserPanic: a panic in user code must not leak the
-// async consumer's goroutine (Run defers the back-end stop before
-// re-panicking).
-func TestPoolReleasedOnUserPanic(t *testing.T) {
-	before := runtime.NumGoroutine()
+// TestConsumerJoinedOnUserPanic: a panic in user code must reach the
+// caller and must not leak the async consumer's goroutine (Run defers the
+// back-end stop before re-panicking).
+func TestConsumerJoinedOnUserPanic(t *testing.T) {
+	faultinject.GoroutineLeakCheck(t)
 	for i := 0; i < 5; i++ {
-		for _, stall := range []time.Duration{0, time.Minute} {
-			func() {
-				defer func() { _ = recover() }()
-				NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1, StallTimeout: stall}).
-					Run(func(t *Task) {
-						t.WriteRange(1, 1<<15) // engage the back-end first
-						t.Spawn(func(c *Task) { c.WriteRange(1<<20, 100) })
-						panic("user bug")
-					})
+		func() {
+			defer func() {
+				if r := recover(); r != "user bug" {
+					t.Errorf("run %d: recovered %v, want the user panic", i, r)
+				}
 			}()
-		}
-	}
-	// Goroutines exit asynchronously after the channel close; give them
-	// a moment before comparing.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Fatalf("goroutines grew from %d to %d: back-end leaked on panic", before, g)
+			NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1}).
+				Run(func(t *Task) {
+					t.WriteRange(1, 1<<15) // engage the back-end first
+					t.Spawn(func(c *Task) { c.WriteRange(1<<20, 100) })
+					panic("user bug")
+				})
+		}()
 	}
 }

@@ -20,8 +20,8 @@ import (
 // held in flight on the consumer goroutine until the engine goroutine has
 // executed a spawn, a sync, and a future create/get past it. Under the
 // old drain-at-construct pipeline this deadlocks (the construct waits for
-// the held batch, the hold waits for the construct) and the watchdog
-// fails the test.
+// the held batch, the hold waits for the construct) until the hook's
+// 10-second timeout fails the test.
 func TestConstructProceedsWithBatchInFlight(t *testing.T) {
 	e := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 1})
 	constructsDone := make(chan struct{})

@@ -7,11 +7,6 @@ import (
 	"futurerd/internal/event"
 )
 
-// ErrStalled is the cause of a watchdog-raised PipelineError: a pipeline
-// stage made no progress for Config.StallTimeout while work was
-// outstanding.
-var ErrStalled = errors.New("detect: pipeline stalled past Config.StallTimeout")
-
 // ErrStrandOverflow is the cause of the PipelineError a run fails with
 // when it needs more strand ids than core.MaxStrand: past the cap a
 // shadow word could no longer tell a strand from a reader-list slot.
@@ -36,15 +31,15 @@ func (p PipelineProgress) String() string {
 }
 
 // PipelineError is the structured failure of the fail-closed detection
-// pipeline: any panic or stall in the async consumer or the inline
-// checking path is recovered into one of these, the engine is poisoned
-// so every subsequent hook aborts the run with it instead of deadlocking,
-// and Run still joins every goroutine before returning it in Report.Err.
+// pipeline: a panic in the async consumer or the inline checking path is
+// recovered into one of these, the engine is poisoned so every subsequent
+// hook aborts the run with it instead of feeding a dead pipeline, and Run
+// still joins every goroutine before returning it in Report.Err. A stall
+// is not a failure: Run waits for a slow consumer and joins it.
 type PipelineError struct {
 	// Stage names the pipeline stage that failed: "consumer" (batch
 	// checking on the async consumer), "inline" (the synchronous checking
-	// path on the engine goroutine), "watchdog" (a stall detected by
-	// Config.StallTimeout), or "engine" (the engine ran out of an
+	// path on the engine goroutine), or "engine" (the engine ran out of an
 	// identifier space; see ErrStrandOverflow).
 	Stage string
 	// Seq is the seal-order sequence number of the batch being processed
@@ -55,8 +50,8 @@ type PipelineError struct {
 	Batch string
 	// Progress is the pipeline's per-stage progress at failure time.
 	Progress PipelineProgress
-	// Cause is the recovered panic value (wrapped as an error) or the
-	// stall sentinel ErrStalled.
+	// Cause is the recovered panic value (wrapped as an error) or
+	// ErrStrandOverflow.
 	Cause error
 }
 

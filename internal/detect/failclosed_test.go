@@ -134,7 +134,7 @@ func TestStrandOverflowFailsClosed(t *testing.T) {
 }
 
 // TestProgressStringIsReadable keeps the diagnostic surface stable: the
-// progress snapshot inside a stall error is what an operator reads first.
+// progress snapshot inside a PipelineError is what an operator reads first.
 func TestProgressStringIsReadable(t *testing.T) {
 	p := PipelineProgress{Sealed: 9, Dispatched: 7, Checked: 4}
 	s := p.String()

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"time"
 
 	"futurerd/internal/core"
 	"futurerd/internal/event"
@@ -107,15 +106,6 @@ type Config struct {
 	// algorithm against the brute-force dag oracle and records
 	// mismatches. Slow; for tests.
 	Verify bool
-
-	// StallTimeout arms the pipeline stall watchdog (async consumer only —
-	// Consumers >= 1): the pipeline heartbeats through sealed/dispatched/
-	// checked progress counters, and if none advances for this long while
-	// work is outstanding, the run fails closed with a PipelineError whose
-	// Stage is "watchdog" and whose Progress dumps the per-stage state,
-	// instead of hanging. Zero disables the watchdog. The inline pipeline
-	// cannot stall between stages and is unaffected.
-	StallTimeout time.Duration
 
 	// OnRace, if non-nil, is called for each distinct race as found,
 	// always before Run returns and in report order. With Consumers >= 1

@@ -23,10 +23,10 @@
 // a detector bug or an injected fault — is converted into a structured
 // PipelineError that poisons the engine (subsequent hooks abort the run
 // with it) and flips the consumer into drain mode, where it recycles the
-// remaining items unchecked until the engine closes intake. Nothing blocks
-// forever: the engine's submit path selects against the failure latch,
-// and an optional watchdog (Config.StallTimeout) converts a silent stall
-// into the same structured teardown. The fault matrix in
+// remaining items unchecked until the engine closes intake, so the
+// engine's submit cannot block on a dead consumer. A stalled consumer is
+// not a failure: Run joins it, so the stall delays Run, and the report
+// carries the same verdicts and counters as a serial run. The fault matrix in
 // internal/progen/fault_test.go drives every injected fault class through
 // this machinery and asserts the run either matches serial verdicts
 // exactly or returns one PipelineError with no goroutine left behind.
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"futurerd/internal/core"
 	"futurerd/internal/event"
@@ -78,18 +77,11 @@ type pipeline struct {
 	done    chan struct{}
 	nextSeq uint64 // engine goroutine only (stamped at submit)
 
-	// failCh is the pipeline's failure latch, closed exactly once by the
-	// first fail(). Every blocking hand-off in the pipeline selects
-	// against it so no goroutine can wait forever on a stage that died.
-	failCh   chan struct{}
-	failOnce sync.Once
-
 	// Per-stage heartbeats (seal-order item counts): hbSealed advances
 	// when the engine submits an item, hbDispatched when the consumer
 	// takes it, hbChecked when it is fully processed (checked, answered,
 	// or discarded on the drain path). hbSealed == hbChecked means the
-	// pipeline is quiescent. The watchdog fires when none of these moves
-	// for Config.StallTimeout while work is outstanding.
+	// pipeline is quiescent.
 	hbSealed     atomic.Uint64
 	hbDispatched atomic.Uint64
 	hbChecked    atomic.Uint64
@@ -101,15 +93,11 @@ type pipeline struct {
 
 func newPipeline(e *Engine) *pipeline {
 	p := &pipeline{
-		e:      e,
-		items:  make(chan workItem, itemBuffer),
-		done:   make(chan struct{}),
-		failCh: make(chan struct{}),
+		e:     e,
+		items: make(chan workItem, itemBuffer),
+		done:  make(chan struct{}),
 	}
 	go p.consume()
-	if d := e.cfg.StallTimeout; d > 0 {
-		go p.watchdog(d)
-	}
 	return p
 }
 
@@ -122,40 +110,15 @@ func (p *pipeline) progress() PipelineProgress {
 	}
 }
 
-// fail records the pipeline's first failure: the engine is poisoned (its
-// next hook aborts the run with pe) and the failure latch is closed so
-// every pipeline hand-off unblocks into drain mode. Later failures are
-// dropped — the first one is the diagnosis.
-func (p *pipeline) fail(pe *PipelineError) {
-	p.failOnce.Do(func() {
-		p.e.poisonWith(pe)
-		close(p.failCh)
-	})
-}
-
-// failed reports (without blocking) whether the failure latch is closed.
-func (p *pipeline) failed() bool {
-	select {
-	case <-p.failCh:
-		return true
-	default:
-		return false
-	}
-}
-
 // submit hands one item to the pipeline, stamping its sequence number.
-// Engine goroutine only. The send selects against the failure latch so a
-// dead pipeline can never block the engine; the dropped item is
-// irrelevant because the poisoned engine aborts at its next hook.
+// Engine goroutine only. The send is the pipeline's back-pressure; it
+// cannot block on a failed consumer, which keeps taking items until
+// intake closes.
 func (p *pipeline) submit(it workItem) {
 	p.nextSeq++
 	it.b.Seq = p.nextSeq
 	p.hbSealed.Store(p.nextSeq)
-	select {
-	case p.items <- it:
-	case <-p.failCh:
-		event.Recycle(it.b)
-	}
+	p.items <- it
 }
 
 // stop closes intake and joins the consumer — on the success path after
@@ -179,8 +142,9 @@ func (p *pipeline) consume() {
 	defer close(p.done)
 	e := p.e
 	chk := shadow.NewChecker(e.hist, e.reach)
+	failed := false
 	for it := range p.items {
-		if !p.failed() {
+		if !failed {
 			p.hbDispatched.Add(1)
 			if pe := e.guard("consumer", it.b, func() {
 				if p.testHook != nil && len(it.b.Ops) > 0 {
@@ -188,50 +152,12 @@ func (p *pipeline) consume() {
 				}
 				e.process(chk, it)
 			}); pe != nil {
-				p.fail(pe)
+				e.poisonWith(pe)
+				failed = true
 			}
 		}
 		event.Recycle(it.b)
 		p.hbChecked.Add(1)
-	}
-}
-
-// watchdog converts a silent pipeline stall into a structured teardown:
-// it samples the heartbeat counters at a quarter of the configured
-// timeout and fails the pipeline when nothing has advanced for a full
-// timeout while work is outstanding (sealed > checked). It exits with
-// the pipeline, or as soon as any stage has already failed.
-func (p *pipeline) watchdog(timeout time.Duration) {
-	tick := timeout / 4
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	var last PipelineProgress
-	var stuck time.Duration
-	for {
-		select {
-		case <-p.done:
-			return
-		case <-p.failCh:
-			return
-		case <-t.C:
-		}
-		cur := p.progress()
-		if cur != last {
-			last, stuck = cur, 0
-			continue
-		}
-		if cur.Sealed == cur.Checked {
-			stuck = 0 // quiescent: nothing outstanding to stall on
-			continue
-		}
-		stuck += tick
-		if stuck >= timeout {
-			p.fail(&PipelineError{Stage: "watchdog", Progress: cur, Cause: ErrStalled})
-			return
-		}
 	}
 }
 

@@ -33,7 +33,8 @@ const (
 	// pipeline (Consumers 0).
 	ConsumerPanic Point = iota
 	// ConsumerStall sleeps Plan.Stall on the checking goroutine before a
-	// batch is processed — a wedged consumer for the watchdog to catch.
+	// batch is processed. A slow consumer is not a failure: the run waits
+	// for it, and its verdicts and counters must equal a serial run's.
 	ConsumerStall
 	// PageFail fails a shadow page materialization (the allocation edge
 	// of the access history) on the checking goroutine.

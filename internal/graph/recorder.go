@@ -60,7 +60,7 @@ type Recorder struct {
 	in   [][]outEdge // reverse adjacency
 	main core.StrandID
 
-	// BFS scratch: visited stamps avoid reallocating per query.
+	// Search scratch: visited stamps avoid reallocating per query.
 	stamp   []uint32
 	curTick uint32
 	queue   []core.StrandID
@@ -135,33 +135,10 @@ func (g *Recorder) GetFut(r core.GetRec) {
 	g.AddEdge(r.Getter, r.Cont, Continue)
 }
 
-// Precedes implements core.Reach by forward BFS from u.
+// Precedes implements core.Reach: a search from u over every edge kind.
 func (g *Recorder) Precedes(u, v core.StrandID) bool {
 	g.queries++
-	if u == v {
-		return true
-	}
-	g.ensure(u)
-	g.ensure(v)
-	g.curTick++
-	tick := g.curTick
-	g.queue = g.queue[:0]
-	g.queue = append(g.queue, u)
-	g.stamp[u] = tick
-	for len(g.queue) > 0 {
-		n := g.queue[len(g.queue)-1]
-		g.queue = g.queue[:len(g.queue)-1]
-		for _, e := range g.out[n] {
-			if e.to == v {
-				return true
-			}
-			if g.stamp[e.to] != tick {
-				g.stamp[e.to] = tick
-				g.queue = append(g.queue, e.to)
-			}
-		}
-	}
-	return false
+	return g.search(u, v, ^uint8(0))
 }
 
 // Stats implements core.Reach.
@@ -210,27 +187,34 @@ func (g *Recorder) HasNonSPEdge(s core.StrandID) bool {
 // PrecedesVia reports whether u reaches v using only the given edge kinds.
 // It is used to check the paper's path-decomposition lemmas (e.g. Lemma
 // 4.4: any u ≺ v admits a join/continue prefix followed by a
-// spawn/continue suffix).
+// spawn/continue suffix). Unlike Precedes it is not counted as a query.
 func (g *Recorder) PrecedesVia(u, v core.StrandID, kinds ...EdgeKind) bool {
+	var allowed uint8
+	for _, k := range kinds {
+		allowed |= 1 << k
+	}
+	return g.search(u, v, allowed)
+}
+
+// search reports whether u reaches v over edges whose kind bit is set in
+// allowed: an explicit depth-first search on the queue stack, with
+// visited marks stamped per search so nothing is cleared between
+// queries.
+func (g *Recorder) search(u, v core.StrandID, allowed uint8) bool {
 	if u == v {
 		return true
-	}
-	allowed := [8]bool{}
-	for _, k := range kinds {
-		allowed[k] = true
 	}
 	g.ensure(u)
 	g.ensure(v)
 	g.curTick++
 	tick := g.curTick
-	g.queue = g.queue[:0]
-	g.queue = append(g.queue, u)
+	g.queue = append(g.queue[:0], u)
 	g.stamp[u] = tick
 	for len(g.queue) > 0 {
 		n := g.queue[len(g.queue)-1]
 		g.queue = g.queue[:len(g.queue)-1]
 		for _, e := range g.out[n] {
-			if !allowed[e.kind] {
+			if allowed&(1<<e.kind) == 0 {
 				continue
 			}
 			if e.to == v {

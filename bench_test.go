@@ -255,7 +255,7 @@ func BenchmarkAccessHistoryRange(b *testing.B) {
 	}
 	b.Run("pagecross", func(b *testing.B) {
 		// Many short ranges straddling page boundaries: the worst case for
-		// the segment splitter and the last-page cache. The arena is
+		// the segment splitter and the page-set cache. The arena is
 		// over-allocated and the base rounded up to a page boundary — the
 		// global address allocator gives no alignment guarantee, and an
 		// unaligned base would keep the short ranges inside one page.

@@ -5,8 +5,9 @@
 // Wall-clock timings vary with the machine, so a timing-based gate on
 // shared CI runners is noise. The run counters are different: for a given
 // input size, code version and (serial) configuration, the number of
-// shadow accesses, ownership skips, memo hits, reader-list inflations,
-// reachability queries and races is exactly reproducible, on
+// shadow accesses, page-set cache hits, ownership skips, memo hits,
+// reader-list inflations, reachability queries and races is exactly
+// reproducible, on
 // the inline pipeline and the async consumer alike. Any unexplained
 // change is a behavioral regression — a fast path silently disabled, a
 // protocol change leaking extra queries, a race appearing — even when the
@@ -77,6 +78,7 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 		"shadow.appends":    s.Shadow.ReaderAppends,
 		"shadow.flushes":    s.Shadow.ReaderFlushes,
 		"shadow.pages":      s.Shadow.TouchedPages,
+		"shadow.pagehits":   s.Shadow.PageCacheHits,
 		"shadow.owned":      s.Shadow.OwnedSkips,
 		"shadow.readshared": s.Shadow.ReadSharedSkips,
 		"shadow.memo":       s.Shadow.MemoHits,

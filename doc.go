@@ -47,8 +47,8 @@
 // runs complete race detection ("full").
 //
 // Under MemFull every access resolves against the shadow access history
-// (internal/shadow): a flat two-level page table of 4096-word pages with a
-// last-page cache, bulk ReadRange/WriteRange operations that split at page
+// (internal/shadow): a flat two-level page table of 4096-word pages behind a
+// page-set cache, bulk ReadRange/WriteRange operations that split at page
 // boundaries and hoist the page lookup out of the per-word loop, and
 // epoch-style fast paths — a strand re-accessing a word it already owns
 // (owned epoch) or re-reading a word whose reader list already records

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"futurerd/internal/detect"
+	"futurerd/internal/shadow"
 	"futurerd/internal/trace"
 )
 
@@ -259,8 +260,9 @@ func TestConsumersMatchSerialSeeds(t *testing.T) {
 
 // TestConsumersSeedShapes pins the two program shapes the sweep relies
 // on: default programs keep every access on shadow page zero, while a
-// PageSpread sweep spreads bodies over several pages — otherwise the
-// differential above would exercise a single page only.
+// PageSpread sweep spreads bodies over more pages than the checker's
+// page-set cache holds — otherwise the differential above would never
+// evict a slot.
 func TestConsumersSeedShapes(t *testing.T) {
 	pages := func(opts Options, mode detect.Mode, seed uint64) uint64 {
 		p := Generate(seed, opts)
@@ -278,8 +280,9 @@ func TestConsumersSeedShapes(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		spread = max(spread, pages(Options{Dialect: General, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBagsPlus, seed))
 	}
-	if spread < 2 {
-		t.Fatal("PageSpread sweep never touched more than one shadow page")
+	if spread <= shadow.PageSetSlots {
+		t.Fatalf("PageSpread sweep touched at most %d shadow pages, want more than the %d page-set slots",
+			spread, shadow.PageSetSlots)
 	}
 }
 

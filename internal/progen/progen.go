@@ -118,8 +118,11 @@ type Options struct {
 	// page-aligned address region for most of its accesses (a quarter
 	// still hit the shared low locations). Default programs keep all
 	// traffic on shadow page zero; PageSpread programs spread it over
-	// many pages, so the differential arms also cover page-table growth
-	// and the checker's last-page cache across batches.
+	// many pages: a body's private location l sits two words before the
+	// end of its region's page l, so ranges straddle into the next page
+	// and a program touches more pages than the checker's page-set cache
+	// holds. The differential arms then also cover page-table growth and
+	// page-set evictions across batches.
 	PageSpread bool
 }
 
@@ -144,7 +147,7 @@ type generator struct {
 	allFuts []int         // every future created so far (general dialect)
 
 	// PageSpread bookkeeping: every generated block gets its own
-	// page-aligned base for its private accesses.
+	// page-aligned region of Locs pages for its private accesses.
 	nextBlock int
 	curBase   int
 }
@@ -193,7 +196,7 @@ func (g *generator) genBlockExp(depth int, isRoot bool) (*Block, []int) {
 		// the way out (generation order is execution order).
 		parentBase := g.curBase
 		g.nextBlock++
-		g.curBase = g.nextBlock * pageWords
+		g.curBase = g.nextBlock * g.opts.Locs * pageWords
 		defer func() { g.curBase = parentBase }()
 	}
 	// Block length: geometric-ish, bounded by the global budget.
@@ -250,11 +253,13 @@ func (g *generator) genStmt(depth int, fr *frame) Stmt {
 		readCut, writeCut, spawnCut, createCut, getCut = 10, 12, 16, 17, 18
 	}
 	// loc places an access: on the shared low locations, or — under
-	// PageSpread, three times in four — inside the block's private page.
+	// PageSpread, three times in four — in the block's private region,
+	// two words before the end of the region's page l (location x is
+	// address x+1).
 	loc := func() int {
 		l := g.rng.IntN(g.opts.Locs)
 		if g.opts.PageSpread && g.rng.IntN(4) != 0 {
-			return g.curBase + l
+			return g.curBase + (l+1)*pageWords - 3
 		}
 		return l
 	}

@@ -11,7 +11,7 @@
 //
 // A run owns one checker, on the engine goroutine in the inline pipeline
 // or on the async consumer, so nothing on the per-word path locks.
-// Everything a checker keeps between ops is its own: its last-page cache
+// Everything a checker keeps between ops is its own: its page-set cache
 // (kept across batches — pages never move), its verdict cache and scan
 // memo (reset every batch), its segment transition memo, its counters and
 // its event buffer.
@@ -28,6 +28,22 @@ type RaceEvent struct {
 	Write bool // the racing access (the batch's own op) was a write
 }
 
+// PageSetSlots is the size of a checker's page-set cache: a direct-mapped
+// set of page-table lookups, indexed by the page number's low bits. A
+// sequential scan keeps hitting one slot; a strand that alternates
+// between arrays, as the wavefront kernels do on every cell, hits as
+// long as its arrays' pages fall in distinct slots. The size is measured:
+// on the benchmark's lcs, bst and mm workloads 32 slots (512 bytes) miss
+// on under 3% of page lookups, where 8 slots miss on 7%, 51% and 50%.
+const PageSetSlots = 32
+
+// pageSlot is one entry of the page-set cache: page number pn resolves
+// to p, and the entry is empty while p is nil.
+type pageSlot struct {
+	pn uint64
+	p  *page
+}
+
 // Checker runs the access-history protocol over the range ops of one
 // batch at a time against a History. Checkers are single-goroutine; call
 // Begin, the ops, then End for each batch.
@@ -36,9 +52,8 @@ type Checker struct {
 	reach core.Reach // queried directly, no per-query closure
 	s     core.StrandID
 
-	// Last-page cache: valid whenever lastPage != nil.
-	lastPN   uint64
-	lastPage *page
+	// The page-set cache (see PageSetSlots), kept across batches.
+	pages [PageSetSlots]pageSlot
 
 	// Verdict cache. The relation and the current strand are fixed for
 	// the whole batch, so it is keyed by the predecessor strand alone and
@@ -84,11 +99,12 @@ func (c *Checker) End() {
 	c.counters = counters{}
 }
 
-// pageMiss resolves pn through the History's page table and caches it.
-// The cache test itself is inlined at every call site.
+// pageMiss resolves pn through the History's page table and fills its
+// slot of the page-set cache. The cache probe itself is spelled out at
+// every call site: a shared helper is over the inliner's budget.
 func (c *Checker) pageMiss(pn uint64) *page {
 	p := c.h.pageFor(pn)
-	c.lastPN, c.lastPage = pn, p
+	c.pages[pn&(PageSetSlots-1)] = pageSlot{pn, p}
 	return p
 }
 
@@ -141,8 +157,9 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 	if words == 1 {
 		// One-word accesses (Array/Var Get) skip the segment machinery.
 		pn := addr >> PageBits
-		p := c.lastPage
-		if p != nil && c.lastPN == pn {
+		e := &c.pages[pn&(PageSetSlots-1)]
+		p := e.p
+		if p != nil && e.pn == pn {
 			c.pageCacheHits++
 		} else {
 			p = c.pageMiss(pn)
@@ -174,8 +191,9 @@ func (c *Checker) readSegments(addr uint64, words int) {
 			n = words
 		}
 		pn := addr >> PageBits
-		p := c.lastPage
-		if p != nil && c.lastPN == pn {
+		e := &c.pages[pn&(PageSetSlots-1)]
+		p := e.p
+		if p != nil && e.pn == pn {
 			c.pageCacheHits++
 		} else {
 			p = c.pageMiss(pn)
@@ -268,8 +286,9 @@ func (c *Checker) WriteRange(addr uint64, words int) {
 	if words == 1 {
 		// One-word accesses (Array/Var Set) skip the segment machinery.
 		pn := addr >> PageBits
-		p := c.lastPage
-		if p != nil && c.lastPN == pn {
+		e := &c.pages[pn&(PageSetSlots-1)]
+		p := e.p
+		if p != nil && e.pn == pn {
 			c.pageCacheHits++
 		} else {
 			p = c.pageMiss(pn)
@@ -292,8 +311,9 @@ func (c *Checker) WriteRange(addr uint64, words int) {
 			n = words
 		}
 		pn := addr >> PageBits
-		p := c.lastPage
-		if p != nil && c.lastPN == pn {
+		e := &c.pages[pn&(PageSetSlots-1)]
+		p := e.p
+		if p != nil && e.pn == pn {
 			c.pageCacheHits++
 		} else {
 			p = c.pageMiss(pn)

@@ -16,11 +16,15 @@
 // (b) the reachability query, so both have dedicated fast paths:
 //
 //   - Page location is a flat two-level table (directory slice → page
-//     array) instead of a map, fronted by a last-page cache, so a
-//     sequential scan resolves its page once per 4096 words.
+//     array) instead of a map, fronted by a page-set cache: a
+//     direct-mapped set of PageSetSlots recent lookups, indexed by the
+//     page number's low bits and kept across batches. A sequential scan
+//     resolves its page once per 4096 words, and a strand that
+//     alternates between arrays, as a wavefront cell does, keeps each
+//     array's page in its own slot.
 //
 //   - Checker.ReadRange/WriteRange split a bulk access at page
-//     boundaries, test the last-page cache inline, and run a tight
+//     boundaries, probe the page-set cache inline, and run a tight
 //     per-word loop over the page's slot array.
 //
 //   - Run-at-a-time reads: in a multi-word read, a word that needs the
@@ -89,7 +93,7 @@
 // The range protocol lives in one type, Checker (checker.go). A run owns
 // one checker, on the engine goroutine in the inline pipeline or on the
 // async consumer, so the History is only ever touched by one goroutine
-// and needs no locking. The checker keeps its last-page cache, verdict
+// and needs no locking. The checker keeps its page-set cache, verdict
 // cache, reader-list memos and counters, buffers race events per batch,
 // and folds its counters into the History when a batch ends.
 package shadow
@@ -229,7 +233,7 @@ func (h *History) SetFaults(p *faultinject.Plan) { h.faults = p }
 
 // pageFor returns the page holding page number pn, materializing it on
 // first touch. Overflow pages (addresses the dense allocator never
-// produces) live in a map. Checkers front it with their own last-page
+// produces) live in a map. Checkers front it with their own page-set
 // cache.
 //
 // The PageFail probe fires at materialization: a firing plan turns it into
@@ -364,7 +368,7 @@ type Stats struct {
 	ReaderAppends uint64
 	ReaderFlushes uint64
 	TouchedPages  uint64
-	// PageCacheHits counts page lookups resolved by a checker's last-page
+	// PageCacheHits counts page lookups resolved by a checker's page-set
 	// cache.
 	PageCacheHits uint64
 	// OwnedSkips counts accesses short-circuited by the epoch-style

@@ -321,27 +321,33 @@ func FuzzRangeMatchesReference(f *testing.F) {
 
 // TestRangeMatchesReferenceSeeds runs the differential body over a seed
 // sweep so plain `go test` covers many interleavings, and checks that the
-// sweep reaches the inflated-list machinery it exists to cover: lists of
-// three or more readers, and slots recycled through the free list.
+// sweep reaches the machinery it exists to cover: lists of three or more
+// readers, slots recycled through the free list, and page-set evictions.
 func TestRangeMatchesReferenceSeeds(t *testing.T) {
 	var longest int
-	var recycled bool
+	var recycled, evicted bool
 	for seed := uint64(0); seed < 50; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			cov := differentialRun(t, seed, seed*7+1)
 			longest = max(longest, cov.longestList)
 			recycled = recycled || cov.recycled
+			evicted = evicted || cov.evicted
 		})
 	}
 	if longest < 3 || !recycled {
 		t.Fatalf("sweep missed the inflated lists: longest list %d, slots recycled %v", longest, recycled)
 	}
+	if !evicted {
+		t.Fatal("sweep never touched two pages that share a page-set slot")
+	}
 }
 
-// spillCoverage reports what one differential run did to the spill slab.
+// spillCoverage reports what one differential run did to the spill slab
+// and the page-set cache.
 type spillCoverage struct {
 	longestList int  // most readers seen in one inflated list
 	recycled    bool // some inflation reused a freed slot
+	evicted     bool // two touched pages share a page-set slot
 }
 
 func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
@@ -368,6 +374,10 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	if seed%2 == 1 {
 		strands = 3 * verdictSlots
 	}
+	// Every third seed spreads its accesses over three page boundaries
+	// PageSetSlots pages apart, so the pages on either side of them share
+	// page-set slots and evict each other.
+	spread := seed%3 == 2
 	reach := &relReach{rel: rel}
 	ref := NewHistory()
 	serialH := NewHistory()
@@ -396,6 +406,9 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 		// Addresses cluster near a page boundary so ranges regularly
 		// straddle it.
 		addr := uint64(pageSize) - 16 + next(32)
+		if spread {
+			addr += next(3) * PageSetSlots * pageSize
+		}
 		words := int(next(20)) + 1
 		switch next(8) {
 		case 0:
@@ -489,5 +502,25 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	// The one-word shape never shares a slot, so it hands out fewer slots
 	// than it inflates words only by recycling them.
 	cov.recycled = uint64(wordsH.spill.next) < fs.EpochInflations
+	cov.evicted = sharesSlot(serialH)
 	return cov
+}
+
+// sharesSlot reports whether two pages of h fall in one page-set slot,
+// so a checker that looked both up evicted one for the other.
+func sharesSlot(h *History) bool {
+	var seen [PageSetSlots]bool
+	for di, d := range h.dirs {
+		for i, p := range d {
+			if p == nil {
+				continue
+			}
+			slot := (uint64(di)<<dirBits | uint64(i)) & (PageSetSlots - 1)
+			if seen[slot] {
+				return true
+			}
+			seen[slot] = true
+		}
+	}
+	return false
 }

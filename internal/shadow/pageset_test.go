@@ -78,21 +78,51 @@ func TestPageSetInterleavedStreams(t *testing.T) {
 	}
 }
 
+// pageStreams returns a checker, inside a batch of strand 1, that has
+// written every word of pages 0..pages-1, for the streams below to
+// rewrite.
+func pageStreams(pages int) *Checker {
+	c := NewChecker(NewHistory(), &relReach{rel: seqRel()})
+	c.Begin(1)
+	for pg := 0; pg < pages; pg++ {
+		for off := uint64(0); off < pageSize; off++ {
+			c.WriteRange(uint64(pg)<<PageBits|off, 1)
+		}
+	}
+	return c
+}
+
+// TestCheckerPageStreamsAllocs requires the streams that
+// BenchmarkCheckerPageStreams times to allocate nothing, both when the
+// pages fit the page-set cache and when their misses go to the page
+// table. Each run is one pass over the pages, so a miss path that
+// allocates shows even though only some writes miss.
+func TestCheckerPageStreamsAllocs(t *testing.T) {
+	for _, pages := range []int{3, 40} {
+		c := pageStreams(pages)
+		off := uint64(0)
+		n := testing.AllocsPerRun(100, func() {
+			for pg := 0; pg < pages; pg++ {
+				c.WriteRange(uint64(pg)<<PageBits|off, 1)
+			}
+			off = (off + 1) & pageMask
+		})
+		if n != 0 {
+			t.Errorf("pages=%d: %v allocations per pass, want 0", pages, n)
+		}
+		c.End()
+	}
+}
+
 // BenchmarkCheckerPageStreams times one-word writes by one strand that
 // cycle over a set of pages, the shape of a strand alternating between
 // arrays: 3 pages fit the page-set cache, 40 pages overflow it, so
-// their misses go to the page table. Every write after the first pass
-// is an owned rewrite, so ns/op is mostly the page lookup.
+// their misses go to the page table. Every write is an owned rewrite,
+// so ns/op is mostly the page lookup.
 func BenchmarkCheckerPageStreams(b *testing.B) {
 	for _, pages := range []int{3, 40} {
 		b.Run(fmt.Sprint("pages=", pages), func(b *testing.B) {
-			c := NewChecker(NewHistory(), &relReach{rel: seqRel()})
-			c.Begin(1)
-			for pg := 0; pg < pages; pg++ {
-				for off := uint64(0); off < pageSize; off++ {
-					c.WriteRange(uint64(pg)<<PageBits|off, 1)
-				}
-			}
+			c := pageStreams(pages)
 			b.ReportAllocs()
 			b.ResetTimer()
 			pg, off := 0, uint64(0)

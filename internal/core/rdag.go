@@ -14,11 +14,16 @@ package core
 //
 // Here each bit vector is cut into 512-bit chunks that rows share. A row
 // is a slice of chunk ids; the chunks live in an append-only slab and are
-// never changed once written. The OR keeps a row's chunk, or takes the
-// source's, whenever one already contains the other, so it allocates only
-// the chunks an arc really changes. The two rows one create_fut makes, and
-// a wavefront tile's get-continuation row and the row of the tile above,
-// then share all but a chunk or two.
+// never changed once written. A node's first arc gives it a fresh row: a
+// copy of its source's row plus the fold chunk, the source's chunk with
+// the source's own bit set. Only a row that already holds ancestors runs
+// the chunk-by-chunk OR. It settles a zero or equal source chunk in the
+// loop and calls union only when both chunks are non-zero and differ;
+// union keeps the row's chunk, or takes the source's, whenever one already
+// contains the other, so the OR allocates only the chunks an arc really
+// changes. The two rows one create_fut makes, and a wavefront tile's
+// get-continuation row and the row of the tile above, then share all but
+// a chunk or two.
 //
 // Like the chunk slab, the node table is a list of fixed blocks that never
 // move, so adding a node allocates only when its block fills and never
@@ -122,26 +127,42 @@ func (r *rdag) propagate(x, src int32) {
 	}
 }
 
-// orInto sets row x to row x ∪ row src ∪ {src}, chunk by chunk, and
-// reports whether row x changed. The row grows at most once, to exactly
-// the chunks the result needs.
+// orInto sets row x to row x ∪ row src ∪ {src} and reports whether row x
+// changed. A fresh row (x has no ancestors yet) is a copy of src's row
+// plus the fold chunk: its chunk bc, the one holding src's own bit, is
+// src's chunk with that bit set. The chunk loop runs only for a row that
+// already holds ancestors. That row grows at most once, to exactly the
+// chunks the result needs. The loop skips a zero source chunk or one equal
+// to the row's, and takes the source's chunk where the row's is zero, so
+// union is called only when both chunks are non-zero and differ.
 func (r *rdag) orInto(x, src int32) bool {
 	nx := r.node(x)
 	s, d := r.node(src).row, nx.row
 	bc := int(uint32(src) / chunkBits)
-	if n := max(len(s), bc+1); n > len(d) {
-		nd := make([]int32, n)
-		copy(nd, d)
-		d, nx.row = nd, nd
-	}
 	changed := false
-	for c, sid := range s {
-		if c == bc {
-			continue // folded with src's own bit below
+	if len(d) == 0 {
+		d = make([]int32, max(len(s), bc+1))
+		copy(d, s)
+		d[bc] = 0 // the fold below ORs src's chunk and bit into the zero chunk
+		nx.row = d
+	} else {
+		if n := max(len(s), bc+1); n > len(d) {
+			nd := make([]int32, n)
+			copy(nd, d)
+			d, nx.row = nd, nd
 		}
-		if id := r.union(d[c], sid); id != d[c] {
-			d[c] = id
-			changed = true
+		for c, sid := range s {
+			if c == bc || sid == 0 || sid == d[c] {
+				continue // bc is folded with src's own bit below
+			}
+			id := sid
+			if d[c] != 0 {
+				id = r.union(d[c], sid)
+			}
+			if id != d[c] {
+				d[c] = id
+				changed = true
+			}
 		}
 	}
 	var sid int32
@@ -167,15 +188,10 @@ func (r *rdag) orInto(x, src int32) bool {
 	return changed
 }
 
-// union returns the id of a chunk holding chunks did ∪ sid: one of the
-// two ids when one contains the other, else a new chunk.
+// union returns the id of a chunk holding chunks did ∪ sid, two distinct
+// non-zero chunks: one of the two ids when one contains the other, else a
+// new chunk.
 func (r *rdag) union(did, sid int32) int32 {
-	if sid == 0 || sid == did {
-		return did
-	}
-	if did == 0 {
-		return sid
-	}
 	dc, sc := r.chunk(did), r.chunk(sid)
 	if contains(dc, sc) {
 		return did

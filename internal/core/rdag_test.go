@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -208,9 +209,10 @@ func wavefrontR(tiles int) *rdag {
 }
 
 // TestRdagSharesChunks: on a wavefront-shaped R, rows share their chunks,
-// so the closure stays well below the n²/128 words of unshared rows (49,957
-// against 127,071 here: rows at most 8 chunks long still pay about one
-// fresh chunk per node, and the saving grows with the row length).
+// so the closure stays well below the n²/128 words of unshared rows (the
+// 49,957 words TestRdagWavefrontPinned pins, against 127,071 here: rows at
+// most 8 chunks long still pay about one fresh chunk per node, and the
+// saving grows with the row length).
 func TestRdagSharesChunks(t *testing.T) {
 	r := wavefrontR(32)
 	n := uint64(r.nodes())
@@ -233,6 +235,64 @@ func TestRdagSharesChunks(t *testing.T) {
 	r.addArc(fin, fut)
 	if rc, rf := r.node(cont).row, r.node(fut).row; !slices.Equal(rc, rf) {
 		t.Fatalf("create_fut rows hold different chunks: %v and %v", rc, rf)
+	}
+}
+
+// TestRdagWavefrontPinned pins the wavefront closure exactly, so an upkeep
+// change that writes one chunk more or less fails here. 96 tiles is
+// lcs-mbplus's R at bench size (n=768, B=8): 36,673 nodes against the
+// workload's 36,674.
+func TestRdagWavefrontPinned(t *testing.T) {
+	for _, tc := range []struct {
+		tiles               int
+		chunks, words, arcs uint64
+	}{
+		{32, 5126, 49957, 6016},
+		{96, 49189, 1059301, 54912},
+	} {
+		r := wavefrontR(tc.tiles)
+		if got := uint64(r.chunks); got != tc.chunks {
+			t.Errorf("tiles=%d: %d chunks, want %d", tc.tiles, got, tc.chunks)
+		}
+		if got := r.closureWords(); got != tc.words {
+			t.Errorf("tiles=%d: %d closure words, want %d", tc.tiles, got, tc.words)
+		}
+		if r.arcs != tc.arcs {
+			t.Errorf("tiles=%d: %d arcs, want %d", tc.tiles, r.arcs, tc.arcs)
+		}
+	}
+
+	// A fresh row owns its backing array and holds every chunk id of its
+	// source's row except the one with the source's own bit, which is the
+	// source's chunk plus that bit.
+	r := wavefrontR(32)
+	src := int32(r.nodes() - 1)
+	s := slices.Clone(r.node(src).row)
+	bc := int(uint32(src) / chunkBits)
+	if len(s) < 2 || bc >= len(s) {
+		t.Fatalf("source row has %d chunks and fold chunk %d; want at least 2 with the fold chunk among them", len(s), bc)
+	}
+	x := r.addNode()
+	r.addArc(src, x)
+	d := r.node(x).row
+	if &d[0] == &r.node(src).row[0] {
+		t.Fatal("fresh row shares its source's backing array")
+	}
+	if !slices.Equal(r.node(src).row, s) {
+		t.Fatalf("adding the fresh row changed its source's row: %v, was %v", r.node(src).row, s)
+	}
+	if len(d) != len(s) {
+		t.Fatalf("fresh row has %d chunks, want %d", len(d), len(s))
+	}
+	for c := range s {
+		if c != bc && d[c] != s[c] {
+			t.Fatalf("fresh row chunk %d is %d, want the source's %d", c, d[c], s[c])
+		}
+	}
+	want := *r.chunk(s[bc])
+	want[uint32(src)%chunkBits/64] |= 1 << (uint32(src) % 64)
+	if *r.chunk(d[bc]) != want {
+		t.Fatalf("fresh row's fold chunk %d is not the source's chunk %d plus the source's bit", d[bc], s[bc])
 	}
 }
 
@@ -299,9 +359,14 @@ func BenchmarkRdagChainInsert(b *testing.B) {
 
 func BenchmarkRdagWavefront(b *testing.B) {
 	// General-wavefront R (lcs under MultiBags+): create and get arcs over
-	// a 32×32 tile grid, the shape whose rows share chunks.
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		wavefrontR(32)
+	// a tiles×tiles grid, the shape whose rows share chunks. 96 tiles is
+	// lcs-mbplus's R at bench size (n=768, B=8).
+	for _, tiles := range []int{32, 96} {
+		b.Run(fmt.Sprintf("tiles=%d", tiles), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				wavefrontR(tiles)
+			}
+		})
 	}
 }

@@ -119,7 +119,11 @@ func Run(workers int, root func(*Task)) {
 // (coalesced range events, delta-compressed addresses, DEFLATE block
 // framing). The trace can be re-detected offline with ReplayTrace —
 // under any algorithm and pipeline — without re-running the program,
-// and makes a compact regression artifact.
+// and makes a compact regression artifact. The stream names no tasks, so
+// every construct and access must go through the task handed to the body
+// that makes it: one through an enclosing task's handle makes RecordTrace
+// return an error naming the misuse instead of writing a trace whose
+// replay would differ from detecting the program.
 func RecordTrace(w io.Writer, root func(*Task)) error {
 	return trace.Record(w, root)
 }

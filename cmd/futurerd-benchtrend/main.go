@@ -23,11 +23,6 @@
 // Usage:
 //
 //	futurerd-benchtrend -baseline BENCH_baseline.json -current BENCH_detect.json
-//	                    [-max-overhead-ratio r]
-//
-// With -max-overhead-ratio > 0 the tool additionally fails when a
-// configuration's overhead-vs-baseline grew by more than the given factor
-// (e.g. 1.5) — useful on quiet machines, off by default for CI.
 package main
 
 import (
@@ -132,7 +127,6 @@ func figureSetDiff(base, cur *bench.JSONReport) string {
 func main() {
 	basePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline document")
 	curPath := flag.String("current", "BENCH_detect.json", "freshly measured document")
-	maxRatio := flag.Float64("max-overhead-ratio", 0, "fail if overhead grew by more than this factor (0 disables)")
 	flag.Parse()
 
 	base, err := load(*basePath)
@@ -192,11 +186,6 @@ func main() {
 				fmt.Printf("DRIFT  %s: %s = %d, baseline %d (%+d)\n",
 					key(cm), name, got, want, int64(got)-int64(want))
 			}
-		}
-		if *maxRatio > 0 && bm.Overhead > 0 && cm.Overhead > bm.Overhead**maxRatio {
-			fails++
-			fmt.Printf("SLOW   %s: overhead %.2fx, baseline %.2fx (> %.2f× growth)\n",
-				key(cm), cm.Overhead, bm.Overhead, *maxRatio)
 		}
 	}
 	fmt.Printf("benchtrend: %d configurations checked, %d new, %d failures\n", checked, news, fails)

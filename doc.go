@@ -80,25 +80,23 @@
 // verdict and racer, and only the order across words changes. Batches are
 // sealed at parallel constructs — where the reachability relation is
 // about to mutate — so everything in one batch executed under a single
-// immutable relation and a single strand. Config.Consumers picks the
-// detection pipeline: 0 (the default) checks each sealed batch inline on
-// the engine goroutine; any value of 1 or more hands sealed batches to
-// one async consumer goroutine, which checks them in seal order while the
-// program keeps executing. Constructs do not wait for the consumer: the
-// serial stream orders every construct and access, so each construct's
-// reachability mutations ride at the front of the next batch handed off,
-// and the consumer applies them before checking that batch's accesses. A
-// construct-only stretch hands mutations off in bounded groups of their
-// own. The engine runs ahead of detection until the bounded item channel
+// immutable relation and a single strand. The serial stream orders every
+// construct and access, so each construct's reachability mutations ride
+// at the front of the next batch handed off, and one per-batch body
+// applies them before checking that batch's accesses; a construct-only
+// stretch hands mutations off in bounded groups of their own.
+// Config.Consumers picks where that body runs: 0 (the default) in place
+// on the engine goroutine; any value of 1 or more on one async consumer
+// goroutine, which takes the batches in seal order while the program
+// keeps executing. Constructs do not wait for the consumer. The engine runs ahead of detection until the bounded item channel
 // back-pressures. CheckStructured's discipline query rides the same
 // stream and is answered after every mutation before the get and none
 // after it (a violation is recorded, never acted on, so nothing needs
 // the answer eagerly). Since the consumer checks batches in seal order,
 // races reach OnRace and the report in seal order with no reorder buffer,
 // and verdicts, report order and every counter are identical to an
-// inline run. Both pipelines run one per-batch body on one shadow
-// checker: the engine owns it on the inline path, the consumer owns it
-// otherwise.
+// inline run. Both pipelines share the hand-off, the per-batch body, its
+// recover shell and the run's one shadow checker.
 //
 // # Traces
 //

@@ -47,8 +47,9 @@ type Engine struct {
 	// lowered only by tests to reach the cap without 2^31 constructs.
 	maxStrand core.StrandID
 
-	// chk is the inline pipeline's shadow checker (nil with Consumers >= 1,
-	// where the consumer owns the run's checker).
+	// chk is the run's one shadow checker (nil with Mem == MemOff): the
+	// inline pipeline checks on it on the engine goroutine, the async
+	// consumer on its own.
 	chk *shadow.Checker
 
 	// gen is the parallel-construct generation, bumped at every construct
@@ -62,19 +63,18 @@ type Engine struct {
 	// so it is identical across Consumers configurations.
 	evStats event.Stats
 
-	// batch is the open access-event batch: Read/Write append to it
-	// (coalescing contiguous same-kind accesses into ranges) and the
-	// whole batch is handed to the detection back-end at the next
-	// parallel construct, or earlier when it reaches event.MaxOps ops.
-	// Nil when memory accesses are ignored (Mem == MemOff).
+	// batch is the open batch: constructs append their reachability
+	// mutations to it and Read/Write their accesses (coalescing contiguous
+	// same-kind accesses into ranges), and handOff passes it to detection
+	// at the next parallel construct after an access, or earlier when it
+	// reaches event.MaxOps ops or maxMuts mutations. Nil when the run has
+	// neither (no detection and Mem == MemOff).
 	batch *event.Batch
 
-	// be, when non-nil, is the async consumer of sched.go: sealed batches
-	// are checked off the engine goroutine while the program keeps
-	// executing — across parallel constructs too, because constructs
-	// append their mutations to the open batch instead of applying them,
-	// and the consumer applies each batch's mutations before checking its
-	// ops. Nil with Consumers <= 0.
+	// be, when non-nil, is the async consumer of sched.go: handOff queues
+	// each batch to it, and it processes them off the engine goroutine
+	// while the program keeps executing. Nil with Consumers <= 0, where
+	// handOff processes each batch in place.
 	be *pipeline
 
 	// faults is the run's fault-injection plan (nil in production: every
@@ -91,8 +91,8 @@ type Engine struct {
 	labels map[core.FnID]string
 
 	// violMu guards violations: Verify-mode reachability mismatches and
-	// deferred discipline checks are recorded on the consumer, while
-	// inline discipline violations arrive from the engine goroutine.
+	// discipline checks are recorded wherever batches are processed (the
+	// consumer on the async pipeline), structural invariants by report.
 	violMu sync.Mutex
 
 	// The race sink. raceMu guards it (and the labels map) because with
@@ -187,23 +187,23 @@ func NewTunedEngine(cfg Config, tu Tuning) *Engine {
 	return e
 }
 
-// initPipeline sets up the shadow history and the access-event batch
-// layer: every engine that observes memory accesses batches them.
-// Consumers == 0 checks each batch inline on the engine goroutine;
-// Consumers >= 1 checks batches off it on the one async consumer,
-// overlapping detection with continued program execution.
+// initPipeline sets up the batch layer, and the shadow history and
+// checker when the run observes memory accesses. Consumers == 0 processes
+// each batch inline on the engine goroutine; Consumers >= 1 on the one
+// async consumer, overlapping detection with continued program execution.
 func (e *Engine) initPipeline(cfg Config, tu Tuning) {
-	if cfg.Mem == MemOff || e.err != nil {
+	if e.err != nil || !e.detecting && cfg.Mem == MemOff {
 		return
 	}
-	e.hist = shadow.NewHistory()
-	e.hist.SetFaults(tu.Faults)
-	e.batch = event.New()
-	if cfg.Consumers <= 0 {
+	if cfg.Mem != MemOff {
+		e.hist = shadow.NewHistory()
+		e.hist.SetFaults(tu.Faults)
 		e.chk = shadow.NewChecker(e.hist, e.reach)
-		return
 	}
-	e.be = newPipeline(e)
+	e.batch = event.New()
+	if cfg.Consumers > 0 {
+		e.be = newPipeline(e)
+	}
 }
 
 // maxMuts bounds the mutations one hand-off carries, so a construct-only
@@ -212,16 +212,10 @@ func (e *Engine) initPipeline(cfg Config, tu Tuning) {
 // bytes each, a queued item holds at most 32 KB of them.
 const maxMuts = 256
 
-// mutate applies one construct mutation to the reachability relation:
-// inline when the pipeline is synchronous. With the async pipeline it
-// appends the mutation to the open batch, whose ops (none yet: every
-// construct seals before it mutates) run after it; the consumer applies
-// it just before checking them.
+// mutate appends one construct mutation to the open batch, whose ops
+// (none yet: every construct seals before it mutates) run after it;
+// process applies it just before checking them.
 func (e *Engine) mutate(m core.Mut) {
-	if e.be == nil {
-		m.ApplyTo(e.reach)
-		return
-	}
 	e.batch.Muts = append(e.batch.Muts, m)
 	if len(e.batch.Muts) >= maxMuts {
 		e.handOff(nil)
@@ -262,9 +256,11 @@ func (e *Engine) Run(root func(*Task)) *Report {
 }
 
 func (e *Engine) report() *Report {
-	e.seal() // flush any still-open batch
-	if e.be != nil && len(e.batch.Muts) > 0 {
-		e.handOff(nil) // trailing mutations: the final relation is reported
+	if e.batch != nil {
+		e.seal() // flush any still-open batch
+		if len(e.batch.Muts) > 0 {
+			e.handOff(nil) // trailing mutations: the final relation is reported
+		}
 	}
 	e.be.stop() // quiesce the detection back-end (nil-safe)
 	if e.batch != nil {
@@ -572,26 +568,18 @@ func (e *Engine) GetFut(t *Task, h *Fut) any {
 	if e.cfg.CheckStructured {
 		// The discipline query (creator sequentially precedes getter) must
 		// see the relation with every mutation before this get and none
-		// after. The engine does not wait for the consumer for it: with
-		// the async pipeline the check rides the open batch, whose
-		// mutations are exactly the ones not yet handed off, and the
-		// consumer answers it after applying them — a violation is
-		// recorded, never acted on, so nothing downstream needs the answer
-		// eagerly. The batch leaves now, so the get's own mutation starts
-		// the next one. The inline pipeline's relation is always current
-		// and evaluates inline.
-		d := &discCheck{
+		// after. It rides the open batch, whose mutations are exactly the
+		// ones not yet applied, and process answers it after applying them
+		// — on the async pipeline without the engine waiting, since a
+		// violation is recorded, never acted on. The batch leaves now, so
+		// the get's own mutation starts the next one.
+		e.batch.Strand = getter
+		e.handOff(&discCheck{
 			futFn:   h.fn,
 			creator: h.creatorStrand,
 			getter:  getter,
 			touches: h.touches,
-		}
-		if e.be != nil {
-			e.batch.Strand = getter
-			e.handOff(d)
-		} else {
-			e.evalDisc(d)
-		}
+		})
 	}
 	cont := e.newStrand(t.fn)
 	e.mutate(core.Mut{Op: core.MutGet, Get: core.GetRec{
@@ -632,15 +620,15 @@ func (e *Engine) Write(t *Task, addr uint64, words int) {
 }
 
 func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
-	if e.batch == nil || words <= 0 {
+	if e.hist == nil || words <= 0 {
 		return
 	}
 	e.checkPoison()
 	if len(e.batch.Ops) > 0 && e.batch.Strand != t.strand {
-		// Unreachable today — the current strand only changes at
-		// constructs, which seal — but every batch must carry a single
-		// strand, so enforce it locally.
-		e.flushBatch()
+		// A body that accesses memory through an enclosing task's handle
+		// does so as that task's current strand, without a construct in
+		// between; every batch must carry a single strand, so seal here.
+		e.seal()
 	}
 	b := e.batch
 	b.Strand = t.strand
@@ -655,7 +643,7 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 		n = b.Push(k, addr, words)
 	}
 	if n >= event.MaxOps {
-		e.flushBatch()
+		e.seal()
 	}
 }
 
@@ -668,19 +656,19 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 // poison and strand checks run once per run, and again after a mid-run
 // flush.
 func (e *Engine) Accesses(t *Task, ops []event.Op) {
-	if e.batch == nil || len(ops) == 0 {
+	if e.hist == nil || len(ops) == 0 {
 		return
 	}
 	e.checkPoison()
 	if len(e.batch.Ops) > 0 && e.batch.Strand != t.strand {
-		e.flushBatch() // unreachable today; see access
+		e.seal() // a strand change without a construct; see access
 	}
 	for {
 		e.batch.Strand = t.strand
 		n := min(len(ops), event.MaxOps-len(e.batch.Ops))
 		e.batch.Ops = append(e.batch.Ops, ops[:n]...)
 		if ops = ops[n:]; len(e.batch.Ops) >= event.MaxOps {
-			e.flushBatch()
+			e.seal()
 		}
 		if len(ops) == 0 {
 			return
@@ -689,57 +677,46 @@ func (e *Engine) Accesses(t *Task, ops []event.Op) {
 	}
 }
 
-// seal closes the open batch at a parallel construct. The batch leaves
-// stamped with the generation it executed under; with the async pipeline
-// it carries the mutations that precede its ops, so the consumer can
-// check it against exactly that relation while the construct proceeds
-// and the program keeps executing.
+// seal hands the open batch to detection if it holds ops: at a parallel
+// construct, when it fills, or when the strand changes. A batch without
+// ops stays open, collecting mutations. Stats.Event is counted here so it
+// is identical across pipeline modes.
 func (e *Engine) seal() {
-	if e.batch == nil {
-		return
-	}
-	e.flushBatch()
-}
-
-// flushBatch hands the open batch to detection: checked inline on the
-// engine goroutine when the pipeline is synchronous, queued to the async
-// consumer (overlapping continued execution) when it is not. A batch
-// without ops stays open, collecting mutations. Stats.Event is counted
-// here so it is identical across pipeline modes.
-func (e *Engine) flushBatch() {
-	if len(e.batch.Ops) == 0 {
+	if e.batch == nil || len(e.batch.Ops) == 0 {
 		return
 	}
 	e.evStats.Batches++
-	if e.be != nil {
-		e.handOff(nil)
-		return
-	}
+	e.handOff(nil)
+}
+
+// handOff is the one place a batch leaves the engine, stamped with the
+// current construct generation and with discipline check d if non-nil. It
+// queues the batch to the async consumer and opens a fresh one or, with no
+// consumer, processes it in place inside the recover shell and reuses it.
+func (e *Engine) handOff(d *discCheck) {
 	b := e.batch
 	b.Gen = e.gen
-	if pe := e.guard("inline", b, func() { e.process(e.chk, workItem{b: b}) }); pe != nil {
+	if e.be != nil {
+		e.batch = event.New()
+		e.be.submit(workItem{b: b, disc: d})
+		return
+	}
+	if pe := e.guard("inline", b, func() { e.process(workItem{b: b, disc: d}) }); pe != nil {
 		e.poisonWith(pe)
 	}
 	b.Reset()
 }
 
-// handOff queues the open batch, with discipline check d if non-nil, to
-// the async consumer and opens a fresh one. The batch is stamped with the
-// current construct generation.
-func (e *Engine) handOff(d *discCheck) {
-	b := e.batch
-	b.Gen = e.gen
-	e.batch = event.New()
-	e.be.submit(workItem{b: b, disc: d})
-}
-
 // process is the per-item body both pipelines share: it applies the
 // batch's construct mutations, answers its deferred discipline check,
-// checks the batch's ops on checker c and reports their races, in op
-// order. Every op was performed by the batch's strand under the relation
-// those mutations complete. The checker starts each batch with cold
-// verdict caches, so memo-hit counters cannot depend on the pipeline.
-func (e *Engine) process(c *shadow.Checker, it workItem) {
+// checks the batch's ops on the run's checker and reports their races, in
+// op order. Every op was performed by the batch's strand under the
+// relation those mutations complete. The checker starts each batch with
+// cold verdict caches, so memo-hit counters cannot depend on the pipeline.
+func (e *Engine) process(it workItem) {
+	if e.faults.Fire(faultinject.ConsumerPanic) {
+		panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
+	}
 	b := it.b
 	for i := range b.Muts {
 		b.Muts[i].ApplyTo(e.reach)
@@ -750,10 +727,8 @@ func (e *Engine) process(c *shadow.Checker, it workItem) {
 	if len(b.Ops) == 0 {
 		return
 	}
-	if e.faults.Fire(faultinject.ConsumerPanic) {
-		panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
-	}
 	e.faults.Delay(faultinject.ConsumerStall)
+	c := e.chk
 	c.Begin(b.Strand)
 	if e.mem == MemFull {
 		for i := range b.Ops {

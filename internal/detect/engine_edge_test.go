@@ -130,3 +130,34 @@ func TestFutureReturningFutureHandle(t *testing.T) {
 		t.Fatalf("handle-through-return false positive: %v", rep.Races[0])
 	}
 }
+
+// TestEnclosingHandleAccess: a spawned body that accesses memory through
+// its parent's handle does so as the parent's current (fork) strand, with
+// no construct in between. Every batch carries one strand, so the engine
+// must seal at the strand change; otherwise p.Write(2) would be checked as
+// the child's and race with the parent's later write of 2.
+func TestEnclosingHandleAccess(t *testing.T) {
+	prog := func(p *Task) {
+		p.Spawn(func(c *Task) {
+			c.Write(1)
+			p.Write(2)
+			c.Write(3)
+		})
+		p.Write(1)
+		p.Write(2)
+		p.Write(3)
+	}
+	for _, consumers := range []int{0, 1} {
+		rep := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: consumers}).Run(prog)
+		if rep.Err != nil {
+			t.Fatalf("c=%d: %v", consumers, rep.Err)
+		}
+		var addrs []uint64
+		for _, r := range rep.Races {
+			addrs = append(addrs, r.Addr)
+		}
+		if len(addrs) != 2 || addrs[0] != 1 || addrs[1] != 3 {
+			t.Fatalf("c=%d: races on %v, want exactly 1 and 3", consumers, addrs)
+		}
+	}
+}

@@ -164,10 +164,9 @@ func parallelProg(n int) func(*Task) {
 }
 
 // TestConsumersSelectPipeline pins what each Consumers setting runs:
-// 0 (or less) checks inline on the engine's checker, and 1 or more on the
-// one async consumer, which owns the run's checker — for every algorithm,
-// the oracle and Verify runs included. Every pipeline must report the
-// inline run's races.
+// 0 (or less) checks inline on the engine goroutine, and 1 or more on the
+// one async consumer — for every algorithm, the oracle and Verify runs
+// included. Every pipeline must report the inline run's races.
 func TestConsumersSelectPipeline(t *testing.T) {
 	const n = 2000
 	for _, tc := range []struct {
@@ -189,9 +188,6 @@ func TestConsumersSelectPipeline(t *testing.T) {
 		e := NewEngine(tc.cfg)
 		if async := e.be != nil; async != tc.async {
 			t.Fatalf("%+v: async consumer = %v, want %v", tc.cfg, async, tc.async)
-		}
-		if own := e.chk != nil; own == tc.async {
-			t.Fatalf("%+v: engine-owned checker = %v, want %v", tc.cfg, own, !tc.async)
 		}
 		rep := e.Run(parallelProg(n))
 		if rep.Err != nil || want.Err != nil {

@@ -31,16 +31,17 @@ func (p PipelineProgress) String() string {
 }
 
 // PipelineError is the structured failure of the fail-closed detection
-// pipeline: a panic in the async consumer or the inline checking path is
-// recovered into one of these, the engine is poisoned so every subsequent
-// hook aborts the run with it instead of feeding a dead pipeline, and Run
-// still joins every goroutine before returning it in Report.Err. A stall
+// pipeline: a panic while the async consumer or the inline hand-off
+// processes a batch is recovered into one of these, the engine is
+// poisoned so every subsequent hook aborts the run with it instead of
+// feeding a dead pipeline, and Run still joins every goroutine before
+// returning it in Report.Err. A stall
 // is not a failure: Run waits for a slow consumer and joins it.
 type PipelineError struct {
 	// Stage names the pipeline stage that failed: "consumer" (batch
-	// checking on the async consumer), "inline" (the synchronous checking
-	// path on the engine goroutine), or "engine" (the engine ran out of an
-	// identifier space; see ErrStrandOverflow).
+	// processing on the async consumer), "inline" (batch processing in
+	// place on the engine goroutine), or "engine" (the engine ran out of
+	// an identifier space; see ErrStrandOverflow).
 	Stage string
 	// Seq is the seal-order sequence number of the batch being processed
 	// when the stage failed (0 when no batch was in hand).

@@ -73,6 +73,38 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 	}
 }
 
+// TestMutationPanicFailsClosed: a panic while a batch's construct
+// mutations apply fails the run closed on both pipelines. The program
+// makes constructs only, with memory ignored, so the panic comes from
+// the mutation hand-off alone: the run must return a PipelineError with
+// no goroutine and no pooled batch left behind.
+func TestMutationPanicFailsClosed(t *testing.T) {
+	faultinject.GoroutineLeakCheck(t)
+	for _, consumers := range []int{0, 1} {
+		before := event.Live()
+		rep := NewTunedEngine(Config{
+			Mode: ModeMultiBags, Mem: MemOff, Consumers: consumers,
+		}, Tuning{Faults: faultinject.Single(faultinject.ConsumerPanic, 1)}).Run(func(t *Task) {
+			for i := 0; i < 200; i++ { // more mutations than one hand-off holds
+				t.Spawn(func(*Task) {})
+			}
+			t.Sync()
+		})
+		var pe *PipelineError
+		if !errors.As(rep.Err, &pe) {
+			t.Fatalf("c=%d: want a PipelineError, got %v", consumers, rep.Err)
+		}
+		var fp faultinject.Panic
+		if !errors.As(pe, &fp) || fp.Point != faultinject.ConsumerPanic {
+			t.Fatalf("c=%d: injected panic lost in the cause chain: %v", consumers, pe)
+		}
+		if got := event.Live(); got != before {
+			t.Fatalf("c=%d: failed run leaked pooled batches: %d live before, %d after",
+				consumers, before, got)
+		}
+	}
+}
+
 // TestPoisonedEngineRefusesWork: after a pipeline failure the engine's
 // construct and access hooks must return the failure instead of feeding a
 // dead pipeline (or blocking on it).

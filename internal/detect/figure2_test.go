@@ -33,8 +33,10 @@ func TestPaperFigure2(t *testing.T) {
 			// Strand ids recorded at the interesting points.
 			var sA1, sB1, sC1, sD, sE, sF1, sFpost core.StrandID
 
-			// q asks whether u precedes the current strand of tk.
+			// q asks whether u precedes the current strand of tk, once the
+			// pending construct mutations have reached the relation.
 			q := func(tk *Task, u core.StrandID) bool {
+				e.handOff(nil)
 				return e.reach.Precedes(u, tk.strand)
 			}
 

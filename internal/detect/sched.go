@@ -1,12 +1,13 @@
 // The asynchronous detection pipeline: sealed batches are checked off the
 // engine goroutine while the program keeps executing.
 //
-// Config.Consumers == 0 has no pipeline: the engine checks each batch
-// inline. With Consumers >= 1 one consumer goroutine takes the sealed
-// items in seal order and, for each, runs the body the inline path runs
-// too (Engine.process): it applies the construct mutations the item
-// carries, answers a deferred discipline check, checks the batch on its
-// own shadow.Checker and reports the races directly. Seal order is report
+// Every batch leaves the engine at Engine.handOff. With Config.Consumers
+// == 0 there is no goroutine: handOff runs the per-item body
+// (Engine.process) in place. With Consumers >= 1 it queues the item to
+// one consumer goroutine, which takes the items in seal order and runs
+// the same body: it applies the construct mutations the item carries,
+// answers a deferred discipline check, checks the batch on the run's
+// shadow.Checker and reports the races directly. Seal order is report
 // order, so no reorder buffer is needed, and the one consumer is the only
 // goroutine that applies or queries the reachability relation while the
 // engine runs. The engine appends each construct's mutations to the open
@@ -19,17 +20,18 @@
 //
 // # Fail-closed operation
 //
-// The consumer runs each item inside the engine's recover shell: a panic —
-// a detector bug or an injected fault — is converted into a structured
-// PipelineError that poisons the engine (subsequent hooks abort the run
-// with it) and flips the consumer into drain mode, where it recycles the
-// remaining items unchecked until the engine closes intake, so the
-// engine's submit cannot block on a dead consumer. A stalled consumer is
-// not a failure: Run joins it, so the stall delays Run, and the report
-// carries the same verdicts and counters as a serial run. The fault matrix in
-// internal/progen/fault_test.go drives every injected fault class through
-// this machinery and asserts the run either matches serial verdicts
-// exactly or returns one PipelineError with no goroutine left behind.
+// Both pipelines run each item inside the engine's recover shell
+// (Engine.guard): a panic — a detector bug or an injected fault — is
+// converted into a structured PipelineError that poisons the engine
+// (subsequent hooks abort the run with it). The consumer then drains: it
+// recycles the remaining items unchecked until the engine closes intake,
+// so the engine's submit cannot block on a dead consumer. A stalled
+// consumer is not a failure: Run joins it, so the stall delays Run, and
+// the report carries the same verdicts and counters as a serial run. The
+// fault matrix in internal/progen/fault_test.go drives every injected
+// fault class through this machinery and asserts the run either matches
+// serial verdicts exactly or returns one PipelineError with no goroutine
+// left behind.
 package detect
 
 import (
@@ -39,7 +41,6 @@ import (
 
 	"futurerd/internal/core"
 	"futurerd/internal/event"
-	"futurerd/internal/shadow"
 )
 
 // discCheck is a deferred CheckStructured discipline query: instead of
@@ -136,12 +137,11 @@ func (p *pipeline) stop() {
 }
 
 // consume is the consumer goroutine: it processes items in seal order
-// on its own shadow checker until the engine closes intake. After a
+// on the run's shadow checker until the engine closes intake. After a
 // failure it only recycles, so the drain leaks no pooled batch.
 func (p *pipeline) consume() {
 	defer close(p.done)
 	e := p.e
-	chk := shadow.NewChecker(e.hist, e.reach)
 	failed := false
 	for it := range p.items {
 		if !failed {
@@ -150,7 +150,7 @@ func (p *pipeline) consume() {
 				if p.testHook != nil && len(it.b.Ops) > 0 {
 					p.testHook(it.b)
 				}
-				e.process(chk, it)
+				e.process(it)
 			}); pe != nil {
 				e.poisonWith(pe)
 				failed = true

@@ -68,21 +68,19 @@ const MaxOps = 4096
 
 // Batch is an ordered run of accesses made by one strand between two
 // parallel constructs, preceded by the construct mutations that order
-// them (async pipeline only). A batch with mutations and no ops is a
-// mutation-only hand-off.
+// them. A batch with mutations and no ops is a mutation-only hand-off.
 type Batch struct {
 	// Strand is the strand that performed every op in the batch (the
-	// current strand can only change at a construct, which seals).
+	// engine seals at every construct and at any other strand change).
 	Strand core.StrandID
 	// Gen is the engine's construct generation the ops executed under,
 	// reported in PipelineError snapshots. Stamped at seal time, when the
 	// batch leaves the engine goroutine.
 	Gen uint64
 	// Muts are the construct mutations the engine made since the previous
-	// hand-off, in program order. They all precede the ops: the async
-	// consumer applies them to the reachability relation before checking
-	// the batch. Always empty on the inline pipeline, which applies
-	// mutations directly.
+	// hand-off, in program order. They all precede the ops: detection
+	// applies them to the reachability relation before checking the
+	// batch, on either pipeline.
 	Muts []core.Mut
 	// Seq is the batch's position in seal order, stamped at submit time,
 	// for pipeline diagnostics.

@@ -28,9 +28,9 @@ type Point uint8
 
 // Fault points, one per instrumented site class.
 const (
-	// ConsumerPanic panics on the goroutine checking a batch: the async
-	// consumer (Consumers >= 1), or the engine goroutine on the inline
-	// pipeline (Consumers 0).
+	// ConsumerPanic panics on the goroutine processing an item, before
+	// its mutations apply: the async consumer (Consumers >= 1), or the
+	// engine goroutine on the inline pipeline (Consumers 0).
 	ConsumerPanic Point = iota
 	// ConsumerStall sleeps Plan.Stall on the checking goroutine before a
 	// batch is processed. A slow consumer is not a failure: the run waits

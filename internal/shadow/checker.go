@@ -9,8 +9,9 @@
 // kind as they are found and handed back through Events, so the caller
 // decides where and when they are delivered.
 //
-// A run owns one checker, on the engine goroutine in the inline pipeline
-// or on the async consumer, so nothing on the per-word path locks.
+// A run owns one checker, built by the engine and used by whichever
+// goroutine processes batches — the engine goroutine in the inline
+// pipeline or the async consumer — so nothing on the per-word path locks.
 // Everything a checker keeps between ops is its own: its page-set cache
 // (kept across batches — pages never move), its verdict cache and scan
 // memo (reset every batch), its segment transition memo, its counters and

@@ -91,9 +91,9 @@
 // # One checker
 //
 // The range protocol lives in one type, Checker (checker.go). A run owns
-// one checker, on the engine goroutine in the inline pipeline or on the
-// async consumer, so the History is only ever touched by one goroutine
-// and needs no locking. The checker keeps its page-set cache, verdict
+// one checker, used by whichever goroutine processes batches — the engine
+// goroutine in the inline pipeline or the async consumer — so the History
+// is only ever touched by one goroutine and needs no locking. The checker keeps its page-set cache, verdict
 // cache, reader-list memos and counters, buffers race events per batch,
 // and folds its counters into the History when a batch ends.
 package shadow

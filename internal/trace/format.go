@@ -111,7 +111,9 @@ func (e *addrEncoder) insert(d int64) {
 // event.Batch first, with the engine's coalescing rule, flushed at the
 // engine's seal points (every construct) and at MaxOps, so the stream
 // holds exactly the ops of the engine's batches and replay appends them
-// as they are.
+// as they are. The wire carries no task identity: every event belongs to
+// the executing task, so an event through any other task fails the
+// recording (see ErrForeignTask).
 type recorder struct {
 	w    *bufio.Writer
 	raw  []byte       // open block, uncompressed
@@ -123,11 +125,14 @@ type recorder struct {
 	futIDs  map[*detect.Fut]uint64
 	nextID  uint64
 	lastGot uint64
+	cur     *detect.Task // the task whose body is executing
+	foreign string       // the first event through another task, if any
 	err     error
 }
 
 func newRecorder(w *bufio.Writer) *recorder {
 	r := &recorder{w: w, batch: event.New(), futIDs: make(map[*detect.Fut]uint64)}
+	r.cur = detect.NewTask(r)
 	for i := range r.enc {
 		r.enc[i].index = make(map[int64]int, cacheSlots)
 	}
@@ -136,6 +141,14 @@ func newRecorder(w *bufio.Writer) *recorder {
 	// (structural opcode runs, recurring cache references).
 	r.fw, _ = flate.NewWriter(&r.comp, flate.BestSpeed)
 	return r
+}
+
+// own checks that event op comes through the executing task, keeping the
+// first one that does not for Record's error.
+func (r *recorder) own(t *detect.Task, op string) {
+	if t != r.cur && r.foreign == "" {
+		r.foreign = op
+	}
 }
 
 func (r *recorder) putByte(b byte) { r.raw = append(r.raw, b) }
@@ -240,17 +253,21 @@ func (r *recorder) encodeAccess(k event.Kind, addr uint64, words int) {
 
 // Spawn implements detect.Executor.
 func (r *recorder) Spawn(t *detect.Task, f func(*detect.Task)) {
+	r.own(t, "spawn")
 	r.flushAccesses()
 	r.putByte(v2Spawn)
 	r.endEvent()
-	f(detect.NewTask(r))
+	r.cur = detect.NewTask(r)
+	f(r.cur)
+	r.cur = t
 	r.flushAccesses()
 	r.putByte(v2TaskEnd)
 	r.endEvent()
 }
 
 // Sync implements detect.Executor.
-func (r *recorder) Sync(*detect.Task) {
+func (r *recorder) Sync(t *detect.Task) {
+	r.own(t, "sync")
 	r.flushAccesses()
 	r.putByte(v2Sync)
 	r.endEvent()
@@ -259,13 +276,16 @@ func (r *recorder) Sync(*detect.Task) {
 // CreateFut implements detect.Executor. Ids are implicit: creation order
 // on both sides of the wire.
 func (r *recorder) CreateFut(t *detect.Task, body func(*detect.Task) any) *detect.Fut {
+	r.own(t, "create_fut")
 	r.flushAccesses()
 	id := r.nextID
 	r.nextID++
 	r.putByte(v2Create)
 	r.endEvent()
 	h := &detect.Fut{}
-	h.Complete(body(detect.NewTask(r)))
+	r.cur = detect.NewTask(r)
+	h.Complete(body(r.cur))
+	r.cur = t
 	r.flushAccesses()
 	r.putByte(v2TaskEnd)
 	r.endEvent()
@@ -277,6 +297,7 @@ func (r *recorder) CreateFut(t *detect.Task, body func(*detect.Task) any) *detec
 // from the previously gotten id — traversal-ordered consumers get
 // near-previous futures, so the delta is a short varint.
 func (r *recorder) GetFut(t *detect.Task, h *detect.Fut) any {
+	r.own(t, "get_fut")
 	r.flushAccesses()
 	// An unknown handle (zero Fut the recorder never created) targets the
 	// not-yet-created id nextID, so replay fails like detection would.
@@ -294,6 +315,7 @@ func (r *recorder) GetFut(t *detect.Task, h *detect.Fut) any {
 
 // Read implements detect.Executor.
 func (r *recorder) Read(t *detect.Task, addr uint64, words int) {
+	r.own(t, "read")
 	if r.batch.Append(event.Read, addr, words) >= event.MaxOps {
 		r.flushAccesses()
 	}
@@ -301,6 +323,7 @@ func (r *recorder) Read(t *detect.Task, addr uint64, words int) {
 
 // Write implements detect.Executor.
 func (r *recorder) Write(t *detect.Task, addr uint64, words int) {
+	r.own(t, "write")
 	if r.batch.Append(event.Write, addr, words) >= event.MaxOps {
 		r.flushAccesses()
 	}
@@ -315,6 +338,7 @@ func (r *recorder) Write(t *detect.Task, addr uint64, words int) {
 // changes nothing on replay: a label names the task's function, whenever
 // it is set.
 func (r *recorder) Label(t *detect.Task, label string) {
+	r.own(t, "label")
 	if len(label) > maxLabel {
 		label = label[:maxLabel]
 	}

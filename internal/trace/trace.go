@@ -74,6 +74,12 @@ var magicV2 = []byte("FUTRD2\n")
 // ErrBadTrace reports a malformed or truncated stream.
 var ErrBadTrace = errors.New("trace: malformed event stream")
 
+// ErrForeignTask is the error Record returns when a body makes a construct
+// or an access through a task other than its own (an enclosing task's
+// handle): the stream cannot name the task, so its replay would differ.
+var ErrForeignTask = errors.New(
+	"trace: construct or access through a task other than the executing body's own")
+
 // tevKind enumerates the structural events the decoder yields; accesses
 // arrive as runs of event.Op instead (see v2Decoder.run).
 type tevKind uint8
@@ -113,14 +119,20 @@ func newDecoder(r io.Reader) (*v2Decoder, error) {
 }
 
 // Record executes root sequentially (eager futures, no detection) and
-// writes its event stream to w in format v2.
+// writes its event stream to w in format v2. Every construct and access
+// must go through the task handed to the body that makes it; one through
+// an enclosing task's handle fails the recording with ErrForeignTask, and
+// the stream is left without its terminator, so no reader accepts it.
 func Record(w io.Writer, root func(*detect.Task)) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magicV2); err != nil {
 		return err
 	}
 	r := newRecorder(bw)
-	root(detect.NewTask(r))
+	root(r.cur)
+	if r.foreign != "" {
+		r.err = fmt.Errorf("%w (the first: a %s)", ErrForeignTask, r.foreign)
+	}
 	r.finish()
 	if r.err != nil {
 		return r.err
@@ -140,7 +152,8 @@ func RecordBytes(root func(*detect.Task)) ([]byte, error) {
 // Replay runs the event stream through a detection engine configured by
 // cfg and returns its report. Replaying a trace yields exactly the same
 // report as detecting the original program, for any algorithm and worker
-// count.
+// count. A malformed stream fails the replay with an error wrapping
+// ErrBadTrace; Replay sets no limits.
 func Replay(r io.Reader, cfg detect.Config) (*detect.Report, error) {
 	dec, err := newDecoder(r)
 	if err != nil {
@@ -148,7 +161,7 @@ func Replay(r io.Reader, cfg detect.Config) (*detect.Report, error) {
 	}
 	var derr error
 	eng := detect.NewEngine(cfg)
-	rep := eng.Run(func(t *detect.Task) { derr = replayEvents(eng, t, dec) })
+	rep := eng.Run(func(t *detect.Task) { derr = newReplayer(eng, t).walk(dec, Limits{}) })
 	if derr != nil && rep.Err == nil {
 		return nil, derr
 	}
@@ -199,8 +212,17 @@ func ReplayRecover(r io.Reader, cfg detect.Config, lim Limits) (*detect.Report, 
 	}
 	eng := detect.NewEngine(cfg)
 	rep := eng.Run(func(t *detect.Task) {
-		if dec != nil {
-			ts = replayRecover(eng, t, dec, lim)
+		if dec == nil {
+			return
+		}
+		r := newReplayer(eng, t)
+		if err := r.walk(dec, lim); err != nil {
+			// Close the open tasks so the engine sees a well-formed (if
+			// shorter) program: detection over the prefix stays valid.
+			for len(r.stack) > 0 {
+				r.end()
+			}
+			ts = detect.TraceStats{Truncated: true, TruncatedAtEvent: r.events, Reason: err.Error()}
 		}
 	})
 	rep.Stats.Trace = ts
@@ -212,10 +234,11 @@ func ReplayRecover(r io.Reader, cfg detect.Config, lim Limits) (*detect.Report, 
 // BeginSpawn/EndSpawn and BeginFut/EndFut construct API), so a spawn
 // chain of any depth replays in constant Go stack.
 type replayer struct {
-	e     *detect.Engine
-	cur   *detect.Task
-	stack []frame
-	futs  map[uint64]*detect.Fut
+	e      *detect.Engine
+	cur    *detect.Task
+	stack  []frame
+	futs   map[uint64]*detect.Fut
+	events uint64 // events replayed
 }
 
 type frame struct {
@@ -270,84 +293,60 @@ func (r *replayer) end() {
 	r.cur = f.t
 }
 
-// replayEvents replays the whole stream, failing on the first malformed
-// event. Each decoded access run goes straight into the engine's event
-// batch in one call.
-func replayEvents(e *detect.Engine, root *detect.Task, dec *v2Decoder) error {
-	r := newReplayer(e, root)
+// walk replays the stream until it ends and returns the error that ended
+// it: nil at a clean end, a decode error wrapped in ErrBadTrace, or a hit
+// of lim (whose zero fields set no limit). Each decoded access run goes
+// straight into the engine's event batch in one call; on a cut, the
+// events before it are replayed.
+func (r *replayer) walk(dec *v2Decoder, lim Limits) error {
+	var words uint64
 	for {
 		ops, v, err := dec.run()
-		if err != nil {
+		ops, cut := lim.clip(ops, r.events, &words)
+		r.e.Accesses(r.cur, ops)
+		r.events += uint64(len(ops))
+		switch {
+		case cut != nil:
+			return cut
+		case err != nil:
 			return err
-		}
-		e.Accesses(r.cur, ops)
-		switch v.kind {
-		case tevNone:
+		case v.kind == tevNone:
 			continue
-		case tevEOF:
+		case v.kind == tevEOF:
 			if len(r.stack) != 0 {
 				return malformed("stream ends with %d unterminated tasks", len(r.stack))
 			}
 			return nil
+		case lim.MaxEvents != 0 && r.events >= lim.MaxEvents:
+			return lim.eventsHit()
 		}
 		if err := r.construct(v); err != nil {
 			return err
 		}
+		r.events++
 	}
-}
-
-// replayRecover is replayEvents with a recovery policy: decode errors and
-// limit hits truncate the stream instead of failing it, and the open
-// tasks are closed so the engine sees a well-formed (if shorter)
-// program; detection over the replayed prefix stays valid.
-func replayRecover(e *detect.Engine, root *detect.Task, dec *v2Decoder, lim Limits) detect.TraceStats {
-	r := newReplayer(e, root)
-	var events, words uint64
-	reason := ""
-	for reason == "" {
-		ops, v, err := dec.run()
-		ops, reason = lim.clip(ops, events, &words)
-		e.Accesses(r.cur, ops)
-		events += uint64(len(ops))
-		switch {
-		case reason != "":
-		case err != nil:
-			reason = err.Error()
-		case v.kind == tevNone:
-		case v.kind == tevEOF:
-			if len(r.stack) == 0 {
-				return detect.TraceStats{} // clean replay: no cut to report
-			}
-			reason = fmt.Sprintf("stream ends with %d unterminated tasks", len(r.stack))
-		case lim.MaxEvents != 0 && events >= lim.MaxEvents:
-			reason = fmt.Sprintf("replay limit: more than %d events", lim.MaxEvents)
-		default:
-			if err := r.construct(v); err != nil {
-				reason = err.Error()
-			} else {
-				events++
-			}
-		}
-	}
-	for len(r.stack) > 0 {
-		r.end()
-	}
-	return detect.TraceStats{Truncated: true, TruncatedAtEvent: events, Reason: reason}
 }
 
 // clip cuts a decoded access run at its first op past lim, given the
 // events replayed before the run and the running word total. It returns
-// the ops to replay and, when it cut, the reason.
-func (lim Limits) clip(ops []event.Op, events uint64, words *uint64) ([]event.Op, string) {
-	reason := ""
+// the ops to replay and, when it cut, the limit hit.
+func (lim Limits) clip(ops []event.Op, events uint64, words *uint64) ([]event.Op, error) {
+	var cut error
 	if lim.MaxEvents != 0 && events+uint64(len(ops)) > lim.MaxEvents {
 		ops = ops[:lim.MaxEvents-events]
-		reason = fmt.Sprintf("replay limit: more than %d events", lim.MaxEvents)
+		cut = lim.eventsHit()
+	}
+	if lim.MaxWords == 0 {
+		return ops, cut
 	}
 	for i := range ops {
 		if *words += uint64(ops[i].Words); *words > lim.MaxWords {
-			return ops[:i], fmt.Sprintf("replay limit: more than %d words accessed", lim.MaxWords)
+			return ops[:i], fmt.Errorf("replay limit: more than %d words accessed", lim.MaxWords)
 		}
 	}
-	return ops, reason
+	return ops, cut
+}
+
+func (lim Limits) eventsHit() error {
+	return fmt.Errorf("replay limit: more than %d events", lim.MaxEvents)
 }

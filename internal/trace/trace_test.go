@@ -516,3 +516,52 @@ func TestBlockFramingSpansBlocks(t *testing.T) {
 			rep.Stats.Shadow, direct.Stats.Shadow)
 	}
 }
+
+// enclosing accesses memory through its enclosing task's handle inside a
+// spawned body. Detection runs p.Write(2) as p's fork strand, which
+// precedes both later writes of 2, so it reports races on 1 and 3 only.
+// The stream cannot name a task, so a replay would run that write as the
+// child and report 2 too: Record must refuse the program instead.
+func enclosing(p *detect.Task) {
+	p.Spawn(func(c *detect.Task) {
+		c.Write(1)
+		p.Write(2)
+		c.Write(3)
+	})
+	p.Write(1)
+	p.Write(2)
+	p.Write(3)
+}
+
+// TestRecordRefusesForeignTask: an event through a task other than the
+// executing body's own fails the recording with ErrForeignTask, naming
+// the event, for accesses and constructs alike.
+func TestRecordRefusesForeignTask(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prog func(*detect.Task)
+	}{
+		{"write", enclosing},
+		{"sync", func(p *detect.Task) {
+			p.CreateFut(func(f *detect.Task) any { p.Sync(); return nil })
+		}},
+		{"spawn", func(p *detect.Task) {
+			p.Spawn(func(c *detect.Task) { p.Spawn(func(*detect.Task) {}) })
+			p.Sync()
+		}},
+	} {
+		var buf bytes.Buffer
+		err := Record(&buf, tc.prog)
+		if !errors.Is(err, ErrForeignTask) || !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("%s: Record err = %v, want ErrForeignTask naming the %s", tc.name, err, tc.name)
+		}
+		// What reached the writer is no trace: it has no terminator.
+		if _, err := ReplayBytes(buf.Bytes(), detect.Config{Mode: detect.ModeMultiBags}); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("%s: replay of the refused stream: %v, want ErrBadTrace", tc.name, err)
+		}
+	}
+	// A program that uses only its own handles still records.
+	if _, err := RecordBytes(prog); err != nil {
+		t.Fatal(err)
+	}
+}

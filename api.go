@@ -115,7 +115,7 @@ func Run(workers int, root func(*Task)) {
 }
 
 // RecordTrace executes root sequentially (eager futures, detection off)
-// and writes its construct + memory event stream to w in trace format v2
+// and writes its construct + memory event stream to w in trace format v3
 // (coalesced range events, delta-compressed addresses, DEFLATE block
 // framing). The trace can be re-detected offline with ReplayTrace —
 // under any algorithm and pipeline — without re-running the program,

@@ -17,13 +17,13 @@
 // computation dag in Graphviz format (oracle mode only).
 //
 // record executes a benchmark once without detection and writes its
-// event trace (format v2). replay re-detects a recorded trace — any
+// event trace (format v3). replay re-detects a recorded trace — any
 // algorithm, either pipeline — and prints the same statistics as run;
 // -consumers n (n >= 1) checks on the async consumer. A corrupt
 // trace fails with a one-line diagnosis and a non-zero exit; -recover
 // instead replays the longest well-formed prefix and reports where and
-// why the stream was cut. stat summarizes a trace: size, event counts
-// and bytes per event.
+// why the stream was cut. stat summarizes a trace: size, event counts,
+// bytes per event, the inflated size and each encoding class's events.
 //
 // Invoking futurerd-trace with flags and no subcommand behaves as run.
 package main
@@ -299,6 +299,12 @@ func cmdStat(args []string) {
 	fmt.Printf("  labels        %d\n", st.Labels)
 	fmt.Printf("  accesses      %d (%d words)\n", st.Accesses, st.Words)
 	fmt.Printf("bytes/event     %.2f\n", st.BytesPerEvent())
+	fmt.Printf("inflated        %d (%.2f bytes/event)\n", st.Inflated, float64(st.Inflated)/float64(max(st.Events, 1)))
+	fmt.Printf("  small         %d\n", st.Small)
+	fmt.Printf("  medium        %d\n", st.Medium)
+	fmt.Printf("  cached        %d\n", st.Cached)
+	fmt.Printf("  escape        %d\n", st.Escape)
+	fmt.Printf("  structural    %d\n", st.Structural)
 }
 
 func usage() {

@@ -101,8 +101,9 @@
 // # Traces
 //
 // RecordTrace executes a program once (no detection) and writes its
-// construct + memory event stream in format v2: coalesced range events,
-// delta-compressed addresses, strand labels, DEFLATE block framing.
+// construct + memory event stream in format v3: coalesced range events,
+// per-stream delta-compressed addresses with a stride cache, strand
+// labels, DEFLATE block framing.
 // ReplayTrace re-detects a stream — any algorithm, any pipeline — with
 // exactly the report a direct run produces. Replay decodes and delivers
 // accesses a run at a time: consecutive access events go straight into

@@ -332,7 +332,7 @@ func Fig7(opts Options) (*Table, []Measurement, error) {
 }
 
 // FigReplay measures trace-replay throughput over the committed trace
-// corpus (one v2 trace per paper workload, recorded at test size): each
+// corpus (one trace per paper workload, recorded at test size): each
 // trace is decoded and driven through full MultiBags+ detection with
 // opts.Consumers. Wall time is machine-dependent; the replay's execution
 // counters are deterministic for a given corpus and code version, which
@@ -395,7 +395,7 @@ func FigReplay(opts Options, dir string) (*Table, []Measurement, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"corpus: traces/<bench>.trace, v2 format, test size, structured variants;",
+		"corpus: traces/<bench>.trace, format v3, test size, structured variants;",
 		"counters are deterministic per corpus+code version and gated by futurerd-benchtrend")
 	return t, ms, nil
 }

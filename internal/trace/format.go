@@ -1,4 +1,4 @@
-// Format v2: encoder (the recording Executor) and decoder. See the
+// Format v3: encoder (the recording Executor) and decoder. See the
 // package documentation for the wire layout.
 package trace
 
@@ -19,7 +19,7 @@ import (
 // accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// v2 structural opcodes (0x00–0x0F).
+// Structural and escape opcodes (0x00–0x0F).
 const (
 	v2Invalid byte = iota // 0 guards zero-filled corruption
 	v2Spawn
@@ -27,23 +27,26 @@ const (
 	v2TaskEnd
 	v2Sync
 	v2Get    // zigzag id delta from the previously gotten id
-	v2Read   // zigzag addr delta; single word; delta enters the cache
+	v2Read   // escape operand (delta and base); single word; enters the cache
 	v2Write  // must stay v2Read+1 (kind is carried arithmetically)
-	v2ReadN  // zigzag addr delta, uvarint word count
+	v2ReadN  // escape operand, uvarint word count; enters the cache
 	v2WriteN // must stay v2ReadN+1
 	v2Label  // uvarint byte length, label bytes
 )
 
-// Compact single-word access classes.
+// Compact access classes.
 //
 //   - small (1 byte): 0x10–0x41 carry the kind and a delta in [-12, 12]
-//     in the opcode byte itself — sequential and near-sequential scans.
+//     from base 0 in the opcode byte itself — sequential and
+//     near-sequential single-word scans.
 //   - medium (2 bytes): 0x42–0x7F carry the kind and the high delta bits;
-//     one operand byte carries the low 8 bits, covering [-3968, 3967] —
-//     the random-permutation accesses of pointer-chasing workloads, whose
-//     deltas rarely repeat but stay within the (small) live address range.
+//     one operand byte carries the low 8 bits, covering [-3968, 3967]
+//     from base 0 — the random-permutation single-word accesses of
+//     pointer-chasing workloads, whose deltas rarely repeat but stay
+//     within the (small) live address range.
 //   - cached (1 byte): 0x80–0xFF reference one of the 64 most recent
-//     larger deltas per kind — the recurring strides of wavefront kernels.
+//     (base, delta, words) strides per kind — the recurring strides and
+//     row ranges of wavefront and blocked kernels.
 const (
 	smallBase = 0x10
 	smallSpan = 25 // per-kind values: delta in [-smallBias, smallSpan-smallBias)
@@ -53,9 +56,14 @@ const (
 	medSpan   = medHi * 256
 	medBias   = medSpan / 2
 	cacheBase = 0x80
-	// cacheSlots is the per-kind delta-cache size; must be a power of two
+	// cacheSlots is the per-kind stride-cache size; must be a power of two
 	// and fit the low bits of a cache-class opcode.
 	cacheSlots = 64
+	// bases is the number of delta bases per kind: the ends of the kind's
+	// last accesses, one per stream the batcher can interleave (the last op
+	// and its lookback of 2). An escape names its base in the low 2 bits of
+	// its operand, so bases must not exceed 3; base 3 is malformed.
+	bases = 3
 )
 
 // blockTarget is the uncompressed size at which the writer closes a
@@ -75,39 +83,83 @@ const (
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// addrCoder is the per-kind address-compression state shared by encoder
-// and decoder: accesses encode as deltas from the end of the previous
-// same-kind access, and the cacheSlots most recent cache-missed deltas
-// sit in a round-robin cache, so periodic stride patterns (wavefront
-// kernels cycling through a handful of strides) cost one byte per
-// access. Deltas in the small-immediate range never enter the cache;
-// medium-class and varint-escape deltas do.
-type addrCoder struct {
-	lastEnd uint64
-	cache   [cacheSlots]int64
-	next    int
+// appendEscape appends an escape operand: the zigzag delta zz above the
+// 2-bit base, as a base-128 varint of up to 66 bits (two more than
+// encoding/binary's), so every 64-bit delta from every base is encodable.
+func appendEscape(buf []byte, zz uint64, base int) []byte {
+	v, hi := zz<<2|uint64(base), zz>>62
+	for hi != 0 || v >= 0x80 {
+		buf = append(buf, byte(v)|0x80)
+		v, hi = v>>7|hi<<57, hi>>7
+	}
+	return append(buf, byte(v))
 }
 
-func (c *addrCoder) insert(d int64) {
-	c.cache[c.next] = d
+// stride is one stride-cache entry: an access at delta from the end of
+// base that covers words words. A slot never filled holds words 0.
+type stride struct {
+	delta int64
+	words int
+	base  int
+}
+
+// addrCoder is the per-kind address-compression state shared by encoder
+// and decoder. Each access is encoded against a base: the end of one of
+// the kind's last three accesses, most recent first, so the streams that
+// the batcher interleaves (a row of B, a row of C) each keep their own
+// delta chain. The cacheSlots most recent cache-missed
+// strides sit in a round-robin cache, so periodic patterns (wavefront
+// kernels cycling through a handful of strides, blocked kernels
+// stepping rows) cost one byte per access. Small-class accesses never
+// enter the cache; medium-class and escape accesses do.
+type addrCoder struct {
+	ends  [bases]uint64
+	cache [cacheSlots]stride
+	next  int
+}
+
+// push makes end, the end of the access just coded, base 0; the others
+// age by one and the oldest drops (bases is 3).
+func (c *addrCoder) push(end uint64) {
+	c.ends[2], c.ends[1], c.ends[0] = c.ends[1], c.ends[0], end
+}
+
+func (c *addrCoder) insert(s stride) {
+	c.cache[c.next] = s
 	c.next = (c.next + 1) & (cacheSlots - 1)
 }
 
-// addrEncoder adds the delta→slot index the encoder needs for lookups.
+// indexBits sizes the encoder's stride index: 4 buckets per cache slot.
+const indexBits = 8
+
+// addrEncoder adds the encoder's stride index: a hash of each stride
+// names the slot that last received it. A lookup verifies the slot, so
+// a bucket overwritten by a colliding stride costs a cache miss, never
+// a wrong reference, and the index needs no deletes.
 type addrEncoder struct {
 	addrCoder
-	index map[int64]int
+	index [1 << indexBits]uint8
 }
 
-func (e *addrEncoder) insert(d int64) {
-	delete(e.index, e.cache[e.next])
-	e.index[d] = e.next
-	e.addrCoder.insert(d)
+func (s stride) hash() uint8 {
+	h := uint64(s.delta)*0x9E3779B97F4A7C15 ^ uint64(s.words)*0xC2B2AE3D27D4EB4F ^ uint64(s.base)
+	return uint8((h * 0x165667B19E3779F9) >> (64 - indexBits))
+}
+
+// lookup returns the slot holding s, if any.
+func (e *addrEncoder) lookup(s stride) (int, bool) {
+	slot := int(e.index[s.hash()])
+	return slot, e.cache[slot] == s
+}
+
+func (e *addrEncoder) insert(s stride) {
+	e.index[s.hash()] = uint8(e.next)
+	e.addrCoder.insert(s)
 }
 
 // recorder implements detect.Executor: it executes the program eagerly
 // on the calling goroutine (like the detection engine, minus detection)
-// and logs every event in format v2. Accesses pass through an
+// and logs every event in format v3. Accesses pass through an
 // event.Batch first, with the engine's coalescing rule, flushed at the
 // engine's seal points (every construct) and at MaxOps, so the stream
 // holds exactly the ops of the engine's batches and replay appends them
@@ -133,9 +185,6 @@ type recorder struct {
 func newRecorder(w *bufio.Writer) *recorder {
 	r := &recorder{w: w, batch: event.New(), futIDs: make(map[*detect.Fut]uint64)}
 	r.cur = detect.NewTask(r)
-	for i := range r.enc {
-		r.enc[i].index = make(map[int64]int, cacheSlots)
-	}
 	// BestSpeed: the event encoding has already removed the numeric
 	// redundancy; flate mops up the residual byte-level repetition
 	// (structural opcode runs, recurring cache references).
@@ -218,36 +267,50 @@ func (r *recorder) flushAccesses() {
 	r.batch.Reset()
 }
 
+// encodeAccess encodes one op. A single word near the end of base 0
+// takes the small class; otherwise the first base whose (base, delta,
+// words) stride is cached takes the cached class; otherwise a single
+// word takes the medium class when base 0 is near enough, and anything
+// else escapes against the base of the shortest delta.
 func (r *recorder) encodeAccess(k event.Kind, addr uint64, words int) {
 	kb := int(k)
 	e := &r.enc[kb]
-	d := int64(addr) - int64(e.lastEnd)
-	e.lastEnd = addr + uint64(words)
-	if words == 1 {
-		switch {
-		case d >= -smallBias && d < smallSpan-smallBias:
-			r.putByte(byte(smallBase + kb*smallSpan + int(d) + smallBias))
-		default:
-			if slot, ok := e.index[d]; ok {
-				r.putByte(byte(cacheBase | kb<<6 | slot))
-				break
-			}
-			if d >= -medBias && d < medSpan-medBias {
-				v := int(d) + medBias
-				r.putByte(byte(medBase + kb*medHi + v>>8))
-				r.putByte(byte(v))
-				e.insert(d) // a recurring medium stride upgrades to 1 byte
-				break
-			}
-			r.putByte(v2Read + byte(kb))
-			r.putUvarint(zigzag(d))
-			e.insert(d)
+	end := addr + uint64(words)
+	d0 := int64(addr - e.ends[0])
+	if words == 1 && d0 >= -smallBias && d0 < smallSpan-smallBias {
+		r.putByte(byte(smallBase + kb*smallSpan + int(d0) + smallBias))
+		e.push(end)
+		r.endEvent()
+		return
+	}
+	best := stride{delta: d0, words: words}
+	for b := 0; b < bases; b++ {
+		s := stride{delta: int64(addr - e.ends[b]), words: words, base: b}
+		if slot, ok := e.lookup(s); ok {
+			r.putByte(byte(cacheBase | kb<<6 | slot))
+			e.push(end)
+			r.endEvent()
+			return
 		}
+		if zigzag(s.delta) < zigzag(best.delta) {
+			best = s
+		}
+	}
+	if words == 1 && d0 >= -medBias && d0 < medSpan-medBias {
+		v := int(d0) + medBias
+		r.putByte(byte(medBase + kb*medHi + v>>8))
+		r.putByte(byte(v))
+		best = stride{delta: d0, words: 1} // a recurring medium stride upgrades to 1 byte
+	} else if words == 1 {
+		r.putByte(v2Read + byte(kb))
+		r.raw = appendEscape(r.raw, zigzag(best.delta), best.base)
 	} else {
 		r.putByte(v2ReadN + byte(kb))
-		r.putUvarint(zigzag(d))
+		r.raw = appendEscape(r.raw, zigzag(best.delta), best.base)
 		r.putUvarint(uint64(words))
 	}
+	e.insert(best)
+	e.push(end)
 	r.endEvent()
 }
 
@@ -365,6 +428,11 @@ type v2Decoder struct {
 	dec     [2]addrCoder
 	creates uint64
 	lastGot uint64
+
+	// Stat's tallies: inflated block bytes and access events by class
+	// (cached accesses are the rest, so the hottest path counts nothing).
+	inflated              int64
+	small, medium, escape int64
 }
 
 // wire is the decoder's view of the stream. It counts the bytes the
@@ -468,6 +536,7 @@ func (d *v2Decoder) loadBlock() (bool, error) {
 		return false, malformed("block decompression: %v", err)
 	}
 	d.pos = 0
+	d.inflated += int64(rawLen)
 	return true, nil
 }
 
@@ -508,11 +577,16 @@ func (d *v2Decoder) run() (ops []event.Op, end tev, err error) {
 			pos++
 			var kb int
 			var addr uint64
+			words := 1
 			switch {
 			case b >= cacheBase:
 				kb = int(b>>6) & 1
 				c := &d.dec[kb]
-				addr = uint64(int64(c.lastEnd) + c.cache[b&(cacheSlots-1)])
+				s := &c.cache[b&(cacheSlots-1)]
+				if s.words == 0 {
+					return buf[:n], tev{}, malformed("reference to empty stride-cache slot %d", b&(cacheSlots-1))
+				}
+				addr, words = c.ends[s.base]+uint64(s.delta), s.words
 			case b >= medBase:
 				v := int(b) - medBase
 				kb = v / medHi
@@ -522,15 +596,17 @@ func (d *v2Decoder) run() (ops []event.Op, end tev, err error) {
 				delta := int64(v%medHi<<8|int(raw[pos])) - medBias
 				pos++
 				c := &d.dec[kb]
-				addr = uint64(int64(c.lastEnd) + delta)
-				c.insert(delta)
+				addr = c.ends[0] + uint64(delta)
+				c.insert(stride{delta: delta, words: 1})
+				d.medium++
 			case b >= smallBase:
 				v := int(b) - smallBase
 				kb = v / smallSpan
-				addr = uint64(int64(d.dec[kb].lastEnd) + int64(v%smallSpan) - smallBias)
+				addr = d.dec[kb].ends[0] + uint64(v%smallSpan-smallBias)
+				d.small++
 			case b >= v2Read && b <= v2WriteN:
 				d.pos = pos
-				op, err := d.varintAccess(b)
+				op, err := d.escapeAccess(b)
 				if err != nil {
 					return buf[:n], tev{}, err
 				}
@@ -542,27 +618,28 @@ func (d *v2Decoder) run() (ops []event.Op, end tev, err error) {
 				end, err := d.structural(b)
 				return buf[:n], end, err
 			}
-			d.dec[kb].lastEnd = addr + 1
-			buf[n] = event.Op{Addr: addr, Words: 1, Kind: event.Kind(kb)}
+			d.dec[kb].push(addr + uint64(words))
+			buf[n] = event.Op{Addr: addr, Words: words, Kind: event.Kind(kb)}
 		}
 		d.pos = pos
 	}
 	return buf, tev{}, nil
 }
 
-// varintAccess decodes the operands of a v2Read, v2Write, v2ReadN or
+// escapeAccess decodes the operands of a v2Read, v2Write, v2ReadN or
 // v2WriteN event whose opcode b has been consumed.
-func (d *v2Decoder) varintAccess(b byte) (event.Op, error) {
+func (d *v2Decoder) escapeAccess(b byte) (event.Op, error) {
 	kb, words := int(b-v2Read), uint64(1)
 	if b >= v2ReadN {
 		kb = int(b - v2ReadN)
 	}
-	u, err := d.uvarint()
+	zz, base, err := d.escapeOperand()
 	if err != nil {
 		return event.Op{}, err
 	}
-	delta := unzigzag(u)
-	c := &d.dec[kb]
+	if base >= bases {
+		return event.Op{}, malformed("escape names delta base %d", base)
+	}
 	if b >= v2ReadN {
 		if words, err = d.uvarint(); err != nil {
 			return event.Op{}, err
@@ -570,12 +647,36 @@ func (d *v2Decoder) varintAccess(b byte) (event.Op, error) {
 		if words == 0 || words > maxWords {
 			return event.Op{}, malformed("implausible range of %d words", words)
 		}
-	} else {
-		c.insert(delta)
 	}
-	addr := uint64(int64(c.lastEnd) + delta)
-	c.lastEnd = addr + words
-	return event.Op{Addr: addr, Words: int(words), Kind: event.Kind(kb)}, nil
+	c := &d.dec[kb]
+	s := stride{delta: unzigzag(zz), words: int(words), base: base}
+	addr := c.ends[base] + uint64(s.delta)
+	c.insert(s)
+	c.push(addr + words)
+	d.escape++
+	return event.Op{Addr: addr, Words: s.words, Kind: event.Kind(kb)}, nil
+}
+
+// escapeOperand decodes the varint that appendEscape wrote into its
+// zigzag delta and base.
+func (d *v2Decoder) escapeOperand() (zz uint64, base int, err error) {
+	var lo, hi uint64 // the operand's low 64 bits and its top 2
+	for i := 0; i < 10 && d.pos < len(d.raw); i++ {
+		b := d.raw[d.pos]
+		d.pos++
+		s := uint(7 * i)
+		lo |= uint64(b&0x7f) << s
+		if s > 57 {
+			hi |= uint64(b&0x7f) >> (64 - s)
+		}
+		if b < 0x80 {
+			if i == 9 && b > 7 {
+				break
+			}
+			return lo>>2 | hi<<62, int(lo & 3), nil
+		}
+	}
+	return 0, 0, malformed("truncated or overlong escape operand")
 }
 
 // structural decodes the structural event whose opcode b has been

@@ -16,25 +16,33 @@ import (
 var hostileCfg = detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull}
 
 // TestCorruptFixtures pins the reader's behavior on the checked-in
-// damaged traces: the strict path must diagnose them as ErrBadTrace (not
-// panic), and the recovering path must replay the intact prefix and
-// describe the cut.
+// damaged traces: the strict path must diagnose each one's damage as
+// ErrBadTrace (not panic, and not the bad magic of a stale format), and
+// the recovering path must replay the intact prefix and describe the
+// same cut. Both fixtures are the recording of
+// progen.Generate(42, progen.Options{Dialect: progen.Structured}) of
+// length L: corrupt_truncated.trace keeps its first L/2 bytes, and
+// corrupt_bitflip.trace flips bit 0 of byte L/2, inside the block's
+// compressed payload.
 func TestCorruptFixtures(t *testing.T) {
-	for _, name := range []string{"corrupt_truncated.trace", "corrupt_bitflip.trace"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", name))
+	for _, tc := range []struct{ name, reason string }{
+		{"corrupt_truncated.trace", "truncated block"},
+		{"corrupt_bitflip.trace", "block checksum mismatch"},
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", tc.name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReplayBytes(raw, hostileCfg); !errors.Is(err, ErrBadTrace) {
-			t.Fatalf("%s: strict replay err = %v, want ErrBadTrace", name, err)
+		if _, err := ReplayBytes(raw, hostileCfg); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), tc.reason) {
+			t.Fatalf("%s: strict replay err = %v, want ErrBadTrace with %q", tc.name, err, tc.reason)
 		}
 		rep, err := ReplayRecover(bytes.NewReader(raw), hostileCfg, Limits{})
 		if err != nil {
-			t.Fatalf("%s: recovering replay failed: %v", name, err)
+			t.Fatalf("%s: recovering replay failed: %v", tc.name, err)
 		}
 		ts := rep.Stats.Trace
-		if !ts.Truncated || ts.Reason == "" {
-			t.Fatalf("%s: recovery did not report the cut: %+v", name, ts)
+		if !ts.Truncated || !strings.Contains(ts.Reason, tc.reason) {
+			t.Fatalf("%s: recovery did not report the cut: %+v", tc.name, ts)
 		}
 	}
 }
@@ -195,17 +203,19 @@ func TestReplayRecoverLimitsInsideRun(t *testing.T) {
 	}
 }
 
-// TestTruncatedMediumOperand: a block that ends in a medium-class opcode
-// without its operand byte fails strict replay, and the recovering
-// replay cuts at the access before it.
-func TestTruncatedMediumOperand(t *testing.T) {
+// checkAccessCut frames a one-block trace of two good accesses followed
+// by the bad event. The good ones are a medium-class read of delta 0,
+// which fills slot 0 of the read stride cache, and a small-class write
+// of delta 0. Strict replay must fail with ErrBadTrace naming reason,
+// and the recovering replay must cut after the two good accesses.
+func checkAccessCut(t *testing.T, bad []byte, reason string) {
+	t.Helper()
 	const smallZero = smallBase + smallBias // 1-word read, delta 0
-	payload := []byte{smallZero, smallZero + smallSpan, medBase}
+	payload := append([]byte{medBase + medBias>>8, medBias & 0xff, smallZero + smallSpan}, bad...)
 	var buf bytes.Buffer
 	buf.Write(magicV2)
 	buf.Write(encodeTestBlock(t, payload))
 	buf.WriteByte(0)
-	const reason = "truncated medium-delta operand"
 	if _, err := ReplayBytes(buf.Bytes(), hostileCfg); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), reason) {
 		t.Fatalf("strict replay err = %v, want ErrBadTrace with %q", err, reason)
 	}
@@ -222,6 +232,53 @@ func TestTruncatedMediumOperand(t *testing.T) {
 	}
 }
 
+// TestTruncatedMediumOperand: a block that ends in a medium-class opcode
+// without its operand byte fails strict replay, and the recovering
+// replay cuts at the access before it.
+func TestTruncatedMediumOperand(t *testing.T) {
+	checkAccessCut(t, []byte{medBase}, "truncated medium-delta operand")
+}
+
+// TestMalformedAccessOperands: an escape that names base 3 (there are
+// three bases), an escape operand past 66 bits and a cached reference to
+// a stride slot its kind never filled are malformed. An empty slot would
+// otherwise replay as a 0-word op. The good read fills slot 0 of the
+// read cache only, so a write's reference to its slot 0 finds it empty.
+func TestMalformedAccessOperands(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bad    []byte
+		reason string
+	}{
+		{"base 3", appendEscape([]byte{v2Read}, zigzag(1), 3), "escape names delta base 3"},
+		{"ranged base 3", append(appendEscape([]byte{v2WriteN}, zigzag(1), 3), 2), "escape names delta base 3"},
+		{"empty slot", []byte{cacheBase | 5}, "empty stride-cache slot 5"},
+		{"other kind's slot", []byte{cacheBase | 1<<6}, "empty stride-cache slot 0"},
+		{"overlong escape", append([]byte{v2Read}, bytes.Repeat([]byte{0xff}, 10)...), "overlong escape operand"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkAccessCut(t, tc.bad, tc.reason) })
+	}
+}
+
+// TestEscapeOperandWidths: an escape operand carries a full 64-bit
+// zigzag delta above its 2-bit base, 66 bits in up to 10 bytes, and
+// decodes back exactly at every width.
+func TestEscapeOperandWidths(t *testing.T) {
+	for _, zz := range []uint64{0, 1, 31, 32, 1 << 61, 1<<62 - 1, 1 << 62, 1 << 63, ^uint64(0)} {
+		for base := 0; base < 4; base++ {
+			d := &v2Decoder{raw: appendEscape(nil, zz, base)}
+			if len(d.raw) > 10 {
+				t.Fatalf("zz %#x base %d: %d bytes", zz, base, len(d.raw))
+			}
+			gz, gb, err := d.escapeOperand()
+			if err != nil || gz != zz || gb != base || d.pos != len(d.raw) {
+				t.Fatalf("zz %#x base %d: decoded %#x, %d, %v after %d of %d bytes",
+					zz, base, gz, gb, err, d.pos, len(d.raw))
+			}
+		}
+	}
+}
+
 // FuzzTraceReader throws raw bytes at the v2 reader. The recovering
 // replay must never panic, OOM, or hang, whatever the stream claims; the
 // strict replay must fail with an error rather than a panic.
@@ -232,11 +289,19 @@ func FuzzTraceReader(f *testing.F) {
 	}
 	f.Add(raw)
 	// A multi-block seed whose block boundary falls well inside the
-	// fuzz limit of 4096 events: ~10-byte range events spill past the
-	// 32 KiB block target within one access run.
+	// fuzz limit of 4096 events: ~10-byte range escapes spill past the
+	// 32 KiB block target within one access run. Each range cycles
+	// through four regions 2^50 words apart, so its kind's last three ends
+	// lie in the other regions, and a fixed-seed xorshift jitters every
+	// offset, so no stride repeats into the cache. The regions stay a few
+	// shadow pages each.
 	multi, err := RecordBytes(func(t *detect.Task) {
-		for i := uint64(0); i < 3500; i++ {
-			t.ReadRange(i%2<<50+4*i, 2)
+		x := uint64(0x9E3779B97F4A7C15)
+		for i := uint64(0); i < 3800; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			t.ReadRange(i%4<<50+16*(i/4)+x%4096, 2)
 		}
 	})
 	if err != nil {
@@ -251,8 +316,8 @@ func FuzzTraceReader(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("FUTRD2\n"))
-	f.Add([]byte("FUTRD2\n\xff\xff\xff\x1f"))
+	f.Add(magicV2)
+	f.Add(append(append([]byte{}, magicV2...), 0xff, 0xff, 0xff, 0x1f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The strict reader may accept or reject, never panic.
 		ReplayBytes(data, hostileCfg)

@@ -1,4 +1,5 @@
-// Trace stream statistics: event counts and on-disk size.
+// Trace stream statistics: event counts, on-disk and inflated size, and
+// how the access events were encoded.
 package trace
 
 import "io"
@@ -12,6 +13,13 @@ type StatInfo struct {
 
 	Accesses int64 // access events (coalesced ranges count once)
 	Words    int64 // shadow words covered by the accesses
+
+	// Inflated is the event bytes the blocks hold after decompression:
+	// what the decoder walks.
+	Inflated int64
+	// Access events by encoding class (see the package documentation's
+	// opcode table), and the structural events; the five sum to Events.
+	Small, Medium, Cached, Escape, Structural int64
 }
 
 // BytesPerEvent returns the mean wire bytes per event.
@@ -46,6 +54,10 @@ func Stat(r io.Reader) (*StatInfo, error) {
 			continue
 		case tevEOF:
 			st.Bytes = dec.w.n
+			st.Inflated = dec.inflated
+			st.Small, st.Medium, st.Escape = dec.small, dec.medium, dec.escape
+			st.Cached = st.Accesses - st.Small - st.Medium - st.Escape
+			st.Structural = st.Events - st.Accesses
 			return st, nil
 		case tevSpawn:
 			st.Spawns++

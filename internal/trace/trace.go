@@ -8,9 +8,9 @@
 // "Implementation"), and gives the library offline analysis and
 // shareable regression corpora.
 //
-// # Format v2
+// # Format v3
 //
-// Record writes format v2 ("FUTRD2\n"): the recorder routes accesses
+// Record writes format v3 ("FUTRD3\n"): the recorder routes accesses
 // through the same event-batch layer the engine uses (internal/event),
 // so contiguous word accesses coalesce into range events before they are
 // encoded, and the encoded stream is framed into length-prefixed,
@@ -29,21 +29,31 @@
 //	0x03        —                             task end
 //	0x04        —                             sync
 //	0x05        zigzag Δid                    get_fut (delta from the previously gotten id)
-//	0x06/0x07   zigzag Δaddr                  1-word read/write (Δ inserted in cache)
-//	0x08/0x09   zigzag Δaddr, uvarint words   range read/write
+//	0x06/0x07   escape                        1-word read/write (stride enters the cache)
+//	0x08/0x09   escape, uvarint words         range read/write (stride enters the cache)
 //	0x0A        uvarint len, bytes            strand label for the current task
-//	0x10–0x41   —                             1-word access, kind + Δaddr ∈ [-12,12] in the opcode
-//	0x42–0x7F   low byte                      1-word access, kind + Δaddr ∈ [-3968,3967] in 2 bytes
-//	0x80–0xFF   —                             1-word access, kind + Δaddr from the delta cache
+//	0x10–0x41   —                             1-word access, kind + Δaddr ∈ [-12,12] from base 0 in the opcode
+//	0x42–0x7F   low byte                      1-word access, kind + Δaddr ∈ [-3968,3967] from base 0 in 2 bytes
+//	0x80–0xFF   —                             access, kind + slot of the stride cache in the opcode
 //
-// Addresses are delta-encoded against the end of the previous access of
-// the same kind, and the 64 most recent cache-missed larger deltas per
-// kind are kept in a round-robin cache, so the periodic stride patterns
-// of wavefront kernels cost one byte per access. Task nesting is implicit
-// in event order (a spawn/create is followed by the child's complete
-// subsequence and a task-end), and replay drives the engine's
-// BeginSpawn/EndSpawn construct API from an explicit stack, so arbitrary
-// spawn depth costs no Go stack. Accesses are decoded a run at a time:
+// Addresses are delta-encoded against a base. Each kind keeps the ends
+// of its last three accesses, most recent first: bases 0, 1 and 2. The
+// batcher can interleave three streams (its last op and a lookback of
+// two), so a stream's previous access is one of the bases even when two
+// other streams sit between its ranges. The small and medium classes
+// count from base 0. An escape operand is one varint of up to 66 bits:
+// the zigzag Δaddr above 2 bits naming the base; base 3 is malformed.
+// Each kind keeps its 64 most recent cache-missed (base, Δaddr, words)
+// strides in a round-robin cache that medium and escape events fill, so
+// a stride that repeats — the row ranges of a blocked kernel, the
+// periodic strides of a wavefront kernel — costs one byte per access. A
+// cached reference to a slot its kind never filled is malformed.
+//
+// Task nesting is implicit in event order (a spawn/create is followed by
+// the child's complete subsequence and a task-end), and replay drives
+// the engine's BeginSpawn/EndSpawn construct API from an explicit stack,
+// so arbitrary spawn depth costs no Go stack. Accesses are decoded a run
+// at a time:
 // the decoder fills a fixed buffer with consecutive access events, one
 // op per event, and replay hands each run to the engine in one call
 // (Engine.Accesses), which appends the ops as they are: they are the ops
@@ -52,9 +62,11 @@
 // A zero-length block terminates the stream; bytes after it make the
 // stream malformed.
 //
-// v2 is the only format read. A stream with the magic of the retired v1
-// format ("FUTRD1\n") is rejected with ErrBadTrace and a request to
-// re-record it.
+// v3 is the only format read. A stream with the magic of a retired
+// format ("FUTRD1\n", or "FUTRD2\n" with one delta base per kind, whose
+// operands would decode to different addresses) is rejected with
+// ErrBadTrace and a request to re-record it. The identifiers of the
+// event layer keep their v2 prefix.
 package trace
 
 import (
@@ -68,8 +80,8 @@ import (
 	"futurerd/internal/event"
 )
 
-// magicV2 opens every trace stream.
-var magicV2 = []byte("FUTRD2\n")
+// magicV2 opens every trace stream (format v3; see the package doc).
+var magicV2 = []byte("FUTRD3\n")
 
 // ErrBadTrace reports a malformed or truncated stream.
 var ErrBadTrace = errors.New("trace: malformed event stream")
@@ -112,14 +124,14 @@ func newDecoder(r io.Reader) (*v2Decoder, error) {
 	switch string(head) {
 	case string(magicV2):
 		return &v2Decoder{w: w, ops: make([]event.Op, runCap)}, nil
-	case "FUTRD1\n":
-		return nil, fmt.Errorf("%w: format v1 is no longer read; re-record the trace", ErrBadTrace)
+	case "FUTRD1\n", "FUTRD2\n":
+		return nil, fmt.Errorf("%w: format v%c is no longer read; re-record the trace", ErrBadTrace, head[5])
 	}
 	return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
 }
 
 // Record executes root sequentially (eager futures, no detection) and
-// writes its event stream to w in format v2. Every construct and access
+// writes its event stream to w in format v3. Every construct and access
 // must go through the task handed to the body that makes it; one through
 // an enclosing task's handle fails the recording with ErrForeignTask, and
 // the stream is left without its terminator, so no reader accepts it.

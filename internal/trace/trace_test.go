@@ -180,7 +180,8 @@ func TestReplayMatchesDirectDetection(t *testing.T) {
 // pre-loop writes instead of before them, in two blocks split inside the
 // main loop. The label ends a decoded run 100 ops into the open batch,
 // so the first MaxOps flush falls 3996 ops into the next run, mid-run
-// (the run buffer holds 256 ops). Every access is a varint event.
+// (the run buffer holds 256 ops). Every access is an escape against
+// base 0, the end of the kind's previous access.
 func midRunFlushTrace(t *testing.T) []byte {
 	t.Helper()
 	const pre, n, racy = longRunPre, longRunN, longRunRacy
@@ -188,7 +189,7 @@ func midRunFlushTrace(t *testing.T) []byte {
 	var end [2]uint64 // per kind: end of the previous access
 	access := func(k event.Kind, addr uint64) {
 		raw = append(raw, v2Read+byte(k))
-		raw = binary.AppendUvarint(raw, zigzag(int64(addr)-int64(end[k])))
+		raw = appendEscape(raw, zigzag(int64(addr-end[k])), 0)
 		end[k] = addr + 1
 	}
 	var out bytes.Buffer
@@ -282,12 +283,14 @@ func TestRecordDeterministic(t *testing.T) {
 func TestReplayRejectsGarbage(t *testing.T) {
 	// Streams rejected at the magic: Replay and Stat fail with
 	// ErrBadTrace, and ReplayRecover reports the empty prefix with the
-	// same diagnosis. A retired v1 stream is rejected by name.
+	// same diagnosis. A stream of a retired format (v1, or v2 with its
+	// single delta base) is rejected by name.
 	for _, tc := range []struct {
 		name, raw, reason string
 	}{
 		{"garbage", "not a trace", "bad magic"},
 		{"v1", "FUTRD1\n\x01\x03\x08", "format v1 is no longer read; re-record the trace"},
+		{"v2", "FUTRD2\n\x01\x03\x08", "format v2 is no longer read; re-record the trace"},
 	} {
 		cfg := detect.Config{Mode: detect.ModeOracle}
 		if _, err := ReplayBytes([]byte(tc.raw), cfg); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), tc.reason) {
@@ -376,6 +379,40 @@ func TestTraceCompactness(t *testing.T) {
 	if len(raw) > 3000/2 {
 		t.Fatalf("trace too fat: %d bytes for 3000 strided accesses", len(raw))
 	}
+	// mm's inner loop (read a row of B, read a row of C, write that row
+	// of C; rows n words apart) leaves interleaved range streams, two of
+	// them reads. Each range is coded against its own stream's end, so
+	// once the stride cache has warmed up every range is one cached byte:
+	// past the warm-up, the inflated bytes average at most 1.1 per range.
+	const mmWarm, mmRows = 2, 34
+	var mmStat [2]*StatInfo
+	for r, rows := range []int{mmWarm, mmRows} {
+		raw, err := RecordBytes(func(t *detect.Task) {
+			const n, size, b, c = 256, 16, 1 << 20, 1 << 21
+			for i := 0; i < rows; i++ {
+				for k := 0; k < size; k++ {
+					for j := 0; j < size; j++ {
+						t.Read(uint64(b + k*n + j))
+						t.Read(uint64(c + i*n + j))
+						t.Write(uint64(c + i*n + j))
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mmStat[r], err = Stat(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(rows * 16 * 3); mmStat[r].Accesses != want {
+			t.Fatalf("%d rows: %d access events, want %d row ranges", rows, mmStat[r].Accesses, want)
+		}
+	}
+	ranges := mmStat[1].Accesses - mmStat[0].Accesses
+	if perRange := float64(mmStat[1].Inflated-mmStat[0].Inflated) / float64(ranges); perRange > 1.1 {
+		t.Fatalf("mm inner loop: %.2f inflated bytes per range event past the warm-up (%+v)", perRange, *mmStat[1])
+	}
 }
 
 // TestDeepSpawnChainReplaysIteratively: a 100k-deep spawn chain must
@@ -394,7 +431,7 @@ func TestDeepSpawnChainReplaysIteratively(t *testing.T) {
 		payload = append(payload, v2Spawn)
 	}
 	payload = append(payload, v2Write)
-	payload = binary.AppendUvarint(payload, zigzag(1))
+	payload = appendEscape(payload, zigzag(1), 0)
 	for i := 0; i < depth; i++ {
 		payload = append(payload, v2TaskEnd)
 	}
@@ -435,6 +472,22 @@ func TestStatCountsEvents(t *testing.T) {
 	// coalesce into one range.
 	if st.Words != 5 || st.Accesses != 4 {
 		t.Fatalf("Words/Accesses = %d/%d, want 5/4", st.Words, st.Accesses)
+	}
+	// Every event falls in exactly one class: the future's range escapes
+	// (nothing is cached yet), the three single-word accesses are small
+	// deltas from their kind's last end, and the other eight events are
+	// structural.
+	if got := st.Small + st.Medium + st.Cached + st.Escape + st.Structural; got != st.Events {
+		t.Fatalf("class counts %+v sum to %d, not the %d events", st, got, st.Events)
+	}
+	if st.Small != 3 || st.Medium != 0 || st.Cached != 0 || st.Escape != 1 || st.Structural != 8 {
+		t.Fatalf("class counts: %+v", st)
+	}
+	// The eight structural opcodes, the get's id delta, the three small
+	// accesses, the escape (opcode, delta-and-base operand, word count)
+	// and each label's length byte and bytes.
+	if want := int64(8 + 1 + 3 + 3 + 1 + len("main") + 1 + len("producer")); st.Inflated != want {
+		t.Fatalf("inflated bytes %d, want %d", st.Inflated, want)
 	}
 	// Bytes after the terminator are not part of the stream: Stat
 	// rejects them instead of counting the bufio read-ahead.
@@ -503,6 +556,9 @@ func TestBlockFramingSpansBlocks(t *testing.T) {
 	}
 	if st.Accesses != 600_000 {
 		t.Fatalf("accesses = %d, want 600000", st.Accesses)
+	}
+	if n := blockCount(t, raw); n < 2 {
+		t.Fatalf("strides recorded %d block(s); it must span a block boundary", n)
 	}
 	cfg := detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull}
 	direct := detect.NewEngine(cfg).Run(strides)

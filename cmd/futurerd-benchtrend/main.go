@@ -6,10 +6,11 @@
 // shared CI runners is noise. The run counters are different: for a given
 // input size, code version and (serial) configuration, the number of
 // shadow accesses, page-set cache hits, ownership skips, memo hits,
-// reader-list inflations, reachability queries and races is exactly
-// reproducible, on
-// the inline pipeline and the async consumer alike. Any unexplained
-// change is a behavioral regression — a fast path silently disabled, a
+// reader-list inflations, reachability queries, races, the words of
+// MultiBags+'s R closure and its three sync cases is exactly
+// reproducible, on the inline pipeline and the async consumer alike. Any
+// unexplained change is a behavioral regression — a fast path silently
+// disabled (R's fold memo, say, which only the closure words show), a
 // protocol change leaking extra queries, a race appearing — even when the
 // timings look fine.
 // The two documents must also agree on the algorithm set: a table family
@@ -68,6 +69,10 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 		"reach.unions":      s.Reach.Unions,
 		"reach.attached":    s.Reach.AttachedSets,
 		"reach.rarcs":       s.Reach.RArcs,
+		"reach.rclosewords": s.Reach.RCloseWords,
+		"reach.syncneither": s.Reach.SyncNeither,
+		"reach.syncboth":    s.Reach.SyncBoth,
+		"reach.syncmixed":   s.Reach.SyncMixed,
 		"shadow.reads":      s.Shadow.Reads,
 		"shadow.writes":     s.Shadow.Writes,
 		"shadow.appends":    s.Shadow.ReaderAppends,

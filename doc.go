@@ -89,10 +89,12 @@
 // on the engine goroutine; any value of 1 or more on one async consumer
 // goroutine, which takes the batches in seal order while the program
 // keeps executing. Constructs do not wait for the consumer. The engine runs ahead of detection until the bounded item channel
-// back-pressures. CheckStructured's discipline query rides the same
-// stream and is answered after every mutation before the get and none
-// after it (a violation is recorded, never acted on, so nothing needs
-// the answer eagerly). Since the consumer checks batches in seal order,
+// back-pressures. CheckStructured's discipline query is answered from
+// the get's own mutation, which carries the creator strand and the touch
+// count: the per-batch body evaluates it just before that mutation
+// applies, so it sees every mutation before the get and none after it (a
+// violation is recorded, never acted on, so nothing needs the answer
+// eagerly). Since the consumer checks batches in seal order,
 // races reach OnRace and the report in seal order with no reorder buffer,
 // and verdicts, report order and every counter are identical to an
 // inline run. Both pipelines share the hand-off, the per-batch body, its

@@ -34,7 +34,6 @@ type MultiBags struct {
 	tag []byte
 
 	queries uint64
-	fns     uint64
 }
 
 // NewMultiBags returns a MultiBags instance sharing the engine's strand
@@ -51,7 +50,6 @@ func (m *MultiBags) makeSBag(f FnID) {
 	m.tag = extend(m.tag, int(f)+1, tagS)
 	m.uf.MakeSet(uint32(f))
 	m.tag[f] = tagS
-	m.fns++
 }
 
 // Init implements Reach.
@@ -97,9 +95,5 @@ func (m *MultiBags) inSBag(u StrandID) bool {
 // Stats implements Reach.
 func (m *MultiBags) Stats() ReachStats {
 	f, un := m.uf.Ops()
-	return ReachStats{
-		Finds: f, Unions: un, Queries: m.queries,
-		StrandsSeen:   uint64(m.st.Len()),
-		FunctionsSeen: m.fns,
-	}
+	return ReachStats{Finds: f, Unions: un, Queries: m.queries}
 }

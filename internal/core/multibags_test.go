@@ -48,8 +48,9 @@ func TestMultiBagsLifecycle(t *testing.T) {
 	if !m.Precedes(2, 4) {
 		t.Fatal("joined future must be in the S-bag")
 	}
-	if m.Stats().FunctionsSeen != 2 {
-		t.Fatalf("FunctionsSeen = %d, want 2", m.Stats().FunctionsSeen)
+	// The two function bags are now one set.
+	if got := m.uf.Sets(); got != 1 {
+		t.Fatalf("bags = %d, want 1 (main's S-bag absorbed G's)", got)
 	}
 }
 

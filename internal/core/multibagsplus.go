@@ -25,7 +25,6 @@ import (
 // The event handlers below implement Figure 4 line by line; Precedes
 // implements Figure 3.
 type MultiBagsPlus struct {
-	st  *StrandTable
 	dsp *MultiBags
 	nsp *ds.UnionFind
 	r   rdag
@@ -37,11 +36,10 @@ type MultiBagsPlus struct {
 	attPred []int32
 	attSucc []int32
 
-	attachedSets uint64
-	queries      uint64
-	syncNeither  uint64
-	syncBoth     uint64
-	syncMixed    uint64
+	queries     uint64
+	syncNeither uint64
+	syncBoth    uint64
+	syncMixed   uint64
 
 	// Debug invariant checking (enabled in tests): any violation of the
 	// paper's structural guarantees is recorded here.
@@ -55,7 +53,6 @@ const noRNode = int32(-1)
 // strand table.
 func NewMultiBagsPlus(st *StrandTable) *MultiBagsPlus {
 	return &MultiBagsPlus{
-		st:  st,
 		dsp: NewMultiBags(st),
 		nsp: ds.NewUnionFind(64),
 	}
@@ -90,7 +87,6 @@ func (m *MultiBagsPlus) makeAttached(s StrandID) int32 {
 	m.att[s] = rn
 	m.attPred[s] = rn // an attached set is its own attached predecessor
 	m.attSucc[s] = rn // ... and successor
-	m.attachedSets++
 	return rn
 }
 
@@ -125,7 +121,6 @@ func (m *MultiBagsPlus) attachify(u StrandID) {
 	rn := m.r.addNode()
 	m.r.addArc(m.attPred[root], rn)
 	m.att[root] = rn
-	m.attachedSets++
 }
 
 // rnodeOf returns the R node of the set containing s, attaching the set
@@ -292,16 +287,14 @@ func (m *MultiBagsPlus) Stats() ReachStats {
 	f1, u1 := m.dsp.uf.Ops()
 	f2, u2 := m.nsp.Ops()
 	return ReachStats{
-		Finds:         f1 + f2,
-		Unions:        u1 + u2,
-		Queries:       m.queries,
-		AttachedSets:  m.attachedSets,
-		RArcs:         m.r.arcs,
-		RCloseWords:   m.r.closureWords(),
-		StrandsSeen:   uint64(m.st.Len()),
-		FunctionsSeen: m.dsp.fns,
-		SyncNeither:   m.syncNeither,
-		SyncBoth:      m.syncBoth,
-		SyncMixed:     m.syncMixed,
+		Finds:        f1 + f2,
+		Unions:       u1 + u2,
+		Queries:      m.queries,
+		AttachedSets: uint64(m.r.nodes()),
+		RArcs:        m.r.arcs,
+		RCloseWords:  m.r.closureWords(),
+		SyncNeither:  m.syncNeither,
+		SyncBoth:     m.syncBoth,
+		SyncMixed:    m.syncMixed,
 	}
 }

@@ -39,7 +39,6 @@ type SPBags struct {
 
 	next    uint32
 	queries uint64
-	fns     uint64
 }
 
 const noElem = ^uint32(0)
@@ -69,7 +68,6 @@ func (m *SPBags) enterFn(f FnID) {
 	m.ensureFn(f)
 	m.anchor[f] = m.newElem(tagS)
 	m.pElem[f] = noElem
-	m.fns++
 }
 
 // Init implements Reach.
@@ -128,9 +126,5 @@ func (m *SPBags) Precedes(u, _ StrandID) bool {
 // Stats implements Reach.
 func (m *SPBags) Stats() ReachStats {
 	f, un := m.uf.Ops()
-	return ReachStats{
-		Finds: f, Unions: un, Queries: m.queries,
-		StrandsSeen:   uint64(m.st.Len()),
-		FunctionsSeen: m.fns,
-	}
+	return ReachStats{Finds: f, Unions: un, Queries: m.queries}
 }

@@ -88,7 +88,9 @@ type JoinRec struct {
 // GetRec describes a get_fut construct. Getter is the strand that ended
 // with the get_fut call; FutLast is the last strand of the future being
 // joined; Cont is the getter strand (the strand immediately following,
-// with two incoming edges).
+// with two incoming edges). Creator and Touch are read by no Reach: the
+// detection engine answers Config.CheckStructured's discipline check from
+// them, just before the record applies.
 type GetRec struct {
 	Fn      FnID
 	FutFn   FnID
@@ -173,16 +175,15 @@ func (m *Mut) ApplyTo(r Reach) {
 	}
 }
 
-// ReachStats aggregates data-structure traffic for reporting.
+// ReachStats aggregates data-structure traffic for reporting. The strand
+// and function counts are the engine's (detect.Stats.Strands, Functions).
 type ReachStats struct {
-	Finds         uint64 // union-find Find operations
-	Unions        uint64 // union-find Union operations
-	Queries       uint64 // Precedes calls
-	AttachedSets  uint64 // attached sets created (MultiBags+ only)
-	RArcs         uint64 // arcs inserted into R (MultiBags+ only)
-	RCloseWords   uint64 // words of R's closure: its distinct 512-bit chunks plus the row index, two ids a word
-	StrandsSeen   uint64
-	FunctionsSeen uint64
+	Finds        uint64 // union-find Find operations
+	Unions       uint64 // union-find Union operations
+	Queries      uint64 // Precedes calls, the discipline checks' included
+	AttachedSets uint64 // attached sets created, one per node of R (MultiBags+ only)
+	RArcs        uint64 // arcs inserted into R (MultiBags+ only)
+	RCloseWords  uint64 // words of R's closure: its distinct 512-bit chunks plus the row index, two ids a word
 
 	// MultiBags+ sync-case counters (Figure 4 lines 29–32 / 33–40 /
 	// 41–46), used by tests to prove all three paths are exercised and by

@@ -63,6 +63,10 @@ type Engine struct {
 	// so it is identical across Consumers configurations.
 	evStats event.Stats
 
+	// seq is the sequence number handOff stamped on the last batch it
+	// handed off. Engine goroutine only.
+	seq uint64
+
 	// batch is the open batch: constructs append their reachability
 	// mutations to it and Read/Write their accesses (coalescing contiguous
 	// same-kind accesses into ranges), and handOff passes it to detection
@@ -218,7 +222,7 @@ const maxMuts = 256
 func (e *Engine) mutate(m core.Mut) {
 	e.batch.Muts = append(e.batch.Muts, m)
 	if len(e.batch.Muts) >= maxMuts {
-		e.handOff(nil)
+		e.handOff()
 	}
 }
 
@@ -259,7 +263,7 @@ func (e *Engine) report() *Report {
 	if e.batch != nil {
 		e.seal() // flush any still-open batch
 		if len(e.batch.Muts) > 0 {
-			e.handOff(nil) // trailing mutations: the final relation is reported
+			e.handOff() // trailing mutations: the final relation is reported
 		}
 	}
 	e.be.stop() // quiesce the detection back-end (nil-safe)
@@ -563,28 +567,11 @@ func (e *Engine) GetFut(t *Task, h *Fut) any {
 	if !h.done {
 		e.fail(ErrFutureNotReady)
 	}
-	getter := t.strand
 	h.touches++
-	if e.cfg.CheckStructured {
-		// The discipline query (creator sequentially precedes getter) must
-		// see the relation with every mutation before this get and none
-		// after. It rides the open batch, whose mutations are exactly the
-		// ones not yet applied, and process answers it after applying them
-		// — on the async pipeline without the engine waiting, since a
-		// violation is recorded, never acted on. The batch leaves now, so
-		// the get's own mutation starts the next one.
-		e.batch.Strand = getter
-		e.handOff(&discCheck{
-			futFn:   h.fn,
-			creator: h.creatorStrand,
-			getter:  getter,
-			touches: h.touches,
-		})
-	}
 	cont := e.newStrand(t.fn)
 	e.mutate(core.Mut{Op: core.MutGet, Get: core.GetRec{
 		Fn: t.fn, FutFn: h.fn,
-		Getter: getter, FutLast: h.last, Cont: cont,
+		Getter: t.strand, FutLast: h.last, Cont: cont,
 		Creator: h.creatorStrand, Touch: h.touches,
 	}})
 	t.strand = cont
@@ -686,43 +673,46 @@ func (e *Engine) seal() {
 		return
 	}
 	e.evStats.Batches++
-	e.handOff(nil)
+	e.handOff()
 }
 
-// handOff is the one place a batch leaves the engine, stamped with the
-// current construct generation and with discipline check d if non-nil. It
+// handOff is the one place a batch leaves the engine, stamped with its
+// seal-order sequence number and the current construct generation. It
 // queues the batch to the async consumer and opens a fresh one or, with no
 // consumer, processes it in place inside the recover shell and reuses it.
-func (e *Engine) handOff(d *discCheck) {
+func (e *Engine) handOff() {
 	b := e.batch
-	b.Gen = e.gen
+	e.seq++
+	b.Seq, b.Gen = e.seq, e.gen
 	if e.be != nil {
 		e.batch = event.New()
-		e.be.submit(workItem{b: b, disc: d})
+		e.be.submit(b)
 		return
 	}
-	if pe := e.guard("inline", b, func() { e.process(workItem{b: b, disc: d}) }); pe != nil {
+	if pe := e.guard("inline", b, func() { e.process(b) }); pe != nil {
 		e.poisonWith(pe)
 	}
 	b.Reset()
 }
 
-// process is the per-item body both pipelines share: it applies the
-// batch's construct mutations, answers its deferred discipline check,
-// checks the batch's ops on the run's checker and reports their races, in
-// op order. Every op was performed by the batch's strand under the
-// relation those mutations complete. The checker starts each batch with
-// cold verdict caches, so memo-hit counters cannot depend on the pipeline.
-func (e *Engine) process(it workItem) {
+// process is the per-batch body both pipelines share: it applies the
+// batch's construct mutations, answering each get's discipline check
+// just before the get applies, then checks the batch's ops on the run's
+// checker and reports their races, in op order. Every op was performed by
+// the batch's strand under the relation those mutations complete. The
+// checker starts each batch with cold verdict caches, so memo-hit
+// counters cannot depend on the pipeline.
+func (e *Engine) process(b *event.Batch) {
 	if e.faults.Fire(faultinject.ConsumerPanic) {
 		panic(faultinject.Panic{Point: faultinject.ConsumerPanic})
 	}
-	b := it.b
+	disc := e.cfg.CheckStructured
 	for i := range b.Muts {
-		b.Muts[i].ApplyTo(e.reach)
-	}
-	if it.disc != nil {
-		e.evalDisc(it.disc)
+		m := &b.Muts[i]
+		if disc && m.Op == core.MutGet {
+			e.evalDisc(&m.Get)
+		}
+		m.ApplyTo(e.reach)
 	}
 	if len(b.Ops) == 0 {
 		return

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -201,53 +202,71 @@ func TestGetBeforeCompletionFails(t *testing.T) {
 	}
 }
 
+// TestStructuredDisciplineChecker runs each program on both pipelines
+// under every back-end that gives it a defined answer, and wants exactly
+// the listed violations, in order. The discipline check is answered while
+// the get's batch is processed, just before the get's own mutation
+// applies; with memory off a whole run is one batch, so a check that
+// waited for the end of the batch would see later constructs.
 func TestStructuredDisciplineChecker(t *testing.T) {
-	// Multi-touch violation.
-	rep := NewEngine(Config{Mode: ModeMultiBagsPlus, CheckStructured: true}).
-		Run(func(t *Task) {
+	progs := []struct {
+		name string
+		want []string
+		prog func(*Task)
+	}{
+		{"multi-touch", []string{"multi-touch"}, func(t *Task) {
 			h := t.CreateFut(func(*Task) any { return nil })
 			t.GetFut(h)
 			t.GetFut(h)
-		})
-	if !hasViolation(rep, "multi-touch") {
-		t.Errorf("multi-touch not flagged: %+v", rep.Violations)
-	}
-
-	// Creator does not precede getter: the future is created inside a
-	// spawned child and gotten by the parent without a sync.
-	rep = NewEngine(Config{Mode: ModeMultiBagsPlus, CheckStructured: true}).
-		Run(func(t *Task) {
+		}},
+		// The future is created inside a spawned child and gotten by the
+		// parent without a sync: creator ∥ getter.
+		{"unordered-create-get", []string{"unordered-create-get"}, func(t *Task) {
 			var h *Fut
 			t.Spawn(func(c *Task) {
 				h = c.CreateFut(func(*Task) any { return nil })
 			})
 			t.GetFut(h) // no sync: creator ∥ getter
 			t.Sync()
-		})
-	if !hasViolation(rep, "unordered-create-get") {
-		t.Errorf("unordered create/get not flagged: %+v", rep.Violations)
-	}
-
-	// A clean structured program must produce no violations.
-	rep = NewEngine(Config{Mode: ModeMultiBags, CheckStructured: true}).
-		Run(func(t *Task) {
+		}},
+		// The child creates and gets the future, and the parent gets it a
+		// second time without a sync. Under MultiBags the second get
+		// unions the child's returned P-bag, creator included, into the
+		// parent's S-bag, so only a check made before that get applies
+		// sees the creator parallel with the getter.
+		{"second-get-before-sync", []string{"multi-touch", "unordered-create-get"}, func(t *Task) {
+			var h *Fut
+			t.Spawn(func(c *Task) {
+				h = c.CreateFut(func(*Task) any { return nil })
+				c.GetFut(h)
+			})
+			t.GetFut(h)
+			t.Sync()
+		}},
+		{"clean", nil, func(t *Task) {
 			h := t.CreateFut(func(*Task) any { return nil })
 			t.Spawn(func(c *Task) {})
 			t.Sync()
 			t.GetFut(h)
-		})
-	if len(rep.Violations) != 0 {
-		t.Errorf("clean program flagged: %+v", rep.Violations)
+		}},
 	}
-}
-
-func hasViolation(rep *Report, kind string) bool {
-	for _, v := range rep.Violations {
-		if v.Kind == kind {
-			return true
+	for _, p := range progs {
+		for _, mode := range futureSoundModes {
+			for _, consumers := range []int{0, 1} {
+				rep := NewEngine(Config{Mode: mode, CheckStructured: true, Consumers: consumers}).Run(p.prog)
+				if rep.Err != nil {
+					t.Fatalf("%s %v c=%d: %v", p.name, mode, consumers, rep.Err)
+				}
+				var got []string
+				for _, v := range rep.Violations {
+					got = append(got, v.Kind)
+				}
+				if !reflect.DeepEqual(got, p.want) {
+					t.Errorf("%s %v c=%d: violations %v, want %v", p.name, mode, consumers, got, p.want)
+				}
+			}
 		}
 	}
-	return false
 }
 
 func TestRaceDeduplicationAndCap(t *testing.T) {

@@ -73,6 +73,36 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 	}
 }
 
+// TestPipelineErrorNamesBatchOnBothPipelines: the hand-off stamps each
+// batch's sequence number on both pipelines, so the same injected fault
+// names the same batch — a non-zero Seq and the same diagnostic — whether
+// the batch was processed inline or on the consumer.
+func TestPipelineErrorNamesBatchOnBothPipelines(t *testing.T) {
+	faultinject.GoroutineLeakCheck(t)
+	var got [2]*PipelineError
+	for consumers := range got {
+		rep := NewTunedEngine(Config{
+			Mode: ModeMultiBags, Mem: MemFull, Consumers: consumers,
+		}, Tuning{Faults: faultinject.Single(faultinject.ConsumerPanic, 3)}).Run(func(t *Task) {
+			for i := 0; i < 8; i++ {
+				t.Spawn(func(c *Task) { c.WriteRange(uint64(i)*512, 4) })
+			}
+			t.Sync()
+		})
+		if !errors.As(rep.Err, &got[consumers]) {
+			t.Fatalf("c=%d: want a PipelineError, got %v", consumers, rep.Err)
+		}
+	}
+	inline, async := got[0], got[1]
+	if inline.Seq != 3 || inline.Seq != async.Seq || inline.Batch != async.Batch || inline.Batch == "" {
+		t.Fatalf("pipelines name different batches:\ninline seq %d (%s)\nasync  seq %d (%s)",
+			inline.Seq, inline.Batch, async.Seq, async.Batch)
+	}
+	if !strings.Contains(inline.Error(), "at batch seq 3") {
+		t.Fatalf("inline error omits the batch: %v", inline)
+	}
+}
+
 // TestMutationPanicFailsClosed: a panic while a batch's construct
 // mutations apply fails the run closed on both pipelines. The program
 // makes constructs only, with memory ignored, so the panic comes from

@@ -36,7 +36,7 @@ func TestPaperFigure2(t *testing.T) {
 			// q asks whether u precedes the current strand of tk, once the
 			// pending construct mutations have reached the relation.
 			q := func(tk *Task, u core.StrandID) bool {
-				e.handOff(nil)
+				e.handOff()
 				return e.reach.Precedes(u, tk.strand)
 			}
 

@@ -1,6 +1,5 @@
-// Package ds provides the low-level data structures shared by the race
-// detection algorithms: Tarjan's fast disjoint-set structure and the
-// growable bit vector it keeps its registered elements in. Both are
+// Package ds provides the low-level data structure shared by the race
+// detection algorithms: Tarjan's fast disjoint-set structure. It is
 // single-goroutine: the detection pipeline applies and queries the
 // reachability relation on one goroutine at a time.
 package ds
@@ -10,15 +9,12 @@ package ds
 // amortized O(α(m,n)) time, the bound the paper's Theorems 4.1 and 5.1
 // rely on.
 //
-// Elements must be added with MakeSet before use. The structure grows on
-// demand; ids need not be contiguous but dense ids keep memory tight.
+// Elements must be added with MakeSet before use, each exactly once. The
+// structure grows on demand; ids need not be contiguous but dense ids
+// keep memory tight.
 type UnionFind struct {
 	parent []uint32
 	rank   []uint8
-	// present[i] reports whether MakeSet(i) has been called. Kept as a
-	// bitset so accidental use of an unregistered element is caught in
-	// tests rather than silently unioning garbage.
-	present BitVec
 
 	sets   int
 	finds  uint64
@@ -49,21 +45,14 @@ func (u *UnionFind) grow(n int) {
 	u.parent, u.rank = p, r
 }
 
-// MakeSet registers x as a singleton set. Registering an existing element
-// is a no-op, so callers may use it to "ensure" an element.
+// MakeSet registers x, which must not be registered yet, as a singleton
+// set. Every caller names a fresh function, strand or element id.
 func (u *UnionFind) MakeSet(x uint32) {
 	u.grow(int(x) + 1)
-	if u.present.Has(x) {
-		return
-	}
-	u.present.Set(x)
 	u.parent[x] = x
 	u.rank[x] = 0
 	u.sets++
 }
-
-// Contains reports whether MakeSet(x) has been called.
-func (u *UnionFind) Contains(x uint32) bool { return u.present.Has(x) }
 
 // Find returns the canonical representative of the set containing x,
 // compressing the path as it goes.

@@ -82,8 +82,8 @@ type Batch struct {
 	// applies them to the reachability relation before checking the
 	// batch, on either pipeline.
 	Muts []core.Mut
-	// Seq is the batch's position in seal order, stamped at submit time,
-	// for pipeline diagnostics.
+	// Seq is the batch's position in seal order, stamped at hand-off on
+	// both pipelines, for pipeline diagnostics.
 	Seq uint64
 	Ops []Op
 }

@@ -28,7 +28,7 @@ type Point uint8
 
 // Fault points, one per instrumented site class.
 const (
-	// ConsumerPanic panics on the goroutine processing an item, before
+	// ConsumerPanic panics on the goroutine processing a batch, before
 	// its mutations apply: the async consumer (Consumers >= 1), or the
 	// engine goroutine on the inline pipeline (Consumers 0).
 	ConsumerPanic Point = iota

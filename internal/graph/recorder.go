@@ -66,7 +66,6 @@ type Recorder struct {
 	queue   []core.StrandID
 
 	queries uint64
-	fns     uint64
 }
 
 type outEdge struct {
@@ -102,21 +101,18 @@ func (g *Recorder) AddEdge(from, to core.StrandID, kind EdgeKind) {
 func (g *Recorder) Init(_ core.FnID, mainStrand core.StrandID) {
 	g.ensure(mainStrand)
 	g.main = mainStrand
-	g.fns++
 }
 
 // Spawn implements core.Reach.
 func (g *Recorder) Spawn(r core.SpawnRec) {
 	g.AddEdge(r.Fork, r.ChildFirst, SpawnEdge)
 	g.AddEdge(r.Fork, r.ContFirst, Continue)
-	g.fns++
 }
 
 // CreateFut implements core.Reach.
 func (g *Recorder) CreateFut(r core.CreateRec) {
 	g.AddEdge(r.Creator, r.FutFirst, CreateEdge)
 	g.AddEdge(r.Creator, r.ContFirst, Continue)
-	g.fns++
 }
 
 // Return implements core.Reach (no new edges; the join edge appears at the
@@ -143,11 +139,7 @@ func (g *Recorder) Precedes(u, v core.StrandID) bool {
 
 // Stats implements core.Reach.
 func (g *Recorder) Stats() core.ReachStats {
-	return core.ReachStats{
-		Queries:       g.queries,
-		StrandsSeen:   uint64(g.st.Len()),
-		FunctionsSeen: g.fns,
-	}
+	return core.ReachStats{Queries: g.queries}
 }
 
 // NumStrands returns the number of strands recorded.

@@ -119,7 +119,6 @@ type Pool struct {
 	stop    atomic.Bool
 
 	steals atomic.Uint64
-	spawns atomic.Uint64
 }
 
 // NewPool creates a pool with n workers (n ≤ 0 means GOMAXPROCS) and
@@ -249,7 +248,6 @@ func (p *Pool) await(st *parState, j *job) {
 
 // Spawn implements detect.Executor.
 func (p *Pool) Spawn(t *detect.Task, f func(*detect.Task)) {
-	p.spawns.Add(1)
 	st := parOf(t)
 	ct := detect.NewTask(p)
 	cst := &parState{}

@@ -59,8 +59,11 @@
 // event batch in a 64-entry cache keyed by the predecessor strand. A bulk
 // read runs the protocol once per run of consecutive words in the same
 // shadow state and gives the rest of the run the first word's outcome;
-// a run ends at any change of state and at a racing word. Every access
-// that no fast path resolves runs the full protocol. The fast paths are
+// a run ends at any change of state and at a racing word. Within one
+// batch, an exact repeat of a multi-word op the strand already settled
+// skips the per-word loop altogether (the range memo) and counts the
+// skips the loop would find. Every access that no fast path resolves runs
+// the full protocol. The fast paths are
 // verdict-preserving: they report exactly the races the paper's
 // word-at-a-time protocol reports. Prefer the bulk accessors
 // (Task.ReadRange/WriteRange, Matrix.ReadRow/WriteRow) for contiguous

@@ -13,9 +13,9 @@
 // goroutine processes batches — the engine goroutine in the inline
 // pipeline or the async consumer — so nothing on the per-word path locks.
 // Everything a checker keeps between ops is its own: its page-set cache
-// (kept across batches — pages never move), its verdict cache and scan
-// memo (reset every batch), its segment transition memo, its counters and
-// its event buffer.
+// (kept across batches — pages never move), its per-batch memos (the
+// range memo, the verdict cache and the scan memo, all reset by Begin),
+// its segment transition memo, its counters and its event buffer.
 package shadow
 
 import "futurerd/internal/core"
@@ -63,9 +63,11 @@ type Checker struct {
 
 	// share is the reader-list transition memo of the page segment being
 	// read, settled at the segment's end; scans is the write-side scan
-	// memo of inflated lists, reset by Begin.
-	share shareMemo
-	scans scanMemo
+	// memo of inflated lists, and ranges the memo of settled multi-word
+	// ranges, both reset by Begin.
+	share  shareMemo
+	scans  scanMemo
+	ranges rangeMemo
 
 	events []RaceEvent
 
@@ -79,10 +81,11 @@ func NewChecker(h *History, reach core.Reach) *Checker {
 	return &Checker{h: h, reach: reach}
 }
 
-// Begin starts one batch made by strand s: the verdict cache and the
-// scan memo start cold and the event buffer empties.
+// Begin starts one batch made by strand s: the range memo, the verdict
+// cache and the scan memo start cold and the event buffer empties.
 func (c *Checker) Begin(s core.StrandID) {
 	c.s = s
+	c.ranges.reset()
 	c.verdicts.reset()
 	c.scans.reset()
 	c.events = c.events[:0]
@@ -107,6 +110,25 @@ func (c *Checker) pageMiss(pn uint64) *page {
 	p := c.h.pageFor(pn)
 	c.pages[pn&(PageSetSlots-1)] = pageSlot{pn, p}
 	return p
+}
+
+// probePages probes the page-set cache once per page segment of the
+// range, exactly as the range loops do, so a range-memo hit leaves the
+// cache and PageCacheHits as the loops would. The range's pages exist:
+// the memoized op touched them.
+func (c *Checker) probePages(addr uint64, words int) {
+	end := addr + uint64(words)
+	for {
+		pn := addr >> PageBits
+		if e := &c.pages[pn&(PageSetSlots-1)]; e.p != nil && e.pn == pn {
+			c.pageCacheHits++
+		} else {
+			c.pageMiss(pn)
+		}
+		if addr = (pn + 1) << PageBits; addr >= end {
+			return
+		}
+	}
 }
 
 // precedes answers "u is sequentially before the batch's strand" through
@@ -149,6 +171,12 @@ func (c *Checker) recorded(r0 core.StrandID) bool { return c.h.spill.recorded(r0
 // run stops at the first word in another state, and there is none when
 // the head races (the words after it go one by one and report their own
 // races).
+//
+// Memo path: an exact repeat of a multi-word range the strand already
+// settled in this batch skips the per-word loop (see rangeMemo). A write
+// entry counts every word as an owned skip; a read entry counts the
+// owned words its first read saw as owned skips and the rest as
+// read-shared skips, which is what the loop would find.
 func (c *Checker) ReadRange(addr uint64, words int) {
 	if words <= 0 {
 		return
@@ -177,7 +205,22 @@ func (c *Checker) ReadRange(addr uint64, words int) {
 		}
 		return
 	}
+	if words < minRangeWords {
+		c.readSegments(addr, words)
+		return
+	}
+	i := rangeSlot(addr)
+	if e, read, write := c.ranges.lookup(i, addr, words); read || write {
+		c.ownedSkips += e.owned
+		c.readSharedSkips += uint64(words) - e.owned
+		c.probePages(addr, words)
+		return
+	}
+	owned, events := c.ownedSkips, len(c.events)
 	c.readSegments(addr, words)
+	if len(c.events) == events {
+		c.ranges.setRead(i, addr, words, c.ownedSkips-owned)
+	}
 }
 
 // readSegments is ReadRange's multi-word path: one page lookup per page
@@ -278,6 +321,12 @@ func (c *Checker) settle() { c.h.spill.settle(&c.share, &c.counters, &c.scans) }
 // Fast path: a write to a word the strand already owns (it is the last
 // writer and no readers intervened) is a no-op re-establishing the exact
 // same state, so the protocol is skipped entirely.
+//
+// Memo path: an exact repeat of a multi-word write the strand already made
+// in this batch finds every word owned, so it counts one owned skip per
+// word and touches none (see rangeMemo). A write that runs the protocol
+// may turn a word the strand had recorded as a reader into an owned one,
+// so it drops the range memo's read entries that overlap it.
 func (c *Checker) WriteRange(addr uint64, words int) {
 	if words <= 0 {
 		return
@@ -302,9 +351,30 @@ func (c *Checker) WriteRange(addr uint64, words int) {
 			c.ownedSkips++
 		} else {
 			c.writeSlow(w, addr)
+			c.ranges.drop(addr, 1)
 		}
 		return
 	}
+	if words < minRangeWords {
+		c.writeSegments(addr, words)
+		c.ranges.drop(addr, words)
+		return
+	}
+	i := rangeSlot(addr)
+	if e, _, write := c.ranges.lookup(i, addr, words); write {
+		c.ownedSkips += e.owned
+		c.probePages(addr, words)
+		return
+	}
+	c.writeSegments(addr, words)
+	c.ranges.drop(addr, words)
+	c.ranges.setWrite(i, addr, words)
+}
+
+// writeSegments is WriteRange's multi-word path: one page lookup per page
+// segment, then the per-word loop over the segment's slots.
+func (c *Checker) writeSegments(addr uint64, words int) {
+	s := c.s
 	for {
 		slot := int(addr & pageMask)
 		n := pageSize - slot

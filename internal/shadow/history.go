@@ -37,6 +37,22 @@
 //     of state; a racing head starts none (the words after it are
 //     checked one by one).
 //
+//   - Range memo: within one batch, an exact repeat of a multi-word op
+//     the strand already settled skips the per-word loop (rangeMemo).
+//     After a write every word of the range is owned with no readers, and
+//     the strand's own later accesses keep it so; after a race-free read
+//     each word is owned or records the strand, and only a write that
+//     runs the protocol on a recorded word changes which, so such a write
+//     drops the read entries it overlaps. A repeat therefore counts the
+//     skips the loop would find: one owned skip per word of a write
+//     entry; the owned words its first read saw, and read-shared skips
+//     for the rest, of a read entry. It still probes the page-set cache
+//     once per page segment, so every counter is the loop's. mm's base
+//     case re-reads each B row and re-reads and rewrites its C row 16
+//     times per batch, so 87% of its multi-word ops are answered here.
+//     Ops narrower than minRangeWords keep the loop (lcs's average about
+//     two words).
+//
 //   - Epoch-style ownership: a strand re-accessing a word it already owns
 //     (it is the last writer, and for writes no readers intervened) is
 //     race-free by definition and skips the protocol entirely — the

@@ -2,6 +2,7 @@ package shadow
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -319,22 +320,32 @@ func FuzzRangeMatchesReference(f *testing.F) {
 	// A spread seed: pages PageSetSlots apart evict each other from the
 	// checker's page-set cache.
 	f.Add(uint64(3), uint64(22))
+	// A repeat seed: strands re-issue their recent ranges, so the serial
+	// checker's range memo hits and drops.
+	f.Add(uint64(12), uint64(5))
 	f.Fuzz(func(t *testing.T, seed, relSeed uint64) { differentialRun(t, seed, relSeed) })
 }
 
 // TestRangeMatchesReferenceSeeds runs the differential body over a seed
 // sweep so plain `go test` covers many interleavings, and checks that the
 // sweep reaches the machinery it exists to cover: lists of three or more
-// readers, slots recycled through the free list, and page-set evictions.
+// readers, slots recycled through the free list, page-set evictions, and
+// the serial checker's range memo answering repeat reads from read and
+// write entries, repeat writes, and dropping a read entry on a write.
 func TestRangeMatchesReferenceSeeds(t *testing.T) {
 	var longest int
 	var recycled, evicted bool
+	var memo rangeCoverage
 	for seed := uint64(0); seed < 50; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			cov := differentialRun(t, seed, seed*7+1)
 			longest = max(longest, cov.longestList)
 			recycled = recycled || cov.recycled
 			evicted = evicted || cov.evicted
+			memo.readHits += cov.memo.readHits
+			memo.writeEntryReads += cov.memo.writeEntryReads
+			memo.writeHits += cov.memo.writeHits
+			memo.drops += cov.memo.drops
 		})
 	}
 	if longest < 3 || !recycled {
@@ -343,14 +354,52 @@ func TestRangeMatchesReferenceSeeds(t *testing.T) {
 	if !evicted {
 		t.Fatal("sweep never touched two pages that share a page-set slot")
 	}
+	t.Logf("range memo over the sweep: %+v", memo)
+	if memo.readHits == 0 || memo.writeEntryReads == 0 || memo.writeHits == 0 || memo.drops == 0 {
+		t.Fatalf("sweep missed the range memo: %+v", memo)
+	}
 }
 
-// spillCoverage reports what one differential run did to the spill slab
-// and the page-set cache.
+// spillCoverage reports what one differential run did to the spill slab,
+// the page-set cache and the serial checker's range memo.
 type spillCoverage struct {
 	longestList int  // most readers seen in one inflated list
 	recycled    bool // some inflation reused a freed slot
 	evicted     bool // two touched pages share a page-set slot
+	memo        rangeCoverage
+}
+
+// rangeCoverage counts the serial checker's range-memo events.
+type rangeCoverage struct {
+	readHits        int // repeat reads answered by a read entry
+	writeEntryReads int // repeat reads answered by a write entry
+	writeHits       int // repeat writes answered by a write entry
+	drops           int // read entries a write dropped
+}
+
+// observe classifies one op of the serial checker c by the range memo's
+// state before it (m) and after it.
+func (cov *rangeCoverage) observe(m *rangeMemo, c *Checker, addr uint64, words int, write bool) {
+	if words >= minRangeWords {
+		switch _, read, wr := m.lookup(rangeSlot(addr), addr, words); {
+		case write && wr:
+			cov.writeHits++
+		case !write && wr:
+			cov.writeEntryReads++
+		case !write && read:
+			cov.readHits++
+		}
+	}
+	if !write {
+		return
+	}
+	end := addr + uint64(words)
+	for gone := m.reads &^ c.ranges.reads; gone != 0; gone &= gone - 1 {
+		e := m.e[bits.TrailingZeros64(gone)]
+		if e.addr < end && addr < e.addr+uint64(e.words) {
+			cov.drops++
+		}
+	}
 }
 
 func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
@@ -384,6 +433,17 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	// the spread entry (3, 22) is one, so the older entries' address
 	// streams stay as recorded.
 	spread := seed%5 == 3
+	// Seeds 5 mod 7 keep a strand across ops more often and re-issue one
+	// of its recent ranges, or one word inside it, on about half of its
+	// ops: the access pattern the range memo serves. No corpus entry
+	// above or under testdata falls in this class, so their streams stay
+	// as recorded.
+	repeat := seed%7 == 5
+	type span struct {
+		addr  uint64
+		words int
+	}
+	var recent []span
 	reach := &relReach{rel: rel}
 	ref := NewHistory()
 	serialH := NewHistory()
@@ -406,8 +466,10 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	var cov spillCoverage
 	s, batchStrand := core.StrandID(1), core.NoStrand
 	for op := 0; op < 300; op++ {
-		if next(3) != 0 { // otherwise the previous op's strand continues
+		// Otherwise the previous op's strand continues.
+		if keep := repeat && next(4) != 0; !keep && next(3) != 0 {
 			s = core.StrandID(next(strands) + 1)
+			recent = recent[:0]
 		}
 		// Addresses cluster near a page boundary so ranges regularly
 		// straddle it.
@@ -423,6 +485,19 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 			// A long range: runs of equal words outlast the verdict cache
 			// and cross the page boundary.
 			words = int(next(300)) + 1
+		}
+		if repeat {
+			if len(recent) > 0 && next(2) == 0 {
+				r := recent[next(uint64(len(recent)))]
+				addr, words = r.addr, r.words
+				if words > 0 && next(3) == 0 {
+					// One word inside it: a one-word write there must
+					// drop the range's read entry.
+					addr, words = addr+next(uint64(words)), 1
+				}
+			} else if recent = append(recent, span{addr, words}); len(recent) > 4 {
+				recent = recent[1:]
+			}
 		}
 		// A read-only opening phase grows long reader lists on fresh
 		// words; afterwards writes deflate them and reads re-inflate.
@@ -441,7 +516,9 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 			serial.Begin(s)
 			batchStrand = s
 		}
+		memo := serial.ranges
 		do(serial, addr, words)
+		cov.memo.observe(&memo, serial, addr, words, isWrite)
 
 		c := turns[op%2]
 		c.Begin(s)
@@ -488,8 +565,11 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 	}
 	// The histories must also agree on traffic the protocol defines
 	// exactly (reads/writes observed). The checker skips owned words
-	// the reference still appends, so its reader-list state machine is
-	// compared among the checker shapes.
+	// the reference still appends, so its reader-list state machine and
+	// its skip counters are compared among the checker shapes: a skip is
+	// decided by the word's state alone, so the serial shape's range memo
+	// must count exactly the skips the turns and one-word shapes find
+	// word by word.
 	rs, fs := ref.Stats(), serialH.Stats()
 	if fs.Reads != rs.Reads || fs.Writes != rs.Writes {
 		t.Fatalf("traffic diverged: serial %+v ref %+v", fs, rs)
@@ -501,7 +581,8 @@ func differentialRun(t *testing.T, seed, relSeed uint64) spillCoverage {
 		st := p.st
 		if st.Reads != fs.Reads || st.Writes != fs.Writes || st.ReaderAppends != fs.ReaderAppends ||
 			st.ReaderFlushes != fs.ReaderFlushes || st.EpochInflations != fs.EpochInflations ||
-			st.EpochDeflations != fs.EpochDeflations || st.SpillEntries != fs.SpillEntries {
+			st.EpochDeflations != fs.EpochDeflations || st.SpillEntries != fs.SpillEntries ||
+			st.OwnedSkips != fs.OwnedSkips || st.ReadSharedSkips != fs.ReadSharedSkips {
 			t.Fatalf("%s traffic diverged:\n%s %+v\nserial %+v", p.name, p.name, st, fs)
 		}
 	}

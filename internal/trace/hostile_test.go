@@ -11,9 +11,14 @@ import (
 
 	"futurerd/internal/detect"
 	"futurerd/internal/faultinject"
+	"futurerd/internal/shadow"
 )
 
 var hostileCfg = detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull}
+
+// fuzzLimits are FuzzTraceReader's limits: small enough that no input can
+// make a fuzz iteration slow or large. 64 shadow pages are 2 MiB.
+var fuzzLimits = Limits{MaxEvents: 1 << 12, MaxWords: 1 << 20, MaxPages: 64}
 
 // TestCorruptFixtures pins the reader's behavior on the checked-in
 // damaged traces: the strict path must diagnose each one's damage as
@@ -187,6 +192,7 @@ func TestReplayRecoverLimitsInsideRun(t *testing.T) {
 		// event.MaxOps.
 		{"events", Limits{MaxEvents: 33_333}, 33_333},
 		{"words", Limits{MaxWords: 9_999}, 9_999},
+		{"pages", Limits{MaxPages: 100}, stridesPageCut(100)},
 	} {
 		rep, err := ReplayRecover(bytes.NewReader(raw), hostileCfg, tc.lim)
 		if err != nil {
@@ -200,6 +206,59 @@ func TestReplayRecoverLimitsInsideRun(t *testing.T) {
 		if got := rep.Stats.Shadow.Reads + rep.Stats.Shadow.Writes; got != tc.limit {
 			t.Fatalf("%s limit %d: replayed %d words", tc.name, tc.limit, got)
 		}
+	}
+}
+
+// stridesPageCut returns the number of strides events replayed before the
+// one that touches its (maxPages+1)-th distinct shadow page.
+func stridesPageCut(maxPages int) uint64 {
+	seen := map[uint64]bool{}
+	for i := uint64(0); ; i++ {
+		for k, addr := range []uint64{1 + 2*i, 1_000_000 + 3*i, 9_000_000 + 5*i} {
+			if pn := addr >> shadow.PageBits; !seen[pn] {
+				if len(seen) == maxPages {
+					return 3*i + uint64(k)
+				}
+				seen[pn] = true
+			}
+		}
+	}
+}
+
+// TestReplayRecoverPageBudget: a stream of a few dozen bytes whose every
+// one-word access lands on a fresh shadow page — one read escape of delta
+// 2^30, then cached references repeating that stride — must stop at the
+// page budget with a replay-limit cut instead of materializing a 32 KiB
+// page per event. Without the budget, FuzzTraceReader's other limits let
+// it allocate over 200 MB.
+func TestReplayRecoverPageBudget(t *testing.T) {
+	raw, err := RecordBytes(func(t *detect.Task) {
+		for i := uint64(0); i < 1<<12; i++ {
+			t.Read((i+1)<<30 + i) // 2^30 past the previous read's end
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) > 64 {
+		t.Fatalf("the stream is %d bytes; its accesses no longer repeat one cached stride", len(raw))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := ReplayRecover(bytes.NewReader(raw), hostileCfg, fuzzLimits)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := rep.Stats.Trace
+	if !ts.Truncated || ts.TruncatedAtEvent != fuzzLimits.MaxPages || !strings.Contains(ts.Reason, "replay limit") {
+		t.Fatalf("page budget not applied: %+v", ts)
+	}
+	if got := rep.Stats.Shadow.TouchedPages; got != fuzzLimits.MaxPages {
+		t.Fatalf("TouchedPages = %d, want the budget %d", got, fuzzLimits.MaxPages)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Fatalf("replay allocated %d bytes, want under 8 MiB", alloc)
 	}
 }
 
@@ -321,8 +380,7 @@ func FuzzTraceReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The strict reader may accept or reject, never panic.
 		ReplayBytes(data, hostileCfg)
-		rep, err := ReplayRecover(bytes.NewReader(data), hostileCfg,
-			Limits{MaxEvents: 1 << 12, MaxWords: 1 << 20})
+		rep, err := ReplayRecover(bytes.NewReader(data), hostileCfg, fuzzLimits)
 		if err != nil {
 			t.Fatalf("recovering replay failed: %v", err)
 		}

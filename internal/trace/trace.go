@@ -78,6 +78,7 @@ import (
 
 	"futurerd/internal/detect"
 	"futurerd/internal/event"
+	"futurerd/internal/shadow"
 )
 
 // magicV2 opens every trace stream (format v3; see the package doc).
@@ -191,6 +192,12 @@ func ReplayBytes(b []byte, cfg detect.Config) (*detect.Report, error) {
 // cannot spin a replay for hours.
 const DefaultMaxReplayWords = 1 << 32
 
+// DefaultMaxReplayPages is the distinct-shadow-page bound ReplayRecover
+// applies when Limits.MaxPages is zero: 2^15 pages of 2^shadow.PageBits
+// words are 1 GiB of shadow memory, far beyond any recorded benchmark and
+// small enough that a hostile trace cannot exhaust memory.
+const DefaultMaxReplayPages = 1 << 15
+
 // Limits bounds a recovering replay against hostile or damaged traces.
 type Limits struct {
 	// MaxEvents cuts the replay after this many decoded events (0 means
@@ -199,6 +206,12 @@ type Limits struct {
 	// MaxWords cuts the replay once the cumulative replayed access words
 	// exceed it (0 means DefaultMaxReplayWords).
 	MaxWords uint64
+	// MaxPages cuts the replay before the access that would touch more
+	// than this many distinct shadow pages (2^shadow.PageBits words each;
+	// 0 means DefaultMaxReplayPages). Every page is materialized on first
+	// touch, so this bounds a replay's shadow memory, which a short stream
+	// of far-apart accesses could otherwise drive to gigabytes.
+	MaxPages uint64
 }
 
 // ReplayRecover replays as much of the stream as decodes cleanly and
@@ -215,6 +228,9 @@ type Limits struct {
 func ReplayRecover(r io.Reader, cfg detect.Config, lim Limits) (*detect.Report, error) {
 	if lim.MaxWords == 0 {
 		lim.MaxWords = DefaultMaxReplayWords
+	}
+	if lim.MaxPages == 0 {
+		lim.MaxPages = DefaultMaxReplayPages
 	}
 	var ts detect.TraceStats
 	dec, err := newDecoder(r)
@@ -311,10 +327,10 @@ func (r *replayer) end() {
 // straight into the engine's event batch in one call; on a cut, the
 // events before it are replayed.
 func (r *replayer) walk(dec *v2Decoder, lim Limits) error {
-	var words uint64
+	var use usage
 	for {
 		ops, v, err := dec.run()
-		ops, cut := lim.clip(ops, r.events, &words)
+		ops, cut := lim.clip(ops, r.events, &use)
 		r.e.Accesses(r.cur, ops)
 		r.events += uint64(len(ops))
 		switch {
@@ -339,21 +355,60 @@ func (r *replayer) walk(dec *v2Decoder, lim Limits) error {
 	}
 }
 
+// usage is what a replay's ops have used so far of the limits that
+// clip enforces: the words accessed and the distinct shadow pages
+// touched.
+type usage struct {
+	words uint64
+	pages map[uint64]struct{}
+	last  uint64 // the page most recently counted, plus one (0: none yet)
+}
+
+// touch counts the pages of op's words not counted before, up to budget
+// pages in all, and reports whether they all fit. A range that wraps the
+// address space walks new pages until the budget runs out.
+func (u *usage) touch(op *event.Op, budget uint64) bool {
+	if op.Words <= 0 {
+		return true
+	}
+	last := (op.Addr + uint64(op.Words) - 1) >> shadow.PageBits
+	for pn := op.Addr >> shadow.PageBits; ; pn++ {
+		if pn+1 != u.last { // a run of accesses on one page looks it up once
+			if _, ok := u.pages[pn]; !ok {
+				if uint64(len(u.pages)) == budget {
+					return false
+				}
+				if u.pages == nil {
+					u.pages = make(map[uint64]struct{})
+				}
+				u.pages[pn] = struct{}{}
+			}
+			u.last = pn + 1
+		}
+		if pn == last {
+			return true
+		}
+	}
+}
+
 // clip cuts a decoded access run at its first op past lim, given the
-// events replayed before the run and the running word total. It returns
-// the ops to replay and, when it cut, the limit hit.
-func (lim Limits) clip(ops []event.Op, events uint64, words *uint64) ([]event.Op, error) {
+// events replayed before the run and the running usage. It returns the
+// ops to replay and, when it cut, the limit hit.
+func (lim Limits) clip(ops []event.Op, events uint64, use *usage) ([]event.Op, error) {
 	var cut error
 	if lim.MaxEvents != 0 && events+uint64(len(ops)) > lim.MaxEvents {
 		ops = ops[:lim.MaxEvents-events]
 		cut = lim.eventsHit()
 	}
-	if lim.MaxWords == 0 {
+	if lim.MaxWords == 0 && lim.MaxPages == 0 {
 		return ops, cut
 	}
 	for i := range ops {
-		if *words += uint64(ops[i].Words); *words > lim.MaxWords {
+		if use.words += uint64(ops[i].Words); lim.MaxWords != 0 && use.words > lim.MaxWords {
 			return ops[:i], fmt.Errorf("replay limit: more than %d words accessed", lim.MaxWords)
+		}
+		if lim.MaxPages != 0 && !use.touch(&ops[i], lim.MaxPages) {
+			return ops[:i], fmt.Errorf("replay limit: more than %d shadow pages touched", lim.MaxPages)
 		}
 	}
 	return ops, cut

@@ -22,6 +22,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"time"
 
@@ -178,45 +179,39 @@ func geomean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// configGrid runs the paper's four configurations for one instance
-// factory and returns the four minimum times plus the full-config report
-// (whose shadow counters the tables and JSON output surface).
-func configGrid(opts Options, mk func() workloads.Instance, mode futurerd.Mode) (base, reach, instr, full time.Duration, fullRep *futurerd.Report, err error) {
-	check := func(ins workloads.Instance, rep *futurerd.Report) error {
-		if rep != nil && rep.Err != nil {
-			return fmt.Errorf("%s: %v", ins.Name(), rep.Err)
-		}
-		if rep != nil && rep.Racy() {
-			return fmt.Errorf("%s: unexpected races: %v", ins.Name(), rep.Races[0])
-		}
-		if opts.Validate {
-			return ins.Validate()
-		}
-		return nil
-	}
-	ins := mk()
-	base, _ = measure(opts, ins, futurerd.ModeNone, futurerd.MemOff)
-	if err = checkValidate(opts, ins); err != nil {
-		return
-	}
-	reach, rep := measure(opts, ins, mode, futurerd.MemOff)
-	if err = check(ins, rep); err != nil {
-		return
-	}
-	instr, rep = measure(opts, ins, mode, futurerd.MemInstr)
-	if err = check(ins, rep); err != nil {
-		return
-	}
-	full, fullRep = measure(opts, ins, mode, futurerd.MemFull)
-	err = check(ins, fullRep)
-	return
+// configs are the paper's four cumulative configurations, in table
+// order; baseline runs with no detector.
+var configs = [4]struct {
+	name string
+	mem  futurerd.MemLevel
+}{
+	{"baseline", futurerd.MemOff},
+	{"reachability", futurerd.MemOff},
+	{"instrumentation", futurerd.MemInstr},
+	{"full", futurerd.MemFull},
 }
 
-func checkValidate(opts Options, ins workloads.Instance) error {
-	if !opts.Validate {
-		return nil
+// configGrid runs configs on one instance and returns each minimum time
+// and report (nil for baseline).
+func configGrid(opts Options, ins workloads.Instance, mode futurerd.Mode) (times [4]time.Duration, reps [4]*futurerd.Report, err error) {
+	for i, c := range configs {
+		m := mode
+		if i == 0 {
+			m = futurerd.ModeNone
+		}
+		times[i], reps[i] = measure(opts, ins, m, c.mem)
+		if rep := reps[i]; rep != nil && rep.Err != nil {
+			return times, reps, fmt.Errorf("%s: %v", ins.Name(), rep.Err)
+		} else if rep != nil && rep.Racy() {
+			return times, reps, fmt.Errorf("%s: unexpected races: %v", ins.Name(), rep.Races[0])
+		}
+		if opts.Validate {
+			if err = ins.Validate(); err != nil {
+				return times, reps, err
+			}
+		}
 	}
-	return ins.Validate()
+	return times, reps, nil
 }
 
 // skipPct renders the fraction of full-config accesses resolved by one of
@@ -258,48 +253,61 @@ func footprint(rep *futurerd.Report) string {
 	return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
 }
 
-// figure runs one of the paper's overhead tables (Figure 6 for structured
-// variants under MultiBags, Figure 7 for general variants under
-// MultiBags+).
-func figure(opts Options, name, title string, mode futurerd.Mode, pick func(workloads.Benchmark) func() workloads.Instance) (*Table, []Measurement, error) {
+// figSpec is one of the paper's overhead tables: Figure 6 runs the
+// structured variants under MultiBags, Figure 7 the general variants
+// under MultiBags+.
+type figSpec struct {
+	name, title string
+	mode        futurerd.Mode
+	general     bool
+}
+
+var (
+	fig6 = figSpec{"fig6", "Figure 6: structured futures + MultiBags (cf. paper Fig. 6)", futurerd.ModeMultiBags, false}
+	fig7 = figSpec{"fig7", "Figure 7: general futures + MultiBags+ (cf. paper Fig. 7)", futurerd.ModeMultiBagsPlus, true}
+)
+
+// instance builds b's variant for the table; dedup has a single
+// implementation.
+func (f figSpec) instance(b workloads.Benchmark) workloads.Instance {
+	if f.general && b.General != nil {
+		return b.General()
+	}
+	return b.Structured()
+}
+
+// figure runs one of the paper's overhead tables.
+func figure(opts Options, f figSpec) (*Table, []Measurement, error) {
 	opts.defaults()
 	t := &Table{
-		Title:  title,
+		Title:  f.title,
 		Header: []string{"bench", "baseline", "reach", "", "instr", "", "full", "", "owned", "rdshare", "shadow"},
 	}
 	var ms []Measurement
 	var reachR, instrR, fullR []float64
 	for _, b := range workloads.All(opts.Size) {
-		mk := pick(b)
-		if mk == nil {
-			mk = b.Structured // dedup has a single implementation
-		}
-		base, reach, instr, full, fullRep, err := configGrid(opts, mk, mode)
+		times, reps, err := configGrid(opts, f.instance(b), f.mode)
 		if err != nil {
 			return nil, nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			b.Name, secs(base),
-			secs(reach), ratio(reach, base),
-			secs(instr), ratio(instr, base),
-			secs(full), ratio(full, base),
-			ownedPct(fullRep), readSharedPct(fullRep), footprint(fullRep),
-		})
-		ms = append(ms,
-			Measurement{Figure: name, Bench: b.Name, Config: "baseline", Seconds: base.Seconds()},
-			Measurement{Figure: name, Bench: b.Name, Config: "reachability",
-				Seconds: reach.Seconds(), Overhead: float64(reach) / float64(base)},
-			Measurement{Figure: name, Bench: b.Name, Config: "instrumentation",
-				Seconds: instr.Seconds(), Overhead: float64(instr) / float64(base)},
-			Measurement{Figure: name, Bench: b.Name, Config: "full",
-				Seconds: full.Seconds(), Overhead: float64(full) / float64(base),
-				Stats: &fullRep.Stats})
+		base, fullRep := times[0], reps[3]
+		row := []string{b.Name, secs(base)}
+		for i, c := range configs {
+			m := Measurement{Figure: f.name, Bench: b.Name, Config: c.name, Seconds: times[i].Seconds()}
+			if i > 0 {
+				row = append(row, secs(times[i]), ratio(times[i], base))
+				m.Overhead = float64(times[i]) / float64(base)
+				m.Stats = &reps[i].Stats
+			}
+			ms = append(ms, m)
+		}
+		t.Rows = append(t.Rows, append(row, ownedPct(fullRep), readSharedPct(fullRep), footprint(fullRep)))
 		// The paper's geomean excludes dedup (its compression stage is
 		// uninstrumented); we follow suit.
 		if b.Name != "dedup" {
-			reachR = append(reachR, float64(reach)/float64(base))
-			instrR = append(instrR, float64(instr)/float64(base))
-			fullR = append(fullR, float64(full)/float64(base))
+			reachR = append(reachR, float64(times[1])/float64(base))
+			instrR = append(instrR, float64(times[2])/float64(base))
+			fullR = append(fullR, float64(times[3])/float64(base))
 		}
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
@@ -315,20 +323,59 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 
 // Fig6 reproduces Figure 6: structured-future variants race detected with
 // MultiBags, four configurations each.
-func Fig6(opts Options) (*Table, []Measurement, error) {
-	return figure(opts, "fig6",
-		"Figure 6: structured futures + MultiBags (cf. paper Fig. 6)",
-		futurerd.ModeMultiBags,
-		func(b workloads.Benchmark) func() workloads.Instance { return b.Structured })
-}
+func Fig6(opts Options) (*Table, []Measurement, error) { return figure(opts, fig6) }
 
 // Fig7 reproduces Figure 7: general-future variants race detected with
 // MultiBags+.
-func Fig7(opts Options) (*Table, []Measurement, error) {
-	return figure(opts, "fig7",
-		"Figure 7: general futures + MultiBags+ (cf. paper Fig. 7)",
-		futurerd.ModeMultiBagsPlus,
-		func(b workloads.Benchmark) func() workloads.Instance { return b.General })
+func Fig7(opts Options) (*Table, []Measurement, error) { return figure(opts, fig7) }
+
+// Armed runs every Figure 6 and Figure 7 workload once more with its
+// injected race turned on, under full detection, so the counter gate
+// also sees races reported, deduplicated and truncated (every other
+// table's workloads are race free). Its rows are untimed; a row that
+// reports no race, or fails, fails the table.
+func Armed(opts Options) (*Table, []Measurement, error) {
+	t := &Table{
+		Title:  "Armed: each workload with its injected race, full detection",
+		Header: []string{"bench", "detector", "races", "reported", "dropped pairs", "truncated"},
+	}
+	var ms []Measurement
+	for _, f := range []figSpec{fig6, fig7} {
+		for _, b := range workloads.All(opts.Size) {
+			ins := f.instance(b)
+			if err := arm(ins); err != nil {
+				return nil, nil, err
+			}
+			rep := futurerd.Detect(futurerd.Config{
+				Mode: f.mode, Mem: futurerd.MemFull, Consumers: opts.Consumers,
+			}, ins.Run)
+			if rep.Err != nil {
+				return nil, nil, fmt.Errorf("%s: %v", ins.Name(), rep.Err)
+			}
+			if !rep.Racy() {
+				return nil, nil, fmt.Errorf("%s under %s: injected race not reported", ins.Name(), f.mode)
+			}
+			s := rep.Stats
+			t.Rows = append(t.Rows, []string{
+				b.Name, f.mode.String(),
+				fmt.Sprint(s.RaceCount), fmt.Sprint(len(rep.Races)),
+				fmt.Sprint(s.DroppedPairs), fmt.Sprint(s.TruncatedRaces),
+			})
+			ms = append(ms, Measurement{Figure: "armed", Bench: b.Name, Config: f.mode.String(), Stats: &s})
+		}
+	}
+	return t, ms, nil
+}
+
+// arm turns on ins's injected race: every workload type has an
+// InjectRace field.
+func arm(ins workloads.Instance) error {
+	f := reflect.ValueOf(ins).Elem().FieldByName("InjectRace")
+	if f.Kind() != reflect.Bool {
+		return fmt.Errorf("%s: no injected race", ins.Name())
+	}
+	f.SetBool(true)
+	return nil
 }
 
 // FigReplay measures trace-replay throughput over the committed trace
